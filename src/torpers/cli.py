@@ -3,7 +3,7 @@
 Every subcommand reads either a .mfc multifiltered complex or (for xi and
 resolve) a JSON presentation, and writes one report to stdout.  JSON is the
 machine format; text renders aligned tables; csv is available where the
-report is a flat table.  Exit codes: 0 ok, 1 invalid input, 2 a internal
+report is a flat table.  Exit codes: 0 ok, 1 invalid input, 2 an internal
 cross-check failed (those indicate a bug, not bad input).
 """
 
@@ -48,8 +48,16 @@ def fmt_multiset(ms):
     return "{" + body + "}"
 
 
-def _ms_from_pairs(pairs):
-    return gr.multiset_from_json(pairs)
+def _csv(index, table):
+    """One row per (index, degree) of a graded multiset table.
+
+    table is [[index, [[degree, mult], ...]], ...] as in the JSON reports.
+    """
+    lines = ["%s,degree,mult" % index]
+    for k, pairs in table:
+        for deg, mult in pairs:
+            lines.append("%d,(%s),%d" % (k, " ".join(str(c) for c in deg), mult))
+    return "\n".join(lines) + "\n"
 
 
 def _load_complex(path):
@@ -101,13 +109,7 @@ def _cmd_xi(args):
     if args.format == "json":
         return _dumps(data)
     if args.format == "csv":
-        lines = ["j,degree,mult"]
-        for j, pairs in data["xi"]:
-            for deg, mult in pairs:
-                lines.append(
-                    "%d,(%s),%d" % (j, " ".join(str(c) for c in deg), mult)
-                )
-        return "\n".join(lines) + "\n"
+        return _csv("j", data["xi"])
     lines = ["field %d" % args.field]
     for j in range(M.n + 1):
         lines.append("xi_%d  %s" % (j, fmt_multiset(table.tables.get(j, {}))))
@@ -130,13 +132,7 @@ def _cmd_resolve(args):
     if args.format == "json":
         return _dumps(data)
     if args.format == "csv":
-        lines = ["j,degree,mult"]
-        for j, pairs in betti:
-            for deg, mult in pairs:
-                lines.append(
-                    "%d,(%s),%d" % (j, " ".join(str(c) for c in deg), mult)
-                )
-        return "\n".join(lines) + "\n"
+        return _csv("j", betti)
     lines = ["field %d" % args.field, "length %d" % res.length]
     for j in range(res.length + 1):
         lines.append("F_%d  %s" % (j, fmt_multiset(res.xi(j))))
@@ -159,13 +155,7 @@ def _cmd_hypertor(args):
     if args.format == "json":
         return _dumps(data)
     if args.format == "csv":
-        lines = ["l,degree,mult"]
-        for ell, pairs in data["hypertor"]:
-            for deg, mult in pairs:
-                lines.append(
-                    "%d,(%s),%d" % (ell, " ".join(str(c) for c in deg), mult)
-                )
-        return "\n".join(lines) + "\n"
+        return _csv("l", data["hypertor"])
     lines = ["field %d" % args.field]
     for ell in sorted(tables):
         lines.append("l=%d  %s" % (ell, fmt_multiset(tables[ell])))
@@ -179,7 +169,7 @@ def _cmd_e1(args):
     data.update(page.to_json())
     data["rendered"] = {
         "E1[%d,%d]" % (row["i"], row["q"]): fmt_multiset(
-            _ms_from_pairs(row["dims"])
+            gr.multiset_from_json(row["dims"])
         )
         for row in data["e1"]
     }
@@ -191,11 +181,8 @@ def _cmd_e1(args):
         "field %d" % args.field,
         "degenerate %s" % ("yes" if page.verdict else "no"),
     ]
-    for row in data["e1"]:
-        lines.append(
-            "E1[%d,%d]  %s"
-            % (row["i"], row["q"], fmt_multiset(_ms_from_pairs(row["dims"])))
-        )
+    for key, rendered in data["rendered"].items():
+        lines.append("%s  %s" % (key, rendered))
     return "\n".join(lines) + "\n"
 
 
@@ -242,15 +229,15 @@ def _cmd_recover(args):
 
 def _cmd_orbits(args):
     try:
-        xi0 = _ms_from_pairs(json.loads(args.xi0))
-        xi1 = _ms_from_pairs(json.loads(args.xi1)) if args.xi1 else {}
+        xi0 = gr.multiset_from_json(json.loads(args.xi0))
+        xi1 = gr.multiset_from_json(json.loads(args.xi1)) if args.xi1 else {}
     except (ValueError, TypeError) as e:
         raise ValidationError("xi0/xi1 must be JSON [[degree, mult], ...]: %s" % e)
     report = ob.classify(xi0, xi1, args.field, limit=args.limit)
     data = report.to_json()
     for row in data["orbits"]:
         row["xi_rendered"] = {
-            "xi_%d" % j: fmt_multiset(_ms_from_pairs(pairs))
+            "xi_%d" % j: fmt_multiset(gr.multiset_from_json(pairs))
             for j, pairs in row["xi"]
         }
     if args.format == "json":
@@ -260,7 +247,7 @@ def _cmd_orbits(args):
     )
     rows = []
     for row in data["orbits"]:
-        xi_by_j = {j: _ms_from_pairs(pairs) for j, pairs in row["xi"]}
+        xi_by_j = {j: gr.multiset_from_json(pairs) for j, pairs in row["xi"]}
         y = ";".join(
             "x%d@(%s)=%s"
             % (
@@ -291,7 +278,7 @@ def _cmd_orbits(args):
         out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     for g in data["groups"]:
         key = " ".join(
-            "xi_%d=%s" % (j, fmt_multiset(_ms_from_pairs(pairs)))
+            "xi_%d=%s" % (j, fmt_multiset(gr.multiset_from_json(pairs)))
             for j, pairs in g["xi_upper"]
         )
         out.append(
@@ -361,8 +348,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="torpers",
         description="Tor tables, hypertor and orbit reports for "
-        "multifiltered complexes.  Set TORPERS_WORKERS to parallelize "
-        "grid scans.",
+        "multifiltered complexes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -25,21 +25,21 @@ field and lives in check_boundary(p).
 
 Presentations
 -------------
-A finitely presented n-graded module is stored as JSON:
+A finitely presented n-graded module is read from JSON (the form the xi and
+resolve commands accept):
 
     {"n": 2,
-     "xi0": [[[0,0], 3]],
-     "relations": [{"degree": [0,1], "coeffs": {"0": 1, "1": -1}}]}
+     "gens": [[0,0], [0,0]],
+     "relations": [[[1,1], {"0": 1, "1": -1}]]}
 
-xi0 is the generator multiset as [degree, multiplicity] pairs; generators are
-ordered by expanding that list sorted lexicographically, and relation coeffs
-index into that order.  A nonzero coefficient is only legal when the
-generator's degree is <= the relation's degree.
+gens lists the generator degrees in lexicographic order; each relation is a
+pair [degree, coeffs] whose coeffs map a generator index (into gens) to an
+integer coefficient.  A nonzero coefficient is only legal when the
+generator's degree is <= the relation's degree.  The module is the cokernel.
 """
 
 from __future__ import annotations
 
-import json
 import re
 
 from torpers import ValidationError
@@ -375,50 +375,3 @@ class Presentation:
         for g in self.gens:
             if len(g) != self.n:
                 raise ValidationError("generator degree %s has wrong length" % (list(g),))
-
-    def xi0(self):
-        return gr.multiset_from_list(self.gens)
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "xi0": gr.multiset_to_json(self.xi0()),
-            "relations": [
-                {
-                    "degree": list(deg),
-                    "coeffs": {str(i): c for i, c in sorted(coeffs.items())},
-                }
-                for deg, coeffs in self.relations
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        try:
-            n = data["n"]
-            xi0 = gr.multiset_from_json(data["xi0"])
-            rel_items = data.get("relations", [])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError("malformed presentation: %s" % exc)
-        gens = [deg for deg, mult in gr.multiset_to_sorted_pairs(xi0) for _ in range(mult)]
-        rels = []
-        for item in rel_items:
-            try:
-                rels.append((tuple(item["degree"]), dict(item["coeffs"])))
-            except (KeyError, TypeError) as exc:
-                raise ValidationError("malformed relation: %s" % exc)
-        return cls(n, gens, rels)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-
-def load_presentation(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError("not valid JSON: %s" % exc)
-    return Presentation.from_json(data)

@@ -50,14 +50,14 @@ def step(v, axis):
     return tuple(a + (1 if i == axis else 0) for i, a in enumerate(v))
 
 
+def minus_e(v, S):
+    """v - e_S: one less along every axis in S (entries may go negative)."""
+    return tuple(a - (1 if i in S else 0) for i, a in enumerate(v))
+
+
 def grid(bound):
     """All degrees v <= bound in lexicographic order."""
     return itertools.product(*(range(b + 1) for b in bound))
-
-
-def below(v):
-    """All degrees u <= v in lexicographic order (same as grid)."""
-    return grid(v)
 
 
 # multisets of degrees ------------------------------------------------------

@@ -17,10 +17,6 @@ ordinary chain complex by canonical copies and its cokernel Q witness why.
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from torpers import InternalCheckError, ValidationError
@@ -30,83 +26,18 @@ from torpers import modules as md
 from torpers import tor
 
 
-def _worker_count():
-    raw = os.environ.get("TORPERS_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    """Apply fn to each item, optionally on a thread pool; order preserved."""
-    workers = _worker_count()
-    items = list(items)
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _minus_e(v, S):
-    return tuple(a - (1 if i in S else 0) for i, a in enumerate(v))
-
-
-class _ChainData:
-    """Chain modules of all dimensions plus per-degree boundary matrices."""
-
-    def __init__(self, cx, p, bound=None):
-        from torpers.complexes import check_field
-
-        check_field(p)
-        cx.check_boundary(p)
-        self.cx = cx
-        self.p = p
-        self.top = cx.max_dim()
-        self.bound = cx.natural_bound() if bound is None else gr.as_degree(bound)
-        self.chains = [
-            md.chains_module(cx, i, p, bound=self.bound)
-            for i in range(self.top + 1)
-        ]
-        self.n = cx.n
-
-    def module(self, i):
-        if 0 <= i <= self.top:
-            return self.chains[i]
-        return None
-
-    def dim(self, i, v):
-        m = self.module(i)
-        return m.dim(v) if m is not None else 0
-
-    def labels_at(self, i, v):
-        m = self.module(i)
-        if m is None or any(x < 0 for x in v):
-            return []
-        return m.labels[m._clamp(v)]
-
-    def boundary_at(self, i, v):
-        """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v)."""
-        src = self.labels_at(i, v)
-        tgt = self.labels_at(i - 1, v)
-        pos = {cid: k for k, cid in enumerate(tgt)}
-        m = la.zeros(len(tgt), len(src))
-        for col, cid in enumerate(src):
-            for fid, coeff in self.cx.cells[cid].boundary:
-                m[pos[fid], col] = (m[pos[fid], col] + coeff) % self.p
-        return m
-
-
 def _total_blocks(data, v, ell):
-    """Blocks (i, S, dim, offset) of the total complex at degree v, index ell."""
+    """Blocks (i, S, dim, offset) of the total complex at degree v, index ell.
+
+    The piece of C_i is its Koszul block layout K_{ell-i}(v), shifted past
+    the pieces of the lower chain dimensions.
+    """
     blocks = []
     offset = 0
     for i in range(max(0, ell - data.n), min(data.top, ell) + 1):
-        q = ell - i
-        for S in itertools.combinations(range(data.n), q):
-            d = data.dim(i, _minus_e(v, S))
-            blocks.append((i, S, d, offset))
-            offset += d
+        layout = tor.koszul_blocks(data.module(i), v, ell - i)
+        blocks.extend((i, S, d, offset + off) for S, d, off in layout)
+        offset += sum(d for _, d, _ in layout)
     return blocks
 
 
@@ -120,7 +51,7 @@ def _total_delta(data, v, ell):
     for i, S, d, off in src:
         if d == 0:
             continue
-        u = _minus_e(v, S)
+        u = gr.minus_e(v, S)
         # horizontal part: cellular boundary, same Koszul subset
         if (i - 1, S) in tgt_off:
             block = data.boundary_at(i, u)
@@ -138,17 +69,18 @@ def _total_delta(data, v, ell):
     return m
 
 
-def hypertor_dims(cx, p, bound=None):
+def hypertor_dims(cx, p, bound=None, data=None):
     """Graded dimensions of the hypertor modules, per homological index.
 
     Returns {ell: multiset} with ell up to n + dim X; D∘D = 0 is asserted at
-    every degree along the way.
+    every degree along the way.  data is the ChainData of cx to read from
+    (built here when None).
     """
-    data = _ChainData(cx, p, bound=bound)
+    if data is None:
+        data = md.ChainData(cx, p, bound=bound)
     top_ell = data.top + data.n
-
-    def at_degree(v):
-        out = {}
+    tables = {ell: {} for ell in range(top_ell + 1)}
+    for v in gr.grid(data.bound):
         deltas = {ell: _total_delta(data, v, ell) for ell in range(top_ell + 2)}
         for ell in range(top_ell + 1):
             d_here = deltas[ell]
@@ -161,14 +93,7 @@ def hypertor_dims(cx, p, bound=None):
                     )
             dim = d_here.shape[1] - la.rank(d_here, p) - la.rank(d_up, p)
             if dim:
-                out[ell] = dim
-        return v, out
-
-    results = _grid_map(at_degree, gr.grid(data.bound))
-    tables = {ell: {} for ell in range(top_ell + 1)}
-    for v, out in results:
-        for ell, dim in out.items():
-            tables[ell][v] = dim
+                tables[ell][v] = dim
     return tables
 
 
@@ -178,13 +103,14 @@ def hypertor_dims(cx, p, bound=None):
 class E1Page:
     """Tor_q(C_i) for all (i, q), the induced d1 maps, and the verdict."""
 
-    def __init__(self, table, d1, verdict, hyper, top, n):
+    def __init__(self, table, d1, verdict, hyper, data):
         self.table = table  # (i, q) -> KoszulTor
         self.d1 = d1  # (i, q) -> {v: matrix into (i-1, q) classes}
         self.verdict = verdict
         self.hyper = hyper  # ell -> multiset
-        self.top = top
-        self.n = n
+        self.data = data  # the ChainData the page was computed from
+        self.top = data.top
+        self.n = data.n
 
     def dims(self, i, q):
         kt = self.table.get((i, q))
@@ -219,24 +145,28 @@ def e1_page(cx, p, bound=None):
     hypertor dimensions at every degree, the computable certificate that
     E1 = Einfty.
     """
-    data = _ChainData(cx, p, bound=bound)
+    data = md.ChainData(cx, p, bound=bound)
     table = {}
     for i in range(data.top + 1):
-        for q in range(data.n + 1):
-            table[(i, q)] = tor.koszul_tor(data.chains[i], q, bound=data.bound)
+        kts = tor.koszul_tor(data.module(i), range(data.n + 1), bound=data.bound)
+        for q, kt in kts.items():
+            table[(i, q)] = kt
 
     d1 = {}
     all_zero = True
     for (i, q), kt in sorted(table.items()):
         if i == 0:
             continue
-        target = table.get((i - 1, q))
+        target = table[(i - 1, q)]
+        lower = data.module(i - 1)
         mats = {}
         for v, reps in kt.reps.items():
-            src_blocks = tor.koszul_blocks(data.chains[i], v, q)
-            tgt_blocks = tor.koszul_blocks(data.chains[i - 1], v, q)
+            src_blocks = tor.koszul_blocks(data.module(i), v, q)
+            tgt_blocks = tor.koszul_blocks(lower, v, q)
             tgt_total = sum(d for _, d, _ in tgt_blocks)
             tgt_off = {S: off for S, _, off in tgt_blocks}
+            tgt_reps = target.reps.get(v)
+            bd = None  # the Koszul boundaries into K_q(C_{i-1})(v), once
             cols = []
             for rep in reps:
                 out = np.zeros(tgt_total, dtype=np.int64)
@@ -244,32 +174,28 @@ def e1_page(cx, p, bound=None):
                     if d == 0:
                         continue
                     comp = rep[off : off + d]
-                    bmat = data.boundary_at(i, _minus_e(v, S))
+                    bmat = data.boundary_at(i, gr.minus_e(v, S))
                     o2 = tgt_off[S]
                     out[o2 : o2 + bmat.shape[0]] = (
                         out[o2 : o2 + bmat.shape[0]] + bmat @ comp
                     ) % p
-                if target is None or v not in target.reps:
-                    if out.any():
-                        # a class mapping onto zero-dimensional Tor must die
-                        red = la.reduce_mod_rows(
-                            out, _koszul_boundary_space(data.chains[i - 1], v, q), p
+                if bd is None and (tgt_reps is not None or out.any()):
+                    bd = _koszul_boundary_space(lower, v, q)
+                if tgt_reps is None:
+                    # a class mapping onto zero-dimensional Tor must die
+                    if out.any() and la.reduce_mod_rows(out, bd, p).any():
+                        raise InternalCheckError(
+                            "d1 image misses the target Tor at %s" % (v,)
                         )
-                        if red.any():
-                            raise InternalCheckError(
-                                "d1 image misses the target Tor at %s" % (v,)
-                            )
                     cols.append(np.zeros(0, dtype=np.int64))
                     continue
-                bd = _koszul_boundary_space(data.chains[i - 1], v, q)
-                red = la.reduce_mod_rows(out, bd, p)
-                c = la.coords_in(red, target.reps[v], p)
+                c = la.coords_in(la.reduce_mod_rows(out, bd, p), tgt_reps, p)
                 if c is None:
                     raise InternalCheckError(
                         "d1 image is not a Tor class at %s" % (v,)
                     )
                 cols.append(c)
-            nrows = target.reps[v].shape[0] if target and v in target.reps else 0
+            nrows = tgt_reps.shape[0] if tgt_reps is not None else 0
             mat = (
                 np.array(cols, dtype=np.int64).T
                 if cols
@@ -291,24 +217,19 @@ def e1_page(cx, p, bound=None):
                 if la.matmul(m2, m, p).any():
                     raise InternalCheckError("d1∘d1 nonzero at %s" % (v,))
 
-    hyper = hypertor_dims(cx, p, bound=data.bound)
+    hyper = hypertor_dims(cx, p, bound=data.bound, data=data)
     sums_match = True
     for ell in range(data.top + data.n + 1):
         acc = {}
         for i in range(data.top + 1):
             q = ell - i
             if 0 <= q <= data.n:
-                for v, dim in e1_dims_at(table, i, q).items():
+                for v, dim in table[(i, q)].multiset().items():
                     acc[v] = acc.get(v, 0) + dim
         if acc != hyper.get(ell, {}):
             sums_match = False
     verdict = all_zero and sums_match
-    return E1Page(table, d1, verdict, hyper, data.top, data.n)
-
-
-def e1_dims_at(table, i, q):
-    kt = table.get((i, q))
-    return kt.multiset() if kt is not None else {}
+    return E1Page(table, d1, verdict, hyper, data)
 
 
 # -- the second spectral sequence: d2 on Tor of homology ----------------------
@@ -360,7 +281,7 @@ def _zigzag(data, q_chain, Hq, Hnext, v, rep, rng=None):
     for S, d, off in blocks2:
         if d == 0:
             continue
-        u = _minus_e(v, S)
+        u = gr.minus_e(v, S)
         comp = rep[off : off + d]
         chain_vec = la.matmul(comp, Hq.bases[u], p)
         if rng is not None and Hq.reduce_by[u].shape[0]:
@@ -373,7 +294,7 @@ def _zigzag(data, q_chain, Hq, Hnext, v, rep, rng=None):
     for S, vecs in lifts.items():
         for pos_t, t in enumerate(S):
             S2 = tuple(a for a in S if a != t)
-            u = _minus_e(v, S)
+            u = gr.minus_e(v, S)
             pushed = la.matmul(chains_q.step(u, t), vecs, p)
             sign = 1 if pos_t % 2 == 0 else p - 1
             cur = comps1.get(S2)
@@ -382,7 +303,7 @@ def _zigzag(data, q_chain, Hq, Hnext, v, rep, rng=None):
     # stage 4: each component bounds; solve for a chain one dimension up
     ws = {}
     for S2, vec in comps1.items():
-        u = _minus_e(v, S2)
+        u = gr.minus_e(v, S2)
         bmat = data.boundary_at(q_chain + 1, u)
         w = la.solve(bmat, vec, p)
         if w is None:
@@ -397,12 +318,11 @@ def _zigzag(data, q_chain, Hq, Hnext, v, rep, rng=None):
         ws[S2] = w
     # stage 5: Koszul differential once more, landing in C_{q+1}(v)
     chains_up = data.module(q_chain + 1)
-    out = np.zeros(data.dim(q_chain + 1, v), dtype=np.int64)
-    if chains_up is not None:
-        for S2, w in ws.items():
-            (t,) = S2
-            u = _minus_e(v, S2)
-            out = (out + la.matmul(chains_up.step(u, t), w, p)) % p
+    out = np.zeros(chains_up.dim(v), dtype=np.int64)
+    for S2, w in ws.items():
+        (t,) = S2
+        u = gr.minus_e(v, S2)
+        out = (out + la.matmul(chains_up.step(u, t), w, p)) % p
     # stage 6: the result is a cycle; take its homology class
     if la.matmul(data.boundary_at(q_chain + 1, v), out, p).any():
         raise InternalCheckError("zig-zag output is not a cycle at %s" % (v,))
@@ -418,11 +338,13 @@ def d2(cx, q, p, bound=None):
     """
     if cx.n < 2:
         raise ValidationError("d2 needs at least two filtration directions")
-    data = _ChainData(cx, p, bound=bound)
-    Hq, _, _ = md.homology_module(cx, q, p, bound=data.bound)
-    Hnext, _, _ = md.homology_module(cx, q + 1, p, bound=data.bound)
+    data = md.ChainData(cx, p, bound=bound)
+    Hq, _, _ = md.homology_module(cx, q, p, data=data)
+    Hnext, _, _ = md.homology_module(cx, q + 1, p, data=data)
     src = tor.koszul_tor(Hq, 2, bound=data.bound)
     tgt = tor.koszul_tor(Hnext, 0, bound=data.bound)
+    # Tor_0 of H_{q+1} at v is H_{q+1}(v) modulo the step images
+    images = {v: tor.step_images(Hnext, v) for v in src.reps}
 
     def run(rng):
         mats = {}
@@ -432,17 +354,7 @@ def d2(cx, q, p, bound=None):
             cols = []
             for rep in reps:
                 h_class = _zigzag(data, q, Hq, Hnext, v, rep, rng=rng)
-                # project the H_{q+1} class to Tor_0 = H / (step images)
-                imgs = []
-                for t in range(data.n):
-                    if v[t] == 0:
-                        continue
-                    prev = tuple(
-                        a - (1 if k == t else 0) for k, a in enumerate(v)
-                    )
-                    imgs.append(Hnext.step(prev, t).T)
-                sub = la.row_space(la.stack_rows(imgs, Hnext.dim(v)), p)
-                red = la.reduce_mod_rows(h_class, sub, p)
+                red = la.reduce_mod_rows(h_class, images[v], p)
                 if ncls == 0:
                     if red.any():
                         raise InternalCheckError(
@@ -553,9 +465,9 @@ def build_t_complex(cx, p, bound=None):
             "T complex needs the E1 page to degenerate (verdict false): "
             "cells do not decompose one Tor class at a time"
         )
-    data = _ChainData(cx, p, bound=bound)
+    data = page.data
     resolutions = [
-        tor.minimal_resolution(data.chains[i]) for i in range(data.top + 1)
+        tor.minimal_resolution(data.module(i)) for i in range(data.top + 1)
     ]
 
     # identify F_0 generators of each chain resolution with cell copies
@@ -570,7 +482,7 @@ def build_t_complex(cx, p, bound=None):
                     "chain generator %d of C_%d is not a standard basis "
                     "vector" % (k, i)
                 )
-            cid = data.chains[i].labels[u][nz[0]]
+            cid = data.module(i).labels[u][nz[0]]
             labs.append((i, 0, cid, u))
         f0_labels.append(labs)
         # cross-check: Tor_0 multiset equals entry-degree counts

@@ -217,21 +217,68 @@ def chains_module(cx, i, p, bound=None):
     return PersistenceModule(cx.n, bound, dims, steps, p, labels=labels)
 
 
+def _boundary_matrix(cx, src_ids, tgt_ids, p):
+    """Matrix of the cellular boundary from the cells src_ids to the cells tgt_ids."""
+    pos = {cid: k for k, cid in enumerate(tgt_ids)}
+    m = la.zeros(len(tgt_ids), len(src_ids))
+    for col, cid in enumerate(src_ids):
+        for fid, coeff in cx.cells[cid].boundary:
+            m[pos[fid], col] = (m[pos[fid], col] + coeff) % p
+    return m
+
+
 def boundary_map(cx, i, p, bound=None):
     """The cellular boundary C_i -> C_{i-1} as a graded map (zero target for i=0)."""
     source = chains_module(cx, i, p, bound=bound)
     target = chains_module(cx, i - 1, p, bound=source.bound) if i > 0 else _zero_like(source)
     mats = {}
     for v in gr.grid(source.bound):
-        src = source.labels[v]
         tgt = target.labels[v] if i > 0 else []
-        pos = {cid: k for k, cid in enumerate(tgt)}
-        m = la.zeros(len(tgt), len(src))
-        for col, cid in enumerate(src):
-            for fid, coeff in cx.cells[cid].boundary:
-                m[pos[fid], col] = (m[pos[fid], col] + coeff) % p
-        mats[v] = m
+        mats[v] = _boundary_matrix(cx, source.labels[v], tgt, p)
     return GradedModuleMap(source, target, mats)
+
+
+class ChainData:
+    """The chain modules C_i of one complex and their boundary matrices.
+
+    Validates the complex over GF(p) once, then builds each C_i on first use
+    and each boundary matrix C_i(v) -> C_{i-1}(v) once, so every computation
+    that shares one ChainData shares these objects.
+    """
+
+    def __init__(self, cx, p, bound=None):
+        from torpers.complexes import check_field
+
+        check_field(p)
+        cx.check_boundary(p)
+        self.cx = cx
+        self.p = p
+        self.n = cx.n
+        self.top = cx.max_dim()
+        self.bound = cx.natural_bound() if bound is None else gr.as_degree(bound)
+        self._chains = {}
+        self._boundaries = {}
+
+    def module(self, i):
+        """C_i on the common grid (the zero module above the top dimension)."""
+        if i not in self._chains:
+            self._chains[i] = chains_module(self.cx, i, self.p, bound=self.bound)
+        return self._chains[i]
+
+    def labels_at(self, i, v):
+        if not 0 <= i <= self.top or any(x < 0 for x in v):
+            return []
+        m = self.module(i)
+        return m.labels[m._clamp(v)]
+
+    def boundary_at(self, i, v):
+        """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v)."""
+        key = (i, v)
+        if key not in self._boundaries:
+            self._boundaries[key] = _boundary_matrix(
+                self.cx, self.labels_at(i, v), self.labels_at(i - 1, v), self.p
+            )
+        return self._boundaries[key]
 
 
 def _zero_like(module):
@@ -324,20 +371,22 @@ def class_coords(quotient, v, ambient_vec, p):
     return c
 
 
-def homology_module(cx, q, p, bound=None):
+def homology_module(cx, q, p, bound=None, data=None):
     """(H, Z, B) at homological degree q: cycles, boundaries, their quotient.
 
     All three are persistence modules; Z and B carry their chain-coordinate
     RREF bases in .bases, and H carries class representatives (.bases) plus
-    the boundary space (.reduce_by) so classes can be projected later.
+    the boundary space (.reduce_by) so classes can be projected later.  data
+    is the ChainData of cx to read chains and boundaries from (built here
+    when None).
     """
-    d_q = boundary_map(cx, q, p, bound=bound)
-    chains = d_q.source
-    d_up = boundary_map(cx, q + 1, p, bound=chains.bound)
+    if data is None:
+        data = ChainData(cx, p, bound=bound)
+    chains = data.module(q)
     z_rows, b_rows = {}, {}
     for v in gr.grid(chains.bound):
-        z_rows[v] = la.kernel_basis(d_q.at(v), p)
-        b_rows[v] = la.row_space(d_up.at(v).T, p)
+        z_rows[v] = la.kernel_basis(data.boundary_at(q, v), p)
+        b_rows[v] = la.row_space(data.boundary_at(q + 1, v).T, p)
     Z = submodule_from_rows(chains, z_rows, p)
     B = submodule_from_rows(chains, b_rows, p)
     H = _quotient_module(chains, b_rows, z_rows, p)
@@ -358,14 +407,11 @@ def present_cokernel(pres, p, bound=None):
     module on the generators present at each degree; .gen_index[v] maps the
     local free coordinates back to generator indices.
     """
-    from torpers.complexes import check_field
-
-    check_field(p)
     bound = presentation_bound(pres) if bound is None else gr.as_degree(bound)
-    gen_index, rel_rref, free_mod = {}, {}, {}
+    free = free_module(gr.multiset_from_list(pres.gens), p, bound=bound, n=pres.n)
+    rel_rref, whole = {}, {}
     for v in gr.grid(bound):
-        idx = [k for k, g in enumerate(pres.gens) if gr.leq(g, v)]
-        gen_index[v] = idx
+        idx = free.gen_index[v]
         pos = {k: c for c, k in enumerate(idx)}
         rows = []
         for d, coeffs in pres.relations:
@@ -378,39 +424,46 @@ def present_cokernel(pres, p, bound=None):
         rel_rref[v] = la.row_space(
             np.array(rows, dtype=np.int64) if rows else la.zeros(0, len(idx)), p
         )
-        free_mod[v] = la.eye(len(idx))
-
-    # ambient free module F(xi0) with inclusion steps
-    dims = {v: len(gen_index[v]) for v in gr.grid(bound)}
-    steps = {}
-    for v in gr.grid(bound):
-        for j in range(pres.n):
-            if v[j] >= bound[j]:
-                continue
-            w = gr.step(v, j)
-            pos = {k: c for c, k in enumerate(gen_index[w])}
-            m = la.zeros(len(gen_index[w]), len(gen_index[v]))
-            for col, k in enumerate(gen_index[v]):
-                m[pos[k], col] = 1
-            steps[(v, j)] = m
-    free = PersistenceModule(pres.n, bound, dims, steps, p)
-
-    mod = _quotient_module(free, rel_rref, free_mod, p)
-    mod.gen_index = gen_index
+        whole[v] = la.eye(len(idx))
+    mod = _quotient_module(free, rel_rref, whole, p)
+    mod.gen_index = free.gen_index
     return mod
 
 
 def free_module(ms, p, bound=None, n=None):
-    """F(xi): the free module on a degree multiset (cokernel of no relations)."""
-    from torpers.complexes import Presentation
+    """F(xi): the free module on a degree multiset, with inclusion steps.
 
+    Generators are the multiset expanded in lexicographic order; the basis at
+    v is the generators born at or below v, and .gen_index[v] lists their
+    indices.
+    """
+    from torpers.complexes import check_field
+
+    check_field(p)
     gens = [d for d, mult in gr.multiset_to_sorted_pairs(ms) for _ in range(mult)]
     if n is None:
         if not gens:
             raise ValueError("empty multiset needs an explicit n")
         n = len(gens[0])
-    pres = Presentation(n, gens, [])
-    return present_cokernel(pres, p, bound=bound)
+    bound = gr.join(gens, n=n) if bound is None else gr.as_degree(bound)
+    gen_index = {
+        v: [k for k, g in enumerate(gens) if gr.leq(g, v)] for v in gr.grid(bound)
+    }
+    dims = {v: len(idx) for v, idx in gen_index.items()}
+    steps = {}
+    for v in gr.grid(bound):
+        for j in range(n):
+            if v[j] >= bound[j]:
+                continue
+            w = gr.step(v, j)
+            pos = {k: c for c, k in enumerate(gen_index[w])}
+            m = la.zeros(dims[w], dims[v])
+            for col, k in enumerate(gen_index[v]):
+                m[pos[k], col] = 1
+            steps[(v, j)] = m
+    mod = PersistenceModule(n, bound, dims, steps, p, check=True)
+    mod.gen_index = gen_index
+    return mod
 
 
 # -- the one-at-a-time hypothesis --------------------------------------------
@@ -450,18 +503,9 @@ def total_betti(cx, p):
 
     check_field(p)
     top = cx.max_dim()
-    betti = []
-    ranks = {}
-    for i in range(top + 2):
-        cells_i = cx.cells_of_dim(i)
-        cells_lo = cx.cells_of_dim(i - 1)
-        pos = {c.id: k for k, c in enumerate(cells_lo)}
-        m = la.zeros(len(cells_lo), len(cells_i))
-        for col, c in enumerate(cells_i):
-            for fid, coeff in c.boundary:
-                m[pos[fid], col] = (m[pos[fid], col] + coeff) % p
-        ranks[i] = la.rank(m, p)
-    for i in range(top + 1):
-        dim_i = len(cx.cells_of_dim(i))
-        betti.append(dim_i - ranks[i] - ranks[i + 1])
-    return tuple(betti)
+    ids = [[c.id for c in cx.cells_of_dim(i)] for i in range(top + 1)] + [[]]
+    ranks = [0] + [
+        la.rank(_boundary_matrix(cx, ids[i], ids[i - 1], p), p)
+        for i in range(1, top + 2)
+    ]
+    return tuple(len(ids[i]) - ranks[i] - ranks[i + 1] for i in range(top + 1))

@@ -26,16 +26,12 @@ from torpers import grading as gr
 from torpers import modules as md
 
 
-def _minus_e(v, S):
-    return tuple(a - (1 if i in S else 0) for i, a in enumerate(v))
-
-
 def koszul_blocks(M, v, j):
     """Ordered blocks of K_j(v): list of (S, dim, offset), S ascending tuples."""
     blocks = []
     offset = 0
     for S in itertools.combinations(range(M.n), j):
-        d = M.dim(_minus_e(v, S))
+        d = M.dim(gr.minus_e(v, S))
         blocks.append((S, d, offset))
         offset += d
     return blocks
@@ -59,7 +55,7 @@ def koszul_delta(M, v, j):
     for S, d, off in src:
         if d == 0:
             continue
-        u = _minus_e(v, S)
+        u = gr.minus_e(v, S)
         for i, t in enumerate(S):
             S2 = tuple(a for a in S if a != t)
             block = M.step(u, t)
@@ -84,37 +80,56 @@ class KoszulTor:
 def koszul_tor(M, j, bound=None):
     """Tor_j(M, k) per degree, with RREF-canonical representative cycles.
 
-    Scans [0, bound+(1,..,1)] and asserts the outer layer is zero.
+    j is one homological index (giving a KoszulTor) or a sequence of them
+    (giving a dict j -> KoszulTor from one scan that builds each Koszul
+    differential once per degree).  Scans [0, bound+(1,..,1)] and asserts
+    the outer layer is zero.
     """
-    if not 0 <= j <= M.n:
-        raise ValueError("homological index %d out of range 0..%d" % (j, M.n))
+    single = np.ndim(j) == 0
+    js = [j] if single else sorted(set(j))
+    for i in js:
+        if not 0 <= i <= M.n:
+            raise ValueError("homological index %d out of range 0..%d" % (i, M.n))
     bound = M.bound if bound is None else gr.as_degree(bound)
     wide = tuple(b + 1 for b in bound)
     p = M.p
-    dims, reps = {}, {}
+    # the differentials Delta_i out of K_i for every index and the one above
+    needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= M.n})
+    dims = {i: {} for i in js}
+    reps = {i: {} for i in js}
     for v in gr.grid(wide):
-        d_j = koszul_delta(M, v, j) if j > 0 else la.zeros(0, M.dim(v))
-        d_up = koszul_delta(M, v, j + 1) if j < M.n else la.zeros(d_j.shape[1], 0)
-        if j > 0 and d_up.size:
-            if la.matmul(d_j, d_up, p).any():
-                raise InternalCheckError(
-                    "Koszul differential fails to square to zero at %s" % (v,)
-                )
-        cycles = la.kernel_basis(d_j, p)
-        bdries = la.row_space(d_up.T, p)
-        cls = la.complement_basis(bdries, cycles, p)
-        if cls.shape[0]:
-            if any(v[i] > bound[i] for i in range(M.n)):
-                raise InternalCheckError(
-                    "Tor_%d nonzero at %s outside the stabilized grid; widen "
-                    "the bound" % (j, v)
-                )
-            dims[v] = cls.shape[0]
-            reps[v] = cls
-    return KoszulTor(j, dims, reps)
+        delta = {i: koszul_delta(M, v, i) for i in needed}
+        for i in needed:
+            if i + 1 in delta and delta[i + 1].size:
+                if la.matmul(delta[i], delta[i + 1], p).any():
+                    raise InternalCheckError(
+                        "Koszul differential fails to square to zero at %s" % (v,)
+                    )
+        for i in js:
+            d_i = delta[i] if i > 0 else la.zeros(0, M.dim(v))
+            d_up = delta[i + 1] if i < M.n else la.zeros(d_i.shape[1], 0)
+            cycles = la.kernel_basis(d_i, p)
+            bdries = la.row_space(d_up.T, p)
+            cls = la.complement_basis(bdries, cycles, p)
+            if cls.shape[0]:
+                if any(v[t] > bound[t] for t in range(M.n)):
+                    raise InternalCheckError(
+                        "Tor_%d nonzero at %s outside the stabilized grid; widen "
+                        "the bound" % (i, v)
+                    )
+                dims[i][v] = cls.shape[0]
+                reps[i][v] = cls
+    out = {i: KoszulTor(i, dims[i], reps[i]) for i in js}
+    return out[j] if single else out
 
 
 # -- minimal free resolutions -------------------------------------------------
+
+
+def step_images(M, v):
+    """RREF of the sum of the images of all unit steps into M_v."""
+    imgs = [M.step(gr.minus_e(v, (t,)), t).T for t in range(M.n) if v[t] > 0]
+    return la.row_space(la.stack_rows(imgs, M.dim(v)), M.p)
 
 
 def module_generators(M):
@@ -127,14 +142,7 @@ def module_generators(M):
     for v in gr.grid(M.bound):
         if M.dim(v) == 0:
             continue
-        imgs = []
-        for t in range(M.n):
-            if v[t] == 0:
-                continue
-            prev = tuple(a - (1 if i == t else 0) for i, a in enumerate(v))
-            imgs.append(M.step(prev, t).T)
-        sub = la.row_space(la.stack_rows(imgs, M.dim(v)), M.p)
-        comp = la.complement_basis(sub, la.eye(M.dim(v)), M.p)
+        comp = la.complement_basis(step_images(M, v), la.eye(M.dim(v)), M.p)
         for row in comp:
             gens.append((v, row))
     return gens
@@ -332,8 +340,7 @@ def xi(M, widen=0):
     bound = tuple(b + widen for b in M.bound)
     resolution = minimal_resolution(M, bound=bound)
     tables, reps = {}, {}
-    for j in range(M.n + 1):
-        kt = koszul_tor(M, j, bound=bound)
+    for j, kt in koszul_tor(M, range(M.n + 1), bound=bound).items():
         res_ms = resolution.xi(j)
         if kt.multiset() != res_ms:
             raise InternalCheckError(

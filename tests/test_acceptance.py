@@ -130,6 +130,11 @@ def _general_properties(seed):
     # (b) hypertor vanishes at and beyond n + dim X
     tables = ht.hypertor_dims(cx, p)
     assert tables[top + n] == {}, seed
+    # (f) the E1 page's hypertor equals a standalone hypertor run, and d2
+    # (with its lift-independence check) runs out of every row below the top
+    assert ht.e1_page(cx, p).hyper == tables, seed
+    for q in range(top):
+        ht.d2(cx, q, p)
     for q in range(top + 1):
         H, _, _ = md.homology_module(cx, q, p)
         # (c) Koszul homology against the minimal resolution, cross-checked
@@ -149,7 +154,7 @@ def _general_properties(seed):
 def _one_at_a_time_properties(seed):
     cx = randfix.random_one_at_a_time(seed)
     p = FIELDS[seed % 3]
-    # (f) recovered Betti numbers equal the unfiltered computation
+    # (g) recovered Betti numbers equal the unfiltered computation
     report = ht.recovered_homology(cx, p)
     assert report["single_step"]["ok"], seed
     assert report["h_q_zero"], seed

@@ -1,6 +1,10 @@
 """End-to-end tests for the command line driver."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -210,6 +214,17 @@ def test_missing_file_exits_one(capsys):
     assert json.loads(err)["error"] == "validation"
 
 
+def test_xi_rejects_boundary_not_squaring_to_zero(capsys, tmp_path):
+    bad = tmp_path / "bad.mfc"
+    bad.write_text(
+        "n 2\nsimplex a @ (0,0)\nsimplex b @ (0,0)\n"
+        "simplex ab a b @ (0,0)\ncell t 2 [ab:1] @ (1,1)\n"
+    )
+    rc, out, err = run(capsys, "xi", "--input", str(bad), "--q", "1")
+    assert rc == 1 and out == ""
+    assert "boundary of boundary" in json.loads(err)["message"]
+
+
 def test_composite_field_exits_one(capsys, fixture_path):
     rc, _, err = run(
         capsys,
@@ -247,14 +262,17 @@ def test_output_bytes_are_stable(capsys, fixture_path):
     assert first == second
 
 
-def test_worker_count_does_not_change_output(capsys, fixture_path, monkeypatch):
-    args = (
-        "hypertor",
-        "--input", str(fixture_path / "sphere.mfc"),
-        "--field", "3",
+def test_module_entry_point_matches_main(capsys, monkeypatch):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    argv = ["validate", "--input", "fixtures/sphere.mfc"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "torpers"] + argv,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
     )
-    monkeypatch.setenv("TORPERS_WORKERS", "1")
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("TORPERS_WORKERS", "4")
-    _, pooled, _ = run(capsys, *args)
-    assert serial == pooled
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(root)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert proc.stdout == out.encode()

@@ -135,19 +135,6 @@ def test_cell_count_at():
 # presentations ---------------------------------------------------------------
 
 
-def test_presentation_round_trip():
-    pres = Presentation(
-        2,
-        [(0, 0), (0, 1), (1, 0)],
-        [((1, 1), {1: 1, 2: -1})],
-    )
-    data = pres.to_json()
-    back = Presentation.from_json(data)
-    assert back.gens == pres.gens
-    assert back.relations == (((1, 1), {1: 1, 2: -1}),)
-    assert back.to_json() == data
-
-
 def test_presentation_relation_degree_check():
     with pytest.raises(ValidationError, match="born later"):
         Presentation(2, [(0, 0), (2, 2)], [((1, 1), {0: 1, 1: 1})])

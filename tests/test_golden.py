@@ -1,0 +1,94 @@
+"""Golden bytes of the command line: exit code, stdout and stderr per call.
+
+Every bundled fixture runs through every subcommand in every output format,
+over the field the README uses for it; the README presentation runs through
+xi and resolve, and the README orbits example through orbits.  Each call's
+exit code and the sha256 of its stdout and stderr are pinned in
+golden/digests.json.  Inputs are named by paths relative to the repository
+root (the reports echo the path), so the calls run from there.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from torpers import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIGESTS = pathlib.Path(__file__).resolve().parent / "golden" / "digests.json"
+
+FIXTURE_FIELDS = {"circle_fig": 5, "circle_oneatatime": 3, "sphere": 2}
+FORMATS = ("json", "text", "csv")
+FIXTURE_COMMANDS = (
+    ("validate",),
+    ("xi", "--q", "0"),
+    ("xi", "--q", "1"),
+    ("resolve", "--q", "0"),
+    ("hypertor",),
+    ("e1",),
+    ("d2", "--q", "0"),
+    ("recover",),
+)
+PRESENTATION = "tests/golden/readme_presentation.json"
+ORBITS = ("orbits", "--xi0", "[[[0],2],[[2],1]]", "--xi1", "[[[4],1]]", "--field", "3")
+
+
+def golden_calls():
+    """Every pinned argv, in a fixed order."""
+    calls = []
+    for name, field in FIXTURE_FIELDS.items():
+        for command in FIXTURE_COMMANDS:
+            for fmt in FORMATS:
+                calls.append(
+                    list(command)
+                    + ["--input", "fixtures/%s.mfc" % name]
+                    + ["--field", str(field), "--format", fmt]
+                )
+    for command in ("xi", "resolve"):
+        for fmt in FORMATS:
+            calls.append([command, "--input", PRESENTATION, "--field", "3", "--format", fmt])
+    for fmt in FORMATS:
+        calls.append(list(ORBITS) + ["--format", fmt])
+    return calls
+
+
+def record(argv):
+    """Exit code and stdout/stderr digests of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return {
+        "argv": list(argv),
+        "exit": rc,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }
+
+
+def _pinned():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_golden_call_list_is_pinned():
+    assert [entry["argv"] for entry in _pinned()] == golden_calls()
+
+
+@pytest.mark.parametrize("entry", _pinned(), ids=lambda e: " ".join(e["argv"]))
+def test_golden_bytes(entry, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert record(entry["argv"]) == entry
+
+
+def test_csv_refusals_keep_exit_one():
+    refused = [
+        e
+        for e in _pinned()
+        if e["argv"][0] in ("validate", "e1", "d2", "recover")
+        and e["argv"][-1] == "csv"
+    ]
+    assert len(refused) == 12
+    assert all(e["exit"] == 1 for e in refused)

@@ -61,13 +61,6 @@ def test_hypertor_single_vertex():
     assert dims[2] == {}
 
 
-def test_hypertor_worker_pool_matches_serial(circle, monkeypatch):
-    serial = ht.hypertor_dims(circle, 3)
-    monkeypatch.setenv("TORPERS_WORKERS", "3")
-    pooled = ht.hypertor_dims(circle, 3)
-    assert pooled == serial
-
-
 def test_e1_circle_degenerates(circle, p):
     page = ht.e1_page(circle, p)
     assert page.verdict is True

@@ -127,6 +127,40 @@ def test_present_cokernel_free_when_no_relations():
         assert mod.dim(v) == gr.staircase_count(ms, v)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_free_module_matches_relation_free_cokernel(n):
+    rng = np.random.default_rng(100 + n)
+    for trial in range(12):
+        p = (2, 3, 5)[trial % 3]
+        degs = [
+            tuple(int(x) for x in rng.integers(0, 3, size=n))
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        ms = gr.multiset_from_list(degs)
+        pres = Presentation(n, sorted(degs), [])
+        wide = tuple(int(x) for x in rng.integers(2, 4, size=n))
+        for bound in (None, wide):
+            F = md.free_module(ms, p, bound=bound, n=n)
+            ref = md.present_cokernel(pres, p, bound=bound)
+            assert F.bound == ref.bound
+            assert F.dims == ref.dims
+            assert F.steps.keys() == ref.steps.keys()
+            assert all((F.steps[k] == ref.steps[k]).all() for k in F.steps)
+            assert F.gen_index == ref.gen_index
+            # the staircase: dims count the generators at or below v, and
+            # every step sends each generator to itself
+            for v in gr.grid(F.bound):
+                assert F.dim(v) == gr.staircase_count(ms, v)
+                for j in range(n):
+                    if v[j] < F.bound[j]:
+                        w = gr.step(v, j)
+                        want = [
+                            [int(a == b) for b in F.gen_index[v]]
+                            for a in F.gen_index[w]
+                        ]
+                        assert F.step(v, j).tolist() == want
+
+
 def test_present_cokernel_generic_rep_dies():
     # two generators at the origin, four relations wiping them out by (3,3)
     pres = Presentation(
