@@ -26,7 +26,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "row_space",
-    "in_row_space",
     "is_subspace",
     "complement_basis",
     "coords_in",
@@ -151,60 +150,78 @@ def row_space(a, p):
     return r[:rk]
 
 
-def in_row_space(v, basis, p):
-    """True iff the vector v lies in the row space of basis (basis in RREF)."""
-    return not reduce_mod_rows(v, basis, p).any()
+def _pivot_read(v, basis, p):
+    """v and basis mod p, and v read at the pivot columns of basis.
+
+    basis is in RREF without zero rows; v is one vector or a matrix of rows.
+    """
+    w = np.asarray(v, dtype=np.int64) % p
+    b = as_matrix(basis) % p
+    if b.shape[0] == 0:
+        b = b.reshape(0, w.shape[-1])
+        pivots = np.zeros(0, dtype=np.intp)
+    else:
+        pivots = np.argmax(b != 0, axis=1)
+    return w, b, w[..., pivots]
+
+
+def _combine(c, b, p):
+    """c @ b mod p, exact: where a sum of rank-many products could overflow
+    int64, the rows of b are added one product at a time."""
+    if b.shape[0] * (p - 1) ** 2 < 2**63:
+        return (c @ b) % p
+    out = np.zeros(c.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for k in range(b.shape[0]):
+        out = (out + c[..., k, None] * b[k]) % p
+    return out
 
 
 def reduce_mod_rows(v, basis, p):
-    """v minus its projection onto the RREF row space `basis` (pivot elimination)."""
-    w = (np.asarray(v, dtype=np.int64) % p).copy()
-    for row in basis:
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            continue
-        piv = nz[0]
-        if w[piv]:
-            w = (w - w[piv] * row) % p
-    return w
+    """v minus its projection onto the row space of `basis`: v - v[pivots] @ basis.
+
+    basis must be in RREF without zero rows (as row_space returns it); v is
+    one vector or a matrix of rows, reduced all at once, and the result has
+    the same form.  The reduction is zero exactly on the row space.
+    """
+    w, b, c = _pivot_read(v, basis, p)
+    return (w - _combine(c, b, p)) % p
 
 
 def is_subspace(sub, sup, p):
     """True iff row space of sub is contained in row space of sup."""
-    sup_r = row_space(sup, p)
-    sub_m = as_matrix(sub) % p
-    for v in sub_m:
-        if reduce_mod_rows(v, sup_r, p).any():
-            return False
-    return True
+    return not reduce_mod_rows(as_matrix(sub), row_space(sup, p), p).any()
 
 
 def complement_basis(sub, whole, p):
     """Canonical basis of a complement of `sub` inside the row space of `whole`.
 
-    Requires sub <= whole as row spaces.  Each row of RREF(whole) is reduced
-    modulo RREF(sub); the reductions span a complement (a vector of sub with
-    zeros in all sub pivot columns is zero), and their RREF is the canonical
-    complement basis used everywhere a quotient needs representatives.
+    Requires sub <= whole as row spaces.  The rows of RREF(whole) are reduced
+    modulo RREF(sub) in one call; the reductions span a complement (a vector
+    of sub with zeros in all sub pivot columns is zero), and their RREF is the
+    canonical complement basis used everywhere a quotient needs
+    representatives.
     """
     sub_r = row_space(sub, p)
     whole_r = row_space(whole, p)
-    reduced = [reduce_mod_rows(v, sub_r, p) for v in whole_r]
-    if not reduced:
-        return zeros(0, as_matrix(whole).shape[1])
-    comp = row_space(np.array(reduced, dtype=np.int64), p)
+    comp = row_space(reduce_mod_rows(whole_r, sub_r, p), p)
     if comp.shape[0] != whole_r.shape[0] - sub_r.shape[0]:
         raise ValueError("complement_basis: sub is not contained in whole")
     return comp
 
 
 def coords_in(v, basis, p):
-    """Coordinates of v in the row basis `basis`, or None if v is outside its span."""
-    b = as_matrix(basis)
-    if b.shape[0] == 0:
-        w = np.asarray(v, dtype=np.int64) % p
-        return np.zeros(0, dtype=np.int64) if not w.any() else None
-    return solve(b.T, v, p)
+    """Coordinates of v in the row basis `basis`, or None if v is outside its span.
+
+    basis must be in RREF without zero rows.  The coordinates of a vector in
+    the span are its entries at the pivot columns, so they are read there and
+    checked (c @ basis == v mod p).  v is one vector or a matrix of rows; for
+    a matrix the result is the matrix of coordinate rows, or None when any
+    row lies outside the span.
+    """
+    w, b, c = _pivot_read(v, basis, p)
+    if (_combine(c, b, p) != w).any():
+        return None
+    return c
 
 
 def stack_rows(mats, cols):

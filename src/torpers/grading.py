@@ -34,10 +34,6 @@ def join(degrees, n=None):
     return tuple(max(col) for col in zip(*degrees))
 
 
-def add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def sub(u, v):
     """u - v, defined only when v <= u."""
     if not leq(v, u):

@@ -6,7 +6,10 @@ D = (boundary on chains) + (-1)^i (Koszul differential on steps).  Homology
 of the total complex gives the hypertor modules.  Reading the double complex
 the other way produces two useful pages: E1 with Tor_q(C_i) entries (whose
 degeneration is checked by an explicit verdict) and the second-filtration d2
-from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag.
+from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag.  Every
+differential here (D, d1 and the stages of the zig-zag) is built from the
+two directions of the one double complex: tor.koszul_delta vertically and
+_horizontal, the cellular boundary laid over the Koszul blocks.
 
 When the E1 verdict holds, the graded Tor classes of all chain modules
 assemble into the finite complex T_• (grading dropped): cell copies, one per
@@ -26,46 +29,51 @@ from torpers import modules as md
 from torpers import tor
 
 
-def _total_blocks(data, v, ell):
-    """Blocks (i, S, dim, offset) of the total complex at degree v, index ell.
+def _horizontal(data, i, v, j):
+    """The cellular boundary K_j(C_i)(v) -> K_j(C_{i-1})(v), one block per S.
 
-    The piece of C_i is its Koszul block layout K_{ell-i}(v), shifted past
-    the pieces of the lower chain dimensions.
+    The block for the Koszul subset S is the boundary C_i -> C_{i-1} at
+    v - e_S; both sides use the layout of tor.koszul_blocks.
     """
-    blocks = []
-    offset = 0
-    for i in range(max(0, ell - data.n), min(data.top, ell) + 1):
-        layout = tor.koszul_blocks(data.module(i), v, ell - i)
-        blocks.extend((i, S, d, offset + off) for S, d, off in layout)
-        offset += sum(d for _, d, _ in layout)
-    return blocks
+    src = tor.koszul_blocks(data.module(i), v, j)
+    tgt = tor.koszul_blocks(data.module(i - 1), v, j)
+    m = la.zeros(sum(d for _, d, _ in tgt), sum(d for _, d, _ in src))
+    for (S, d, off), (_, d2, off2) in zip(src, tgt):
+        m[off2 : off2 + d2, off : off + d] = data.boundary_at(i, gr.minus_e(v, S))
+    return m
 
 
 def _total_delta(data, v, ell):
-    """The total differential at degree v from index ell to ell-1."""
+    """The total differential at degree v from index ell to ell-1.
+
+    The piece of C_i at index ell is K_{ell-i}(C_i)(v), placed after the
+    pieces of the lower chain dimensions.  D maps it by the horizontal
+    boundary into the piece of C_{i-1} and by (-1)^i times
+    tor.koszul_delta into the piece of C_i.
+    """
     p = data.p
-    src = _total_blocks(data, v, ell)
-    tgt = _total_blocks(data, v, ell - 1)
-    tgt_off = {(i, S): off for i, S, _, off in tgt}
-    m = la.zeros(sum(d for _, _, d, _ in tgt), sum(d for _, _, d, _ in src))
-    for i, S, d, off in src:
-        if d == 0:
-            continue
-        u = gr.minus_e(v, S)
-        # horizontal part: cellular boundary, same Koszul subset
-        if (i - 1, S) in tgt_off:
-            block = data.boundary_at(i, u)
-            r0 = tgt_off[(i - 1, S)]
-            m[r0 : r0 + block.shape[0], off : off + d] = block
-        # vertical part: Koszul differential, sign (-1)^i
-        for pos_t, t in enumerate(S):
-            S2 = tuple(a for a in S if a != t)
-            step = data.module(i).step(u, t)
-            sign = (-1) ** (i + pos_t) % p
-            r0 = tgt_off[(i, S2)]
-            m[r0 : r0 + step.shape[0], off : off + d] = (
-                m[r0 : r0 + step.shape[0], off : off + d] + sign * step
-            ) % p
+
+    def pieces(e):
+        offsets, total = {}, 0
+        for i in range(max(0, e - data.n), min(data.top, e) + 1):
+            offsets[i] = total
+            total += tor.koszul_dim(data.module(i), v, e - i)
+        return offsets, total
+
+    src, ncols = pieces(ell)
+    tgt, nrows = pieces(ell - 1)
+    m = la.zeros(nrows, ncols)
+    for i, c0 in src.items():
+        if i - 1 in tgt:
+            block = _horizontal(data, i, v, ell - i)
+            r0 = tgt[i - 1]
+            m[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+        if i in tgt:
+            block = tor.koszul_delta(data.module(i), v, ell - i)
+            if i % 2:
+                block = (p - block) % p
+            r0 = tgt[i]
+            m[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
     return m
 
 
@@ -131,13 +139,6 @@ class E1Page:
         }
 
 
-def _koszul_boundary_space(M, v, q):
-    """RREF of the image of the Koszul differential into K_q(M)(v)."""
-    if q >= M.n:
-        return la.zeros(0, tor.koszul_dim(M, v, q))
-    return la.row_space(tor.koszul_delta(M, v, q + 1).T, M.p)
-
-
 def e1_page(cx, p, bound=None):
     """Compute the full E1 table, the d1 maps, and the degeneracy verdict.
 
@@ -161,49 +162,16 @@ def e1_page(cx, p, bound=None):
         lower = data.module(i - 1)
         mats = {}
         for v, reps in kt.reps.items():
-            src_blocks = tor.koszul_blocks(data.module(i), v, q)
-            tgt_blocks = tor.koszul_blocks(lower, v, q)
-            tgt_total = sum(d for _, d, _ in tgt_blocks)
-            tgt_off = {S: off for S, _, off in tgt_blocks}
-            tgt_reps = target.reps.get(v)
-            bd = None  # the Koszul boundaries into K_q(C_{i-1})(v), once
-            cols = []
-            for rep in reps:
-                out = np.zeros(tgt_total, dtype=np.int64)
-                for S, d, off in src_blocks:
-                    if d == 0:
-                        continue
-                    comp = rep[off : off + d]
-                    bmat = data.boundary_at(i, gr.minus_e(v, S))
-                    o2 = tgt_off[S]
-                    out[o2 : o2 + bmat.shape[0]] = (
-                        out[o2 : o2 + bmat.shape[0]] + bmat @ comp
-                    ) % p
-                if bd is None and (tgt_reps is not None or out.any()):
-                    bd = _koszul_boundary_space(lower, v, q)
-                if tgt_reps is None:
-                    # a class mapping onto zero-dimensional Tor must die
-                    if out.any() and la.reduce_mod_rows(out, bd, p).any():
-                        raise InternalCheckError(
-                            "d1 image misses the target Tor at %s" % (v,)
-                        )
-                    cols.append(np.zeros(0, dtype=np.int64))
-                    continue
-                c = la.coords_in(la.reduce_mod_rows(out, bd, p), tgt_reps, p)
-                if c is None:
-                    raise InternalCheckError(
-                        "d1 image is not a Tor class at %s" % (v,)
-                    )
-                cols.append(c)
-            nrows = tgt_reps.shape[0] if tgt_reps is not None else 0
-            mat = (
-                np.array(cols, dtype=np.int64).T
-                if cols
-                else la.zeros(nrows, 0)
-            )
-            if mat.size and mat.any():
+            out = la.matmul(reps, _horizontal(data, i, v, q).T, p)
+            if out.any():
+                out = la.reduce_mod_rows(out, tor.koszul_boundaries(lower, v, q), p)
+            tgt_reps = target.reps.get(v, la.zeros(0, out.shape[1]))
+            c = la.coords_in(out, tgt_reps, p)
+            if c is None:
+                raise InternalCheckError("d1 image is not a Tor class at %s" % (v,))
+            if c.any():
                 all_zero = False
-            mats[v] = mat
+            mats[v] = c.T
         d1[(i, q)] = mats
 
     # d1 ∘ d1 = 0 wherever both legs exist
@@ -266,65 +234,54 @@ class D2Result:
         }
 
 
-def _zigzag(data, q_chain, Hq, Hnext, v, rep, rng=None):
-    """One d2 value: chase a Koszul-2 class over H_q down to H_{q+1} at v.
+def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
+    """d2 values: chase Koszul-2 classes over H_q down to H_{q+1} at v.
 
-    rep is a vector over the blocks H_q(v - e_S), |S| = 2, where q_chain is
-    the chain dimension whose homology Hq is.  Returns the homology class
-    vector of the resulting cycle in C_{q_chain+1}(v), before projection to
-    Tor_0 and before the global sign.
+    reps holds one row per class, over the blocks H_q(v - e_S), |S| = 2,
+    where q_chain is the chain dimension whose homology Hq is.  Returns, one
+    row per class, the homology class vector of the resulting cycle in
+    C_{q_chain+1}(v), before projection to Tor_0 and before the global sign.
     """
     p = data.p
-    blocks2 = tor.koszul_blocks(Hq, v, 2)
-    # stage 1-2: lift each component to a cycle vector in the chain module
-    lifts = {}
-    for S, d, off in blocks2:
+    chains_q = data.module(q_chain)
+    chains_up = data.module(q_chain + 1)
+    # stage 1-2: lift each component to cycle vectors in K_2(C_q)(v)
+    lifts = []
+    for (S, d, off), (_, width, _) in zip(
+        tor.koszul_blocks(Hq, v, 2), tor.koszul_blocks(chains_q, v, 2)
+    ):
         if d == 0:
+            lifts.append(la.zeros(reps.shape[0], width))
             continue
         u = gr.minus_e(v, S)
-        comp = rep[off : off + d]
-        chain_vec = la.matmul(comp, Hq.bases[u], p)
+        block = la.matmul(reps[:, off : off + d], Hq.bases[u], p)
         if rng is not None and Hq.reduce_by[u].shape[0]:
-            noise = rng.integers(0, p, size=Hq.reduce_by[u].shape[0])
-            chain_vec = (chain_vec + la.matmul(noise, Hq.reduce_by[u], p)) % p
-        lifts[S] = chain_vec
-    # stage 3: Koszul differential on the chain level, landing in |S'| = 1
-    chains_q = data.module(q_chain)
-    comps1 = {}
-    for S, vecs in lifts.items():
-        for pos_t, t in enumerate(S):
-            S2 = tuple(a for a in S if a != t)
-            u = gr.minus_e(v, S)
-            pushed = la.matmul(chains_q.step(u, t), vecs, p)
-            sign = 1 if pos_t % 2 == 0 else p - 1
-            cur = comps1.get(S2)
-            add = (sign * pushed) % p
-            comps1[S2] = add if cur is None else (cur + add) % p
-    # stage 4: each component bounds; solve for a chain one dimension up
-    ws = {}
-    for S2, vec in comps1.items():
-        u = gr.minus_e(v, S2)
-        bmat = data.boundary_at(q_chain + 1, u)
-        w = la.solve(bmat, vec, p)
+            noise = rng.integers(0, p, size=(reps.shape[0], Hq.reduce_by[u].shape[0]))
+            block = (block + la.matmul(noise, Hq.reduce_by[u], p)) % p
+        lifts.append(block)
+    lift = np.concatenate(lifts, axis=1)
+    # stage 3: Koszul differential on the chain level, landing in K_1(C_q)(v)
+    comps1 = la.matmul(lift, tor.koszul_delta(chains_q, v, 2).T, p)
+    # stage 4: each component bounds; solve for chains one dimension up
+    horizontal = _horizontal(data, q_chain + 1, v, 1)
+    ws = []
+    for vec in comps1:
+        w = la.solve(horizontal, vec, p)
         if w is None:
             raise InternalCheckError(
-                "zig-zag component at %s is not a boundary; exactness bug" % (u,)
+                "zig-zag component at %s is not a boundary; exactness bug" % (v,)
             )
-        if rng is not None:
-            kern = la.kernel_basis(bmat, p)
-            if kern.shape[0]:
-                noise = rng.integers(0, p, size=kern.shape[0])
-                w = (w + la.matmul(noise, kern, p)) % p
-        ws[S2] = w
+        ws.append(w)
+    ws = np.array(ws, dtype=np.int64)
+    if rng is not None:
+        kern = la.kernel_basis(horizontal, p)
+        if kern.shape[0]:
+            noise = rng.integers(0, p, size=(ws.shape[0], kern.shape[0]))
+            ws = (ws + la.matmul(noise, kern, p)) % p
     # stage 5: Koszul differential once more, landing in C_{q+1}(v)
-    chains_up = data.module(q_chain + 1)
-    out = np.zeros(chains_up.dim(v), dtype=np.int64)
-    for S2, w in ws.items():
-        (t,) = S2
-        u = gr.minus_e(v, S2)
-        out = (out + la.matmul(chains_up.step(u, t), w, p)) % p
-    # stage 6: the result is a cycle; take its homology class
-    if la.matmul(data.boundary_at(q_chain + 1, v), out, p).any():
+    out = la.matmul(ws, tor.koszul_delta(chains_up, v, 1).T, p)
+    # stage 6: the results are cycles; take their homology classes
+    if la.matmul(out, data.boundary_at(q_chain + 1, v).T, p).any():
         raise InternalCheckError("zig-zag output is not a cycle at %s" % (v,))
     return md.class_coords(Hnext, v, out, p)
 
@@ -344,37 +301,20 @@ def d2(cx, q, p, bound=None):
     src = tor.koszul_tor(Hq, 2, bound=data.bound)
     tgt = tor.koszul_tor(Hnext, 0, bound=data.bound)
     # Tor_0 of H_{q+1} at v is H_{q+1}(v) modulo the step images
-    images = {v: tor.step_images(Hnext, v) for v in src.reps}
+    images = {v: tor.koszul_boundaries(Hnext, v, 0) for v in src.reps}
 
     def run(rng):
         mats = {}
         for v, reps in src.reps.items():
-            tgt_reps = tgt.reps.get(v)
-            ncls = tgt_reps.shape[0] if tgt_reps is not None else 0
-            cols = []
-            for rep in reps:
-                h_class = _zigzag(data, q, Hq, Hnext, v, rep, rng=rng)
-                red = la.reduce_mod_rows(h_class, images[v], p)
-                if ncls == 0:
-                    if red.any():
-                        raise InternalCheckError(
-                            "d2 output misses zero-dimensional Tor_0 at %s" % (v,)
-                        )
-                    cols.append(np.zeros(0, dtype=np.int64))
-                    continue
-                c = la.coords_in(red, tgt_reps, p)
-                if c is None:
-                    raise InternalCheckError(
-                        "d2 output is not a Tor_0 class at %s" % (v,)
-                    )
-                # global sign: the zig-zag computes the connecting map up to
-                # orientation; the abutment fixes it to the negative
-                cols.append((-c) % p)
-            mats[v] = (
-                np.array(cols, dtype=np.int64).T
-                if cols
-                else la.zeros(ncls, 0)
-            )
+            classes = _zigzag(data, q, Hq, Hnext, v, reps, rng=rng)
+            red = la.reduce_mod_rows(classes, images[v], p)
+            tgt_reps = tgt.reps.get(v, la.zeros(0, Hnext.dim(v)))
+            c = la.coords_in(red, tgt_reps, p)
+            if c is None:
+                raise InternalCheckError("d2 output is not a Tor_0 class at %s" % (v,))
+            # global sign: the zig-zag computes the connecting map up to
+            # orientation; the abutment fixes it to the negative
+            mats[v] = (-c.T) % p
         return mats
 
     plain = run(None)

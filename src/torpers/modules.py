@@ -230,11 +230,11 @@ def _boundary_matrix(cx, src_ids, tgt_ids, p):
 def boundary_map(cx, i, p, bound=None):
     """The cellular boundary C_i -> C_{i-1} as a graded map (zero target for i=0)."""
     source = chains_module(cx, i, p, bound=bound)
-    target = chains_module(cx, i - 1, p, bound=source.bound) if i > 0 else _zero_like(source)
-    mats = {}
-    for v in gr.grid(source.bound):
-        tgt = target.labels[v] if i > 0 else []
-        mats[v] = _boundary_matrix(cx, source.labels[v], tgt, p)
+    target = chains_module(cx, i - 1, p, bound=source.bound)
+    mats = {
+        v: _boundary_matrix(cx, source.labels[v], target.labels[v], p)
+        for v in gr.grid(source.bound)
+    }
     return GradedModuleMap(source, target, mats)
 
 
@@ -281,59 +281,18 @@ class ChainData:
         return self._boundaries[key]
 
 
-def _zero_like(module):
-    dims = {v: 0 for v in gr.grid(module.bound)}
-    steps = {}
-    for v in gr.grid(module.bound):
-        for j in range(module.n):
-            if v[j] < module.bound[j]:
-                steps[(v, j)] = la.zeros(0, 0)
-    return PersistenceModule(
-        module.n, module.bound, dims, steps, module.p, check=False
-    )
+def basis_module(ambient, bases, reduce_by=None):
+    """The module spanned by a family of row bases, closed under the steps.
 
-
-def submodule_from_rows(ambient, rows_by_degree, p):
-    """Package a family of row spaces (closed under steps) as a module.
-
-    rows_by_degree[v] must be in RREF; coordinates of the new module at v are
-    with respect to those rows.
+    bases[v] holds RREF rows (no zero rows) in the coordinates of ambient at
+    v, and the new module's coordinates at v are with respect to those rows.
+    With reduce_by (an RREF row basis per degree of a subspace closed under
+    the steps), the module is the quotient: bases[v] represent classes modulo
+    reduce_by[v].  Each step pushes all basis rows through the ambient step
+    in one product, reduces them modulo reduce_by at the target and reads
+    their coordinates there.
     """
-    dims = {v: rows_by_degree[v].shape[0] for v in gr.grid(ambient.bound)}
-    steps = {}
-    for v in gr.grid(ambient.bound):
-        for j in range(ambient.n):
-            if v[j] >= ambient.bound[j]:
-                continue
-            w = gr.step(v, j)
-            s = ambient.step(v, j)
-            cols = []
-            for row in rows_by_degree[v]:
-                pushed = la.matmul(s, row, p)
-                c = la.coords_in(pushed, rows_by_degree[w], p)
-                if c is None:
-                    raise InternalCheckError(
-                        "row family is not closed under the step at %s axis %d"
-                        % (v, j)
-                    )
-                cols.append(c)
-            steps[(v, j)] = (
-                np.array(cols, dtype=np.int64).T if cols else la.zeros(dims[w], 0)
-            )
-    mod = PersistenceModule(ambient.n, ambient.bound, dims, steps, p)
-    mod.bases = dict(rows_by_degree)
-    return mod
-
-
-def _quotient_module(ambient, sub_rref, whole_rows, p):
-    """Module of quotients whole/sub with RREF-complement bases.
-
-    sub_rref[v] (RREF rows) must sit inside whole_rows[v]; both families must
-    be closed under the ambient steps.
-    """
-    bases = {}
-    for v in gr.grid(ambient.bound):
-        bases[v] = la.complement_basis(sub_rref[v], whole_rows[v], p)
+    p = ambient.p
     dims = {v: bases[v].shape[0] for v in gr.grid(ambient.bound)}
     steps = {}
     for v in gr.grid(ambient.bound):
@@ -341,29 +300,28 @@ def _quotient_module(ambient, sub_rref, whole_rows, p):
             if v[j] >= ambient.bound[j]:
                 continue
             w = gr.step(v, j)
-            s = ambient.step(v, j)
-            cols = []
-            for row in bases[v]:
-                pushed = la.matmul(s, row, p)
-                red = la.reduce_mod_rows(pushed, sub_rref[w], p)
-                c = la.coords_in(red, bases[w], p)
-                if c is None:
-                    raise InternalCheckError(
-                        "quotient basis not closed under the step at %s axis %d"
-                        % (v, j)
-                    )
-                cols.append(c)
-            steps[(v, j)] = (
-                np.array(cols, dtype=np.int64).T if cols else la.zeros(dims[w], 0)
-            )
+            pushed = la.matmul(bases[v], ambient.step(v, j).T, p)
+            if reduce_by is not None:
+                pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
+            c = la.coords_in(pushed, bases[w], p)
+            if c is None:
+                raise InternalCheckError(
+                    "basis family is not closed under the step at %s axis %d"
+                    % (v, j)
+                )
+            steps[(v, j)] = c.T
     mod = PersistenceModule(ambient.n, ambient.bound, dims, steps, p)
-    mod.bases = bases
-    mod.reduce_by = dict(sub_rref)
+    mod.bases = dict(bases)
+    if reduce_by is not None:
+        mod.reduce_by = dict(reduce_by)
     return mod
 
 
 def class_coords(quotient, v, ambient_vec, p):
-    """Coordinates of an ambient vector's class in a quotient module's basis."""
+    """Coordinates of an ambient vector's class in a quotient module's basis.
+
+    ambient_vec is one vector or a matrix of rows (one class per row).
+    """
     red = la.reduce_mod_rows(ambient_vec, quotient.reduce_by[v], p)
     c = la.coords_in(red, quotient.bases[v], p)
     if c is None:
@@ -387,9 +345,10 @@ def homology_module(cx, q, p, bound=None, data=None):
     for v in gr.grid(chains.bound):
         z_rows[v] = la.kernel_basis(data.boundary_at(q, v), p)
         b_rows[v] = la.row_space(data.boundary_at(q + 1, v).T, p)
-    Z = submodule_from_rows(chains, z_rows, p)
-    B = submodule_from_rows(chains, b_rows, p)
-    H = _quotient_module(chains, b_rows, z_rows, p)
+    Z = basis_module(chains, z_rows)
+    B = basis_module(chains, b_rows)
+    h_rows = {v: la.complement_basis(b_rows[v], z_rows[v], p) for v in z_rows}
+    H = basis_module(chains, h_rows, reduce_by=b_rows)
     return H, Z, B
 
 
@@ -409,7 +368,7 @@ def present_cokernel(pres, p, bound=None):
     """
     bound = presentation_bound(pres) if bound is None else gr.as_degree(bound)
     free = free_module(gr.multiset_from_list(pres.gens), p, bound=bound, n=pres.n)
-    rel_rref, whole = {}, {}
+    rel_rref, bases = {}, {}
     for v in gr.grid(bound):
         idx = free.gen_index[v]
         pos = {k: c for c, k in enumerate(idx)}
@@ -424,8 +383,8 @@ def present_cokernel(pres, p, bound=None):
         rel_rref[v] = la.row_space(
             np.array(rows, dtype=np.int64) if rows else la.zeros(0, len(idx)), p
         )
-        whole[v] = la.eye(len(idx))
-    mod = _quotient_module(free, rel_rref, whole, p)
+        bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
+    mod = basis_module(free, bases, reduce_by=rel_rref)
     mod.gen_index = free.gen_index
     return mod
 

@@ -123,12 +123,11 @@ class RelationFamily:
             for lo, hi in ((u, v), (v, u)):
                 if gr.leq(lo, hi) and lo != hi:
                     pushed = _push(self.spaces[lo], gens, lo, hi)
-                    for row in pushed:
-                        if la.reduce_mod_rows(row, self.spaces[hi], self.q).any():
-                            raise ValidationError(
-                                "family violates containment from %s to %s"
-                                % (list(lo), list(hi))
-                            )
+                    if la.reduce_mod_rows(pushed, self.spaces[hi], self.q).any():
+                        raise ValidationError(
+                            "family violates containment from %s to %s"
+                            % (list(lo), list(hi))
+                        )
 
     def encode(self):
         """Hashable, lexicographically comparable canonical form."""
@@ -188,11 +187,7 @@ def enumerate_families(xi0, xi1, q, n=None, limit=200000):
                 q,
             )
             for cand in candidates:
-                ok = all(
-                    not la.reduce_mod_rows(row, cand, q).any()
-                    for row in required
-                )
-                if ok:
+                if not la.reduce_mod_rows(required, cand, q).any():
                     nxt = dict(partial)
                     nxt[v] = cand
                     grown.append(nxt)

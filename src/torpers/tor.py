@@ -65,6 +65,17 @@ def koszul_delta(M, v, j):
     return m
 
 
+def koszul_boundaries(M, v, q):
+    """RREF of the image of the Koszul differential K_{q+1}(v) -> K_q(v).
+
+    At q = 0 this is the sum of the images of all unit steps into M_v, the
+    space that the Tor_0 projection divides out.
+    """
+    if q >= M.n:
+        return la.zeros(0, koszul_dim(M, v, q))
+    return la.row_space(koszul_delta(M, v, q + 1).T, M.p)
+
+
 class KoszulTor:
     """Tor_j via Koszul homology: a degree multiset plus canonical cycles."""
 
@@ -126,12 +137,6 @@ def koszul_tor(M, j, bound=None):
 # -- minimal free resolutions -------------------------------------------------
 
 
-def step_images(M, v):
-    """RREF of the sum of the images of all unit steps into M_v."""
-    imgs = [M.step(gr.minus_e(v, (t,)), t).T for t in range(M.n) if v[t] > 0]
-    return la.row_space(la.stack_rows(imgs, M.dim(v)), M.p)
-
-
 def module_generators(M):
     """Minimal generators: per degree, an RREF complement of the step images.
 
@@ -142,7 +147,9 @@ def module_generators(M):
     for v in gr.grid(M.bound):
         if M.dim(v) == 0:
             continue
-        comp = la.complement_basis(step_images(M, v), la.eye(M.dim(v)), M.p)
+        comp = la.complement_basis(
+            koszul_boundaries(M, v, 0), la.eye(M.dim(v)), M.p
+        )
         for row in comp:
             gens.append((v, row))
     return gens
@@ -289,7 +296,7 @@ def minimal_resolution(M, bound=None):
                 "resolution exceeds length %d; this contradicts the syzygy "
                 "theorem and signals a bug" % M.n
             )
-        K = md.submodule_from_rows(F, kernel_rows, p)
+        K = md.basis_module(F, kernel_rows)
         next_gens = module_generators(K)
         # syzygy columns, written in F_j's local generator coordinates
         d = la.zeros(len(cur_gens), len(next_gens))

@@ -175,3 +175,99 @@ def test_solve_finds_constructed_solutions(case):
     x = la.solve(m, b, p)
     assert x is not None
     assert (la.matmul(m, x, p) == b).all()
+
+
+# -- pivot reads against the elimination routes they replaced -----------------
+
+
+def _coords_by_solve(v, basis, p):
+    """Reference: coordinates by a fresh elimination of [basis^T | v]."""
+    b = la.as_matrix(basis)
+    if b.shape[0] == 0:
+        w = np.asarray(v, dtype=np.int64) % p
+        return np.zeros(0, dtype=np.int64) if not w.any() else None
+    return la.solve(b.T, v, p)
+
+
+def _reduce_row_by_row(v, basis, p):
+    """Reference: eliminate one basis row at a time, reducing every product."""
+    w = (np.asarray(v, dtype=np.int64) % p).copy()
+    for row in basis:
+        nz = np.nonzero(row)[0]
+        if len(nz) == 0:
+            continue
+        piv = nz[0]
+        if w[piv]:
+            w = (w - w[piv] * row) % p
+    return w
+
+
+def _rows_of(draw, p, nrows, ncols):
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+
+
+@st.composite
+def pivot_cases(draw):
+    """(p, RREF basis without zero rows, rows inside its span, other rows)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(0, 6))
+    basis = la.row_space(_rows_of(draw, p, draw(st.integers(0, 5)), ncols), p)
+    coeffs = _rows_of(draw, p, draw(st.integers(0, 4)), basis.shape[0])
+    inside = la.matmul(coeffs, basis, p).reshape(coeffs.shape[0], ncols)
+    outside = _rows_of(draw, p, draw(st.integers(0, 4)), ncols)
+    return p, basis, inside, outside
+
+
+@given(pivot_cases())
+@settings(max_examples=300, deadline=None)
+def test_pivot_reads_match_elimination_routes(case):
+    p, basis, inside, outside = case
+    for v in inside:
+        assert la.coords_in(v, basis, p) is not None
+    for rows in (inside, outside, np.concatenate([inside, outside])):
+        want_red = [_reduce_row_by_row(v, basis, p) for v in rows]
+        want_coords = [_coords_by_solve(v, basis, p) for v in rows]
+        for v, red, coords in zip(rows, want_red, want_coords):
+            assert (la.reduce_mod_rows(v, basis, p) == red).all()
+            got = la.coords_in(v, basis, p)
+            assert (got is None) == (coords is None)
+            if coords is not None:
+                assert got.shape == coords.shape and (got == coords).all()
+        red = la.reduce_mod_rows(rows, basis, p)
+        assert red.shape == rows.shape
+        assert (red == np.array(want_red).reshape(rows.shape)).all()
+        got = la.coords_in(rows, basis, p)
+        if any(c is None for c in want_coords):
+            assert got is None
+        else:
+            assert got.shape == (rows.shape[0], basis.shape[0])
+            assert (got == np.array(want_coords).reshape(got.shape)).all()
+
+
+def test_pivot_reads_on_empty_bases():
+    for ncols in (0, 3):
+        empty = la.zeros(0, ncols)
+        assert la.coords_in(la.zeros(2, ncols), empty, 5).shape == (2, 0)
+        assert la.reduce_mod_rows(la.zeros(2, ncols), empty, 5).shape == (2, ncols)
+    assert la.coords_in(la.zeros(0, 0), la.zeros(0, 0), 5).shape == (0, 0)
+    assert la.coords_in(arr([[0, 0], [1, 0]]), la.zeros(0, 2), 5) is None
+
+
+def test_pivot_reads_stay_exact_where_int64_sums_overflow():
+    # (p-1)^2 fits in int64, but the sum of two such products does not
+    p = 3037000493
+    basis = arr([[1, 0, p - 1], [0, 1, p - 1]])
+    v = arr([p - 1, p - 1, 2])
+    want = _coords_by_solve(v, basis, p)
+    assert (want == arr([p - 1, p - 1])).all()
+    assert (la.coords_in(v, basis, p) == want).all()
+    assert (la.coords_in(np.stack([v, v]), basis, p) == np.stack([want, want])).all()
+    assert not la.reduce_mod_rows(v, basis, p).any()
+    assert (la.reduce_mod_rows(v, basis, p) == _reduce_row_by_row(v, basis, p)).all()

@@ -2,8 +2,10 @@
 
 Every bundled fixture runs through every subcommand in every output format,
 over the field the README uses for it; the README presentation runs through
-xi and resolve, and the README orbits example through orbits.  Each call's
-exit code and the sha256 of its stdout and stderr are pinned in
+xi and resolve, and the README orbits example through orbits.  Every
+subcommand that computes also runs on every fixture in JSON over the prime
+1000000007, where a sum of about ten products already passes 2^63.  Each
+call's exit code and the sha256 of its stdout and stderr are pinned in
 golden/digests.json.  Inputs are named by paths relative to the repository
 root (the reports echo the path), so the calls run from there.
 """
@@ -35,6 +37,8 @@ FIXTURE_COMMANDS = (
 )
 PRESENTATION = "tests/golden/readme_presentation.json"
 ORBITS = ("orbits", "--xi0", "[[[0],2],[[2],1]]", "--xi1", "[[[4],1]]", "--field", "3")
+LARGE_FIELD = "1000000007"
+LARGE_FIELD_COMMANDS = tuple(c for c in FIXTURE_COMMANDS if c != ("validate",))
 
 
 def golden_calls():
@@ -53,6 +57,13 @@ def golden_calls():
             calls.append([command, "--input", PRESENTATION, "--field", "3", "--format", fmt])
     for fmt in FORMATS:
         calls.append(list(ORBITS) + ["--format", fmt])
+    for name in FIXTURE_FIELDS:
+        for command in LARGE_FIELD_COMMANDS:
+            calls.append(
+                list(command)
+                + ["--input", "fixtures/%s.mfc" % name]
+                + ["--field", LARGE_FIELD, "--format", "json"]
+            )
     return calls
 
 
