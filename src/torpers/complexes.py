@@ -50,9 +50,11 @@ _DEGREE_RE = re.compile(r"\(([^()]*)\)\s*")
 
 
 def check_field(p):
-    """Validate a field characteristic coming from user input."""
+    """Validate a field characteristic: a prime p with (p-1)² < 2^63."""
     from torpers import exactla
 
+    if isinstance(p, int) and p > 1 and (p - 1) ** 2 >= 2**63:
+        raise ValidationError("field characteristic %d is above 3037000493" % p)
     if not isinstance(p, int) or not exactla.is_prime(p):
         raise ValidationError("field characteristic must be a prime, got %r" % (p,))
     return p

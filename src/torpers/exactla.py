@@ -60,8 +60,21 @@ def eye(n):
 
 
 def matmul(a, b, p):
-    """Product of two matrices (or matrix and vector) reduced mod p."""
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+    """Product of two matrices (or matrix and vector) reduced mod p, exact.
+
+    Where k inner products could overflow int64 (k·(p-1)² ≥ 2^63), they are
+    added one at a time, reduced mod p after each (check_field keeps
+    (p-1)² < 2^63)."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < 2**63:
+        return (a @ b) % p
+    a, b = a % p, b % p
+    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    for t in range(k):
+        out = (out + np.multiply.outer(a[..., t], b[t])) % p
+    return out
 
 
 def as_matrix(a):
@@ -165,17 +178,6 @@ def _pivot_read(v, basis, p):
     return w, b, w[..., pivots]
 
 
-def _combine(c, b, p):
-    """c @ b mod p, exact: where a sum of rank-many products could overflow
-    int64, the rows of b are added one product at a time."""
-    if b.shape[0] * (p - 1) ** 2 < 2**63:
-        return (c @ b) % p
-    out = np.zeros(c.shape[:-1] + b.shape[1:], dtype=np.int64)
-    for k in range(b.shape[0]):
-        out = (out + c[..., k, None] * b[k]) % p
-    return out
-
-
 def reduce_mod_rows(v, basis, p):
     """v minus its projection onto the row space of `basis`: v - v[pivots] @ basis.
 
@@ -184,7 +186,7 @@ def reduce_mod_rows(v, basis, p):
     the same form.  The reduction is zero exactly on the row space.
     """
     w, b, c = _pivot_read(v, basis, p)
-    return (w - _combine(c, b, p)) % p
+    return (w - matmul(c, b, p)) % p
 
 
 def is_subspace(sub, sup, p):
@@ -219,7 +221,7 @@ def coords_in(v, basis, p):
     row lies outside the span.
     """
     w, b, c = _pivot_read(v, basis, p)
-    if (_combine(c, b, p) != w).any():
+    if (matmul(c, b, p) != w).any():
         return None
     return c
 

@@ -433,6 +433,12 @@ def build_t_complex(cx, p, bound=None):
             raise InternalCheckError(
                 "Tor_0 of C_%d disagrees with the entry degrees" % i
             )
+        for j in range(data.n + 1):
+            if res.xi(j) != page.dims(i, j):
+                raise InternalCheckError(
+                    "Tor_%d of C_%d: the resolution disagrees with the E1 page"
+                    % (j, i)
+                )
 
     top_ell = data.top + data.n
     labels = []
@@ -464,7 +470,7 @@ def build_t_complex(cx, p, bound=None):
                 for fid, coeff in cx.cells[name].boundary:
                     f = cx.cells[fid]
                     row = index[ell - 1][(i - 1, 0, fid, min(f.degrees))]
-                    m[row, col] = (m[row, col] + coeff) % p
+                    m[row, col] = (m[row, col] + coeff % p) % p
             else:
                 res = resolutions[i]
                 column = res.d[j][:, name]

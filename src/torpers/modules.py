@@ -9,19 +9,21 @@ in the stored bases), so clamped reads agree with the true module and the
 grid stays finite.
 
 Coordinates: M_v is k^dims[v] with a fixed ordered basis; step matrices act
-on column vectors.  Constructors that build quotients (homology, cokernels)
-record their bases as rows in the ambient coordinates (`bases`) plus the
-subspace that was modded out (`reduce_by`), so class representatives and
-projections stay available downstream.
+on column vectors.  Chain modules and free modules are sums of up-set
+modules: one builder gives both, with basis items (cells, generators)
+present from their birth degrees on, inclusions as steps and the present
+items at v listed in `.gen_index[v]`.  Constructors that build quotients
+(homology, cokernels) record their bases as rows in the ambient coordinates
+(`bases`) plus the subspace that was modded out (`reduce_by`), so class
+representatives and projections stay available downstream.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from torpers import InternalCheckError, ValidationError
+from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
+from torpers.complexes import check_field
 
 
 class PersistenceModule:
@@ -35,16 +37,14 @@ class PersistenceModule:
     steps : dict (degree, axis) -> matrix M_v -> M_{v+e_axis}, for every
         in-grid step
     p : field characteristic
-    labels : optional dict degree -> list of basis labels
     """
 
-    def __init__(self, n, bound, dims, steps, p, labels=None, check=True):
+    def __init__(self, n, bound, dims, steps, p, check=True):
         self.n = int(n)
         self.bound = gr.as_degree(bound)
         self.dims = dict(dims)
         self.steps = dict(steps)
         self.p = p
-        self.labels = labels
         self.bases = None  # rows in ambient coords, set by quotient builders
         self.reduce_by = None  # RREF of the modded-out subspace per degree
         if check:
@@ -188,33 +188,47 @@ def rebound(module, new_bound):
 # -- chain modules of a multifiltered complex -------------------------------
 
 
-def _present_ids(cx, i, v):
-    return [c.id for c in cx.cells_of_dim(i) if c.present_at(v)]
+def _inclusion_module(n, bound, births, p):
+    """The module with one basis item per entry of births and inclusion steps.
+
+    births[k] is a sequence of degrees; item k is present at v when one of
+    them is <= v.  .gen_index[v] lists the present items in order (the basis
+    at v), and every step sends each present item to itself.
+    """
+    gen_index = {
+        v: [k for k, b in enumerate(births) if any(gr.leq(u, v) for u in b)]
+        for v in gr.grid(bound)
+    }
+    steps = {}
+    for v, idx in gen_index.items():
+        for j in range(n):
+            if v[j] >= bound[j]:
+                continue
+            tgt = gen_index[gr.step(v, j)]
+            pos = {k: c for c, k in enumerate(tgt)}
+            m = la.zeros(len(tgt), len(idx))
+            for col, k in enumerate(idx):
+                m[pos[k], col] = 1
+            steps[(v, j)] = m
+    dims = {v: len(idx) for v, idx in gen_index.items()}
+    mod = PersistenceModule(n, bound, dims, steps, p)
+    mod.gen_index = gen_index
+    return mod
 
 
 def chains_module(cx, i, p, bound=None):
-    """The module of i-chains: basis = i-cells present at v, ordered by id."""
-    from torpers.complexes import check_field
+    """The module of i-chains: basis = i-cells present at v, ordered by id.
 
+    .labels[v] lists the ids of those cells.
+    """
     check_field(p)
     bound = cx.natural_bound() if bound is None else gr.as_degree(bound)
-    dims, steps, labels = {}, {}, {}
-    for v in gr.grid(bound):
-        ids = _present_ids(cx, i, v)
-        dims[v] = len(ids)
-        labels[v] = ids
-    for v in gr.grid(bound):
-        for j in range(cx.n):
-            if v[j] >= bound[j]:
-                continue
-            w = gr.step(v, j)
-            src, tgt = labels[v], labels[w]
-            pos = {cid: k for k, cid in enumerate(tgt)}
-            m = la.zeros(len(tgt), len(src))
-            for col, cid in enumerate(src):
-                m[pos[cid], col] = 1
-            steps[(v, j)] = m
-    return PersistenceModule(cx.n, bound, dims, steps, p, labels=labels)
+    cells = cx.cells_of_dim(i)
+    mod = _inclusion_module(cx.n, bound, [c.degrees for c in cells], p)
+    mod.labels = {
+        v: [cells[k].id for k in idx] for v, idx in mod.gen_index.items()
+    }
+    return mod
 
 
 def _boundary_matrix(cx, src_ids, tgt_ids, p):
@@ -223,33 +237,20 @@ def _boundary_matrix(cx, src_ids, tgt_ids, p):
     m = la.zeros(len(tgt_ids), len(src_ids))
     for col, cid in enumerate(src_ids):
         for fid, coeff in cx.cells[cid].boundary:
-            m[pos[fid], col] = (m[pos[fid], col] + coeff) % p
+            m[pos[fid], col] = (m[pos[fid], col] + coeff % p) % p
     return m
 
 
-def boundary_map(cx, i, p, bound=None):
-    """The cellular boundary C_i -> C_{i-1} as a graded map (zero target for i=0)."""
-    source = chains_module(cx, i, p, bound=bound)
-    target = chains_module(cx, i - 1, p, bound=source.bound)
-    mats = {
-        v: _boundary_matrix(cx, source.labels[v], target.labels[v], p)
-        for v in gr.grid(source.bound)
-    }
-    return GradedModuleMap(source, target, mats)
-
-
 class ChainData:
-    """The chain modules C_i of one complex and their boundary matrices.
+    """The chain modules C_i of one complex and their cellular boundaries.
 
     Validates the complex over GF(p) once, then builds each C_i on first use
-    and each boundary matrix C_i(v) -> C_{i-1}(v) once, so every computation
-    that shares one ChainData shares these objects.
+    and each boundary C_i -> C_{i-1} once, as a GradedModuleMap (so its
+    naturality is asserted), so every computation that shares one ChainData
+    shares these objects.  Outside 0..top the chain modules are zero.
     """
 
     def __init__(self, cx, p, bound=None):
-        from torpers.complexes import check_field
-
-        check_field(p)
         cx.check_boundary(p)
         self.cx = cx
         self.p = p
@@ -265,20 +266,22 @@ class ChainData:
             self._chains[i] = chains_module(self.cx, i, self.p, bound=self.bound)
         return self._chains[i]
 
-    def labels_at(self, i, v):
-        if not 0 <= i <= self.top or any(x < 0 for x in v):
-            return []
-        m = self.module(i)
-        return m.labels[m._clamp(v)]
+    def boundary(self, i):
+        """The cellular boundary C_i -> C_{i-1} (zero target for i = 0)."""
+        if i not in self._boundaries:
+            source, target = self.module(i), self.module(i - 1)
+            mats = {
+                v: _boundary_matrix(
+                    self.cx, source.labels[v], target.labels[v], self.p
+                )
+                for v in gr.grid(self.bound)
+            }
+            self._boundaries[i] = GradedModuleMap(source, target, mats)
+        return self._boundaries[i]
 
     def boundary_at(self, i, v):
         """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v)."""
-        key = (i, v)
-        if key not in self._boundaries:
-            self._boundaries[key] = _boundary_matrix(
-                self.cx, self.labels_at(i, v), self.labels_at(i - 1, v), self.p
-            )
-        return self._boundaries[key]
+        return self.boundary(i).at(v)
 
 
 def basis_module(ambient, bases, reduce_by=None):
@@ -368,21 +371,15 @@ def present_cokernel(pres, p, bound=None):
     """
     bound = presentation_bound(pres) if bound is None else gr.as_degree(bound)
     free = free_module(gr.multiset_from_list(pres.gens), p, bound=bound, n=pres.n)
+    rel = la.zeros(len(pres.relations), len(pres.gens))
+    for r, (_, coeffs) in enumerate(pres.relations):
+        for k, c in coeffs.items():
+            rel[r, k] = c % p
     rel_rref, bases = {}, {}
     for v in gr.grid(bound):
+        live = [r for r, (d, _) in enumerate(pres.relations) if gr.leq(d, v)]
         idx = free.gen_index[v]
-        pos = {k: c for c, k in enumerate(idx)}
-        rows = []
-        for d, coeffs in pres.relations:
-            if not gr.leq(d, v):
-                continue
-            row = np.zeros(len(idx), dtype=np.int64)
-            for k, c in coeffs.items():
-                row[pos[k]] = c % p
-            rows.append(row)
-        rel_rref[v] = la.row_space(
-            np.array(rows, dtype=np.int64) if rows else la.zeros(0, len(idx)), p
-        )
+        rel_rref[v] = la.row_space(rel[live][:, idx], p)
         bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
     mod = basis_module(free, bases, reduce_by=rel_rref)
     mod.gen_index = free.gen_index
@@ -396,8 +393,6 @@ def free_module(ms, p, bound=None, n=None):
     v is the generators born at or below v, and .gen_index[v] lists their
     indices.
     """
-    from torpers.complexes import check_field
-
     check_field(p)
     gens = [d for d, mult in gr.multiset_to_sorted_pairs(ms) for _ in range(mult)]
     if n is None:
@@ -405,24 +400,7 @@ def free_module(ms, p, bound=None, n=None):
             raise ValueError("empty multiset needs an explicit n")
         n = len(gens[0])
     bound = gr.join(gens, n=n) if bound is None else gr.as_degree(bound)
-    gen_index = {
-        v: [k for k, g in enumerate(gens) if gr.leq(g, v)] for v in gr.grid(bound)
-    }
-    dims = {v: len(idx) for v, idx in gen_index.items()}
-    steps = {}
-    for v in gr.grid(bound):
-        for j in range(n):
-            if v[j] >= bound[j]:
-                continue
-            w = gr.step(v, j)
-            pos = {k: c for c, k in enumerate(gen_index[w])}
-            m = la.zeros(dims[w], dims[v])
-            for col, k in enumerate(gen_index[v]):
-                m[pos[k], col] = 1
-            steps[(v, j)] = m
-    mod = PersistenceModule(n, bound, dims, steps, p, check=True)
-    mod.gen_index = gen_index
-    return mod
+    return _inclusion_module(n, bound, [(g,) for g in gens], p)
 
 
 # -- the one-at-a-time hypothesis --------------------------------------------
@@ -458,8 +436,6 @@ def total_betti(cx, p):
     Independent of all the persistence machinery: plain boundary matrices of
     the whole cell set, rank-nullity per dimension.
     """
-    from torpers.complexes import check_field
-
     check_field(p)
     top = cx.max_dim()
     ids = [[c.id for c in cx.cells_of_dim(i)] for i in range(top + 1)] + [[]]

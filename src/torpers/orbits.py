@@ -353,14 +353,6 @@ def _infer_n(fam):
 # -- classification ------------------------------------------------------------
 
 
-def _slope(row, q):
-    """A line in GF(q)^2 as a point of the projective line; None is infinity."""
-    if row[0] % q:
-        inv = la.inv_mod(int(row[0]), q)
-        return int(row[1]) * inv % q
-    return None
-
-
 def _pattern_label(rep):
     """Coincidence pattern of the four lines, Table-style, plus a cross-ratio.
 

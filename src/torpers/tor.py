@@ -164,15 +164,20 @@ class MinimalResolution:
     scalar standing for scalar * x^(u_l - u_k); it can be nonzero only when
     u_k <= u_l (homogeneity) and never when u_k = u_l (minimality).
     augmentation lists, per F_0 generator, its image vector in M's local
-    coordinates at the generator's degree.
+    coordinates at the generator's degree.  free[j] is the free module F_j
+    (its .gen_index[v] lists the generators present at v) and maps[j] the
+    natural graded map d_j out of it: the augmentation F_0 -> M for j = 0,
+    d[j] restricted to the present generators for j >= 1.
     """
 
-    def __init__(self, module, gen_degrees, d, augmentation, bound):
+    def __init__(self, module, gen_degrees, d, augmentation, bound, free, maps):
         self.module = module
         self.gen_degrees = gen_degrees
         self.d = d
         self.augmentation = augmentation
         self.bound = bound
+        self.free = free
+        self.maps = maps
         self.p = module.p
 
     @property
@@ -186,25 +191,15 @@ class MinimalResolution:
 
     def present_at(self, j, v):
         """Indices of F_j generators present at v."""
-        return [k for k, u in enumerate(self.gen_degrees[j]) if gr.leq(u, v)]
+        F = self.free[j]
+        return F.gen_index.get(F._clamp(v), [])
 
     def evaluate(self, j, v):
-        """Matrix of d_j at degree v in the local (present-generator) bases."""
-        rows = self.present_at(j - 1, v)
-        cols = self.present_at(j, v)
-        return self.d[j][np.ix_(rows, cols)] if rows and cols else la.zeros(
-            len(rows), len(cols)
-        )
+        """Matrix of d_j at degree v in the local (present-generator) bases.
 
-    def evaluate_augmentation(self, v):
-        """Matrix of F_0 -> M at degree v (columns = generator images)."""
-        M = self.module
-        cols = []
-        for k in self.present_at(0, v):
-            u, vec = self.gen_degrees[0][k], self.augmentation[k]
-            cols.append(la.matmul(M.phi(u, v), vec, M.p))
-        m = np.array(cols, dtype=np.int64).T if cols else la.zeros(M.dim(v), 0)
-        return m
+        j = 0 gives the augmentation F_0 -> M at v (columns = generator images).
+        """
+        return self.maps[j].at(v)
 
     def restricted_image(self, j, v):
         """Image of the F_j generators born exactly at v, inside F_{j-1} at v.
@@ -224,21 +219,18 @@ class MinimalResolution:
         """Independent verification: homogeneity, minimality, exactness."""
         p = self.p
         for j in range(1, len(self.gen_degrees)):
-            mat = self.d[j]
-            for k, uk in enumerate(self.gen_degrees[j - 1]):
-                for l, ul in enumerate(self.gen_degrees[j]):
-                    if mat[k, l] % p == 0:
-                        continue
-                    if not gr.leq(uk, ul):
-                        raise InternalCheckError(
-                            "resolution d_%d not homogeneous at (%d,%d)" % (j, k, l)
-                        )
-                    if uk == ul:
-                        raise InternalCheckError(
-                            "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
-                        )
+            for k, l in zip(*np.nonzero(self.d[j] % p)):
+                uk, ul = self.gen_degrees[j - 1][k], self.gen_degrees[j][l]
+                if not gr.leq(uk, ul):
+                    raise InternalCheckError(
+                        "resolution d_%d not homogeneous at (%d,%d)" % (j, k, l)
+                    )
+                if uk == ul:
+                    raise InternalCheckError(
+                        "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
+                    )
         for v in gr.grid(self.bound):
-            eps = self.evaluate_augmentation(v)
+            eps = self.evaluate(0, v)
             if la.rank(eps, p) != self.module.dim(v):
                 raise InternalCheckError("augmentation not surjective at %s" % (v,))
             want = la.kernel_basis(eps, p)
@@ -258,37 +250,37 @@ class MinimalResolution:
 
 
 def minimal_resolution(M, bound=None):
-    """Build the minimal free resolution of M by iterated kernel generation."""
+    """Build the minimal free resolution of M by iterated kernel generation.
+
+    Level j builds F_j, the natural map d_j out of it (into M for j = 0, into
+    F_{j-1} for j >= 1) and minimal generators of its kernel, the columns
+    of d[j+1]."""
     bound = M.bound if bound is None else gr.as_degree(bound)
     if bound != M.bound:
         M = md.rebound(M, bound)
     p = M.p
-    gen_degrees, mats = [], {}
     gens = module_generators(M)
-    gen_degrees.append([u for u, _ in gens])
+    gen_degrees = [[u for u, _ in gens]]
     augmentation = [vec for _, vec in gens]
-
-    current = M  # module the next F surjects onto
-    cur_gens = gens
-    j = 0
-    while True:
-        # free module on the current generators and its map to `current`
-        ms = gr.multiset_from_list([u for u, _ in cur_gens])
-        F = md.free_module(ms, p, bound=bound, n=M.n)
-        eps_mats = {}
+    d, free, maps = {}, [], []
+    for j in itertools.count():
+        F = md.free_module(
+            gr.multiset_from_list(gen_degrees[j]), p, bound=bound, n=M.n
+        )
+        mats = {}
         for v in gr.grid(bound):
-            cols = [
-                la.matmul(current.phi(u, v), vec, p)
-                for u, vec in cur_gens
-                if gr.leq(u, v)
-            ]
-            eps_mats[v] = (
-                np.array(cols, dtype=np.int64).T
-                if cols
-                else la.zeros(current.dim(v), 0)
-            )
-        eps = md.GradedModuleMap(F, current, eps_mats)  # asserts naturality
-        kernel_rows = {v: la.kernel_basis(eps.at(v), p) for v in gr.grid(bound)}
+            idx = F.gen_index[v]
+            if j > 0:
+                mats[v] = d[j][free[j - 1].gen_index[v]][:, idx]
+            elif idx:
+                cols = [la.matmul(M.phi(gens[k][0], v), gens[k][1], p) for k in idx]
+                mats[v] = np.array(cols, dtype=np.int64).T
+            else:
+                mats[v] = la.zeros(M.dim(v), 0)
+        dj = md.GradedModuleMap(F, M if j == 0 else free[j - 1], mats)
+        free.append(F)
+        maps.append(dj)
+        kernel_rows = {v: la.kernel_basis(dj.at(v), p) for v in gr.grid(bound)}
         if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
             break
         if j == M.n:
@@ -297,22 +289,14 @@ def minimal_resolution(M, bound=None):
                 "theorem and signals a bug" % M.n
             )
         K = md.basis_module(F, kernel_rows)
-        next_gens = module_generators(K)
-        # syzygy columns, written in F_j's local generator coordinates
-        d = la.zeros(len(cur_gens), len(next_gens))
-        glob = {v: F.gen_index[v] for v in gr.grid(bound)}
-        for l, (u, row) in enumerate(next_gens):
-            ambient = la.matmul(row, K.bases[u], p)  # row in F_j coords at u
-            for c, k in enumerate(glob[u]):
-                d[k, l] = ambient[c]
-        mats[j + 1] = d
-        gen_degrees.append([u for u, _ in next_gens])
-        # next level resolves K; its generator vectors are already K-local
-        current = K
-        cur_gens = next_gens
-        j += 1
+        syzygies = module_generators(K)
+        # syzygy columns, written in F_j's generator coordinates
+        d[j + 1] = la.zeros(len(gen_degrees[j]), len(syzygies))
+        for l, (u, row) in enumerate(syzygies):
+            d[j + 1][F.gen_index[u], l] = la.matmul(row, K.bases[u], p)
+        gen_degrees.append([u for u, _ in syzygies])
 
-    res = MinimalResolution(M, gen_degrees, mats, augmentation, bound)
+    res = MinimalResolution(M, gen_degrees, d, augmentation, bound, free, maps)
     res.check()
     return res
 

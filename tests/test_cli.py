@@ -3,8 +3,10 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -276,3 +278,99 @@ def test_module_entry_point_matches_main(capsys, monkeypatch):
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert proc.stdout == out.encode()
+
+
+# -- the int64 contract: field bound and coefficients reduced mod p ------------
+
+
+@pytest.mark.parametrize("field", ["4294967311", "1000000000000000003"])
+def test_field_above_int64_bound_exits_one(capsys, fixture_path, field):
+    circle = str(fixture_path / "circle_fig.mfc")
+    calls = [
+        [cmd, "--input", circle]
+        for cmd in ("xi", "resolve", "hypertor", "e1", "d2", "recover", "validate")
+    ]
+    calls.append(["orbits", "--xi0", "[[[0,0],2]]", "--xi1", "[[[1,1],1]]"])
+    for argv in calls:
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv, "--field", field)
+        assert time.perf_counter() - start < 2, argv
+        assert rc == 1 and out == "", argv
+        data = json.loads(err)
+        assert data["error"] == "validation", argv
+        assert "3037000493" in data["message"], argv
+
+
+def test_largest_accepted_field(capsys, fixture_path):
+    circle = str(fixture_path / "circle_fig.mfc")
+    assert run(capsys, "validate", "--input", circle, "--field", "3037000493")[0] == 0
+    rc, _, err = run(capsys, "validate", "--input", circle, "--field", "3037000507")
+    assert rc == 1 and "3037000493" in json.loads(err)["message"]
+
+
+def test_d2_exact_at_the_largest_field(capsys, tmp_path):
+    # int64 sums of products overflow at this p; the exact product keeps the
+    # zig-zag's boundary solve consistent
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / "rips.mfc"
+    path.write_text(inputs.ring_rips(3)[0])
+    data = run_json(capsys, "d2", "--input", str(path), "--q", "0", "--field", "3037000493")
+    assert data["q"] == 0
+
+
+def _reduce_coefficients(text, p):
+    return re.sub(r":(-?\d+)", lambda m: ":%d" % (int(m.group(1)) % p), text)
+
+
+def _same_output_as_reduced(capsys, tmp_path, text, p, calls):
+    """Run each call on text and on text with its coefficients reduced mod p."""
+    raw = tmp_path / "raw.mfc"
+    raw.write_text(text)
+    reduced = tmp_path / "reduced.mfc"
+    reduced.write_text(_reduce_coefficients(text, p))
+    outputs = []
+    for argv in calls:
+        got = []
+        for path in (raw, reduced):
+            rc, out, err = run(capsys, *argv, "--input", str(path), "--field", str(p))
+            assert "Traceback" not in err
+            data = json.loads(out or err)
+            data.pop("input", None)
+            got.append((rc, data))
+        assert got[0] == got[1], argv
+        outputs.append(got[0])
+    return outputs
+
+
+def test_coefficient_sum_past_int64_is_reduced_first(capsys, tmp_path):
+    # 2·(2^63 - 1) + 1 ≡ 0 mod 3, so l is a cycle
+    huge = 2**63 - 1
+    text = "n 1\nsimplex a @ (0)\ncell l 1 [a:%d,a:%d,a:1] @ (1)\n" % (huge, huge)
+    calls = [
+        ["xi", "--q", "0"], ["xi", "--q", "1"], ["resolve", "--q", "1"],
+        ["hypertor"], ["e1"], ["recover"], ["validate"],
+    ]
+    outputs = _same_output_as_reduced(capsys, tmp_path, text, 3, calls)
+    rc, xi1 = outputs[1]
+    assert rc == 0 and xi1["rendered"]["xi_0"] == "{(1):1}"
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_coefficient_past_int64_is_reduced_first(capsys, tmp_path, p):
+    big = 10**20
+    text = (
+        "n 2\nsimplex a @ (0,0)\nsimplex b @ (1,0)\n"
+        "cell l 1 [a:-%d,b:%d] @ (1,1)\n"
+        "cell m 1 [a:-1,b:1] @ (2,1) (1,2)\n"
+        "cell t 2 [l:%d,m:-%d] @ (2,2)\n" % (big, big, big, big)
+    )
+    calls = [
+        ["xi", "--q", "0"], ["xi", "--q", "1"], ["resolve", "--q", "1"],
+        ["hypertor"], ["e1"], ["d2", "--q", "0"], ["recover"], ["validate"],
+    ]
+    outputs = _same_output_as_reduced(capsys, tmp_path, text, p, calls)
+    assert all(rc == 0 for rc, _ in outputs[:-2])

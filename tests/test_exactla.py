@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torpers import exactla as la
@@ -271,3 +271,56 @@ def test_pivot_reads_stay_exact_where_int64_sums_overflow():
     assert (la.coords_in(np.stack([v, v]), basis, p) == np.stack([want, want])).all()
     assert not la.reduce_mod_rows(v, basis, p).any()
     assert (la.reduce_mod_rows(v, basis, p) == _reduce_row_by_row(v, basis, p)).all()
+
+
+# -- exact products --------------------------------------------------------------
+
+
+@st.composite
+def product_cases(draw):
+    """(p, a, b) with a of shape (r, k), b of shape (k, c) and k up to 40.
+
+    Entries lean toward p - 1, so that sums of k products pass 2^63 at the
+    large primes once k·(p-1)² does.
+    """
+    p = draw(st.sampled_from((2, 1000000007, 3037000493)))
+    r, k, c = draw(st.integers(0, 3)), draw(st.integers(0, 40)), draw(st.integers(0, 3))
+    entry = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+
+    def matrix(nrows, ncols):
+        rows = draw(
+            st.lists(
+                st.lists(entry, min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+        return rows, np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+
+    return (p,) + matrix(r, k) + matrix(k, c)
+
+
+_P = 1000000007  # ten products of (p-1)² each: the plain int64 sum wraps around
+
+
+@given(product_cases())
+@example(
+    (_P, [[_P - 1] * 10], np.full((1, 10), _P - 1), [[_P - 1]] * 10, np.full((10, 1), _P - 1))
+)
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_python_int_products(case):
+    p, a_rows, a, b_rows, b = case
+    k = a.shape[1]
+    want = [
+        [sum(a_rows[i][t] * b_rows[t][j] for t in range(k)) % p for j in range(b.shape[1])]
+        for i in range(a.shape[0])
+    ]
+    got = la.matmul(a, b, p)
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == want
+    # vector forms: a row times b, a times a column
+    for i in range(a.shape[0]):
+        assert la.matmul(a[i], b, p).tolist() == want[i]
+    for j in range(b.shape[1]):
+        assert la.matmul(a, b[:, j], p).tolist() == [row[j] for row in want]
+

@@ -171,6 +171,20 @@ def test_t_complex_sphere_boundary(sphere):
     assert sorted(hits.values()) == [1, 4]
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (1, 2)])
+def test_t_complex_cross_checks_the_e1_page(oneatatime, monkeypatch, i, j):
+    real = ht.e1_page
+
+    def tampered(cx, p, bound=None):
+        page = real(cx, p, bound=bound)
+        page.table[(i, j)].dims[(9, 9)] = 1
+        return page
+
+    monkeypatch.setattr(ht, "e1_page", tampered)
+    with pytest.raises(InternalCheckError, match="Tor_%d of C_%d" % (j, i)):
+        ht.build_t_complex(oneatatime, 2)
+
+
 def test_t_complex_needs_the_verdict():
     cx = cxm.parse_mfc(SEGMENT_SIMULTANEOUS)
     with pytest.raises(ValidationError):

@@ -48,20 +48,20 @@ def test_sphere_c2_at_21(sphere):
 
 
 def test_boundary_rank_circle(circle):
-    d1 = md.boundary_map(circle, 1, 3)
+    d1 = md.ChainData(circle, 3).boundary(1)
     m = d1.at((2, 1))
     assert m.shape == (3, 3)
     assert la.rank(m, 3) == 2
 
 
 def test_boundary_squares_to_zero(sphere):
-    d2 = md.boundary_map(sphere, 2, 2)
-    d1 = md.boundary_map(sphere, 1, 2)
+    d2 = md.ChainData(sphere, 2).boundary(2)
+    d1 = md.ChainData(sphere, 2).boundary(1)
     assert d1.compose(d2).is_zero()
 
 
 def test_sphere_boundary_entries(sphere):
-    d2 = md.boundary_map(sphere, 2, 5)
+    d2 = md.ChainData(sphere, 5).boundary(2)
     src = d2.source.labels[(3, 3)]
     tgt = d2.target.labels[(3, 3)]
     m = d2.at((3, 3))
@@ -212,7 +212,7 @@ def test_commutativity_is_asserted():
 
 
 def test_naturality_is_asserted(circle):
-    d1 = md.boundary_map(circle, 1, 2)
+    d1 = md.ChainData(circle, 2).boundary(1)
     mats = dict(d1.mats)
     bad = mats[(2, 1)].copy()
     bad[0, 0] = (bad[0, 0] + 1) % 2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import randfix
+from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
 from torpers import modules as md
+from torpers import orbits as ob
 from torpers import tor
 from torpers.complexes import Presentation, load_mfc
 
@@ -181,3 +184,95 @@ def test_minimality_guard_fires_on_bad_matrix(circle):
     res.gen_degrees[1][0] = res.gen_degrees[2][0]
     with pytest.raises(InternalCheckError):
         res.check()
+
+
+# -- the resolution against the level-by-level builder it replaced ------------
+
+
+def _reference_resolution(M, bound=None):
+    """(gen_degrees, d, augmentation) by the earlier builder.
+
+    Each level maps a free module onto the previous syzygy module (M for the
+    first) through staircase maps phi, instead of slicing the global matrix
+    of the level below.
+    """
+    bound = M.bound if bound is None else gr.as_degree(bound)
+    if bound != M.bound:
+        M = md.rebound(M, bound)
+    p = M.p
+    gen_degrees, mats = [], {}
+    gens = tor.module_generators(M)
+    gen_degrees.append([u for u, _ in gens])
+    augmentation = [vec for _, vec in gens]
+    current = M
+    cur_gens = gens
+    j = 0
+    while True:
+        ms = gr.multiset_from_list([u for u, _ in cur_gens])
+        F = md.free_module(ms, p, bound=bound, n=M.n)
+        eps_mats = {}
+        for v in gr.grid(bound):
+            cols = [
+                la.matmul(current.phi(u, v), vec, p)
+                for u, vec in cur_gens
+                if gr.leq(u, v)
+            ]
+            eps_mats[v] = (
+                np.array(cols, dtype=np.int64).T
+                if cols
+                else la.zeros(current.dim(v), 0)
+            )
+        eps = md.GradedModuleMap(F, current, eps_mats)
+        kernel_rows = {v: la.kernel_basis(eps.at(v), p) for v in gr.grid(bound)}
+        if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
+            break
+        K = md.basis_module(F, kernel_rows)
+        next_gens = tor.module_generators(K)
+        d = la.zeros(len(cur_gens), len(next_gens))
+        for l, (u, row) in enumerate(next_gens):
+            ambient = la.matmul(row, K.bases[u], p)
+            for c, k in enumerate(F.gen_index[u]):
+                d[k, l] = ambient[c]
+        mats[j + 1] = d
+        gen_degrees.append([u for u, _ in next_gens])
+        current = K
+        cur_gens = next_gens
+        j += 1
+    return gen_degrees, mats, augmentation
+
+
+def _assert_matches_reference(M, bound=None):
+    res = tor.minimal_resolution(M, bound=bound)
+    gen_degrees, d, augmentation = _reference_resolution(M, bound=bound)
+    assert res.gen_degrees == gen_degrees
+    assert sorted(res.d) == sorted(d)
+    for j, mat in d.items():
+        assert res.d[j].shape == mat.shape and (res.d[j] == mat).all(), j
+    assert len(res.augmentation) == len(augmentation)
+    for got, want in zip(res.augmentation, augmentation):
+        assert got.shape == want.shape and (got == want).all()
+    # the stored maps are the ones the resolution evaluates everywhere
+    for v in gr.grid(res.bound):
+        for j in range(len(res.gen_degrees)):
+            assert (res.evaluate(j, v) == res.maps[j].at(v)).all()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_resolution_matches_reference_on_random_homology(seed):
+    p = (2, 3, 5)[seed % 3]
+    for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+        for q in range(cx.max_dim() + 1):
+            H, _, _ = md.homology_module(cx, q, p)
+            _assert_matches_reference(H)
+            _assert_matches_reference(H, bound=tuple(b + 1 for b in H.bound))
+
+
+@pytest.mark.parametrize(
+    "xi0, xi1, q, every",
+    [(XI0_MIXED, XI1_MIXED, 3, 1), (XI0_FOUR_LINES, XI1_FOUR_LINES, 5, 25)],
+    ids=["mixed-gf3", "four-lines-gf5-every-25th"],
+)
+def test_resolution_matches_reference_on_census_cokernels(xi0, xi1, q, every):
+    families = ob.enumerate_families(xi0, xi1, q)
+    for fam in families[::every]:
+        _assert_matches_reference(ob.family_to_module(fam))
