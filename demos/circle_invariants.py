@@ -25,9 +25,10 @@ def main():
     cx = complexes.load_mfc(FIXTURE)
     print("circle fixture: %d cells, grid bound %s, field %d" % (
         len(cx.cells), cx.natural_bound(), p))
+    data = modules.ChainData(cx, p)
 
     for q in (0, 1):
-        H, _, _ = modules.homology_module(cx, q, p)
+        H = modules.homology_module(data, q)
         table = tor.xi(H)
         print("\nxi table of H_%d:" % q)
         for j in range(cx.n + 1):
@@ -36,14 +37,14 @@ def main():
     print("H_1 is free on a single generator born at (2,1).")
 
     print("\nhypertor of the chain complex as a whole:")
-    tables = hypertor.hypertor_dims(cx, p)
+    tables = hypertor.hypertor_dims(data)
     for ell in sorted(tables):
         print("  l=%d : %s" % (ell, cli.fmt_multiset(tables[ell])))
     print("the l=0 and l=1 rows repeat xi_0 and xi_1 of H_0, and nothing")
     print("survives at l>=2: the syzygy of H_0 and the generator of H_1")
     print("cancel, which the second differential now exhibits.")
 
-    result = hypertor.d2(cx, 0, p)
+    result = hypertor.d2(data, 0)
     print("\nd2 out of the homology row q=0:")
     for v, m in sorted(result.mats.items()):
         print("  at %s: %s" % (v, m.tolist()))

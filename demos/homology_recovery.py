@@ -10,18 +10,18 @@ by the canonical cell copies, and the Betti comparison.
 import argparse
 import os
 
-from torpers import complexes, hypertor
+from torpers import complexes, hypertor, modules
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
 
 
 def show(name, p):
-    cx = complexes.load_mfc(os.path.join(FIXTURES, name))
+    data = modules.ChainData(complexes.load_mfc(os.path.join(FIXTURES, name)), p)
     print("\n== %s over GF(%d) ==" % (name, p))
-    page = hypertor.e1_page(cx, p)
+    page = hypertor.e1_page(data)
     print("one Tor class per cell: %s" % ("yes" if page.verdict else "no"))
-    report = hypertor.recovered_homology(cx, p)
+    report = hypertor.recovered_homology(data)
     dims = report["t_dims"]
     arrows = " -> ".join("k^%d" % d for d in reversed(dims))
     print("T complex: %s (left to right: top degree down to 0)" % arrows)

@@ -60,20 +60,20 @@ def _csv(index, table):
     return "\n".join(lines) + "\n"
 
 
-def _load_complex(path):
+def _load_chains(args):
+    """The ChainData of the .mfc input over the field: parsed and validated."""
     try:
-        return cxm.load_mfc(path)
-    except OSError as e:
-        raise ValidationError("cannot read %s: %s" % (path, e))
+        cx = cxm.load_mfc(args.input)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError("cannot read %s: %s" % (args.input, e))
+    return md.ChainData(cx, args.field)
 
 
 def _load_module(args):
     """The module a xi/resolve run works on: H_q of a complex, or a cokernel."""
     path = args.input
     if path.endswith(".mfc"):
-        cx = _load_complex(path)
-        H, _, _ = md.homology_module(cx, args.q, args.field)
-        return H
+        return md.homology_module(_load_chains(args), args.q)
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -92,6 +92,8 @@ def _load_module(args):
         raise ValidationError(
             "presentation JSON needs n, gens, relations fields: %s" % e
         )
+    except (ValueError, AttributeError, OverflowError) as e:
+        raise ValidationError("malformed presentation JSON: %s" % e)
     return md.present_cokernel(pres, args.field)
 
 
@@ -140,8 +142,7 @@ def _cmd_resolve(args):
 
 
 def _cmd_hypertor(args):
-    cx = _load_complex(args.input)
-    tables = ht.hypertor_dims(cx, args.field)
+    tables = ht.hypertor_dims(_load_chains(args))
     data = {
         "field": args.field,
         "input": args.input,
@@ -163,8 +164,7 @@ def _cmd_hypertor(args):
 
 
 def _cmd_e1(args):
-    cx = _load_complex(args.input)
-    page = ht.e1_page(cx, args.field)
+    page = ht.e1_page(_load_chains(args))
     data = {"field": args.field, "input": args.input}
     data.update(page.to_json())
     data["rendered"] = {
@@ -187,8 +187,7 @@ def _cmd_e1(args):
 
 
 def _cmd_d2(args):
-    cx = _load_complex(args.input)
-    result = ht.d2(cx, args.q, args.field)
+    result = ht.d2(_load_chains(args), args.q)
     data = {"field": args.field, "input": args.input}
     data.update(result.to_json())
     if args.format == "json":
@@ -209,8 +208,7 @@ def _cmd_d2(args):
 
 
 def _cmd_recover(args):
-    cx = _load_complex(args.input)
-    report = ht.recovered_homology(cx, args.field)
+    report = ht.recovered_homology(_load_chains(args))
     report["input"] = args.input
     if args.format == "json":
         return _dumps(report)
@@ -293,8 +291,7 @@ def _cmd_orbits(args):
 
 
 def _cmd_validate(args):
-    cx = _load_complex(args.input)
-    cx.check_boundary(args.field)
+    cx = _load_chains(args).cx
     ok, violation = md.single_step_check(cx)
     data = {
         "field": args.field,

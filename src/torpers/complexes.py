@@ -215,7 +215,7 @@ def _parse_degree_list(text, lineno):
 
 
 def _sort_vertices(verts):
-    if all(v.isdigit() for v in verts):
+    if all(v.isdecimal() for v in verts):
         return sorted(verts, key=int)
     return sorted(verts)
 
@@ -232,7 +232,7 @@ def parse_mfc(text):
             continue
         if n is None:
             toks = line.split()
-            if len(toks) != 2 or toks[0] != "n" or not toks[1].isdigit():
+            if len(toks) != 2 or toks[0] != "n" or not toks[1].isdecimal():
                 raise ValidationError(
                     "line %d: file must start with 'n <params>', got %r"
                     % (lineno, line)

@@ -34,13 +34,6 @@ def join(degrees, n=None):
     return tuple(max(col) for col in zip(*degrees))
 
 
-def sub(u, v):
-    """u - v, defined only when v <= u."""
-    if not leq(v, u):
-        raise ValueError("cannot subtract %r from %r" % (v, u))
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def step(v, axis):
     """v + e_axis."""
     return tuple(a + (1 if i == axis else 0) for i, a in enumerate(v))

@@ -77,15 +77,13 @@ def _total_delta(data, v, ell):
     return m
 
 
-def hypertor_dims(cx, p, bound=None, data=None):
-    """Graded dimensions of the hypertor modules, per homological index.
+def hypertor_dims(data):
+    """Graded dimensions of the hypertor modules of a ChainData's complex.
 
     Returns {ell: multiset} with ell up to n + dim X; D∘D = 0 is asserted at
-    every degree along the way.  data is the ChainData of cx to read from
-    (built here when None).
+    every degree along the way.
     """
-    if data is None:
-        data = md.ChainData(cx, p, bound=bound)
+    p = data.p
     top_ell = data.top + data.n
     tables = {ell: {} for ell in range(top_ell + 1)}
     for v in gr.grid(data.bound):
@@ -116,7 +114,6 @@ class E1Page:
         self.d1 = d1  # (i, q) -> {v: matrix into (i-1, q) classes}
         self.verdict = verdict
         self.hyper = hyper  # ell -> multiset
-        self.data = data  # the ChainData the page was computed from
         self.top = data.top
         self.n = data.n
 
@@ -139,17 +136,17 @@ class E1Page:
         }
 
 
-def e1_page(cx, p, bound=None):
+def e1_page(data):
     """Compute the full E1 table, the d1 maps, and the degeneracy verdict.
 
     verdict is True iff every d1 vanishes and the E1 column sums equal the
     hypertor dimensions at every degree, the computable certificate that
     E1 = Einfty.
     """
-    data = md.ChainData(cx, p, bound=bound)
+    p = data.p
     table = {}
     for i in range(data.top + 1):
-        kts = tor.koszul_tor(data.module(i), range(data.n + 1), bound=data.bound)
+        kts = tor.koszul_tor(data.module(i), range(data.n + 1))
         for q, kt in kts.items():
             table[(i, q)] = kt
 
@@ -185,7 +182,7 @@ def e1_page(cx, p, bound=None):
                 if la.matmul(m2, m, p).any():
                     raise InternalCheckError("d1∘d1 nonzero at %s" % (v,))
 
-    hyper = hypertor_dims(cx, p, bound=data.bound, data=data)
+    hyper = hypertor_dims(data)
     sums_match = True
     for ell in range(data.top + data.n + 1):
         acc = {}
@@ -286,20 +283,20 @@ def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
     return md.class_coords(Hnext, v, out, p)
 
 
-def d2(cx, q, p, bound=None):
+def d2(data, q):
     """The differential d2: Tor_2(H_q(X_•), k) -> Tor_0(H_{q+1}(X_•), k).
 
     Computed by the boundary zig-zag through the double complex, then negated
     (the sign the abutment convention demands); verified against an
     independent run with randomized lift choices.
     """
-    if cx.n < 2:
+    if data.n < 2:
         raise ValidationError("d2 needs at least two filtration directions")
-    data = md.ChainData(cx, p, bound=bound)
-    Hq, _, _ = md.homology_module(cx, q, p, data=data)
-    Hnext, _, _ = md.homology_module(cx, q + 1, p, data=data)
-    src = tor.koszul_tor(Hq, 2, bound=data.bound)
-    tgt = tor.koszul_tor(Hnext, 0, bound=data.bound)
+    p = data.p
+    Hq = md.homology_module(data, q)
+    Hnext = md.homology_module(data, q + 1)
+    src = tor.koszul_tor(Hq, 2)
+    tgt = tor.koszul_tor(Hnext, 0)
     # Tor_0 of H_{q+1} at v is H_{q+1}(v) modulo the step images
     images = {v: tor.koszul_boundaries(Hnext, v, 0) for v in src.reps}
 
@@ -391,7 +388,7 @@ class TComplex:
         }
 
 
-def build_t_complex(cx, p, bound=None):
+def build_t_complex(data):
     """Assemble T_• from the Tor classes of all chain modules.
 
     Requires the E1 degeneracy verdict; refuses otherwise.  The boundary is
@@ -399,13 +396,13 @@ def build_t_complex(cx, p, bound=None):
     lexicographically least entry degree) and is the syzygy matrix with
     monomials dropped on resolution generators.  ∂∘∂ = 0 is asserted.
     """
-    page = e1_page(cx, p, bound=bound)
+    page = e1_page(data)
     if not page.verdict:
         raise ValidationError(
             "T complex needs the E1 page to degenerate (verdict false): "
             "cells do not decompose one Tor class at a time"
         )
-    data = page.data
+    cx, p = data.cx, data.p
     resolutions = [
         tor.minimal_resolution(data.module(i)) for i in range(data.top + 1)
     ]
@@ -494,13 +491,14 @@ def build_t_complex(cx, p, bound=None):
     return TComplex(labels, d, canonical, p)
 
 
-def recovered_homology(cx, p, bound=None):
+def recovered_homology(data):
     """Betti numbers recovered from T_•, checked against a direct computation.
 
     Also verifies that the canonical-copy embedding of the plain chain
     complex is a quasi-isomorphism by checking H(Q) = 0 for its cokernel.
     """
-    t = build_t_complex(cx, p, bound=bound)
+    cx, p = data.cx, data.p
+    t = build_t_complex(data)
     betti = t.betti()
     direct = md.total_betti(cx, p)
     width = max(len(betti), len(direct))

@@ -16,6 +16,9 @@ items at v listed in `.gen_index[v]`.  Constructors that build quotients
 (homology, cokernels) record their bases as rows in the ambient coordinates
 (`bases`) plus the subspace that was modded out (`reduce_by`), so class
 representatives and projections stay available downstream.
+
+The grid of a complex's chain side is decided in one place, ChainData: the
+homology modules here and hypertor, E1, d2 and T all read one ChainData.
 """
 
 from __future__ import annotations
@@ -216,15 +219,14 @@ def _inclusion_module(n, bound, births, p):
     return mod
 
 
-def chains_module(cx, i, p, bound=None):
+def chains_module(cx, i, p):
     """The module of i-chains: basis = i-cells present at v, ordered by id.
 
     .labels[v] lists the ids of those cells.
     """
     check_field(p)
-    bound = cx.natural_bound() if bound is None else gr.as_degree(bound)
     cells = cx.cells_of_dim(i)
-    mod = _inclusion_module(cx.n, bound, [c.degrees for c in cells], p)
+    mod = _inclusion_module(cx.n, cx.natural_bound(), [c.degrees for c in cells], p)
     mod.labels = {
         v: [cells[k].id for k in idx] for v, idx in mod.gen_index.items()
     }
@@ -244,30 +246,32 @@ def _boundary_matrix(cx, src_ids, tgt_ids, p):
 class ChainData:
     """The chain modules C_i of one complex and their cellular boundaries.
 
-    Validates the complex over GF(p) once, then builds each C_i on first use
+    The one way into the chain side: homology, hypertor, E1, d2 and T all
+    read a ChainData.  It validates the complex over GF(p) once and decides
+    the grid, [0, natural bound], once; then it builds each C_i on first use
     and each boundary C_i -> C_{i-1} once, as a GradedModuleMap (so its
     naturality is asserted), so every computation that shares one ChainData
     shares these objects.  Outside 0..top the chain modules are zero.
     """
 
-    def __init__(self, cx, p, bound=None):
+    def __init__(self, cx, p):
         cx.check_boundary(p)
         self.cx = cx
         self.p = p
         self.n = cx.n
         self.top = cx.max_dim()
-        self.bound = cx.natural_bound() if bound is None else gr.as_degree(bound)
+        self.bound = cx.natural_bound()
         self._chains = {}
         self._boundaries = {}
 
     def module(self, i):
-        """C_i on the common grid (the zero module above the top dimension)."""
+        """C_i on the common grid (the zero module outside 0..top)."""
         if i not in self._chains:
-            self._chains[i] = chains_module(self.cx, i, self.p, bound=self.bound)
+            self._chains[i] = chains_module(self.cx, i, self.p)
         return self._chains[i]
 
     def boundary(self, i):
-        """The cellular boundary C_i -> C_{i-1} (zero target for i = 0)."""
+        """The cellular boundary C_i -> C_{i-1}, for 1 <= i <= top."""
         if i not in self._boundaries:
             source, target = self.module(i), self.module(i - 1)
             mats = {
@@ -280,8 +284,15 @@ class ChainData:
         return self._boundaries[i]
 
     def boundary_at(self, i, v):
-        """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v)."""
-        return self.boundary(i).at(v)
+        """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v).
+
+        Where one side has no cells (i <= 0 or i > top) this is the zero
+        matrix, read without building the zero module.
+        """
+        if 1 <= i <= self.top:
+            return self.boundary(i).at(v)
+        dims = [self.module(k).dim(v) if 0 <= k <= self.top else 0 for k in (i - 1, i)]
+        return la.zeros(*dims)
 
 
 def basis_module(ambient, bases, reduce_by=None):
@@ -332,27 +343,22 @@ def class_coords(quotient, v, ambient_vec, p):
     return c
 
 
-def homology_module(cx, q, p, bound=None, data=None):
-    """(H, Z, B) at homological degree q: cycles, boundaries, their quotient.
+def homology_module(data, q):
+    """H_q of the complex of a ChainData, as a module on its grid.
 
-    All three are persistence modules; Z and B carry their chain-coordinate
-    RREF bases in .bases, and H carries class representatives (.bases) plus
-    the boundary space (.reduce_by) so classes can be projected later.  data
-    is the ChainData of cx to read chains and boundaries from (built here
-    when None).
+    H carries class representatives (.bases, rows in the coordinates of C_q)
+    plus the boundary space B_q (.reduce_by) so classes can be projected
+    later.  The cycles Z_q and B_q are not built as modules: they are closed
+    under the steps because the boundaries are natural (asserted by
+    ChainData.boundary), and basis_module checks that H is.
     """
-    if data is None:
-        data = ChainData(cx, p, bound=bound)
-    chains = data.module(q)
-    z_rows, b_rows = {}, {}
-    for v in gr.grid(chains.bound):
-        z_rows[v] = la.kernel_basis(data.boundary_at(q, v), p)
+    p = data.p
+    h_rows, b_rows = {}, {}
+    for v in gr.grid(data.bound):
+        cycles = la.kernel_basis(data.boundary_at(q, v), p)
         b_rows[v] = la.row_space(data.boundary_at(q + 1, v).T, p)
-    Z = basis_module(chains, z_rows)
-    B = basis_module(chains, b_rows)
-    h_rows = {v: la.complement_basis(b_rows[v], z_rows[v], p) for v in z_rows}
-    H = basis_module(chains, h_rows, reduce_by=b_rows)
-    return H, Z, B
+        h_rows[v] = la.complement_basis(b_rows[v], cycles, p)
+    return basis_module(data.module(q), h_rows, reduce_by=b_rows)
 
 
 # -- cokernels of presentations ---------------------------------------------
@@ -406,14 +412,14 @@ def free_module(ms, p, bound=None, n=None):
 # -- the one-at-a-time hypothesis --------------------------------------------
 
 
-def single_step_check(cx, bound=None):
+def single_step_check(cx):
     """Do cells enter the filtration at most one at a time?
 
     Walks every unit step of the grid and compares total cell counts.
     Returns (True, None) or (False, violation) with the lexicographically
     first violation as a dict {from, to, before, after}.
     """
-    bound = cx.natural_bound() if bound is None else gr.as_degree(bound)
+    bound = cx.natural_bound()
     counts = {v: cx.cell_count_at(v) for v in gr.grid(bound)}
     for v in gr.grid(bound):
         for j in range(cx.n):

@@ -8,7 +8,7 @@ repeatedly choosing RREF-canonical generators of kernels.  Tor_j appears in
 route one as Koszul homology and in route two as the generator degrees of
 F_j; xi() runs both and insists on exact agreement.
 
-Degrees are searched on [0, bound + (1,..,1)].  The outer layer must carry
+Degrees are searched on [0, M.bound + (1,..,1)].  The outer layer must carry
 zero Tor (the module has stabilized, so every axis acts invertibly there);
 that assertion substitutes for an a-priori degree bound and fires only on an
 internal bug or an unstabilized module.
@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from torpers import InternalCheckError
+from torpers import InternalCheckError, ValidationError
 from torpers import exactla as la
 from torpers import grading as gr
 from torpers import modules as md
@@ -88,21 +88,20 @@ class KoszulTor:
         return dict(self.dims)
 
 
-def koszul_tor(M, j, bound=None):
+def koszul_tor(M, j):
     """Tor_j(M, k) per degree, with RREF-canonical representative cycles.
 
     j is one homological index (giving a KoszulTor) or a sequence of them
     (giving a dict j -> KoszulTor from one scan that builds each Koszul
-    differential once per degree).  Scans [0, bound+(1,..,1)] and asserts
-    the outer layer is zero.
+    differential once per degree).  Scans [0, M.bound + (1,..,1)] and
+    asserts the outer layer is zero.
     """
     single = np.ndim(j) == 0
     js = [j] if single else sorted(set(j))
     for i in js:
         if not 0 <= i <= M.n:
             raise ValueError("homological index %d out of range 0..%d" % (i, M.n))
-    bound = M.bound if bound is None else gr.as_degree(bound)
-    wide = tuple(b + 1 for b in bound)
+    wide = tuple(b + 1 for b in M.bound)
     p = M.p
     # the differentials Delta_i out of K_i for every index and the one above
     needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= M.n})
@@ -123,7 +122,7 @@ def koszul_tor(M, j, bound=None):
             bdries = la.row_space(d_up.T, p)
             cls = la.complement_basis(bdries, cycles, p)
             if cls.shape[0]:
-                if any(v[t] > bound[t] for t in range(M.n)):
+                if any(v[t] > M.bound[t] for t in range(M.n)):
                     raise InternalCheckError(
                         "Tor_%d nonzero at %s outside the stabilized grid; widen "
                         "the bound" % (i, v)
@@ -170,12 +169,12 @@ class MinimalResolution:
     d[j] restricted to the present generators for j >= 1.
     """
 
-    def __init__(self, module, gen_degrees, d, augmentation, bound, free, maps):
+    def __init__(self, module, gen_degrees, d, augmentation, free, maps):
         self.module = module
         self.gen_degrees = gen_degrees
         self.d = d
         self.augmentation = augmentation
-        self.bound = bound
+        self.bound = module.bound
         self.free = free
         self.maps = maps
         self.p = module.p
@@ -249,15 +248,13 @@ class MinimalResolution:
         return True
 
 
-def minimal_resolution(M, bound=None):
+def minimal_resolution(M):
     """Build the minimal free resolution of M by iterated kernel generation.
 
-    Level j builds F_j, the natural map d_j out of it (into M for j = 0, into
-    F_{j-1} for j >= 1) and minimal generators of its kernel, the columns
-    of d[j+1]."""
-    bound = M.bound if bound is None else gr.as_degree(bound)
-    if bound != M.bound:
-        M = md.rebound(M, bound)
+    Level j builds F_j on M's grid, the natural map d_j out of it (into M for
+    j = 0, into F_{j-1} for j >= 1) and minimal generators of its kernel, the
+    columns of d[j+1]."""
+    bound = M.bound
     p = M.p
     gens = module_generators(M)
     gen_degrees = [[u for u, _ in gens]]
@@ -296,7 +293,7 @@ def minimal_resolution(M, bound=None):
             d[j + 1][F.gen_index[u], l] = la.matmul(row, K.bases[u], p)
         gen_degrees.append([u for u, _ in syzygies])
 
-    res = MinimalResolution(M, gen_degrees, d, augmentation, bound, free, maps)
+    res = MinimalResolution(M, gen_degrees, d, augmentation, free, maps)
     res.check()
     return res
 
@@ -325,13 +322,17 @@ class TorTable:
 def xi(M, widen=0):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.
 
-    widen enlarges the search grid by that many steps in every axis before
-    computing (the answer must not change; useful as a stability check).
+    widen >= 0 presents M on a grid that many steps larger in every axis
+    (md.rebound) before both routes run on it; the answer must not change,
+    so this is a stability check.
     """
-    bound = tuple(b + widen for b in M.bound)
-    resolution = minimal_resolution(M, bound=bound)
+    if widen < 0:
+        raise ValidationError("widen must be >= 0, got %d" % widen)
+    if widen:
+        M = md.rebound(M, tuple(b + widen for b in M.bound))
+    resolution = minimal_resolution(M)
     tables, reps = {}, {}
-    for j, kt in koszul_tor(M, range(M.n + 1), bound=bound).items():
+    for j, kt in koszul_tor(M, range(M.n + 1)).items():
         res_ms = resolution.xi(j)
         if kt.multiset() != res_ms:
             raise InternalCheckError(

@@ -1,6 +1,11 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+# No per-example deadline: example run times swing with the host's load.
+settings.register_profile("torpers", deadline=None, print_blob=True)
+settings.load_profile("torpers")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -43,12 +43,12 @@ def _load(fixture_path, name):
 def test_circle_homology_xi_tables(fixture_path):
     cx = _load(fixture_path, "circle_fig.mfc")
     for p in FIELDS:
-        H0, _, _ = md.homology_module(cx, 0, p)
+        H0 = md.homology_module(md.ChainData(cx, p), 0)
         t0 = tor.xi(H0).tables
         assert t0[0] == {(0, 0): 3}
         assert t0[1] == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
         assert t0[2] == {(2, 1): 1}
-        H1, _, _ = md.homology_module(cx, 1, p)
+        H1 = md.homology_module(md.ChainData(cx, p), 1)
         t1 = tor.xi(H1).tables
         assert t1[0] == {(2, 1): 1}
         assert t1[1] == {} and t1[2] == {}  # free on one generator
@@ -60,7 +60,7 @@ def test_circle_homology_xi_tables(fixture_path):
 def test_circle_hypertor_table(fixture_path):
     cx = _load(fixture_path, "circle_fig.mfc")
     for p in FIELDS:
-        tables = ht.hypertor_dims(cx, p)
+        tables = ht.hypertor_dims(md.ChainData(cx, p))
         assert tables[0] == {(0, 0): 3}
         assert tables[1] == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
         assert all(tables[ell] == {} for ell in tables if ell >= 2)
@@ -72,7 +72,7 @@ def test_circle_hypertor_table(fixture_path):
 def test_circle_d2_is_minus_identity(fixture_path):
     cx = _load(fixture_path, "circle_fig.mfc")
     for p in (3, 5):
-        result = ht.d2(cx, 0, p)
+        result = ht.d2(md.ChainData(cx, p), 0)
         assert result.source_dims == {(2, 1): 1}
         assert result.target_dims == {(2, 1): 1}
         assert list(result.mats) == [(2, 1)]
@@ -86,12 +86,12 @@ def test_circle_d2_is_minus_identity(fixture_path):
 def test_one_at_a_time_recovery_shape(fixture_path):
     cx = _load(fixture_path, "circle_oneatatime.mfc")
     for p in FIELDS:
-        t = ht.build_t_complex(cx, p)
+        t = ht.build_t_complex(md.ChainData(cx, p))
         data = t.to_json()
         assert data["dims"] == [5, 7, 2]
         assert data["boundary_ranks"] == [4, 2]
         assert data["betti"] == [1, 1, 0]
-        report = ht.recovered_homology(cx, p)
+        report = ht.recovered_homology(md.ChainData(cx, p))
         assert report["match"] is True
 
 
@@ -101,8 +101,8 @@ def test_one_at_a_time_recovery_shape(fixture_path):
 def test_sphere_recovery_and_quotient(fixture_path):
     cx = _load(fixture_path, "sphere.mfc")
     for p in FIELDS:
-        assert ht.e1_page(cx, p).verdict is True
-        report = ht.recovered_homology(cx, p)
+        assert ht.e1_page(md.ChainData(cx, p)).verdict is True
+        report = ht.recovered_homology(md.ChainData(cx, p))
         assert report["q_dims"][2] == 1
         assert report["q_classes"][2] == [
             {"kind": "copy", "cell": "s2", "degree": [3, 0]}
@@ -128,15 +128,15 @@ def _general_properties(seed):
         C = md.chains_module(cx, i, p)
         assert tor.koszul_tor(C, n).multiset() == {}, (seed, i)
     # (b) hypertor vanishes at and beyond n + dim X
-    tables = ht.hypertor_dims(cx, p)
+    tables = ht.hypertor_dims(md.ChainData(cx, p))
     assert tables[top + n] == {}, seed
     # (f) the E1 page's hypertor equals a standalone hypertor run, and d2
     # (with its lift-independence check) runs out of every row below the top
-    assert ht.e1_page(cx, p).hyper == tables, seed
+    assert ht.e1_page(md.ChainData(cx, p)).hyper == tables, seed
     for q in range(top):
-        ht.d2(cx, q, p)
+        ht.d2(md.ChainData(cx, p), q)
     for q in range(top + 1):
-        H, _, _ = md.homology_module(cx, q, p)
+        H = md.homology_module(md.ChainData(cx, p), q)
         # (c) Koszul homology against the minimal resolution, cross-checked
         # inside xi; (e) the table is stable under widening the grid
         table = tor.xi(H)
@@ -155,7 +155,7 @@ def _one_at_a_time_properties(seed):
     cx = randfix.random_one_at_a_time(seed)
     p = FIELDS[seed % 3]
     # (g) recovered Betti numbers equal the unfiltered computation
-    report = ht.recovered_homology(cx, p)
+    report = ht.recovered_homology(md.ChainData(cx, p))
     assert report["single_step"]["ok"], seed
     assert report["h_q_zero"], seed
     assert report["match"], (seed, report["betti"], report["direct"])

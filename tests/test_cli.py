@@ -374,3 +374,78 @@ def test_coefficient_past_int64_is_reduced_first(capsys, tmp_path, p):
     ]
     outputs = _same_output_as_reduced(capsys, tmp_path, text, p, calls)
     assert all(rc == 0 for rc, _ in outputs[:-2])
+
+
+# -- the exit-code contract: malformed input exits 1 with validation JSON ------
+
+
+def assert_validation_exit(rc, out, err):
+    assert "Traceback" not in err
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("widen", ["-1", "-3"])
+def test_negative_widen_exits_one(capsys, fixture_path, widen):
+    circle = str(fixture_path / "circle_fig.mfc")
+    rc, out, err = run(capsys, "xi", "--input", circle, "--widen", widen)
+    assert_validation_exit(rc, out, err)
+    assert "widen" in json.loads(err)["message"]
+
+
+MALFORMED_PRESENTATIONS = {
+    "n-not-a-number": '{"n": "a", "gens": [[0,0]], "relations": []}',
+    "coefficient-key-not-an-index": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"x": 1}]]}'
+    ),
+    "coefficient-not-an-integer": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"0": "1e3"}]]}'
+    ),
+    "relation-without-coefficients": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1]]]}'
+    ),
+    "negative-generator-degree": '{"n": 2, "gens": [[0,-1]], "relations": []}',
+    "coefficients-as-a-list": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], [1]]]}'
+    ),
+    "n-overflows": '{"n": 1e400, "gens": [[0,0]], "relations": []}',
+}
+
+
+@pytest.mark.parametrize(
+    "text", MALFORMED_PRESENTATIONS.values(), ids=MALFORMED_PRESENTATIONS.keys()
+)
+@pytest.mark.parametrize("command", ["xi", "resolve"])
+def test_malformed_presentation_exits_one(capsys, tmp_path, command, text):
+    path = tmp_path / "pres.json"
+    path.write_text(text)
+    assert_validation_exit(*run(capsys, command, "--input", str(path), "--field", "3"))
+
+
+MALFORMED_MFC = {
+    "n-is-a-superscript": "n ²\nsimplex a @ (0)\n",
+    "not-utf8": b"n 1\nsimplex \xff @ (0)\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_MFC.values(), ids=MALFORMED_MFC.keys())
+@pytest.mark.parametrize("command", ["validate", "xi"])
+def test_malformed_mfc_exits_one(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.mfc"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    assert_validation_exit(*run(capsys, command, "--input", str(path)))
+
+
+def test_superscript_vertex_is_a_name(capsys, tmp_path):
+    # '²' passes str.isdigit() but is no integer: it sorts as a name
+    path = tmp_path / "sup.mfc"
+    path.write_text(
+        "n 1\nsimplex ² @ (0)\nsimplex 1 @ (0)\nsimplex e ² 1 @ (1)\n",
+        encoding="utf-8",
+    )
+    assert run_json(capsys, "validate", "--input", str(path))["cells"] == 3
+    data = run_json(capsys, "xi", "--input", str(path), "--q", "0")
+    assert data["rendered"]["xi_0"] == "{(0):2}"

@@ -139,7 +139,7 @@ def unpack(case):
 
 
 @given(matrices)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_rref_is_idempotent(case):
     p, m = unpack(case)
     r1, rk1, piv1 = la.rref(m, p)
@@ -148,14 +148,14 @@ def test_rref_is_idempotent(case):
 
 
 @given(matrices)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_rank_of_transpose(case):
     p, m = unpack(case)
     assert la.rank(m, p) == la.rank(m.T, p)
 
 
 @given(matrices)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_kernel_is_killed_and_has_right_dim(case):
     p, m = unpack(case)
     k = la.kernel_basis(m, p)
@@ -166,7 +166,7 @@ def test_kernel_is_killed_and_has_right_dim(case):
 
 
 @given(matrices)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_solve_finds_constructed_solutions(case):
     p, m = unpack(case)
     rng = np.random.default_rng(0)
@@ -226,7 +226,7 @@ def pivot_cases(draw):
 
 
 @given(pivot_cases())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_pivot_reads_match_elimination_routes(case):
     p, basis, inside, outside = case
     for v in inside:
@@ -307,7 +307,7 @@ _P = 1000000007  # ten products of (p-1)² each: the plain int64 sum wraps aroun
 @example(
     (_P, [[_P - 1] * 10], np.full((1, 10), _P - 1), [[_P - 1]] * 10, np.full((10, 1), _P - 1))
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_matmul_matches_python_int_products(case):
     p, a_rows, a, b_rows, b = case
     k = a.shape[1]

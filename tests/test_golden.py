@@ -4,10 +4,12 @@ Every bundled fixture runs through every subcommand in every output format,
 over the field the README uses for it; the README presentation runs through
 xi and resolve, and the README orbits example through orbits.  Every
 subcommand that computes also runs on every fixture in JSON over the prime
-1000000007, where a sum of about ten products already passes 2^63.  Each
-call's exit code and the sha256 of its stdout and stderr are pinned in
-golden/digests.json.  Inputs are named by paths relative to the repository
-root (the reports echo the path), so the calls run from there.
+1000000007, where a sum of about ten products already passes 2^63, and xi
+runs widened by one and two steps on every fixture (JSON) and by one step
+on the README presentation.  Each call's exit code and the sha256 of its
+stdout and stderr are pinned in golden/digests.json.  Inputs are named by
+paths relative to the repository root (the reports echo the path), so the
+calls run from there.
 """
 
 import contextlib
@@ -39,6 +41,9 @@ PRESENTATION = "tests/golden/readme_presentation.json"
 ORBITS = ("orbits", "--xi0", "[[[0],2],[[2],1]]", "--xi1", "[[[4],1]]", "--field", "3")
 LARGE_FIELD = "1000000007"
 LARGE_FIELD_COMMANDS = tuple(c for c in FIXTURE_COMMANDS if c != ("validate",))
+WIDEN_COMMANDS = tuple(
+    ("xi", "--q", q, "--widen", w) for q in ("0", "1") for w in ("1", "2")
+)
 
 
 def golden_calls():
@@ -64,6 +69,17 @@ def golden_calls():
                 + ["--input", "fixtures/%s.mfc" % name]
                 + ["--field", LARGE_FIELD, "--format", "json"]
             )
+    for name, field in FIXTURE_FIELDS.items():
+        for command in WIDEN_COMMANDS:
+            calls.append(
+                list(command)
+                + ["--input", "fixtures/%s.mfc" % name]
+                + ["--field", str(field), "--format", "json"]
+            )
+    calls.append(
+        ["xi", "--widen", "1", "--input", PRESENTATION]
+        + ["--field", "3", "--format", "json"]
+    )
     return calls
 
 

@@ -22,12 +22,6 @@ def test_join():
         gr.join([])
 
 
-def test_sub_requires_comparability():
-    assert gr.sub((3, 2), (1, 2)) == (2, 0)
-    with pytest.raises(ValueError):
-        gr.sub((1, 2), (2, 1))
-
-
 def test_grid_is_lexicographic():
     assert list(gr.grid((1, 2))) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),

@@ -6,6 +6,7 @@ import pytest
 from torpers import InternalCheckError, ValidationError
 from torpers import complexes as cxm
 from torpers import hypertor as ht
+from torpers import modules as md
 
 
 @pytest.fixture(scope="module", params=[2, 3, 5])
@@ -37,7 +38,7 @@ simplex ab a b @ (0,0)
 
 
 def test_hypertor_circle(circle, p):
-    dims = ht.hypertor_dims(circle, p)
+    dims = ht.hypertor_dims(md.ChainData(circle, p))
     assert dims[0] == {(0, 0): 3}
     assert dims[1] == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
     assert dims[2] == {}
@@ -45,7 +46,7 @@ def test_hypertor_circle(circle, p):
 
 
 def test_hypertor_sphere(sphere, p):
-    dims = ht.hypertor_dims(sphere, p)
+    dims = ht.hypertor_dims(md.ChainData(sphere, p))
     assert dims[0] == {(0, 0): 2}
     assert dims[1] == {(0, 0): 2, (2, 1): 1}
     assert dims[2] == {(0, 3): 1, (1, 2): 1, (2, 1): 1, (3, 0): 1}
@@ -55,14 +56,14 @@ def test_hypertor_sphere(sphere, p):
 
 def test_hypertor_single_vertex():
     cx = cxm.parse_mfc("n 2\nsimplex a @ (0,0)\n")
-    dims = ht.hypertor_dims(cx, 3)
+    dims = ht.hypertor_dims(md.ChainData(cx, 3))
     assert dims[0] == {(0, 0): 1}
     assert dims[1] == {}
     assert dims[2] == {}
 
 
 def test_e1_circle_degenerates(circle, p):
-    page = ht.e1_page(circle, p)
+    page = ht.e1_page(md.ChainData(circle, p))
     assert page.verdict is True
     assert page.dims(0, 0) == {(0, 0): 3}
     assert page.dims(1, 0) == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
@@ -74,7 +75,7 @@ def test_e1_circle_degenerates(circle, p):
 
 
 def test_e1_sphere(sphere):
-    page = ht.e1_page(sphere, 2)
+    page = ht.e1_page(md.ChainData(sphere, 2))
     assert page.verdict is True
     assert page.dims(1, 0) == {(0, 0): 2, (2, 1): 1}
     assert page.dims(2, 0) == {(0, 3): 1, (1, 2): 1, (2, 1): 1, (3, 0): 1}
@@ -84,7 +85,7 @@ def test_e1_sphere(sphere):
 
 def test_e1_verdict_false_for_simultaneous_faces():
     cx = cxm.parse_mfc(SEGMENT_SIMULTANEOUS)
-    page = ht.e1_page(cx, 2)
+    page = ht.e1_page(md.ChainData(cx, 2))
     assert page.verdict is False
     # the cellular boundary of the edge survives to a nonzero d1
     assert any(
@@ -93,7 +94,7 @@ def test_e1_verdict_false_for_simultaneous_faces():
 
 
 def test_e1_json_shape(circle):
-    page = ht.e1_page(circle, 3)
+    page = ht.e1_page(md.ChainData(circle, 3))
     out = page.to_json()
     assert out["verdict"] is True
     ids = {(cell["i"], cell["q"]) for cell in out["e1"]}
@@ -102,7 +103,7 @@ def test_e1_json_shape(circle):
 
 
 def test_d2_circle_kills_the_fake_class(circle, p):
-    res = ht.d2(circle, 0, p)
+    res = ht.d2(md.ChainData(circle, p), 0)
     assert res.source_dims == {(2, 1): 1}
     assert res.target_dims == {(2, 1): 1}
     assert set(res.mats) == {(2, 1)}
@@ -114,7 +115,7 @@ def test_d2_circle_kills_the_fake_class(circle, p):
 
 def test_d2_circle_top_row_is_empty(circle):
     # H_1 is free (the circle class never dies), so Tor_2 of it vanishes
-    res = ht.d2(circle, 1, 5)
+    res = ht.d2(md.ChainData(circle, 5), 1)
     assert res.source_dims == {}
     assert res.target_dims == {}
     assert res.mats == {}
@@ -122,7 +123,7 @@ def test_d2_circle_top_row_is_empty(circle):
 
 def test_d2_contractible_is_empty():
     cx = cxm.parse_mfc(SEGMENT_SIMULTANEOUS)
-    res = ht.d2(cx, 0, 3)
+    res = ht.d2(md.ChainData(cx, 3), 0)
     assert res.mats == {}
     assert res.source_dims == {}
 
@@ -130,25 +131,25 @@ def test_d2_contractible_is_empty():
 def test_d2_rejects_one_parameter_input():
     cx = cxm.parse_mfc("n 1\nsimplex a @ (0)\n")
     with pytest.raises(ValidationError):
-        ht.d2(cx, 0, 2)
+        ht.d2(md.ChainData(cx, 2), 0)
 
 
 def test_d2_json_carries_degrees(circle):
-    out = ht.d2(circle, 0, 3).to_json()
+    out = ht.d2(md.ChainData(circle, 3), 0).to_json()
     assert out["q"] == 0
     assert out["blocks"][0]["degree"] == [2, 1]
     assert out["blocks"][0]["matrix"] == [[2]]
 
 
 def test_t_complex_circle(circle, p):
-    t = ht.build_t_complex(circle, p)
+    t = ht.build_t_complex(md.ChainData(circle, p))
     assert [t.dim(ell) for ell in range(len(t.labels))] == [3, 3]
     assert t.betti() == (1, 1)
     assert t.to_json()["boundary_ranks"] == [2]
 
 
 def test_t_complex_one_at_a_time(oneatatime, p):
-    t = ht.build_t_complex(oneatatime, p)
+    t = ht.build_t_complex(md.ChainData(oneatatime, p))
     assert [t.dim(ell) for ell in range(len(t.labels))] == [5, 7, 2]
     assert t.to_json()["boundary_ranks"] == [4, 2]
     assert t.betti() == (1, 1, 0)
@@ -161,7 +162,7 @@ def test_t_complex_one_at_a_time(oneatatime, p):
 
 
 def test_t_complex_sphere_boundary(sphere):
-    t = ht.build_t_complex(sphere, 5)
+    t = ht.build_t_complex(md.ChainData(sphere, 5))
     assert [t.dim(ell) for ell in range(len(t.labels))] == [2, 3, 4, 1]
     assert t.betti() == (1, 0, 1, 0)
     # the virtual 3-cell hits the difference of the two copies of s2
@@ -175,24 +176,24 @@ def test_t_complex_sphere_boundary(sphere):
 def test_t_complex_cross_checks_the_e1_page(oneatatime, monkeypatch, i, j):
     real = ht.e1_page
 
-    def tampered(cx, p, bound=None):
-        page = real(cx, p, bound=bound)
+    def tampered(data):
+        page = real(data)
         page.table[(i, j)].dims[(9, 9)] = 1
         return page
 
     monkeypatch.setattr(ht, "e1_page", tampered)
     with pytest.raises(InternalCheckError, match="Tor_%d of C_%d" % (j, i)):
-        ht.build_t_complex(oneatatime, 2)
+        ht.build_t_complex(md.ChainData(oneatatime, 2))
 
 
 def test_t_complex_needs_the_verdict():
     cx = cxm.parse_mfc(SEGMENT_SIMULTANEOUS)
     with pytest.raises(ValidationError):
-        ht.build_t_complex(cx, 2)
+        ht.build_t_complex(md.ChainData(cx, 2))
 
 
 def test_recovery_sphere(sphere, p):
-    rep = ht.recovered_homology(sphere, p)
+    rep = ht.recovered_homology(md.ChainData(sphere, p))
     assert rep["betti"] == [1, 0, 1, 0]
     assert rep["direct"] == [1, 0, 1, 0]
     assert rep["match"] is True
@@ -207,7 +208,7 @@ def test_recovery_sphere(sphere, p):
 
 
 def test_recovery_one_at_a_time(oneatatime, p):
-    rep = ht.recovered_homology(oneatatime, p)
+    rep = ht.recovered_homology(md.ChainData(oneatatime, p))
     assert rep["betti"] == [1, 1, 0]
     assert rep["match"] is True
     assert rep["h_q_zero"] is True
@@ -217,7 +218,7 @@ def test_recovery_one_at_a_time(oneatatime, p):
 
 def test_recovery_single_vertex():
     cx = cxm.parse_mfc("n 2\nsimplex a @ (0,0)\n")
-    rep = ht.recovered_homology(cx, 2)
+    rep = ht.recovered_homology(md.ChainData(cx, 2))
     assert rep["betti"] == [1]
     assert rep["match"] is True
     assert rep["q_dims"] == [0]

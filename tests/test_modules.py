@@ -72,39 +72,49 @@ def test_sphere_boundary_entries(sphere):
 
 
 def test_homology_circle_h0(circle):
-    H, Z, B = md.homology_module(circle, 0, 2)
+    H = md.homology_module(md.ChainData(circle, 2), 0)
     expected = {
         (0, 0): 3, (1, 0): 2, (2, 0): 1,
         (0, 1): 2, (1, 1): 1, (2, 1): 1,
     }
     assert H.dim_grid() == expected
     # no boundaries yet at the origin, everything is a cycle
-    assert Z.dim((0, 0)) == 3 and B.dim((0, 0)) == 0
-    assert B.dim((2, 1)) == 2
+    assert H.dim((0, 0)) == 3 and H.reduce_by[(0, 0)].shape[0] == 0
+    assert H.reduce_by[(2, 1)].shape[0] == 2
+
+
+def test_boundary_at_the_ends_builds_no_zero_module(circle):
+    data = md.ChainData(circle, 2)
+    assert data.boundary_at(0, (1, 1)).shape == (0, 3)
+    assert data.boundary_at(2, (2, 1)).shape == (3, 0)
+    assert data.boundary_at(1, (-1, 0)).shape == (0, 0)
+    md.homology_module(data, 0)
+    md.homology_module(data, 1)
+    assert sorted(data._chains) == [0, 1]
 
 
 def test_homology_circle_h1(circle):
-    H, Z, B = md.homology_module(circle, 1, 2)
+    H = md.homology_module(md.ChainData(circle, 2), 1)
     grid = H.dim_grid()
     assert grid[(2, 1)] == 1
     assert all(d == 0 for v, d in grid.items() if v != (2, 1))
 
 
 def test_homology_steps_are_induced(circle):
-    H, _, _ = md.homology_module(circle, 0, 3)
+    H = md.homology_module(md.ChainData(circle, 3), 0)
     s = H.step((0, 0), 0)
     assert s.shape == (2, 3)
     assert la.rank(s, 3) == 2
 
 
 def test_homology_sphere_h2(sphere):
-    H, _, _ = md.homology_module(sphere, 2, 2)
+    H = md.homology_module(md.ChainData(sphere, 2), 2)
     assert H.dim((3, 3)) == 1
     assert H.dim((2, 1)) == 0
 
 
 def test_class_coords_roundtrip(circle):
-    H, _, _ = md.homology_module(circle, 0, 5)
+    H = md.homology_module(md.ChainData(circle, 5), 0)
     v = (1, 0)
     for k, row in enumerate(H.bases[v]):
         c = md.class_coords(H, v, row, 5)
@@ -225,6 +235,6 @@ def test_phi_staircase(circle):
     c0 = md.chains_module(circle, 0, 2)
     m = c0.phi((0, 0), (2, 1))
     assert (m == la.eye(3)).all()
-    H, _, _ = md.homology_module(circle, 0, 2)
+    H = md.homology_module(md.ChainData(circle, 2), 0)
     assert H.phi((0, 0), (2, 1)).shape == (1, 3)
     assert la.rank(H.phi((0, 0), (2, 1)), 2) == 1

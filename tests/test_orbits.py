@@ -29,7 +29,7 @@ def test_gaussian_binomial_values():
     assert ob.gaussian_binomial(2, 3, 5) == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=4),

@@ -23,7 +23,7 @@ def p(request):
 
 
 def circle_h0(circle, p):
-    H, _, _ = md.homology_module(circle, 0, p)
+    H = md.homology_module(md.ChainData(circle, p), 0)
     return H
 
 
@@ -97,12 +97,12 @@ def test_resolution_generic_rep_syzygies(p):
 
 
 def test_xi_cross_checks_and_circle_values(circle, p):
-    H, _, _ = md.homology_module(circle, 0, p)
+    H = md.homology_module(md.ChainData(circle, p), 0)
     table = tor.xi(H)
     assert table.tables[0] == {(0, 0): 3}
     assert table.tables[1] == {(0, 1): 1, (1, 0): 1, (2, 0): 1}
     assert table.tables[2] == {(2, 1): 1}
-    H1, _, _ = md.homology_module(circle, 1, p)
+    H1 = md.homology_module(md.ChainData(circle, p), 1)
     t1 = tor.xi(H1)
     assert t1.tables[0] == {(2, 1): 1}
     assert t1.tables[1] == {} and t1.tables[2] == {}
@@ -241,9 +241,9 @@ def _reference_resolution(M, bound=None):
     return gen_degrees, mats, augmentation
 
 
-def _assert_matches_reference(M, bound=None):
-    res = tor.minimal_resolution(M, bound=bound)
-    gen_degrees, d, augmentation = _reference_resolution(M, bound=bound)
+def _assert_matches_reference(M):
+    res = tor.minimal_resolution(M)
+    gen_degrees, d, augmentation = _reference_resolution(M)
     assert res.gen_degrees == gen_degrees
     assert sorted(res.d) == sorted(d)
     for j, mat in d.items():
@@ -262,9 +262,9 @@ def test_resolution_matches_reference_on_random_homology(seed):
     p = (2, 3, 5)[seed % 3]
     for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
         for q in range(cx.max_dim() + 1):
-            H, _, _ = md.homology_module(cx, q, p)
+            H = md.homology_module(md.ChainData(cx, p), q)
             _assert_matches_reference(H)
-            _assert_matches_reference(H, bound=tuple(b + 1 for b in H.bound))
+            _assert_matches_reference(md.rebound(H, tuple(b + 1 for b in H.bound)))
 
 
 @pytest.mark.parametrize(
