@@ -48,16 +48,24 @@ def fmt_multiset(ms):
     return "{" + body + "}"
 
 
-def _csv(index, table):
-    """One row per (index, degree) of a graded multiset table.
+def _csv(header, rows):
+    """CSV text: the header, then one line per row; a cell with a comma is quoted."""
+    return "".join(
+        ",".join('"%s"' % c if "," in c else c for c in map(str, row)) + "\n"
+        for row in [header] + rows
+    )
+
+
+def _table_rows(table):
+    """One row (index, degree, mult) per degree of a graded multiset table.
 
     table is [[index, [[degree, mult], ...]], ...] as in the JSON reports.
     """
-    lines = ["%s,degree,mult" % index]
-    for k, pairs in table:
-        for deg, mult in pairs:
-            lines.append("%d,(%s),%d" % (k, " ".join(str(c) for c in deg), mult))
-    return "\n".join(lines) + "\n"
+    return [
+        [k, "(%s)" % " ".join(str(c) for c in deg), mult]
+        for k, pairs in table
+        for deg, mult in pairs
+    ]
 
 
 def _load_chains(args):
@@ -111,7 +119,7 @@ def _cmd_xi(args):
     if args.format == "json":
         return _dumps(data)
     if args.format == "csv":
-        return _csv("j", data["xi"])
+        return _csv(["j", "degree", "mult"], _table_rows(data["xi"]))
     lines = ["field %d" % args.field]
     for j in range(M.n + 1):
         lines.append("xi_%d  %s" % (j, fmt_multiset(table.tables.get(j, {}))))
@@ -134,7 +142,7 @@ def _cmd_resolve(args):
     if args.format == "json":
         return _dumps(data)
     if args.format == "csv":
-        return _csv("j", betti)
+        return _csv(["j", "degree", "mult"], _table_rows(betti))
     lines = ["field %d" % args.field, "length %d" % res.length]
     for j in range(res.length + 1):
         lines.append("F_%d  %s" % (j, fmt_multiset(res.xi(j))))
@@ -156,7 +164,7 @@ def _cmd_hypertor(args):
     if args.format == "json":
         return _dumps(data)
     if args.format == "csv":
-        return _csv("l", data["hypertor"])
+        return _csv(["l", "degree", "mult"], _table_rows(data["hypertor"]))
     lines = ["field %d" % args.field]
     for ell in sorted(tables):
         lines.append("l=%d  %s" % (ell, fmt_multiset(tables[ell])))
@@ -262,10 +270,7 @@ def _cmd_orbits(args):
         )
     header = ["orbit", "size"] + ["xi_%d" % j for j in uppers] + ["y", "label"]
     if args.format == "csv":
-        out = [",".join(header)]
-        for r in rows:
-            out.append(",".join('"%s"' % c if "," in c else c for c in r))
-        return "\n".join(out) + "\n"
+        return _csv(header, rows)
     widths = [max(len(r[k]) for r in rows + [header]) for k in range(len(header))]
     out = [
         "field %d, %d families, %d orbits"

@@ -72,9 +72,6 @@ class Cell:
         self.degrees = tuple(sorted(gr.as_degree(d) for d in degrees))
         self.vertices = tuple(vertices) if vertices is not None else None
 
-    def present_at(self, v):
-        return any(gr.leq(u, v) for u in self.degrees)
-
     def __repr__(self):
         return "Cell(%r, dim=%d, @%s)" % (self.id, self.dim, list(self.degrees))
 
@@ -124,7 +121,7 @@ class MultiFilteredComplex:
                 if coeff == 0:
                     continue
                 for v in c.degrees:
-                    if not f.present_at(v):
+                    if not gr.present([f.degrees], v):
                         raise ValidationError(
                             "cell %r enters at %s before its face %r (enters at %s)"
                             % (c.id, list(v), fid, [list(d) for d in f.degrees])
@@ -165,7 +162,7 @@ class MultiFilteredComplex:
 
     def cell_count_at(self, v):
         """Total number of cells present at degree v (all dimensions)."""
-        return sum(1 for c in self.cells.values() if c.present_at(v))
+        return len(gr.present([c.degrees for c in self.cells.values()], v))
 
     # -- serialization --
 
@@ -347,6 +344,8 @@ class Presentation:
 
     def __init__(self, n, gens, relations):
         self.n = int(n)
+        if self.n < 1:
+            raise ValidationError("number of parameters must be >= 1, got %d" % self.n)
         self.gens = tuple(gr.as_degree(g) for g in gens)
         if list(self.gens) != sorted(self.gens):
             raise ValidationError("generator degrees must be sorted")

@@ -1,9 +1,14 @@
-"""Degrees, the componentwise partial order and multiset bookkeeping.
+"""Degrees, the componentwise partial order, the grid and multiset bookkeeping.
 
 A degree is a tuple of n non-negative ints.  Everything downstream is graded
 by these: module pieces, generators of free resolutions, the invariants
 themselves.  An invariant is a multiset of degrees, stored as a dict
 degree -> multiplicity with positive values only.
+
+The grid rules live here, once: which items are present at a degree
+(present: cells, generators and relations enter at antichains of degrees and
+stay), which unit steps stay on the grid [0, bound] (unit_steps), and where
+the items present at u sit among those present at v >= u (placement).
 """
 
 from __future__ import annotations
@@ -49,6 +54,29 @@ def grid(bound):
     return itertools.product(*(range(b + 1) for b in bound))
 
 
+def unit_steps(bound):
+    """Every unit step on [0, bound] as (v, j, v + e_j), in grid then axis order."""
+    for v in grid(bound):
+        for j, b in enumerate(bound):
+            if v[j] < b:
+                yield v, j, step(v, j)
+
+
+def present(births, v):
+    """Indices of the items present at v, in order.
+
+    births[k] is item k's antichain of entry degrees (one degree for a
+    generator or a relation); the item is present from its entry degrees on.
+    """
+    return [k for k, b in enumerate(births) if any(leq(u, v) for u in b)]
+
+
+def placement(sub, items):
+    """Position within items of each entry of sub (all must occur in items)."""
+    pos = {k: c for c, k in enumerate(items)}
+    return [pos[k] for k in sub]
+
+
 # multisets of degrees ------------------------------------------------------
 
 
@@ -68,6 +96,11 @@ def multiset(pairs):
 def multiset_from_list(degrees):
     """Multiset dict from a plain list of degrees (each counted once)."""
     return multiset((d, 1) for d in degrees)
+
+
+def multiset_to_list(ms):
+    """The degrees in lexicographic order, each repeated by its multiplicity."""
+    return [deg for deg, mult in multiset_to_sorted_pairs(ms) for _ in range(mult)]
 
 
 def multiset_size(ms):

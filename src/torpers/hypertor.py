@@ -87,17 +87,17 @@ def hypertor_dims(data):
     top_ell = data.top + data.n
     tables = {ell: {} for ell in range(top_ell + 1)}
     for v in gr.grid(data.bound):
-        deltas = {ell: _total_delta(data, v, ell) for ell in range(top_ell + 2)}
+        deltas = [_total_delta(data, v, ell) for ell in range(top_ell + 2)]
+        ranks = [la.rank(d, p) for d in deltas]
         for ell in range(top_ell + 1):
-            d_here = deltas[ell]
-            d_up = deltas[ell + 1]
+            d_here, d_up = deltas[ell], deltas[ell + 1]
             if d_here.size and d_up.size:
                 if la.matmul(d_here, d_up, p).any():
                     raise InternalCheckError(
                         "total differential fails D∘D=0 at %s, index %d"
                         % (v, ell)
                     )
-            dim = d_here.shape[1] - la.rank(d_here, p) - la.rank(d_up, p)
+            dim = d_here.shape[1] - ranks[ell] - ranks[ell + 1]
             if dim:
                 tables[ell][v] = dim
     return tables

@@ -11,8 +11,8 @@ grid stays finite.
 Coordinates: M_v is k^dims[v] with a fixed ordered basis; step matrices act
 on column vectors.  Chain modules and free modules are sums of up-set
 modules: one builder gives both, with basis items (cells, generators)
-present from their birth degrees on, inclusions as steps and the present
-items at v listed in `.gen_index[v]`.  Constructors that build quotients
+present where gr.present says, inclusions as steps and the present items at
+v listed in `.gen_index[v]`.  Constructors that build quotients
 (homology, cokernels) record their bases as rows in the ambient coordinates
 (`bases`) plus the subspace that was modded out (`reduce_by`), so class
 representatives and projections stay available downstream.
@@ -57,17 +57,15 @@ class PersistenceModule:
         for v in gr.grid(self.bound):
             if v not in self.dims:
                 raise ValueError("missing dimension at %s" % (v,))
-            for j in range(self.n):
-                if v[j] >= self.bound[j]:
-                    continue
-                s = self.steps.get((v, j))
-                if s is None:
-                    raise ValueError("missing step at %s axis %d" % (v, j))
-                if s.shape != (self.dims[gr.step(v, j)], self.dims[v]):
-                    raise ValueError(
-                        "step at %s axis %d has shape %s, expected %s"
-                        % (v, j, s.shape, (self.dims[gr.step(v, j)], self.dims[v]))
-                    )
+        for v, j, w in gr.unit_steps(self.bound):
+            s = self.steps.get((v, j))
+            if s is None:
+                raise ValueError("missing step at %s axis %d" % (v, j))
+            if s.shape != (self.dims[w], self.dims[v]):
+                raise ValueError(
+                    "step at %s axis %d has shape %s, expected %s"
+                    % (v, j, s.shape, (self.dims[w], self.dims[v]))
+                )
         for v in gr.grid(self.bound):
             for i in range(self.n):
                 for j in range(i + 1, self.n):
@@ -140,16 +138,13 @@ class GradedModuleMap:
             m = self.mats.get(v)
             if m is None or m.shape != (self.target.dim(v), self.source.dim(v)):
                 raise ValueError("bad or missing matrix at %s" % (v,))
-            for j in range(self.source.n):
-                if v[j] >= self.source.bound[j]:
-                    continue
-                w = gr.step(v, j)
-                lhs = la.matmul(self.mats[w], self.source.step(v, j), self.p)
-                rhs = la.matmul(self.target.step(v, j), m, self.p)
-                if (lhs != rhs).any():
-                    raise InternalCheckError(
-                        "map is not natural at %s along axis %d" % (v, j)
-                    )
+        for v, j, w in gr.unit_steps(self.source.bound):
+            lhs = la.matmul(self.mats[w], self.source.step(v, j), self.p)
+            rhs = la.matmul(self.target.step(v, j), self.mats[v], self.p)
+            if (lhs != rhs).any():
+                raise InternalCheckError(
+                    "map is not natural at %s along axis %d" % (v, j)
+                )
 
     def at(self, v):
         if any(x < 0 for x in v):
@@ -178,11 +173,7 @@ def rebound(module, new_bound):
     if not gr.leq(module.bound, new_bound):
         raise ValueError("new bound must dominate the old one")
     dims = {v: module.dim(v) for v in gr.grid(new_bound)}
-    steps = {}
-    for v in gr.grid(new_bound):
-        for j in range(module.n):
-            if v[j] < new_bound[j]:
-                steps[(v, j)] = module.step(v, j)
+    steps = {(v, j): module.step(v, j) for v, j, _ in gr.unit_steps(new_bound)}
     return PersistenceModule(
         module.n, new_bound, dims, steps, module.p, check=False
     )
@@ -194,25 +185,18 @@ def rebound(module, new_bound):
 def _inclusion_module(n, bound, births, p):
     """The module with one basis item per entry of births and inclusion steps.
 
-    births[k] is a sequence of degrees; item k is present at v when one of
-    them is <= v.  .gen_index[v] lists the present items in order (the basis
-    at v), and every step sends each present item to itself.
+    births[k] is item k's antichain of entry degrees (gr.present).
+    .gen_index[v] lists the present items in order (the basis at v), and
+    every step sends each present item to itself.
     """
-    gen_index = {
-        v: [k for k, b in enumerate(births) if any(gr.leq(u, v) for u in b)]
-        for v in gr.grid(bound)
-    }
+    gen_index = {v: gr.present(births, v) for v in gr.grid(bound)}
     steps = {}
-    for v, idx in gen_index.items():
-        for j in range(n):
-            if v[j] >= bound[j]:
-                continue
-            tgt = gen_index[gr.step(v, j)]
-            pos = {k: c for c, k in enumerate(tgt)}
-            m = la.zeros(len(tgt), len(idx))
-            for col, k in enumerate(idx):
-                m[pos[k], col] = 1
-            steps[(v, j)] = m
+    for v, j, w in gr.unit_steps(bound):
+        idx = gen_index[v]
+        m = la.zeros(len(gen_index[w]), len(idx))
+        for col, row in enumerate(gr.placement(idx, gen_index[w])):
+            m[row, col] = 1
+        steps[(v, j)] = m
     dims = {v: len(idx) for v, idx in gen_index.items()}
     mod = PersistenceModule(n, bound, dims, steps, p)
     mod.gen_index = gen_index
@@ -309,21 +293,16 @@ def basis_module(ambient, bases, reduce_by=None):
     p = ambient.p
     dims = {v: bases[v].shape[0] for v in gr.grid(ambient.bound)}
     steps = {}
-    for v in gr.grid(ambient.bound):
-        for j in range(ambient.n):
-            if v[j] >= ambient.bound[j]:
-                continue
-            w = gr.step(v, j)
-            pushed = la.matmul(bases[v], ambient.step(v, j).T, p)
-            if reduce_by is not None:
-                pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
-            c = la.coords_in(pushed, bases[w], p)
-            if c is None:
-                raise InternalCheckError(
-                    "basis family is not closed under the step at %s axis %d"
-                    % (v, j)
-                )
-            steps[(v, j)] = c.T
+    for v, j, w in gr.unit_steps(ambient.bound):
+        pushed = la.matmul(bases[v], ambient.step(v, j).T, p)
+        if reduce_by is not None:
+            pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
+        c = la.coords_in(pushed, bases[w], p)
+        if c is None:
+            raise InternalCheckError(
+                "basis family is not closed under the step at %s axis %d" % (v, j)
+            )
+        steps[(v, j)] = c.T
     mod = PersistenceModule(ambient.n, ambient.bound, dims, steps, p)
     mod.bases = dict(bases)
     if reduce_by is not None:
@@ -381,9 +360,10 @@ def present_cokernel(pres, p, bound=None):
     for r, (_, coeffs) in enumerate(pres.relations):
         for k, c in coeffs.items():
             rel[r, k] = c % p
+    births = [(d,) for d, _ in pres.relations]
     rel_rref, bases = {}, {}
     for v in gr.grid(bound):
-        live = [r for r, (d, _) in enumerate(pres.relations) if gr.leq(d, v)]
+        live = gr.present(births, v)
         idx = free.gen_index[v]
         rel_rref[v] = la.row_space(rel[live][:, idx], p)
         bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
@@ -400,7 +380,7 @@ def free_module(ms, p, bound=None, n=None):
     indices.
     """
     check_field(p)
-    gens = [d for d, mult in gr.multiset_to_sorted_pairs(ms) for _ in range(mult)]
+    gens = gr.multiset_to_list(ms)
     if n is None:
         if not gens:
             raise ValueError("empty multiset needs an explicit n")
@@ -421,18 +401,9 @@ def single_step_check(cx):
     """
     bound = cx.natural_bound()
     counts = {v: cx.cell_count_at(v) for v in gr.grid(bound)}
-    for v in gr.grid(bound):
-        for j in range(cx.n):
-            if v[j] >= bound[j]:
-                continue
-            w = gr.step(v, j)
-            if counts[w] - counts[v] > 1:
-                return False, {
-                    "from": v,
-                    "to": w,
-                    "before": counts[v],
-                    "after": counts[w],
-                }
+    for v, _, w in gr.unit_steps(bound):
+        if counts[w] - counts[v] > 1:
+            return False, {"from": v, "to": w, "before": counts[v], "after": counts[w]}
     return True, None
 
 

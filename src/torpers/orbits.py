@@ -64,26 +64,10 @@ def subspaces(a, d, q):
             yield m
 
 
-def _expand_gens(xi0):
-    """Generator degrees of F(xi0) in lexicographic order, with multiplicity."""
-    out = []
-    for deg, mult in gr.multiset_to_sorted_pairs(xi0):
-        out.extend([deg] * mult)
-    return out
-
-
-def _present_indices(gens, v):
-    return [k for k, g in enumerate(gens) if gr.leq(g, v)]
-
-
-def _push(space, gens, u, v):
-    """Image of a subspace of F(xi0)_u inside F(xi0)_v, u <= v."""
-    src = _present_indices(gens, u)
-    tgt = _present_indices(gens, v)
-    pos = {k: c for c, k in enumerate(tgt)}
+def _push(space, src, tgt):
+    """Rows over the generators src present at u, pushed to those tgt at v >= u."""
     out = la.zeros(space.shape[0], len(tgt))
-    for c, k in enumerate(src):
-        out[:, pos[k]] = space[:, c]
+    out[:, gr.placement(src, tgt)] = space
     return out
 
 
@@ -104,10 +88,11 @@ class RelationFamily:
             self.check()
 
     def check(self):
-        gens = _expand_gens(self.xi0)
+        births = [(g,) for g in gr.multiset_to_list(self.xi0)]
+        index = {v: gr.present(births, v) for v in self.degrees}
         for v in self.degrees:
             m = self.spaces[v]
-            a = len(_present_indices(gens, v))
+            a = len(index[v])
             d = gr.staircase_count(self.xi1, v)
             if m.shape != (d, a):
                 raise ValidationError(
@@ -122,7 +107,7 @@ class RelationFamily:
         for u, v in itertools.combinations(self.degrees, 2):
             for lo, hi in ((u, v), (v, u)):
                 if gr.leq(lo, hi) and lo != hi:
-                    pushed = _push(self.spaces[lo], gens, lo, hi)
+                    pushed = _push(self.spaces[lo], index[lo], index[hi])
                     if la.reduce_mod_rows(pushed, self.spaces[hi], self.q).any():
                         raise ValidationError(
                             "family violates containment from %s to %s"
@@ -159,13 +144,12 @@ def enumerate_families(xi0, xi1, q, n=None, limit=200000):
             raise ValidationError("mixed degree lengths in xi0/xi1")
     if not xi1:
         return [RelationFamily(xi0, xi1, q, {}, check=False)]
-    gens = _expand_gens(xi0)
+    births = [(g,) for g in gr.multiset_to_list(xi0)]
     degrees = sorted(xi1)
+    index = {v: gr.present(births, v) for v in degrees}
     budget = 1
     for v in degrees:
-        a = len(_present_indices(gens, v))
-        d = gr.staircase_count(xi1, v)
-        budget *= gaussian_binomial(a, d, q)
+        budget *= gaussian_binomial(len(index[v]), gr.staircase_count(xi1, v), q)
     if budget > limit:
         raise ValidationError(
             "enumeration budget exceeded: about %d subspace tuples (limit %d)"
@@ -174,7 +158,7 @@ def enumerate_families(xi0, xi1, q, n=None, limit=200000):
 
     partials = [{}]
     for v in degrees:
-        a = len(_present_indices(gens, v))
+        a = len(index[v])
         d = gr.staircase_count(xi1, v)
         candidates = list(subspaces(a, d, q))
         grown = []
@@ -182,7 +166,7 @@ def enumerate_families(xi0, xi1, q, n=None, limit=200000):
             lower = [u for u in partial if gr.leq(u, v) and u != v]
             required = la.row_space(
                 la.stack_rows(
-                    [_push(partial[u], gens, u, v) for u in lower], a
+                    [_push(partial[u], index[u], index[v]) for u in lower], a
                 ),
                 q,
             )
@@ -205,6 +189,7 @@ class GroupElement:
     def __init__(self, mat, degrees, q):
         self.mat = np.array(mat, dtype=np.int64) % q
         self.degrees = tuple(degrees)
+        self._restricted = {}  # v -> np.ix_ of the generators present at v
         self.q = q
         m = len(self.degrees)
         if self.mat.shape != (m, m):
@@ -219,8 +204,10 @@ class GroupElement:
             raise ValidationError("group element is singular")
 
     def restrict(self, v):
-        idx = [k for k, g in enumerate(self.degrees) if gr.leq(g, v)]
-        return self.mat[np.ix_(idx, idx)]
+        if v not in self._restricted:
+            idx = gr.present([(g,) for g in self.degrees], v)
+            self._restricted[v] = np.ix_(idx, idx)
+        return self.mat[self._restricted[v]]
 
 
 def _primitive_root(q):
@@ -238,7 +225,7 @@ def group_generators(xi0, q):
     """Generators of GL(F(xi0)): per-block transvections and one scaling,
     plus unit off-diagonal entries for strictly comparable degree pairs."""
     check_field(q)
-    gens = _expand_gens(xi0)
+    gens = gr.multiset_to_list(xi0)
     m = len(gens)
     out = []
     root = _primitive_root(q)
@@ -333,10 +320,11 @@ def orbit_partition(families, xi0, q):
 
 def family_to_module(fam, bound=None):
     """The cokernel of the relation family, as a persistence module."""
-    gens = _expand_gens(fam.xi0)
+    gens = gr.multiset_to_list(fam.xi0)
+    births = [(g,) for g in gens]
     relations = []
     for v in fam.degrees:
-        idx = _present_indices(gens, v)
+        idx = gr.present(births, v)
         for row in fam.spaces[v]:
             coeffs = {idx[c]: int(x) for c, x in enumerate(row) if x}
             relations.append((v, coeffs))

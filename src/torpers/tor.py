@@ -253,7 +253,8 @@ def minimal_resolution(M):
 
     Level j builds F_j on M's grid, the natural map d_j out of it (into M for
     j = 0, into F_{j-1} for j >= 1) and minimal generators of its kernel, the
-    columns of d[j+1]."""
+    columns of d[j+1].  The augmentation d_0 at v pushes its columns at
+    v - e_a one step along every axis a and places the generators born at v."""
     bound = M.bound
     p = M.p
     gens = module_generators(M)
@@ -269,11 +270,16 @@ def minimal_resolution(M):
             idx = F.gen_index[v]
             if j > 0:
                 mats[v] = d[j][free[j - 1].gen_index[v]][:, idx]
-            elif idx:
-                cols = [la.matmul(M.phi(gens[k][0], v), gens[k][1], p) for k in idx]
-                mats[v] = np.array(cols, dtype=np.int64).T
-            else:
-                mats[v] = la.zeros(M.dim(v), 0)
+                continue
+            mats[v] = la.zeros(M.dim(v), len(idx))
+            for a in range(M.n):
+                u = gr.minus_e(v, (a,))
+                if v[a] and F.gen_index[u]:
+                    pushed = la.matmul(M.step(u, a), mats[u], p)
+                    mats[v][:, gr.placement(F.gen_index[u], idx)] = pushed
+            for c, k in enumerate(idx):
+                if gens[k][0] == v:
+                    mats[v][:, c] = gens[k][1]
         dj = md.GradedModuleMap(F, M if j == 0 else free[j - 1], mats)
         free.append(F)
         maps.append(dj)
@@ -304,10 +310,9 @@ def minimal_resolution(M):
 class TorTable:
     """xi_0..xi_n of a module, cross-checked between the two routes."""
 
-    def __init__(self, n, tables, reps, resolution):
+    def __init__(self, n, tables, resolution):
         self.n = n
         self.tables = tables  # j -> multiset dict
-        self.reps = reps  # j -> degree -> representative rows (Koszul coords)
         self.resolution = resolution
 
     def to_json(self):
@@ -331,7 +336,7 @@ def xi(M, widen=0):
     if widen:
         M = md.rebound(M, tuple(b + widen for b in M.bound))
     resolution = minimal_resolution(M)
-    tables, reps = {}, {}
+    tables = {}
     for j, kt in koszul_tor(M, range(M.n + 1)).items():
         res_ms = resolution.xi(j)
         if kt.multiset() != res_ms:
@@ -340,5 +345,4 @@ def xi(M, widen=0):
                 "resolution gives %s" % (j, kt.multiset(), res_ms)
             )
         tables[j] = kt.multiset()
-        reps[j] = kt.reps
-    return TorTable(M.n, tables, reps, resolution)
+    return TorTable(M.n, tables, resolution)

@@ -409,6 +409,8 @@ MALFORMED_PRESENTATIONS = {
         '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], [1]]]}'
     ),
     "n-overflows": '{"n": 1e400, "gens": [[0,0]], "relations": []}',
+    "n-is-zero": '{"n": 0, "gens": [], "relations": []}',
+    "n-is-negative": '{"n": -1, "gens": [], "relations": []}',
 }
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,3 +73,42 @@ def test_join_is_least_upper_bound(u, v):
         # any common upper bound dominates the join
         ub = tuple(max(a, b) + 1 for a, b in zip(u, v))
         assert gr.leq(j, ub)
+
+
+def _upset(u, top):
+    """Every degree w with u <= w <= (top,..,top), listed explicitly."""
+    return set(itertools.product(*(range(a, top + 1) for a in u)))
+
+
+@st.composite
+def births_and_degrees(draw):
+    n = draw(st.integers(1, 3))
+    deg = st.tuples(*[st.integers(0, 3)] * n)
+    births = []
+    for _ in range(draw(st.integers(0, 5))):
+        degs = draw(st.lists(deg, min_size=1, max_size=3, unique=True))
+        # keep the minimal elements: an antichain of up to 3 degrees
+        births.append(
+            tuple(d for d in degs if not any(e != d and gr.leq(e, d) for e in degs))
+        )
+    return births, draw(deg), draw(deg), draw(deg)
+
+
+@given(births_and_degrees())
+def test_present_unit_steps_and_placement_match_brute_force(case):
+    births, v, w, bound = case
+    want = [k for k, b in enumerate(births) if any(v in _upset(u, 3) for u in b)]
+    assert gr.present(births, v) == want
+    box = list(itertools.product(*(range(b + 1) for b in bound)))
+    steps = [
+        (a, j, b)
+        for a in box
+        for b in box
+        for j in range(len(bound))
+        if b[j] == a[j] + 1 and all(b[i] == a[i] for i in range(len(bound)) if i != j)
+    ]
+    assert list(gr.unit_steps(bound)) == sorted(steps)
+    # the items present at u = min(v, w) sit among those present at v
+    u = tuple(min(a, b) for a, b in zip(v, w))
+    sub = gr.present(births, u)
+    assert gr.placement(sub, want) == [want.index(k) for k in sub]
