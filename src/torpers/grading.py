@@ -5,14 +5,27 @@ by these: module pieces, generators of free resolutions, the invariants
 themselves.  An invariant is a multiset of degrees, stored as a dict
 degree -> multiplicity with positive values only.
 
-The grid rules live here, once: which items are present at a degree
-(present: cells, generators and relations enter at antichains of degrees and
-stay), which unit steps stay on the grid [0, bound] (unit_steps), and where
-the items present at u sit among those present at v >= u (placement).
+Modules live on the critical grid: per axis, the sorted distinct
+coordinates where a cell, generator or relation enters, plus 0
+(critical_coords).  A module built from such items is constant between
+consecutive critical values, so it is stored at index points k (k_a is the
+position of a critical value on axis a), and the step from k_a - 1 to k_a is
+the composite step across that value.  Tor, hypertor and their spectral
+sequences vanish off the critical degrees, so an answer found at index k
+sits at degree to_degree(coords, k); to_index finds the cell holding a
+degree.  Past the last critical value an index step is a unit step.  Where
+every coordinate up to the top is critical, the map is the identity.
+
+The grid rules live here, once: the index map (critical_coords, to_index,
+to_degree), which items are present at a degree (present: cells, generators
+and relations enter at antichains of degrees and stay), which unit steps
+stay on the index grid [0, bound] (unit_steps), and where the items present
+at u sit among those present at v >= u (placement).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 
@@ -47,6 +60,43 @@ def step(v, axis):
 def minus_e(v, S):
     """v - e_S: one less along every axis in S (entries may go negative)."""
     return tuple(a - (1 if i in S else 0) for i, a in enumerate(v))
+
+
+def critical_coords(degrees, n):
+    """Per axis, the sorted distinct coordinates of the degrees, plus 0."""
+    return tuple(
+        tuple(sorted({0}.union(d[a] for d in degrees))) for a in range(n)
+    )
+
+
+def dense_coords(bound):
+    """The coords of the integer box [0, bound]: the identity index map."""
+    return tuple(tuple(range(b + 1)) for b in bound)
+
+
+def coords_bound(coords):
+    """The top index point of the critical grid."""
+    return tuple(len(c) - 1 for c in coords)
+
+
+def to_index(coords, v):
+    """Index of the cell of the critical grid that holds the degree v.
+
+    The last cell along each axis holds every degree from its critical value on.
+    """
+    return tuple(bisect.bisect_right(c, x) - 1 for c, x in zip(coords, v))
+
+
+def to_degree(coords, k):
+    """The degree at index point k: its critical values, unit steps past the last."""
+    return tuple(
+        c[i] if i < len(c) else c[-1] + i - len(c) + 1 for c, i in zip(coords, k)
+    )
+
+
+def at_degrees(coords, ms):
+    """A multiset over index points, moved to its degrees."""
+    return {to_degree(coords, k): mult for k, mult in ms.items()}
 
 
 def grid(bound):

@@ -16,6 +16,9 @@ assemble into the finite complex T_• (grading dropped): cell copies, one per
 entry degree, in homological piece j=0, and resolution generators (virtual
 cells) for j>=1.  Its homology recovers H_•(X;k); the embedding of the
 ordinary chain complex by canonical copies and its cokernel Q witness why.
+
+Everything runs at the index points of the ChainData's critical grid (see
+grading); the reported degrees are mapped back with gr.to_degree.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def hypertor_dims(data):
             dim = d_here.shape[1] - ranks[ell] - ranks[ell + 1]
             if dim:
                 tables[ell][v] = dim
-    return tables
+    return {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
 
 
 # -- the first spectral sequence: E1 = Tor_q(C_i) ----------------------------
@@ -111,7 +114,7 @@ class E1Page:
 
     def __init__(self, table, d1, verdict, hyper, data):
         self.table = table  # (i, q) -> KoszulTor
-        self.d1 = d1  # (i, q) -> {v: matrix into (i-1, q) classes}
+        self.d1 = d1  # (i, q) -> {index point: matrix into (i-1, q) classes}
         self.verdict = verdict
         self.hyper = hyper  # ell -> multiset
         self.top = data.top
@@ -321,9 +324,11 @@ def d2(data, q):
         for v in plain:
             if (plain[v] != again[v]).any():
                 raise InternalCheckError(
-                    "d2 depends on lift choices at %s; zig-zag bug" % (v,)
+                    "d2 depends on lift choices at %s; zig-zag bug"
+                    % (gr.to_degree(data.coords, v),)
                 )
-    return D2Result(q, plain, src.multiset(), tgt.multiset(), p)
+    mats = {gr.to_degree(data.coords, v): m for v, m in plain.items()}
+    return D2Result(q, mats, src.multiset(), tgt.multiset(), p)
 
 
 # -- the recovery complex T ----------------------------------------------------
@@ -420,7 +425,7 @@ def build_t_complex(data):
                     "vector" % (k, i)
                 )
             cid = data.module(i).labels[u][nz[0]]
-            labs.append((i, 0, cid, u))
+            labs.append((i, 0, cid, gr.to_degree(data.coords, u)))
         f0_labels.append(labs)
         # cross-check: Tor_0 multiset equals entry-degree counts
         want = gr.multiset_from_list(
@@ -447,7 +452,7 @@ def build_t_complex(data):
                 labs.extend(f0_labels[i])
             elif j < len(resolutions[i].gen_degrees):
                 labs.extend(
-                    (i, j, k, u)
+                    (i, j, k, gr.to_degree(data.coords, u))
                     for k, u in enumerate(resolutions[i].gen_degrees[j])
                 )
         labels.append(labs)
@@ -475,7 +480,8 @@ def build_t_complex(data):
                     if j == 1:
                         row_lab = f0_labels[i][k]
                     else:
-                        row_lab = (i, j - 1, int(k), res.gen_degrees[j - 1][k])
+                        u = res.gen_degrees[j - 1][k]
+                        row_lab = (i, j - 1, int(k), gr.to_degree(data.coords, u))
                     row = index[ell - 1][row_lab]
                     m[row, col] = (m[row, col] + column[k]) % p
         d[ell] = m

@@ -1,12 +1,15 @@
-"""Persistence modules on a finite grid and the standard ways to build them.
+"""Persistence modules on the critical grid and the standard ways to build them.
 
-A persistence module here is a functor from the grid poset to GF(p) vector
-spaces: a dimension for every degree v on [0, bound] and a matrix for every
-unit step v -> v+e_j, with all squares commuting (asserted at construction).
-Degrees past the bound are clamped: every constructor below only ever builds
-modules that have stabilized at their bound (all further steps are identity
-in the stored bases), so clamped reads agree with the true module and the
-grid stays finite.
+A persistence module here is a functor from a grid poset to GF(p) vector
+spaces: a dimension for every index point v on [0, bound] and a matrix for
+every unit step v -> v+e_j, with all squares commuting (asserted at
+construction).  The grid is the critical grid of the items the module is
+built from (see grading): .coords gives the degree of each index point, and
+an index step crosses one critical value.  Index points past the bound are
+clamped: every constructor below only ever builds modules that have
+stabilized at their bound (all further steps are identity in the stored
+bases), so clamped reads agree with the true module and the grid stays
+finite.
 
 Coordinates: M_v is k^dims[v] with a fixed ordered basis; step matrices act
 on column vectors.  Chain modules and free modules are sums of up-set
@@ -17,8 +20,9 @@ v listed in `.gen_index[v]`.  Constructors that build quotients
 (`bases`) plus the subspace that was modded out (`reduce_by`), so class
 representatives and projections stay available downstream.
 
-The grid of a complex's chain side is decided in one place, ChainData: the
-homology modules here and hypertor, E1, d2 and T all read one ChainData.
+The grid of a complex's chain side is decided in one place, ChainData (from
+the complex's critical_coords): the homology modules here and hypertor, E1,
+d2 and T all read one ChainData.
 """
 
 from __future__ import annotations
@@ -35,21 +39,26 @@ class PersistenceModule:
     Parameters
     ----------
     n : ambient grading dimension
-    bound : top grid corner (degrees are clamped beyond it)
-    dims : dict degree -> dimension, defined on the whole grid
-    steps : dict (degree, axis) -> matrix M_v -> M_{v+e_axis}, for every
-        in-grid step
+    bound : top index point (index points are clamped beyond it)
+    dims : dict index point -> dimension, defined on the whole grid
+    steps : dict (index point, axis) -> matrix M_v -> M_{v+e_axis}, for
+        every in-grid step
     p : field characteristic
+    coords : per axis, the degree of each index (default: the box [0, bound])
     """
 
-    def __init__(self, n, bound, dims, steps, p, check=True):
+    def __init__(self, n, bound, dims, steps, p, check=True, coords=None):
         self.n = int(n)
         self.bound = gr.as_degree(bound)
         self.dims = dict(dims)
         self.steps = dict(steps)
         self.p = p
+        self.coords = gr.dense_coords(self.bound) if coords is None else coords
+        if gr.coords_bound(self.coords) != self.bound:
+            raise ValueError("coords do not match the bound %s" % (self.bound,))
         self.bases = None  # rows in ambient coords, set by quotient builders
         self.reduce_by = None  # RREF of the modded-out subspace per degree
+        self.koszul_layouts = {}  # (v, j) -> blocks, filled by tor.koszul_blocks
         if check:
             self._check()
 
@@ -83,12 +92,18 @@ class PersistenceModule:
         return tuple(min(a, b) for a, b in zip(v, self.bound))
 
     def dim(self, v):
+        d = self.dims.get(v)
+        if d is not None:
+            return d
         if any(x < 0 for x in v):
             return 0
         return self.dims[self._clamp(v)]
 
     def step(self, v, j):
         """Matrix of M_v -> M_{v+e_j}, clamped outside the grid."""
+        s = self.steps.get((v, j))
+        if s is not None:
+            return s
         if any(x < 0 for x in v):
             return la.zeros(self.dim(gr.step(v, j)), 0)
         c = self._clamp(v)
@@ -147,6 +162,9 @@ class GradedModuleMap:
                 )
 
     def at(self, v):
+        m = self.mats.get(v)
+        if m is not None:
+            return m
         if any(x < 0 for x in v):
             return la.zeros(self.target.dim(v), self.source.dim(v))
         return self.mats[self.target._clamp(v)]
@@ -167,28 +185,37 @@ def rebound(module, new_bound):
     """The same module presented on a larger grid (clamped reads made real).
 
     Correct because every module built here has stabilized at its bound; the
-    quotient bookkeeping (bases, reduce_by) is not carried over.
+    quotient bookkeeping (bases, reduce_by) is not carried over.  The new
+    index points past the old bound are unit steps past the last critical
+    value (gr.to_degree).
     """
     new_bound = gr.as_degree(new_bound)
     if not gr.leq(module.bound, new_bound):
         raise ValueError("new bound must dominate the old one")
     dims = {v: module.dim(v) for v in gr.grid(new_bound)}
     steps = {(v, j): module.step(v, j) for v, j, _ in gr.unit_steps(new_bound)}
+    top = gr.to_degree(module.coords, new_bound)
+    coords = tuple(
+        c + tuple(range(c[-1] + 1, t + 1)) for c, t in zip(module.coords, top)
+    )
     return PersistenceModule(
-        module.n, new_bound, dims, steps, module.p, check=False
+        module.n, new_bound, dims, steps, module.p, check=False, coords=coords
     )
 
 
 # -- chain modules of a multifiltered complex -------------------------------
 
 
-def _inclusion_module(n, bound, births, p):
+def _inclusion_module(n, coords, births, p):
     """The module with one basis item per entry of births and inclusion steps.
 
-    births[k] is item k's antichain of entry degrees (gr.present).
-    .gen_index[v] lists the present items in order (the basis at v), and
-    every step sends each present item to itself.
+    births[k] is item k's antichain of entry degrees (gr.present), and the
+    module lives on the critical grid coords.  .gen_index[v] lists the items
+    present at index point v in order (the basis at v), and every step sends
+    each present item to itself.
     """
+    births = [[gr.to_index(coords, u) for u in b] for b in births]
+    bound = gr.coords_bound(coords)
     gen_index = {v: gr.present(births, v) for v in gr.grid(bound)}
     steps = {}
     for v, j, w in gr.unit_steps(bound):
@@ -198,19 +225,20 @@ def _inclusion_module(n, bound, births, p):
             m[row, col] = 1
         steps[(v, j)] = m
     dims = {v: len(idx) for v, idx in gen_index.items()}
-    mod = PersistenceModule(n, bound, dims, steps, p)
+    mod = PersistenceModule(n, bound, dims, steps, p, coords=coords)
     mod.gen_index = gen_index
     return mod
 
 
 def chains_module(cx, i, p):
-    """The module of i-chains: basis = i-cells present at v, ordered by id.
+    """The module of i-chains on the complex's critical grid: basis = i-cells
+    present at v, ordered by id.
 
     .labels[v] lists the ids of those cells.
     """
     check_field(p)
     cells = cx.cells_of_dim(i)
-    mod = _inclusion_module(cx.n, cx.natural_bound(), [c.degrees for c in cells], p)
+    mod = _inclusion_module(cx.n, cx.critical_coords(), [c.degrees for c in cells], p)
     mod.labels = {
         v: [cells[k].id for k in idx] for v, idx in mod.gen_index.items()
     }
@@ -232,7 +260,8 @@ class ChainData:
 
     The one way into the chain side: homology, hypertor, E1, d2 and T all
     read a ChainData.  It validates the complex over GF(p) once and decides
-    the grid, [0, natural bound], once; then it builds each C_i on first use
+    the grid, the complex's critical grid (.coords, with top index point
+    .bound), once; then it builds each C_i on first use
     and each boundary C_i -> C_{i-1} once, as a GradedModuleMap (so its
     naturality is asserted), so every computation that shares one ChainData
     shares these objects.  Outside 0..top the chain modules are zero.
@@ -244,7 +273,8 @@ class ChainData:
         self.p = p
         self.n = cx.n
         self.top = cx.max_dim()
-        self.bound = cx.natural_bound()
+        self.coords = cx.critical_coords()
+        self.bound = gr.coords_bound(self.coords)
         self._chains = {}
         self._boundaries = {}
 
@@ -303,7 +333,9 @@ def basis_module(ambient, bases, reduce_by=None):
                 "basis family is not closed under the step at %s axis %d" % (v, j)
             )
         steps[(v, j)] = c.T
-    mod = PersistenceModule(ambient.n, ambient.bound, dims, steps, p)
+    mod = PersistenceModule(
+        ambient.n, ambient.bound, dims, steps, p, coords=ambient.coords
+    )
     mod.bases = dict(bases)
     if reduce_by is not None:
         mod.reduce_by = dict(reduce_by)
@@ -343,26 +375,26 @@ def homology_module(data, q):
 # -- cokernels of presentations ---------------------------------------------
 
 
-def presentation_bound(pres):
-    return gr.join(list(pres.gens) + [d for d, _ in pres.relations], n=pres.n)
-
-
 def present_cokernel(pres, p, bound=None):
-    """Evaluate a presentation to its cokernel module on the grid.
+    """Evaluate a presentation to its cokernel module.
 
-    Bases are RREF complements of the relation row space inside the free
-    module on the generators present at each degree; .gen_index[v] maps the
-    local free coordinates back to generator indices.
+    The grid is the critical grid of the generator and relation degrees, or
+    the integer box [0, bound] when a bound is given.  Bases are RREF
+    complements of the relation row space inside the free module on the
+    generators present at each index point; .gen_index[v] maps the local free
+    coordinates back to generator indices.
     """
-    bound = presentation_bound(pres) if bound is None else gr.as_degree(bound)
-    free = free_module(gr.multiset_from_list(pres.gens), p, bound=bound, n=pres.n)
+    degrees = list(pres.gens) + [d for d, _ in pres.relations]
+    coords = _grid_coords(degrees, pres.n, bound)
+    check_field(p)
+    free = _inclusion_module(pres.n, coords, [(g,) for g in pres.gens], p)
     rel = la.zeros(len(pres.relations), len(pres.gens))
     for r, (_, coeffs) in enumerate(pres.relations):
         for k, c in coeffs.items():
             rel[r, k] = c % p
-    births = [(d,) for d, _ in pres.relations]
+    births = [(gr.to_index(coords, d),) for d, _ in pres.relations]
     rel_rref, bases = {}, {}
-    for v in gr.grid(bound):
+    for v in gr.grid(free.bound):
         live = gr.present(births, v)
         idx = free.gen_index[v]
         rel_rref[v] = la.row_space(rel[live][:, idx], p)
@@ -375,9 +407,10 @@ def present_cokernel(pres, p, bound=None):
 def free_module(ms, p, bound=None, n=None):
     """F(xi): the free module on a degree multiset, with inclusion steps.
 
-    Generators are the multiset expanded in lexicographic order; the basis at
-    v is the generators born at or below v, and .gen_index[v] lists their
-    indices.
+    The grid is the critical grid of the generator degrees, or the integer
+    box [0, bound] when a bound is given.  Generators are the multiset
+    expanded in lexicographic order; the basis at v is the generators born at
+    or below v, and .gen_index[v] lists their indices.
     """
     check_field(p)
     gens = gr.multiset_to_list(ms)
@@ -385,8 +418,15 @@ def free_module(ms, p, bound=None, n=None):
         if not gens:
             raise ValueError("empty multiset needs an explicit n")
         n = len(gens[0])
-    bound = gr.join(gens, n=n) if bound is None else gr.as_degree(bound)
-    return _inclusion_module(n, bound, [(g,) for g in gens], p)
+    coords = _grid_coords(gens, n, bound)
+    return _inclusion_module(n, coords, [(g,) for g in gens], p)
+
+
+def _grid_coords(degrees, n, bound):
+    """The critical grid of the degrees, or the integer box [0, bound] if given."""
+    if bound is None:
+        return gr.critical_coords(degrees, n)
+    return gr.dense_coords(gr.as_degree(bound))
 
 
 # -- the one-at-a-time hypothesis --------------------------------------------
@@ -395,16 +435,30 @@ def free_module(ms, p, bound=None, n=None):
 def single_step_check(cx):
     """Do cells enter the filtration at most one at a time?
 
-    Walks every unit step of the grid and compares total cell counts.
-    Returns (True, None) or (False, violation) with the lexicographically
-    first violation as a dict {from, to, before, after}.
+    Compares total cell counts across every unit step of the integer grid
+    [0, natural bound].  A count changes only across a critical value, so
+    this walks the index steps of the critical grid instead; the dense steps
+    inside one index step all go from its lower cell to its upper one, and
+    the lexicographically first of them starts at the lower cell's least
+    degree, moved to just below the critical value it crosses.  Returns
+    (True, None) or (False, violation) with the lexicographically first
+    dense violation as a dict {from, to, before, after}.
     """
-    bound = cx.natural_bound()
-    counts = {v: cx.cell_count_at(v) for v in gr.grid(bound)}
-    for v, _, w in gr.unit_steps(bound):
+    coords = cx.critical_coords()
+    bound = gr.coords_bound(coords)
+    counts = {v: cx.cell_count_at(gr.to_degree(coords, v)) for v in gr.grid(bound)}
+    found = []
+    for v, j, w in gr.unit_steps(bound):
         if counts[w] - counts[v] > 1:
-            return False, {"from": v, "to": w, "before": counts[v], "after": counts[w]}
-    return True, None
+            low = list(gr.to_degree(coords, v))
+            low[j] = coords[j][w[j]] - 1
+            found.append((tuple(low), j, counts[v], counts[w]))
+    if not found:
+        return True, None
+    start, j, before, after = min(found)
+    return False, {
+        "from": start, "to": gr.step(start, j), "before": before, "after": after
+    }
 
 
 def total_betti(cx, p):

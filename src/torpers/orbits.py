@@ -465,7 +465,8 @@ def classify(xi0, xi1, q, limit=200000, spot_checks=5):
         y = []
         for j in range(2, len(res.gen_degrees)):
             for v in sorted(set(res.gen_degrees[j])):
-                y.append((j, v, res.restricted_image(j, v)))
+                degree = gr.to_degree(res.module.coords, v)
+                y.append((j, degree, res.restricted_image(j, v)))
         entries.append(
             {
                 "xi": xi_by_j,

@@ -8,10 +8,15 @@ repeatedly choosing RREF-canonical generators of kernels.  Tor_j appears in
 route one as Koszul homology and in route two as the generator degrees of
 F_j; xi() runs both and insists on exact agreement.
 
-Degrees are searched on [0, M.bound + (1,..,1)].  The outer layer must carry
-zero Tor (the module has stabilized, so every axis acts invertibly there);
-that assertion substitutes for an a-priori degree bound and fires only on an
-internal bug or an unstabilized module.
+Both routes run on M's critical grid (grading): Tor of a module that is
+constant between consecutive critical values vanishes at every degree with a
+non-critical coordinate, and at a critical degree its Koszul blocks and maps
+are those at the index point.  Index points are searched on
+[0, M.bound + (1,..,1)] and only the reported degrees are mapped back
+(gr.to_degree).  The outer layer must carry zero Tor (the module has
+stabilized, so every axis acts invertibly there); that assertion substitutes
+for an a-priori degree bound and fires only on an internal bug or an
+unstabilized module.
 """
 
 from __future__ import annotations
@@ -27,13 +32,18 @@ from torpers import modules as md
 
 
 def koszul_blocks(M, v, j):
-    """Ordered blocks of K_j(v): list of (S, dim, offset), S ascending tuples."""
-    blocks = []
-    offset = 0
-    for S in itertools.combinations(range(M.n), j):
-        d = M.dim(gr.minus_e(v, S))
-        blocks.append((S, d, offset))
-        offset += d
+    """Ordered blocks of K_j(v): tuple of (S, dim, offset), S ascending tuples.
+
+    Computed once per (module, v, j) and kept on the module.
+    """
+    blocks = M.koszul_layouts.get((v, j))
+    if blocks is None:
+        blocks, offset = [], 0
+        for S in itertools.combinations(range(M.n), j):
+            d = M.dim(gr.minus_e(v, S))
+            blocks.append((S, d, offset))
+            offset += d
+        blocks = M.koszul_layouts[(v, j)] = tuple(blocks)
     return blocks
 
 
@@ -79,13 +89,15 @@ def koszul_boundaries(M, v, q):
 class KoszulTor:
     """Tor_j via Koszul homology: a degree multiset plus canonical cycles."""
 
-    def __init__(self, j, dims, reps):
+    def __init__(self, j, dims, reps, coords):
         self.j = j
-        self.dims = dims  # multiset dict degree -> dim, zeros dropped
-        self.reps = reps  # degree -> rows in K_j(v) coordinates
+        self.dims = dims  # multiset dict index point -> dim, zeros dropped
+        self.reps = reps  # index point -> rows in K_j(v) coordinates
+        self.coords = coords  # the module's critical grid
 
     def multiset(self):
-        return dict(self.dims)
+        """The dimensions at their degrees."""
+        return gr.at_degrees(self.coords, self.dims)
 
 
 def koszul_tor(M, j):
@@ -125,11 +137,11 @@ def koszul_tor(M, j):
                 if any(v[t] > M.bound[t] for t in range(M.n)):
                     raise InternalCheckError(
                         "Tor_%d nonzero at %s outside the stabilized grid; widen "
-                        "the bound" % (i, v)
+                        "the bound" % (i, gr.to_degree(M.coords, v))
                     )
                 dims[i][v] = cls.shape[0]
                 reps[i][v] = cls
-    out = {i: KoszulTor(i, dims[i], reps[i]) for i in js}
+    out = {i: KoszulTor(i, dims[i], reps[i], M.coords) for i in js}
     return out[j] if single else out
 
 
@@ -137,10 +149,10 @@ def koszul_tor(M, j):
 
 
 def module_generators(M):
-    """Minimal generators: per degree, an RREF complement of the step images.
+    """Minimal generators: per index point, an RREF complement of step images.
 
-    Returns a list of (degree, row vector in M's local coordinates at that
-    degree), in grid order.  Realizes M / (sum of the images of all steps).
+    Returns a list of (index point, row vector in M's local coordinates
+    there), in grid order.  Realizes M / (sum of the images of all steps).
     """
     gens = []
     for v in gr.grid(M.bound):
@@ -157,16 +169,17 @@ def module_generators(M):
 class MinimalResolution:
     """A chain of free modules F_L -> ... -> F_0 -> M, minimal and exact.
 
-    gen_degrees[j] lists the generator degrees of F_j in grid order.  d[j]
-    (for j >= 1) is the global scalar matrix of F_j -> F_{j-1}: the entry
-    from column generator l (degree u_l) to row generator k (degree u_k) is a
-    scalar standing for scalar * x^(u_l - u_k); it can be nonzero only when
-    u_k <= u_l (homogeneity) and never when u_k = u_l (minimality).
-    augmentation lists, per F_0 generator, its image vector in M's local
-    coordinates at the generator's degree.  free[j] is the free module F_j
-    (its .gen_index[v] lists the generators present at v) and maps[j] the
-    natural graded map d_j out of it: the augmentation F_0 -> M for j = 0,
-    d[j] restricted to the present generators for j >= 1.
+    gen_degrees[j] lists the generator index points of F_j on M's grid in
+    grid order; xi(j) gives them at their degrees.  d[j] (for j >= 1) is the
+    global scalar matrix of F_j -> F_{j-1}: the entry from column generator
+    l (at u_l) to row generator k (at u_k) is a scalar standing for
+    scalar * x^(u_l - u_k); it can be nonzero only when u_k <= u_l
+    (homogeneity) and never when u_k = u_l (minimality).  augmentation
+    lists, per F_0 generator, its image vector in M's local coordinates at
+    the generator's index point.  free[j] is the free module F_j on M's
+    index grid (its .gen_index[v] lists the generators present at v) and
+    maps[j] the natural graded map d_j out of it: the augmentation F_0 -> M
+    for j = 0, d[j] restricted to the present generators for j >= 1.
     """
 
     def __init__(self, module, gen_degrees, d, augmentation, free, maps):
@@ -184,9 +197,12 @@ class MinimalResolution:
         return len(self.gen_degrees) - 1
 
     def xi(self, j):
+        """The generator degrees of F_j as a multiset."""
         if j >= len(self.gen_degrees):
             return {}
-        return gr.multiset_from_list(self.gen_degrees[j])
+        return gr.multiset_from_list(
+            gr.to_degree(self.module.coords, u) for u in self.gen_degrees[j]
+        )
 
     def present_at(self, j, v):
         """Indices of F_j generators present at v."""
@@ -201,7 +217,8 @@ class MinimalResolution:
         return self.maps[j].at(v)
 
     def restricted_image(self, j, v):
-        """Image of the F_j generators born exactly at v, inside F_{j-1} at v.
+        """Image of the F_j generators born exactly at index point v, inside
+        F_{j-1} at v.
 
         Returned as canonical RREF rows in the local coordinates of F_{j-1}
         at v; the Grassmannian point attached to (v) in xi_j.
@@ -251,9 +268,9 @@ class MinimalResolution:
 def minimal_resolution(M):
     """Build the minimal free resolution of M by iterated kernel generation.
 
-    Level j builds F_j on M's grid, the natural map d_j out of it (into M for
-    j = 0, into F_{j-1} for j >= 1) and minimal generators of its kernel, the
-    columns of d[j+1].  The augmentation d_0 at v pushes its columns at
+    Level j builds F_j on M's index grid, the natural map d_j out of it (into
+    M for j = 0, into F_{j-1} for j >= 1) and minimal generators of its
+    kernel, the columns of d[j+1].  The augmentation d_0 at v pushes its columns at
     v - e_a one step along every axis a and places the generators born at v."""
     bound = M.bound
     p = M.p
@@ -327,9 +344,9 @@ class TorTable:
 def xi(M, widen=0):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.
 
-    widen >= 0 presents M on a grid that many steps larger in every axis
-    (md.rebound) before both routes run on it; the answer must not change,
-    so this is a stability check.
+    widen >= 0 presents M on a grid that many index steps larger in every
+    axis (md.rebound; past the top they are unit steps) before both routes
+    run on it; the answer must not change, so this is a stability check.
     """
     if widen < 0:
         raise ValidationError("widen must be >= 0, got %d" % widen)

@@ -6,6 +6,10 @@ filled triangle); `random_one_at_a_time` places every cell at a fresh degree,
 with all positive coordinates pairwise distinct per axis, which makes every
 unit step of the filtration add at most one cell.  Both emit .mfc text and
 round-trip through the parser so the generators exercise it too.
+
+`remap_complex` moves every entry coordinate through a strictly increasing
+map per axis (`random_axis_maps` draws one), which keeps the order of all
+degrees: the metamorphic tests compare a complex with its remapped copy.
 """
 
 import numpy as np
@@ -142,3 +146,28 @@ def random_one_at_a_time(seed):
             "one-at-a-time generator broke its own invariant: %r" % (violation,)
         )
     return cx
+
+
+def random_axis_maps(rng, n, length):
+    """n strictly increasing maps {0..length-1} -> N, as tuples, with gaps."""
+    return [
+        tuple(int(x) for x in np.cumsum(rng.integers(1, 5, size=length)) - 1)
+        for _ in range(n)
+    ]
+
+
+def remap_degree(maps, degree):
+    """The degree with its coordinate t on axis a replaced by maps[a][t]."""
+    return tuple(m[t] for m, t in zip(maps, degree))
+
+
+def remap_complex(cx, maps):
+    """The same complex with every entry degree moved through the axis maps."""
+    cells = [
+        cxm.Cell(
+            c.id, c.dim, c.boundary, [remap_degree(maps, d) for d in c.degrees],
+            c.vertices,
+        )
+        for c in cx.cells.values()
+    ]
+    return cxm.MultiFilteredComplex(cx.n, cells)

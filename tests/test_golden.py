@@ -6,7 +6,11 @@ xi and resolve, and the README orbits example through orbits.  Every
 subcommand that computes also runs on every fixture in JSON over the prime
 1000000007, where a sum of about ten products already passes 2^63, and xi
 runs widened by one and two steps on every fixture (JSON) and by one step
-on the README presentation.  Each call's exit code and the sha256 of its
+on the README presentation.  The same fixtures and the README presentation
+also run with every degree moved through one non-uniform, strictly
+increasing map per axis (STRETCH_MAPS; the remapped inputs are checked in
+under golden/stretched/), so the bytes of inputs with gaps between their
+entry coordinates are pinned too.  Each call's exit code and the sha256 of its
 stdout and stderr are pinned in golden/digests.json.  Inputs are named by
 paths relative to the repository root (the reports echo the path), so the
 calls run from there.
@@ -20,7 +24,9 @@ import pathlib
 
 import pytest
 
+import randfix
 from torpers import cli
+from torpers import complexes as cxm
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGESTS = pathlib.Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -44,6 +50,13 @@ LARGE_FIELD_COMMANDS = tuple(c for c in FIXTURE_COMMANDS if c != ("validate",))
 WIDEN_COMMANDS = tuple(
     ("xi", "--q", q, "--widen", w) for q in ("0", "1") for w in ("1", "2")
 )
+STRETCHED = "tests/golden/stretched/"
+STRETCH_MAPS = ((0, 3, 4, 9, 11), (1, 2, 7, 8))
+STRETCH_COMMANDS = FIXTURE_COMMANDS + (
+    ("xi", "--q", "0", "--widen", "1"),
+    ("xi", "--q", "1", "--widen", "1"),
+)
+STRETCH_FORMATS = ("json", "text")
 
 
 def golden_calls():
@@ -80,7 +93,39 @@ def golden_calls():
         ["xi", "--widen", "1", "--input", PRESENTATION]
         + ["--field", "3", "--format", "json"]
     )
+    for name, field in FIXTURE_FIELDS.items():
+        for command in STRETCH_COMMANDS:
+            for fmt in STRETCH_FORMATS:
+                calls.append(
+                    list(command)
+                    + ["--input", STRETCHED + name + ".mfc"]
+                    + ["--field", str(field), "--format", fmt]
+                )
+    presentation = STRETCHED + "readme_presentation.json"
+    for command in (("xi",), ("resolve",), ("xi", "--widen", "1")):
+        for fmt in STRETCH_FORMATS:
+            calls.append(
+                list(command)
+                + ["--input", presentation, "--field", "3", "--format", fmt]
+            )
     return calls
+
+
+def stretched_inputs():
+    """The text of every stretched input, by path relative to the root."""
+    out = {}
+    for name in FIXTURE_FIELDS:
+        cx = cxm.load_mfc(str(ROOT / "fixtures" / (name + ".mfc")))
+        moved = randfix.remap_complex(cx, STRETCH_MAPS)
+        out[STRETCHED + name + ".mfc"] = moved.to_mfc()
+    pres = json.loads((ROOT / PRESENTATION).read_text())
+    pres["gens"] = [list(randfix.remap_degree(STRETCH_MAPS, g)) for g in pres["gens"]]
+    pres["relations"] = [
+        [list(randfix.remap_degree(STRETCH_MAPS, d)), coeffs]
+        for d, coeffs in pres["relations"]
+    ]
+    out[STRETCHED + "readme_presentation.json"] = json.dumps(pres) + "\n"
+    return out
 
 
 def record(argv):
@@ -108,6 +153,11 @@ def test_golden_call_list_is_pinned():
 def test_golden_bytes(entry, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert record(entry["argv"]) == entry
+
+
+def test_stretched_inputs_are_the_remapped_originals():
+    for path, text in stretched_inputs().items():
+        assert (ROOT / path).read_text() == text, path
 
 
 def test_csv_refusals_keep_exit_one():

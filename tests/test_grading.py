@@ -112,3 +112,29 @@ def test_present_unit_steps_and_placement_match_brute_force(case):
     u = tuple(min(a, b) for a, b in zip(v, w))
     sub = gr.present(births, u)
     assert gr.placement(sub, want) == [want.index(k) for k in sub]
+
+
+def _dimension_and_degrees(n):
+    return st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 9)] * n)))
+
+
+@given(st.integers(1, 3).flatmap(_dimension_and_degrees))
+def test_index_map_finds_the_cell_of_every_degree(case):
+    n, degs = case
+    coords = gr.critical_coords(degs, n)
+    for c in coords:
+        assert c[0] == 0 and list(c) == sorted(set(c))
+    bound = gr.coords_bound(coords)
+    for k in gr.grid(bound):
+        assert gr.to_index(coords, gr.to_degree(coords, k)) == k
+    top = gr.to_degree(coords, bound)
+    for v in gr.grid(top):
+        k = gr.to_index(coords, v)
+        # the cell's own degree is at or below v, the next cell's is above
+        assert gr.leq(gr.to_degree(coords, k), v)
+        for a in range(n):
+            assert gr.to_degree(coords, gr.step(k, a))[a] > v[a]
+    # the last cell holds every degree past the top, and index steps past the
+    # top are unit steps
+    assert gr.to_index(coords, tuple(t + 5 for t in top)) == bound
+    assert gr.to_degree(coords, gr.step(bound, 0))[0] == top[0] + 1

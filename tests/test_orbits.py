@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from torpers import InternalCheckError, ValidationError
 from torpers import exactla as la
+from torpers import grading as gr
 from torpers import orbits as ob
 
 XI0_FOUR_LINES = {(0, 0): 2}
@@ -118,7 +119,8 @@ def test_family_to_module_dims_line_case():
     )
     M = ob.family_to_module(fam)
     # two free strands plus one strand killed after four steps
-    assert [M.dim((i,)) for i in range(6)] == [2, 2, 3, 3, 2, 2]
+    dims = [M.dim(gr.to_index(M.coords, (i,))) for i in range(6)]
+    assert dims == [2, 2, 3, 3, 2, 2]
 
 
 def test_family_to_module_empty_is_free():
