@@ -82,9 +82,13 @@ def coords_bound(coords):
 def to_index(coords, v):
     """Index of the cell of the critical grid that holds the degree v.
 
-    The last cell along each axis holds every degree from its critical value on.
+    The inverse of to_degree: past the last critical value a unit step is an
+    index step, so a degree past the top lies past the top index point too.
     """
-    return tuple(bisect.bisect_right(c, x) - 1 for c, x in zip(coords, v))
+    return tuple(
+        bisect.bisect_right(c, x) - 1 if x <= c[-1] else len(c) - 1 + x - c[-1]
+        for c, x in zip(coords, v)
+    )
 
 
 def to_degree(coords, k):

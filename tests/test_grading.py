@@ -134,7 +134,7 @@ def test_index_map_finds_the_cell_of_every_degree(case):
         assert gr.leq(gr.to_degree(coords, k), v)
         for a in range(n):
             assert gr.to_degree(coords, gr.step(k, a))[a] > v[a]
-    # the last cell holds every degree past the top, and index steps past the
-    # top are unit steps
-    assert gr.to_index(coords, tuple(t + 5 for t in top)) == bound
-    assert gr.to_degree(coords, gr.step(bound, 0))[0] == top[0] + 1
+    # past the top, index steps are unit steps both ways
+    past = tuple(b + 5 for b in bound)
+    assert gr.to_degree(coords, past) == tuple(t + 5 for t in top)
+    assert gr.to_index(coords, gr.to_degree(coords, past)) == past

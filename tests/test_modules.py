@@ -171,6 +171,12 @@ def test_free_module_matches_relation_free_cokernel(n):
                         assert F.step(v, j).tolist() == want
 
 
+def test_items_past_an_explicit_bound_stay_absent():
+    assert md.free_module({(3,): 1, (1,): 1}, 2, bound=(2,)).dims == {
+        (0,): 0, (1,): 1, (2,): 1
+    }
+
+
 def test_present_cokernel_generic_rep_dies():
     # two generators at the origin, four relations wiping them out by (3,3)
     pres = Presentation(
