@@ -6,7 +6,11 @@ D = (boundary on chains) + (-1)^i (Koszul differential on steps).  Homology
 of the total complex gives the hypertor modules.  Reading the double complex
 the other way produces two useful pages: E1 with Tor_q(C_i) entries (whose
 degeneration is checked by an explicit verdict) and the second-filtration d2
-from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag.  Every
+from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag.  E1 is
+assembled one cell at a time: C_i is the direct sum of the up-set modules
+k[U_c] of its cells, and the Tor of k[U_c] depends only on the order pattern
+of c's entry antichain, so each pattern is resolved once, by both Tor
+routes, and its cycles are placed at the cell's slots in C_i.  Every
 differential here (D, d1 and the stages of the zig-zag) is built from the
 two directions of the one double complex: tor.koszul_delta vertically and
 _horizontal, the cellular boundary laid over the Koszul blocks.
@@ -109,6 +113,78 @@ def hypertor_dims(data):
 # -- the first spectral sequence: E1 = Tor_q(C_i) ----------------------------
 
 
+def _pattern_tor(pattern, cell, n, p):
+    """Tor of the up-set module k[U_P] of one entry pattern, by both routes.
+
+    pattern is an antichain of index points; k[U_P] is built on the box
+    [0, join(P)].  Returns (the module, {q: KoszulTor}) once Koszul homology
+    and the minimal resolution agree; cell names a cell with this pattern
+    when they do not.
+    """
+    M = md._inclusion_module(n, gr.dense_coords(gr.join(pattern)), [pattern], p)
+    kts = tor.koszul_tor(M, range(n + 1))
+    res = tor.minimal_resolution(M)
+    for q, kt in kts.items():
+        if kt.multiset() != res.xi(q):
+            raise InternalCheckError(
+                "Tor_%d of the %d-cell %r entering at %s: Koszul homology "
+                "gives %s, the minimal resolution gives %s"
+                % (q, cell.dim, cell.id, list(cell.degrees), kt.multiset(), res.xi(q))
+            )
+    return M, kts
+
+
+def _chain_tor(data, boundaries):
+    """Tor_q(C_i) for every (i, q), one cell at a time: (i, q) -> KoszulTor.
+
+    C_i is the direct sum over its cells c of the up-set modules k[U_c], and
+    Tor of k[U_c] depends only on c's pattern, its entry antichain in the
+    index space of its own critical grid.  Each pattern is resolved once
+    (_pattern_tor); each of its Koszul cycles moves to C_i's grid through
+    the cell's coords and is placed, block by block, at the cell's slot
+    among the cells present at v - e_S.  At each degree the placed cycles
+    are reduced modulo boundaries(i, v, q) and brought to RREF, the
+    canonical representatives that koszul_tor would give.
+    """
+    p, n = data.p, data.n
+    patterns = {}
+    table = {}
+    for i in range(data.top + 1):
+        C = data.module(i)
+        placed = {q: {} for q in range(n + 1)}  # q -> v -> [rows]
+        for k, cell in enumerate(data.cx.cells_of_dim(i)):
+            own = gr.critical_coords(cell.degrees, n)
+            pattern = tuple(gr.to_index(own, u) for u in cell.degrees)
+            if pattern not in patterns:
+                patterns[pattern] = _pattern_tor(pattern, cell, n, p)
+            M, kts = patterns[pattern]
+            for q, kt in kts.items():
+                for w, reps in kt.reps.items():
+                    v = gr.to_index(data.coords, gr.to_degree(own, w))
+                    rows = la.zeros(reps.shape[0], tor.koszul_dim(C, v, q))
+                    for (S, d, off), (_, _, off_c) in zip(
+                        tor.koszul_blocks(M, w, q), tor.koszul_blocks(C, v, q)
+                    ):
+                        if d:
+                            slot = C.gen_index[gr.minus_e(v, S)].index(k)
+                            rows[:, off_c + slot] = reps[:, off]
+                    placed[q].setdefault(v, []).append(rows)
+        for q, at in placed.items():
+            reps = {}
+            for v, rows in at.items():
+                rows = np.concatenate(rows)
+                red = la.reduce_mod_rows(rows, boundaries(i, v, q), p)
+                reps[v] = la.row_space(red, p)
+                if reps[v].shape[0] != rows.shape[0]:
+                    raise InternalCheckError(
+                        "Tor_%d classes of the cells of C_%d are dependent at %s"
+                        % (q, i, gr.to_degree(data.coords, v))
+                    )
+            dims = {v: r.shape[0] for v, r in reps.items()}
+            table[(i, q)] = tor.KoszulTor(q, dims, reps, data.coords)
+    return table
+
+
 class E1Page:
     """Tor_q(C_i) for all (i, q), the induced d1 maps, and the verdict."""
 
@@ -142,29 +218,33 @@ class E1Page:
 def e1_page(data):
     """Compute the full E1 table, the d1 maps, and the degeneracy verdict.
 
+    The table Tor_q(C_i) is assembled one cell at a time from the Tor of one
+    small up-set module per entry pattern (_chain_tor), with the same
+    canonical cycles a Koszul scan of C_i gives; d1 reads those cycles.
     verdict is True iff every d1 vanishes and the E1 column sums equal the
     hypertor dimensions at every degree, the computable certificate that
     E1 = Einfty.
     """
     p = data.p
-    table = {}
-    for i in range(data.top + 1):
-        kts = tor.koszul_tor(data.module(i), range(data.n + 1))
-        for q, kt in kts.items():
-            table[(i, q)] = kt
+    memo = {}
 
+    def boundaries(i, v, q):
+        if (i, v, q) not in memo:
+            memo[i, v, q] = tor.koszul_boundaries(data.module(i), v, q)
+        return memo[i, v, q]
+
+    table = _chain_tor(data, boundaries)
     d1 = {}
     all_zero = True
     for (i, q), kt in sorted(table.items()):
         if i == 0:
             continue
         target = table[(i - 1, q)]
-        lower = data.module(i - 1)
         mats = {}
         for v, reps in kt.reps.items():
             out = la.matmul(reps, _horizontal(data, i, v, q).T, p)
             if out.any():
-                out = la.reduce_mod_rows(out, tor.koszul_boundaries(lower, v, q), p)
+                out = la.reduce_mod_rows(out, boundaries(i - 1, v, q), p)
             tgt_reps = target.reps.get(v, la.zeros(0, out.shape[1]))
             c = la.coords_in(out, tgt_reps, p)
             if c is None:

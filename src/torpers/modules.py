@@ -139,7 +139,7 @@ class GradedModuleMap:
     """Degreewise linear map between two modules on the same grid; natural."""
 
     def __init__(self, source, target, mats, check=True):
-        if source.n != target.n or source.bound != target.bound:
+        if source.n != target.n or source.coords != target.coords:
             raise ValueError("source and target live on different grids")
         self.source = source
         self.target = target
@@ -404,11 +404,12 @@ def present_cokernel(pres, p, bound=None):
     return mod
 
 
-def free_module(ms, p, bound=None, n=None):
+def free_module(ms, p, bound=None, n=None, coords=None):
     """F(xi): the free module on a degree multiset, with inclusion steps.
 
-    The grid is the critical grid of the generator degrees, or the integer
-    box [0, bound] when a bound is given.  Generators are the multiset
+    The grid is the critical grid of the generator degrees, the integer box
+    [0, bound] when a bound is given, or coords when given (it must hold
+    every generator degree as a critical value).  Generators are the multiset
     expanded in lexicographic order; the basis at v is the generators born at
     or below v, and .gen_index[v] lists their indices.
     """
@@ -418,7 +419,8 @@ def free_module(ms, p, bound=None, n=None):
         if not gens:
             raise ValueError("empty multiset needs an explicit n")
         n = len(gens[0])
-    coords = _grid_coords(gens, n, bound)
+    if coords is None:
+        coords = _grid_coords(gens, n, bound)
     return _inclusion_module(n, coords, [(g,) for g in gens], p)
 
 

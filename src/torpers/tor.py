@@ -177,7 +177,8 @@ class MinimalResolution:
     (homogeneity) and never when u_k = u_l (minimality).  augmentation
     lists, per F_0 generator, its image vector in M's local coordinates at
     the generator's index point.  free[j] is the free module F_j on M's
-    index grid (its .gen_index[v] lists the generators present at v) and
+    critical grid, M.coords (its .gen_index[v] lists the generators present
+    at v, and its own Tor sits at M's degrees) and
     maps[j] the natural graded map d_j out of it: the augmentation F_0 -> M
     for j = 0, d[j] restricted to the present generators for j >= 1.
     """
@@ -268,7 +269,7 @@ class MinimalResolution:
 def minimal_resolution(M):
     """Build the minimal free resolution of M by iterated kernel generation.
 
-    Level j builds F_j on M's index grid, the natural map d_j out of it (into
+    Level j builds F_j on M's critical grid, the natural map d_j out of it (into
     M for j = 0, into F_{j-1} for j >= 1) and minimal generators of its
     kernel, the columns of d[j+1].  The augmentation d_0 at v pushes its columns at
     v - e_a one step along every axis a and places the generators born at v."""
@@ -280,7 +281,12 @@ def minimal_resolution(M):
     d, free, maps = {}, [], []
     for j in itertools.count():
         F = md.free_module(
-            gr.multiset_from_list(gen_degrees[j]), p, bound=bound, n=M.n
+            gr.multiset_from_list(
+                gr.to_degree(M.coords, u) for u in gen_degrees[j]
+            ),
+            p,
+            n=M.n,
+            coords=M.coords,
         )
         mats = {}
         for v in gr.grid(bound):

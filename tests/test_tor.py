@@ -187,6 +187,28 @@ def test_minimality_guard_fires_on_bad_matrix(circle):
         res.check()
 
 
+def test_resolution_free_modules_live_on_the_module_grid(fixture_path):
+    # H_0 of the stretched circle sits on the critical grid x -> (0,3,4),
+    # y -> (0,1,2); each F_j must too, or its own Tor reads index points
+    cx = load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
+    H = md.homology_module(md.ChainData(cx, 5), 0)
+    res = tor.minimal_resolution(H)
+    assert res.xi(1) == {(0, 2): 1, (3, 1): 1, (4, 1): 1}
+    for j, F in enumerate(res.free):
+        assert F.coords == H.coords
+        assert tor.xi(F).tables[0] == res.xi(j), j
+
+
+def test_map_refuses_a_target_on_another_grid():
+    # same n and index bound (1,), different critical values
+    source = md.free_module({(2,): 1}, 3)
+    target = md.free_module({(1,): 1}, 3)
+    assert source.bound == target.bound
+    mats = {(0,): la.zeros(0, 0), (1,): la.eye(1)}
+    with pytest.raises(ValueError, match="different grids"):
+        md.GradedModuleMap(source, target, mats)
+
+
 # -- the resolution against the level-by-level builder it replaced ------------
 
 
@@ -210,8 +232,8 @@ def _reference_resolution(M, bound=None):
     cur_gens = gens
     j = 0
     while True:
-        ms = gr.multiset_from_list([u for u, _ in cur_gens])
-        F = md.free_module(ms, p, bound=bound, n=M.n)
+        ms = gr.multiset_from_list(gr.to_degree(M.coords, u) for u, _ in cur_gens)
+        F = md.free_module(ms, p, n=M.n, coords=M.coords)
         eps_mats = {}
         for v in gr.grid(bound):
             cols = [
