@@ -118,20 +118,17 @@ def _pattern_tor(pattern, cell, n, p):
 
     pattern is an antichain of index points; k[U_P] is built on the box
     [0, join(P)].  Returns (the module, {q: KoszulTor}) once Koszul homology
-    and the minimal resolution agree; cell names a cell with this pattern
-    when they do not.
+    and the minimal resolution agree (tor.xi); cell names a cell with this
+    pattern when they do not.
     """
     M = md._inclusion_module(n, gr.dense_coords(gr.join(pattern)), [pattern], p)
-    kts = tor.koszul_tor(M, range(n + 1))
-    res = tor.minimal_resolution(M)
-    for q, kt in kts.items():
-        if kt.multiset() != res.xi(q):
-            raise InternalCheckError(
-                "Tor_%d of the %d-cell %r entering at %s: Koszul homology "
-                "gives %s, the minimal resolution gives %s"
-                % (q, cell.dim, cell.id, list(cell.degrees), kt.multiset(), res.xi(q))
-            )
-    return M, kts
+    try:
+        return M, tor.xi(M).koszul
+    except InternalCheckError as e:
+        raise InternalCheckError(
+            "Tor of the %d-cell %r entering at %s: %s"
+            % (cell.dim, cell.id, list(cell.degrees), e)
+        ) from None
 
 
 def _chain_tor(data, boundaries):

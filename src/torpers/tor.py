@@ -333,9 +333,10 @@ def minimal_resolution(M):
 class TorTable:
     """xi_0..xi_n of a module, cross-checked between the two routes."""
 
-    def __init__(self, n, tables, resolution):
+    def __init__(self, n, koszul, resolution):
         self.n = n
-        self.tables = tables  # j -> multiset dict
+        self.koszul = koszul  # j -> KoszulTor, with its canonical cycles
+        self.tables = {j: kt.multiset() for j, kt in koszul.items()}
         self.resolution = resolution
 
     def to_json(self):
@@ -359,13 +360,12 @@ def xi(M, widen=0):
     if widen:
         M = md.rebound(M, tuple(b + widen for b in M.bound))
     resolution = minimal_resolution(M)
-    tables = {}
-    for j, kt in koszul_tor(M, range(M.n + 1)).items():
+    koszul = koszul_tor(M, range(M.n + 1))
+    for j, kt in koszul.items():
         res_ms = resolution.xi(j)
         if kt.multiset() != res_ms:
             raise InternalCheckError(
                 "Tor_%d mismatch: Koszul homology gives %s, the minimal "
                 "resolution gives %s" % (j, kt.multiset(), res_ms)
             )
-        tables[j] = kt.multiset()
-    return TorTable(M.n, tables, resolution)
+    return TorTable(M.n, koszul, resolution)
