@@ -4,15 +4,17 @@ hypertor.e1_page computes Tor_q(C_i) from one small up-set module per
 entry pattern and places each pattern's cycles at the cell's slots.  These
 tests hold it against the route it replaced, a Koszul scan over all of C_i
 (kept here as _scan_table), on the seeded random suite (multi-critical
-cells included), on remapped copies and on hand cases for n = 1 and n = 3;
-against a closed form for n = 2 antichains; and they check that a
-disagreement between the two routes on one pattern is caught and named.
+cells included), on the remapped copies that test_critical_grid compares
+and on hand cases for n = 1 and n = 3; against a closed form for n = 2
+antichains; and they check that a disagreement between the two routes on
+one pattern is caught and named.
 """
 
 import numpy as np
 import pytest
 
 import randfix
+from test_critical_grid import _random_maps
 from torpers import InternalCheckError
 from torpers import complexes as cxm
 from torpers import exactla as la
@@ -46,11 +48,6 @@ def _assert_matches_scan(cx, p):
                 v,
             )
     return page
-
-
-def _random_maps(cx, seed):
-    top = max(max(d) for c in cx.cells.values() for d in c.degrees)
-    return randfix.random_axis_maps(np.random.default_rng(2000 + seed), cx.n, top + 1)
 
 
 @pytest.mark.parametrize("seed", range(16))
