@@ -185,13 +185,11 @@ def _chain_tor(data, boundaries):
 class E1Page:
     """Tor_q(C_i) for all (i, q), the induced d1 maps, and the verdict."""
 
-    def __init__(self, table, d1, verdict, hyper, data):
+    def __init__(self, table, d1, verdict, hyper):
         self.table = table  # (i, q) -> KoszulTor
         self.d1 = d1  # (i, q) -> {index point: matrix into (i-1, q) classes}
         self.verdict = verdict
         self.hyper = hyper  # ell -> multiset
-        self.top = data.top
-        self.n = data.n
 
     def dims(self, i, q):
         kt = self.table.get((i, q))
@@ -274,7 +272,7 @@ def e1_page(data):
         if acc != hyper.get(ell, {}):
             sums_match = False
     verdict = all_zero and sums_match
-    return E1Page(table, d1, verdict, hyper, data)
+    return E1Page(table, d1, verdict, hyper)
 
 
 # -- the second spectral sequence: d2 on Tor of homology ----------------------

@@ -309,24 +309,24 @@ class ChainData:
         return la.zeros(*dims)
 
 
-def basis_module(ambient, bases, reduce_by=None):
-    """The module spanned by a family of row bases, closed under the steps.
+def basis_module(ambient, bases, reduce_by):
+    """The quotient module spanned by a family of class representatives.
 
     bases[v] holds RREF rows (no zero rows) in the coordinates of ambient at
-    v, and the new module's coordinates at v are with respect to those rows.
-    With reduce_by (an RREF row basis per degree of a subspace closed under
-    the steps), the module is the quotient: bases[v] represent classes modulo
-    reduce_by[v].  Each step pushes all basis rows through the ambient step
-    in one product, reduces them modulo reduce_by at the target and reads
-    their coordinates there.
+    v, representing classes modulo reduce_by[v] (an RREF row basis per degree
+    of a subspace closed under the steps); the new module's coordinates at v
+    are with respect to those rows.  Each step pushes all basis rows through
+    the ambient step in one product, reduces them modulo reduce_by at the
+    target and reads their coordinates there.  Used by homology_module and
+    present_cokernel; a submodule needs no module of its own (see
+    tor.module_generators).
     """
     p = ambient.p
     dims = {v: bases[v].shape[0] for v in gr.grid(ambient.bound)}
     steps = {}
     for v, j, w in gr.unit_steps(ambient.bound):
         pushed = la.matmul(bases[v], ambient.step(v, j).T, p)
-        if reduce_by is not None:
-            pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
+        pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
         c = la.coords_in(pushed, bases[w], p)
         if c is None:
             raise InternalCheckError(
@@ -337,8 +337,7 @@ def basis_module(ambient, bases, reduce_by=None):
         ambient.n, ambient.bound, dims, steps, p, coords=ambient.coords
     )
     mod.bases = dict(bases)
-    if reduce_by is not None:
-        mod.reduce_by = dict(reduce_by)
+    mod.reduce_by = dict(reduce_by)
     return mod
 
 
@@ -369,23 +368,22 @@ def homology_module(data, q):
         cycles = la.kernel_basis(data.boundary_at(q, v), p)
         b_rows[v] = la.row_space(data.boundary_at(q + 1, v).T, p)
         h_rows[v] = la.complement_basis(b_rows[v], cycles, p)
-    return basis_module(data.module(q), h_rows, reduce_by=b_rows)
+    return basis_module(data.module(q), h_rows, b_rows)
 
 
 # -- cokernels of presentations ---------------------------------------------
 
 
-def present_cokernel(pres, p, bound=None):
+def present_cokernel(pres, p):
     """Evaluate a presentation to its cokernel module.
 
-    The grid is the critical grid of the generator and relation degrees, or
-    the integer box [0, bound] when a bound is given.  Bases are RREF
-    complements of the relation row space inside the free module on the
-    generators present at each index point; .gen_index[v] maps the local free
-    coordinates back to generator indices.
+    The grid is the critical grid of the generator and relation degrees.
+    Bases are RREF complements of the relation row space inside the free
+    module on the generators present at each index point; .gen_index[v] maps
+    the local free coordinates back to generator indices.
     """
     degrees = list(pres.gens) + [d for d, _ in pres.relations]
-    coords = _grid_coords(degrees, pres.n, bound)
+    coords = gr.critical_coords(degrees, pres.n)
     check_field(p)
     free = _inclusion_module(pres.n, coords, [(g,) for g in pres.gens], p)
     rel = la.zeros(len(pres.relations), len(pres.gens))
@@ -399,17 +397,17 @@ def present_cokernel(pres, p, bound=None):
         idx = free.gen_index[v]
         rel_rref[v] = la.row_space(rel[live][:, idx], p)
         bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
-    mod = basis_module(free, bases, reduce_by=rel_rref)
+    mod = basis_module(free, bases, rel_rref)
     mod.gen_index = free.gen_index
     return mod
 
 
-def free_module(ms, p, bound=None, n=None, coords=None):
+def free_module(ms, p, n=None, coords=None):
     """F(xi): the free module on a degree multiset, with inclusion steps.
 
-    The grid is the critical grid of the generator degrees, the integer box
-    [0, bound] when a bound is given, or coords when given (it must hold
-    every generator degree as a critical value).  Generators are the multiset
+    The grid is coords when given (it must hold every generator degree as a
+    critical value; gr.dense_coords(b) gives the integer box [0, b]), else the
+    critical grid of the generator degrees.  Generators are the multiset
     expanded in lexicographic order; the basis at v is the generators born at
     or below v, and .gen_index[v] lists their indices.
     """
@@ -420,15 +418,8 @@ def free_module(ms, p, bound=None, n=None, coords=None):
             raise ValueError("empty multiset needs an explicit n")
         n = len(gens[0])
     if coords is None:
-        coords = _grid_coords(gens, n, bound)
+        coords = gr.critical_coords(gens, n)
     return _inclusion_module(n, coords, [(g,) for g in gens], p)
-
-
-def _grid_coords(degrees, n, bound):
-    """The critical grid of the degrees, or the integer box [0, bound] if given."""
-    if bound is None:
-        return gr.critical_coords(degrees, n)
-    return gr.dense_coords(gr.as_degree(bound))
 
 
 # -- the one-at-a-time hypothesis --------------------------------------------

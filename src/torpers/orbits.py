@@ -318,7 +318,7 @@ def orbit_partition(families, xi0, q):
     return orbits
 
 
-def family_to_module(fam, bound=None):
+def family_to_module(fam):
     """The cokernel of the relation family, as a persistence module."""
     gens = gr.multiset_to_list(fam.xi0)
     births = [(g,) for g in gens]
@@ -329,7 +329,7 @@ def family_to_module(fam, bound=None):
             coeffs = {idx[c]: int(x) for c, x in enumerate(row) if x}
             relations.append((v, coeffs))
     pres = Presentation(_infer_n(fam), gens, relations)
-    return md.present_cokernel(pres, fam.q, bound=bound)
+    return md.present_cokernel(pres, fam.q)
 
 
 def _infer_n(fam):

@@ -3,10 +3,12 @@
 Route one is homological: tensor the Koszul complex on x_1..x_n with M and
 take homology per degree.  The block at v for the subset S of axes is
 M_{v-e_S}, and the differential drops one axis at a time with alternating
-signs.  Route two is constructive: build a minimal free resolution by
-repeatedly choosing RREF-canonical generators of kernels.  Tor_j appears in
-route one as Koszul homology and in route two as the generator degrees of
-F_j; xi() runs both and insists on exact agreement.
+signs.  Route two is constructive: build a minimal free resolution level
+by level, taking RREF-canonical generators of each kernel straight from its
+rows in the coordinates of F_j (module_generators, the one generator routine
+for M and for every kernel).  Tor_j appears in route one as Koszul homology
+and in route two as the generator degrees of F_j; xi() runs both and insists
+on exact agreement.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -148,21 +150,39 @@ def koszul_tor(M, j):
 # -- minimal free resolutions -------------------------------------------------
 
 
-def module_generators(M):
-    """Minimal generators: per index point, an RREF complement of step images.
+def module_generators(M, sub=None):
+    """Minimal generators of M, or of a submodule given by its rows in M.
 
-    Returns a list of (index point, row vector in M's local coordinates
-    there), in grid order.  Realizes M / (sum of the images of all steps).
+    sub[v] is an RREF row basis, in M's local coordinates at v, of a
+    submodule closed under the steps (default: all of M).  At each index
+    point v the rows of sub at v - e_a are pushed one step along every axis
+    a, and the generators born at v are an RREF complement of what they span
+    inside sub[v].  For M itself the pushed rows span koszul_boundaries(M, v,
+    0), so this realizes M / (sum of the images of all steps).  Returns a
+    list of (index point, row vector in M's local coordinates there), in grid
+    order; a pushed row outside sub[v] raises InternalCheckError.
     """
+    p = M.p
     gens = []
     for v in gr.grid(M.bound):
-        if M.dim(v) == 0:
+        rows = la.eye(M.dim(v)) if sub is None else sub[v]
+        pushed = []
+        for a in range(M.n):
+            if v[a]:
+                u = gr.minus_e(v, (a,))
+                step = M.step(u, a).T
+                pushed.append(step if sub is None else la.matmul(sub[u], step, p))
+        pushed = la.stack_rows(pushed, M.dim(v))
+        if not (rows.shape[0] or pushed.any()):
             continue
-        comp = la.complement_basis(
-            koszul_boundaries(M, v, 0), la.eye(M.dim(v)), M.p
-        )
-        for row in comp:
-            gens.append((v, row))
+        try:
+            comp = la.complement_basis(pushed, rows, p)
+        except ValueError:
+            raise InternalCheckError(
+                "submodule is not closed under the steps into degree %s"
+                % (gr.to_degree(M.coords, v),)
+            ) from None
+        gens.extend((v, row) for row in comp)
     return gens
 
 
@@ -188,7 +208,6 @@ class MinimalResolution:
         self.gen_degrees = gen_degrees
         self.d = d
         self.augmentation = augmentation
-        self.bound = module.bound
         self.free = free
         self.maps = maps
         self.p = module.p
@@ -205,18 +224,6 @@ class MinimalResolution:
             gr.to_degree(self.module.coords, u) for u in self.gen_degrees[j]
         )
 
-    def present_at(self, j, v):
-        """Indices of F_j generators present at v."""
-        F = self.free[j]
-        return F.gen_index.get(F._clamp(v), [])
-
-    def evaluate(self, j, v):
-        """Matrix of d_j at degree v in the local (present-generator) bases.
-
-        j = 0 gives the augmentation F_0 -> M at v (columns = generator images).
-        """
-        return self.maps[j].at(v)
-
     def restricted_image(self, j, v):
         """Image of the F_j generators born exactly at index point v, inside
         F_{j-1} at v.
@@ -226,11 +233,10 @@ class MinimalResolution:
         """
         cols = [
             c
-            for c, k in enumerate(self.present_at(j, v))
+            for c, k in enumerate(self.free[j].gen_index[v])
             if self.gen_degrees[j][k] == v
         ]
-        m = self.evaluate(j, v)
-        return la.row_space(m[:, cols].T, self.p)
+        return la.row_space(self.maps[j].at(v)[:, cols].T, self.p)
 
     def check(self):
         """Independent verification: homogeneity, minimality, exactness."""
@@ -246,18 +252,18 @@ class MinimalResolution:
                     raise InternalCheckError(
                         "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
                     )
-        for v in gr.grid(self.bound):
-            eps = self.evaluate(0, v)
+        for v in gr.grid(self.module.bound):
+            eps = self.maps[0].at(v)
             if la.rank(eps, p) != self.module.dim(v):
                 raise InternalCheckError("augmentation not surjective at %s" % (v,))
             want = la.kernel_basis(eps, p)
             for j in range(1, len(self.gen_degrees)):
-                have = la.row_space(self.evaluate(j, v).T, p)
+                have = la.row_space(self.maps[j].at(v).T, p)
                 if want.shape != have.shape or (want != have).any():
                     raise InternalCheckError(
                         "resolution not exact at F_%d, degree %s" % (j - 1, v)
                     )
-                want = la.kernel_basis(self.evaluate(j, v), p)
+                want = la.kernel_basis(self.maps[j].at(v), p)
             if want.shape[0]:
                 raise InternalCheckError(
                     "resolution too short: kernel left at F_%d, degree %s"
@@ -271,8 +277,10 @@ def minimal_resolution(M):
 
     Level j builds F_j on M's critical grid, the natural map d_j out of it (into
     M for j = 0, into F_{j-1} for j >= 1) and minimal generators of its
-    kernel, the columns of d[j+1].  The augmentation d_0 at v pushes its columns at
-    v - e_a one step along every axis a and places the generators born at v."""
+    kernel, the columns of d[j+1]: module_generators(F_j, kernel rows) gives
+    them in F_j's coordinates, so no module is built for the kernel.  The
+    augmentation d_0 at v pushes its columns at v - e_a one step along every
+    axis a and places the generators born at v."""
     bound = M.bound
     p = M.p
     gens = module_generators(M)
@@ -314,12 +322,11 @@ def minimal_resolution(M):
                 "resolution exceeds length %d; this contradicts the syzygy "
                 "theorem and signals a bug" % M.n
             )
-        K = md.basis_module(F, kernel_rows)
-        syzygies = module_generators(K)
+        syzygies = module_generators(F, kernel_rows)
         # syzygy columns, written in F_j's generator coordinates
         d[j + 1] = la.zeros(len(gen_degrees[j]), len(syzygies))
         for l, (u, row) in enumerate(syzygies):
-            d[j + 1][F.gen_index[u], l] = la.matmul(row, K.bases[u], p)
+            d[j + 1][F.gen_index[u], l] = row
         gen_degrees.append([u for u, _ in syzygies])
 
     res = MinimalResolution(M, gen_degrees, d, augmentation, free, maps)

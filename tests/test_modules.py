@@ -132,7 +132,7 @@ def test_present_cokernel_one_variable():
 
 def test_present_cokernel_free_when_no_relations():
     ms = {(0, 0): 2, (1, 1): 1}
-    mod = md.free_module(ms, 3, bound=(2, 2))
+    mod = md.free_module(ms, 3, coords=gr.dense_coords((2, 2)))
     for v in gr.grid((2, 2)):
         assert mod.dim(v) == gr.staircase_count(ms, v)
 
@@ -149,32 +149,32 @@ def test_free_module_matches_relation_free_cokernel(n):
         ms = gr.multiset_from_list(degs)
         pres = Presentation(n, sorted(degs), [])
         wide = tuple(int(x) for x in rng.integers(2, 4, size=n))
-        for bound in (None, wide):
-            F = md.free_module(ms, p, bound=bound, n=n)
-            ref = md.present_cokernel(pres, p, bound=bound)
-            assert F.bound == ref.bound
-            assert F.dims == ref.dims
-            assert F.steps.keys() == ref.steps.keys()
-            assert all((F.steps[k] == ref.steps[k]).all() for k in F.steps)
-            assert F.gen_index == ref.gen_index
+        F = md.free_module(ms, p, n=n)
+        ref = md.present_cokernel(pres, p)
+        assert F.bound == ref.bound
+        assert F.dims == ref.dims
+        assert F.steps.keys() == ref.steps.keys()
+        assert all((F.steps[k] == ref.steps[k]).all() for k in F.steps)
+        assert F.gen_index == ref.gen_index
+        for mod in (F, md.free_module(ms, p, n=n, coords=gr.dense_coords(wide))):
             # the staircase: dims count the generators at or below the
             # degree of v, and every step sends each generator to itself
-            for v in gr.grid(F.bound):
-                assert F.dim(v) == gr.staircase_count(ms, gr.to_degree(F.coords, v))
+            for v in gr.grid(mod.bound):
+                degree = gr.to_degree(mod.coords, v)
+                assert mod.dim(v) == gr.staircase_count(ms, degree)
                 for j in range(n):
-                    if v[j] < F.bound[j]:
+                    if v[j] < mod.bound[j]:
                         w = gr.step(v, j)
                         want = [
-                            [int(a == b) for b in F.gen_index[v]]
-                            for a in F.gen_index[w]
+                            [int(a == b) for b in mod.gen_index[v]]
+                            for a in mod.gen_index[w]
                         ]
-                        assert F.step(v, j).tolist() == want
+                        assert mod.step(v, j).tolist() == want
 
 
 def test_items_past_an_explicit_bound_stay_absent():
-    assert md.free_module({(3,): 1, (1,): 1}, 2, bound=(2,)).dims == {
-        (0,): 0, (1,): 1, (2,): 1
-    }
+    F = md.free_module({(3,): 1, (1,): 1}, 2, coords=gr.dense_coords((2,)))
+    assert F.dims == {(0,): 0, (1,): 1, (2,): 1}
 
 
 def test_present_cokernel_generic_rep_dies():

@@ -125,8 +125,10 @@ def test_family_to_module_dims_line_case():
 
 def test_family_to_module_empty_is_free():
     fam = ob.RelationFamily({(0, 0): 2}, {}, 3, {})
-    M = ob.family_to_module(fam, bound=(2, 2))
-    assert all(M.dim(v) == 2 for v in [(0, 0), (1, 0), (2, 2)])
+    M = ob.family_to_module(fam)
+    assert all(
+        M.dim(gr.to_index(M.coords, d)) == 2 for d in [(0, 0), (1, 0), (2, 2)]
+    )
 
 
 EXPECTED_FOUR_LINES = {

@@ -35,14 +35,14 @@ def test_koszul_tor_circle_h0(circle, p):
 
 
 def test_koszul_tor_free_module(p):
-    F = md.free_module({(2, 1): 1}, p, bound=(3, 3))
+    F = md.free_module({(2, 1): 1}, p, coords=gr.dense_coords((3, 3)))
     assert tor.koszul_tor(F, 0).multiset() == {(2, 1): 1}
     assert tor.koszul_tor(F, 1).multiset() == {}
     assert tor.koszul_tor(F, 2).multiset() == {}
 
 
 def test_koszul_tor_zero_module():
-    Z = md.free_module({}, 2, bound=(1, 1), n=2)
+    Z = md.free_module({}, 2, n=2, coords=gr.dense_coords((1, 1)))
     for j in range(3):
         assert tor.koszul_tor(Z, j).multiset() == {}
 
@@ -62,8 +62,8 @@ def test_resolution_circle_h0(circle, p):
     assert sorted(res.gen_degrees[1]) == [(0, 1), (1, 0), (2, 0)]
     assert res.gen_degrees[2] == [(2, 1)]
     # ranks of the evaluated differentials at the top corner
-    assert la.rank(res.evaluate(1, (2, 1)), p) == 2
-    assert la.rank(res.evaluate(2, (2, 1)), p) == 1
+    assert la.rank(res.maps[1].at((2, 1)), p) == 2
+    assert la.rank(res.maps[2].at((2, 1)), p) == 1
 
 
 def test_resolution_of_free_module_has_length_zero(p):
@@ -209,6 +209,63 @@ def test_map_refuses_a_target_on_another_grid():
         md.GradedModuleMap(source, target, mats)
 
 
+# -- one generator routine for M and for every kernel -------------------------
+
+
+def _assert_generators_are_the_tor0_complement(M):
+    gens = tor.module_generators(M)
+    for v in gr.grid(M.bound):
+        want = la.complement_basis(
+            tor.koszul_boundaries(M, v, 0), la.eye(M.dim(v)), M.p
+        )
+        got = la.stack_rows([row for u, row in gens if u == v], M.dim(v))
+        assert got.shape == want.shape and (got == want).all(), v
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_generators_match_tor0_projection_on_random_homology(seed):
+    p = (2, 3, 5)[seed % 3]
+    for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+        data = md.ChainData(cx, p)
+        for q in range(cx.max_dim() + 1):
+            _assert_generators_are_the_tor0_complement(md.homology_module(data, q))
+
+
+def test_generators_match_tor0_projection_on_census_cokernels():
+    for fam in ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3):
+        _assert_generators_are_the_tor0_complement(ob.family_to_module(fam))
+
+
+@pytest.mark.parametrize("top_rows", [[[0, 1]], []], ids=["line", "zero"])
+def test_generators_refuse_a_sub_that_is_not_closed(top_rows):
+    # generators at degrees 3 and 5 (index points 1 and 2); the sub keeps
+    # the first at index 1 but drops it at index 2, where its step lands
+    F = md.free_module({(3,): 1, (5,): 1}, 3)
+    sub = {
+        (0,): la.zeros(0, 0),
+        (1,): la.eye(1),
+        (2,): np.array(top_rows, dtype=np.int64).reshape(-1, 2),
+    }
+    with pytest.raises(InternalCheckError, match=r"degree \(5,\)"):
+        tor.module_generators(F, sub)
+
+
+def test_resolution_builds_no_module_but_its_free_modules(circle, monkeypatch):
+    H = circle_h0(circle, 3)
+    built = []
+    init = md.PersistenceModule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(md.PersistenceModule, "__init__", counting_init)
+    res = tor.minimal_resolution(H)
+    assert res.length == 2
+    assert len(built) == len(res.free)
+    assert all(a is b for a, b in zip(built, res.free))
+
+
 # -- the resolution against the level-by-level builder it replaced ------------
 
 
@@ -252,7 +309,9 @@ def _reference_resolution(M, bound=None):
         kernel_rows = {v: la.kernel_basis(eps.at(v), p) for v in gr.grid(bound)}
         if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
             break
-        K = md.basis_module(F, kernel_rows)
+        K = md.basis_module(
+            F, kernel_rows, {v: la.zeros(0, F.dim(v)) for v in gr.grid(bound)}
+        )
         next_gens = tor.module_generators(K)
         d = la.zeros(len(cur_gens), len(next_gens))
         for l, (u, row) in enumerate(next_gens):
@@ -278,7 +337,7 @@ def _assert_matches_reference(M):
     for got, want in zip(res.augmentation, augmentation):
         assert got.shape == want.shape and (got == want).all()
     # the augmentation, pushed one step at a time, equals the staircase one
-    for v in gr.grid(res.bound):
+    for v in gr.grid(res.module.bound):
         got = res.maps[0].at(v)
         assert got.shape == eps_0[v].shape and (got == eps_0[v]).all(), v
 
