@@ -68,6 +68,26 @@ def _table_rows(table):
     ]
 
 
+def _json_int(x):
+    """x when it is a JSON integer; a float, a boolean or a string is refused.
+
+    int() would read 2.9 as 2 and true as 1, so numbers are checked here,
+    where the JSON is read, and never coerced.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError("expected a JSON integer, got %s" % json.dumps(x))
+    return x
+
+
+def _json_degree(d):
+    return tuple(_json_int(c) for c in d)
+
+
+def _json_multiset(text):
+    """A degree multiset from JSON [[degree, mult], ...] of integers."""
+    return gr.multiset((_json_degree(d), _json_int(m)) for d, m in json.loads(text))
+
+
 def _load_chains(args):
     """The ChainData of the .mfc input over the field: parsed and validated."""
     try:
@@ -90,12 +110,12 @@ def _load_module(args):
     except ValueError as e:
         raise ValidationError("%s is not valid JSON: %s" % (path, e))
     try:
-        gens = [tuple(g) for g in data["gens"]]
+        gens = [_json_degree(g) for g in data["gens"]]
         relations = [
-            (tuple(d), {int(k): int(c) for k, c in coeffs.items()})
+            (_json_degree(d), {int(k): _json_int(c) for k, c in coeffs.items()})
             for d, coeffs in data["relations"]
         ]
-        pres = cxm.Presentation(int(data["n"]), gens, relations)
+        pres = cxm.Presentation(_json_int(data["n"]), gens, relations)
     except (KeyError, TypeError) as e:
         raise ValidationError(
             "presentation JSON needs n, gens, relations fields: %s" % e
@@ -235,8 +255,8 @@ def _cmd_recover(args):
 
 def _cmd_orbits(args):
     try:
-        xi0 = gr.multiset_from_json(json.loads(args.xi0))
-        xi1 = gr.multiset_from_json(json.loads(args.xi1)) if args.xi1 else {}
+        xi0 = _json_multiset(args.xi0)
+        xi1 = _json_multiset(args.xi1) if args.xi1 else {}
     except (ValueError, TypeError) as e:
         raise ValidationError("xi0/xi1 must be JSON [[degree, mult], ...]: %s" % e)
     report = ob.classify(xi0, xi1, args.field, limit=args.limit)

@@ -8,29 +8,19 @@ equal iff their reduced row echelon forms are equal.  RREF is the canonical
 form used for every identity test downstream (kernels, quotient bases,
 Grassmannian points), so all of it lives here.
 
+A subspace is passed as its RREF basis without zero rows, and it is reduced
+once, where it is made: row_space, kernel_basis and complement_basis return
+such a basis, and reduce_mod_rows, coords_in and both arguments of
+complement_basis require one (they read the pivots and do not re-reduce).
+A caller holding a raw spanning set calls row_space on it first.  The
+vectors reduce_mod_rows and coords_in act on may be any rows.
+
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-__all__ = [
-    "is_prime",
-    "inv_mod",
-    "zeros",
-    "eye",
-    "matmul",
-    "rref",
-    "rank",
-    "kernel_basis",
-    "solve",
-    "row_space",
-    "is_subspace",
-    "complement_basis",
-    "coords_in",
-    "stack_rows",
-]
 
 
 def is_prime(p):
@@ -93,7 +83,6 @@ def rref(a, p):
     Zero rows are kept (r has the shape of a); use row_space to drop them.
     """
     m = as_matrix(a) % p
-    m = m.copy()
     nrows, ncols = m.shape
     pivots = []
     row = 0
@@ -189,24 +178,18 @@ def reduce_mod_rows(v, basis, p):
     return (w - matmul(c, b, p)) % p
 
 
-def is_subspace(sub, sup, p):
-    """True iff row space of sub is contained in row space of sup."""
-    return not reduce_mod_rows(as_matrix(sub), row_space(sup, p), p).any()
-
-
 def complement_basis(sub, whole, p):
-    """Canonical basis of a complement of `sub` inside the row space of `whole`.
+    """Canonical basis of a complement of `sub` inside `whole`.
 
-    Requires sub <= whole as row spaces.  The rows of RREF(whole) are reduced
-    modulo RREF(sub) in one call; the reductions span a complement (a vector
-    of sub with zeros in all sub pivot columns is zero), and their RREF is the
-    canonical complement basis used everywhere a quotient needs
-    representatives.
+    Both are RREF bases without zero rows, with sub <= whole as row spaces.
+    The rows of whole are reduced modulo sub in one call; the reductions span
+    a complement (a vector of sub with zeros in all sub pivot columns is
+    zero), and their RREF is the canonical complement basis used everywhere
+    a quotient needs representatives.  Raises ValueError when sub is not
+    contained in whole (the complement then comes out too large).
     """
-    sub_r = row_space(sub, p)
-    whole_r = row_space(whole, p)
-    comp = row_space(reduce_mod_rows(whole_r, sub_r, p), p)
-    if comp.shape[0] != whole_r.shape[0] - sub_r.shape[0]:
+    comp = row_space(reduce_mod_rows(whole, sub, p), p)
+    if comp.shape[0] != whole.shape[0] - sub.shape[0]:
         raise ValueError("complement_basis: sub is not contained in whole")
     return comp
 

@@ -157,10 +157,6 @@ def multiset_to_list(ms):
     return [deg for deg, mult in multiset_to_sorted_pairs(ms) for _ in range(mult)]
 
 
-def multiset_size(ms):
-    return sum(ms.values())
-
-
 def multiset_to_sorted_pairs(ms):
     """Canonical serialization order: degrees sorted lexicographically."""
     return [(deg, ms[deg]) for deg in sorted(ms)]

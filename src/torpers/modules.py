@@ -127,26 +127,18 @@ class PersistenceModule:
                 cur = gr.step(cur, j)
         return mat
 
-    def dim_grid(self):
-        """dims as a dict over the grid (copy), for reports."""
-        return {v: self.dims[v] for v in gr.grid(self.bound)}
-
-    def is_zero(self):
-        return all(d == 0 for d in self.dims.values())
-
 
 class GradedModuleMap:
     """Degreewise linear map between two modules on the same grid; natural."""
 
-    def __init__(self, source, target, mats, check=True):
+    def __init__(self, source, target, mats):
         if source.n != target.n or source.coords != target.coords:
             raise ValueError("source and target live on different grids")
         self.source = source
         self.target = target
         self.p = source.p
         self.mats = dict(mats)
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         for v in gr.grid(self.source.bound):
@@ -168,17 +160,6 @@ class GradedModuleMap:
         if any(x < 0 for x in v):
             return la.zeros(self.target.dim(v), self.source.dim(v))
         return self.mats[self.target._clamp(v)]
-
-    def compose(self, other):
-        """self after other."""
-        mats = {
-            v: la.matmul(self.at(v), other.at(v), self.p)
-            for v in gr.grid(self.source.bound)
-        }
-        return GradedModuleMap(other.source, self.target, mats, check=False)
-
-    def is_zero(self):
-        return all(not m.any() for m in self.mats.values())
 
 
 def rebound(module, new_bound):

@@ -129,7 +129,7 @@ class RelationFamily:
         }
 
 
-def enumerate_families(xi0, xi1, q, n=None, limit=200000):
+def enumerate_families(xi0, xi1, q, limit=200000):
     """All relation families for (xi0, xi1) over GF(q), deduplicated.
 
     The candidate count is the product of Gaussian binomials over the
@@ -138,10 +138,8 @@ def enumerate_families(xi0, xi1, q, n=None, limit=200000):
     check_field(q)
     xi0 = dict(xi0)
     xi1 = dict(xi1)
-    for deg in itertools.chain(xi0, xi1):
-        n = len(deg) if n is None else n
-        if len(deg) != n:
-            raise ValidationError("mixed degree lengths in xi0/xi1")
+    if len({len(deg) for deg in itertools.chain(xi0, xi1)}) > 1:
+        raise ValidationError("mixed degree lengths in xi0/xi1")
     if not xi1:
         return [RelationFamily(xi0, xi1, q, {}, check=False)]
     births = [(g,) for g in gr.multiset_to_list(xi0)]
@@ -164,11 +162,8 @@ def enumerate_families(xi0, xi1, q, n=None, limit=200000):
         grown = []
         for partial in partials:
             lower = [u for u in partial if gr.leq(u, v) and u != v]
-            required = la.row_space(
-                la.stack_rows(
-                    [_push(partial[u], index[u], index[v]) for u in lower], a
-                ),
-                q,
+            required = la.stack_rows(
+                [_push(partial[u], index[u], index[v]) for u in lower], a
             )
             for cand in candidates:
                 if not la.reduce_mod_rows(required, cand, q).any():
@@ -427,7 +422,10 @@ class OrbitReport:
         }
 
 
-def classify(xi0, xi1, q, limit=200000, spot_checks=5):
+SPOT_CHECKS = 5  # other members per orbit whose xi table is recomputed
+
+
+def classify(xi0, xi1, q, limit=200000):
     """Enumerate, partition into orbits, and attach separating invariants.
 
     Per orbit: the xi table of the representative's cokernel (spot-checked on
@@ -448,12 +446,9 @@ def classify(xi0, xi1, q, limit=200000, spot_checks=5):
     for orbit in orbits:
         table = tor.xi(family_to_module(orbit.rep))
         xi_by_j = {j: table.tables[j] for j in range(table.n + 1)}
-        others = [k for k in orbit.members]
-        if len(others) > 1:
-            picks = rng.choice(
-                others, size=min(spot_checks, len(others)), replace=False
-            )
-            for k in picks:
+        if len(orbit.members) > 1:
+            size = min(SPOT_CHECKS, len(orbit.members))
+            for k in rng.choice(orbit.members, size=size, replace=False):
                 other = tor.xi(family_to_module(families[k]))
                 if any(
                     other.tables[j] != xi_by_j[j] for j in range(table.n + 1)

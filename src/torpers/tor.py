@@ -130,9 +130,9 @@ def koszul_tor(M, j):
                         "Koszul differential fails to square to zero at %s" % (v,)
                     )
         for i in js:
-            d_i = delta[i] if i > 0 else la.zeros(0, M.dim(v))
-            d_up = delta[i + 1] if i < M.n else la.zeros(d_i.shape[1], 0)
-            cycles = la.kernel_basis(d_i, p)
+            # K_0(v) is M_v and every vector of it is a cycle
+            cycles = la.kernel_basis(delta[i], p) if i else la.eye(M.dim(v))
+            d_up = delta[i + 1] if i < M.n else la.zeros(cycles.shape[1], 0)
             bdries = la.row_space(d_up.T, p)
             cls = la.complement_basis(bdries, cycles, p)
             if cls.shape[0]:
@@ -153,14 +153,16 @@ def koszul_tor(M, j):
 def module_generators(M, sub=None):
     """Minimal generators of M, or of a submodule given by its rows in M.
 
-    sub[v] is an RREF row basis, in M's local coordinates at v, of a
-    submodule closed under the steps (default: all of M).  At each index
-    point v the rows of sub at v - e_a are pushed one step along every axis
-    a, and the generators born at v are an RREF complement of what they span
-    inside sub[v].  For M itself the pushed rows span koszul_boundaries(M, v,
-    0), so this realizes M / (sum of the images of all steps).  Returns a
-    list of (index point, row vector in M's local coordinates there), in grid
-    order; a pushed row outside sub[v] raises InternalCheckError.
+    sub[v] is an RREF row basis without zero rows, in M's local coordinates
+    at v, of a submodule closed under the steps (default: all of M, whose
+    basis at v is the identity).  At each index point v the rows of sub at
+    v - e_a are pushed one step along every axis a, their span is reduced to
+    its RREF basis once, and the generators born at v are an RREF complement
+    of it inside sub[v] (la.complement_basis).  For M itself the pushed rows
+    span koszul_boundaries(M, v, 0), so this realizes M / (sum of the images
+    of all steps).  Returns a list of (index point, row vector in M's local
+    coordinates there), in grid order; a pushed row outside sub[v] raises
+    InternalCheckError.
     """
     p = M.p
     gens = []
@@ -172,8 +174,8 @@ def module_generators(M, sub=None):
                 u = gr.minus_e(v, (a,))
                 step = M.step(u, a).T
                 pushed.append(step if sub is None else la.matmul(sub[u], step, p))
-        pushed = la.stack_rows(pushed, M.dim(v))
-        if not (rows.shape[0] or pushed.any()):
+        pushed = la.row_space(la.stack_rows(pushed, M.dim(v)), p)
+        if not (rows.shape[0] or pushed.shape[0]):
             continue
         try:
             comp = la.complement_basis(pushed, rows, p)

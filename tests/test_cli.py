@@ -411,6 +411,22 @@ MALFORMED_PRESENTATIONS = {
     "n-overflows": '{"n": 1e400, "gens": [[0,0]], "relations": []}',
     "n-is-zero": '{"n": 0, "gens": [], "relations": []}',
     "n-is-negative": '{"n": -1, "gens": [], "relations": []}',
+    # numbers that are not JSON integers are refused, never truncated
+    "degrees-are-floats": (
+        '{"n": 2, "gens": [[0.9, 0]], "relations": [[[1.5, 2.7], {"0": 1}]]}'
+    ),
+    "relation-degree-is-a-float": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1.5], {"0": 1}]]}'
+    ),
+    "n-is-a-float": '{"n": 2.9, "gens": [[0,0]], "relations": []}',
+    "n-is-a-bool": '{"n": true, "gens": [[0]], "relations": []}',
+    "coefficient-is-a-float": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"0": 2.5}]]}'
+    ),
+    "coefficient-is-a-bool": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"0": true}]]}'
+    ),
+    "degree-entry-is-a-bool": '{"n": 2, "gens": [[true,0]], "relations": []}',
 }
 
 
@@ -422,6 +438,19 @@ def test_malformed_presentation_exits_one(capsys, tmp_path, command, text):
     path = tmp_path / "pres.json"
     path.write_text(text)
     assert_validation_exit(*run(capsys, command, "--input", str(path), "--field", "3"))
+
+
+MALFORMED_ORBITS = {
+    "degree-and-multiplicity-are-floats": ["--xi0", "[[[0.9,0],1.7]]"],
+    "multiplicity-is-a-float": ["--xi0", "[[[0,0],1.5]]"],
+    "xi1-degree-entry-is-a-bool": ["--xi0", "[[[0,0],2]]", "--xi1", "[[[true,1],1]]"],
+    "xi1-multiplicity-is-a-string": ["--xi0", "[[[0,0],2]]", "--xi1", '[[[1,1],"1"]]'],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ORBITS.values(), ids=MALFORMED_ORBITS.keys())
+def test_malformed_orbits_multiset_exits_one(capsys, argv):
+    assert_validation_exit(*run(capsys, "orbits", *argv, "--field", "3"))
 
 
 MALFORMED_MFC = {

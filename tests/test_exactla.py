@@ -68,12 +68,6 @@ def test_row_space_equality_of_different_spanning_sets():
     assert (la.row_space(a, 5) == la.row_space(b, 5)).all()
 
 
-def test_is_subspace():
-    whole = arr([[1, 0, 0], [0, 1, 0]])
-    assert la.is_subspace(arr([[1, 1, 0]]), whole, 3)
-    assert not la.is_subspace(arr([[0, 0, 1]]), whole, 3)
-
-
 def test_complement_basis_dims_and_directness():
     whole = la.eye(3)
     sub = arr([[1, 1, 0]])
@@ -86,6 +80,16 @@ def test_complement_basis_dims_and_directness():
 def test_complement_requires_containment():
     with pytest.raises(ValueError):
         la.complement_basis(arr([[1, 0, 0]]), arr([[0, 1, 0]]), 2)
+
+
+def test_complement_basis_runs_one_rref(monkeypatch):
+    # both arguments are already RREF, so only the complement is reduced
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda a, p: calls.append(1) or rref(a, p))
+    comp = la.complement_basis(arr([[1, 1, 0]]), la.eye(3), 2)
+    assert len(calls) == 1
+    assert (comp == arr([[0, 1, 0], [0, 0, 1]])).all()
 
 
 def test_coords_in():
@@ -271,6 +275,43 @@ def test_pivot_reads_stay_exact_where_int64_sums_overflow():
     assert (la.coords_in(np.stack([v, v]), basis, p) == np.stack([want, want])).all()
     assert not la.reduce_mod_rows(v, basis, p).any()
     assert (la.reduce_mod_rows(v, basis, p) == _reduce_row_by_row(v, basis, p)).all()
+
+
+def _complement_by_re_reducing(sub, whole, p):
+    """Reference: row-reduce both arguments again before reducing whole mod sub."""
+    sub_r, whole_r = la.row_space(sub, p), la.row_space(whole, p)
+    comp = la.row_space(la.reduce_mod_rows(whole_r, sub_r, p), p)
+    if comp.shape[0] != whole_r.shape[0] - sub_r.shape[0]:
+        raise ValueError("sub is not contained in whole")
+    return comp
+
+
+@st.composite
+def complement_cases(draw):
+    """(p, RREF sub, RREF whole with sub inside it, rows that may leave whole)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ncols = draw(st.integers(0, 6))
+    whole = la.row_space(_rows_of(draw, p, draw(st.integers(0, 5)), ncols), p)
+    coeffs = _rows_of(draw, p, draw(st.integers(0, 5)), whole.shape[0])
+    sub = la.row_space(la.matmul(coeffs, whole, p).reshape(coeffs.shape[0], ncols), p)
+    extra = _rows_of(draw, p, draw(st.integers(1, 3)), ncols)
+    return p, sub, whole, extra
+
+
+@given(complement_cases())
+@settings(max_examples=300)
+def test_complement_basis_of_rref_bases_matches_re_reducing(case):
+    p, sub, whole, extra = case
+    got = la.complement_basis(sub, whole, p)
+    want = _complement_by_re_reducing(sub, whole, p)
+    assert got.shape == want.shape and (got == want).all()
+    assert la.rank(la.stack_rows([sub, got], whole.shape[1]), p) == whole.shape[0]
+    bigger = la.row_space(la.stack_rows([sub, extra], whole.shape[1]), p)
+    if la.reduce_mod_rows(extra, whole, p).any():
+        with pytest.raises(ValueError):
+            _complement_by_re_reducing(bigger, whole, p)
+        with pytest.raises(ValueError):
+            la.complement_basis(bigger, whole, p)
 
 
 # -- exact products --------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_chains_dims_circle(circle):
 
 def test_chains_above_top_dimension(sphere):
     c5 = md.chains_module(sphere, 5, 3)
-    assert c5.is_zero()
+    assert all(c5.dim(v) == 0 for v in gr.grid(c5.bound))
 
 
 def test_sphere_c2_at_21(sphere):
@@ -57,7 +57,8 @@ def test_boundary_rank_circle(circle):
 def test_boundary_squares_to_zero(sphere):
     d2 = md.ChainData(sphere, 2).boundary(2)
     d1 = md.ChainData(sphere, 2).boundary(1)
-    assert d1.compose(d2).is_zero()
+    for v in gr.grid(d2.source.bound):
+        assert not la.matmul(d1.at(v), d2.at(v), 2).any(), v
 
 
 def test_sphere_boundary_entries(sphere):
@@ -77,7 +78,7 @@ def test_homology_circle_h0(circle):
         (0, 0): 3, (1, 0): 2, (2, 0): 1,
         (0, 1): 2, (1, 1): 1, (2, 1): 1,
     }
-    assert H.dim_grid() == expected
+    assert {v: H.dim(v) for v in gr.grid(H.bound)} == expected
     # no boundaries yet at the origin, everything is a cycle
     assert H.dim((0, 0)) == 3 and H.reduce_by[(0, 0)].shape[0] == 0
     assert H.reduce_by[(2, 1)].shape[0] == 2
@@ -95,7 +96,7 @@ def test_boundary_at_the_ends_builds_no_zero_module(circle):
 
 def test_homology_circle_h1(circle):
     H = md.homology_module(md.ChainData(circle, 2), 1)
-    grid = H.dim_grid()
+    grid = {v: H.dim(v) for v in gr.grid(H.bound)}
     assert grid[(2, 1)] == 1
     assert all(d == 0 for v, d in grid.items() if v != (2, 1))
 
