@@ -9,6 +9,7 @@ cross-check failed (those indicate a bug, not bad input).
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -83,6 +84,29 @@ def _json_degree(d):
     return tuple(_json_int(c) for c in d)
 
 
+def _json_index(key):
+    """The generator index a coefficient key names, when it is canonical decimal.
+
+    int() would read "00", " +0" and "0_0" as 0, so two keys could name one
+    generator and one coefficient silently replace the other.
+    """
+    if not re.fullmatch(r"0|[1-9][0-9]*", key):
+        raise ValidationError(
+            "coefficient key must be a generator index, got %s" % json.dumps(key)
+        )
+    return int(key)
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key repeated inside it is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError("repeated key %s in a JSON object" % json.dumps(key))
+        obj[key] = value
+    return obj
+
+
 def _json_multiset(text):
     """A degree multiset from JSON [[degree, mult], ...] of integers."""
     return gr.multiset((_json_degree(d), _json_int(m)) for d, m in json.loads(text))
@@ -104,7 +128,7 @@ def _load_module(args):
         return md.homology_module(_load_chains(args), args.q)
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ValidationError("cannot read %s: %s" % (path, e))
     except ValueError as e:
@@ -112,7 +136,7 @@ def _load_module(args):
     try:
         gens = [_json_degree(g) for g in data["gens"]]
         relations = [
-            (_json_degree(d), {int(k): _json_int(c) for k, c in coeffs.items()})
+            (_json_degree(d), {_json_index(k): _json_int(c) for k, c in coeffs.items()})
             for d, coeffs in data["relations"]
         ]
         pres = cxm.Presentation(_json_int(data["n"]), gens, relations)

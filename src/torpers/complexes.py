@@ -72,9 +72,6 @@ class Cell:
         self.degrees = tuple(sorted(gr.as_degree(d) for d in degrees))
         self.vertices = tuple(vertices) if vertices is not None else None
 
-    def __repr__(self):
-        return "Cell(%r, dim=%d, @%s)" % (self.id, self.dim, list(self.degrees))
-
 
 class MultiFilteredComplex:
     """A finite cell complex whose cells carry antichains of entry degrees."""
@@ -183,10 +180,6 @@ class MultiFilteredComplex:
                 bnd = ",".join("%s:%d" % (fid, coeff) for fid, coeff in c.boundary)
                 lines.append("cell %s %d [%s] @ %s" % (c.id, c.dim, bnd, degs))
         return "\n".join(lines) + "\n"
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_mfc())
 
 
 def _parse_degree_list(text, lineno):

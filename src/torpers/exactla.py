@@ -15,12 +15,23 @@ complement_basis require one (they read the pivots and do not re-reduce).
 A caller holding a raw spanning set calls row_space on it first.  The
 vectors reduce_mod_rows and coords_in act on may be any rows.
 
+rref picks its pivot step by the input's entry count (rows·cols).  At or
+below 64 entries (_LIST_ENTRIES) it eliminates on Python lists, where
+numpy's per-call overhead would outweigh the arithmetic; above that it
+makes one vectorized update per pivot, on the rows that are nonzero in the
+pivot column and the columns from the pivot on.  Both give the same (r,
+rank, pivots).  row_space, kernel_basis and rank answer a matrix with no
+rows or no columns without calling rref.
+
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# rref eliminates on Python lists at or below this many entries (rows·cols).
+_LIST_ENTRIES = 64
 
 
 def is_prime(p):
@@ -82,50 +93,110 @@ def rref(a, p):
     number of pivots and pivots lists the pivot column indices in order.
     Zero rows are kept (r has the shape of a); use row_space to drop them.
     """
-    m = as_matrix(a) % p
+    m = as_matrix(a)
+    if m.size <= _LIST_ENTRIES:
+        return _rref_lists(m, p)
+    return _rref_vectorized(m, p)
+
+
+def _rref_lists(m, p):
+    """rref of the int64 matrix m by elimination on Python lists."""
+    nrows, ncols = m.shape
+    rows = [[x % p for x in r] for r in m.tolist()]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        for k in range(row, nrows):
+            if rows[k][col]:
+                break
+        else:
+            continue
+        pivot_row = rows[k]
+        rows[k] = rows[row]
+        if pivot_row[col] != 1:
+            inv = inv_mod(pivot_row[col], p)
+            pivot_row = [x * inv % p for x in pivot_row]
+        rows[row] = pivot_row
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != row:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
+        pivots.append(col)
+        row += 1
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), row, pivots
+
+
+def _rref_vectorized(m, p):
+    """rref of the int64 matrix m with one array update per pivot.
+
+    The columns left of the pivot are zero in the pivot row, so each update
+    starts at the pivot column.  Every product is at most (p-1)², which fits
+    in int64 (check_field bounds p).
+    """
+    m = m % p
     nrows, ncols = m.shape
     pivots = []
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.nonzero(m[row:, col])[0]
-        if len(nz) == 0:
+        nz = np.flatnonzero(m[row:, col])
+        if nz.size == 0:
             continue
         k = row + nz[0]
         if k != row:
             m[[row, k]] = m[[k, row]]
-        m[row] = (m[row] * inv_mod(m[row, col], p)) % p
-        others = np.nonzero(m[:, col])[0]
-        for i in others:
-            if i != row:
-                m[i] = (m[i] - m[i, col] * m[row]) % p
+        pivot_row = m[row, col:] * inv_mod(m[row, col], p) % p
+        m[row, col:] = pivot_row
+        others = np.flatnonzero(m[:, col])
+        others = others[others != row]
+        if others.size:
+            f = m[others, col]
+            m[others, col:] = (m[others, col:] - np.multiply.outer(f, pivot_row)) % p
         pivots.append(col)
         row += 1
     return m, row, pivots
 
 
 def rank(a, p):
-    return rref(a, p)[1]
+    m = as_matrix(a)
+    if m.size == 0:
+        return 0
+    return rref(m, p)[1]
 
 
 def kernel_basis(a, p):
     """Basis of the right null space {x : a @ x = 0}, one vector per row.
 
-    The basis is the standard one read off the RREF (free variable columns
-    set to the identity), then put in canonical RREF itself so equal kernels
-    compare equal.  Row count is always cols - rank.
+    The basis is the canonical RREF one, so equal kernels compare equal; row
+    count is always cols - rank.  It comes from one RREF, of a with its
+    columns reversed: the standard basis read off there (each free column set
+    to 1 in turn, the other free columns to 0) has its last nonzero entry, a
+    1, at its free column and is zero at every other free column.  Reversing
+    the columns back and the order of the rows gives a basis whose rows lead
+    with 1 at distinct columns where the other rows are zero: the RREF.
     """
     m = as_matrix(a)
-    ncols = m.shape[1]
-    r, rk, pivots = rref(m, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = zeros(len(free), ncols)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = (-r[row_idx, c]) % p
-    return row_space(basis, p)
+    nrows, ncols = m.shape
+    if ncols == 0:
+        return zeros(0, 0)
+    if nrows == 0:
+        return eye(ncols)
+    r, rk, pivots = rref(m[:, ::-1], p)
+    pivot_set = set(pivots)
+    pivot_rows = r[:rk].tolist()
+    basis = []
+    for c in reversed(range(ncols)):
+        if c in pivot_set:
+            continue
+        v = [0] * ncols
+        v[c] = 1
+        for pivot_row, pc in zip(pivot_rows, pivots):
+            v[pc] = -pivot_row[c] % p
+        basis.append(v[::-1])
+    return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
 
 
 def solve(a, b, p):
@@ -148,7 +219,10 @@ def solve(a, b, p):
 
 def row_space(a, p):
     """Canonical spanning matrix of the row space: RREF with zero rows dropped."""
-    r, rk, _ = rref(a, p)
+    m = as_matrix(a)
+    if m.size == 0:
+        return zeros(0, m.shape[1])
+    r, rk, _ = rref(m, p)
     return r[:rk]
 
 

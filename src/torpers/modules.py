@@ -113,20 +113,6 @@ class PersistenceModule:
         # other axes may clamp; the step matrix is the stored one there
         return self.steps[(c, j)]
 
-    def phi(self, u, v):
-        """Composite map M_u -> M_v for u <= v (staircase along axis order)."""
-        if any(x < 0 for x in u):
-            return la.zeros(self.dim(v), 0)
-        if not gr.leq(u, v):
-            raise ValueError("phi needs u <= v, got %s, %s" % (u, v))
-        mat = la.eye(self.dim(u))
-        cur = u
-        for j in range(self.n):
-            while cur[j] < v[j]:
-                mat = la.matmul(self.step(cur, j), mat, self.p)
-                cur = gr.step(cur, j)
-        return mat
-
 
 class GradedModuleMap:
     """Degreewise linear map between two modules on the same grid; natural."""

@@ -427,6 +427,16 @@ MALFORMED_PRESENTATIONS = {
         '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"0": true}]]}'
     ),
     "degree-entry-is-a-bool": '{"n": 2, "gens": [[true,0]], "relations": []}',
+    # a coefficient key is canonical decimal, so no two keys name one generator
+    "coefficient-keys-name-one-generator": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"0": 1, "00": 0}]]}'
+    ),
+    "coefficient-key-with-space-sign-and-underscore": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {" +0_0": 1}]]}'
+    ),
+    "coefficient-key-repeated": (
+        '{"n": 2, "gens": [[0,0]], "relations": [[[1,1], {"0": 1, "0": 0}]]}'
+    ),
 }
 
 

@@ -181,6 +181,95 @@ def test_solve_finds_constructed_solutions(case):
     assert (la.matmul(m, x, p) == b).all()
 
 
+# -- the two pivot steps of rref, and kernels from one RREF -------------------
+
+FIELDS = (2, 3, 5, 7, 3037000493)  # the last is the largest p with (p-1)² < 2^63
+
+
+@st.composite
+def elimination_cases(draw):
+    """(p, m): up to 12×12 with entries in [0, p), some rows repeated (or
+    scaled copies of others) and some columns all zero."""
+    p = draw(st.sampled_from(FIELDS))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+    rows = draw(
+        st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    m = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    if nrows > 1:
+        for _ in range(draw(st.integers(0, nrows // 2))):
+            i, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+            m[i] = m[k] * draw(st.sampled_from((1, 2, p - 1))) % p
+    if ncols:
+        for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+            m[:, c] = 0
+    return p, m
+
+
+@given(elimination_cases())
+@example((5, la.zeros(0, 0)))
+@example((3037000493, np.full((9, 8), 3037000492, dtype=np.int64)))
+@settings(max_examples=400)
+def test_list_and_vectorized_pivot_steps_agree(case):
+    p, m = case
+    r1, rk1, piv1 = la._rref_lists(m.copy(), p)
+    r2, rk2, piv2 = la._rref_vectorized(m.copy(), p)
+    assert r1.dtype == r2.dtype == np.int64
+    assert r1.shape == r2.shape == m.shape
+    assert (r1 == r2).all() and rk1 == rk2 and piv1 == piv2
+    r, rk, piv = la.rref(m, p)
+    assert (r == r1).all() and rk == rk1 and piv == piv1
+
+
+def _kernel_by_standard_basis(a, p):
+    """Reference: the standard basis read off the RREF of a, then reduced."""
+    m = la.as_matrix(a)
+    ncols = m.shape[1]
+    r, rk, pivots = la.rref(m, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = la.zeros(len(free), ncols)
+    for i, c in enumerate(free):
+        basis[i, c] = 1
+        for row_idx, pc in enumerate(pivots):
+            basis[i, pc] = (-r[row_idx, c]) % p
+    return la.row_space(basis, p)
+
+
+@given(elimination_cases())
+@settings(max_examples=300)
+def test_kernel_from_reversed_columns_matches_standard_basis(case):
+    p, m = case
+    k = la.kernel_basis(m, p)
+    want = _kernel_by_standard_basis(m, p)
+    assert k.shape == want.shape and (k == want).all()
+    r, rk, _ = la.rref(k, p)
+    assert rk == k.shape[0] and (r == k).all()
+    assert not la.matmul(m, k.T, p).any()
+
+
+def test_empty_inputs_make_no_rref_call(monkeypatch):
+    calls = []
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda a, p: calls.append(1) or rref(a, p))
+    for rows, cols in ((0, 0), (0, 4), (3, 0)):
+        m = la.zeros(rows, cols)
+        assert la.row_space(m, 5).shape == (0, cols)
+        assert la.rank(m, 5) == 0
+        k = la.kernel_basis(m, 5)
+        if cols == 0:
+            assert k.shape == (0, 0)
+        else:
+            assert k.shape == (cols, cols) and (k == la.eye(cols)).all()
+    assert calls == []
+    la.kernel_basis(la.zeros(1, 4), 5)
+    assert calls == [1]
+
+
 # -- pivot reads against the elimination routes they replaced -----------------
 
 

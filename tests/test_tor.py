@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import randfix
+from test_modules import phi
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
 from torpers import InternalCheckError
 from torpers import exactla as la
@@ -294,7 +295,7 @@ def _reference_resolution(M, bound=None):
         eps_mats = {}
         for v in gr.grid(bound):
             cols = [
-                la.matmul(current.phi(u, v), vec, p)
+                la.matmul(phi(current, u, v), vec, p)
                 for u, vec in cur_gens
                 if gr.leq(u, v)
             ]
