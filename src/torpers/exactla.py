@@ -16,12 +16,12 @@ A caller holding a raw spanning set calls row_space on it first.  The
 vectors reduce_mod_rows and coords_in act on may be any rows.
 
 rref picks its pivot step by the input's entry count (rows·cols).  At or
-below 64 entries (_LIST_ENTRIES) it eliminates on Python lists, where
-numpy's per-call overhead would outweigh the arithmetic; above that it
-makes one vectorized update per pivot, on the rows that are nonzero in the
-pivot column and the columns from the pivot on.  Both give the same (r,
-rank, pivots).  row_space, kernel_basis and rank answer a matrix with no
-rows or no columns without calling rref.
+below 3072 entries (_LIST_ENTRIES) it eliminates on Python lists, where
+numpy's per-call overhead outweighs the arithmetic; above that it makes one
+vectorized update per pivot, on the rows that are nonzero in the pivot
+column and the columns from the pivot on.  Both give the same (r, rank,
+pivots).  row_space, kernel_basis and rank answer a matrix with no rows or
+no columns without calling rref.
 
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
@@ -31,7 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 # rref eliminates on Python lists at or below this many entries (rows·cols).
-_LIST_ENTRIES = 64
+# The crossover of the two steps, timed on every matrix the benchmark
+# workloads pass to rref: the list step is faster on nearly all inputs up to
+# about 2,000 entries, the vectorized one above about 4,000 (BENCH_11.json).
+_LIST_ENTRIES = 3072
 
 
 def is_prime(p):
@@ -161,10 +164,7 @@ def _rref_vectorized(m, p):
 
 
 def rank(a, p):
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0
-    return rref(m, p)[1]
+    return row_space(a, p).shape[0]
 
 
 def kernel_basis(a, p):

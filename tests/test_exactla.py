@@ -211,9 +211,16 @@ def elimination_cases(draw):
     return p, m
 
 
+# Above rref's gate, so rref itself takes the vectorized step: 40 rows of
+# entries in GF(7), every fourth one a copy of the row before it.
+_ABOVE_GATE = np.random.default_rng(0).integers(0, 7, (40, la._LIST_ENTRIES // 40 + 1))
+_ABOVE_GATE[3::4] = _ABOVE_GATE[2::4]
+
+
 @given(elimination_cases())
 @example((5, la.zeros(0, 0)))
 @example((3037000493, np.full((9, 8), 3037000492, dtype=np.int64)))
+@example((7, _ABOVE_GATE))
 @settings(max_examples=400)
 def test_list_and_vectorized_pivot_steps_agree(case):
     p, m = case
