@@ -178,7 +178,7 @@ def _chain_tor(data, boundaries):
                         % (q, i, gr.to_degree(data.coords, v))
                     )
             dims = {v: r.shape[0] for v, r in reps.items()}
-            table[(i, q)] = tor.KoszulTor(q, dims, reps, data.coords)
+            table[(i, q)] = tor.KoszulTor(dims, reps, data.coords)
     return table
 
 

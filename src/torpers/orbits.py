@@ -78,14 +78,12 @@ class RelationFamily:
     forward along any u <= v lands inside V_v.
     """
 
-    def __init__(self, xi0, xi1, q, spaces, check=True):
+    def __init__(self, xi0, xi1, q, spaces):
         self.xi0 = dict(xi0)
         self.xi1 = dict(xi1)
         self.q = q
         self.degrees = tuple(sorted(self.xi1))
         self.spaces = {v: np.array(spaces[v], dtype=np.int64) for v in self.degrees}
-        if check:
-            self.check()
 
     def check(self):
         births = [(g,) for g in gr.multiset_to_list(self.xi0)]
@@ -141,7 +139,7 @@ def enumerate_families(xi0, xi1, q, limit=200000):
     if len({len(deg) for deg in itertools.chain(xi0, xi1)}) > 1:
         raise ValidationError("mixed degree lengths in xi0/xi1")
     if not xi1:
-        return [RelationFamily(xi0, xi1, q, {}, check=False)]
+        return [RelationFamily(xi0, xi1, q, {})]
     births = [(g,) for g in gr.multiset_to_list(xi0)]
     degrees = sorted(xi1)
     index = {v: gr.present(births, v) for v in degrees}
@@ -171,7 +169,7 @@ def enumerate_families(xi0, xi1, q, limit=200000):
                     nxt[v] = cand
                     grown.append(nxt)
         partials = grown
-    return [RelationFamily(xi0, xi1, q, spaces, check=False) for spaces in partials]
+    return [RelationFamily(xi0, xi1, q, spaces) for spaces in partials]
 
 
 class GroupElement:
@@ -254,7 +252,7 @@ def apply_group_element(fam, g):
     for v in fam.degrees:
         sub = g.restrict(v)
         spaces[v] = la.row_space(la.matmul(fam.spaces[v], sub.T, q), q)
-    return RelationFamily(fam.xi0, fam.xi1, q, spaces, check=False)
+    return RelationFamily(fam.xi0, fam.xi1, q, spaces)
 
 
 class Orbit:
@@ -446,16 +444,14 @@ def classify(xi0, xi1, q, limit=200000):
     for orbit in orbits:
         table = tor.xi(family_to_module(orbit.rep))
         xi_by_j = {j: table.tables[j] for j in range(table.n + 1)}
-        if len(orbit.members) > 1:
-            size = min(SPOT_CHECKS, len(orbit.members))
-            for k in rng.choice(orbit.members, size=size, replace=False):
-                other = tor.xi(family_to_module(families[k]))
-                if any(
-                    other.tables[j] != xi_by_j[j] for j in range(table.n + 1)
-                ):
-                    raise InternalCheckError(
-                        "xi table varies inside one orbit (member %d)" % k
-                    )
+        others = [k for k in orbit.members if families[k] is not orbit.rep]
+        size = min(SPOT_CHECKS, len(others))
+        for k in rng.choice(others, size=size, replace=False):
+            other = tor.xi(family_to_module(families[k]))
+            if any(other.tables[j] != xi_by_j[j] for j in range(table.n + 1)):
+                raise InternalCheckError(
+                    "xi table varies inside one orbit (member %d)" % k
+                )
         res = table.resolution
         y = []
         for j in range(2, len(res.gen_degrees)):

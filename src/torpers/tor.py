@@ -91,8 +91,7 @@ def koszul_boundaries(M, v, q):
 class KoszulTor:
     """Tor_j via Koszul homology: a degree multiset plus canonical cycles."""
 
-    def __init__(self, j, dims, reps, coords):
-        self.j = j
+    def __init__(self, dims, reps, coords):
         self.dims = dims  # multiset dict index point -> dim, zeros dropped
         self.reps = reps  # index point -> rows in K_j(v) coordinates
         self.coords = coords  # the module's critical grid
@@ -143,7 +142,7 @@ def koszul_tor(M, j):
                     )
                 dims[i][v] = cls.shape[0]
                 reps[i][v] = cls
-    out = {i: KoszulTor(i, dims[i], reps[i], M.coords) for i in js}
+    out = {i: KoszulTor(dims[i], reps[i], M.coords) for i in js}
     return out[j] if single else out
 
 
@@ -203,15 +202,18 @@ class MinimalResolution:
     at v, and its own Tor sits at M's degrees) and
     maps[j] the natural graded map d_j out of it: the augmentation F_0 -> M
     for j = 0, d[j] restricted to the present generators for j >= 1.
+    kernels[j][v] is the RREF kernel basis of maps[j].at(v), found while
+    resolving; level j + 1 is generated from it, and the last level's is empty.
     """
 
-    def __init__(self, module, gen_degrees, d, augmentation, free, maps):
+    def __init__(self, module, gen_degrees, d, augmentation, free, maps, kernels):
         self.module = module
         self.gen_degrees = gen_degrees
         self.d = d
         self.augmentation = augmentation
         self.free = free
         self.maps = maps
+        self.kernels = kernels
         self.p = module.p
 
     @property
@@ -241,7 +243,10 @@ class MinimalResolution:
         return la.row_space(self.maps[j].at(v)[:, cols].T, self.p)
 
     def check(self):
-        """Independent verification: homogeneity, minimality, exactness."""
+        """Verify the resolution as built, against the kernels found while
+        resolving: every d_j is homogeneous and minimal, and at every index
+        point the augmentation is onto (rank-nullity), each d_j's image is the
+        kernel below it, and no kernel is left at the last level."""
         p = self.p
         for j in range(1, len(self.gen_degrees)):
             for k, l in zip(*np.nonzero(self.d[j] % p)):
@@ -255,18 +260,16 @@ class MinimalResolution:
                         "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
                     )
         for v in gr.grid(self.module.bound):
-            eps = self.maps[0].at(v)
-            if la.rank(eps, p) != self.module.dim(v):
+            if self.free[0].dim(v) - self.kernels[0][v].shape[0] != self.module.dim(v):
                 raise InternalCheckError("augmentation not surjective at %s" % (v,))
-            want = la.kernel_basis(eps, p)
             for j in range(1, len(self.gen_degrees)):
+                want = self.kernels[j - 1][v]
                 have = la.row_space(self.maps[j].at(v).T, p)
                 if want.shape != have.shape or (want != have).any():
                     raise InternalCheckError(
                         "resolution not exact at F_%d, degree %s" % (j - 1, v)
                     )
-                want = la.kernel_basis(self.maps[j].at(v), p)
-            if want.shape[0]:
+            if self.kernels[self.length][v].shape[0]:
                 raise InternalCheckError(
                     "resolution too short: kernel left at F_%d, degree %s"
                     % (self.length, v)
@@ -288,7 +291,7 @@ def minimal_resolution(M):
     gens = module_generators(M)
     gen_degrees = [[u for u, _ in gens]]
     augmentation = [vec for _, vec in gens]
-    d, free, maps = {}, [], []
+    d, free, maps, kernels = {}, [], [], []
     for j in itertools.count():
         F = md.free_module(
             gr.multiset_from_list(
@@ -316,22 +319,22 @@ def minimal_resolution(M):
         dj = md.GradedModuleMap(F, M if j == 0 else free[j - 1], mats)
         free.append(F)
         maps.append(dj)
-        kernel_rows = {v: la.kernel_basis(dj.at(v), p) for v in gr.grid(bound)}
-        if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
+        kernels.append({v: la.kernel_basis(dj.at(v), p) for v in gr.grid(bound)})
+        if all(rows.shape[0] == 0 for rows in kernels[j].values()):
             break
         if j == M.n:
             raise InternalCheckError(
                 "resolution exceeds length %d; this contradicts the syzygy "
                 "theorem and signals a bug" % M.n
             )
-        syzygies = module_generators(F, kernel_rows)
+        syzygies = module_generators(F, kernels[j])
         # syzygy columns, written in F_j's generator coordinates
         d[j + 1] = la.zeros(len(gen_degrees[j]), len(syzygies))
         for l, (u, row) in enumerate(syzygies):
             d[j + 1][F.gen_index[u], l] = row
         gen_degrees.append([u for u, _ in syzygies])
 
-    res = MinimalResolution(M, gen_degrees, d, augmentation, free, maps)
+    res = MinimalResolution(M, gen_degrees, d, augmentation, free, maps, kernels)
     res.check()
     return res
 

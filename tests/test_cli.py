@@ -216,6 +216,18 @@ def test_missing_file_exits_one(capsys):
     assert json.loads(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("command", ["e1", "d2", "recover", "validate"])
+def test_csv_is_refused_before_the_input_is_read(capsys, command):
+    rc, out, err = run(
+        capsys, command, "--input", "no_such_file.mfc", "--format", "csv"
+    )
+    assert rc == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": "csv output is not available for %s" % command,
+    }
+
+
 def test_xi_rejects_boundary_not_squaring_to_zero(capsys, tmp_path):
     bad = tmp_path / "bad.mfc"
     bad.write_text(

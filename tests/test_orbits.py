@@ -117,6 +117,7 @@ def test_family_to_module_dims_line_case():
     fam = ob.RelationFamily(
         XI0_LINE, XI1_LINE, 3, {(4,): np.array([[1, 0, 0]])}
     )
+    fam.check()
     M = ob.family_to_module(fam)
     # two free strands plus one strand killed after four steps
     dims = [M.dim(gr.to_index(M.coords, (i,))) for i in range(6)]
@@ -125,6 +126,7 @@ def test_family_to_module_dims_line_case():
 
 def test_family_to_module_empty_is_free():
     fam = ob.RelationFamily({(0, 0): 2}, {}, 3, {})
+    fam.check()
     M = ob.family_to_module(fam)
     assert all(
         M.dim(gr.to_index(M.coords, d)) == 2 for d in [(0, 0), (1, 0), (2, 2)]
@@ -270,3 +272,27 @@ def test_orbit_count_is_field_independent_for_one_grading():
             continue  # budget blown for the larger fields; resample
         assert len(set(counts.values())) == 1, (xi0, xi1, counts)
         cases += 1
+
+
+def test_classify_spot_checks_members_other_than_the_representative(monkeypatch):
+    converted = []
+    to_module = ob.family_to_module
+
+    def recording(fam):
+        converted.append(fam.encode())
+        return to_module(fam)
+
+    monkeypatch.setattr(ob, "family_to_module", recording)
+    report = ob.classify(XI0_MIXED, XI1_MIXED, 3)
+    families = ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+    assert any(1 < o.size <= ob.SPOT_CHECKS for o in report.orbits)
+    for orbit in report.orbits:
+        rep = orbit.rep.encode()
+        others = {families[k].encode() for k in orbit.members} - {rep}
+        checked = [e for e in converted if e in others]
+        assert converted.count(rep) == 1
+        assert len(set(checked)) == len(checked)
+        assert len(checked) == min(ob.SPOT_CHECKS, orbit.size - 1)
+    assert len(converted) == sum(
+        1 + min(ob.SPOT_CHECKS, o.size - 1) for o in report.orbits
+    )

@@ -362,3 +362,78 @@ def test_resolution_matches_reference_on_census_cokernels(xi0, xi1, q, every):
     families = ob.enumerate_families(xi0, xi1, q)
     for fam in families[::every]:
         _assert_matches_reference(ob.family_to_module(fam))
+
+
+# -- check() reads the kernels found while resolving --------------------------
+
+
+def _check_without_recomputing(res, monkeypatch):
+    """res.check(), failing if it takes a kernel or a rank of its own."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check() recomputed a kernel or a rank")
+
+    with monkeypatch.context() as m:
+        m.setattr(la, "kernel_basis", refuse)
+        m.setattr(la, "rank", refuse)
+        return res.check()
+
+
+def test_check_reads_the_stored_kernels(circle, p, monkeypatch):
+    res = tor.minimal_resolution(circle_h0(circle, p))
+    assert len(res.kernels) == res.length + 1
+    for j, kernels in enumerate(res.kernels):
+        for v, rows in kernels.items():
+            want = la.kernel_basis(res.maps[j].at(v), p)
+            assert rows.shape == want.shape and (rows == want).all(), (j, v)
+    assert _check_without_recomputing(res, monkeypatch) is True
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_check_catches_a_corrupted_map(circle, j, monkeypatch):
+    res = tor.minimal_resolution(circle_h0(circle, 3))
+    # zero the column of a generator of F_j at its own index point: the
+    # generators born there complement the pushed image, so the image shrinks
+    u = res.gen_degrees[j][0]
+    c = res.free[j].gen_index[u].index(0)
+    res.maps[j].at(u)[:, c] = 0
+    with pytest.raises(InternalCheckError, match="not exact at F_%d" % (j - 1)):
+        _check_without_recomputing(res, monkeypatch)
+
+
+def test_check_catches_a_dropped_kernel_row(circle, monkeypatch):
+    res = tor.minimal_resolution(circle_h0(circle, 3))
+    v = next(v for v, rows in res.kernels[0].items() if rows.shape[0])
+    res.kernels[0][v] = res.kernels[0][v][:-1]
+    with pytest.raises(InternalCheckError, match="not surjective"):
+        _check_without_recomputing(res, monkeypatch)
+
+
+def test_check_catches_a_kernel_left_at_the_last_level(circle, monkeypatch):
+    res = tor.minimal_resolution(circle_h0(circle, 3))
+    v = res.module.bound
+    last = res.kernels[res.length]
+    last[v] = la.eye(res.maps[res.length].at(v).shape[1])[:1]
+    assert last[v].shape[0] == 1
+    with pytest.raises(InternalCheckError, match="too short"):
+        _check_without_recomputing(res, monkeypatch)
+
+
+def test_resolution_takes_each_kernel_once(monkeypatch):
+    families = ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+    M = ob.family_to_module(families[-1])
+    seen = []
+    kernel_basis = la.kernel_basis
+
+    def recording(m, p):
+        seen.append(m)
+        return kernel_basis(m, p)
+
+    monkeypatch.setattr(la, "kernel_basis", recording)
+    res = tor.minimal_resolution(M)
+    assert res.length == 2
+    want = [
+        res.maps[j].at(v) for j in range(res.length + 1) for v in gr.grid(M.bound)
+    ]
+    assert len(seen) == len(want)
+    assert all(a is b for a, b in zip(seen, want))
