@@ -18,9 +18,10 @@ every coordinate up to the top is critical, the map is the identity.
 
 The grid rules live here, once: the index map (critical_coords, to_index,
 to_degree), which items are present at a degree (present: cells, generators
-and relations enter at antichains of degrees and stay), which unit steps
-stay on the index grid [0, bound] (unit_steps), and where the items present
-at u sit among those present at v >= u (placement).
+and relations enter at antichains of degrees and stay; present_on_grid
+answers at every index point in one sweep), which unit steps stay on the
+index grid [0, bound] (unit_steps), and where the items present at u sit
+among those present at v >= u (placement).
 """
 
 from __future__ import annotations
@@ -123,6 +124,27 @@ def present(births, v):
     generator or a relation); the item is present from its entry degrees on.
     """
     return [k for k, b in enumerate(births) if any(leq(u, v) for u in b)]
+
+
+def present_on_grid(births, bound):
+    """present(births, v) at every v of the grid [0, bound], in one sweep.
+
+    The sweep runs in lexicographic order, so each v - e_a on the grid comes
+    before v: the items present at v are those born at v together with those
+    present at each v - e_a.
+    """
+    born = {}
+    for k, b in enumerate(births):
+        for u in b:
+            born.setdefault(tuple(u), []).append(k)
+    sets = {}
+    for v in grid(bound):
+        items = set(born.get(v, ()))
+        for a, x in enumerate(v):
+            if x:
+                items |= sets[v[:a] + (x - 1,) + v[a + 1 :]]
+        sets[v] = items
+    return {v: sorted(items) for v, items in sets.items()}
 
 
 def placement(sub, items):

@@ -183,7 +183,7 @@ def _inclusion_module(n, coords, births, p):
     """
     births = [[gr.to_index(coords, u) for u in b] for b in births]
     bound = gr.coords_bound(coords)
-    gen_index = {v: gr.present(births, v) for v in gr.grid(bound)}
+    gen_index = gr.present_on_grid(births, bound)
     steps = {}
     for v, j, w in gr.unit_steps(bound):
         idx = gen_index[v]
@@ -358,11 +358,11 @@ def present_cokernel(pres, p):
         for k, c in coeffs.items():
             rel[r, k] = c % p
     births = [(gr.to_index(coords, d),) for d, _ in pres.relations]
+    live = gr.present_on_grid(births, free.bound)
     rel_rref, bases = {}, {}
     for v in gr.grid(free.bound):
-        live = gr.present(births, v)
         idx = free.gen_index[v]
-        rel_rref[v] = la.row_space(rel[live][:, idx], p)
+        rel_rref[v] = la.row_space(rel[live[v]][:, idx], p)
         bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
     mod = basis_module(free, bases, rel_rref)
     mod.gen_index = free.gen_index

@@ -8,6 +8,12 @@ on the families are the isomorphism classes.  This module enumerates the
 families exactly, partitions them into orbits by generator BFS, and computes
 per-orbit invariants: the full xi table of the cokernel, and Grassmannian
 coordinates of the higher syzygy maps that separate orbits sharing a table.
+
+The BFS runs on subspace positions, not on families.  The families of one
+census use few distinct subspaces at each relation degree, so each generator
+acts once on each of them (apply_group_element, the one place the group
+acts), which gives one table of positions per generator and degree; a family
+is its tuple of positions, and moving it is a lookup in those tables.
 """
 
 from __future__ import annotations
@@ -71,6 +77,10 @@ def _push(space, src, tgt):
     return out
 
 
+def _encode_space(space):
+    return tuple(int(x) for x in space.flatten())
+
+
 class RelationFamily:
     """Subspaces V_v of F(xi0)_v, one per relation degree, in RREF form.
 
@@ -114,9 +124,7 @@ class RelationFamily:
 
     def encode(self):
         """Hashable, lexicographically comparable canonical form."""
-        return tuple(
-            tuple(int(x) for x in self.spaces[v].flatten()) for v in self.degrees
-        )
+        return tuple(_encode_space(self.spaces[v]) for v in self.degrees)
 
     def to_json(self):
         return {
@@ -245,14 +253,9 @@ def group_generators(xi0, q):
     return out
 
 
-def apply_group_element(fam, g):
-    """The family with every V_v replaced by its image under the automorphism."""
-    q = fam.q
-    spaces = {}
-    for v in fam.degrees:
-        sub = g.restrict(v)
-        spaces[v] = la.row_space(la.matmul(fam.spaces[v], sub.T, q), q)
-    return RelationFamily(fam.xi0, fam.xi1, q, spaces)
+def apply_group_element(g, v, space):
+    """The image of the subspace V_v under the automorphism g, as its RREF basis."""
+    return la.row_space(la.matmul(space, g.restrict(v).T, g.q), g.q)
 
 
 class Orbit:
@@ -265,47 +268,74 @@ class Orbit:
 def orbit_partition(families, xi0, q):
     """Partition the family list into group orbits via BFS over generators.
 
-    Each orbit's representative is the family with the lexicographically
-    least encoding.  A generator carrying a family outside the enumerated
-    set means the action is broken and raises.
+    The BFS runs on positions: at each relation degree v the distinct
+    subspaces V_v of the families are listed once, and a family is the tuple
+    of its subspaces' positions, one per degree.  Each generator acts once
+    on each distinct subspace at each degree, which gives a table of
+    positions per degree; applying the generator to a family is then a
+    lookup of each position in its degree's table.  The tables must be
+    bijections (a generator is invertible), every image must be a listed
+    subspace, and every image tuple an enumerated family; otherwise the
+    action is broken and this raises.  Each orbit's representative is the
+    member with the lexicographically least encoding.
     """
-    by_enc = {}
+    degrees = families[0].degrees if families else ()
+    distinct = [{} for _ in degrees]  # per degree: encoding -> position
+    spaces = [[] for _ in degrees]  # per degree: the subspace at each position
+    index = {}  # position tuple -> index into families
     for i, fam in enumerate(families):
-        e = fam.encode()
-        if e in by_enc:
+        key = []
+        for k, v in enumerate(degrees):
+            e = _encode_space(fam.spaces[v])
+            if e not in distinct[k]:
+                distinct[k][e] = len(spaces[k])
+                spaces[k].append(fam.spaces[v])
+            key.append(distinct[k][e])
+        key = tuple(key)
+        if key in index:
             raise ValidationError("duplicate family in the input list")
-        by_enc[e] = i
-    generators = group_generators(xi0, q)
+        index[key] = i
+    left = (
+        "group action left the enumerated family set; containment closure is broken"
+    )
+    tables = []
+    for g in group_generators(xi0, q):
+        table = []
+        for k, v in enumerate(degrees):
+            images = []
+            for space in spaces[k]:
+                e = _encode_space(apply_group_element(g, v, space))
+                if e not in distinct[k]:
+                    raise InternalCheckError(left)
+                images.append(distinct[k][e])
+            if len(set(images)) != len(images):
+                raise InternalCheckError(
+                    "a group generator does not permute the subspaces at %s"
+                    % (list(v),)
+                )
+            table.append(images)
+        tables.append(table)
+    encodings = [list(d) for d in distinct]  # position -> encoding, per degree
     seen = set()
     orbits = []
-    for i, fam in enumerate(families):
-        e0 = fam.encode()
-        if e0 in seen:
+    for start in index:
+        if start in seen:
             continue
-        queue = [fam]
-        members = {e0}
-        seen.add(e0)
+        queue = [start]
+        members = {start}
         while queue:
             cur = queue.pop()
-            for g in generators:
-                nxt = apply_group_element(cur, g)
-                ne = nxt.encode()
-                if ne not in by_enc:
-                    raise InternalCheckError(
-                        "group action left the enumerated family set; "
-                        "containment closure is broken"
-                    )
-                if ne not in members:
-                    members.add(ne)
-                    seen.add(ne)
+            for table in tables:
+                nxt = tuple(images[c] for images, c in zip(table, cur))
+                if nxt not in index:
+                    raise InternalCheckError(left)
+                if nxt not in members:
+                    members.add(nxt)
                     queue.append(nxt)
-        rep_enc = min(members)
+        seen |= members
+        rep = min(members, key=lambda t: tuple(e[c] for e, c in zip(encodings, t)))
         orbits.append(
-            Orbit(
-                families[by_enc[rep_enc]],
-                sorted(by_enc[me] for me in members),
-                len(members),
-            )
+            Orbit(families[index[rep]], sorted(index[t] for t in members), len(members))
         )
     orbits.sort(key=lambda o: o.rep.encode())
     return orbits

@@ -2,11 +2,12 @@
 
 Every bundled fixture runs through every subcommand in every output format,
 over the field the README uses for it; the README presentation runs through
-xi and resolve, and the README orbits example through orbits.  Every
-subcommand that computes also runs on every fixture in JSON over the prime
-1000000007, where a sum of about ten products already passes 2^63, and xi
-runs widened by one and two steps on every fixture (JSON) and by one step
-on the README presentation.  The same fixtures and the README presentation
+xi and resolve, the README orbits example through orbits, and the
+two-grading censuses (and one shape with no family) through orbits in JSON
+and text.  Every subcommand that computes also runs on every fixture in
+JSON over the prime 1000000007, where a sum of about ten products already
+passes 2^63, and xi runs widened by one and two steps on every fixture
+(JSON) and by one step on the README presentation.  The same fixtures and the README presentation
 also run with every degree moved through one non-uniform, strictly
 increasing map per axis (STRETCH_MAPS; the remapped inputs are checked in
 under golden/stretched/), so the bytes of inputs with gaps between their
@@ -45,6 +46,15 @@ FIXTURE_COMMANDS = (
 )
 PRESENTATION = "tests/golden/readme_presentation.json"
 ORBITS = ("orbits", "--xi0", "[[[0],2],[[2],1]]", "--xi1", "[[[4],1]]", "--field", "3")
+CENSUS_CALLS = (
+    # the benchmark's two censuses: GF(5) four lines and GF(3) mixed degrees
+    ("orbits", "--xi0", "[[[0,0],2]]")
+    + ("--xi1", "[[[0,3],1],[[1,2],1],[[2,1],1],[[3,0],1]]", "--field", "5"),
+    ("orbits", "--xi0", "[[[0,1],1],[[1,0],2]]")
+    + ("--xi1", "[[[1,1],1],[[1,2],1],[[2,0],1]]", "--field", "3"),
+    # two relations on one generator: no family at all
+    ("orbits", "--xi0", "[[[0,0],1]]", "--xi1", "[[[1,1],2]]", "--field", "3"),
+)
 LARGE_FIELD = "1000000007"
 LARGE_FIELD_COMMANDS = tuple(c for c in FIXTURE_COMMANDS if c != ("validate",))
 WIDEN_COMMANDS = tuple(
@@ -108,6 +118,9 @@ def golden_calls():
                 list(command)
                 + ["--input", presentation, "--field", "3", "--format", fmt]
             )
+    for command in CENSUS_CALLS:
+        for fmt in STRETCH_FORMATS:
+            calls.append(list(command) + ["--format", fmt])
     return calls
 
 

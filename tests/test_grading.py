@@ -114,6 +114,14 @@ def test_present_unit_steps_and_placement_match_brute_force(case):
     assert gr.placement(sub, want) == [want.index(k) for k in sub]
 
 
+@given(births_and_degrees())
+def test_present_on_grid_matches_present_at_every_point(case):
+    births, _, _, bound = case
+    want = {v: gr.present(births, v) for v in gr.grid(bound)}
+    got = gr.present_on_grid(births, bound)
+    assert got == want and list(got) == list(want)
+
+
 def _dimension_and_degrees(n):
     return st.tuples(st.just(n), st.lists(st.tuples(*[st.integers(0, 9)] * n)))
 

@@ -93,7 +93,12 @@ def test_group_action_preserves_validity():
     encodings = {f.encode() for f in fams}
     for fam in fams[::40]:
         for g in gens:
-            moved = ob.apply_group_element(fam, g)
+            moved = ob.RelationFamily(
+                fam.xi0,
+                fam.xi1,
+                3,
+                {v: ob.apply_group_element(g, v, fam.spaces[v]) for v in fam.degrees},
+            )
             moved.check()
             assert moved.encode() in encodings
 
@@ -105,6 +110,100 @@ def test_two_orbits_on_the_projective_plane(q):
     orbits = ob.orbit_partition(fams, XI0_LINE, q)
     assert len(orbits) == 2
     assert sorted(o.size for o in orbits) == [q + 1, q * q]
+
+
+def _family_level_partition(families, xi0, q):
+    """The family-level BFS orbit_partition replaced: every generator moves
+    every subspace of every family it reaches."""
+    by_enc = {fam.encode(): i for i, fam in enumerate(families)}
+    generators = ob.group_generators(xi0, q)
+    seen, orbits = set(), []
+    for fam in families:
+        if fam.encode() in seen:
+            continue
+        queue, members = [fam], {fam.encode()}
+        while queue:
+            cur = queue.pop()
+            for g in generators:
+                spaces = {
+                    v: la.row_space(la.matmul(cur.spaces[v], g.restrict(v).T, q), q)
+                    for v in cur.degrees
+                }
+                nxt = ob.RelationFamily(cur.xi0, cur.xi1, q, spaces)
+                assert nxt.encode() in by_enc
+                if nxt.encode() not in members:
+                    members.add(nxt.encode())
+                    queue.append(nxt)
+        seen |= members
+        rep = min(members)
+        orbits.append((rep, sorted(by_enc[e] for e in members), len(members)))
+    return sorted(orbits)
+
+
+PARTITION_SHAPES = [
+    (XI0_FOUR_LINES, XI1_FOUR_LINES, 3),
+    (XI0_FOUR_LINES, XI1_FOUR_LINES, 5),
+    (XI0_MIXED, XI1_MIXED, 3),
+    (XI0_LINE, XI1_LINE, 2),
+    (XI0_LINE, XI1_LINE, 3),
+    (XI0_LINE, XI1_LINE, 5),
+    ({(0, 0): 2}, {}, 3),  # no relations: one empty family
+    ({(0, 0): 1}, {(1, 1): 2}, 3),  # two relations on one generator: no family
+]
+
+
+@pytest.mark.parametrize("xi0, xi1, q", PARTITION_SHAPES)
+def test_orbit_partition_matches_the_family_level_bfs(xi0, xi1, q):
+    fams = ob.enumerate_families(xi0, xi1, q)
+    orbits = ob.orbit_partition(fams, xi0, q)
+    got = [(o.rep.encode(), o.members, o.size) for o in orbits]
+    assert got == _family_level_partition(fams, xi0, q)
+    assert all(any(o.rep is fams[k] for k in o.members) for o in orbits)
+
+
+def test_orbit_partition_acts_once_per_distinct_subspace(monkeypatch):
+    fams = ob.enumerate_families(XI0_FOUR_LINES, XI1_FOUR_LINES, 5)
+    calls = []
+    act = ob.apply_group_element
+
+    def counting(g, v, space):
+        calls.append(v)
+        return act(g, v, space)
+
+    monkeypatch.setattr(ob, "apply_group_element", counting)
+    ob.orbit_partition(fams, XI0_FOUR_LINES, 5)
+    # 3 generators (two transvections, one scaling) on the 6 lines of GF(5)^2
+    # at each of the 4 relation degrees
+    assert len(calls) == 3 * 6 * 4
+
+
+def test_orbit_partition_refuses_a_duplicate_family():
+    fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
+    with pytest.raises(ValidationError, match="duplicate"):
+        ob.orbit_partition(fams + [fams[4]], XI0_LINE, 3)
+
+
+def test_orbit_partition_refuses_a_family_list_the_group_leaves():
+    fams = ob.enumerate_families(XI0_FOUR_LINES, XI1_FOUR_LINES, 3)
+    # every line still occurs at every degree, but one family is missing
+    with pytest.raises(InternalCheckError, match="left the enumerated family set"):
+        ob.orbit_partition(fams[1:], XI0_FOUR_LINES, 3)
+
+
+def test_orbit_partition_refuses_an_image_outside_the_subspaces(monkeypatch):
+    fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
+    nowhere = la.zeros(0, 3)  # no family has a zero space at (4,)
+    monkeypatch.setattr(ob, "apply_group_element", lambda g, v, space: nowhere)
+    with pytest.raises(InternalCheckError, match="left the enumerated family set"):
+        ob.orbit_partition(fams, XI0_LINE, 3)
+
+
+def test_orbit_partition_refuses_a_generator_that_is_not_a_bijection(monkeypatch):
+    fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
+    first = fams[0].spaces[(4,)]
+    monkeypatch.setattr(ob, "apply_group_element", lambda g, v, space: first)
+    with pytest.raises(InternalCheckError, match=r"does not permute .* at \[4\]"):
+        ob.orbit_partition(fams, XI0_LINE, 3)
 
 
 def test_single_family_single_orbit():
