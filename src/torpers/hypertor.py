@@ -10,7 +10,8 @@ from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag.  E1 is
 assembled one cell at a time: C_i is the direct sum of the up-set modules
 k[U_c] of its cells, and the Tor of k[U_c] depends only on the order pattern
 of c's entry antichain, so each pattern is resolved once, by both Tor
-routes, and its cycles are placed at the cell's slots in C_i.  Every
+routes, and its cycles are placed unreduced at the cell's slots in C_i
+(C_i's Koszul complex is the direct sum of its cells').  Every
 differential here (D, d1 and the stages of the zig-zag) is built from the
 two directions of the one double complex: tor.koszul_delta vertically and
 _horizontal, the cellular boundary laid over the Koszul blocks.
@@ -102,7 +103,7 @@ def hypertor_dims(data):
                 if la.matmul(d_here, d_up, p).any():
                     raise InternalCheckError(
                         "total differential fails D∘D=0 at %s, index %d"
-                        % (v, ell)
+                        % (gr.to_degree(data.coords, v), ell)
                     )
             dim = d_here.shape[1] - ranks[ell] - ranks[ell + 1]
             if dim:
@@ -131,7 +132,7 @@ def _pattern_tor(pattern, cell, n, p):
         ) from None
 
 
-def _chain_tor(data, boundaries):
+def _chain_tor(data):
     """Tor_q(C_i) for every (i, q), one cell at a time: (i, q) -> KoszulTor.
 
     C_i is the direct sum over its cells c of the up-set modules k[U_c], and
@@ -139,9 +140,12 @@ def _chain_tor(data, boundaries):
     index space of its own critical grid.  Each pattern is resolved once
     (_pattern_tor); each of its Koszul cycles moves to C_i's grid through
     the cell's coords and is placed, block by block, at the cell's slot
-    among the cells present at v - e_S.  At each degree the placed cycles
-    are reduced modulo boundaries(i, v, q) and brought to RREF, the
-    canonical representatives that koszul_tor would give.
+    among the cells present at v - e_S, a map that keeps the order of the
+    Koszul coordinates.  C_i's Koszul complex is the direct sum of its
+    cells', so the RREF of its boundaries is the union of the placed pattern
+    boundary RREFs, and a pattern cycle, zero at its own boundary pivots,
+    needs no reduction.  At each degree the placed cycles are brought to
+    RREF, the canonical representatives that koszul_tor would give.
     """
     p, n = data.p, data.n
     patterns = {}
@@ -170,8 +174,7 @@ def _chain_tor(data, boundaries):
             reps = {}
             for v, rows in at.items():
                 rows = np.concatenate(rows)
-                red = la.reduce_mod_rows(rows, boundaries(i, v, q), p)
-                reps[v] = la.row_space(red, p)
+                reps[v] = la.row_space(rows, p)
                 if reps[v].shape[0] != rows.shape[0]:
                     raise InternalCheckError(
                         "Tor_%d classes of the cells of C_%d are dependent at %s"
@@ -221,14 +224,7 @@ def e1_page(data):
     E1 = Einfty.
     """
     p = data.p
-    memo = {}
-
-    def boundaries(i, v, q):
-        if (i, v, q) not in memo:
-            memo[i, v, q] = tor.koszul_boundaries(data.module(i), v, q)
-        return memo[i, v, q]
-
-    table = _chain_tor(data, boundaries)
+    table = _chain_tor(data)
     d1 = {}
     all_zero = True
     for (i, q), kt in sorted(table.items()):
@@ -239,11 +235,15 @@ def e1_page(data):
         for v, reps in kt.reps.items():
             out = la.matmul(reps, _horizontal(data, i, v, q).T, p)
             if out.any():
-                out = la.reduce_mod_rows(out, boundaries(i - 1, v, q), p)
+                images = tor.koszul_boundaries(data.module(i - 1), v, q)
+                out = la.reduce_mod_rows(out, images, p)
             tgt_reps = target.reps.get(v, la.zeros(0, out.shape[1]))
             c = la.coords_in(out, tgt_reps, p)
             if c is None:
-                raise InternalCheckError("d1 image is not a Tor class at %s" % (v,))
+                raise InternalCheckError(
+                    "d1 image is not a Tor class at %s"
+                    % (gr.to_degree(data.coords, v),)
+                )
             if c.any():
                 all_zero = False
             mats[v] = c.T
@@ -258,7 +258,9 @@ def e1_page(data):
             m2 = prev.get(v)
             if m2 is not None and m2.size and m.size:
                 if la.matmul(m2, m, p).any():
-                    raise InternalCheckError("d1∘d1 nonzero at %s" % (v,))
+                    raise InternalCheckError(
+                        "d1∘d1 nonzero at %s" % (gr.to_degree(data.coords, v),)
+                    )
 
     hyper = hypertor_dims(data)
     sums_match = True
@@ -344,7 +346,8 @@ def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
         w = la.solve(horizontal, vec, p)
         if w is None:
             raise InternalCheckError(
-                "zig-zag component at %s is not a boundary; exactness bug" % (v,)
+                "zig-zag component at %s is not a boundary; exactness bug"
+                % (gr.to_degree(data.coords, v),)
             )
         ws.append(w)
     ws = np.array(ws, dtype=np.int64)
@@ -357,7 +360,9 @@ def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
     out = la.matmul(ws, tor.koszul_delta(chains_up, v, 1).T, p)
     # stage 6: the results are cycles; take their homology classes
     if la.matmul(out, data.boundary_at(q_chain + 1, v).T, p).any():
-        raise InternalCheckError("zig-zag output is not a cycle at %s" % (v,))
+        raise InternalCheckError(
+            "zig-zag output is not a cycle at %s" % (gr.to_degree(data.coords, v),)
+        )
     return md.class_coords(Hnext, v, out, p)
 
 
@@ -386,7 +391,10 @@ def d2(data, q):
             tgt_reps = tgt.reps.get(v, la.zeros(0, Hnext.dim(v)))
             c = la.coords_in(red, tgt_reps, p)
             if c is None:
-                raise InternalCheckError("d2 output is not a Tor_0 class at %s" % (v,))
+                raise InternalCheckError(
+                    "d2 output is not a Tor_0 class at %s"
+                    % (gr.to_degree(data.coords, v),)
+                )
             # global sign: the zig-zag computes the connecting map up to
             # orientation; the abutment fixes it to the negative
             mats[v] = (-c.T) % p
@@ -471,10 +479,13 @@ class TComplex:
 def build_t_complex(data):
     """Assemble T_• from the Tor classes of all chain modules.
 
-    Requires the E1 degeneracy verdict; refuses otherwise.  The boundary is
-    geometric on cell copies (faces land in their canonical copies, the
-    lexicographically least entry degree) and is the syzygy matrix with
-    monomials dropped on resolution generators.  ∂∘∂ = 0 is asserted.
+    Requires the E1 degeneracy verdict; refuses otherwise.  Piece (i, j) of T
+    holds the generators of F_j in C_i's resolution; those of F_0 are cell
+    copies.  Each boundary column is a column of one matrix: data.matrix(i)
+    for a copy of an i-cell (rows: the canonical copies of the (i-1)-cells,
+    at their lexicographically least entry degree), the syzygy matrix
+    res.d[j] with monomials dropped for F_j (rows: piece (i, j-1)).  ∂∘∂ = 0
+    is asserted.
     """
     page = e1_page(data)
     if not page.verdict:
@@ -483,14 +494,13 @@ def build_t_complex(data):
             "cells do not decompose one Tor class at a time"
         )
     cx, p = data.cx, data.p
-    resolutions = [
-        tor.minimal_resolution(data.module(i)) for i in range(data.top + 1)
-    ]
-
-    # identify F_0 generators of each chain resolution with cell copies
-    f0_labels = []
-    for i, res in enumerate(resolutions):
-        labs = []
+    # pieces[i, j] = (labels, the matrix whose columns are their boundaries,
+    # the labels of its rows); F_0 generators are identified with cell copies
+    pieces = {}
+    for i in range(data.top + 1):
+        res = tor.minimal_resolution(data.module(i))
+        cells = cx.cells_of_dim(i)
+        labs, cols = [], []
         for k, u in enumerate(res.gen_degrees[0]):
             vec = res.augmentation[k]
             nz = np.nonzero(vec)[0]
@@ -499,14 +509,18 @@ def build_t_complex(data):
                     "chain generator %d of C_%d is not a standard basis "
                     "vector" % (k, i)
                 )
-            cid = data.module(i).labels[u][nz[0]]
-            labs.append((i, 0, cid, gr.to_degree(data.coords, u)))
-        f0_labels.append(labs)
+            cols.append(data.module(i).gen_index[u][nz[0]])
+            labs.append((i, 0, cells[cols[-1]].id, gr.to_degree(data.coords, u)))
+        faces = [(i - 1, 0, f.id, min(f.degrees)) for f in cx.cells_of_dim(i - 1)]
+        pieces[i, 0] = (labs, data.matrix(i)[:, cols] if i else None, faces)
+        for j in range(1, len(res.gen_degrees)):
+            gens = [
+                (i, j, k, gr.to_degree(data.coords, u))
+                for k, u in enumerate(res.gen_degrees[j])
+            ]
+            pieces[i, j] = (gens, res.d[j], pieces[i, j - 1][0])
         # cross-check: Tor_0 multiset equals entry-degree counts
-        want = gr.multiset_from_list(
-            [u for c in cx.cells_of_dim(i) for u in c.degrees]
-        )
-        if res.xi(0) != want:
+        if res.xi(0) != gr.multiset_from_list(u for c in cells for u in c.degrees):
             raise InternalCheckError(
                 "Tor_0 of C_%d disagrees with the entry degrees" % i
             )
@@ -517,48 +531,26 @@ def build_t_complex(data):
                     % (j, i)
                 )
 
-    top_ell = data.top + data.n
-    labels = []
-    for ell in range(top_ell + 1):
-        labs = []
-        for i in range(min(ell, data.top) + 1):
-            j = ell - i
-            if j == 0:
-                labs.extend(f0_labels[i])
-            elif j < len(resolutions[i].gen_degrees):
-                labs.extend(
-                    (i, j, k, gr.to_degree(data.coords, u))
-                    for k, u in enumerate(resolutions[i].gen_degrees[j])
-                )
-        labels.append(labs)
+    keys = [
+        [(i, ell - i) for i in range(data.top + 1) if (i, ell - i) in pieces]
+        for ell in range(data.top + data.n + 1)
+    ]
+    labels = [[lab for key in ks for lab in pieces[key][0]] for ks in keys]
     while labels and not labels[-1]:
         labels.pop()
 
     canonical = {
         (c.dim, 0, c.id, min(c.degrees)) for c in cx.cells.values()
     }
-    index = [{lab: k for k, lab in enumerate(labs)} for labs in labels]
     d = {}
     for ell in range(1, len(labels)):
+        index = {lab: k for k, lab in enumerate(labels[ell - 1])}
         m = la.zeros(len(labels[ell - 1]), len(labels[ell]))
-        for col, lab in enumerate(labels[ell]):
-            i, j, name, u = lab
-            if j == 0:
-                for fid, coeff in cx.cells[name].boundary:
-                    f = cx.cells[fid]
-                    row = index[ell - 1][(i - 1, 0, fid, min(f.degrees))]
-                    m[row, col] = (m[row, col] + coeff % p) % p
-            else:
-                res = resolutions[i]
-                column = res.d[j][:, name]
-                for k in np.nonzero(column)[0]:
-                    if j == 1:
-                        row_lab = f0_labels[i][k]
-                    else:
-                        u = res.gen_degrees[j - 1][k]
-                        row_lab = (i, j - 1, int(k), gr.to_degree(data.coords, u))
-                    row = index[ell - 1][row_lab]
-                    m[row, col] = (m[row, col] + column[k]) % p
+        col = 0
+        for key in keys[ell]:
+            labs, mat, rows = pieces[key]
+            m[[index[lab] for lab in rows], col : col + len(labs)] = mat
+            col += len(labs)
         d[ell] = m
 
     for ell in range(2, len(labels)):
@@ -581,7 +573,7 @@ def recovered_homology(data):
     cx, p = data.cx, data.p
     t = build_t_complex(data)
     betti = t.betti()
-    direct = md.total_betti(cx, p)
+    direct = md.total_betti(data)
     width = max(len(betti), len(direct))
     betti_padded = tuple(betti) + (0,) * (width - len(betti))
     direct_padded = tuple(direct) + (0,) * (width - len(direct))

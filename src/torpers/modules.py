@@ -27,6 +27,8 @@ d2 and T all read one ChainData.
 
 from __future__ import annotations
 
+import numpy as np
+
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
@@ -85,7 +87,7 @@ class PersistenceModule:
                     if (a != b).any():
                         raise InternalCheckError(
                             "steps fail to commute on the square at %s, axes %d,%d"
-                            % (v, i, j)
+                            % (gr.to_degree(self.coords, v), i, j)
                         )
 
     def _clamp(self, v):
@@ -136,7 +138,8 @@ class GradedModuleMap:
             rhs = la.matmul(self.target.step(v, j), self.mats[v], self.p)
             if (lhs != rhs).any():
                 raise InternalCheckError(
-                    "map is not natural at %s along axis %d" % (v, j)
+                    "map is not natural at %s along axis %d"
+                    % (gr.to_degree(self.source.coords, v), j)
                 )
 
     def at(self, v):
@@ -201,15 +204,11 @@ def chains_module(cx, i, p):
     """The module of i-chains on the complex's critical grid: basis = i-cells
     present at v, ordered by id.
 
-    .labels[v] lists the ids of those cells.
+    .gen_index[v] lists the positions of those cells in cx.cells_of_dim(i).
     """
     check_field(p)
     cells = cx.cells_of_dim(i)
-    mod = _inclusion_module(cx.n, cx.critical_coords(), [c.degrees for c in cells], p)
-    mod.labels = {
-        v: [cells[k].id for k in idx] for v, idx in mod.gen_index.items()
-    }
-    return mod
+    return _inclusion_module(cx.n, cx.critical_coords(), [c.degrees for c in cells], p)
 
 
 def _boundary_matrix(cx, src_ids, tgt_ids, p):
@@ -225,13 +224,14 @@ def _boundary_matrix(cx, src_ids, tgt_ids, p):
 class ChainData:
     """The chain modules C_i of one complex and their cellular boundaries.
 
-    The one way into the chain side: homology, hypertor, E1, d2 and T all
-    read a ChainData.  It validates the complex over GF(p) once and decides
-    the grid, the complex's critical grid (.coords, with top index point
-    .bound), once; then it builds each C_i on first use
-    and each boundary C_i -> C_{i-1} once, as a GradedModuleMap (so its
-    naturality is asserted), so every computation that shares one ChainData
-    shares these objects.  Outside 0..top the chain modules are zero.
+    The one way into the chain side: homology, hypertor, E1, d2, T and the
+    direct Betti numbers all read a ChainData and share what it builds.  It
+    validates the complex over GF(p) once and decides the grid, the complex's
+    critical grid (.coords, with top index point .bound), once; then it
+    builds each C_i on first use and one boundary matrix per dimension, all
+    i-cells into all (i-1)-cells in cells_of_dim order.  boundary(i) slices
+    it to the cells present at each index point, as a GradedModuleMap (so
+    its naturality is asserted).  Outside 0..top the chain modules are zero.
     """
 
     def __init__(self, cx, p):
@@ -243,6 +243,7 @@ class ChainData:
         self.coords = cx.critical_coords()
         self.bound = gr.coords_bound(self.coords)
         self._chains = {}
+        self._matrices = {}
         self._boundaries = {}
 
     def module(self, i):
@@ -251,14 +252,20 @@ class ChainData:
             self._chains[i] = chains_module(self.cx, i, self.p)
         return self._chains[i]
 
+    def matrix(self, i):
+        """The boundary of all i-cells into all (i-1)-cells, in cells_of_dim order."""
+        if i not in self._matrices:
+            ids = [[c.id for c in self.cx.cells_of_dim(k)] for k in (i, i - 1)]
+            self._matrices[i] = _boundary_matrix(self.cx, ids[0], ids[1], self.p)
+        return self._matrices[i]
+
     def boundary(self, i):
         """The cellular boundary C_i -> C_{i-1}, for 1 <= i <= top."""
         if i not in self._boundaries:
             source, target = self.module(i), self.module(i - 1)
+            m = self.matrix(i)
             mats = {
-                v: _boundary_matrix(
-                    self.cx, source.labels[v], target.labels[v], self.p
-                )
+                v: m[np.ix_(target.gen_index[v], source.gen_index[v])]
                 for v in gr.grid(self.bound)
             }
             self._boundaries[i] = GradedModuleMap(source, target, mats)
@@ -297,7 +304,8 @@ def basis_module(ambient, bases, reduce_by):
         c = la.coords_in(pushed, bases[w], p)
         if c is None:
             raise InternalCheckError(
-                "basis family is not closed under the step at %s axis %d" % (v, j)
+                "basis family is not closed under the step at %s axis %d"
+                % (gr.to_degree(ambient.coords, v), j)
             )
         steps[(v, j)] = c.T
     mod = PersistenceModule(
@@ -421,17 +429,14 @@ def single_step_check(cx):
     }
 
 
-def total_betti(cx, p):
+def total_betti(data):
     """Betti numbers of the total (fully entered) complex by direct ranks.
 
-    Independent of all the persistence machinery: plain boundary matrices of
-    the whole cell set, rank-nullity per dimension.
+    Independent of the grid and of every resolution: the ranks of the whole
+    boundary matrices data.matrix(i), rank-nullity per dimension.
     """
-    check_field(p)
-    top = cx.max_dim()
-    ids = [[c.id for c in cx.cells_of_dim(i)] for i in range(top + 1)] + [[]]
-    ranks = [0] + [
-        la.rank(_boundary_matrix(cx, ids[i], ids[i - 1], p), p)
-        for i in range(1, top + 2)
-    ]
-    return tuple(len(ids[i]) - ranks[i] - ranks[i + 1] for i in range(top + 1))
+    top = data.top
+    ranks = [0] + [la.rank(data.matrix(i), data.p) for i in range(1, top + 1)] + [0]
+    return tuple(
+        len(data.cx.cells_of_dim(i)) - ranks[i] - ranks[i + 1] for i in range(top + 1)
+    )

@@ -190,7 +190,6 @@ class GroupElement:
     def __init__(self, mat, degrees, q):
         self.mat = np.array(mat, dtype=np.int64) % q
         self.degrees = tuple(degrees)
-        self._restricted = {}  # v -> np.ix_ of the generators present at v
         self.q = q
         m = len(self.degrees)
         if self.mat.shape != (m, m):
@@ -205,10 +204,8 @@ class GroupElement:
             raise ValidationError("group element is singular")
 
     def restrict(self, v):
-        if v not in self._restricted:
-            idx = gr.present([(g,) for g in self.degrees], v)
-            self._restricted[v] = np.ix_(idx, idx)
-        return self.mat[self._restricted[v]]
+        idx = gr.present([(g,) for g in self.degrees], v)
+        return self.mat[np.ix_(idx, idx)]
 
 
 def _primitive_root(q):

@@ -126,7 +126,8 @@ def koszul_tor(M, j):
             if i + 1 in delta and delta[i + 1].size:
                 if la.matmul(delta[i], delta[i + 1], p).any():
                     raise InternalCheckError(
-                        "Koszul differential fails to square to zero at %s" % (v,)
+                        "Koszul differential fails to square to zero at %s"
+                        % (gr.to_degree(M.coords, v),)
                     )
         for i in js:
             # K_0(v) is M_v and every vector of it is a cycle
@@ -261,18 +262,22 @@ class MinimalResolution:
                     )
         for v in gr.grid(self.module.bound):
             if self.free[0].dim(v) - self.kernels[0][v].shape[0] != self.module.dim(v):
-                raise InternalCheckError("augmentation not surjective at %s" % (v,))
+                raise InternalCheckError(
+                    "augmentation not surjective at %s"
+                    % (gr.to_degree(self.module.coords, v),)
+                )
             for j in range(1, len(self.gen_degrees)):
                 want = self.kernels[j - 1][v]
                 have = la.row_space(self.maps[j].at(v).T, p)
                 if want.shape != have.shape or (want != have).any():
                     raise InternalCheckError(
-                        "resolution not exact at F_%d, degree %s" % (j - 1, v)
+                        "resolution not exact at F_%d, degree %s"
+                        % (j - 1, gr.to_degree(self.module.coords, v))
                     )
             if self.kernels[self.length][v].shape[0]:
                 raise InternalCheckError(
                     "resolution too short: kernel left at F_%d, degree %s"
-                    % (self.length, v)
+                    % (self.length, gr.to_degree(self.module.coords, v))
                 )
         return True
 

@@ -58,6 +58,21 @@ def test_cell_table_matches_the_scan_on_random_complexes(seed):
         _assert_matches_scan(randfix.remap_complex(cx, _random_maps(cx, seed)), p)
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_cell_reps_equal_the_scan_array_for_array(seed):
+    # the placed cycles need no reduction modulo C_i's Koszul boundaries:
+    # their RREF is the very array the scan gives
+    p = (2, 3, 5)[seed % 3]
+    for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+        data = md.ChainData(cx, p)
+        got = ht._chain_tor(data)
+        for key, kt in _scan_table(data).items():
+            assert sorted(got[key].reps) == sorted(kt.reps), key
+            for v, reps in kt.reps.items():
+                have = got[key].reps[v]
+                assert have.shape == reps.shape and (have == reps).all(), (key, v)
+
+
 def test_the_random_suite_has_multi_critical_cells():
     assert any(
         len(c.degrees) > 1

@@ -1,10 +1,13 @@
 """Hypertor, both spectral sequence pages, and the recovery complex T."""
 
+import re
+
 import numpy as np
 import pytest
 
 from torpers import InternalCheckError, ValidationError
 from torpers import complexes as cxm
+from torpers import grading as gr
 from torpers import hypertor as ht
 from torpers import modules as md
 
@@ -222,3 +225,53 @@ def test_recovery_single_vertex():
     assert rep["betti"] == [1]
     assert rep["match"] is True
     assert rep["q_dims"] == [0]
+
+
+def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
+    # on the stretched circle index points and degrees differ: break D∘D at
+    # the first (v, ell) where D_ell has a nonzero column r, by adding e_r
+    # to a column of D_{ell+1}
+    cx = cxm.load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
+    data = md.ChainData(cx, 5)
+    original = ht._total_delta
+    v, ell = next(
+        (v, ell)
+        for v in gr.grid(data.bound)
+        for ell in range(1, data.top + data.n + 1)
+        if original(data, v, ell).any() and original(data, v, ell + 1).size
+    )
+    r = int(np.nonzero(original(data, v, ell).any(axis=0))[0][0])
+
+    def tampered(d, w, e):
+        m = original(d, w, e)
+        if w == v and e == ell + 1:
+            m[r, 0] = (m[r, 0] + 1) % data.p
+        return m
+
+    monkeypatch.setattr(ht, "_total_delta", tampered)
+    degree = gr.to_degree(data.coords, v)
+    assert degree != v
+    with pytest.raises(
+        InternalCheckError, match=re.escape("D∘D=0 at %s, index %d" % (degree, ell))
+    ):
+        ht.hypertor_dims(data)
+
+
+def test_one_boundary_matrix_per_dimension(sphere, monkeypatch):
+    # E1, T and the direct Betti numbers all read the one matrix per chain
+    # dimension that the ChainData builds
+    calls = []
+    original = md._boundary_matrix
+
+    def counting(cx, src_ids, tgt_ids, p):
+        calls.append((tuple(src_ids), tuple(tgt_ids)))
+        return original(cx, src_ids, tgt_ids, p)
+
+    monkeypatch.setattr(md, "_boundary_matrix", counting)
+    data = md.ChainData(sphere, 3)
+    ht.e1_page(data)
+    ht.build_t_complex(data)
+    assert md.total_betti(data) == (1, 0, 1)
+    assert ht.recovered_homology(data)["match"]
+    ids = [tuple(c.id for c in sphere.cells_of_dim(i)) for i in range(-1, 3)]
+    assert sorted(calls) == [(ids[i + 1], ids[i]) for i in range(1, 3)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import randfix
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
@@ -43,8 +44,9 @@ def test_chains_above_top_dimension(sphere):
 
 def test_sphere_c2_at_21(sphere):
     c2 = md.chains_module(sphere, 2, 2)
-    assert c2.labels[(2, 1)] == ["tau"]
-    assert c2.labels[(3, 3)] == ["s1", "s2", "tau"]
+    ids = [c.id for c in sphere.cells_of_dim(2)]
+    assert [ids[k] for k in c2.gen_index[(2, 1)]] == ["tau"]
+    assert [ids[k] for k in c2.gen_index[(3, 3)]] == ["s1", "s2", "tau"]
 
 
 def test_boundary_rank_circle(circle):
@@ -63,13 +65,35 @@ def test_boundary_squares_to_zero(sphere):
 
 def test_sphere_boundary_entries(sphere):
     d2 = md.ChainData(sphere, 5).boundary(2)
-    src = d2.source.labels[(3, 3)]
-    tgt = d2.target.labels[(3, 3)]
+    src = [sphere.cells_of_dim(2)[k].id for k in d2.source.gen_index[(3, 3)]]
+    tgt = [sphere.cells_of_dim(1)[k].id for k in d2.target.gen_index[(3, 3)]]
     m = d2.at((3, 3))
     col = {cid: m[:, k] for k, cid in enumerate(src)}
     a, b = tgt.index("a"), tgt.index("b")
     assert col["tau"][a] == 1 and col["tau"][b] == 4
     assert col["s1"][a] == 1 and col["s2"][b] == 1
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_boundary_slices_equal_per_point_matrices(seed):
+    # boundary(i).at(v) against a matrix built from the cells present at v
+    p = (2, 3, 5)[seed % 3]
+    for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+        data = md.ChainData(cx, p)
+        for i in range(1, data.top + 1):
+            for v in gr.grid(data.bound):
+                u = gr.to_degree(data.coords, v)
+                ids = [
+                    [
+                        c.id
+                        for c in cx.cells_of_dim(k)
+                        if any(gr.leq(e, u) for e in c.degrees)
+                    ]
+                    for k in (i, i - 1)
+                ]
+                want = md._boundary_matrix(cx, ids[0], ids[1], p)
+                got = data.boundary(i).at(v)
+                assert got.shape == want.shape and (got == want).all(), (i, v)
 
 
 def test_homology_circle_h0(circle):
@@ -211,9 +235,9 @@ def test_single_step_check(circle, sphere, oneatatime):
 
 
 def test_total_betti(circle, sphere):
-    assert md.total_betti(circle, 2) == (1, 1)
-    assert md.total_betti(sphere, 2) == (1, 0, 1)
-    assert md.total_betti(sphere, 5) == (1, 0, 1)
+    assert md.total_betti(md.ChainData(circle, 2)) == (1, 1)
+    assert md.total_betti(md.ChainData(sphere, 2)) == (1, 0, 1)
+    assert md.total_betti(md.ChainData(sphere, 5)) == (1, 0, 1)
 
 
 def test_commutativity_is_asserted():

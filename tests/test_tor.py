@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -401,6 +403,24 @@ def test_check_catches_a_corrupted_map(circle, j, monkeypatch):
         _check_without_recomputing(res, monkeypatch)
 
 
+def test_exactness_failure_names_the_degree(fixture_path, monkeypatch):
+    # on the stretched circle a generator of F_1 sits at an index point
+    # that differs from its degree; the message carries the degree
+    cx = load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
+    res = tor.minimal_resolution(md.homology_module(md.ChainData(cx, 5), 0))
+    k, u = next(
+        (k, u)
+        for k, u in enumerate(res.gen_degrees[1])
+        if gr.to_degree(res.module.coords, u) != u
+    )
+    res.maps[1].at(u)[:, res.free[1].gen_index[u].index(k)] = 0
+    degree = gr.to_degree(res.module.coords, u)
+    with pytest.raises(
+        InternalCheckError, match=re.escape("not exact at F_0, degree %s" % (degree,))
+    ):
+        _check_without_recomputing(res, monkeypatch)
+
+
 def test_check_catches_a_dropped_kernel_row(circle, monkeypatch):
     res = tor.minimal_resolution(circle_h0(circle, 3))
     v = next(v for v, rows in res.kernels[0].items() if rows.shape[0])
@@ -437,3 +457,31 @@ def test_resolution_takes_each_kernel_once(monkeypatch):
     ]
     assert len(seen) == len(want)
     assert all(a is b for a, b in zip(seen, want))
+
+
+def test_koszul_square_failure_names_the_degree(fixture_path, monkeypatch):
+    # C_0 of the stretched circle: break Δ_1∘Δ_2 at the first index point
+    # where Δ_1 has a nonzero column r, by adding e_r to a column of Δ_2
+    cx = load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
+    M = md.ChainData(cx, 5).module(0)
+    original = tor.koszul_delta
+    v = next(
+        v
+        for v in gr.grid(M.bound)
+        if original(M, v, 1).any() and original(M, v, 2).size
+    )
+    r = int(np.nonzero(original(M, v, 1).any(axis=0))[0][0])
+
+    def tampered(module, w, j):
+        m = original(module, w, j)
+        if module is M and w == v and j == 2:
+            m[r, 0] = (m[r, 0] + 1) % M.p
+        return m
+
+    monkeypatch.setattr(tor, "koszul_delta", tampered)
+    degree = gr.to_degree(M.coords, v)
+    assert degree != v
+    with pytest.raises(
+        InternalCheckError, match=re.escape("square to zero at %s" % (degree,))
+    ):
+        tor.koszul_tor(M, range(M.n + 1))
