@@ -1,13 +1,16 @@
 """Command line driver: xi tables, hypertor, d2, recovery, orbits, validation.
 
 Every subcommand reads either a .mfc multifiltered complex or (for xi and
-resolve) a JSON presentation, and writes one report to stdout.  JSON is the
+resolve) a JSON presentation and returns one report; main parses the command
+line, runs the subcommand and serializes its report to stdout.  JSON is the
 machine format; text renders aligned tables; csv is available where the
-report is a flat table.  Exit codes: 0 ok, 1 invalid input, 2 an internal
-cross-check failed (those indicate a bug, not bad input).
+report is a flat table.  Exit codes: 0 ok, 1 invalid input (a malformed
+command line included), 2 an internal cross-check failed (those indicate a
+bug, not bad input).  Errors are one JSON object on stderr.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -55,18 +58,6 @@ def _csv(header, rows):
         ",".join('"%s"' % c if "," in c else c for c in map(str, row)) + "\n"
         for row in [header] + rows
     )
-
-
-def _table_rows(table):
-    """One row (index, degree, mult) per degree of a graded multiset table.
-
-    table is [[index, [[degree, mult], ...]], ...] as in the JSON reports.
-    """
-    return [
-        [k, "(%s)" % " ".join(str(c) for c in deg), mult]
-        for k, pairs in table
-        for deg, mult in pairs
-    ]
 
 
 def _json_int(x):
@@ -150,69 +141,60 @@ def _load_module(args):
 
 
 # -- subcommands ---------------------------------------------------------------
+#
+# Each _cmd_* returns its report as (data, text lines, csv table): data is the
+# JSON object, the csv table is (header, rows), or None for a report that is
+# not a flat table.  main picks the format and writes it.
+
+
+def _rendered_lines(rendered):
+    """The text lines "label  multiset" of a rendered table, in its order."""
+    return ["%s  %s" % item for item in rendered.items()]
+
+
+def _graded_report(args, key, label, index, tables, head=()):
+    """The report of one degree multiset per index k: xi, resolve, hypertor.
+
+    tables is [(k, multiset), ...]; data[key] is [[k, multiset], ...] and
+    data["rendered"] maps label % k to its text form.  The text lines are
+    the field, the head lines, then "label  multiset" per k; the csv table
+    has one (index, degree, mult) row per degree.
+    """
+    table = [[k, gr.multiset_to_json(ms)] for k, ms in tables]
+    rendered = {label % k: fmt_multiset(ms) for k, ms in tables}
+    data = {"field": args.field, "input": args.input, key: table, "rendered": rendered}
+    text = ["field %d" % args.field, *head] + _rendered_lines(rendered)
+    rows = [
+        [k, "(%s)" % " ".join(str(c) for c in deg), mult]
+        for k, pairs in table
+        for deg, mult in pairs
+    ]
+    return data, text, ([index, "degree", "mult"], rows)
 
 
 def _cmd_xi(args):
     M = _load_module(args)
-    table = tor.xi(M, widen=args.widen)
-    data = {"field": args.field, "input": args.input}
-    data.update(table.to_json())
-    data["rendered"] = {
-        "xi_%d" % j: fmt_multiset(table.tables.get(j, {})) for j in range(M.n + 1)
-    }
-    if args.format == "json":
-        return _dumps(data)
-    if args.format == "csv":
-        return _csv(["j", "degree", "mult"], _table_rows(data["xi"]))
-    lines = ["field %d" % args.field]
-    for j in range(M.n + 1):
-        lines.append("xi_%d  %s" % (j, fmt_multiset(table.tables.get(j, {}))))
-    return "\n".join(lines) + "\n"
+    tables = tor.xi(M, widen=args.widen).tables
+    return _graded_report(
+        args, "xi", "xi_%d", "j", [(j, tables.get(j, {})) for j in range(M.n + 1)]
+    )
 
 
 def _cmd_resolve(args):
-    M = _load_module(args)
-    res = tor.minimal_resolution(M)
-    betti = [[j, gr.multiset_to_json(res.xi(j))] for j in range(res.length + 1)]
-    data = {
-        "field": args.field,
-        "input": args.input,
-        "length": res.length,
-        "betti": betti,
-        "rendered": {
-            "F_%d" % j: fmt_multiset(res.xi(j)) for j in range(res.length + 1)
-        },
-    }
-    if args.format == "json":
-        return _dumps(data)
-    if args.format == "csv":
-        return _csv(["j", "degree", "mult"], _table_rows(betti))
-    lines = ["field %d" % args.field, "length %d" % res.length]
-    for j in range(res.length + 1):
-        lines.append("F_%d  %s" % (j, fmt_multiset(res.xi(j))))
-    return "\n".join(lines) + "\n"
+    res = tor.minimal_resolution(_load_module(args))
+    tables = [(j, res.xi(j)) for j in range(res.length + 1)]
+    data, text, csv = _graded_report(
+        args, "betti", "F_%d", "j", tables, head=["length %d" % res.length]
+    )
+    data["length"] = res.length
+    return data, text, csv
 
 
 def _cmd_hypertor(args):
     tables = ht.hypertor_dims(_load_chains(args))
-    data = {
-        "field": args.field,
-        "input": args.input,
-        "hypertor": [
-            [ell, gr.multiset_to_json(tables[ell])] for ell in sorted(tables)
-        ],
-        "rendered": {
-            "l=%d" % ell: fmt_multiset(tables[ell]) for ell in sorted(tables)
-        },
-    }
-    if args.format == "json":
-        return _dumps(data)
-    if args.format == "csv":
-        return _csv(["l", "degree", "mult"], _table_rows(data["hypertor"]))
-    lines = ["field %d" % args.field]
-    for ell in sorted(tables):
-        lines.append("l=%d  %s" % (ell, fmt_multiset(tables[ell])))
-    return "\n".join(lines) + "\n"
+    return _graded_report(
+        args, "hypertor", "l=%d", "l", [(ell, tables[ell]) for ell in sorted(tables)]
+    )
 
 
 def _cmd_e1(args):
@@ -225,42 +207,32 @@ def _cmd_e1(args):
         )
         for row in data["e1"]
     }
-    if args.format == "json":
-        return _dumps(data)
-    lines = [
+    text = [
         "field %d" % args.field,
         "degenerate %s" % ("yes" if page.verdict else "no"),
-    ]
-    for key, rendered in data["rendered"].items():
-        lines.append("%s  %s" % (key, rendered))
-    return "\n".join(lines) + "\n"
+    ] + _rendered_lines(data["rendered"])
+    return data, text, None
 
 
 def _cmd_d2(args):
     result = ht.d2(_load_chains(args), args.q)
     data = {"field": args.field, "input": args.input}
     data.update(result.to_json())
-    if args.format == "json":
-        return _dumps(data)
-    lines = [
+    text = [
         "field %d" % args.field,
         "d2 on row q=%d, total rank %d" % (args.q, result.rank()),
     ]
     for block in data["blocks"]:
-        deg = tuple(block["degree"])
-        lines.append("at %s:" % (deg,))
-        for row in block["matrix"]:
-            lines.append("  [%s]" % " ".join(str(c) for c in row))
-    lines.append(data["interpretation"])
-    return "\n".join(lines) + "\n"
+        text.append("at %s:" % (tuple(block["degree"]),))
+        text.extend("  [%s]" % " ".join(str(c) for c in row) for row in block["matrix"])
+    text.append(data["interpretation"])
+    return data, text, None
 
 
 def _cmd_recover(args):
     report = ht.recovered_homology(_load_chains(args))
     report["input"] = args.input
-    if args.format == "json":
-        return _dumps(report)
-    lines = [
+    text = [
         "field %d" % args.field,
         "betti %s" % (tuple(report["betti"]),),
         "direct %s" % (tuple(report["direct"]),),
@@ -268,7 +240,7 @@ def _cmd_recover(args):
         "T dims %s" % (report["t_dims"],),
         "Q dims %s" % (report["q_dims"],),
     ]
-    return "\n".join(lines) + "\n"
+    return report, text, None
 
 
 def _cmd_orbits(args):
@@ -284,8 +256,6 @@ def _cmd_orbits(args):
             "xi_%d" % j: fmt_multiset(gr.multiset_from_json(pairs))
             for j, pairs in row["xi"]
         }
-    if args.format == "json":
-        return _dumps(data)
     uppers = sorted(
         {j for row in data["orbits"] for j, _ in row["xi"] if j >= 2}
     )
@@ -307,22 +277,20 @@ def _cmd_orbits(args):
             + [y, row["label"] or ""]
         )
     header = ["orbit", "size"] + ["xi_%d" % j for j in uppers] + ["y", "label"]
-    if args.format == "csv":
-        return _csv(header, rows)
     widths = [max(len(r[k]) for r in rows + [header]) for k in range(len(header))]
-    out = [
+    text = [
         "field %d, %d families, %d orbits"
         % (args.field, data["family_count"], data["orbit_count"]),
         "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
     ]
     for r in rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+        text.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     for g in data["groups"]:
         key = " ".join(
             "xi_%d=%s" % (j, fmt_multiset(gr.multiset_from_json(pairs)))
             for j, pairs in g["xi_upper"]
         )
-        out.append(
+        text.append(
             "class %s: orbits %s, phi_bar %s"
             % (
                 key or "(no xi beyond xi_1)",
@@ -330,7 +298,7 @@ def _cmd_orbits(args):
                 "injective" if g["phi_bar_injective"] else "not injective",
             )
         )
-    return "\n".join(out) + "\n"
+    return data, text, (header, rows)
 
 
 def _cmd_validate(args):
@@ -345,14 +313,12 @@ def _cmd_validate(args):
         "bound": list(cx.natural_bound()),
         "one_at_a_time": ok,
     }
-    if args.format == "json":
-        return _dumps(data)
-    lines = [
+    text = [
         "ok: %d cells over %d parameters, bound %s"
         % (data["cells"], data["params"], tuple(data["bound"])),
         "one cell at a time: %s" % ("yes" if ok else "no (step %s)" % (violation,)),
     ]
-    return "\n".join(lines) + "\n"
+    return data, text, None
 
 
 # -- wiring --------------------------------------------------------------------
@@ -382,8 +348,15 @@ def _add_common(sub, q=False, widen=False):
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a malformed command line as bad input."""
+
+    def error(self, message):
+        raise ValidationError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torpers",
         description="Tor tables, hypertor and orbit reports for "
         "multifiltered complexes.",
@@ -420,7 +393,7 @@ def build_parser():
     s.add_argument("--field", type=int, default=2)
     s.add_argument("--format", choices=("json", "csv", "text"), default="json")
     s.add_argument(
-        "--limit", type=int, default=200000, help="enumeration budget"
+        "--limit", type=int, default=ob.FAMILY_LIMIT, help="enumeration budget"
     )
     s.set_defaults(func=_cmd_orbits)
 
@@ -435,21 +408,32 @@ def build_parser():
 _NO_CSV = frozenset(("e1", "d2", "recover", "validate"))
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process, built on first use (not at import)."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.format == "csv" and args.command in _NO_CSV:
             raise ValidationError(
                 "csv output is not available for %s" % args.command
             )
-        out = args.func(args)
+        data, text, table = args.func(args)
     except ValidationError as e:
         sys.stderr.write(_dumps({"error": "validation", "message": str(e)}))
         return 1
     except InternalCheckError as e:
         sys.stderr.write(_dumps({"error": "internal-check", "message": str(e)}))
         return 2
-    sys.stdout.write(out)
+    if args.format == "json":
+        sys.stdout.write(_dumps(data))
+    elif args.format == "csv":
+        sys.stdout.write(_csv(*table))
+    else:
+        sys.stdout.write("\n".join(text) + "\n")
     return 0
 
 

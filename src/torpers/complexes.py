@@ -162,10 +162,6 @@ class MultiFilteredComplex:
         degs = [d for c in self.cells.values() for d in c.degrees]
         return gr.critical_coords(degs, self.n)
 
-    def cell_count_at(self, v):
-        """Total number of cells present at degree v (all dimensions)."""
-        return len(gr.present([c.degrees for c in self.cells.values()], v))
-
     # -- serialization --
 
     def to_mfc(self):

@@ -465,16 +465,6 @@ class TComplex:
             q_mats.append(m[np.ix_(q_idx[ell - 1], q_idx[ell])])
         return q_labels, q_mats
 
-    def to_json(self):
-        return {
-            "dims": [self.dim(ell) for ell in range(len(self.labels))],
-            "boundary_ranks": [
-                la.rank(self.boundary(ell), self.p)
-                for ell in range(1, len(self.labels))
-            ],
-            "betti": list(self.betti()),
-        }
-
 
 def build_t_complex(data):
     """Assemble T_• from the Tor classes of all chain modules.

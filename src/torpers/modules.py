@@ -414,7 +414,10 @@ def single_step_check(cx):
     """
     coords = cx.critical_coords()
     bound = gr.coords_bound(coords)
-    counts = {v: cx.cell_count_at(gr.to_degree(coords, v)) for v in gr.grid(bound)}
+    # every entry coordinate is a critical value, so a cell born at u is
+    # present at to_degree(coords, v) exactly when to_index(coords, u) <= v
+    births = [[gr.to_index(coords, u) for u in c.degrees] for c in cx.cells.values()]
+    counts = {v: len(items) for v, items in gr.present_on_grid(births, bound).items()}
     found = []
     for v, j, w in gr.unit_steps(bound):
         if counts[w] - counts[v] > 1:

@@ -29,6 +29,8 @@ from torpers import modules as md
 from torpers import tor
 from torpers.complexes import Presentation, check_field
 
+FAMILY_LIMIT = 200000  # candidate families enumerated before a shape is refused
+
 
 def gaussian_binomial(a, d, q):
     """Number of d-dimensional subspaces of GF(q)^a."""
@@ -135,7 +137,7 @@ class RelationFamily:
         }
 
 
-def enumerate_families(xi0, xi1, q, limit=200000):
+def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
     """All relation families for (xi0, xi1) over GF(q), deduplicated.
 
     The candidate count is the product of Gaussian binomials over the
@@ -450,7 +452,7 @@ class OrbitReport:
 SPOT_CHECKS = 5  # other members per orbit whose xi table is recomputed
 
 
-def classify(xi0, xi1, q, limit=200000):
+def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     """Enumerate, partition into orbits, and attach separating invariants.
 
     Per orbit: the xi table of the representative's cokernel (spot-checked on

@@ -356,14 +356,6 @@ class TorTable:
         self.tables = {j: kt.multiset() for j, kt in koszul.items()}
         self.resolution = resolution
 
-    def to_json(self):
-        return {
-            "xi": [
-                [j, gr.multiset_to_json(self.tables.get(j, {}))]
-                for j in range(self.n + 1)
-            ]
-        }
-
 
 def xi(M, widen=0):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.

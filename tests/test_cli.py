@@ -492,6 +492,56 @@ def test_malformed_mfc_exits_one(capsys, tmp_path, command, text):
     assert_validation_exit(*run(capsys, command, "--input", str(path)))
 
 
+MALFORMED_ARGV = {
+    "field-not-an-int": ["xi", "--input", "f", "--field", "abc"],
+    "unknown-command": ["nosuch"],
+    "no-command": [],
+    "input-missing": ["xi"],
+    "unknown-format": ["hypertor", "--input", "f", "--format", "xml"],
+    "unrecognized-argument": ["validate", "--input", "f", "--bogus"],
+    "xi0-without-a-value": ["orbits", "--xi0"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV.keys())
+def test_malformed_command_line_exits_one(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert_validation_exit(rc, out, err)
+    assert json.loads(err)["message"].startswith("torpers")
+
+
+def test_malformed_command_line_names_the_argument(capsys):
+    rc, _, err = run(capsys, "xi", "--input", "f", "--field", "abc")
+    assert rc == 1
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": "torpers xi: argument --field: invalid int value: 'abc'",
+    }
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["xi", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: torpers" in capsys.readouterr().out
+
+
+def test_the_parser_is_built_once(capsys, fixture_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    argv = ("validate", "--input", str(fixture_path / "sphere.mfc"))
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv)[0] == 0
+    assert len(builds) <= 1
+
+
 def test_superscript_vertex_is_a_name(capsys, tmp_path):
     # '²' passes str.isdigit() but is no integer: it sorts as a name
     path = tmp_path / "sup.mfc"

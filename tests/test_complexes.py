@@ -126,12 +126,6 @@ def test_round_trip_is_byte_stable(fixture_path):
         assert parse_mfc(once).to_mfc() == once
 
 
-def test_cell_count_at():
-    cx = parse_mfc(CIRCLE)
-    assert cx.cell_count_at((0, 0)) == 3
-    assert cx.cell_count_at((2, 1)) == 6
-
-
 # presentations ---------------------------------------------------------------
 
 

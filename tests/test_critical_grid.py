@@ -142,7 +142,8 @@ def test_xi_equals_xi_of_the_densified_module(seed):
 def _dense_single_step(cx):
     """The walk over every unit step of [0, natural bound], for reference."""
     bound = cx.natural_bound()
-    counts = {v: cx.cell_count_at(v) for v in gr.grid(bound)}
+    births = [c.degrees for c in cx.cells.values()]
+    counts = {v: len(gr.present(births, v)) for v in gr.grid(bound)}
     for v, _, w in gr.unit_steps(bound):
         if counts[w] - counts[v] > 1:
             return False, {"from": v, "to": w, "before": counts[v], "after": counts[w]}

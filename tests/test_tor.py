@@ -170,13 +170,10 @@ def test_restricted_image_is_grassmann_point(p):
 
 def test_xi_table_json_shape(circle):
     H = circle_h0(circle, 2)
-    data = tor.xi(H).to_json()
-    assert data == {
-        "xi": [
-            [0, [[[0, 0], 3]]],
-            [1, [[[0, 1], 1], [[1, 0], 1], [[2, 0], 1]]],
-            [2, [[[2, 1], 1]]],
-        ]
+    assert tor.xi(H).tables == {
+        0: {(0, 0): 3},
+        1: {(0, 1): 1, (1, 0): 1, (2, 0): 1},
+        2: {(2, 1): 1},
     }
 
 
