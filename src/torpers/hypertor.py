@@ -586,7 +586,7 @@ def recovered_homology(data):
         "q_dims": [len(labs) for labs in q_labels],
         "q_classes": [[_label_json(lab) for lab in labs] for labs in q_labels],
         "h_q_zero": hq_zero,
-        "single_step": {"ok": ok, "violation": _violation_json(violation)},
+        "single_step": {"ok": ok, "violation": violation},
     }
 
 
@@ -602,13 +602,3 @@ def _label_json(lab):
         "degree": list(u),
     }
 
-
-def _violation_json(violation):
-    if violation is None:
-        return None
-    return {
-        "from": list(violation["from"]),
-        "to": list(violation["to"]),
-        "before": violation["before"],
-        "after": violation["after"],
-    }

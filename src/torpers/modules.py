@@ -5,13 +5,15 @@ spaces: a dimension for every index point v on [0, bound] and a matrix for
 every unit step v -> v+e_j, with all squares commuting (asserted at
 construction).  The grid is the critical grid of the items the module is
 built from (see grading): .coords gives the degree of each index point, and
-an index step crosses one critical value.  Index points past the bound are
-clamped: every constructor below only ever builds modules that have
-stabilized at their bound (all further steps are identity in the stored
-bases), so clamped reads agree with the true module and the grid stays
-finite.
+an index step crosses one critical value.  Every constructor below only
+ever builds modules that have stabilized at their bound (all further steps
+are identity in the stored bases), so the module is zero below the grid and
+repeats its top layer past the bound.  Its dimensions are one integer array
+over the index points [-1, bound + 1] of every axis, built that way once;
+a read anywhere is one clamped read of it, and the Koszul layouts of tor are
+shifted views of it.
 
-Coordinates: M_v is k^dims[v] with a fixed ordered basis; step matrices act
+Coordinates: M_v is k^dim(v) with a fixed ordered basis; step matrices act
 on column vectors.  Chain modules and free modules are sums of up-set
 modules: one builder gives both, with basis items (cells, generators)
 present where gr.present says, inclusions as steps and the present items at
@@ -41,41 +43,47 @@ class PersistenceModule:
     Parameters
     ----------
     n : ambient grading dimension
-    bound : top index point (index points are clamped beyond it)
+    bound : top index point (the module has stabilized there)
     dims : dict index point -> dimension, defined on the whole grid
     steps : dict (index point, axis) -> matrix M_v -> M_{v+e_axis}, for
         every in-grid step
     p : field characteristic
     coords : per axis, the degree of each index (default: the box [0, bound])
+
+    .dims is the integer array over [-1, bound + 1] of every axis: dims[v + 1]
+    is the dimension at v, zero below the grid and the top layer past it.
     """
 
     def __init__(self, n, bound, dims, steps, p, check=True, coords=None):
         self.n = int(n)
         self.bound = gr.as_degree(bound)
-        self.dims = dict(dims)
         self.steps = dict(steps)
         self.p = p
         self.coords = gr.dense_coords(self.bound) if coords is None else coords
         if gr.coords_bound(self.coords) != self.bound:
             raise ValueError("coords do not match the bound %s" % (self.bound,))
+        inner = [dims[v] for v in gr.grid(self.bound)]
+        self.dims = np.zeros(tuple(b + 3 for b in self.bound), dtype=np.int64)
+        self.dims[(slice(1, -1),) * self.n] = np.reshape(inner, np.add(self.bound, 1))
+        for a in range(self.n):  # past the bound on axis a: the layer at the bound
+            axes = (slice(None),) * a
+            self.dims[axes + (-1,)] = self.dims[axes + (-2,)]
+        self._upper = self.dims[(slice(1, None),) * self.n]  # [0, bound + 1]
         self.bases = None  # rows in ambient coords, set by quotient builders
         self.reduce_by = None  # RREF of the modded-out subspace per degree
-        self.koszul_layouts = {}  # (v, j) -> blocks, filled by tor.koszul_blocks
+        self.layouts = {}  # j -> the layout of K_j, filled by tor._layout
         if check:
             self._check()
 
     def _check(self):
-        for v in gr.grid(self.bound):
-            if v not in self.dims:
-                raise ValueError("missing dimension at %s" % (v,))
         for v, j, w in gr.unit_steps(self.bound):
             s = self.steps.get((v, j))
             if s is None:
                 raise ValueError("missing step at %s axis %d" % (v, j))
-            if s.shape != (self.dims[w], self.dims[v]):
+            if s.shape != (self.dim(w), self.dim(v)):
                 raise ValueError(
                     "step at %s axis %d has shape %s, expected %s"
-                    % (v, j, s.shape, (self.dims[w], self.dims[v]))
+                    % (v, j, s.shape, (self.dim(w), self.dim(v)))
                 )
         for v in gr.grid(self.bound):
             for i in range(self.n):
@@ -90,30 +98,25 @@ class PersistenceModule:
                             % (gr.to_degree(self.coords, v), i, j)
                         )
 
-    def _clamp(self, v):
-        return tuple(min(a, b) for a, b in zip(v, self.bound))
-
     def dim(self, v):
-        d = self.dims.get(v)
-        if d is not None:
-            return d
-        if any(x < 0 for x in v):
-            return 0
-        return self.dims[self._clamp(v)]
+        """Dimension at any index point: one read of .dims, clamped to the bound."""
+        try:
+            return self._upper.item(v) if min(v) >= 0 else 0
+        except IndexError:  # past bound + 1
+            return self._upper.item(tuple(map(min, v, self.bound)))
 
     def step(self, v, j):
         """Matrix of M_v -> M_{v+e_j}, clamped outside the grid."""
         s = self.steps.get((v, j))
         if s is not None:
             return s
-        if any(x < 0 for x in v):
+        if min(v) < 0:
             return la.zeros(self.dim(gr.step(v, j)), 0)
-        c = self._clamp(v)
-        if c[j] >= self.bound[j]:
+        if v[j] >= self.bound[j]:
             # stabilized along this axis: the step is the identity
             return la.eye(self.dim(v))
         # other axes may clamp; the step matrix is the stored one there
-        return self.steps[(c, j)]
+        return self.steps[(tuple(map(min, v, self.bound)), j)]
 
 
 class GradedModuleMap:
@@ -126,9 +129,6 @@ class GradedModuleMap:
         self.target = target
         self.p = source.p
         self.mats = dict(mats)
-        self._check()
-
-    def _check(self):
         for v in gr.grid(self.source.bound):
             m = self.mats.get(v)
             if m is None or m.shape != (self.target.dim(v), self.source.dim(v)):
@@ -143,12 +143,10 @@ class GradedModuleMap:
                 )
 
     def at(self, v):
-        m = self.mats.get(v)
-        if m is not None:
-            return m
-        if any(x < 0 for x in v):
+        """The matrix at v on [0, bound]; zero below the grid."""
+        if min(v) < 0:
             return la.zeros(self.target.dim(v), self.source.dim(v))
-        return self.mats[self.target._clamp(v)]
+        return self.mats[v]
 
 
 def rebound(module, new_bound):
@@ -200,17 +198,6 @@ def _inclusion_module(n, coords, births, p):
     return mod
 
 
-def chains_module(cx, i, p):
-    """The module of i-chains on the complex's critical grid: basis = i-cells
-    present at v, ordered by id.
-
-    .gen_index[v] lists the positions of those cells in cx.cells_of_dim(i).
-    """
-    check_field(p)
-    cells = cx.cells_of_dim(i)
-    return _inclusion_module(cx.n, cx.critical_coords(), [c.degrees for c in cells], p)
-
-
 def _boundary_matrix(cx, src_ids, tgt_ids, p):
     """Matrix of the cellular boundary from the cells src_ids to the cells tgt_ids."""
     pos = {cid: k for k, cid in enumerate(tgt_ids)}
@@ -247,9 +234,12 @@ class ChainData:
         self._boundaries = {}
 
     def module(self, i):
-        """C_i on the common grid (the zero module outside 0..top)."""
+        """C_i on the common grid (the zero module outside 0..top): its basis at
+        v is the i-cells present there, listed by .gen_index[v] as positions
+        in cx.cells_of_dim(i)."""
         if i not in self._chains:
-            self._chains[i] = chains_module(self.cx, i, self.p)
+            births = [c.degrees for c in self.cx.cells_of_dim(i)]
+            self._chains[i] = _inclusion_module(self.n, self.coords, births, self.p)
         return self._chains[i]
 
     def matrix(self, i):

@@ -33,47 +33,67 @@ from torpers import grading as gr
 from torpers import modules as md
 
 
-def koszul_blocks(M, v, j):
-    """Ordered blocks of K_j(v): tuple of (S, dim, offset), S ascending tuples.
+class _Layout:
+    """The layout of K_j at every point v of the scan box [0, M.bound + (1,..,1)].
 
-    Computed once per (module, v, j) and kept on the module.
+    subsets lists the j-subsets S of the axes (ascending tuples, combinations
+    order) and index maps each to its position.  sizes[v][s], the dimension
+    of the block M_{v-e_S} of subsets[s], is a view of M.dims shifted down
+    by one along the axes of S; offsets[v][s] is where that block starts in
+    K_j(v) and totals[v] the dimension of K_j(v).
     """
-    blocks = M.koszul_layouts.get((v, j))
-    if blocks is None:
-        blocks, offset = [], 0
-        for S in itertools.combinations(range(M.n), j):
-            d = M.dim(gr.minus_e(v, S))
-            blocks.append((S, d, offset))
-            offset += d
-        blocks = M.koszul_layouts[(v, j)] = tuple(blocks)
-    return blocks
+
+    def __init__(self, M, j):
+        self.subsets = list(itertools.combinations(range(M.n), j))
+        self.index = {S: s for s, S in enumerate(self.subsets)}
+        box = tuple(b + 2 for b in M.bound)
+        self.sizes = np.empty(box + (len(self.subsets),), dtype=np.int64)
+        for s, S in enumerate(self.subsets):
+            shift = [slice(0, -1) if a in S else slice(1, None) for a in range(M.n)]
+            self.sizes[..., s] = M.dims[tuple(shift)]
+        self.offsets = np.cumsum(self.sizes, axis=-1) - self.sizes
+        self.totals = self.sizes.sum(axis=-1)
+
+
+def _layout(M, j):
+    """The layout of K_j for M, built once per (module, j) and kept on M."""
+    if j not in M.layouts:
+        M.layouts[j] = _Layout(M, j)
+    return M.layouts[j]
+
+
+def koszul_blocks(M, v, j):
+    """Ordered blocks of K_j(v): list of (S, dim, offset), read from _layout."""
+    layout = _layout(M, j)
+    sizes, offsets = layout.sizes[v].tolist(), layout.offsets[v].tolist()
+    return list(zip(layout.subsets, sizes, offsets))
 
 
 def koszul_dim(M, v, j):
-    return sum(d for _, d, _ in koszul_blocks(M, v, j))
+    return _layout(M, j).totals.item(v)
 
 
 def koszul_delta(M, v, j):
     """The differential K_j(v) -> K_{j-1}(v).
 
     On the summand for S, the axis t in S (position i among S ascending)
-    contributes (-1)^i times the step map M_{v-e_S} -> M_{v-e_(S-t)}.
+    contributes (-1)^i times the step map M_{v-e_S} -> M_{v-e_(S-t)}.  Only
+    the nonzero blocks of K_j(v) are visited.
     """
     p = M.p
-    src = koszul_blocks(M, v, j)
-    tgt = koszul_blocks(M, v, j - 1)
-    tgt_off = {S: off for S, _, off in tgt}
-    m = la.zeros(sum(d for _, d, _ in tgt), sum(d for _, d, _ in src))
-    for S, d, off in src:
-        if d == 0:
-            continue
-        u = gr.minus_e(v, S)
+    src, tgt = _layout(M, j), _layout(M, j - 1)
+    sizes = src.sizes[v]
+    nonzero = sizes.nonzero()[0].tolist()  # np.flatnonzero of the 1-d row
+    sizes, offsets = sizes.tolist(), src.offsets[v].tolist()
+    tgt_off = tgt.offsets[v].tolist()
+    m = la.zeros(tgt.totals.item(v), src.totals.item(v))
+    for s in nonzero:
+        S = src.subsets[s]
+        u, cols = gr.minus_e(v, S), slice(offsets[s], offsets[s] + sizes[s])
         for i, t in enumerate(S):
-            S2 = tuple(a for a in S if a != t)
             block = M.step(u, t)
-            sign = 1 if i % 2 == 0 else p - 1
-            r0 = tgt_off[S2]
-            m[r0 : r0 + block.shape[0], off : off + d] = (sign * block) % p
+            r0 = tgt_off[tgt.index[S[:i] + S[i + 1 :]]]
+            m[r0 : r0 + block.shape[0], cols] = (-block if i % 2 else block) % p
     return m
 
 
@@ -83,8 +103,6 @@ def koszul_boundaries(M, v, q):
     At q = 0 this is the sum of the images of all unit steps into M_v, the
     space that the Tor_0 projection divides out.
     """
-    if q >= M.n:
-        return la.zeros(0, koszul_dim(M, v, q))
     return la.row_space(koszul_delta(M, v, q + 1).T, M.p)
 
 

@@ -125,7 +125,7 @@ def _general_properties(seed):
     n = cx.n
     # (a) chains modules are free enough: top Tor always vanishes
     for i in range(top + 1):
-        C = md.chains_module(cx, i, p)
+        C = md.ChainData(cx, p).module(i)
         assert tor.koszul_tor(C, n).multiset() == {}, (seed, i)
     # (b) hypertor vanishes at and beyond n + dim X
     tables = ht.hypertor_dims(md.ChainData(cx, p))

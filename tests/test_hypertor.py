@@ -208,7 +208,7 @@ def test_recovery_sphere(sphere, p):
     assert rep["q_classes"][3][0]["degree"] == [3, 2]
     assert rep["h_q_zero"] is True
     assert rep["single_step"]["ok"] is False
-    assert rep["single_step"]["violation"]["to"] == [2, 1]
+    assert rep["single_step"]["violation"]["to"] == (2, 1)
 
 
 def test_recovery_one_at_a_time(oneatatime, p):

@@ -135,7 +135,7 @@ def test_chains_never_die(circle, fixture_path_mod, p):
     sphere = load_mfc(fixture_path_mod / "sphere.mfc")
     for cx in (circle, sphere):
         for i in range(cx.max_dim() + 1):
-            C = md.chains_module(cx, i, p)
+            C = md.ChainData(cx, p).module(i)
             assert tor.koszul_tor(C, cx.n).multiset() == {}
 
 
