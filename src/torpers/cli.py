@@ -143,8 +143,9 @@ def _load_module(args):
 # -- subcommands ---------------------------------------------------------------
 #
 # Each _cmd_* returns its report as (data, text lines, csv table): data is the
-# JSON object, the csv table is (header, rows), or None for a report that is
-# not a flat table.  main picks the format and writes it.
+# JSON object, the text lines any iterable (a generator when a line costs work
+# that only the text format needs), the csv table is (header, rows), or None
+# for a report that is not a flat table.  main picks the format and writes it.
 
 
 def _rendered_lines(rendered):
@@ -218,15 +219,17 @@ def _cmd_d2(args):
     result = ht.d2(_load_chains(args), args.q)
     data = {"field": args.field, "input": args.input}
     data.update(result.to_json())
-    text = [
-        "field %d" % args.field,
-        "d2 on row q=%d, total rank %d" % (args.q, result.rank()),
-    ]
-    for block in data["blocks"]:
-        text.append("at %s:" % (tuple(block["degree"]),))
-        text.extend("  [%s]" % " ".join(str(c) for c in row) for row in block["matrix"])
-    text.append(data["interpretation"])
-    return data, text, None
+
+    def text():  # lazy: the rank is computed only when the text is written
+        yield "field %d" % args.field
+        yield "d2 on row q=%d, total rank %d" % (args.q, result.rank())
+        for block in data["blocks"]:
+            yield "at %s:" % (tuple(block["degree"]),)
+            for row in block["matrix"]:
+                yield "  [%s]" % " ".join(str(c) for c in row)
+        yield data["interpretation"]
+
+    return data, text(), None
 
 
 def _cmd_recover(args):

@@ -63,14 +63,13 @@ def check_field(p):
 class Cell:
     """One cell: id, dimension, integer boundary, entry-degree antichain."""
 
-    __slots__ = ("id", "dim", "boundary", "degrees", "vertices")
+    __slots__ = ("id", "dim", "boundary", "degrees")
 
-    def __init__(self, cid, dim, boundary, degrees, vertices=None):
+    def __init__(self, cid, dim, boundary, degrees):
         self.id = cid
         self.dim = dim
         self.boundary = tuple(boundary)
         self.degrees = tuple(sorted(gr.as_degree(d) for d in degrees))
-        self.vertices = tuple(vertices) if vertices is not None else None
 
 
 class MultiFilteredComplex:
@@ -161,21 +160,6 @@ class MultiFilteredComplex:
         """The critical grid of the entry degrees (gr.critical_coords)."""
         degs = [d for c in self.cells.values() for d in c.degrees]
         return gr.critical_coords(degs, self.n)
-
-    # -- serialization --
-
-    def to_mfc(self):
-        lines = ["n %d" % self.n]
-        for c in sorted(self.cells.values(), key=lambda c: (c.dim, c.id)):
-            degs = " ".join("(%s)" % ",".join(str(x) for x in d) for d in c.degrees)
-            if c.vertices is not None:
-                verts = " ".join(c.vertices) if c.dim > 0 else ""
-                head = ("simplex %s %s" % (c.id, verts)).rstrip()
-                lines.append("%s @ %s" % (head, degs))
-            else:
-                bnd = ",".join("%s:%d" % (fid, coeff) for fid, coeff in c.boundary)
-                lines.append("cell %s %d [%s] @ %s" % (c.id, c.dim, bnd, degs))
-        return "\n".join(lines) + "\n"
 
 
 def _parse_degree_list(text, lineno):
@@ -311,7 +295,7 @@ def parse_mfc(text):
                     % (lineno, cid, facet)
                 )
             boundary.append((fid, (-1) ** i))
-        cells.append(Cell(cid, dim, boundary, degrees, vertices=verts))
+        cells.append(Cell(cid, dim, boundary, degrees))
     for lineno, cid, dim, boundary, degrees in cell_lines:
         cells.append(Cell(cid, dim, boundary, degrees))
 

@@ -451,19 +451,18 @@ class TComplex:
         return tuple(out)
 
     def quotient_by_embedding(self):
-        """Q = T / (canonical copies): labels and induced boundaries per ell."""
+        """Q = T / (canonical copies), as a TComplex: the other labels and the
+        boundaries induced on them."""
         q_idx = [
             [k for k, lab in enumerate(labs) if lab not in self.canonical]
             for labs in self.labels
         ]
-        q_labels = [
-            [labs[k] for k in idx] for labs, idx in zip(self.labels, q_idx)
-        ]
-        q_mats = []
-        for ell in range(1, len(self.labels)):
-            m = self.d[ell]
-            q_mats.append(m[np.ix_(q_idx[ell - 1], q_idx[ell])])
-        return q_labels, q_mats
+        labels = [[labs[k] for k in idx] for labs, idx in zip(self.labels, q_idx)]
+        d = {
+            ell: self.d[ell][np.ix_(q_idx[ell - 1], q_idx[ell])]
+            for ell in range(1, len(self.labels))
+        }
+        return TComplex(labels, d, set(), self.p)
 
 
 def build_t_complex(data):
@@ -568,14 +567,7 @@ def recovered_homology(data):
     betti_padded = tuple(betti) + (0,) * (width - len(betti))
     direct_padded = tuple(direct) + (0,) * (width - len(direct))
 
-    q_labels, q_mats = t.quotient_by_embedding()
-    hq_zero = True
-    for ell in range(len(q_labels)):
-        dim = len(q_labels[ell])
-        r_out = la.rank(q_mats[ell - 1], p) if ell >= 1 else 0
-        r_in = la.rank(q_mats[ell], p) if ell < len(q_mats) else 0
-        if dim - r_in - r_out != 0:
-            hq_zero = False
+    q = t.quotient_by_embedding()
     ok, violation = md.single_step_check(cx)
     return {
         "field": p,
@@ -583,9 +575,9 @@ def recovered_homology(data):
         "direct": list(direct_padded),
         "match": betti_padded == direct_padded,
         "t_dims": [t.dim(ell) for ell in range(len(t.labels))],
-        "q_dims": [len(labs) for labs in q_labels],
-        "q_classes": [[_label_json(lab) for lab in labs] for labs in q_labels],
-        "h_q_zero": hq_zero,
+        "q_dims": [len(labs) for labs in q.labels],
+        "q_classes": [[_label_json(lab) for lab in labs] for labs in q.labels],
+        "h_q_zero": not any(q.betti()),
         "single_step": {"ok": ok, "violation": violation},
     }
 

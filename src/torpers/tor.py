@@ -4,11 +4,12 @@ Route one is homological: tensor the Koszul complex on x_1..x_n with M and
 take homology per degree.  The block at v for the subset S of axes is
 M_{v-e_S}, and the differential drops one axis at a time with alternating
 signs.  Route two is constructive: build a minimal free resolution level
-by level, taking RREF-canonical generators of each kernel straight from its
-rows in the coordinates of F_j (module_generators, the one generator routine
-for M and for every kernel).  Tor_j appears in route one as Koszul homology
-and in route two as the generator degrees of F_j; xi() runs both and insists
-on exact agreement.
+by level, each level its generator degrees and one scalar matrix, taking
+RREF-canonical generators of each kernel straight from its rows over all
+generators of F_j (module_generators, the one generator routine for M and
+for every kernel).  Tor_j appears in route one as Koszul homology and in
+route two as the generator degrees of F_j; xi() runs both and insists on
+exact agreement.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -169,20 +170,19 @@ def koszul_tor(M, j):
 
 
 def module_generators(M, sub=None):
-    """Minimal generators of M, or of a submodule given by its rows in M.
+    """Minimal generators of M, or of a submodule of a free module on M's grid.
 
-    sub[v] is an RREF row basis without zero rows, in M's local coordinates
-    at v, of a submodule closed under the steps (default: all of M, whose
-    basis at v is the identity).  At each index point v the rows of sub at
-    v - e_a are pushed one step along every axis a, their span is reduced to
-    its RREF basis once, and the generators born at v are an RREF complement
-    of it inside sub[v] (la.complement_basis).  For M itself the pushed rows
-    span koszul_boundaries(M, v, 0), so this realizes M / (sum of the images
-    of all steps).  Returns a list of (index point, row vector in M's local
-    coordinates there), in grid order; a pushed row outside sub[v] raises
-    InternalCheckError.
+    sub[v] is an RREF row basis without zero rows, over all generators of the
+    free module (zero off those present at v), of a submodule closed under
+    the steps; the steps are identities in these coordinates, so sub[v - e_a]
+    is pushed into v as it is.  Without sub it is all of M: the identity at
+    v, pushed through M's steps.  At each index point v the pushed rows are
+    reduced to their RREF basis once, and the generators born at v are an
+    RREF complement of it inside sub[v] (la.complement_basis).  For M itself
+    the pushed rows span koszul_boundaries(M, v, 0), so this realizes M /
+    (sum of the images of all steps).  Returns (index point, row vector)
+    pairs in grid order; a pushed row outside sub[v] raises InternalCheckError.
     """
-    p = M.p
     gens = []
     for v in gr.grid(M.bound):
         rows = la.eye(M.dim(v)) if sub is None else sub[v]
@@ -190,13 +190,12 @@ def module_generators(M, sub=None):
         for a in range(M.n):
             if v[a]:
                 u = gr.minus_e(v, (a,))
-                step = M.step(u, a).T
-                pushed.append(step if sub is None else la.matmul(sub[u], step, p))
-        pushed = la.row_space(la.stack_rows(pushed, M.dim(v)), p)
+                pushed.append(M.step(u, a).T if sub is None else sub[u])
+        pushed = la.row_space(la.stack_rows(pushed, rows.shape[1]), M.p)
         if not (rows.shape[0] or pushed.shape[0]):
             continue
         try:
-            comp = la.complement_basis(pushed, rows, p)
+            comp = la.complement_basis(pushed, rows, M.p)
         except ValueError:
             raise InternalCheckError(
                 "submodule is not closed under the steps into degree %s"
@@ -207,32 +206,31 @@ def module_generators(M, sub=None):
 
 
 class MinimalResolution:
-    """A chain of free modules F_L -> ... -> F_0 -> M, minimal and exact.
+    """A chain of free modules F_L -> ... -> F_0 -> M, minimal and exact, kept
+    as generator degrees and scalar matrices: no module is built.
 
-    gen_degrees[j] lists the generator index points of F_j on M's grid in
-    grid order; xi(j) gives them at their degrees.  d[j] (for j >= 1) is the
-    global scalar matrix of F_j -> F_{j-1}: the entry from column generator
-    l (at u_l) to row generator k (at u_k) is a scalar standing for
-    scalar * x^(u_l - u_k); it can be nonzero only when u_k <= u_l
-    (homogeneity) and never when u_k = u_l (minimality).  augmentation
-    lists, per F_0 generator, its image vector in M's local coordinates at
-    the generator's index point.  free[j] is the free module F_j on M's
-    critical grid, M.coords (its .gen_index[v] lists the generators present
-    at v, and its own Tor sits at M's degrees) and
-    maps[j] the natural graded map d_j out of it: the augmentation F_0 -> M
-    for j = 0, d[j] restricted to the present generators for j >= 1.
-    kernels[j][v] is the RREF kernel basis of maps[j].at(v), found while
-    resolving; level j + 1 is generated from it, and the last level's is empty.
+    gen_degrees[j] lists the generator index points of F_j on M's critical
+    grid in grid order (xi(j) gives their degrees); present[j][v] lists those
+    present at v, the basis of F_j there.  d[j] (j >= 1) is the scalar matrix
+    of F_j -> F_{j-1}: its entry from generator l (at u_l) to generator k (at
+    u_k) stands for scalar * x^(u_l - u_k), so it can be nonzero only when
+    u_k <= u_l (homogeneity, for free modules the same as naturality) and
+    never when u_k = u_l (minimality).  augmentation holds each F_0
+    generator's image in M at its index point and eps[v] the augmentation
+    F_0 -> M at v; at(j, v) reads d_j at v.  kernels[j][v] is the RREF kernel
+    basis of at(j, v) over all generators of F_j (zero off those present),
+    found while resolving; level j + 1 is generated from it, and the last
+    level's is empty.
     """
 
-    def __init__(self, module, gen_degrees, d, augmentation, free, maps, kernels):
+    def __init__(self, module, gen_degrees, augmentation):
         self.module = module
         self.gen_degrees = gen_degrees
-        self.d = d
+        self.d = {}
         self.augmentation = augmentation
-        self.free = free
-        self.maps = maps
-        self.kernels = kernels
+        self.eps = None  # set by minimal_resolution
+        self.present = []
+        self.kernels = []
         self.p = module.p
 
     @property
@@ -247,19 +245,19 @@ class MinimalResolution:
             gr.to_degree(self.module.coords, u) for u in self.gen_degrees[j]
         )
 
-    def restricted_image(self, j, v):
-        """Image of the F_j generators born exactly at index point v, inside
-        F_{j-1} at v.
+    def at(self, j, v):
+        """The matrix of d_j at index point v, in the bases present there."""
+        if j == 0:
+            return self.eps[v]
+        return self.d[j][np.ix_(self.present[j - 1][v], self.present[j][v])]
 
-        Returned as canonical RREF rows in the local coordinates of F_{j-1}
-        at v; the Grassmannian point attached to (v) in xi_j.
-        """
-        cols = [
-            c
-            for c, k in enumerate(self.free[j].gen_index[v])
-            if self.gen_degrees[j][k] == v
-        ]
-        return la.row_space(self.maps[j].at(v)[:, cols].T, self.p)
+    def restricted_image(self, j, v):
+        """Image of the F_j generators born exactly at index point v, as RREF
+        rows in the basis of F_{j-1} at v: the Grassmannian point attached to
+        (v) in xi_j."""
+        gens = self.gen_degrees[j]
+        cols = [c for c, k in enumerate(self.present[j][v]) if gens[k] == v]
+        return la.row_space(self.at(j, v)[:, cols].T, self.p)
 
     def check(self):
         """Verify the resolution as built, against the kernels found while
@@ -279,14 +277,15 @@ class MinimalResolution:
                         "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
                     )
         for v in gr.grid(self.module.bound):
-            if self.free[0].dim(v) - self.kernels[0][v].shape[0] != self.module.dim(v):
+            rank = len(self.present[0][v]) - self.kernels[0][v].shape[0]
+            if rank != self.module.dim(v):
                 raise InternalCheckError(
                     "augmentation not surjective at %s"
                     % (gr.to_degree(self.module.coords, v),)
                 )
             for j in range(1, len(self.gen_degrees)):
-                want = self.kernels[j - 1][v]
-                have = la.row_space(self.maps[j].at(v).T, p)
+                want = self.kernels[j - 1][v][:, self.present[j - 1][v]]
+                have = la.row_space(self.at(j, v).T, p)
                 if want.shape != have.shape or (want != have).any():
                     raise InternalCheckError(
                         "resolution not exact at F_%d, degree %s"
@@ -300,64 +299,64 @@ class MinimalResolution:
         return True
 
 
+def _augmentation(M, gens, present):
+    """The augmentation F_0 -> M at every index point, asserted natural: at v
+    the columns at each v - e_a are pushed one step along a, must agree with
+    those an earlier axis wrote, and the generators born at v are placed."""
+    eps = {}
+    for v in gr.grid(M.bound):
+        idx = present[v]
+        eps[v] = la.zeros(M.dim(v), len(idx))
+        written = np.zeros(len(idx), dtype=bool)
+        for a in range(M.n):
+            u = gr.minus_e(v, (a,))
+            if v[a] and present[u]:
+                cols = gr.placement(present[u], idx)
+                pushed = la.matmul(M.step(u, a), eps[u], M.p)
+                if ((eps[v][:, cols] != pushed) & written[cols]).any():
+                    raise InternalCheckError(
+                        "augmentation is not natural at %s along axis %d"
+                        % (gr.to_degree(M.coords, u), a)
+                    )
+                eps[v][:, cols] = pushed
+                written[cols] = True
+        for c, k in enumerate(idx):
+            if gens[k][0] == v:
+                eps[v][:, c] = gens[k][1]
+    return eps
+
+
 def minimal_resolution(M):
     """Build the minimal free resolution of M by iterated kernel generation.
 
-    Level j builds F_j on M's critical grid, the natural map d_j out of it (into
-    M for j = 0, into F_{j-1} for j >= 1) and minimal generators of its
-    kernel, the columns of d[j+1]: module_generators(F_j, kernel rows) gives
-    them in F_j's coordinates, so no module is built for the kernel.  The
-    augmentation d_0 at v pushes its columns at v - e_a one step along every
-    axis a and places the generators born at v."""
-    bound = M.bound
-    p = M.p
+    Level j is its generator degrees, their presence on M's grid (one
+    gr.present_on_grid sweep) and the matrix of d_j.  The kernel of d_j at
+    each index point, over all generators of F_j, is the sub given to
+    module_generators, whose rows are the columns of d[j+1] as they are."""
     gens = module_generators(M)
-    gen_degrees = [[u for u, _ in gens]]
-    augmentation = [vec for _, vec in gens]
-    d, free, maps, kernels = {}, [], [], []
+    res = MinimalResolution(M, [[u for u, _ in gens]], [g for _, g in gens])
     for j in itertools.count():
-        F = md.free_module(
-            gr.multiset_from_list(
-                gr.to_degree(M.coords, u) for u in gen_degrees[j]
-            ),
-            p,
-            n=M.n,
-            coords=M.coords,
-        )
-        mats = {}
-        for v in gr.grid(bound):
-            idx = F.gen_index[v]
-            if j > 0:
-                mats[v] = d[j][free[j - 1].gen_index[v]][:, idx]
-                continue
-            mats[v] = la.zeros(M.dim(v), len(idx))
-            for a in range(M.n):
-                u = gr.minus_e(v, (a,))
-                if v[a] and F.gen_index[u]:
-                    pushed = la.matmul(M.step(u, a), mats[u], p)
-                    mats[v][:, gr.placement(F.gen_index[u], idx)] = pushed
-            for c, k in enumerate(idx):
-                if gens[k][0] == v:
-                    mats[v][:, c] = gens[k][1]
-        dj = md.GradedModuleMap(F, M if j == 0 else free[j - 1], mats)
-        free.append(F)
-        maps.append(dj)
-        kernels.append({v: la.kernel_basis(dj.at(v), p) for v in gr.grid(bound)})
-        if all(rows.shape[0] == 0 for rows in kernels[j].values()):
+        present = gr.present_on_grid([(u,) for u in res.gen_degrees[j]], M.bound)
+        res.present.append(present)
+        if j == 0:
+            res.eps = _augmentation(M, gens, present)
+        width = len(res.gen_degrees[j])
+        kernels = {}
+        for v in gr.grid(M.bound):
+            local = la.kernel_basis(res.at(j, v), M.p)
+            kernels[v] = la.zeros(local.shape[0], width)
+            kernels[v][:, present[v]] = local
+        res.kernels.append(kernels)
+        if all(rows.shape[0] == 0 for rows in kernels.values()):
             break
         if j == M.n:
             raise InternalCheckError(
                 "resolution exceeds length %d; this contradicts the syzygy "
                 "theorem and signals a bug" % M.n
             )
-        syzygies = module_generators(F, kernels[j])
-        # syzygy columns, written in F_j's generator coordinates
-        d[j + 1] = la.zeros(len(gen_degrees[j]), len(syzygies))
-        for l, (u, row) in enumerate(syzygies):
-            d[j + 1][F.gen_index[u], l] = row
-        gen_degrees.append([u for u, _ in syzygies])
-
-    res = MinimalResolution(M, gen_degrees, d, augmentation, free, maps, kernels)
+        syzygies = module_generators(M, kernels)
+        res.d[j + 1] = la.stack_rows([row for _, row in syzygies], width).T
+        res.gen_degrees.append([u for u, _ in syzygies])
     res.check()
     return res
 

@@ -164,10 +164,7 @@ def remap_degree(maps, degree):
 def remap_complex(cx, maps):
     """The same complex with every entry degree moved through the axis maps."""
     cells = [
-        cxm.Cell(
-            c.id, c.dim, c.boundary, [remap_degree(maps, d) for d in c.degrees],
-            c.vertices,
-        )
+        cxm.Cell(c.id, c.dim, c.boundary, [remap_degree(maps, d) for d in c.degrees])
         for c in cx.cells.values()
     ]
     return cxm.MultiFilteredComplex(cx.n, cells)

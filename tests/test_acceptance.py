@@ -145,7 +145,7 @@ def _general_properties(seed):
         res = table.resolution
         for v in gr.grid(H.bound):
             euler = sum(
-                (-1) ** j * len(res.free[j].gen_index[v])
+                (-1) ** j * len(res.present[j][v])
                 for j in range(len(res.gen_degrees))
             )
             assert euler == H.dim(v), (seed, q, v)

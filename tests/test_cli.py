@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import torpers.hypertor
 import torpers.tor
 from torpers import InternalCheckError
 from torpers import cli
@@ -145,6 +146,21 @@ def test_d2_circle_entry_is_minus_one(capsys, fixture_path, p):
     assert data["target"] == [[[2, 1], 1]]
     assert "kernel" in data["interpretation"]
     assert "image" in data["interpretation"]
+
+
+def test_d2_ranks_only_for_the_text_format(capsys, fixture_path, monkeypatch):
+    argv = ["d2", "--input", str(fixture_path / "circle_fig.mfc"), "--q", "0"]
+    rc, want, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0
+
+    def refuse(self):
+        raise AssertionError("d2 rank computed for a format that does not print it")
+
+    with monkeypatch.context() as m:
+        m.setattr(torpers.hypertor.D2Result, "rank", refuse)
+        assert run(capsys, *argv, "--format", "json") == (0, want, "")
+    rc, out, _ = run(capsys, *argv, "--format", "text")
+    assert rc == 0 and "total rank 1" in out
 
 
 def test_recover_text_reports_match(capsys, fixture_path):

@@ -119,13 +119,6 @@ def test_non_prime_field_rejected():
         cx.check_boundary(4)
 
 
-def test_round_trip_is_byte_stable(fixture_path):
-    for name in ("circle_fig.mfc", "circle_oneatatime.mfc", "sphere.mfc"):
-        text = (fixture_path / name).read_text()
-        once = parse_mfc(text).to_mfc()
-        assert parse_mfc(once).to_mfc() == once
-
-
 # presentations ---------------------------------------------------------------
 
 

@@ -65,8 +65,8 @@ def test_resolution_circle_h0(circle, p):
     assert sorted(res.gen_degrees[1]) == [(0, 1), (1, 0), (2, 0)]
     assert res.gen_degrees[2] == [(2, 1)]
     # ranks of the evaluated differentials at the top corner
-    assert la.rank(res.maps[1].at((2, 1)), p) == 2
-    assert la.rank(res.maps[2].at((2, 1)), p) == 1
+    assert la.rank(res.at(1, (2, 1)), p) == 2
+    assert la.rank(res.at(2, (2, 1)), p) == 1
 
 
 def test_resolution_of_free_module_has_length_zero(p):
@@ -194,8 +194,9 @@ def test_resolution_free_modules_live_on_the_module_grid(fixture_path):
     H = md.homology_module(md.ChainData(cx, 5), 0)
     res = tor.minimal_resolution(H)
     assert res.xi(1) == {(0, 2): 1, (3, 1): 1, (4, 1): 1}
-    for j, F in enumerate(res.free):
-        assert F.coords == H.coords
+    for j in range(res.length + 1):
+        F = md.free_module(res.xi(j), 5, n=H.n, coords=H.coords)
+        assert F.gen_index == res.present[j], j
         assert tor.xi(F).tables[0] == res.xi(j), j
 
 
@@ -238,44 +239,60 @@ def test_generators_match_tor0_projection_on_census_cokernels():
 
 @pytest.mark.parametrize("top_rows", [[[0, 1]], []], ids=["line", "zero"])
 def test_generators_refuse_a_sub_that_is_not_closed(top_rows):
-    # generators at degrees 3 and 5 (index points 1 and 2); the sub keeps
-    # the first at index 1 but drops it at index 2, where its step lands
+    # generators at degrees 3 and 5 (index points 1 and 2), rows over both;
+    # the sub keeps the first at index 1 but drops it at index 2, where its
+    # step lands
     F = md.free_module({(3,): 1, (5,): 1}, 3)
     sub = {
-        (0,): la.zeros(0, 0),
-        (1,): la.eye(1),
+        (0,): la.zeros(0, 2),
+        (1,): np.array([[1, 0]], dtype=np.int64),
         (2,): np.array(top_rows, dtype=np.int64).reshape(-1, 2),
     }
     with pytest.raises(InternalCheckError, match=r"degree \(5,\)"):
         tor.module_generators(F, sub)
 
 
-def test_resolution_builds_no_module_but_its_free_modules(circle, monkeypatch):
+def test_resolution_builds_no_module(circle, monkeypatch):
     H = circle_h0(circle, 3)
     built = []
-    init = md.PersistenceModule.__init__
+    for cls in (md.PersistenceModule, md.GradedModuleMap):
+        init = cls.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
+        def counting_init(self, *args, _init=init, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
 
-    monkeypatch.setattr(md.PersistenceModule, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     res = tor.minimal_resolution(H)
     assert res.length == 2
-    assert len(built) == len(res.free)
-    assert all(a is b for a, b in zip(built, res.free))
+    assert built == []
+    assert not hasattr(res, "free") and not hasattr(res, "maps")
+
+
+def test_augmentation_naturality_is_checked():
+    # every dim 1 on the 2 x 2 grid; the step (1,0) -> (1,1) multiplies by 2
+    # and every other step is the identity, so the square fails to commute
+    steps = {(v, a): la.eye(1) for v, a, _ in gr.unit_steps((1, 1))}
+    steps[(1, 0), 1] = np.array([[2]], dtype=np.int64)
+    dims = {v: 1 for v in gr.grid((1, 1))}
+    M = md.PersistenceModule(2, (1, 1), dims, steps, 5, check=False)
+    with pytest.raises(
+        InternalCheckError, match=re.escape("not natural at (1, 0) along axis 1")
+    ):
+        tor.minimal_resolution(M)
 
 
 # -- the resolution against the level-by-level builder it replaced ------------
 
 
 def _reference_resolution(M, bound=None):
-    """(gen_degrees, d, augmentation, eps_0) by the earlier builder.
+    """(gen_degrees, d, augmentation, level_maps) by the earlier builder.
 
     Each level maps a free module onto the previous syzygy module (M for the
     first) through staircase maps phi, instead of slicing the global matrix
-    of the level below.  eps_0 holds the matrices of the first such map, the
-    augmentation F_0 -> M, per grid degree.
+    of the level below.  level_maps[j][v] is that map at grid degree v: the
+    augmentation F_0 -> M for j = 0, and for j >= 1 the map onto the syzygy
+    module read in the basis of F_{j-1} there (through the syzygy basis).
     """
     bound = M.bound if bound is None else gr.as_degree(bound)
     if bound != M.bound:
@@ -285,8 +302,9 @@ def _reference_resolution(M, bound=None):
     gens = tor.module_generators(M)
     gen_degrees.append([u for u, _ in gens])
     augmentation = [vec for _, vec in gens]
-    current = M
+    current, bases = M, None
     cur_gens = gens
+    level_maps = []
     j = 0
     while True:
         ms = gr.multiset_from_list(gr.to_degree(M.coords, u) for u, _ in cur_gens)
@@ -304,8 +322,12 @@ def _reference_resolution(M, bound=None):
                 else la.zeros(current.dim(v), 0)
             )
         eps = md.GradedModuleMap(F, current, eps_mats)
-        if j == 0:
-            eps_0 = eps_mats
+        level_maps.append(
+            {
+                v: m if bases is None else la.matmul(bases[v].T, m, p)
+                for v, m in eps_mats.items()
+            }
+        )
         kernel_rows = {v: la.kernel_basis(eps.at(v), p) for v in gr.grid(bound)}
         if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
             break
@@ -320,15 +342,15 @@ def _reference_resolution(M, bound=None):
                 d[k, l] = ambient[c]
         mats[j + 1] = d
         gen_degrees.append([u for u, _ in next_gens])
-        current = K
+        current, bases = K, K.bases
         cur_gens = next_gens
         j += 1
-    return gen_degrees, mats, augmentation, eps_0
+    return gen_degrees, mats, augmentation, level_maps
 
 
 def _assert_matches_reference(M):
     res = tor.minimal_resolution(M)
-    gen_degrees, d, augmentation, eps_0 = _reference_resolution(M)
+    gen_degrees, d, augmentation, level_maps = _reference_resolution(M)
     assert res.gen_degrees == gen_degrees
     assert sorted(res.d) == sorted(d)
     for j, mat in d.items():
@@ -336,10 +358,13 @@ def _assert_matches_reference(M):
     assert len(res.augmentation) == len(augmentation)
     for got, want in zip(res.augmentation, augmentation):
         assert got.shape == want.shape and (got == want).all()
-    # the augmentation, pushed one step at a time, equals the staircase one
-    for v in gr.grid(res.module.bound):
-        got = res.maps[0].at(v)
-        assert got.shape == eps_0[v].shape and (got == eps_0[v]).all(), v
+    # every level map at every degree, read by presence from d[j] (or the
+    # augmentation pushed one step at a time), equals the staircase one
+    assert len(level_maps) == res.length + 1
+    for j, maps in enumerate(level_maps):
+        for v in gr.grid(res.module.bound):
+            got, want = res.at(j, v), maps[v]
+            assert got.shape == want.shape and (got == want).all(), (j, v)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -383,7 +408,10 @@ def test_check_reads_the_stored_kernels(circle, p, monkeypatch):
     assert len(res.kernels) == res.length + 1
     for j, kernels in enumerate(res.kernels):
         for v, rows in kernels.items():
-            want = la.kernel_basis(res.maps[j].at(v), p)
+            # over all generators of F_j, zero off those present at v
+            local = la.kernel_basis(res.at(j, v), p)
+            want = la.zeros(local.shape[0], len(res.gen_degrees[j]))
+            want[:, res.present[j][v]] = local
             assert rows.shape == want.shape and (rows == want).all(), (j, v)
     assert _check_without_recomputing(res, monkeypatch) is True
 
@@ -391,11 +419,9 @@ def test_check_reads_the_stored_kernels(circle, p, monkeypatch):
 @pytest.mark.parametrize("j", [1, 2])
 def test_check_catches_a_corrupted_map(circle, j, monkeypatch):
     res = tor.minimal_resolution(circle_h0(circle, 3))
-    # zero the column of a generator of F_j at its own index point: the
-    # generators born there complement the pushed image, so the image shrinks
-    u = res.gen_degrees[j][0]
-    c = res.free[j].gen_index[u].index(0)
-    res.maps[j].at(u)[:, c] = 0
+    # zero the column of the first generator of F_j: the generators born at
+    # its index point complement the pushed image, so the image shrinks there
+    res.d[j][:, 0] = 0
     with pytest.raises(InternalCheckError, match="not exact at F_%d" % (j - 1)):
         _check_without_recomputing(res, monkeypatch)
 
@@ -410,7 +436,7 @@ def test_exactness_failure_names_the_degree(fixture_path, monkeypatch):
         for k, u in enumerate(res.gen_degrees[1])
         if gr.to_degree(res.module.coords, u) != u
     )
-    res.maps[1].at(u)[:, res.free[1].gen_index[u].index(k)] = 0
+    res.d[1][:, k] = 0
     degree = gr.to_degree(res.module.coords, u)
     with pytest.raises(
         InternalCheckError, match=re.escape("not exact at F_0, degree %s" % (degree,))
@@ -430,7 +456,7 @@ def test_check_catches_a_kernel_left_at_the_last_level(circle, monkeypatch):
     res = tor.minimal_resolution(circle_h0(circle, 3))
     v = res.module.bound
     last = res.kernels[res.length]
-    last[v] = la.eye(res.maps[res.length].at(v).shape[1])[:1]
+    last[v] = la.eye(len(res.gen_degrees[res.length]))[:1]
     assert last[v].shape[0] == 1
     with pytest.raises(InternalCheckError, match="too short"):
         _check_without_recomputing(res, monkeypatch)
@@ -449,11 +475,9 @@ def test_resolution_takes_each_kernel_once(monkeypatch):
     monkeypatch.setattr(la, "kernel_basis", recording)
     res = tor.minimal_resolution(M)
     assert res.length == 2
-    want = [
-        res.maps[j].at(v) for j in range(res.length + 1) for v in gr.grid(M.bound)
-    ]
+    want = [res.at(j, v) for j in range(res.length + 1) for v in gr.grid(M.bound)]
     assert len(seen) == len(want)
-    assert all(a is b for a, b in zip(seen, want))
+    assert all(a.shape == b.shape and (a == b).all() for a, b in zip(seen, want))
 
 
 def test_koszul_square_failure_names_the_degree(fixture_path, monkeypatch):
