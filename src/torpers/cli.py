@@ -305,8 +305,9 @@ def _cmd_orbits(args):
 
 
 def _cmd_validate(args):
-    cx = _load_chains(args).cx
-    ok, violation = md.single_step_check(cx)
+    chains = _load_chains(args)
+    cx = chains.cx
+    ok, violation = md.single_step_check(chains)
     data = {
         "field": args.field,
         "input": args.input,

@@ -122,7 +122,8 @@ def _pattern_tor(pattern, cell, n, p):
     and the minimal resolution agree (tor.xi); cell names a cell with this
     pattern when they do not.
     """
-    M = md._inclusion_module(n, gr.dense_coords(gr.join(pattern)), [pattern], p)
+    coords = gr.dense_coords(gr.join(pattern))
+    M = md._inclusion_module(n, coords, md._present(coords, [pattern]), p)
     try:
         return M, tor.xi(M).koszul
     except InternalCheckError as e:
@@ -151,7 +152,7 @@ def _chain_tor(data):
     patterns = {}
     table = {}
     for i in range(data.top + 1):
-        C = data.module(i)
+        C, present = data.module(i), data.present(i)
         placed = {q: {} for q in range(n + 1)}  # q -> v -> [rows]
         for k, cell in enumerate(data.cx.cells_of_dim(i)):
             own = gr.critical_coords(cell.degrees, n)
@@ -167,7 +168,7 @@ def _chain_tor(data):
                         tor.koszul_blocks(M, w, q), tor.koszul_blocks(C, v, q)
                     ):
                         if d:
-                            slot = C.gen_index[gr.minus_e(v, S)].index(k)
+                            slot = present[gr.minus_e(v, S)].index(k)
                             rows[:, off_c + slot] = reps[:, off]
                     placed[q].setdefault(v, []).append(rows)
         for q, at in placed.items():
@@ -498,7 +499,7 @@ def build_t_complex(data):
                     "chain generator %d of C_%d is not a standard basis "
                     "vector" % (k, i)
                 )
-            cols.append(data.module(i).gen_index[u][nz[0]])
+            cols.append(data.present(i)[u][nz[0]])
             labs.append((i, 0, cells[cols[-1]].id, gr.to_degree(data.coords, u)))
         faces = [(i - 1, 0, f.id, min(f.degrees)) for f in cx.cells_of_dim(i - 1)]
         pieces[i, 0] = (labs, data.matrix(i)[:, cols] if i else None, faces)
@@ -559,7 +560,7 @@ def recovered_homology(data):
     Also verifies that the canonical-copy embedding of the plain chain
     complex is a quasi-isomorphism by checking H(Q) = 0 for its cokernel.
     """
-    cx, p = data.cx, data.p
+    p = data.p
     t = build_t_complex(data)
     betti = t.betti()
     direct = md.total_betti(data)
@@ -568,7 +569,7 @@ def recovered_homology(data):
     direct_padded = tuple(direct) + (0,) * (width - len(direct))
 
     q = t.quotient_by_embedding()
-    ok, violation = md.single_step_check(cx)
+    ok, violation = md.single_step_check(data)
     return {
         "field": p,
         "betti": list(betti_padded),

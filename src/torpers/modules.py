@@ -15,16 +15,18 @@ shifted views of it.
 
 Coordinates: M_v is k^dim(v) with a fixed ordered basis; step matrices act
 on column vectors.  Chain modules and free modules are sums of up-set
-modules: one builder gives both, with basis items (cells, generators)
-present where gr.present says, inclusions as steps and the present items at
-v listed in `.gen_index[v]`.  Constructors that build quotients
-(homology, cokernels) record their bases as rows in the ambient coordinates
-(`bases`) plus the subspace that was modded out (`reduce_by`), so class
-representatives and projections stay available downstream.
+modules: one builder gives both from the lists of the basis items (cells,
+generators) present at each index point, with inclusions as steps.
+Constructors that build quotients (homology, cokernels) record their bases
+as rows in the ambient coordinates (`bases`) plus the subspace that was
+modded out (`reduce_by`), so class representatives and projections stay
+available downstream.
 
-The grid of a complex's chain side is decided in one place, ChainData (from
-the complex's critical_coords): the homology modules here and hypertor, E1,
-d2 and T all read one ChainData.
+The chain side of a complex is one ChainData: its grid (the complex's
+critical grid), per chain dimension the positions of the cells present at
+each index point, and one boundary matrix per dimension, whose slices to
+those positions are the boundaries at every index point.  The homology
+modules here and hypertor, E1, d2 and T all read one ChainData.
 """
 
 from __future__ import annotations
@@ -119,36 +121,6 @@ class PersistenceModule:
         return self.steps[(tuple(map(min, v, self.bound)), j)]
 
 
-class GradedModuleMap:
-    """Degreewise linear map between two modules on the same grid; natural."""
-
-    def __init__(self, source, target, mats):
-        if source.n != target.n or source.coords != target.coords:
-            raise ValueError("source and target live on different grids")
-        self.source = source
-        self.target = target
-        self.p = source.p
-        self.mats = dict(mats)
-        for v in gr.grid(self.source.bound):
-            m = self.mats.get(v)
-            if m is None or m.shape != (self.target.dim(v), self.source.dim(v)):
-                raise ValueError("bad or missing matrix at %s" % (v,))
-        for v, j, w in gr.unit_steps(self.source.bound):
-            lhs = la.matmul(self.mats[w], self.source.step(v, j), self.p)
-            rhs = la.matmul(self.target.step(v, j), self.mats[v], self.p)
-            if (lhs != rhs).any():
-                raise InternalCheckError(
-                    "map is not natural at %s along axis %d"
-                    % (gr.to_degree(self.source.coords, v), j)
-                )
-
-    def at(self, v):
-        """The matrix at v on [0, bound]; zero below the grid."""
-        if min(v) < 0:
-            return la.zeros(self.target.dim(v), self.source.dim(v))
-        return self.mats[v]
-
-
 def rebound(module, new_bound):
     """The same module presented on a larger grid (clamped reads made real).
 
@@ -174,27 +146,34 @@ def rebound(module, new_bound):
 # -- chain modules of a multifiltered complex -------------------------------
 
 
-def _inclusion_module(n, coords, births, p):
-    """The module with one basis item per entry of births and inclusion steps.
+def _present(coords, births):
+    """Per index point of the critical grid coords, the items present there.
 
-    births[k] is item k's antichain of entry degrees (gr.present), and the
-    module lives on the critical grid coords.  .gen_index[v] lists the items
-    present at index point v in order (the basis at v), and every step sends
-    each present item to itself.
+    births[k] is item k's antichain of entry degrees (gr.present); one
+    gr.present_on_grid sweep.
     """
     births = [[gr.to_index(coords, u) for u in b] for b in births]
+    return gr.present_on_grid(births, gr.coords_bound(coords))
+
+
+def _inclusion_module(n, coords, present, p):
+    """The module with basis present[v] at each index point v and inclusion steps.
+
+    present lists, per index point of the critical grid coords, the items
+    present there in order (_present); it is kept as .gen_index, and every
+    step sends each present item to itself.
+    """
     bound = gr.coords_bound(coords)
-    gen_index = gr.present_on_grid(births, bound)
     steps = {}
     for v, j, w in gr.unit_steps(bound):
-        idx = gen_index[v]
-        m = la.zeros(len(gen_index[w]), len(idx))
-        for col, row in enumerate(gr.placement(idx, gen_index[w])):
+        idx = present[v]
+        m = la.zeros(len(present[w]), len(idx))
+        for col, row in enumerate(gr.placement(idx, present[w])):
             m[row, col] = 1
         steps[(v, j)] = m
-    dims = {v: len(idx) for v, idx in gen_index.items()}
+    dims = {v: len(idx) for v, idx in present.items()}
     mod = PersistenceModule(n, bound, dims, steps, p, coords=coords)
-    mod.gen_index = gen_index
+    mod.gen_index = present
     return mod
 
 
@@ -214,11 +193,14 @@ class ChainData:
     The one way into the chain side: homology, hypertor, E1, d2, T and the
     direct Betti numbers all read a ChainData and share what it builds.  It
     validates the complex over GF(p) once and decides the grid, the complex's
-    critical grid (.coords, with top index point .bound), once; then it
-    builds each C_i on first use and one boundary matrix per dimension, all
-    i-cells into all (i-1)-cells in cells_of_dim order.  boundary(i) slices
-    it to the cells present at each index point, as a GradedModuleMap (so
-    its naturality is asserted).  Outside 0..top the chain modules are zero.
+    critical grid (.coords, with top index point .bound), once.  Per chain
+    dimension i it keeps, from one sweep on first use, the i-cells present
+    at each index point, and one boundary matrix, all i-cells into all
+    (i-1)-cells in cells_of_dim order; the boundary at v is that matrix
+    sliced to the cells present at v.  The slices are natural because every
+    face is present wherever its cell is: the complex refuses at parse time
+    a face that enters after its cell.  Outside 0..top no cell is present,
+    so the chain modules and boundaries there are zero.
     """
 
     def __init__(self, cx, p):
@@ -229,17 +211,23 @@ class ChainData:
         self.top = cx.max_dim()
         self.coords = cx.critical_coords()
         self.bound = gr.coords_bound(self.coords)
+        self._present = {}
         self._chains = {}
         self._matrices = {}
-        self._boundaries = {}
+
+    def present(self, i):
+        """Per index point v, the positions in cx.cells_of_dim(i) of the i-cells
+        present at v, in order (empty outside 0..top)."""
+        if i not in self._present:
+            births = [c.degrees for c in self.cx.cells_of_dim(i)]
+            self._present[i] = _present(self.coords, births)
+        return self._present[i]
 
     def module(self, i):
-        """C_i on the common grid (the zero module outside 0..top): its basis at
-        v is the i-cells present there, listed by .gen_index[v] as positions
-        in cx.cells_of_dim(i)."""
+        """C_i on the common grid: its basis at v is the i-cells present(i)[v]."""
         if i not in self._chains:
-            births = [c.degrees for c in self.cx.cells_of_dim(i)]
-            self._chains[i] = _inclusion_module(self.n, self.coords, births, self.p)
+            present = self.present(i)
+            self._chains[i] = _inclusion_module(self.n, self.coords, present, self.p)
         return self._chains[i]
 
     def matrix(self, i):
@@ -249,28 +237,12 @@ class ChainData:
             self._matrices[i] = _boundary_matrix(self.cx, ids[0], ids[1], self.p)
         return self._matrices[i]
 
-    def boundary(self, i):
-        """The cellular boundary C_i -> C_{i-1}, for 1 <= i <= top."""
-        if i not in self._boundaries:
-            source, target = self.module(i), self.module(i - 1)
-            m = self.matrix(i)
-            mats = {
-                v: m[np.ix_(target.gen_index[v], source.gen_index[v])]
-                for v in gr.grid(self.bound)
-            }
-            self._boundaries[i] = GradedModuleMap(source, target, mats)
-        return self._boundaries[i]
-
     def boundary_at(self, i, v):
-        """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v).
-
-        Where one side has no cells (i <= 0 or i > top) this is the zero
-        matrix, read without building the zero module.
-        """
-        if 1 <= i <= self.top:
-            return self.boundary(i).at(v)
-        dims = [self.module(k).dim(v) if 0 <= k <= self.top else 0 for k in (i - 1, i)]
-        return la.zeros(*dims)
+        """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v): matrix(i)
+        sliced to the cells present at v (zero below the grid)."""
+        if min(v) < 0:
+            return la.zeros(0, 0)
+        return self.matrix(i)[np.ix_(self.present(i - 1)[v], self.present(i)[v])]
 
 
 def basis_module(ambient, bases, reduce_by):
@@ -324,8 +296,8 @@ def homology_module(data, q):
     H carries class representatives (.bases, rows in the coordinates of C_q)
     plus the boundary space B_q (.reduce_by) so classes can be projected
     later.  The cycles Z_q and B_q are not built as modules: they are closed
-    under the steps because the boundaries are natural (asserted by
-    ChainData.boundary), and basis_module checks that H is.
+    under the steps because the boundaries are natural (see ChainData), and
+    basis_module checks that H is.
     """
     p = data.p
     h_rows, b_rows = {}, {}
@@ -350,20 +322,20 @@ def present_cokernel(pres, p):
     degrees = list(pres.gens) + [d for d, _ in pres.relations]
     coords = gr.critical_coords(degrees, pres.n)
     check_field(p)
-    free = _inclusion_module(pres.n, coords, [(g,) for g in pres.gens], p)
+    gens = _present(coords, [(g,) for g in pres.gens])
+    free = _inclusion_module(pres.n, coords, gens, p)
     rel = la.zeros(len(pres.relations), len(pres.gens))
     for r, (_, coeffs) in enumerate(pres.relations):
         for k, c in coeffs.items():
             rel[r, k] = c % p
-    births = [(gr.to_index(coords, d),) for d, _ in pres.relations]
-    live = gr.present_on_grid(births, free.bound)
+    live = _present(coords, [(d,) for d, _ in pres.relations])
     rel_rref, bases = {}, {}
     for v in gr.grid(free.bound):
-        idx = free.gen_index[v]
+        idx = gens[v]
         rel_rref[v] = la.row_space(rel[live[v]][:, idx], p)
         bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
     mod = basis_module(free, bases, rel_rref)
-    mod.gen_index = free.gen_index
+    mod.gen_index = gens
     return mod
 
 
@@ -384,14 +356,14 @@ def free_module(ms, p, n=None, coords=None):
         n = len(gens[0])
     if coords is None:
         coords = gr.critical_coords(gens, n)
-    return _inclusion_module(n, coords, [(g,) for g in gens], p)
+    return _inclusion_module(n, coords, _present(coords, [(g,) for g in gens]), p)
 
 
 # -- the one-at-a-time hypothesis --------------------------------------------
 
 
-def single_step_check(cx):
-    """Do cells enter the filtration at most one at a time?
+def single_step_check(data):
+    """Do the cells of a ChainData's complex enter at most one at a time?
 
     Compares total cell counts across every unit step of the integer grid
     [0, natural bound].  A count changes only across a critical value, so
@@ -402,12 +374,11 @@ def single_step_check(cx):
     (True, None) or (False, violation) with the lexicographically first
     dense violation as a dict {from, to, before, after}.
     """
-    coords = cx.critical_coords()
-    bound = gr.coords_bound(coords)
-    # every entry coordinate is a critical value, so a cell born at u is
-    # present at to_degree(coords, v) exactly when to_index(coords, u) <= v
-    births = [[gr.to_index(coords, u) for u in c.degrees] for c in cx.cells.values()]
-    counts = {v: len(items) for v, items in gr.present_on_grid(births, bound).items()}
+    coords, bound = data.coords, data.bound
+    counts = {
+        v: sum(len(data.present(i)[v]) for i in range(data.top + 1))
+        for v in gr.grid(bound)
+    }
     found = []
     for v, j, w in gr.unit_steps(bound):
         if counts[w] - counts[v] > 1:

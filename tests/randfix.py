@@ -140,7 +140,7 @@ def random_one_at_a_time(seed):
             )
             break
     cx = cxm.parse_mfc("\n".join(lines) + "\n")
-    ok, violation = md.single_step_check(cx)
+    ok, violation = md.single_step_check(md.ChainData(cx, 2))
     if not ok:
         raise AssertionError(
             "one-at-a-time generator broke its own invariant: %r" % (violation,)

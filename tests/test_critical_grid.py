@@ -155,7 +155,8 @@ def test_single_step_check_matches_the_dense_walk(seed):
     for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
         moved = randfix.remap_complex(cx, _random_maps(cx, seed))
         for c in (cx, moved):
-            assert md.single_step_check(c) == _dense_single_step(c), seed
+            got = md.single_step_check(md.ChainData(c, 2))
+            assert got == _dense_single_step(c), seed
 
 
 def test_single_step_check_reports_the_dense_first_step():
@@ -166,7 +167,8 @@ def test_single_step_check_reports_the_dense_first_step():
         "simplex c @ (0,3)\nsimplex d @ (0,3)\n"
     )
     want = {"from": (0, 2), "to": (0, 3), "before": 0, "after": 2}
-    assert md.single_step_check(cx) == (False, want) == _dense_single_step(cx)
+    got = md.single_step_check(md.ChainData(cx, 2))
+    assert got == (False, want) == _dense_single_step(cx)
 
 
 def test_far_apart_vertices_run_on_a_two_by_two_grid(tmp_path):

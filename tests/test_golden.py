@@ -67,6 +67,14 @@ STRETCH_COMMANDS = FIXTURE_COMMANDS + (
     ("xi", "--q", "1", "--widen", "1"),
 )
 STRETCH_FORMATS = ("json", "text")
+# chain dimensions outside 0..top (circle_fig has top 1): the boundary is read
+# at i <= 0 and at i > top, and every table comes out empty
+CHAIN_END_COMMANDS = (
+    ("xi", "--q", "-1"),
+    ("xi", "--q", "2"),
+    ("resolve", "--q", "-1"),
+    ("d2", "--q", "1"),
+)
 
 
 def golden_calls():
@@ -121,6 +129,13 @@ def golden_calls():
     for command in CENSUS_CALLS:
         for fmt in STRETCH_FORMATS:
             calls.append(list(command) + ["--format", fmt])
+    for command in CHAIN_END_COMMANDS:
+        for fmt in STRETCH_FORMATS:
+            calls.append(
+                list(command)
+                + ["--input", "fixtures/circle_fig.mfc"]
+                + ["--field", "3", "--format", fmt]
+            )
     return calls
 
 

@@ -5,6 +5,7 @@ import randfix
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
+from torpers import hypertor as ht
 from torpers import modules as md
 from torpers.complexes import Presentation, load_mfc
 
@@ -43,31 +44,31 @@ def test_chains_above_top_dimension(sphere):
 
 
 def test_sphere_c2_at_21(sphere):
-    c2 = md.ChainData(sphere, 2).module(2)
+    data = md.ChainData(sphere, 2)
     ids = [c.id for c in sphere.cells_of_dim(2)]
-    assert [ids[k] for k in c2.gen_index[(2, 1)]] == ["tau"]
-    assert [ids[k] for k in c2.gen_index[(3, 3)]] == ["s1", "s2", "tau"]
+    assert [ids[k] for k in data.present(2)[(2, 1)]] == ["tau"]
+    assert [ids[k] for k in data.present(2)[(3, 3)]] == ["s1", "s2", "tau"]
+    assert data.module(2).dim((3, 3)) == 3
 
 
 def test_boundary_rank_circle(circle):
-    d1 = md.ChainData(circle, 3).boundary(1)
-    m = d1.at((2, 1))
+    m = md.ChainData(circle, 3).boundary_at(1, (2, 1))
     assert m.shape == (3, 3)
     assert la.rank(m, 3) == 2
 
 
 def test_boundary_squares_to_zero(sphere):
-    d2 = md.ChainData(sphere, 2).boundary(2)
-    d1 = md.ChainData(sphere, 2).boundary(1)
-    for v in gr.grid(d2.source.bound):
-        assert not la.matmul(d1.at(v), d2.at(v), 2).any(), v
+    data = md.ChainData(sphere, 2)
+    for v in gr.grid(data.bound):
+        d1, d2 = data.boundary_at(1, v), data.boundary_at(2, v)
+        assert not la.matmul(d1, d2, 2).any(), v
 
 
 def test_sphere_boundary_entries(sphere):
-    d2 = md.ChainData(sphere, 5).boundary(2)
-    src = [sphere.cells_of_dim(2)[k].id for k in d2.source.gen_index[(3, 3)]]
-    tgt = [sphere.cells_of_dim(1)[k].id for k in d2.target.gen_index[(3, 3)]]
-    m = d2.at((3, 3))
+    data = md.ChainData(sphere, 5)
+    src = [sphere.cells_of_dim(2)[k].id for k in data.present(2)[(3, 3)]]
+    tgt = [sphere.cells_of_dim(1)[k].id for k in data.present(1)[(3, 3)]]
+    m = data.boundary_at(2, (3, 3))
     col = {cid: m[:, k] for k, cid in enumerate(src)}
     a, b = tgt.index("a"), tgt.index("b")
     assert col["tau"][a] == 1 and col["tau"][b] == 4
@@ -76,11 +77,12 @@ def test_sphere_boundary_entries(sphere):
 
 @pytest.mark.parametrize("seed", range(16))
 def test_boundary_slices_equal_per_point_matrices(seed):
-    # boundary(i).at(v) against a matrix built from the cells present at v
+    # boundary_at(i, v) and present(i)[v] against the cells present at the
+    # degree of v and a matrix built from them, at the chain ends too
     p = (2, 3, 5)[seed % 3]
     for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
         data = md.ChainData(cx, p)
-        for i in range(1, data.top + 1):
+        for i in range(-1, data.top + 3):
             for v in gr.grid(data.bound):
                 u = gr.to_degree(data.coords, v)
                 ids = [
@@ -91,8 +93,10 @@ def test_boundary_slices_equal_per_point_matrices(seed):
                     ]
                     for k in (i, i - 1)
                 ]
+                cells = [c.id for c in cx.cells_of_dim(i)]
+                assert [cells[k] for k in data.present(i)[v]] == ids[0], (i, v)
                 want = md._boundary_matrix(cx, ids[0], ids[1], p)
-                got = data.boundary(i).at(v)
+                got = data.boundary_at(i, v)
                 assert got.shape == want.shape and (got == want).all(), (i, v)
 
 
@@ -110,10 +114,21 @@ def test_homology_circle_h0(circle):
 
 def test_boundary_at_the_ends_builds_no_zero_module(circle):
     data = md.ChainData(circle, 2)
+    assert data.top == 1
+    # three vertices everywhere, the edges ab and bc at (1, 1), all three
+    # edges at (2, 1)
+    assert data.boundary_at(-1, (1, 1)).shape == (0, 0)
     assert data.boundary_at(0, (1, 1)).shape == (0, 3)
+    assert data.boundary_at(1, (1, 1)).shape == (3, 2)
     assert data.boundary_at(2, (2, 1)).shape == (3, 0)
-    assert data.boundary_at(1, (-1, 0)).shape == (0, 0)
+    assert data.boundary_at(3, (2, 1)).shape == (0, 0)
+    for i in (-1, 0, 1, 2, 3):
+        assert data.boundary_at(i, (-1, 0)).shape == (0, 0)
+        assert data.boundary_at(i, (1, -1)).shape == (0, 0)
+    assert data._chains == {}
+    # H_q builds C_q alone: its neighbours are read as presence slices
     md.homology_module(data, 0)
+    assert sorted(data._chains) == [0]
     md.homology_module(data, 1)
     assert sorted(data._chains) == [0, 1]
 
@@ -223,15 +238,15 @@ def test_present_cokernel_generic_rep_dies():
 
 
 def test_single_step_check(circle, sphere, oneatatime):
-    ok, violation = md.single_step_check(oneatatime)
+    ok, violation = md.single_step_check(md.ChainData(oneatatime, 3))
     assert ok and violation is None
-    ok, violation = md.single_step_check(sphere)
+    ok, violation = md.single_step_check(md.ChainData(sphere, 2))
     assert not ok
     assert violation["to"] == (2, 1)
     assert violation["after"] - violation["before"] == 2
     # three vertices at the origin do not violate step counts, entry
     # degrees at the origin are not reached by any step
-    ok, _ = md.single_step_check(circle)
+    ok, _ = md.single_step_check(md.ChainData(circle, 5))
     assert ok
 
 
@@ -253,14 +268,25 @@ def test_commutativity_is_asserted():
         md.PersistenceModule(2, (1, 1), dims, steps, 3)
 
 
-def test_naturality_is_asserted(circle):
-    d1 = md.ChainData(circle, 2).boundary(1)
-    mats = dict(d1.mats)
-    bad = mats[(2, 1)].copy()
-    bad[0, 0] = (bad[0, 0] + 1) % 2
-    mats[(2, 1)] = bad
-    with pytest.raises(InternalCheckError, match="natural"):
-        md.GradedModuleMap(d1.source, d1.target, mats)
+def test_a_boundary_that_is_not_natural_fails_dd_zero(circle):
+    # drop the boundary of the edge ab (column 0 of C_1) at (1, 1) only,
+    # where ab is present one step below too: the unit-step square of the
+    # boundary no longer commutes, and the term (-1)^i (∂δ - δ∂) of D∘D
+    # catches it
+    data = md.ChainData(circle, 5)
+    assert data.present(1)[(0, 1)] == [0] and data.present(1)[(1, 1)][0] == 0
+    natural = data.boundary_at
+
+    def dropped(i, v):
+        m = natural(i, v)
+        if (i, v) == (1, (1, 1)):
+            m = m.copy()
+            m[:, 0] = 0
+        return m
+
+    data.boundary_at = dropped
+    with pytest.raises(InternalCheckError, match=r"D∘D=0 at \(1, 1\), index 1"):
+        ht.hypertor_dims(data)
 
 
 def phi(M, u, v):

@@ -200,16 +200,6 @@ def test_resolution_free_modules_live_on_the_module_grid(fixture_path):
         assert tor.xi(F).tables[0] == res.xi(j), j
 
 
-def test_map_refuses_a_target_on_another_grid():
-    # same n and index bound (1,), different critical values
-    source = md.free_module({(2,): 1}, 3)
-    target = md.free_module({(1,): 1}, 3)
-    assert source.bound == target.bound
-    mats = {(0,): la.zeros(0, 0), (1,): la.eye(1)}
-    with pytest.raises(ValueError, match="different grids"):
-        md.GradedModuleMap(source, target, mats)
-
-
 # -- one generator routine for M and for every kernel -------------------------
 
 
@@ -255,14 +245,13 @@ def test_generators_refuse_a_sub_that_is_not_closed(top_rows):
 def test_resolution_builds_no_module(circle, monkeypatch):
     H = circle_h0(circle, 3)
     built = []
-    for cls in (md.PersistenceModule, md.GradedModuleMap):
-        init = cls.__init__
+    init = md.PersistenceModule.__init__
 
-        def counting_init(self, *args, _init=init, **kwargs):
-            built.append(self)
-            _init(self, *args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(md.PersistenceModule, "__init__", counting_init)
     res = tor.minimal_resolution(H)
     assert res.length == 2
     assert built == []
@@ -321,14 +310,13 @@ def _reference_resolution(M, bound=None):
                 if cols
                 else la.zeros(current.dim(v), 0)
             )
-        eps = md.GradedModuleMap(F, current, eps_mats)
         level_maps.append(
             {
                 v: m if bases is None else la.matmul(bases[v].T, m, p)
                 for v, m in eps_mats.items()
             }
         )
-        kernel_rows = {v: la.kernel_basis(eps.at(v), p) for v in gr.grid(bound)}
+        kernel_rows = {v: la.kernel_basis(eps_mats[v], p) for v in gr.grid(bound)}
         if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
             break
         K = md.basis_module(
