@@ -23,6 +23,14 @@ column and the columns from the pivot on.  Both give the same (r, rank,
 pivots).  row_space, kernel_basis and rank answer a matrix with no rows or
 no columns without calling rref.
 
+stacked_rank ranks a whole (B, r, c) stack of equal-shape matrices at once,
+one vectorized step per column over every matrix of the stack.  It is
+fraction-free: no row is scaled by an inverse, each row x becomes
+P[col]·x − x[col]·P for the pivot row P, and no intermediate exceeds
+(p−1)² in size, which fits in int64.  Like every routine here it leaves its
+input untouched.  It returns ranks only, no echelon form, pivots or basis,
+so a caller that needs canonical rows still calls the per-matrix routines.
+
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
 
@@ -66,18 +74,27 @@ def eye(n):
 def matmul(a, b, p):
     """Product of two matrices (or matrix and vector) reduced mod p, exact.
 
-    Where k inner products could overflow int64 (k·(p-1)² ≥ 2^63), they are
-    added one at a time, reduced mod p after each (check_field keeps
-    (p-1)² < 2^63)."""
+    Stacks of matrices multiply as in numpy, broadcast over the leading
+    axes.  Where k inner products could overflow int64 (k·(p-1)² ≥ 2^63),
+    they are added one at a time, reduced mod p after each: a partial sum
+    below p plus one product of at most (p-1)² stays below p(p-1) < 2^63
+    (check_field keeps (p-1)² < 2^63)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     k = a.shape[-1]
     if k * (p - 1) ** 2 < 2**63:
         return (a @ b) % p
-    a, b = a % p, b % p
-    out = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
+    # a row vector is one row, a column vector one column, dropped at the end
+    a2 = a[None, :] % p if a.ndim == 1 else a % p
+    b2 = b[:, None] % p if b.ndim == 1 else b % p
+    lead = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2])
+    out = np.zeros(lead + (a2.shape[-2], b2.shape[-1]), dtype=np.int64)
     for t in range(k):
-        out = (out + np.multiply.outer(a[..., t], b[t])) % p
+        out = (out + a2[..., :, t, None] * b2[..., None, t, :]) % p
+    if b.ndim == 1:
+        out = out[..., 0]
+    if a.ndim == 1:
+        out = out[..., 0, :] if b.ndim > 1 else out[..., 0]
     return out
 
 
@@ -165,6 +182,35 @@ def _rref_vectorized(m, p):
 
 def rank(a, p):
     return row_space(a, p).shape[0]
+
+
+def stacked_rank(stack, p):
+    """The rank of each matrix of a (B, r, c) stack, as a length-B int64 array.
+
+    Fraction-free elimination, one vectorized step per column over the whole
+    stack: in every matrix with a nonzero entry in the column, the first row
+    holding one is the pivot row P, and every row x becomes
+    P[col]·x − x[col]·P, mod p.  That clears the column and turns P itself
+    into zero, so each row is a pivot at most once and the rank is the
+    number of pivots.  A stack with more columns than rows is ranked as its
+    transpose, so the steps are min(r, c).  The input is not mutated.
+    """
+    m = np.asarray(stack, dtype=np.int64)
+    if m.shape[2] > m.shape[1]:
+        m = m.transpose(0, 2, 1)
+    m = m % p  # a fresh array
+    ranks = np.zeros(m.shape[0], dtype=np.int64)
+    for col in range(m.shape[2]):
+        has = np.flatnonzero(m[:, :, col].any(axis=1))
+        if has.size == 0:
+            continue
+        ranks[has] += 1
+        rest = m[has, :, col:]
+        pivot_row = rest[np.arange(has.size), (rest[:, :, 0] != 0).argmax(axis=1)]
+        m[has, :, col:] = (
+            pivot_row[:, None, :1] * rest - rest[:, :, :1] * pivot_row[:, None, :]
+        ) % p
+    return ranks
 
 
 def kernel_basis(a, p):

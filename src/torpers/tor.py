@@ -3,13 +3,19 @@
 Route one is homological: tensor the Koszul complex on x_1..x_n with M and
 take homology per degree.  The block at v for the subset S of axes is
 M_{v-e_S}, and the differential drops one axis at a time with alternating
-signs.  Route two is constructive: build a minimal free resolution level
+signs.  Its dimensions come from ranks, dim Tor_j(v) = dim K_j(v) - rank
+Delta_j(v) - rank Delta_{j+1}(v): the differentials of the whole scan are
+grouped by shape and each group is ranked in one stacked elimination
+(la.stacked_rank).  RREF-canonical cycles, which hypertor reads, are
+computed only where Tor is nonzero, and their count must equal that
+dimension.  Route two is constructive: build a minimal free resolution level
 by level, each level its generator degrees and one scalar matrix, taking
 RREF-canonical generators of each kernel straight from its rows over all
 generators of F_j (module_generators, the one generator routine for M and
 for every kernel).  Tor_j appears in route one as Koszul homology and in
 route two as the generator degrees of F_j; xi() runs both and insists on
-exact agreement.
+exact agreement, and then on the Hilbert identity dim M(v) = sum_j (-1)^j
+sum_{u <= v} xi_j(u) at every grid point.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -125,45 +131,97 @@ def koszul_tor(M, j):
 
     j is one homological index (giving a KoszulTor) or a sequence of them
     (giving a dict j -> KoszulTor from one scan that builds each Koszul
-    differential once per degree).  Scans [0, M.bound + (1,..,1)] and
-    asserts the outer layer is zero.
+    differential once per degree).  Scans [0, M.bound + (1,..,1)].
+
+    The dimensions come from ranks: dim Tor_j(v) = dim K_j(v) - rank
+    Delta_j(v) - rank Delta_{j+1}(v).  Each nonzero Delta_i(v) is built once
+    (koszul_delta) and grouped with those of the same shape; each group is
+    ranked in one la.stacked_rank call, and each group of (Delta_i,
+    Delta_{i+1}) pairs of one shape pair is asserted to square to zero in
+    one stacked product.  The canonical cycles are computed point by point,
+    only where Tor is nonzero, and their count must equal the dimension the
+    ranks give.  Every check runs at every point and names
+    the degree where it fires: D∘D = 0 (the first failing degree in grid
+    order), zero Tor in the outer layer, and the cycle count.
     """
     single = np.ndim(j) == 0
     js = [j] if single else sorted(set(j))
     for i in js:
         if not 0 <= i <= M.n:
             raise ValueError("homological index %d out of range 0..%d" % (i, M.n))
-    wide = tuple(b + 1 for b in M.bound)
     p = M.p
     # the differentials Delta_i out of K_i for every index and the one above
     needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= M.n})
-    dims = {i: {} for i in js}
-    reps = {i: {} for i in js}
-    for v in gr.grid(wide):
-        delta = {i: koszul_delta(M, v, i) for i in needed}
-        for i in needed:
-            if i + 1 in delta and delta[i + 1].size:
-                if la.matmul(delta[i], delta[i + 1], p).any():
-                    raise InternalCheckError(
-                        "Koszul differential fails to square to zero at %s"
-                        % (gr.to_degree(M.coords, v),)
-                    )
-        for i in js:
-            # K_0(v) is M_v and every vector of it is a cycle
-            cycles = la.kernel_basis(delta[i], p) if i else la.eye(M.dim(v))
-            d_up = delta[i + 1] if i < M.n else la.zeros(cycles.shape[1], 0)
-            bdries = la.row_space(d_up.T, p)
-            cls = la.complement_basis(bdries, cycles, p)
-            if cls.shape[0]:
-                if any(v[t] > M.bound[t] for t in range(M.n)):
-                    raise InternalCheckError(
-                        "Tor_%d nonzero at %s outside the stabilized grid; widen "
-                        "the bound" % (i, gr.to_degree(M.coords, v))
-                    )
-                dims[i][v] = cls.shape[0]
-                reps[i][v] = cls
-    out = {i: KoszulTor(dims[i], reps[i], M.coords) for i in js}
+    totals = {i: _layout(M, i).totals for i in range(M.n + 1)}
+    zero = np.zeros_like(totals[0])
+    deltas = {
+        (i, v): koszul_delta(M, v, i)
+        for i in needed
+        for v in _points((totals[i] > 0) & (totals[i - 1] > 0))
+    }
+    ranks = {i: zero.copy() for i in needed}
+    for keys in _by_shape(deltas, lambda key: deltas[key].shape):
+        stack = np.array([deltas[key] for key in keys])
+        for (i, v), rank in zip(keys, la.stacked_rank(stack, p).tolist()):
+            ranks[i][v] = rank
+    # D∘D = 0 for every (Delta_i(v), Delta_{i+1}(v)), one product per shape pair
+    pairs = {(i, v): (i + 1, v) for i, v in deltas if (i + 1, v) in deltas}
+    failures = []
+    for keys in _by_shape(pairs, lambda k: deltas[k].shape + deltas[pairs[k]].shape):
+        down = np.array([deltas[key] for key in keys])
+        up = np.array([deltas[pairs[key]] for key in keys])
+        nonzero = la.matmul(down, up, p).any(axis=(1, 2))
+        failures.extend(keys[b][1] for b in np.flatnonzero(nonzero))
+    if failures:
+        raise InternalCheckError(
+            "Koszul differential fails to square to zero at %s"
+            % (gr.to_degree(M.coords, min(failures)),)
+        )
+    tor_dims = {i: totals[i] - ranks.get(i, zero) - ranks.get(i + 1, zero) for i in js}
+    outside = [
+        (v, i)
+        for i in js
+        for v in _points(tor_dims[i])
+        if any(x > b for x, b in zip(v, M.bound))
+    ]
+    if outside:
+        v, i = min(outside)
+        raise InternalCheckError(
+            "Tor_%d nonzero at %s outside the stabilized grid; widen "
+            "the bound" % (i, gr.to_degree(M.coords, v))
+        )
+    out = {}
+    for i in js:
+        dims, reps = {}, {}
+        for v in _points(tor_dims[i]):
+            dims[v], ki = tor_dims[i].item(v), totals[i].item(v)
+            # a missing Delta has a zero-dimensional end; K_0(v) is M_v and
+            # every vector of it is a cycle
+            down = deltas.get((i, v), la.zeros(0, ki))
+            up = deltas.get((i + 1, v), la.zeros(ki, 0))
+            cycles = la.kernel_basis(down, p)
+            cls = la.complement_basis(la.row_space(up.T, p), cycles, p)
+            if cls.shape[0] != dims[v]:
+                raise InternalCheckError(
+                    "Tor_%d at %s: the Koszul ranks give dimension %d, the cycles %d"
+                    % (i, gr.to_degree(M.coords, v), dims[v], cls.shape[0])
+                )
+            reps[v] = cls
+        out[i] = KoszulTor(dims, reps, M.coords)
     return out[j] if single else out
+
+
+def _points(mask):
+    """The index points where mask is nonzero, as tuples in grid order."""
+    return map(tuple, np.argwhere(mask).tolist())
+
+
+def _by_shape(keys, shape):
+    """The keys grouped by shape(key), a list per group in their order."""
+    groups = {}
+    for key in keys:
+        groups.setdefault(shape(key), []).append(key)
+    return groups.values()
 
 
 # -- minimal free resolutions -------------------------------------------------
@@ -380,6 +438,10 @@ def xi(M, widen=0):
     widen >= 0 presents M on a grid that many index steps larger in every
     axis (md.rebound; past the top they are unit steps) before both routes
     run on it; the answer must not change, so this is a stability check.
+
+    A third identity ties the agreed tables to M itself: at every grid point
+    v, dim M(v) = sum_j (-1)^j sum_{u <= v} xi_j(u), read in degree space
+    (after gr.to_degree), so the index-to-degree map is checked too.
     """
     if widen < 0:
         raise ValidationError("widen must be >= 0, got %d" % widen)
@@ -394,4 +456,19 @@ def xi(M, widen=0):
                 "Tor_%d mismatch: Koszul homology gives %s, the minimal "
                 "resolution gives %s" % (j, kt.multiset(), res_ms)
             )
-    return TorTable(M.n, koszul, resolution)
+    table = TorTable(M.n, koszul, resolution)
+    points = list(gr.grid(M.bound))
+    degrees = np.array([gr.to_degree(M.coords, v) for v in points])
+    chi = np.zeros(len(points), dtype=np.int64)
+    for j, ms in table.tables.items():
+        if ms:
+            below = (np.array(list(ms))[None] <= degrees[:, None]).all(axis=2)
+            chi += (-1) ** j * (below @ np.array(list(ms.values())))
+    bad = np.flatnonzero(chi != M.dims[(slice(1, -1),) * M.n].reshape(-1))
+    if bad.size:
+        k = bad[0]
+        raise InternalCheckError(
+            "xi: dim M is %d at %s, but the alternating sum of xi_j at or "
+            "below it is %d" % (M.dim(points[k]), tuple(degrees[k].tolist()), chi[k])
+        )
+    return table

@@ -461,3 +461,85 @@ def test_matmul_matches_python_int_products(case):
     for j in range(b.shape[1]):
         assert la.matmul(a, b[:, j], p).tolist() == [row[j] for row in want]
 
+
+
+_BIG = (2147483647, 3037000493)  # k·(p-1)² passes 2^63 from k = 2 on
+
+
+def _operands(draw, p):
+    """A drawer of int64 arrays of a given shape, entries leaning to 0, 1, p - 1."""
+    entry = st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+
+    def operand(shape):
+        size = int(np.prod(shape))
+        flat = draw(st.lists(entry, min_size=size, max_size=size))
+        return np.array(flat, dtype=np.int64).reshape(shape)
+
+    return operand
+
+
+@st.composite
+def stacked_product_cases(draw):
+    """(p, a, b) with a of shape (B, r, k) or (r, k) and b of (B, k, c) or (k, c)."""
+    p = draw(st.sampled_from((2, 3, 5, 7) + _BIG))
+    nb, r, c = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    k = draw(st.integers(0, 6))
+    operand = _operands(draw, p)
+    a = operand((nb, r, k) if draw(st.booleans()) else (r, k))
+    b = operand((nb, k, c) if draw(st.booleans()) else (k, c))
+    return p, a, b
+
+
+def _python_product(a, b, p):
+    """a @ b mod p on Python ints, for one pair of 2-d operands."""
+    a2, b2 = a.tolist(), b.tolist()
+    k = a.shape[1]
+    return [
+        [sum(a2[i][t] * b2[t][j] for t in range(k)) % p for j in range(b.shape[1])]
+        for i in range(a.shape[0])
+    ]
+
+
+@given(stacked_product_cases())
+@example((3037000493, np.full((3, 2, 4), 3037000492), np.full((3, 4, 5), 3037000492)))
+@example((2147483647, np.ones((6, 2, 3), np.int64), np.ones((6, 3, 2), np.int64)))
+@settings(max_examples=150)
+def test_matmul_on_stacks_matches_python_int_products(case):
+    p, a, b = case
+    got = la.matmul(a, b, p)
+    if a.ndim == 2 and b.ndim == 2:
+        assert got.tolist() == _python_product(a, b, p)
+        return
+    nb = (a if a.ndim == 3 else b).shape[0]
+    assert got.shape == (nb, a.shape[-2], b.shape[-1])
+    for i in range(nb):
+        ai, bi = (a[i] if a.ndim == 3 else a), (b[i] if b.ndim == 3 else b)
+        assert got[i].tolist() == _python_product(ai, bi, p), i
+
+
+@st.composite
+def rank_stacks(draw):
+    """(p, stack) with stack of shape (B, r, c), r and c from 0; matrices of
+    low rank by construction, all zero, or with free entries."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 3037000493)))
+    nb, r, c = draw(st.integers(1, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    block = _operands(draw, p)
+    kind = draw(st.sampled_from(("zero", "free", "low rank")))
+    if kind == "zero":
+        return p, np.zeros((nb, r, c), dtype=np.int64)
+    if kind == "free":
+        return p, block((nb, r, c))
+    k = draw(st.integers(0, 3))
+    return p, la.matmul(block((nb, r, k)), block((nb, k, c)), p)
+
+
+@given(st.lists(rank_stacks(), min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_stacked_rank_matches_rank_matrix_by_matrix(stacks):
+    for p, stack in stacks:
+        before = stack.copy()
+        got = la.stacked_rank(stack, p)
+        assert (stack == before).all()
+        assert got.shape == (stack.shape[0],)
+        assert got.tolist() == [la.rank(m, p) for m in stack]
+

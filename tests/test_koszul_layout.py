@@ -119,7 +119,7 @@ def test_layouts_match_the_reference_on_free_modules_and_cokernels(pres, p, free
     _assert_layouts_match(M)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_one_vertex_has_one_generator_and_no_higher_tor(n, capsys, tmp_path):
     ones = (1,) * n
     path = tmp_path / "vertex.mfc"

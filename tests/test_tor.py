@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import randfix
 from test_modules import phi
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
-from torpers import InternalCheckError
+from torpers import InternalCheckError, cli
 from torpers import exactla as la
 from torpers import grading as gr
 from torpers import modules as md
@@ -494,3 +495,84 @@ def test_koszul_square_failure_names_the_degree(fixture_path, monkeypatch):
         InternalCheckError, match=re.escape("square to zero at %s" % (degree,))
     ):
         tor.koszul_tor(M, range(M.n + 1))
+
+
+def test_a_stacked_rank_that_disagrees_with_the_cycles_names_the_degree(
+    fixture_path, monkeypatch
+):
+    # H_0 of the stretched circle has Tor_2 at one index point v, and no other
+    # point of the scan box has the same Delta_2; ranking it one lower makes
+    # the ranks claim one more Tor_1 and Tor_2 at v than the cycles give
+    cx = load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
+    H = md.homology_module(md.ChainData(cx, 5), 0)
+    (v,) = tor.koszul_tor(H, 2).dims
+    target = tor.koszul_delta(H, v, 2)
+
+    def is_target(m):
+        return m.shape == target.shape and (m == target).all()
+
+    wide = tuple(b + 1 for b in H.bound)
+    assert [w for w in gr.grid(wide) if is_target(tor.koszul_delta(H, w, 2))] == [v]
+    stacked_rank = la.stacked_rank
+
+    def tampered(stack, p):
+        return stacked_rank(stack, p) - [is_target(m) for m in stack]
+
+    monkeypatch.setattr(la, "stacked_rank", tampered)
+    degree = gr.to_degree(H.coords, v)
+    assert degree != v
+    want = "Tor_1 at %s: the Koszul ranks give dimension 1, the cycles 0" % (degree,)
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        tor.koszul_tor(H, range(H.n + 1))
+
+
+def test_koszul_tor_takes_cycles_only_where_tor_is_nonzero(monkeypatch):
+    families = ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+    M = ob.family_to_module(families[-1])
+    support = {
+        (j, v) for j, kt in tor.koszul_tor(M, range(M.n + 1)).items() for v in kt.dims
+    }
+    assert {j for j, _ in support} == {0, 1, 2}
+    calls = {"kernel_basis": [], "complement_basis": []}
+
+    def recording(fn, seen):
+        return lambda *args: seen.append(args) or fn(*args)
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(la, name, recording(getattr(la, name), seen))
+    kts = tor.koszul_tor(M, range(M.n + 1))
+    assert len(calls["kernel_basis"]) == len(support)
+    assert len(calls["complement_basis"]) == len(support)
+    # each kernel is taken in K_j(v) for one (j, v) of the support, in order
+    want = [tor.koszul_dim(M, v, j) for j in sorted(kts) for v in kts[j].dims]
+    assert [a[0].shape[1] for a in calls["kernel_basis"]] == want
+
+
+def test_the_hilbert_identity_catches_a_corrupted_xi_entry(
+    fixture_path, monkeypatch, capsys
+):
+    # add one xi_1 generator at the top index point to both routes, so that
+    # they still agree and only the third identity can see it
+    koszul_tor, minimal_resolution = tor.koszul_tor, tor.minimal_resolution
+
+    def corrupt_koszul(M, js):
+        out = koszul_tor(M, js)
+        out[1].dims[M.bound] = out[1].dims.get(M.bound, 0) + 1
+        return out
+
+    def corrupt_resolution(M):
+        res = minimal_resolution(M)
+        res.gen_degrees[1].append(M.bound)
+        return res
+
+    path = fixture_path.parent / "tests/golden/stretched/circle_fig.mfc"
+    H = md.homology_module(md.ChainData(load_mfc(path), 5), 0)
+    top = gr.to_degree(H.coords, H.bound)
+    argv = ["xi", "--input", str(path), "--q", "0", "--field", "5"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(tor, "koszul_tor", corrupt_koszul)
+    monkeypatch.setattr(tor, "minimal_resolution", corrupt_resolution)
+    assert cli.main(argv) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("xi: dim M is 1 at %s, but the alternating sum" % (top,))
