@@ -29,7 +29,20 @@ fraction-free: no row is scaled by an inverse, each row x becomes
 P[col]·x − x[col]·P for the pivot row P, and no intermediate exceeds
 (p−1)² in size, which fits in int64.  Like every routine here it leaves its
 input untouched.  It returns ranks only, no echelon form, pivots or basis,
-so a caller that needs canonical rows still calls the per-matrix routines.
+so a caller that needs canonical rows calls the stacked canonical forms.
+
+The stacked canonical forms (stacked_rref, stacked_row_space,
+stacked_kernel_basis, stacked_complement_basis, stacked_reduce_mod_rows)
+take a (B, r, c) stack and equal the per-matrix routines matrix by matrix,
+which stay the reference.  A stacked basis is a pair (rows, counts): rows
+is a (B, k, c) array holding matrix b's RREF basis without zero rows in its
+first counts[b] rows, then zero rows up to the largest count k, and counts
+is a list.  Zero rows are harmless in every reduction, so rows may be
+passed on as they are.  Below _STACK_DEPTH matrices the stacked forms run
+the per-matrix routines one matrix at a time, where numpy's per-call
+overhead outweighs the arithmetic; from that depth on, one vectorized
+elimination step per column reduces every matrix of the stack.  None of
+them writes into its input or into a view of it (no out= into a view).
 
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
@@ -43,6 +56,12 @@ import numpy as np
 # workloads pass to rref: the list step is faster on nearly all inputs up to
 # about 2,000 entries, the vectorized one above about 4,000 (BENCH_11.json).
 _LIST_ENTRIES = 3072
+
+# The stacked canonical forms run the per-matrix routines one matrix at a
+# time below this many matrices, and eliminate the whole stack at once from
+# it on: the crossover of the two, timed on the stacks the census resolves
+# (BENCH_20.json).
+_STACK_DEPTH = 8
 
 
 def is_prime(p):
@@ -122,7 +141,7 @@ def rref(a, p):
 def _rref_lists(m, p):
     """rref of the int64 matrix m by elimination on Python lists."""
     nrows, ncols = m.shape
-    rows = [[x % p for x in r] for r in m.tolist()]
+    rows = (m % p).tolist()
     pivots = []
     row = 0
     for col in range(ncols):
@@ -139,10 +158,11 @@ def _rref_lists(m, p):
             inv = inv_mod(pivot_row[col], p)
             pivot_row = [x * inv % p for x in pivot_row]
         rows[row] = pivot_row
+        tail = pivot_row[col:]  # the pivot row is zero left of col
         for i in range(nrows):
             f = rows[i][col]
             if f and i != row:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
+                rows[i][col:] = [(x - f * y) % p for x, y in zip(rows[i][col:], tail)]
         pivots.append(col)
         row += 1
     return np.array(rows, dtype=np.int64).reshape(nrows, ncols), row, pivots
@@ -211,6 +231,149 @@ def stacked_rank(stack, p):
             pivot_row[:, None, :1] * rest - rest[:, :, :1] * pivot_row[:, None, :]
         ) % p
     return ranks
+
+
+def _inv_stack(a, p):
+    """The inverse mod p of each entry of the nonzero int64 array a (Fermat,
+    by repeated squaring; every product is at most (p-1)²)."""
+    out = np.ones_like(a)
+    base, e = a, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _eliminate(stack, p):
+    """(r, ranks): the RREF of every matrix of a (B, rows, cols) stack and the
+    rank of each, with one vectorized step per column over the whole stack.
+
+    In every matrix with a nonzero entry in the column below its pivots so
+    far, the first such row is swapped up to the next pivot row, scaled to
+    lead with 1 and subtracted from every other row, from the pivot column
+    on (the pivot row is zero to its left).  Works on a fresh copy: the
+    input is not written.
+    """
+    m = np.ascontiguousarray(np.asarray(stack, dtype=np.int64) % p)
+    nb, nrows, ncols = m.shape
+    ranks = np.zeros(nb, dtype=np.int64)
+    below = np.arange(nrows)
+    for col in range(ncols):
+        found = (m[:, :, col] != 0) & (below >= ranks[:, None])
+        has = np.flatnonzero(found.any(axis=1))
+        if has.size == 0:
+            continue
+        at, top, k = np.arange(has.size), ranks[has], found[has].argmax(axis=1)
+        rest = m[has, :, col:]
+        pivot_row = rest[at, k]
+        rest[at, k] = rest[at, top]
+        pivot_row = pivot_row * _inv_stack(pivot_row[:, :1], p) % p
+        rest = (rest - rest[:, :, :1] * pivot_row[:, None, :]) % p
+        rest[at, top] = pivot_row
+        m[has, :, col:] = rest
+        ranks[has] += 1
+        if ranks.min() == nrows:
+            break
+    return m, ranks
+
+
+def _leads(rows):
+    """The column of the first nonzero entry of each row (0 for a zero row)."""
+    if rows.shape[-1] == 0:
+        return np.zeros(rows.shape[:-1], dtype=np.intp)
+    return (rows != 0).argmax(axis=-1)
+
+
+def stack_bases(mats, cols):
+    """Bases (row matrices of `cols` columns) as one stacked basis."""
+    counts = [len(m) for m in mats]
+    if len(mats) == 1:
+        return mats[0][None], counts
+    shape = (len(mats), max(counts, default=0), cols)
+    if min(counts, default=0) == shape[1]:
+        return np.array(mats, dtype=np.int64).reshape(shape), counts
+    out = np.zeros(shape, dtype=np.int64)
+    for b, m in enumerate(mats):
+        out[b, : len(m)] = m
+    return out, counts
+
+
+def stacked_rref(stack, p):
+    """(r, ranks, pivots) with r[b], ranks[b] and pivots[b] equal to
+    rref(stack[b], p), for a (B, rows, cols) stack; ranks is a list."""
+    m = np.asarray(stack, dtype=np.int64)
+    if len(m) < _STACK_DEPTH:
+        out = [rref(a, p) for a in m]
+        r = np.array([a for a, _, _ in out], dtype=np.int64).reshape(m.shape)
+        return r, [k for _, k, _ in out], [pv for _, _, pv in out]
+    r, ranks = _eliminate(m, p)
+    ranks = ranks.tolist()
+    return r, ranks, [pv[:k] for pv, k in zip(_leads(r).tolist(), ranks)]
+
+
+def stacked_row_space(stack, p):
+    """row_space of every matrix of a (B, rows, cols) stack, as a stacked basis."""
+    m = np.asarray(stack, dtype=np.int64)
+    if len(m) < _STACK_DEPTH:
+        return stack_bases([row_space(a, p) for a in m], m.shape[2])
+    r, ranks = _eliminate(m, p)
+    return r[:, : ranks.max(initial=0)], ranks.tolist()
+
+
+def stacked_kernel_basis(stack, p):
+    """kernel_basis of every matrix of a (B, rows, cols) stack, as a stacked basis.
+
+    From one elimination of the column-reversed stack, as in kernel_basis:
+    with Q the RREF rows placed at their pivot columns, the columns of I - Q
+    at the free columns are the kernel vectors in reversed coordinates, and
+    reading both axes back gives each basis row at its free column, in
+    ascending order.
+    """
+    m = np.asarray(stack, dtype=np.int64)
+    nb, nrows, ncols = m.shape
+    if nb < _STACK_DEPTH:
+        return stack_bases([kernel_basis(a, p) for a in m], ncols)
+    r, ranks = _eliminate(m[:, :, ::-1], p)
+    b, i = np.nonzero(np.arange(nrows) < ranks[:, None])
+    pivots = _leads(r[b, i])
+    q = np.zeros((nb, ncols, ncols), dtype=np.int64)
+    q[b, pivots] = r[b, i]
+    w = ((np.eye(ncols, dtype=np.int64) - q) % p)[:, ::-1, ::-1].transpose(0, 2, 1)
+    free = np.ones((nb, ncols), dtype=bool)
+    free[b, ncols - 1 - pivots] = False
+    counts = ncols - ranks
+    order = np.argsort(~free, axis=1, kind="stable")[:, : counts.max(initial=0)]
+    out = np.take_along_axis(w, order[:, :, None], axis=1)
+    out = out * (np.arange(order.shape[1]) < counts[:, None])[:, :, None]
+    return out, counts.tolist()
+
+
+def stacked_reduce_mod_rows(v, basis, p):
+    """reduce_mod_rows of every member of a (B, k, c) stack by the rows of a
+    stacked basis, in one product: a zero row of the basis reads column 0 of
+    v at its pivot and adds nothing."""
+    w = np.asarray(v, dtype=np.int64) % p
+    b = np.asarray(basis, dtype=np.int64) % p
+    pivots = np.broadcast_to(_leads(b)[:, None, :], w.shape[:2] + b.shape[1:2])
+    return (w - matmul(np.take_along_axis(w, pivots, axis=2), b, p)) % p
+
+
+def stacked_complement_basis(sub, whole, p):
+    """complement_basis of every stack member, as a stacked basis.
+
+    sub and whole are stacked bases, sub[b] <= whole[b] as row spaces.
+    Raises ValueError when some sub[b] is not contained in whole[b].
+    """
+    (s, ks), (w, kw) = sub, whole
+    if len(w) < _STACK_DEPTH:
+        comps = [complement_basis(a[:i], b[:k], p) for a, b, i, k in zip(s, w, ks, kw)]
+        return stack_bases(comps, w.shape[2])
+    comp, counts = stacked_row_space(stacked_reduce_mod_rows(w, s, p), p)
+    if any(k != b - a for k, a, b in zip(counts, ks, kw)):
+        raise ValueError("complement_basis: sub is not contained in whole")
+    return comp, counts
 
 
 def kernel_basis(a, p):

@@ -242,7 +242,7 @@ class ChainData:
         sliced to the cells present at v (zero below the grid)."""
         if min(v) < 0:
             return la.zeros(0, 0)
-        return self.matrix(i)[np.ix_(self.present(i - 1)[v], self.present(i)[v])]
+        return self.matrix(i)[self.present(i - 1)[v]][:, self.present(i)[v]]
 
 
 def basis_module(ambient, bases, reduce_by):

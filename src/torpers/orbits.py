@@ -14,6 +14,13 @@ census use few distinct subspaces at each relation degree, so each generator
 acts once on each of them (apply_group_element, the one place the group
 acts), which gives one table of positions per generator and degree; a family
 is its tuple of positions, and moving it is a lookup in those tables.
+
+The xi tables of a census are computed in few stacks: the members of an
+orbit have their representative's dimensions, and the 30 orbits of the
+benchmark censuses have only 11 distinct dims arrays.  classify builds the
+modules of the orbits whose representatives share a grid and dims array
+together and resolves each such stack with one tor.xi, which gives each
+module its own tables (see tor).
 """
 
 from __future__ import annotations
@@ -452,6 +459,35 @@ class OrbitReport:
 SPOT_CHECKS = 5  # other members per orbit whose xi table is recomputed
 
 
+def _grid_key(M):
+    """A module's grid and dims array: the modules tor.xi resolves together."""
+    return M.coords, M.dims.shape, M.dims.tobytes()
+
+
+def _stacked_xi(modules):
+    """tor.xi of every module, in their order, from one call per stack of the
+    modules that share one grid and one dims array."""
+    stacks = {}
+    for k, M in enumerate(modules):
+        stacks.setdefault(_grid_key(M), []).append(k)
+    tables = [None] * len(modules)
+    for idx in stacks.values():
+        for k, table in zip(idx, tor.xi([modules[k] for k in idx])):
+            tables[k] = table
+    return tables
+
+
+def _y_coordinates(res):
+    """(j, degree, the restricted image there) for every j >= 2 and every index
+    point where F_j has generators: the RREF row spaces of the higher syzygy
+    maps restricted to the generators born at each degree."""
+    return [
+        (j, gr.to_degree(res.module.coords, v), res.restricted_image(j, v))
+        for j in range(2, len(res.gen_degrees))
+        for v in sorted(set(res.gen_degrees[j]))
+    ]
+
+
 def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     """Enumerate, partition into orbits, and attach separating invariants.
 
@@ -461,6 +497,17 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     are grouped by their upper xi tables (j >= 2) and the induced map to
     Y-coordinates is tested for injectivity within each group; the combined
     point (representative, Y) failing to separate two orbits is a hard error.
+
+    Right after the partition, each orbit's spot-check members are drawn
+    (default_rng(7), in orbit order) and the enumeration is released.  The
+    representatives' modules are built first (family_to_module); the orbits
+    whose representatives share one grid and dims array form a batch, whose
+    members' modules are built next, and the batch is resolved with one
+    tor.xi per grid and dims array among its modules (_stacked_xi), so only
+    one batch of modules is alive at a time.  A member whose xi differs from
+    the rest of its stack gets its own tables all the same, and the tables
+    are compared after every batch is done, orbit by orbit and member by
+    member in orbit order, so the first differing member is named.
     """
     xi0 = dict(xi0)
     xi1 = dict(xi1)
@@ -468,25 +515,39 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     orbits = orbit_partition(families, xi0, q)
     label_ok = _is_four_lines_shape(xi0, xi1)
 
-    entries = []
     rng = np.random.default_rng(7)
+    spots = []  # per orbit: the members whose table is recomputed
     for orbit in orbits:
-        table = tor.xi(family_to_module(orbit.rep))
-        xi_by_j = {j: table.tables[j] for j in range(table.n + 1)}
         others = [k for k in orbit.members if families[k] is not orbit.rep]
         size = min(SPOT_CHECKS, len(others))
-        for k in rng.choice(others, size=size, replace=False):
-            other = tor.xi(family_to_module(families[k]))
-            if any(other.tables[j] != xi_by_j[j] for j in range(table.n + 1)):
+        spots.append(rng.choice(others, size=size, replace=False).tolist())
+    members = [[families[k] for k in ks] for ks in spots]
+    del families  # the enumeration is released before any module is built
+    reps = [family_to_module(orbit.rep) for orbit in orbits]
+    batches = {}
+    for i, M in enumerate(reps):
+        batches.setdefault(_grid_key(M), []).append(i)
+    tables, ys = [None] * len(orbits), [None] * len(orbits)
+    for batch in batches.values():
+        modules = []
+        for i in batch:
+            modules += [reps[i]] + [family_to_module(fam) for fam in members[i]]
+            reps[i] = None
+        xis = _stacked_xi(modules)
+        del modules
+        for i in batch:  # each table is released once read
+            ys[i] = _y_coordinates(xis[0].resolution)
+            tables[i] = [table.tables for table in xis[: 1 + len(members[i])]]
+            del xis[: 1 + len(members[i])]
+
+    entries = []
+    for orbit, ks, found, y in zip(orbits, spots, tables, ys):
+        xi_by_j = found[0]
+        for k, other in zip(ks, found[1:]):
+            if other != xi_by_j:
                 raise InternalCheckError(
                     "xi table varies inside one orbit (member %d)" % k
                 )
-        res = table.resolution
-        y = []
-        for j in range(2, len(res.gen_degrees)):
-            for v in sorted(set(res.gen_degrees[j])):
-                degree = gr.to_degree(res.module.coords, v)
-                y.append((j, degree, res.restricted_image(j, v)))
         entries.append(
             {
                 "xi": xi_by_j,

@@ -11,11 +11,24 @@ computed only where Tor is nonzero, and their count must equal that
 dimension.  Route two is constructive: build a minimal free resolution level
 by level, each level its generator degrees and one scalar matrix, taking
 RREF-canonical generators of each kernel straight from its rows over all
-generators of F_j (module_generators, the one generator routine for M and
-for every kernel).  Tor_j appears in route one as Koszul homology and in
-route two as the generator degrees of F_j; xi() runs both and insists on
-exact agreement, and then on the Hilbert identity dim M(v) = sum_j (-1)^j
+generators of F_j (_generators, the one generator routine for M and for
+every kernel).  Tor_j appears in route one as Koszul homology and in route
+two as the generator degrees of F_j; xi() runs both and insists on exact
+agreement, and then on the Hilbert identity dim M(v) = sum_j (-1)^j
 sum_{u <= v} xi_j(u) at every grid point.
+
+koszul_tor, minimal_resolution and xi take one module or a stack of them:
+a list of modules that share one grid and one dims array, such as the
+modules of one orbit census with equal dimensions everywhere.  They return
+one result per module, and one module is a stack of one, run by the same
+code.  The stack shares one Koszul layout, each differential is built once
+as a (B, r, c) block, and each canonical form is one stacked exactla call
+(below la._STACK_DEPTH matrices that call runs the per-matrix routine on
+each).  Nothing assumes that members agree beyond their dims: where their
+Koszul ranks differ, each gets its own dimensions and cycles, and where
+their resolution generators differ, the stack splits by them and each part
+continues alone.  Every check runs for every member, and an error names the
+same stage and degree as for that module alone.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -80,28 +93,58 @@ def koszul_dim(M, v, j):
     return _layout(M, j).totals.item(v)
 
 
+def _modules(M):
+    """The modules of M: [M] for one module, else the stack as a list."""
+    return [M] if isinstance(M, md.PersistenceModule) else list(M)
+
+
+def _stack(M):
+    """_modules(M), asserted to share one grid and one dims array."""
+    Ms = _modules(M)
+    for N in Ms[1:]:
+        if (N.n, N.p, N.coords) != (Ms[0].n, Ms[0].p, Ms[0].coords) or not (
+            np.array_equal(N.dims, Ms[0].dims)
+        ):
+            raise ValueError("a stack of modules must share one grid and dims array")
+    return Ms
+
+
+def _per_module(M, out):
+    """out, one result per module, in the form M came in: one result for one
+    module, the list for a stack."""
+    return out[0] if isinstance(M, md.PersistenceModule) else out
+
+
+def _steps(Ms, u, a):
+    """The step u -> u + e_a of every module of a stack, as an array that
+    broadcasts over the stack: (B, r, c), or the one step of a stack of one."""
+    return Ms[0].step(u, a) if len(Ms) == 1 else np.array([N.step(u, a) for N in Ms])
+
+
 def koszul_delta(M, v, j):
-    """The differential K_j(v) -> K_{j-1}(v).
+    """The differential K_j(v) -> K_{j-1}(v), of one module or, as a (B, r, c)
+    array, of each module of a stack.
 
     On the summand for S, the axis t in S (position i among S ascending)
     contributes (-1)^i times the step map M_{v-e_S} -> M_{v-e_(S-t)}.  Only
     the nonzero blocks of K_j(v) are visited.
     """
-    p = M.p
-    src, tgt = _layout(M, j), _layout(M, j - 1)
+    Ms = _modules(M)
+    p = Ms[0].p
+    src, tgt = _layout(Ms[0], j), _layout(Ms[0], j - 1)
     sizes = src.sizes[v]
     nonzero = sizes.nonzero()[0].tolist()  # np.flatnonzero of the 1-d row
     sizes, offsets = sizes.tolist(), src.offsets[v].tolist()
     tgt_off = tgt.offsets[v].tolist()
-    m = la.zeros(tgt.totals.item(v), src.totals.item(v))
+    m = np.zeros((len(Ms), tgt.totals.item(v), src.totals.item(v)), dtype=np.int64)
     for s in nonzero:
         S = src.subsets[s]
         u, cols = gr.minus_e(v, S), slice(offsets[s], offsets[s] + sizes[s])
         for i, t in enumerate(S):
-            block = M.step(u, t)
+            block = _steps(Ms, u, t)
             r0 = tgt_off[tgt.index[S[:i] + S[i + 1 :]]]
-            m[r0 : r0 + block.shape[0], cols] = (-block if i % 2 else block) % p
-    return m
+            m[:, r0 : r0 + block.shape[-2], cols] = -block if i % 2 else block
+    return _per_module(M, m % p)
 
 
 def koszul_boundaries(M, v, q):
@@ -129,86 +172,105 @@ class KoszulTor:
 def koszul_tor(M, j):
     """Tor_j(M, k) per degree, with RREF-canonical representative cycles.
 
-    j is one homological index (giving a KoszulTor) or a sequence of them
-    (giving a dict j -> KoszulTor from one scan that builds each Koszul
-    differential once per degree).  Scans [0, M.bound + (1,..,1)].
+    M is one module or a stack of modules that share one grid and one dims
+    array (a list, answered with one result per module).  j is one
+    homological index (giving a KoszulTor) or a sequence of them (giving a
+    dict j -> KoszulTor from one scan that builds each Koszul differential
+    once per degree).  Scans [0, M.bound + (1,..,1)] with one Koszul layout
+    for the whole stack.
 
     The dimensions come from ranks: dim Tor_j(v) = dim K_j(v) - rank
     Delta_j(v) - rank Delta_{j+1}(v).  Each nonzero Delta_i(v) is built once
-    (koszul_delta) and grouped with those of the same shape; each group is
-    ranked in one la.stacked_rank call, and each group of (Delta_i,
-    Delta_{i+1}) pairs of one shape pair is asserted to square to zero in
-    one stacked product.  The canonical cycles are computed point by point,
-    only where Tor is nonzero, and their count must equal the dimension the
-    ranks give.  Every check runs at every point and names
-    the degree where it fires: D∘D = 0 (the first failing degree in grid
-    order), zero Tor in the outer layer, and the cycle count.
+    for the whole stack (koszul_delta, a (B, r, c) block) and grouped with
+    those of the same shape; each group is ranked in one la.stacked_rank
+    call, and each group of (Delta_i, Delta_{i+1}) pairs of one shape pair
+    is asserted to square to zero in one stacked product.  The canonical
+    cycles are computed only where Tor is nonzero, in one stacked kernel
+    and complement per (j, v) over the members with Tor there, and each
+    member's count must equal the dimension its ranks give.  Every check
+    runs at every point of every member and names the degree where it
+    fires: D∘D = 0 (the first failing degree in grid order), zero Tor in
+    the outer layer, and the cycle count.
     """
+    Ms = _stack(M)
+    if not Ms:
+        return []
     single = np.ndim(j) == 0
     js = [j] if single else sorted(set(j))
+    first, nb = Ms[0], len(Ms)
     for i in js:
-        if not 0 <= i <= M.n:
-            raise ValueError("homological index %d out of range 0..%d" % (i, M.n))
-    p = M.p
+        if not 0 <= i <= first.n:
+            raise ValueError("homological index %d out of range 0..%d" % (i, first.n))
+    p = first.p
     # the differentials Delta_i out of K_i for every index and the one above
-    needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= M.n})
-    totals = {i: _layout(M, i).totals for i in range(M.n + 1)}
-    zero = np.zeros_like(totals[0])
-    deltas = {
-        (i, v): koszul_delta(M, v, i)
-        for i in needed
-        for v in _points((totals[i] > 0) & (totals[i - 1] > 0))
-    }
-    ranks = {i: zero.copy() for i in needed}
+    needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= first.n})
+    totals = {i: _layout(first, i).totals for i in range(first.n + 1)}
+    deltas = {}
+    for i in needed:
+        for v in _points((totals[i] > 0) & (totals[i - 1] > 0)):
+            delta = koszul_delta(M, v, i)
+            deltas[(i, v)] = delta.reshape((nb,) + delta.shape[-2:])
+    ranks = np.zeros((first.n + 2, nb) + totals[0].shape, dtype=np.int64)
     for keys in _by_shape(deltas, lambda key: deltas[key].shape):
-        stack = np.array([deltas[key] for key in keys])
-        for (i, v), rank in zip(keys, la.stacked_rank(stack, p).tolist()):
-            ranks[i][v] = rank
+        stack = np.concatenate([deltas[key] for key in keys])
+        i, v = zip(*keys)
+        found = la.stacked_rank(stack, p).reshape(len(keys), nb)
+        ranks[(list(i), slice(None)) + tuple(zip(*v))] = found
     # D∘D = 0 for every (Delta_i(v), Delta_{i+1}(v)), one product per shape pair
     pairs = {(i, v): (i + 1, v) for i, v in deltas if (i + 1, v) in deltas}
     failures = []
     for keys in _by_shape(pairs, lambda k: deltas[k].shape + deltas[pairs[k]].shape):
-        down = np.array([deltas[key] for key in keys])
-        up = np.array([deltas[pairs[key]] for key in keys])
-        nonzero = la.matmul(down, up, p).any(axis=(1, 2))
-        failures.extend(keys[b][1] for b in np.flatnonzero(nonzero))
+        down = np.concatenate([deltas[key] for key in keys])
+        up = np.concatenate([deltas[pairs[key]] for key in keys])
+        nonzero = la.matmul(down, up, p).any(axis=(1, 2)).reshape(len(keys), nb)
+        failures.extend(keys[k][1] for k in np.flatnonzero(nonzero.any(axis=1)))
     if failures:
         raise InternalCheckError(
             "Koszul differential fails to square to zero at %s"
-            % (gr.to_degree(M.coords, min(failures)),)
+            % (gr.to_degree(first.coords, min(failures)),)
         )
-    tor_dims = {i: totals[i] - ranks.get(i, zero) - ranks.get(i + 1, zero) for i in js}
+    tor_dims = {i: totals[i] - ranks[i] - ranks[i + 1] for i in js}
     outside = [
         (v, i)
         for i in js
-        for v in _points(tor_dims[i])
-        if any(x > b for x, b in zip(v, M.bound))
+        for v in _points(tor_dims[i].any(axis=0))
+        if any(x > b for x, b in zip(v, first.bound))
     ]
     if outside:
         v, i = min(outside)
         raise InternalCheckError(
             "Tor_%d nonzero at %s outside the stabilized grid; widen "
-            "the bound" % (i, gr.to_degree(M.coords, v))
+            "the bound" % (i, gr.to_degree(first.coords, v))
         )
-    out = {}
+    dims = [{i: {} for i in js} for _ in Ms]
+    reps = [{i: {} for i in js} for _ in Ms]
     for i in js:
-        dims, reps = {}, {}
-        for v in _points(tor_dims[i]):
-            dims[v], ki = tor_dims[i].item(v), totals[i].item(v)
+        for v in _points(tor_dims[i].any(axis=0)):
+            want = tor_dims[i][(slice(None),) + v].tolist()
+            members = [b for b, k in enumerate(want) if k]
+            ki = totals[i].item(v)
             # a missing Delta has a zero-dimensional end; K_0(v) is M_v and
             # every vector of it is a cycle
-            down = deltas.get((i, v), la.zeros(0, ki))
-            up = deltas.get((i + 1, v), la.zeros(ki, 0))
-            cycles = la.kernel_basis(down, p)
-            cls = la.complement_basis(la.row_space(up.T, p), cycles, p)
-            if cls.shape[0] != dims[v]:
-                raise InternalCheckError(
-                    "Tor_%d at %s: the Koszul ranks give dimension %d, the cycles %d"
-                    % (i, gr.to_degree(M.coords, v), dims[v], cls.shape[0])
-                )
-            reps[v] = cls
-        out[i] = KoszulTor(dims, reps, M.coords)
-    return out[j] if single else out
+            down = deltas.get((i, v))
+            up = deltas.get((i + 1, v))
+            down = np.zeros((nb, 0, ki), np.int64) if down is None else down
+            up = np.zeros((nb, ki, 0), np.int64) if up is None else up
+            if len(members) < nb:
+                down, up = down[members], up[members]
+            cycles = la.stacked_kernel_basis(down, p)
+            bounds = la.stacked_row_space(up.transpose(0, 2, 1), p)
+            cls, counts = la.stacked_complement_basis(bounds, cycles, p)
+            for b, count, rows in zip(members, counts, cls):
+                if count != want[b]:
+                    raise InternalCheckError(
+                        "Tor_%d at %s: the Koszul ranks give dimension %d, the "
+                        "cycles %d" % (i, gr.to_degree(first.coords, v), want[b], count)
+                    )
+                dims[b][i][v], reps[b][i][v] = count, rows[:count]
+    out = [
+        {i: KoszulTor(d[i], r[i], first.coords) for i in js} for d, r in zip(dims, reps)
+    ]
+    return _per_module(M, [kts[j] for kts in out] if single else out)
 
 
 def _points(mask):
@@ -227,40 +289,71 @@ def _by_shape(keys, shape):
 # -- minimal free resolutions -------------------------------------------------
 
 
+def _generators(Ms, sub=None, present=None):
+    """Minimal generators of each module of a stack, or of a submodule of a
+    free module on their grid: (index point, rows, counts) of the stacked
+    basis of those born there, for every index point where some member has
+    generators, in grid order.
+
+    sub[v] is a stacked basis, over all generators of the free module (zero
+    off those present at v), of a submodule closed under the steps; the
+    steps are identities in these coordinates, so sub[v - e_a] is pushed
+    into v as it is.  Without sub it is all of each module: the identity at
+    v, pushed through its steps.  At each index point the pushed rows are
+    reduced once, and the generators born at v are their stacked complement
+    inside sub[v]; with present[v], the generators of the free module
+    present at v, they are found on those columns and placed back over all
+    generators.  A pushed row outside sub[v] raises InternalCheckError.
+    """
+    first, nb = Ms[0], len(Ms)
+    out = []
+    for v in gr.grid(first.bound):
+        below = [(gr.minus_e(v, (a,)), a) for a in range(first.n) if v[a]]
+        if sub is None:
+            if not first.dim(v):
+                continue
+            rows = (la.eye(first.dim(v))[None].repeat(nb, axis=0), [first.dim(v)] * nb)
+            pushed = [np.swapaxes(_steps(Ms, u, a), -1, -2) for u, a in below]
+            pushed = [x.reshape(nb, -1, first.dim(v)) for x in pushed]
+        else:
+            pushed = [sub[u][0] for u, _ in below if sub[u][0].shape[1]]
+            if not (sub[v][0].shape[1] or pushed):
+                continue
+            cols = slice(None) if present is None else present[v]
+            rows = (sub[v][0][:, :, cols], sub[v][1])
+            pushed = [x[:, :, cols] for x in pushed]
+        pushed = np.concatenate([rows[0][:, :0]] + pushed, axis=1)
+        pushed = la.stacked_row_space(pushed, first.p)
+        try:
+            comp, counts = la.stacked_complement_basis(pushed, rows, first.p)
+        except ValueError:
+            raise InternalCheckError(
+                "submodule is not closed under the steps into degree %s"
+                % (gr.to_degree(first.coords, v),)
+            ) from None
+        if not comp.shape[1]:
+            continue
+        if sub is not None:  # back over all generators
+            found = comp
+            comp = np.zeros(comp.shape[:2] + sub[v][0].shape[2:], dtype=np.int64)
+            comp[:, :, cols] = found
+        out.append((v, comp, counts))
+    return out
+
+
 def module_generators(M, sub=None):
     """Minimal generators of M, or of a submodule of a free module on M's grid.
 
     sub[v] is an RREF row basis without zero rows, over all generators of the
     free module (zero off those present at v), of a submodule closed under
-    the steps; the steps are identities in these coordinates, so sub[v - e_a]
-    is pushed into v as it is.  Without sub it is all of M: the identity at
-    v, pushed through M's steps.  At each index point v the pushed rows are
-    reduced to their RREF basis once, and the generators born at v are an
-    RREF complement of it inside sub[v] (la.complement_basis).  For M itself
-    the pushed rows span koszul_boundaries(M, v, 0), so this realizes M /
-    (sum of the images of all steps).  Returns (index point, row vector)
-    pairs in grid order; a pushed row outside sub[v] raises InternalCheckError.
+    the steps.  For M itself the pushed rows span koszul_boundaries(M, v,
+    0), so this realizes M / (sum of the images of all steps).  Returns
+    (index point, row vector) pairs in grid order, from _generators on a
+    stack of one; a pushed row outside sub[v] raises InternalCheckError.
     """
-    gens = []
-    for v in gr.grid(M.bound):
-        rows = la.eye(M.dim(v)) if sub is None else sub[v]
-        pushed = []
-        for a in range(M.n):
-            if v[a]:
-                u = gr.minus_e(v, (a,))
-                pushed.append(M.step(u, a).T if sub is None else sub[u])
-        pushed = la.row_space(la.stack_rows(pushed, rows.shape[1]), M.p)
-        if not (rows.shape[0] or pushed.shape[0]):
-            continue
-        try:
-            comp = la.complement_basis(pushed, rows, M.p)
-        except ValueError:
-            raise InternalCheckError(
-                "submodule is not closed under the steps into degree %s"
-                % (gr.to_degree(M.coords, v),)
-            ) from None
-        gens.extend((v, row) for row in comp)
-    return gens
+    if sub is not None:
+        sub = {v: (rows[None], [len(rows)]) for v, rows in sub.items()}
+    return [(v, row) for v, rows, _ in _generators([M], sub) for row in rows[0]]
 
 
 class MinimalResolution:
@@ -278,7 +371,7 @@ class MinimalResolution:
     F_0 -> M at v; at(j, v) reads d_j at v.  kernels[j][v] is the RREF kernel
     basis of at(j, v) over all generators of F_j (zero off those present),
     found while resolving; level j + 1 is generated from it, and the last
-    level's is empty.
+    level's is empty.  The resolutions of one stack hold views of its arrays.
     """
 
     def __init__(self, module, gen_degrees, augmentation):
@@ -307,7 +400,7 @@ class MinimalResolution:
         """The matrix of d_j at index point v, in the bases present there."""
         if j == 0:
             return self.eps[v]
-        return self.d[j][np.ix_(self.present[j - 1][v], self.present[j][v])]
+        return self.d[j][self.present[j - 1][v]][:, self.present[j][v]]
 
     def restricted_image(self, j, v):
         """Image of the F_j generators born exactly at index point v, as RREF
@@ -318,108 +411,180 @@ class MinimalResolution:
         return la.row_space(self.at(j, v)[:, cols].T, self.p)
 
     def check(self):
-        """Verify the resolution as built, against the kernels found while
-        resolving: every d_j is homogeneous and minimal, and at every index
-        point the augmentation is onto (rank-nullity), each d_j's image is the
-        kernel below it, and no kernel is left at the last level."""
-        p = self.p
-        for j in range(1, len(self.gen_degrees)):
-            for k, l in zip(*np.nonzero(self.d[j] % p)):
-                uk, ul = self.gen_degrees[j - 1][k], self.gen_degrees[j][l]
-                if not gr.leq(uk, ul):
-                    raise InternalCheckError(
-                        "resolution d_%d not homogeneous at (%d,%d)" % (j, k, l)
-                    )
-                if uk == ul:
-                    raise InternalCheckError(
-                        "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
-                    )
-        for v in gr.grid(self.module.bound):
-            rank = len(self.present[0][v]) - self.kernels[0][v].shape[0]
-            if rank != self.module.dim(v):
-                raise InternalCheckError(
-                    "augmentation not surjective at %s"
-                    % (gr.to_degree(self.module.coords, v),)
-                )
-            for j in range(1, len(self.gen_degrees)):
-                want = self.kernels[j - 1][v][:, self.present[j - 1][v]]
-                have = la.row_space(self.at(j, v).T, p)
-                if want.shape != have.shape or (want != have).any():
-                    raise InternalCheckError(
-                        "resolution not exact at F_%d, degree %s"
-                        % (j - 1, gr.to_degree(self.module.coords, v))
-                    )
-            if self.kernels[self.length][v].shape[0]:
-                raise InternalCheckError(
-                    "resolution too short: kernel left at F_%d, degree %s"
-                    % (self.length, gr.to_degree(self.module.coords, v))
-                )
-        return True
+        """Verify the resolution as it stands (_check on a stack of one)."""
+        return _check([self])
 
 
-def _augmentation(M, gens, present):
-    """The augmentation F_0 -> M at every index point, asserted natural: at v
-    the columns at each v - e_a are pushed one step along a, must agree with
-    those an earlier axis wrote, and the generators born at v are placed."""
+def _check(ress):
+    """Verify resolutions that share their generator degrees as built, against
+    the kernels found while resolving, in one stacked pass.
+
+    Every d_j is homogeneous and minimal: one mask per level from the
+    generator degrees, and the first bad entry (k, l) in row-major order is
+    named.  At every index point the augmentation is onto (rank-nullity),
+    each d_j's image (one stacked row space) is the kernel below it, and no
+    kernel is left at the last level.
+    """
+    first, p, n = ress[0].module, ress[0].p, ress[0].module.n
+    degrees, present = ress[0].gen_degrees, ress[0].present
+    d = {j: np.array([res.d[j] for res in ress]) for j in range(1, len(degrees))}
+    for j, m in d.items():
+        lo = np.array(degrees[j - 1], dtype=np.int64).reshape(-1, n)[:, None]
+        hi = np.array(degrees[j], dtype=np.int64).reshape(-1, n)[None]
+        below = (lo <= hi).all(axis=2)
+        bad = np.argwhere((m % p != 0) & ~(below & (lo != hi).any(axis=2)))
+        if bad.size:
+            _, k, l = bad[0].tolist()
+            raise InternalCheckError(
+                "resolution d_%d not %s at (%d,%d)"
+                % (j, "minimal" if below[k, l] else "homogeneous", k, l)
+            )
+    for v in gr.grid(first.bound):
+        if any(len(present[0][v]) - len(r.kernels[0][v]) != first.dim(v) for r in ress):
+            raise InternalCheckError(
+                "augmentation not surjective at %s" % (gr.to_degree(first.coords, v),)
+            )
+        for j, m in d.items():
+            want = [res.kernels[j - 1][v][:, present[j - 1][v]] for res in ress]
+            if present[j][v]:
+                have, counts = la.stacked_row_space(
+                    m[:, present[j - 1][v]][:, :, present[j][v]].transpose(0, 2, 1), p
+                )
+                want, wanted = la.stack_bases(want, have.shape[2])
+                exact = wanted == counts and want.shape == have.shape
+                exact = exact and (want == have).all()
+            else:  # F_j has no generator at v: the image is zero
+                exact = not any(len(w) for w in want)
+            if not exact:
+                raise InternalCheckError(
+                    "resolution not exact at F_%d, degree %s"
+                    % (j - 1, gr.to_degree(first.coords, v))
+                )
+        if any(len(res.kernels[-1][v]) for res in ress):
+            raise InternalCheckError(
+                "resolution too short: kernel left at F_%d, degree %s"
+                % (len(degrees) - 1, gr.to_degree(first.coords, v))
+            )
+    return True
+
+
+def _augmentation(Ms, gens, present):
+    """The augmentation F_0 -> M at every index point, for each module of a
+    stack, asserted natural: at v the columns at each v - e_a are pushed one
+    step along a, must agree with those an earlier axis wrote, and the
+    generators born at v are placed (last among those present at v, which
+    are born at v or at points before it in grid order)."""
+    first = Ms[0]
+    born = dict(gens)
     eps = {}
-    for v in gr.grid(M.bound):
+    for v in gr.grid(first.bound):
         idx = present[v]
-        eps[v] = la.zeros(M.dim(v), len(idx))
+        eps[v] = np.zeros((len(Ms), first.dim(v), len(idx)), dtype=np.int64)
         written = np.zeros(len(idx), dtype=bool)
-        for a in range(M.n):
+        for a in range(first.n):
             u = gr.minus_e(v, (a,))
             if v[a] and present[u]:
                 cols = gr.placement(present[u], idx)
-                pushed = la.matmul(M.step(u, a), eps[u], M.p)
-                if ((eps[v][:, cols] != pushed) & written[cols]).any():
+                pushed = la.matmul(_steps(Ms, u, a), eps[u], first.p)
+                if ((eps[v][:, :, cols] != pushed) & written[cols]).any():
                     raise InternalCheckError(
                         "augmentation is not natural at %s along axis %d"
-                        % (gr.to_degree(M.coords, u), a)
+                        % (gr.to_degree(first.coords, u), a)
                     )
-                eps[v][:, cols] = pushed
+                eps[v][:, :, cols] = pushed
                 written[cols] = True
-        for c, k in enumerate(idx):
-            if gens[k][0] == v:
-                eps[v][:, c] = gens[k][1]
+        if v in born:
+            eps[v][:, :, len(idx) - born[v].shape[1] :] = born[v].transpose(0, 2, 1)
     return eps
+
+
+def _groups(gens, nb):
+    """The members of a stack of nb grouped by their generator count at every
+    index point of gens (triples (v, rows, counts) of stacked bases): per
+    group, in the order of its first member, (member positions, pairs (v,
+    rows) cut to it, with the points where it has no generator dropped)."""
+    counts = np.array([c for _, _, c in gens], dtype=np.int64).reshape(len(gens), nb)
+    groups = {}
+    for b, key in enumerate(map(tuple, counts.T.tolist())):
+        groups.setdefault(key, []).append(b)
+    out = []
+    for key, idx in groups.items():
+        cut = idx if len(idx) < nb else slice(None)
+        out.append((idx, [(v, rows[cut, :c]) for (v, rows, _), c in zip(gens, key) if c]))
+    return out
+
+
+def _extend(ress, maps):
+    """Resolve a stack of resolutions that share every level so far from its
+    last level j on, filling each in place; maps[v] is the stack of d_j at v.
+
+    At each index point the kernel of d_j, over all generators of F_j, is one
+    stacked kernel; the kernels are the sub given to _generators, whose rows
+    are the columns of d[j+1] as they are.  Where the members' generator
+    counts disagree, the stack splits by them and each part continues on its
+    own.  Each finished part is verified by one stacked check (_check).
+    """
+    first = ress[0].module
+    j = len(ress[0].gen_degrees) - 1
+    present, width = ress[0].present[j], len(ress[0].gen_degrees[j])
+    kernels, counts = {}, {}
+    for v in gr.grid(first.bound):
+        local, found = la.stacked_kernel_basis(maps[v], first.p)
+        rows = np.zeros(local.shape[:2] + (width,), dtype=np.int64)
+        rows[:, :, present[v]] = local
+        kernels[v], counts[v] = (rows, found), found
+    for b, res in enumerate(ress):
+        res.kernels.append({v: k[b, : counts[v][b]] for v, (k, _) in kernels.items()})
+    if not any(rows.shape[1] for rows, _ in kernels.values()):
+        _check(ress)
+        return
+    if j == first.n:
+        raise InternalCheckError(
+            "resolution exceeds length %d; this contradicts the syzygy "
+            "theorem and signals a bug" % first.n
+        )
+    gens = _generators([res.module for res in ress], kernels, present)
+    for idx, gens in _groups(gens, len(ress)):
+        part = [ress[b] for b in idx]
+        if not gens:  # these members' kernels are all zero
+            _check(part)
+            continue
+        degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
+        d = np.concatenate([rows for _, rows in gens], axis=1).transpose(0, 2, 1)
+        up = gr.present_on_grid([(u,) for u in degrees], first.bound)
+        for b, res in enumerate(part):
+            res.d[j + 1] = d[b]
+            res.gen_degrees.append(list(degrees))
+            res.present.append(up)
+        _extend(part, {v: d[:, present[v]][:, :, up[v]] for v in gr.grid(first.bound)})
 
 
 def minimal_resolution(M):
     """Build the minimal free resolution of M by iterated kernel generation.
 
-    Level j is its generator degrees, their presence on M's grid (one
-    gr.present_on_grid sweep) and the matrix of d_j.  The kernel of d_j at
-    each index point, over all generators of F_j, is the sub given to
-    module_generators, whose rows are the columns of d[j+1] as they are."""
-    gens = module_generators(M)
-    res = MinimalResolution(M, [[u for u, _ in gens]], [g for _, g in gens])
-    for j in itertools.count():
-        present = gr.present_on_grid([(u,) for u in res.gen_degrees[j]], M.bound)
-        res.present.append(present)
-        if j == 0:
-            res.eps = _augmentation(M, gens, present)
-        width = len(res.gen_degrees[j])
-        kernels = {}
-        for v in gr.grid(M.bound):
-            local = la.kernel_basis(res.at(j, v), M.p)
-            kernels[v] = la.zeros(local.shape[0], width)
-            kernels[v][:, present[v]] = local
-        res.kernels.append(kernels)
-        if all(rows.shape[0] == 0 for rows in kernels.values()):
-            break
-        if j == M.n:
-            raise InternalCheckError(
-                "resolution exceeds length %d; this contradicts the syzygy "
-                "theorem and signals a bug" % M.n
+    M is one module or a stack of modules that share one grid and one dims
+    array (a list, answered with one resolution per module), resolved at
+    once.  Level j is its generator degrees, their presence on the grid (one
+    gr.present_on_grid sweep) and the stacked matrix of d_j; each level does
+    one gather, one stacked kernel and one stacked generator step per index
+    point (_extend).  Members whose generators differ split off and
+    continue as their own stack.
+    """
+    Ms = _stack(M)
+    out = [None] * len(Ms)
+    for idx, gens in _groups(_generators(Ms), len(Ms)):
+        part = [Ms[b] for b in idx]
+        degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
+        present = gr.present_on_grid([(u,) for u in degrees], Ms[0].bound)
+        eps = _augmentation(part, gens, present)
+        for b, N in enumerate(part):
+            res = out[idx[b]] = MinimalResolution(
+                N, [list(degrees)], [row for _, rows in gens for row in rows[b]]
             )
-        syzygies = module_generators(M, kernels)
-        res.d[j + 1] = la.stack_rows([row for _, row in syzygies], width).T
-        res.gen_degrees.append([u for u, _ in syzygies])
-    res.check()
-    return res
-
-
-# -- the invariant tables ------------------------------------------------------
+            res.present.append(present)
+            res.eps = {v: m[b] for v, m in eps.items()}
+        _extend([out[b] for b in idx], eps)
+    return _per_module(M, out)
 
 
 class TorTable:
@@ -435,6 +600,10 @@ class TorTable:
 def xi(M, widen=0):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.
 
+    M is one module or a stack of modules that share one grid and one dims
+    array (a list, answered with one TorTable per module); both routes run
+    once over the whole stack, and every check below runs for every member.
+
     widen >= 0 presents M on a grid that many index steps larger in every
     axis (md.rebound; past the top they are unit steps) before both routes
     run on it; the answer must not change, so this is a stability check.
@@ -445,30 +614,41 @@ def xi(M, widen=0):
     """
     if widen < 0:
         raise ValidationError("widen must be >= 0, got %d" % widen)
+    Ms = _stack(M)
+    if not Ms:
+        return []
     if widen:
-        M = md.rebound(M, tuple(b + widen for b in M.bound))
-    resolution = minimal_resolution(M)
-    koszul = koszul_tor(M, range(M.n + 1))
-    for j, kt in koszul.items():
-        res_ms = resolution.xi(j)
-        if kt.multiset() != res_ms:
+        Ms = [md.rebound(N, tuple(b + widen for b in N.bound)) for N in Ms]
+    first = Ms[0]
+    stack = _per_module(M, Ms)
+    resolutions = minimal_resolution(stack)
+    koszuls = koszul_tor(stack, range(first.n + 1))
+    if stack is not Ms:
+        resolutions, koszuls = [resolutions], [koszuls]
+    points = list(gr.grid(first.bound))
+    degrees = np.array([gr.to_degree(first.coords, v) for v in points])
+    dims = first.dims[(slice(1, -1),) * first.n].reshape(-1)
+    out = []
+    for resolution, koszul in zip(resolutions, koszuls):
+        for j, kt in koszul.items():
+            res_ms = resolution.xi(j)
+            if kt.multiset() != res_ms:
+                raise InternalCheckError(
+                    "Tor_%d mismatch: Koszul homology gives %s, the minimal "
+                    "resolution gives %s" % (j, kt.multiset(), res_ms)
+                )
+        table = TorTable(first.n, koszul, resolution)
+        chi = np.zeros(len(points), dtype=np.int64)
+        for j, ms in table.tables.items():
+            if ms:
+                below = (np.array(list(ms))[None] <= degrees[:, None]).all(axis=2)
+                chi += (-1) ** j * (below @ np.array(list(ms.values())))
+        bad = np.flatnonzero(chi != dims)
+        if bad.size:
+            k = bad[0]
             raise InternalCheckError(
-                "Tor_%d mismatch: Koszul homology gives %s, the minimal "
-                "resolution gives %s" % (j, kt.multiset(), res_ms)
+                "xi: dim M is %d at %s, but the alternating sum of xi_j at or "
+                "below it is %d" % (dims[k], tuple(degrees[k].tolist()), chi[k])
             )
-    table = TorTable(M.n, koszul, resolution)
-    points = list(gr.grid(M.bound))
-    degrees = np.array([gr.to_degree(M.coords, v) for v in points])
-    chi = np.zeros(len(points), dtype=np.int64)
-    for j, ms in table.tables.items():
-        if ms:
-            below = (np.array(list(ms))[None] <= degrees[:, None]).all(axis=2)
-            chi += (-1) ** j * (below @ np.array(list(ms.values())))
-    bad = np.flatnonzero(chi != M.dims[(slice(1, -1),) * M.n].reshape(-1))
-    if bad.size:
-        k = bad[0]
-        raise InternalCheckError(
-            "xi: dim M is %d at %s, but the alternating sum of xi_j at or "
-            "below it is %d" % (M.dim(points[k]), tuple(degrees[k].tolist()), chi[k])
-        )
-    return table
+        out.append(table)
+    return _per_module(M, out)

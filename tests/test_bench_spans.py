@@ -24,3 +24,29 @@ def test_every_counted_or_timed_span_is_wrapped():
     watched = set(tracing.COUNTED) | set(tracing.INCLUSIVE)
     assert watched, "the tracer watches no span"
     assert sorted(watched - wrapped) == []
+
+
+def test_a_census_call_passes_through_every_tor_span(capsys):
+    # a span that is wrapped but bypassed reads 0: one GF(3) orbits call must
+    # enter the stacked xi, both routes, the Koszul blocks and the modules
+    from torpers import cli
+
+    tracer = _tracing().Tracer()
+    argv = ["orbits", "--xi0", "[[[0, 1], 1], [[1, 0], 2]]"]
+    argv += ["--xi1", "[[[1, 1], 1], [[1, 2], 1], [[2, 0], 1]]", "--field", "3"]
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = tracer.arrays()["name"]
+    for name in (
+        "tor.xi",
+        "tor.koszul_tor",
+        "tor.minimal_resolution",
+        "tor.koszul_delta",
+        "orbits.family_to_module",
+    ):
+        assert name in tracer.name_id, name
+        assert (spans == tracer.name_id[name]).sum() > 0, name

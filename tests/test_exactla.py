@@ -543,3 +543,82 @@ def test_stacked_rank_matches_rank_matrix_by_matrix(stacks):
         assert got.shape == (stack.shape[0],)
         assert got.tolist() == [la.rank(m, p) for m in stack]
 
+
+
+# -- the stacked canonical forms against the per-matrix routines ---------------
+
+
+def _reference_basis(rows, counts, want):
+    """rows[:counts] is want and every row past counts is zero."""
+    k = len(want)
+    return counts == k and (rows[:k] == want).all() and not rows[k:].any()
+
+
+@st.composite
+def strided_stacks(draw):
+    """(p, stack) where stack is a non-contiguous (B, r, c) view: the
+    column-reversed view kernel_basis makes, a transposed stack, or a slice of
+    a 4-d array.  Depths around the stacked forms' crossover; zero rows, zero
+    columns, zero matrices and ranks that differ inside one stack."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 3037000493)))
+    depth = la._STACK_DEPTH
+    nb = draw(st.sampled_from((0, 1, depth - 1, depth + 1, 50)))
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = [0, 1, p - 1, int(rng.integers(0, p))]
+    # each matrix a product through an inner size of its own, or free
+    # entries: ranks differ inside one stack
+    stack = rng.choice(values, size=(nb, r, c))
+    for b in range(nb):
+        if rng.random() < 0.7:
+            k = int(rng.integers(0, 4))
+            left, right = rng.choice(values, size=(r, k)), rng.choice(values, size=(k, c))
+            stack[b] = la.matmul(left, right, p)
+    kind = draw(st.sampled_from(("reversed", "transposed", "4-d slice")))
+    if kind == "reversed":
+        return p, stack[:, :, ::-1]
+    if kind == "transposed":
+        return p, np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+    big = np.full((nb, 3, r + 2, c + 1), p - 1, dtype=np.int64)
+    big[:, 1, 1 : r + 1, :c] = stack
+    return p, big[:, 1, 1 : r + 1, :c]
+
+
+@given(strided_stacks())
+@settings(max_examples=120, deadline=None)
+def test_stacked_forms_match_the_per_matrix_routines(case):
+    p, stack = case
+    before = stack.copy()
+    nb, nrows, ncols = stack.shape
+
+    r, ranks, pivots = la.stacked_rref(stack, p)
+    rows, counts = la.stacked_row_space(stack, p)
+    kernels, kcounts = la.stacked_kernel_basis(stack, p)
+    assert r.shape == stack.shape and rows.shape[::2] == (nb, ncols)
+    assert la.stacked_rank(stack, p).tolist() == list(ranks)
+    for b in range(nb):
+        want, rank, pv = la.rref(stack[b], p)
+        assert (r[b] == want).all() and ranks[b] == rank and pivots[b] == pv
+        assert _reference_basis(rows[b], counts[b], la.row_space(stack[b], p))
+        assert _reference_basis(kernels[b], kcounts[b], la.kernel_basis(stack[b], p))
+
+    # a sub of each row space: the rows from an upper part of the stack
+    sub, scounts = la.stacked_row_space(stack[:, : nrows // 2], p)
+    comp, ccounts = la.stacked_complement_basis((sub, scounts), (rows, counts), p)
+    reduced = la.stacked_reduce_mod_rows(stack, rows, p)
+    for b in range(nb):
+        s, w = sub[b, : scounts[b]], rows[b, : counts[b]]
+        assert _reference_basis(comp[b], ccounts[b], la.complement_basis(s, w, p))
+        assert (reduced[b] == la.reduce_mod_rows(stack[b], w, p)).all()
+    assert (stack == before).all()
+
+
+def test_stacked_complement_refuses_a_sub_outside_the_whole():
+    depth = la._STACK_DEPTH
+    for nb in (1, depth + 1):
+        whole = np.zeros((nb, 1, 3), dtype=np.int64)
+        whole[:, 0, 0] = 1
+        sub = np.zeros((nb, 1, 3), dtype=np.int64)
+        sub[:, 0, 1] = 1
+        with pytest.raises(ValueError, match="not contained"):
+            la.stacked_complement_basis((sub, [1] * nb), (whole, [1] * nb), 5)

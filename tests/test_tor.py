@@ -576,3 +576,35 @@ def test_the_hilbert_identity_catches_a_corrupted_xi_entry(
     assert cli.main(argv) == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert message.startswith("xi: dim M is 1 at %s, but the alternating sum" % (top,))
+
+
+# -- the degree masks of check() against the per-entry loop they replaced -----
+
+
+def _first_bad_entry(res):
+    """The message of the first non-homogeneous or non-minimal entry of any
+    d_j, by the loop over nonzero entries in row-major order."""
+    for j in range(1, len(res.gen_degrees)):
+        for k, l in zip(*np.nonzero(res.d[j] % res.p)):
+            uk, ul = res.gen_degrees[j - 1][k], res.gen_degrees[j][l]
+            if not gr.leq(uk, ul):
+                return "resolution d_%d not homogeneous at (%d,%d)" % (j, k, l)
+            if uk == ul:
+                return "resolution d_%d not minimal at (%d,%d)" % (j, k, l)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_degree_masks_name_the_first_bad_entry(circle, seed):
+    rng = np.random.default_rng(seed)
+    res = tor.minimal_resolution(circle_h0(circle, 3))
+    # move some generators to other index points: entries turn bad
+    for degrees in res.gen_degrees:
+        for k in rng.choice(len(degrees), size=min(2, len(degrees)), replace=False):
+            degrees[k] = tuple(int(x) for x in rng.integers(0, 3, size=2))
+    want = _first_bad_entry(res)
+    if want is None:
+        assert res.check() is True
+    else:
+        with pytest.raises(InternalCheckError, match=re.escape(want)):
+            res.check()
