@@ -571,6 +571,8 @@ def minimal_resolution(M):
     continue as their own stack.
     """
     Ms = _stack(M)
+    if not Ms:
+        return []
     out = [None] * len(Ms)
     for idx, gens in _groups(_generators(Ms), len(Ms)):
         part = [Ms[b] for b in idx]

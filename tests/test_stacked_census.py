@@ -159,3 +159,14 @@ def test_a_corrupted_member_raises_as_it_does_alone():
     with pytest.raises(InternalCheckError) as stacked:
         tor.xi([first, bad, last])
     assert str(stacked.value) == str(alone.value)
+
+
+def test_stacks_are_lists_of_one_grid():
+    a, b = _equal_dims_pairs()[0]
+    assert tor.xi([]) == [] and tor.minimal_resolution([]) == []
+    assert tor.koszul_tor([], 0) == []
+    assert len(tor.xi([a])) == 1 and tor.xi([a])[0].tables == tor.xi(a).tables
+    other = _module(1, (2,), {((0,), 0): 1, ((1,), 0): 1})
+    for route in (tor.xi, tor.minimal_resolution):
+        with pytest.raises(ValueError, match="one grid and dims array"):
+            route([a, other])
