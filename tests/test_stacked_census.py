@@ -12,6 +12,7 @@ from torpers import grading as gr
 from torpers import modules as md
 from torpers import orbits as ob
 from torpers import tor
+from torpers.complexes import Presentation
 
 CENSUSES = [(XI0_MIXED, XI1_MIXED, 3), (XI0_FOUR_LINES, XI1_FOUR_LINES, 5)]
 
@@ -80,22 +81,33 @@ def _module(n, bound, steps, p=5):
 def _equal_dims_pairs():
     """Pairs of modules with the same dims and different xi: on a line, the
     step is the identity (one generator) or zero (two); on the square, every
-    step is the identity, or the steps along axis 0 are zero."""
+    step is the identity, or the steps along axis 0 are zero.  The two
+    cokernels (found by a seeded search) share dims and xi_0 but not xi_1:
+    the relation at (2, 2) is redundant in the first only, so the stack
+    splits at level 1 of the resolution, not at its generators."""
     line = [_module(1, (1,), {((0,), 0): x}) for x in (1, 0)]
     steps = list(gr.unit_steps((1, 1)))
     square = [
         _module(2, (1, 1), {(v, a): int(free or a == 1) for v, a, _ in steps})
         for free in (True, False)
     ]
-    return [line, square]
+    gens = [(0, 0), (0, 0)]
+    relations = [
+        [((2, 2), {1: 2}), ((0, 2), {0: 1}), ((2, 1), {0: 1, 1: 1})],
+        [((2, 2), {0: 2, 1: 2}), ((0, 2), {1: 1}), ((2, 1), {1: 1})],
+    ]
+    cokernels = [md.present_cokernel(Presentation(2, gens, r), 3) for r in relations]
+    return [line, square, cokernels]
 
 
-@pytest.mark.parametrize("pair", _equal_dims_pairs(), ids=["line", "square"])
+@pytest.mark.parametrize(
+    "pair", _equal_dims_pairs(), ids=["line", "square", "level-1-split"]
+)
 def test_a_stack_with_equal_dims_and_different_xi_splits(monkeypatch, pair):
     a, b = pair
     stack = [a, b, b, a, b]
     alone = [tor.xi(M) for M in stack]
-    assert alone[0].tables != alone[1].tables
+    assert np.array_equal(a.dims, b.dims) and alone[0].tables != alone[1].tables
     checked = []
     check = tor._check
     monkeypatch.setattr(tor, "_check", lambda rs: checked.append(len(rs)) or check(rs))
