@@ -31,8 +31,8 @@ P[col]·x − x[col]·P for the pivot row P, and no intermediate exceeds
 input untouched.  It returns ranks only, no echelon form, pivots or basis,
 so a caller that needs canonical rows calls the stacked canonical forms.
 
-The stacked canonical forms (stacked_rref, stacked_row_space,
-stacked_kernel_basis, stacked_complement_basis, stacked_reduce_mod_rows)
+The stacked canonical forms (stacked_row_space, stacked_kernel_basis,
+stacked_complement_basis, stacked_unit_complement, stacked_reduce_mod_rows)
 take a (B, r, c) stack and equal the per-matrix routines matrix by matrix,
 which stay the reference.  A stacked basis is a pair (rows, counts): rows
 is a (B, k, c) array holding matrix b's RREF basis without zero rows in its
@@ -300,19 +300,6 @@ def stack_bases(mats, cols):
     return out, counts
 
 
-def stacked_rref(stack, p):
-    """(r, ranks, pivots) with r[b], ranks[b] and pivots[b] equal to
-    rref(stack[b], p), for a (B, rows, cols) stack; ranks is a list."""
-    m = np.asarray(stack, dtype=np.int64)
-    if len(m) < _STACK_DEPTH:
-        out = [rref(a, p) for a in m]
-        r = np.array([a for a, _, _ in out], dtype=np.int64).reshape(m.shape)
-        return r, [k for _, k, _ in out], [pv for _, _, pv in out]
-    r, ranks = _eliminate(m, p)
-    ranks = ranks.tolist()
-    return r, ranks, [pv[:k] for pv, k in zip(_leads(r).tolist(), ranks)]
-
-
 def stacked_row_space(stack, p):
     """row_space of every matrix of a (B, rows, cols) stack, as a stacked basis."""
     m = np.asarray(stack, dtype=np.int64)
@@ -374,6 +361,22 @@ def stacked_complement_basis(sub, whole, p):
     if any(k != b - a for k, a, b in zip(counts, ks, kw)):
         raise ValueError("complement_basis: sub is not contained in whole")
     return comp, counts
+
+
+def stacked_unit_complement(basis):
+    """complement_basis(sub, eye) of every member of a stacked basis sub, read
+    off its pivots: the unit vectors at its non-pivot columns, ascending.
+    Reducing the unit vectors modulo sub leaves those as they are and spans
+    nothing else, so no elimination is needed."""
+    rows, counts = basis
+    nb, k, ncols = rows.shape
+    free = np.ones((nb, ncols), dtype=bool)
+    b, i = np.nonzero(np.arange(k) < np.array(counts, dtype=np.int64)[:, None])
+    free[b, _leads(rows[b, i])] = False
+    left = free.sum(axis=1)
+    order = np.argsort(~free, axis=1, kind="stable")[:, : left.max(initial=0)]
+    units = eye(ncols)[order] * (np.arange(order.shape[1]) < left[:, None])[:, :, None]
+    return units, left.tolist()
 
 
 def kernel_basis(a, p):

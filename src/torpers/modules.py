@@ -20,7 +20,9 @@ generators) present at each index point, with inclusions as steps.
 Constructors that build quotients (homology, cokernels) record their bases
 as rows in the ambient coordinates (`bases`) plus the subspace that was
 modded out (`reduce_by`), so class representatives and projections stay
-available downstream.
+available downstream.  Homology goes through basis_module; cokernels are
+built in stacks of presentations of one shape (present_cokernel), with no
+free module and each basis read off the pivots of the relation space.
 
 The chain side of a complex is one ChainData: its grid (the complex's
 critical grid), per chain dimension the positions of the cells present at
@@ -36,7 +38,10 @@ import numpy as np
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
-from torpers.complexes import check_field
+from torpers.complexes import Presentation, check_field
+
+_NOT_CLOSED = "basis family is not closed under the step at %s axis %d"
+_NOT_COMMUTING = "steps fail to commute on the square at %s, axes %d,%d"
 
 
 class PersistenceModule:
@@ -96,8 +101,7 @@ class PersistenceModule:
                     b = la.matmul(self.step(gr.step(v, j), i), self.step(v, j), self.p)
                     if (a != b).any():
                         raise InternalCheckError(
-                            "steps fail to commute on the square at %s, axes %d,%d"
-                            % (gr.to_degree(self.coords, v), i, j)
+                            _NOT_COMMUTING % (gr.to_degree(self.coords, v), i, j)
                         )
 
     def dim(self, v):
@@ -253,9 +257,8 @@ def basis_module(ambient, bases, reduce_by):
     of a subspace closed under the steps); the new module's coordinates at v
     are with respect to those rows.  Each step pushes all basis rows through
     the ambient step in one product, reduces them modulo reduce_by at the
-    target and reads their coordinates there.  Used by homology_module and
-    present_cokernel; a submodule needs no module of its own (see
-    tor.module_generators).
+    target and reads their coordinates there.  Used by homology_module;
+    present_cokernel builds its stacks in place of it.
     """
     p = ambient.p
     dims = {v: bases[v].shape[0] for v in gr.grid(ambient.bound)}
@@ -265,10 +268,7 @@ def basis_module(ambient, bases, reduce_by):
         pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
         c = la.coords_in(pushed, bases[w], p)
         if c is None:
-            raise InternalCheckError(
-                "basis family is not closed under the step at %s axis %d"
-                % (gr.to_degree(ambient.coords, v), j)
-            )
+            raise InternalCheckError(_NOT_CLOSED % (gr.to_degree(ambient.coords, v), j))
         steps[(v, j)] = c.T
     mod = PersistenceModule(
         ambient.n, ambient.bound, dims, steps, p, coords=ambient.coords
@@ -312,31 +312,81 @@ def homology_module(data, q):
 
 
 def present_cokernel(pres, p):
-    """Evaluate a presentation to its cokernel module.
+    """Evaluate a presentation, or a stack of them, to its cokernel module.
 
-    The grid is the critical grid of the generator and relation degrees.
-    Bases are RREF complements of the relation row space inside the free
-    module on the generators present at each index point; .gen_index[v] maps
-    the local free coordinates back to generator indices.
+    pres is one Presentation, or a list of them (one module each, [] for [])
+    that share n, the generator degrees and the relation degrees in order
+    (else ValueError).  The grid and the generators present at each index
+    point (.gen_index) are made once.  At each index point one stacked row
+    space of the relation rows gives each member's relation space
+    (.reduce_by) and its RREF complement (.bases), the unit vectors at the
+    non-pivot columns.  Per group of members with equal dims, each step is
+    the basis rows placed by inclusion, reduced in one stacked call and read
+    at the target's non-pivot columns; closure and commuting squares are
+    checked with one stacked product per step and per square.  Where members
+    fail, the first in input order raises what it raises alone.
     """
-    degrees = list(pres.gens) + [d for d, _ in pres.relations]
-    coords = gr.critical_coords(degrees, pres.n)
+    press = [pres] if isinstance(pres, Presentation) else list(pres)
+    if not press:
+        return []
+    first, nb = press[0], len(press)
+    degrees = [d for d, _ in first.relations]
+    if len({(pr.n, pr.gens, tuple(d for d, _ in pr.relations)) for pr in press}) > 1:
+        raise ValueError(
+            "a stack of presentations must share n, the generator degrees and "
+            "the relation degrees"
+        )
     check_field(p)
-    gens = _present(coords, [(g,) for g in pres.gens])
-    free = _inclusion_module(pres.n, coords, gens, p)
-    rel = la.zeros(len(pres.relations), len(pres.gens))
-    for r, (_, coeffs) in enumerate(pres.relations):
-        for k, c in coeffs.items():
-            rel[r, k] = c % p
-    live = _present(coords, [(d,) for d, _ in pres.relations])
-    rel_rref, bases = {}, {}
-    for v in gr.grid(free.bound):
-        idx = gens[v]
-        rel_rref[v] = la.row_space(rel[live[v]][:, idx], p)
-        bases[v] = la.complement_basis(rel_rref[v], la.eye(len(idx)), p)
-    mod = basis_module(free, bases, rel_rref)
-    mod.gen_index = gens
-    return mod
+    n, coords = first.n, gr.critical_coords(list(first.gens) + degrees, first.n)
+    bound = gr.coords_bound(coords)
+    gens = _present(coords, [(g,) for g in first.gens])
+    live = _present(coords, [(d,) for d in degrees])
+    rel = np.zeros((nb, len(degrees), len(first.gens)), dtype=np.int64)
+    for b, pr in enumerate(press):
+        for r, (_, coeffs) in enumerate(pr.relations):
+            rel[b, r, list(coeffs)] = [c % p for c in coeffs.values()]
+    points = list(gr.grid(bound))
+    spaces = {v: la.stacked_row_space(rel[:, live[v]][:, :, gens[v]], p) for v in gens}
+    units = {v: la.stacked_unit_complement(spaces[v])[0] for v in points}
+    ranks = np.array([spaces[v][1] for v in points], dtype=np.int64).reshape(-1, nb)
+    groups = {}
+    for b, key in enumerate(map(tuple, ranks.T.tolist())):
+        groups.setdefault(key, []).append(b)
+    out, failed = [None] * nb, {}
+    for key, idx in groups.items():
+        cut = idx if len(idx) < nb else slice(None)
+        rels = {v: spaces[v][0][cut, :k] for v, k in zip(points, key)}
+        bases = {v: units[v][cut, : len(gens[v]) - k] for v, k in zip(points, key)}
+        steps, checks, bad = {}, [], []
+        for v, j, w in gr.unit_steps(bound):
+            pushed = np.zeros(bases[v].shape[:2] + (len(gens[w]),), dtype=np.int64)
+            pushed[:, :, gr.placement(gens[v], gens[w])] = bases[v]
+            reduced = la.stacked_reduce_mod_rows(pushed, rels[w], p)
+            c = la.matmul(reduced, bases[w].transpose(0, 2, 1), p)
+            steps[(v, j)] = np.ascontiguousarray(c.transpose(0, 2, 1))
+            checks.append((_NOT_CLOSED, v, (j,)))
+            bad.append((la.matmul(c, bases[w], p) != reduced).any(axis=(1, 2)))
+        for v, i, _ in gr.unit_steps(bound):  # the squares, in _check's order
+            for j in range(i + 1, n):
+                if v[j] < bound[j]:
+                    a = la.matmul(steps[(gr.step(v, i), j)], steps[(v, i)], p)
+                    b = la.matmul(steps[(gr.step(v, j), i)], steps[(v, j)], p)
+                    checks.append((_NOT_COMMUTING, v, (i, j)))
+                    bad.append((a != b).any(axis=(1, 2)))
+        bad = np.array(bad, dtype=bool).reshape(len(checks), len(idx))
+        for g in np.flatnonzero(bad.any(axis=0)).tolist():
+            failed[idx[g]] = checks[bad[:, g].argmax()]
+        dims = {v: bases[v].shape[1] for v in points}
+        for g, b in enumerate(idx):
+            mine = {k: s[g] for k, s in steps.items()}
+            M = out[b] = PersistenceModule(n, bound, dims, mine, p, False, coords)
+            M.bases = {v: rows[g] for v, rows in bases.items()}
+            M.reduce_by = {v: rows[g] for v, rows in rels.items()}
+            M.gen_index = gens
+    if failed:
+        message, v, axes = failed[min(failed)]
+        raise InternalCheckError(message % ((gr.to_degree(coords, v),) + axes))
+    return out[0] if isinstance(pres, Presentation) else out
 
 
 def free_module(ms, p, n=None, coords=None):

@@ -19,8 +19,8 @@ The xi tables of a census are computed in few stacks: the members of an
 orbit have their representative's dimensions, and the 30 orbits of the
 benchmark censuses have only 11 distinct dims arrays.  classify builds the
 modules of the orbits whose representatives share a grid and dims array
-together and resolves each such stack with one tor.xi, which gives each
-module its own tables (see tor).
+together, as one stack of cokernels (md.present_cokernel), and resolves each
+such stack with one tor.xi, which gives each module its own tables (see tor).
 """
 
 from __future__ import annotations
@@ -348,17 +348,29 @@ def orbit_partition(families, xi0, q):
 
 
 def family_to_module(fam):
-    """The cokernel of the relation family, as a persistence module."""
-    gens = gr.multiset_to_list(fam.xi0)
-    births = [(g,) for g in gens]
-    relations = []
-    for v in fam.degrees:
-        idx = gr.present(births, v)
-        for row in fam.spaces[v]:
-            coeffs = {idx[c]: int(x) for c, x in enumerate(row) if x}
-            relations.append((v, coeffs))
-    pres = Presentation(_infer_n(fam), gens, relations)
-    return md.present_cokernel(pres, fam.q)
+    """The cokernel of a relation family, as a persistence module; for a list
+    of families of one xi0, xi1 and q, one module per family from one
+    md.present_cokernel stack."""
+    fams = [fam] if isinstance(fam, RelationFamily) else list(fam)
+    if any((f.xi0, f.xi1, f.q) != (fams[0].xi0, fams[0].xi1, fams[0].q) for f in fams):
+        raise ValueError("a stack of relation families must share xi0, xi1 and q")
+    out = md.present_cokernel(_presentations(fams), fams[0].q) if fams else []
+    return out[0] if isinstance(fam, RelationFamily) else out
+
+
+def _presentations(fams):
+    """Per relation family of one shape, its generators and one relation per
+    row of its spaces, in degree order."""
+    gens = gr.multiset_to_list(fams[0].xi0)
+    index = {v: gr.present([(g,) for g in gens], v) for v in fams[0].degrees}
+    out = []
+    for f in fams:
+        relations = []
+        for v in f.degrees:
+            for row in f.spaces[v].tolist():
+                relations.append((v, {index[v][c]: x for c, x in enumerate(row) if x}))
+        out.append(Presentation(_infer_n(f), gens, relations))
+    return out
 
 
 def _infer_n(fam):
@@ -500,14 +512,15 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
 
     Right after the partition, each orbit's spot-check members are drawn
     (default_rng(7), in orbit order) and the enumeration is released.  The
-    representatives' modules are built first (family_to_module); the orbits
-    whose representatives share one grid and dims array form a batch, whose
-    members' modules are built next, and the batch is resolved with one
-    tor.xi per grid and dims array among its modules (_stacked_xi), so only
-    one batch of modules is alive at a time.  A member whose xi differs from
-    the rest of its stack gets its own tables all the same, and the tables
-    are compared after every batch is done, orbit by orbit and member by
-    member in orbit order, so the first differing member is named.
+    representatives' modules are built first, in one family_to_module call;
+    the orbits whose representatives share one grid and dims array form a
+    batch, whose members' modules are built next in one more call, and the
+    batch is resolved with one tor.xi per grid and dims array among its
+    modules (_stacked_xi), so only one batch of modules is alive at a time.
+    A member whose xi differs from the rest of its stack gets its own tables
+    all the same, and the tables are compared after every batch is done,
+    orbit by orbit and member by member in orbit order, so the first
+    differing member is named.
     """
     xi0 = dict(xi0)
     xi1 = dict(xi1)
@@ -523,15 +536,17 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
         spots.append(rng.choice(others, size=size, replace=False).tolist())
     members = [[families[k] for k in ks] for ks in spots]
     del families  # the enumeration is released before any module is built
-    reps = [family_to_module(orbit.rep) for orbit in orbits]
+    reps = family_to_module([orbit.rep for orbit in orbits])
     batches = {}
     for i, M in enumerate(reps):
         batches.setdefault(_grid_key(M), []).append(i)
     tables, ys = [None] * len(orbits), [None] * len(orbits)
     for batch in batches.values():
+        built = family_to_module([fam for i in batch for fam in members[i]])
         modules = []
         for i in batch:
-            modules += [reps[i]] + [family_to_module(fam) for fam in members[i]]
+            modules += [reps[i]] + built[: len(members[i])]
+            del built[: len(members[i])]
             reps[i] = None
         xis = _stacked_xi(modules)
         del modules

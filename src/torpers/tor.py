@@ -301,9 +301,10 @@ def _generators(Ms, sub=None, present=None):
     into v as it is.  Without sub it is all of each module: the identity at
     v, pushed through its steps.  At each index point the pushed rows are
     reduced once, and the generators born at v are their stacked complement
-    inside sub[v]; with present[v], the generators of the free module
-    present at v, they are found on those columns and placed back over all
-    generators.  A pushed row outside sub[v] raises InternalCheckError.
+    inside sub[v] (inside the identity, read off the pivots); with
+    present[v], the generators of the free module present at v, they are
+    found on those columns and placed back over all generators.  A pushed
+    row outside sub[v] raises InternalCheckError.
     """
     first, nb = Ms[0], len(Ms)
     out = []
@@ -312,25 +313,27 @@ def _generators(Ms, sub=None, present=None):
         if sub is None:
             if not first.dim(v):
                 continue
-            rows = (la.eye(first.dim(v))[None].repeat(nb, axis=0), [first.dim(v)] * nb)
+            rows, width = None, first.dim(v)
             pushed = [np.swapaxes(_steps(Ms, u, a), -1, -2) for u, a in below]
-            pushed = [x.reshape(nb, -1, first.dim(v)) for x in pushed]
         else:
             pushed = [sub[u][0] for u, _ in below if sub[u][0].shape[1]]
             if not (sub[v][0].shape[1] or pushed):
                 continue
             cols = slice(None) if present is None else present[v]
             rows = (sub[v][0][:, :, cols], sub[v][1])
-            pushed = [x[:, :, cols] for x in pushed]
-        pushed = np.concatenate([rows[0][:, :0]] + pushed, axis=1)
-        pushed = la.stacked_row_space(pushed, first.p)
-        try:
-            comp, counts = la.stacked_complement_basis(pushed, rows, first.p)
-        except ValueError:
-            raise InternalCheckError(
-                "submodule is not closed under the steps into degree %s"
-                % (gr.to_degree(first.coords, v),)
-            ) from None
+            pushed, width = [x[:, :, cols] for x in pushed], rows[0].shape[2]
+        pushed = [x.reshape(nb, -1, width) for x in [la.zeros(0, width)] + pushed]
+        pushed = la.stacked_row_space(np.concatenate(pushed, axis=1), first.p)
+        if rows is None:
+            comp, counts = la.stacked_unit_complement(pushed)
+        else:
+            try:
+                comp, counts = la.stacked_complement_basis(pushed, rows, first.p)
+            except ValueError:
+                raise InternalCheckError(
+                    "submodule is not closed under the steps into degree %s"
+                    % (gr.to_degree(first.coords, v),)
+                ) from None
         if not comp.shape[1]:
             continue
         if sub is not None:  # back over all generators
@@ -339,21 +342,6 @@ def _generators(Ms, sub=None, present=None):
             comp[:, :, cols] = found
         out.append((v, comp, counts))
     return out
-
-
-def module_generators(M, sub=None):
-    """Minimal generators of M, or of a submodule of a free module on M's grid.
-
-    sub[v] is an RREF row basis without zero rows, over all generators of the
-    free module (zero off those present at v), of a submodule closed under
-    the steps.  For M itself the pushed rows span koszul_boundaries(M, v,
-    0), so this realizes M / (sum of the images of all steps).  Returns
-    (index point, row vector) pairs in grid order, from _generators on a
-    stack of one; a pushed row outside sub[v] raises InternalCheckError.
-    """
-    if sub is not None:
-        sub = {v: (rows[None], [len(rows)]) for v, rows in sub.items()}
-    return [(v, row) for v, rows, _ in _generators([M], sub) for row in rows[0]]
 
 
 class MinimalResolution:

@@ -584,6 +584,20 @@ def strided_stacks(draw):
     return p, big[:, 1, 1 : r + 1, :c]
 
 
+def _stacked_rref(stack, p):
+    """(r, ranks, pivots) of every matrix of a (B, rows, cols) stack: the
+    per-matrix rref below la._STACK_DEPTH matrices, one la._eliminate from it
+    on, as the stacked canonical forms split their work."""
+    m = np.asarray(stack, dtype=np.int64)
+    if len(m) < la._STACK_DEPTH:
+        out = [la.rref(a, p) for a in m]
+        r = np.array([a for a, _, _ in out], dtype=np.int64).reshape(m.shape)
+        return r, [k for _, k, _ in out], [pv for _, _, pv in out]
+    r, ranks = la._eliminate(m, p)
+    ranks = ranks.tolist()
+    return r, ranks, [pv[:k] for pv, k in zip(la._leads(r).tolist(), ranks)]
+
+
 @given(strided_stacks())
 @settings(max_examples=120, deadline=None)
 def test_stacked_forms_match_the_per_matrix_routines(case):
@@ -591,7 +605,7 @@ def test_stacked_forms_match_the_per_matrix_routines(case):
     before = stack.copy()
     nb, nrows, ncols = stack.shape
 
-    r, ranks, pivots = la.stacked_rref(stack, p)
+    r, ranks, pivots = _stacked_rref(stack, p)
     rows, counts = la.stacked_row_space(stack, p)
     kernels, kcounts = la.stacked_kernel_basis(stack, p)
     assert r.shape == stack.shape and rows.shape[::2] == (nb, ncols)
@@ -610,6 +624,16 @@ def test_stacked_forms_match_the_per_matrix_routines(case):
         s, w = sub[b, : scounts[b]], rows[b, : counts[b]]
         assert _reference_basis(comp[b], ccounts[b], la.complement_basis(s, w, p))
         assert (reduced[b] == la.reduce_mod_rows(stack[b], w, p)).all()
+
+    # the complement inside the whole space, read off the pivots, of each
+    # basis above as a non-contiguous view
+    eye = (np.broadcast_to(la.eye(ncols), (nb, ncols, ncols)), [ncols] * nb)
+    for basis, k in ((rows, counts), (sub, scounts)):
+        view = np.ascontiguousarray(basis.transpose(0, 2, 1)).transpose(0, 2, 1)
+        units, ucounts = la.stacked_unit_complement((view, k))
+        want, wcounts = la.stacked_complement_basis((view, k), eye, p)
+        assert ucounts == wcounts and units.shape == want.shape
+        assert (units == want).all() and (view == basis).all()
     assert (stack == before).all()
 
 

@@ -377,9 +377,9 @@ def test_classify_spot_checks_members_other_than_the_representative(monkeypatch)
     converted = []
     to_module = ob.family_to_module
 
-    def recording(fam):
-        converted.append(fam.encode())
-        return to_module(fam)
+    def recording(fams):
+        converted.extend(fam.encode() for fam in fams)
+        return to_module(fams)
 
     monkeypatch.setattr(ob, "family_to_module", recording)
     report = ob.classify(XI0_MIXED, XI1_MIXED, 3)

@@ -137,13 +137,17 @@ def test_a_member_with_another_xi_still_fails_the_spot_check(monkeypatch):
     fam, k = _first_spot_check(XI0_MIXED, XI1_MIXED, 3)
     to_module = ob.family_to_module
 
-    def patched(f):
-        M = to_module(f)
-        if f.encode() != fam.encode():
-            return M
-        steps = {key: np.zeros_like(s) for key, s in M.steps.items()}
-        dims = {v: M.dim(v) for v in gr.grid(M.bound)}
-        return md.PersistenceModule(M.n, M.bound, dims, steps, M.p, coords=M.coords)
+    def patched(fams):
+        out = to_module(fams)
+        for b, (f, M) in enumerate(zip(fams, out)):
+            if f.encode() != fam.encode():
+                continue
+            steps = {key: np.zeros_like(s) for key, s in M.steps.items()}
+            dims = {v: M.dim(v) for v in gr.grid(M.bound)}
+            out[b] = md.PersistenceModule(
+                M.n, M.bound, dims, steps, M.p, coords=M.coords
+            )
+        return out
 
     monkeypatch.setattr(ob, "family_to_module", patched)
     want = "xi table varies inside one orbit (member %d)" % k
