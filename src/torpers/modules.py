@@ -346,7 +346,7 @@ def present_cokernel(pres, p):
         for r, (_, coeffs) in enumerate(pr.relations):
             rel[b, r, list(coeffs)] = [c % p for c in coeffs.values()]
     points = list(gr.grid(bound))
-    spaces = {v: la.stacked_row_space(rel[:, live[v]][:, :, gens[v]], p) for v in gens}
+    spaces = {v: la.stacked_row_space(rel[:, live[v]][..., gens[v]], p) for v in points}
     units = {v: la.stacked_unit_complement(spaces[v])[0] for v in points}
     ranks = np.array([spaces[v][1] for v in points], dtype=np.int64).reshape(-1, nb)
     groups = {}
@@ -363,7 +363,7 @@ def present_cokernel(pres, p):
             pushed[:, :, gr.placement(gens[v], gens[w])] = bases[v]
             reduced = la.stacked_reduce_mod_rows(pushed, rels[w], p)
             c = la.matmul(reduced, bases[w].transpose(0, 2, 1), p)
-            steps[(v, j)] = np.ascontiguousarray(c.transpose(0, 2, 1))
+            steps[(v, j)] = c.transpose(0, 2, 1)
             checks.append((_NOT_CLOSED, v, (j,)))
             bad.append((la.matmul(c, bases[w], p) != reduced).any(axis=(1, 2)))
         for v, i, _ in gr.unit_steps(bound):  # the squares, in _check's order
@@ -379,10 +379,11 @@ def present_cokernel(pres, p):
         dims = {v: bases[v].shape[1] for v in points}
         for g, b in enumerate(idx):
             mine = {k: s[g] for k, s in steps.items()}
-            M = out[b] = PersistenceModule(n, bound, dims, mine, p, False, coords)
+            M = PersistenceModule(n, bound, dims, mine, p, check=False, coords=coords)
             M.bases = {v: rows[g] for v, rows in bases.items()}
             M.reduce_by = {v: rows[g] for v, rows in rels.items()}
             M.gen_index = gens
+            out[b] = M
     if failed:
         message, v, axes = failed[min(failed)]
         raise InternalCheckError(message % ((gr.to_degree(coords, v),) + axes))
