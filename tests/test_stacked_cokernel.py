@@ -70,7 +70,7 @@ def test_every_census_member_equals_its_cokernel_alone(xi0, xi1, q):
 def _random_stack(rng, nb, p):
     """nb presentations with the generator and relation degrees of one random
     presentation (at least two relations) and random coefficients, zero
-    rows and repeated rows included, so ranks and dims differ by member."""
+    often, so ranks and dims differ by member."""
     shape = _random_presentation(rng)
     while len(shape.relations) < 2:
         shape = _random_presentation(rng)
