@@ -103,6 +103,30 @@ def test_every_random_member_equals_its_cokernel_alone(seed, nb):
     _assert_same_module(one, built[0])
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n", [1, 3])
+def test_stacks_over_one_and_three_parameters_equal_their_cokernels_alone(seed, n):
+    # degrees of any shape, no generators or no relations included
+    rng = np.random.default_rng(seed)
+    p = (2, 3, 5, 7)[seed % 4]
+    axes = [sorted(rng.choice(6, size=3, replace=False).tolist()) for _ in range(n)]
+
+    def degree():
+        return tuple(int(rng.choice(a)) for a in axes)
+
+    gens = sorted(degree() for _ in range(seed % 4))
+    degrees = [degree() for _ in range(seed % 5)]
+    stack = []
+    for _ in range(la._STACK_DEPTH + 1):
+        relations = [
+            (d, {k: int(rng.integers(0, p)) for k, g in enumerate(gens) if gr.leq(g, d)})
+            for d in degrees
+        ]
+        stack.append(Presentation(n, gens, relations))
+    for pres, M in zip(stack, md.present_cokernel(stack, p)):
+        _assert_same_module(M, _reference_cokernel(pres, p))
+
+
 def test_a_stack_of_mixed_degrees_is_refused():
     gens = [(0, 0), (0, 0)]
     a = Presentation(2, gens, [((1, 0), {0: 1}), ((0, 1), {1: 1})])
