@@ -20,8 +20,17 @@ below 3072 entries (_LIST_ENTRIES) it eliminates on Python lists, where
 numpy's per-call overhead outweighs the arithmetic; above that it makes one
 vectorized update per pivot, on the rows that are nonzero in the pivot
 column and the columns from the pivot on.  Both give the same (r, rank,
-pivots).  row_space, kernel_basis and rank answer a matrix with no rows or
-no columns without calling rref.
+pivots).  row_space and kernel_basis answer a matrix with no rows or no
+columns without calling rref.
+
+Ranks alone go another way: complex_ranks ranks the differentials of a
+chain complex by sparse column reduction ({row: coefficient} columns, each
+pivot at its lowest nonzero row) with clearing (Chen, Kerber, "Persistent
+homology computation with a twist", 2011), and rank is its one-matrix case.
+Clearing requires D_l @ D_{l+1} = 0, which the caller asserts first.  The
+boundary matrices ranked are mostly zero, and a rank needs no canonical
+form; every routine that returns rows stays on the dense elimination, whose
+unique RREF is the identity test downstream.
 
 stacked_rank ranks a whole (B, r, c) stack of equal-shape matrices at once,
 one vectorized step per column over every matrix of the stack.  It is
@@ -201,7 +210,51 @@ def _rref_vectorized(m, p):
 
 
 def rank(a, p):
-    return row_space(a, p).shape[0]
+    return complex_ranks([a], p)[0]
+
+
+def complex_ranks(mats, p):
+    """The ranks of the differentials D_0, ..., D_L of a chain complex over GF(p).
+
+    mats[l] is D_l, a (dim C_{l-1}, dim C_l) matrix; its entries are taken
+    mod p and it is not written.  Precondition: D_l @ D_{l+1} = 0 mod p for
+    every l.  On matrices that are not a complex the ranks may be wrong, and
+    nothing here checks.  The columns of each D_l are reduced left to right,
+    D_L first, and D_l skips every column j that is the pivot row of a
+    reduced column z = D_{l+1} x: D_l z = 0 and z is zero below row j, so
+    column j of D_l lies in the span of the columns left of it and would
+    reduce to zero.  A single matrix (rank) has nothing to clear.
+    """
+    ranks = [0] * len(mats)
+    cleared = {}
+    for ell in reversed(range(len(mats))):
+        m = as_matrix(mats[ell])
+        pivots = {}  # lowest row -> the reduced column that has it
+        if m.size:
+            t = m.T % p
+            cols = [{} for _ in range(t.shape[0])]
+            jj, ii = t.nonzero()
+            for j, i, x in zip(jj.tolist(), ii.tolist(), t[jj, ii].tolist()):
+                cols[j][i] = x
+            for j, col in enumerate(cols):
+                if j in cleared:
+                    continue
+                while col:
+                    low = max(col)
+                    other = pivots.get(low)
+                    if other is None:
+                        pivots[low] = col
+                        break
+                    f = col[low] * inv_mod(other[low], p)
+                    for i, y in other.items():
+                        x = (col.get(i, 0) - f * y) % p
+                        if x:
+                            col[i] = x
+                        else:
+                            del col[i]
+        ranks[ell] = len(pivots)
+        cleared = pivots
+    return ranks
 
 
 def stacked_rank(stack, p):

@@ -88,15 +88,16 @@ def _total_delta(data, v, ell):
 def hypertor_dims(data):
     """Graded dimensions of the hypertor modules of a ChainData's complex.
 
-    Returns {ell: multiset} with ell up to n + dim X; D∘D = 0 is asserted at
-    every degree along the way.
+    Returns {ell: multiset} with ell up to n + dim X.  At each degree v the
+    total differentials are built, D∘D = 0 is asserted at every index, and
+    only then are they ranked, all at once by la.complex_ranks, whose
+    clearing is sound on a complex only.
     """
     p = data.p
     top_ell = data.top + data.n
     tables = {ell: {} for ell in range(top_ell + 1)}
     for v in gr.grid(data.bound):
         deltas = [_total_delta(data, v, ell) for ell in range(top_ell + 2)]
-        ranks = [la.rank(d, p) for d in deltas]
         for ell in range(top_ell + 1):
             d_here, d_up = deltas[ell], deltas[ell + 1]
             if d_here.size and d_up.size:
@@ -105,7 +106,9 @@ def hypertor_dims(data):
                         "total differential fails D∘D=0 at %s, index %d"
                         % (gr.to_degree(data.coords, v), ell)
                     )
-            dim = d_here.shape[1] - ranks[ell] - ranks[ell + 1]
+        ranks = la.complex_ranks(deltas, p)
+        for ell in range(top_ell + 1):
+            dim = deltas[ell].shape[1] - ranks[ell] - ranks[ell + 1]
             if dim:
                 tables[ell][v] = dim
     return {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}

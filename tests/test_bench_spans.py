@@ -8,6 +8,8 @@ deleting or renaming a library function must fail here, not zero a metric.
 import importlib.util
 import pathlib
 
+import numpy as np
+
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -56,3 +58,28 @@ def test_a_census_call_passes_through_every_tor_span(capsys):
     count = {name: int((spans == nid).sum()) for name, nid in tracer.name_id.items()}
     assert count["orbits.family_to_module"] == 1 + 3
     assert count["modules.PersistenceModule"] == 72
+
+
+def test_hypertor_ranks_its_total_differentials_without_rref(capsys):
+    # hypertor_dims ranks each grid point's total differentials by one sparse
+    # complex_ranks call: the exactla.rref spans it used to make are gone
+    from torpers import cli
+
+    tracer = _tracing().Tracer()
+    fixture = TRACING.parent.parent / "fixtures" / "circle_fig.mfc"
+    tracer.install()
+    try:
+        assert cli.main(["hypertor", "--input", str(fixture), "--field", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    a = tracer.arrays()
+    names, parents = a["name"], a["parent"]
+    assert (names == tracer.name_id["exactla.complex_ranks"]).sum() > 0
+    under = tracer.name_id["hypertor.hypertor_dims"]
+    assert (names == under).sum() == 1
+    for idx in np.flatnonzero(names == tracer.name_id.get("exactla.rref", -1)):
+        up = parents[idx]
+        while up >= 0:
+            assert names[up] != under, "an rref span inside hypertor_dims"
+            up = parents[up]

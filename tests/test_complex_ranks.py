@@ -1,0 +1,138 @@
+"""Ranks of a chain complex by sparse column reduction with clearing.
+
+exactla.complex_ranks ranks the differentials of a complex at once and skips
+the columns its clearing proves dependent; exactla.rank is its one-matrix
+case.  These tests hold it against the dense route, the row count of
+row_space (one RREF per matrix): on random complexes built so that
+D_l @ D_{l+1} = 0, on the total differentials of the seeded random suite,
+and on hand edge cases.  hypertor_dims, which ranks its total differentials
+this way, is held against the same dense route on the seeded suite and on
+the benchmark's Rips complexes.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import randfix
+from test_critical_grid import _random_maps
+from test_exactla import _operands
+from torpers import complexes as cxm
+from torpers import exactla as la
+from torpers import grading as gr
+from torpers import hypertor as ht
+from torpers import modules as md
+
+FIELDS = (2, 3, 5, 7, 3037000493)
+
+
+def _dense_ranks(mats, p):
+    return [la.row_space(m, p).shape[0] for m in mats]
+
+
+@st.composite
+def random_complexes(draw):
+    """(p, [D_0, ..., D_L]) with D_l @ D_{l+1} = 0 mod p.
+
+    D_L is all zero, free or of low rank; each D_l below it is a random
+    combination of rows that kill the image of D_{l+1}.  Some entries are
+    then moved out of [0, p) by multiples of p.
+    """
+    p = draw(st.sampled_from(FIELDS))
+    dims = draw(st.lists(st.integers(0, 6), min_size=2, max_size=6))
+    kind = draw(st.sampled_from(("zero", "free", "low rank")))
+    operand = _operands(draw, p)
+    shape = (dims[-2], dims[-1])
+    if kind == "zero":
+        top = la.zeros(*shape)
+    elif kind == "free":
+        top = operand(shape)
+    else:
+        k = draw(st.integers(0, 3))
+        top = la.matmul(operand((shape[0], k)), operand((k, shape[1])), p)
+    mats = [top]
+    for lo in reversed(range(len(dims) - 2)):
+        killers = la.kernel_basis(mats[0].T, p)
+        mats.insert(0, la.matmul(operand((dims[lo], killers.shape[0])), killers, p))
+    shift = _operands(draw, 5)
+    return p, [m + p * (shift(m.shape) - 2) for m in mats]
+
+
+@st.composite
+def suite_differentials(draw):
+    """(p, the total differentials at one index point of a seeded complex)."""
+    p = draw(st.sampled_from(FIELDS))
+    seed = draw(st.integers(0, 60))
+    flavor = draw(st.sampled_from((randfix.random_complex, randfix.random_one_at_a_time)))
+    data = md.ChainData(flavor(seed), p)
+    v = draw(st.sampled_from(list(gr.grid(data.bound))))
+    return p, [ht._total_delta(data, v, ell) for ell in range(data.top + data.n + 2)]
+
+
+@given(st.one_of(random_complexes(), suite_differentials()))
+@settings(max_examples=300)
+@example((5, [la.zeros(0, 3), la.zeros(3, 0)]))
+@example((3, [la.zeros(4, 0), la.zeros(0, 0), la.zeros(0, 2)]))
+@example((7, [la.zeros(2, 3), la.zeros(3, 4), la.zeros(4, 1)]))
+@example((3037000493, [np.array([[3037000494, -1, -3037000493]])]))
+def test_complex_ranks_equal_the_dense_ranks(case):
+    p, mats = case
+    for a, b in zip(mats, mats[1:]):
+        assert not la.matmul(a % p, b % p, p).any()
+    before = [m.copy() for m in mats]
+    want = _dense_ranks(mats, p)
+    assert la.complex_ranks(mats, p) == want
+    assert [la.rank(m, p) for m in mats] == want
+    assert all(m.shape == b.shape and (m == b).all() for m, b in zip(mats, before))
+
+
+def test_complex_ranks_edge_cases():
+    assert la.complex_ranks([], 5) == []
+    assert la.complex_ranks([la.zeros(0, 0)], 5) == [0]
+    assert la.complex_ranks([la.eye(3)], 2) == [3]
+    assert la.complex_ranks([[[2, -4], [-1, 5]]], 3) == [1]
+    # a segment ab with its augmentation: column b of D_0 is cleared
+    assert la.complex_ranks([[[1, 1]], [[-1], [1]]], 3) == [1, 1]
+
+
+# -- hypertor_dims against ranks of its total differentials by dense RREF -----
+
+
+def _dense_hypertor(data):
+    """hypertor_dims with each _total_delta ranked by row_space."""
+    p, top_ell = data.p, data.top + data.n
+    tables = {ell: {} for ell in range(top_ell + 1)}
+    for v in gr.grid(data.bound):
+        deltas = [ht._total_delta(data, v, ell) for ell in range(top_ell + 2)]
+        ranks = _dense_ranks(deltas, p)
+        for ell in range(top_ell + 1):
+            dim = deltas[ell].shape[1] - ranks[ell] - ranks[ell + 1]
+            if dim:
+                tables[ell][v] = dim
+    return {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
+
+
+def test_hypertor_matches_the_dense_route_on_random_complexes():
+    for seed in range(24):
+        p = (2, 3, 5)[seed % 3]
+        for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+            for c in (cx, randfix.remap_complex(cx, _random_maps(cx, seed))):
+                data = md.ChainData(c, p)
+                assert ht.hypertor_dims(data) == _dense_hypertor(data), seed
+
+
+def test_hypertor_matches_the_dense_route_on_rips_complexes():
+    # the benchmark's rips workload at seeds 1 and 43: ring_rips(3·seed + k)
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    for seed in (1, 43):
+        for k in range(3):
+            cx = cxm.parse_mfc(inputs.ring_rips(3 * seed + k)[0])
+            data = md.ChainData(cx, 3)
+            assert ht.hypertor_dims(data) == _dense_hypertor(data), (seed, k)

@@ -258,6 +258,22 @@ def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
         ht.hypertor_dims(data)
 
 
+def test_dd_is_asserted_before_the_ranks(fixture_path, monkeypatch):
+    # complex_ranks' clearing is sound on a complex only: with the total
+    # differential broken as above, no rank may be taken of the broken
+    # sequence, and the D∘D error must still name its degree and index
+    ranks = la.complex_ranks
+
+    def complexes_only(mats, p):
+        for a, b in zip(mats, mats[1:]):
+            if a.size and b.size and la.matmul(a, b, p).any():
+                raise AssertionError("ranked before D∘D = 0 was asserted")
+        return ranks(mats, p)
+
+    monkeypatch.setattr(la, "complex_ranks", complexes_only)
+    test_dd_failure_names_the_degree(fixture_path, monkeypatch)
+
+
 def test_one_boundary_matrix_per_dimension(sphere, monkeypatch):
     # E1, T and the direct Betti numbers all read the one matrix per chain
     # dimension that the ChainData builds
