@@ -21,8 +21,10 @@ Constructors that build quotients (homology, cokernels) record their bases
 as rows in the ambient coordinates (`bases`) plus the subspace that was
 modded out (`reduce_by`), so class representatives and projections stay
 available downstream.  Homology goes through basis_module; cokernels are
-built in stacks of presentations of one shape (present_cokernel), with no
-free module and each basis read off the pivots of the relation space.
+built from presentations of one shape at once (present_cokernel), with no
+free module and each basis read off the pivots of the relation space, as
+one module per group of equal dims: a stack, whose steps carry a leading
+member axis.
 
 The chain side of a complex is one ChainData: its grid (the complex's
 critical grid), per chain dimension the positions of the cells present at
@@ -56,16 +58,23 @@ class PersistenceModule:
         every in-grid step
     p : field characteristic
     coords : per axis, the degree of each index (default: the box [0, bound])
+    members : a stack's input positions (its depth is their count), or None
 
     .dims is the integer array over [-1, bound + 1] of every axis: dims[v + 1]
     is the dimension at v, zero below the grid and the top layer past it.
+    A stack is one module per member on one grid and dims array: its steps,
+    clamps too, are (depth, r, c) arrays, slice b member b's (depth 1 and 2-d
+    steps for a single module).
     """
 
-    def __init__(self, n, bound, dims, steps, p, check=True, coords=None):
+    def __init__(self, n, bound, dims, steps, p, check=True, coords=None, members=None):
         self.n = int(n)
         self.bound = gr.as_degree(bound)
         self.steps = dict(steps)
         self.p = p
+        self.members = members
+        self.depth = 1 if members is None else len(members)
+        self._lead = () if members is None else (self.depth,)
         self.coords = gr.dense_coords(self.bound) if coords is None else coords
         if gr.coords_bound(self.coords) != self.bound:
             raise ValueError("coords do not match the bound %s" % (self.bound,))
@@ -87,10 +96,10 @@ class PersistenceModule:
             s = self.steps.get((v, j))
             if s is None:
                 raise ValueError("missing step at %s axis %d" % (v, j))
-            if s.shape != (self.dim(w), self.dim(v)):
+            if s.shape != self._lead + (self.dim(w), self.dim(v)):
                 raise ValueError(
                     "step at %s axis %d has shape %s, expected %s"
-                    % (v, j, s.shape, (self.dim(w), self.dim(v)))
+                    % (v, j, s.shape, self._lead + (self.dim(w), self.dim(v)))
                 )
         for v in gr.grid(self.bound):
             for i in range(self.n):
@@ -112,17 +121,19 @@ class PersistenceModule:
             return self._upper.item(tuple(map(min, v, self.bound)))
 
     def step(self, v, j):
-        """Matrix of M_v -> M_{v+e_j}, clamped outside the grid."""
+        """Matrix of M_v -> M_{v+e_j} (of each member), clamped outside the grid."""
         s = self.steps.get((v, j))
         if s is not None:
             return s
         if min(v) < 0:
-            return la.zeros(self.dim(gr.step(v, j)), 0)
-        if v[j] >= self.bound[j]:
+            s = la.zeros(self.dim(gr.step(v, j)), 0)
+        elif v[j] >= self.bound[j]:
             # stabilized along this axis: the step is the identity
-            return la.eye(self.dim(v))
-        # other axes may clamp; the step matrix is the stored one there
-        return self.steps[(tuple(map(min, v, self.bound)), j)]
+            s = la.eye(self.dim(v))
+        else:
+            # other axes may clamp; the step matrix is the stored one there
+            return self.steps[(tuple(map(min, v, self.bound)), j)]
+        return np.broadcast_to(s, self._lead + s.shape)
 
 
 def rebound(module, new_bound):
@@ -143,7 +154,7 @@ def rebound(module, new_bound):
         c + tuple(range(c[-1] + 1, t + 1)) for c, t in zip(module.coords, top)
     )
     return PersistenceModule(
-        module.n, new_bound, dims, steps, module.p, check=False, coords=coords
+        module.n, new_bound, dims, steps, module.p, False, coords, module.members
     )
 
 
@@ -312,19 +323,20 @@ def homology_module(data, q):
 
 
 def present_cokernel(pres, p):
-    """Evaluate a presentation, or a stack of them, to its cokernel module.
+    """Evaluate a presentation, or a list of them, to cokernel modules.
 
-    pres is one Presentation, or a list of them (one module each, [] for [])
-    that share n, the generator degrees and the relation degrees in order
-    (else ValueError).  The grid and the generators present at each index
-    point (.gen_index) are made once.  At each index point one stacked row
-    space of the relation rows gives each member's relation space
-    (.reduce_by) and its RREF complement (.bases), the unit vectors at the
-    non-pivot columns.  Per group of members with equal dims, each step is
-    the basis rows placed by inclusion, reduced in one stacked call and read
-    at the target's non-pivot columns; closure and commuting squares are
-    checked with one stacked product per step and per square.  Where members
-    fail, the first in input order raises what it raises alone.
+    pres is one Presentation (one module back), or a list of them that share
+    n, the generator degrees and the relation degrees in order (else
+    ValueError), answered with one stack per group of members with equal
+    dims ([] for []), each with its input positions as .members.  The grid
+    and the generators present at each index point (.gen_index) are made
+    once.  At each index point one stacked row space of the relation rows
+    gives each member's relation space (.reduce_by) and its RREF complement
+    (.bases), the unit vectors at the non-pivot columns.  Per group, each
+    step is the basis rows placed by inclusion, reduced in one stacked call
+    and read at the target's non-pivot columns; closure and commuting
+    squares are checked with one stacked product per step and per square.
+    Where members fail, the first in input order raises what it raises alone.
     """
     press = [pres] if isinstance(pres, Presentation) else list(pres)
     if not press:
@@ -352,7 +364,7 @@ def present_cokernel(pres, p):
     groups = {}
     for b, key in enumerate(map(tuple, ranks.T.tolist())):
         groups.setdefault(key, []).append(b)
-    out, failed = [None] * nb, {}
+    out, failed = [], {}
     for key, idx in groups.items():
         cut = idx if len(idx) < nb else slice(None)
         rels = {v: spaces[v][0][cut, :k] for v, k in zip(points, key)}
@@ -377,13 +389,16 @@ def present_cokernel(pres, p):
         for g in np.flatnonzero(bad.any(axis=0)).tolist():
             failed[idx[g]] = checks[bad[:, g].argmax()]
         dims = {v: bases[v].shape[1] for v in points}
-        for g, b in enumerate(idx):
-            mine = {k: s[g] for k, s in steps.items()}
-            M = PersistenceModule(n, bound, dims, mine, p, check=False, coords=coords)
-            M.bases = {v: rows[g] for v, rows in bases.items()}
-            M.reduce_by = {v: rows[g] for v, rows in rels.items()}
-            M.gen_index = gens
-            out[b] = M
+        if isinstance(pres, Presentation):  # one module: member 0's slices
+            steps, bases, rels = (
+                {k: a[0] for k, a in d.items()} for d in (steps, bases, rels)
+            )
+            idx = None
+        M = PersistenceModule(
+            n, bound, dims, steps, p, check=False, coords=coords, members=idx
+        )
+        M.bases, M.reduce_by, M.gen_index = bases, rels, gens
+        out.append(M)
     if failed:
         message, v, axes = failed[min(failed)]
         raise InternalCheckError(message % ((gr.to_degree(coords, v),) + axes))

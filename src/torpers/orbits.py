@@ -17,10 +17,10 @@ is its tuple of positions, and moving it is a lookup in those tables.
 
 The xi tables of a census are computed in few stacks: the members of an
 orbit have their representative's dimensions, and the 30 orbits of the
-benchmark censuses have only 11 distinct dims arrays.  classify builds the
-modules of the orbits whose representatives share a grid and dims array
-together, as one stack of cokernels (md.present_cokernel), and resolves each
-such stack with one tor.xi, which gives each module its own tables (see tor).
+benchmark censuses have only 11 distinct dims arrays.  classify builds every
+cokernel it needs in one md.present_cokernel call, which returns one stacked
+module per dims array, and resolves each stack with one tor.xi, which gives
+each member its own tables (see tor).
 """
 
 from __future__ import annotations
@@ -349,13 +349,14 @@ def orbit_partition(families, xi0, q):
 
 def family_to_module(fam):
     """The cokernel of a relation family, as a persistence module; for a list
-    of families of one xi0, xi1 and q, one module per family from one
-    md.present_cokernel stack."""
+    of families of one xi0, xi1 and q, the stacked modules of one
+    md.present_cokernel call, one per dims array (.members indexes the list)."""
     fams = [fam] if isinstance(fam, RelationFamily) else list(fam)
     if any((f.xi0, f.xi1, f.q) != (fams[0].xi0, fams[0].xi1, fams[0].q) for f in fams):
         raise ValueError("a stack of relation families must share xi0, xi1 and q")
-    out = md.present_cokernel(_presentations(fams), fams[0].q) if fams else []
-    return out[0] if isinstance(fam, RelationFamily) else out
+    if isinstance(fam, RelationFamily):
+        return md.present_cokernel(_presentations(fams)[0], fam.q)
+    return md.present_cokernel(_presentations(fams), fams[0].q) if fams else []
 
 
 def _presentations(fams):
@@ -471,24 +472,6 @@ class OrbitReport:
 SPOT_CHECKS = 5  # other members per orbit whose xi table is recomputed
 
 
-def _grid_key(M):
-    """A module's grid and dims array: the modules tor.xi resolves together."""
-    return M.coords, M.dims.shape, M.dims.tobytes()
-
-
-def _stacked_xi(modules):
-    """tor.xi of every module, in their order, from one call per stack of the
-    modules that share one grid and one dims array."""
-    stacks = {}
-    for k, M in enumerate(modules):
-        stacks.setdefault(_grid_key(M), []).append(k)
-    tables = [None] * len(modules)
-    for idx in stacks.values():
-        for k, table in zip(idx, tor.xi([modules[k] for k in idx])):
-            tables[k] = table
-    return tables
-
-
 def _y_coordinates(res):
     """(j, degree, the restricted image there) for every j >= 2 and every index
     point where F_j has generators: the RREF row spaces of the higher syzygy
@@ -511,14 +494,12 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     point (representative, Y) failing to separate two orbits is a hard error.
 
     Right after the partition, each orbit's spot-check members are drawn
-    (default_rng(7), in orbit order) and the enumeration is released.  The
-    representatives' modules are built first, in one family_to_module call;
-    the orbits whose representatives share one grid and dims array form a
-    batch, whose members' modules are built next in one more call, and the
-    batch is resolved with one tor.xi per grid and dims array among its
-    modules (_stacked_xi), so only one batch of modules is alive at a time.
-    A member whose xi differs from the rest of its stack gets its own tables
-    all the same, and the tables are compared after every batch is done,
+    (default_rng(7), in orbit order) and the enumeration is released.  One
+    family_to_module call builds the representatives and then the spot-check
+    members, as one stacked module per dims array; each stack is resolved
+    with one tor.xi and released, and its tables are placed by .members.  A
+    member whose xi differs from the rest of its stack gets its own tables
+    all the same, and the tables are compared after every stack is done,
     orbit by orbit and member by member in orbit order, so the first
     differing member is named.
     """
@@ -534,35 +515,24 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
         others = [k for k in orbit.members if families[k] is not orbit.rep]
         size = min(SPOT_CHECKS, len(others))
         spots.append(rng.choice(others, size=size, replace=False).tolist())
-    members = [[families[k] for k in ks] for ks in spots]
+    fams = [orbit.rep for orbit in orbits] + [families[k] for ks in spots for k in ks]
     del families  # the enumeration is released before any module is built
-    reps = family_to_module([orbit.rep for orbit in orbits])
-    batches = {}
-    for i, M in enumerate(reps):
-        batches.setdefault(_grid_key(M), []).append(i)
-    tables, ys = [None] * len(orbits), [None] * len(orbits)
-    for batch in batches.values():
-        built = family_to_module([fam for i in batch for fam in members[i]])
-        modules = []
-        for i in batch:
-            modules += [reps[i]] + built[: len(members[i])]
-            del built[: len(members[i])]
-            reps[i] = None
-        xis = _stacked_xi(modules)
-        del modules
-        for i in batch:  # each table is released once read
-            ys[i] = _y_coordinates(xis[0].resolution)
-            tables[i] = [table.tables for table in xis[: 1 + len(members[i])]]
-            del xis[: 1 + len(members[i])]
+    found, ys = [None] * len(fams), [None] * len(orbits)
+    for stack in family_to_module(fams):
+        for k, table in zip(stack.members, tor.xi(stack)):
+            found[k] = table.tables
+            if k < len(orbits):
+                ys[k] = _y_coordinates(table.resolution)
 
-    entries = []
-    for orbit, ks, found, y in zip(orbits, spots, tables, ys):
-        xi_by_j = found[0]
-        for k, other in zip(ks, found[1:]):
+    entries, start = [], len(orbits)
+    for i, (orbit, ks, y) in enumerate(zip(orbits, spots, ys)):
+        xi_by_j = found[i]
+        for k, other in zip(ks, found[start : start + len(ks)]):
             if other != xi_by_j:
                 raise InternalCheckError(
                     "xi table varies inside one orbit (member %d)" % k
                 )
+        start += len(ks)
         entries.append(
             {
                 "xi": xi_by_j,

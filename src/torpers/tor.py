@@ -17,16 +17,18 @@ two as the generator degrees of F_j; xi() runs both and insists on exact
 agreement, and then on the Hilbert identity dim M(v) = sum_j (-1)^j
 sum_{u <= v} xi_j(u) at every grid point.
 
-koszul_tor, minimal_resolution and xi take one module or a stack of them:
-a list of modules that share one grid and one dims array, such as the
-modules of one orbit census with equal dimensions everywhere.  They return
-one result per module, and one module is a stack of one, run by the same
-code.  The stack shares one Koszul layout, each differential is built once
-as a (B, r, c) block, and each canonical form is one stacked exactla call
-(below la._STACK_DEPTH matrices that call runs the per-matrix routine on
-each).  Nothing assumes that members agree beyond their dims: where their
-Koszul ranks differ, each gets its own dimensions and cycles, and where
-their resolution generators differ, the stack splits by them and each part
+koszul_tor, minimal_resolution and xi take one module, which may be a stack:
+a PersistenceModule with .members, whose B members share one grid and one
+dims array and whose steps are (B, r, c) arrays, such as the cokernels of
+one orbit census with equal dimensions everywhere (md.present_cokernel).
+They return one result for a single module and one per member for a stack,
+and a single module runs the same code as a stack of one.  The stack shares
+one Koszul layout, each differential is built once as a (B, r, c) block,
+and each canonical form is one stacked exactla call (below la._STACK_DEPTH
+matrices that call runs the per-matrix routine on each).  Nothing assumes
+that members agree beyond their dims: where their Koszul ranks differ, each
+gets its own dimensions and cycles, and where their resolution generators
+differ, the stack splits by them and each part, a set of member positions,
 continues alone.  Every check runs for every member, and an error names the
 same stage and degree as for that module alone.
 
@@ -93,58 +95,33 @@ def koszul_dim(M, v, j):
     return _layout(M, j).totals.item(v)
 
 
-def _modules(M):
-    """The modules of M: [M] for one module, else the stack as a list."""
-    return [M] if isinstance(M, md.PersistenceModule) else list(M)
-
-
-def _stack(M):
-    """_modules(M), asserted to share one grid and one dims array."""
-    Ms = _modules(M)
-    for N in Ms[1:]:
-        if (N.n, N.p, N.coords) != (Ms[0].n, Ms[0].p, Ms[0].coords) or not (
-            np.array_equal(N.dims, Ms[0].dims)
-        ):
-            raise ValueError("a stack of modules must share one grid and dims array")
-    return Ms
-
-
-def _per_module(M, out):
-    """out, one result per module, in the form M came in: one result for one
-    module, the list for a stack."""
-    return out[0] if isinstance(M, md.PersistenceModule) else out
-
-
-def _steps(Ms, u, a):
-    """The step u -> u + e_a of every module of a stack, as an array that
-    broadcasts over the stack: (B, r, c), or the one step of a stack of one."""
-    return Ms[0].step(u, a) if len(Ms) == 1 else np.array([N.step(u, a) for N in Ms])
+def _per_member(M, out):
+    """out, one result per member, as M is: out[0] for a single module."""
+    return out[0] if M.members is None else out
 
 
 def koszul_delta(M, v, j):
-    """The differential K_j(v) -> K_{j-1}(v), of one module or, as a (B, r, c)
-    array, of each module of a stack.
+    """The differential K_j(v) -> K_{j-1}(v) of one module or, as a (B, r, c)
+    array, of each member of a stack.
 
     On the summand for S, the axis t in S (position i among S ascending)
     contributes (-1)^i times the step map M_{v-e_S} -> M_{v-e_(S-t)}.  Only
     the nonzero blocks of K_j(v) are visited.
     """
-    Ms = _modules(M)
-    p = Ms[0].p
-    src, tgt = _layout(Ms[0], j), _layout(Ms[0], j - 1)
+    src, tgt = _layout(M, j), _layout(M, j - 1)
     sizes = src.sizes[v]
     nonzero = sizes.nonzero()[0].tolist()  # np.flatnonzero of the 1-d row
     sizes, offsets = sizes.tolist(), src.offsets[v].tolist()
     tgt_off = tgt.offsets[v].tolist()
-    m = np.zeros((len(Ms), tgt.totals.item(v), src.totals.item(v)), dtype=np.int64)
+    m = np.zeros((M.depth, tgt.totals.item(v), src.totals.item(v)), dtype=np.int64)
     for s in nonzero:
         S = src.subsets[s]
         u, cols = gr.minus_e(v, S), slice(offsets[s], offsets[s] + sizes[s])
         for i, t in enumerate(S):
-            block = _steps(Ms, u, t)
+            block = M.step(u, t)
             r0 = tgt_off[tgt.index[S[:i] + S[i + 1 :]]]
             m[:, r0 : r0 + block.shape[-2], cols] = -block if i % 2 else block
-    return _per_module(M, m % p)
+    return _per_member(M, m % M.p)
 
 
 def koszul_boundaries(M, v, q):
@@ -172,10 +149,9 @@ class KoszulTor:
 def koszul_tor(M, j):
     """Tor_j(M, k) per degree, with RREF-canonical representative cycles.
 
-    M is one module or a stack of modules that share one grid and one dims
-    array (a list, answered with one result per module).  j is one
-    homological index (giving a KoszulTor) or a sequence of them (giving a
-    dict j -> KoszulTor from one scan that builds each Koszul differential
+    M is one module or a stack (answered with one result per member).  j is
+    one homological index (giving a KoszulTor) or a sequence of them (giving
+    a dict j -> KoszulTor from one scan that builds each Koszul differential
     once per degree).  Scans [0, M.bound + (1,..,1)] with one Koszul layout
     for the whole stack.
 
@@ -192,25 +168,21 @@ def koszul_tor(M, j):
     fires: D∘D = 0 (the first failing degree in grid order), zero Tor in
     the outer layer, and the cycle count.
     """
-    Ms = _stack(M)
-    if not Ms:
-        return []
     single = np.ndim(j) == 0
     js = [j] if single else sorted(set(j))
-    first, nb = Ms[0], len(Ms)
+    nb, p = M.depth, M.p
     for i in js:
-        if not 0 <= i <= first.n:
-            raise ValueError("homological index %d out of range 0..%d" % (i, first.n))
-    p = first.p
+        if not 0 <= i <= M.n:
+            raise ValueError("homological index %d out of range 0..%d" % (i, M.n))
     # the differentials Delta_i out of K_i for every index and the one above
-    needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= first.n})
-    totals = {i: _layout(first, i).totals for i in range(first.n + 1)}
+    needed = sorted({k for i in js for k in (i, i + 1) if 1 <= k <= M.n})
+    totals = {i: _layout(M, i).totals for i in range(M.n + 1)}
     deltas = {}
     for i in needed:
         for v in _points((totals[i] > 0) & (totals[i - 1] > 0)):
             delta = koszul_delta(M, v, i)
             deltas[(i, v)] = delta.reshape((nb,) + delta.shape[-2:])
-    ranks = np.zeros((first.n + 2, nb) + totals[0].shape, dtype=np.int64)
+    ranks = np.zeros((M.n + 2, nb) + totals[0].shape, dtype=np.int64)
     for keys in _by_shape(deltas, lambda key: deltas[key].shape):
         stack = np.concatenate([deltas[key] for key in keys])
         i, v = zip(*keys)
@@ -227,23 +199,23 @@ def koszul_tor(M, j):
     if failures:
         raise InternalCheckError(
             "Koszul differential fails to square to zero at %s"
-            % (gr.to_degree(first.coords, min(failures)),)
+            % (gr.to_degree(M.coords, min(failures)),)
         )
     tor_dims = {i: totals[i] - ranks[i] - ranks[i + 1] for i in js}
     outside = [
         (v, i)
         for i in js
         for v in _points(tor_dims[i].any(axis=0))
-        if any(x > b for x, b in zip(v, first.bound))
+        if any(x > b for x, b in zip(v, M.bound))
     ]
     if outside:
         v, i = min(outside)
         raise InternalCheckError(
             "Tor_%d nonzero at %s outside the stabilized grid; widen "
-            "the bound" % (i, gr.to_degree(first.coords, v))
+            "the bound" % (i, gr.to_degree(M.coords, v))
         )
-    dims = [{i: {} for i in js} for _ in Ms]
-    reps = [{i: {} for i in js} for _ in Ms]
+    dims = [{i: {} for i in js} for _ in range(nb)]
+    reps = [{i: {} for i in js} for _ in range(nb)]
     for i in js:
         for v in _points(tor_dims[i].any(axis=0)):
             want = tor_dims[i][(slice(None),) + v].tolist()
@@ -264,13 +236,13 @@ def koszul_tor(M, j):
                 if count != want[b]:
                     raise InternalCheckError(
                         "Tor_%d at %s: the Koszul ranks give dimension %d, the "
-                        "cycles %d" % (i, gr.to_degree(first.coords, v), want[b], count)
+                        "cycles %d" % (i, gr.to_degree(M.coords, v), want[b], count)
                     )
                 dims[b][i][v], reps[b][i][v] = count, rows[:count]
     out = [
-        {i: KoszulTor(d[i], r[i], first.coords) for i in js} for d, r in zip(dims, reps)
+        {i: KoszulTor(d[i], r[i], M.coords) for i in js} for d, r in zip(dims, reps)
     ]
-    return _per_module(M, [kts[j] for kts in out] if single else out)
+    return _per_member(M, [kts[j] for kts in out] if single else out)
 
 
 def _points(mask):
@@ -289,11 +261,11 @@ def _by_shape(keys, shape):
 # -- minimal free resolutions -------------------------------------------------
 
 
-def _generators(Ms, sub=None, present=None):
-    """Minimal generators of each module of a stack, or of a submodule of a
-    free module on their grid: (index point, rows, counts) of the stacked
-    basis of those born there, for every index point where some member has
-    generators, in grid order.
+def _generators(M, nb, sub=None, present=None):
+    """Minimal generators of each of the nb members of a stack M, or of a
+    submodule of a free module on its grid: (index point, rows, counts) of
+    the stacked basis of those born there, for every index point where some
+    member has generators, in grid order.
 
     sub[v] is a stacked basis, over all generators of the free module (zero
     off those present at v), of a submodule closed under the steps; the
@@ -306,15 +278,14 @@ def _generators(Ms, sub=None, present=None):
     found on those columns and placed back over all generators.  A pushed
     row outside sub[v] raises InternalCheckError.
     """
-    first, nb = Ms[0], len(Ms)
     out = []
-    for v in gr.grid(first.bound):
-        below = [(gr.minus_e(v, (a,)), a) for a in range(first.n) if v[a]]
+    for v in gr.grid(M.bound):
+        below = [(gr.minus_e(v, (a,)), a) for a in range(M.n) if v[a]]
         if sub is None:
-            if not first.dim(v):
+            if not M.dim(v):
                 continue
-            rows, width = None, first.dim(v)
-            pushed = [np.swapaxes(_steps(Ms, u, a), -1, -2) for u, a in below]
+            rows, width = None, M.dim(v)
+            pushed = [np.swapaxes(M.step(u, a), -1, -2) for u, a in below]
         else:
             pushed = [sub[u][0] for u, _ in below if sub[u][0].shape[1]]
             if not (sub[v][0].shape[1] or pushed):
@@ -323,16 +294,16 @@ def _generators(Ms, sub=None, present=None):
             rows = (sub[v][0][:, :, cols], sub[v][1])
             pushed, width = [x[:, :, cols] for x in pushed], rows[0].shape[2]
         pushed = [x.reshape(nb, -1, width) for x in [la.zeros(0, width)] + pushed]
-        pushed = la.stacked_row_space(np.concatenate(pushed, axis=1), first.p)
+        pushed = la.stacked_row_space(np.concatenate(pushed, axis=1), M.p)
         if rows is None:
             comp, counts = la.stacked_unit_complement(pushed)
         else:
             try:
-                comp, counts = la.stacked_complement_basis(pushed, rows, first.p)
+                comp, counts = la.stacked_complement_basis(pushed, rows, M.p)
             except ValueError:
                 raise InternalCheckError(
                     "submodule is not closed under the steps into degree %s"
-                    % (gr.to_degree(first.coords, v),)
+                    % (gr.to_degree(M.coords, v),)
                 ) from None
         if not comp.shape[1]:
             continue
@@ -359,7 +330,8 @@ class MinimalResolution:
     F_0 -> M at v; at(j, v) reads d_j at v.  kernels[j][v] is the RREF kernel
     basis of at(j, v) over all generators of F_j (zero off those present),
     found while resolving; level j + 1 is generated from it, and the last
-    level's is empty.  The resolutions of one stack hold views of its arrays.
+    level's is empty.  module is the module or stack resolved (only its grid
+    is read), and the resolutions of one stack hold views of its arrays.
     """
 
     def __init__(self, module, gen_degrees, augmentation):
@@ -413,7 +385,7 @@ def _check(ress):
     each d_j's image (one stacked row space) is the kernel below it, and no
     kernel is left at the last level.
     """
-    first, p, n = ress[0].module, ress[0].p, ress[0].module.n
+    M, p, n = ress[0].module, ress[0].p, ress[0].module.n
     degrees, present = ress[0].gen_degrees, ress[0].present
     d = {j: np.array([res.d[j] for res in ress]) for j in range(1, len(degrees))}
     for j, m in d.items():
@@ -427,10 +399,10 @@ def _check(ress):
                 "resolution d_%d not %s at (%d,%d)"
                 % (j, "minimal" if below[k, l] else "homogeneous", k, l)
             )
-    for v in gr.grid(first.bound):
-        if any(len(present[0][v]) - len(r.kernels[0][v]) != first.dim(v) for r in ress):
+    for v in gr.grid(M.bound):
+        if any(len(present[0][v]) - len(r.kernels[0][v]) != M.dim(v) for r in ress):
             raise InternalCheckError(
-                "augmentation not surjective at %s" % (gr.to_degree(first.coords, v),)
+                "augmentation not surjective at %s" % (gr.to_degree(M.coords, v),)
             )
         for j, m in d.items():
             want = [res.kernels[j - 1][v][:, present[j - 1][v]] for res in ress]
@@ -446,38 +418,38 @@ def _check(ress):
             if not exact:
                 raise InternalCheckError(
                     "resolution not exact at F_%d, degree %s"
-                    % (j - 1, gr.to_degree(first.coords, v))
+                    % (j - 1, gr.to_degree(M.coords, v))
                 )
         if any(len(res.kernels[-1][v]) for res in ress):
             raise InternalCheckError(
                 "resolution too short: kernel left at F_%d, degree %s"
-                % (len(degrees) - 1, gr.to_degree(first.coords, v))
+                % (len(degrees) - 1, gr.to_degree(M.coords, v))
             )
     return True
 
 
-def _augmentation(Ms, gens, present):
-    """The augmentation F_0 -> M at every index point, for each module of a
-    stack, asserted natural: at v the columns at each v - e_a are pushed one
-    step along a, must agree with those an earlier axis wrote, and the
-    generators born at v are placed (last among those present at v, which
-    are born at v or at points before it in grid order)."""
-    first = Ms[0]
+def _augmentation(M, members, gens, present):
+    """The augmentation F_0 -> M at every index point, for the members (their
+    positions) of a stack, asserted natural: at v the columns at each v - e_a
+    are pushed one step along a, must agree with those an earlier axis wrote,
+    and the generators born at v are placed (last among those present at v,
+    which are born at v or at points before it in grid order)."""
+    cut = members if len(members) < M.depth else slice(None)
     born = dict(gens)
     eps = {}
-    for v in gr.grid(first.bound):
+    for v in gr.grid(M.bound):
         idx = present[v]
-        eps[v] = np.zeros((len(Ms), first.dim(v), len(idx)), dtype=np.int64)
+        eps[v] = np.zeros((len(members), M.dim(v), len(idx)), dtype=np.int64)
         written = np.zeros(len(idx), dtype=bool)
-        for a in range(first.n):
+        for a in range(M.n):
             u = gr.minus_e(v, (a,))
             if v[a] and present[u]:
                 cols = gr.placement(present[u], idx)
-                pushed = la.matmul(_steps(Ms, u, a), eps[u], first.p)
+                pushed = la.matmul(M.step(u, a)[cut], eps[u], M.p)
                 if ((eps[v][:, :, cols] != pushed) & written[cols]).any():
                     raise InternalCheckError(
                         "augmentation is not natural at %s along axis %d"
-                        % (gr.to_degree(first.coords, u), a)
+                        % (gr.to_degree(M.coords, u), a)
                     )
                 eps[v][:, :, cols] = pushed
                 written[cols] = True
@@ -512,12 +484,12 @@ def _extend(ress, maps):
     counts disagree, the stack splits by them and each part continues on its
     own.  Each finished part is verified by one stacked check (_check).
     """
-    first = ress[0].module
+    M = ress[0].module
     j = len(ress[0].gen_degrees) - 1
     present, width = ress[0].present[j], len(ress[0].gen_degrees[j])
     kernels, counts = {}, {}
-    for v in gr.grid(first.bound):
-        local, found = la.stacked_kernel_basis(maps[v], first.p)
+    for v in gr.grid(M.bound):
+        local, found = la.stacked_kernel_basis(maps[v], M.p)
         rows = np.zeros(local.shape[:2] + (width,), dtype=np.int64)
         rows[:, :, present[v]] = local
         kernels[v], counts[v] = (rows, found), found
@@ -526,12 +498,12 @@ def _extend(ress, maps):
     if not any(rows.shape[1] for rows, _ in kernels.values()):
         _check(ress)
         return
-    if j == first.n:
+    if j == M.n:
         raise InternalCheckError(
             "resolution exceeds length %d; this contradicts the syzygy "
-            "theorem and signals a bug" % first.n
+            "theorem and signals a bug" % M.n
         )
-    gens = _generators([res.module for res in ress], kernels, present)
+    gens = _generators(M, len(ress), kernels, present)
     for idx, gens in _groups(gens, len(ress)):
         part = [ress[b] for b in idx]
         if not gens:  # these members' kernels are all zero
@@ -539,42 +511,39 @@ def _extend(ress, maps):
             continue
         degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
         d = np.concatenate([rows for _, rows in gens], axis=1).transpose(0, 2, 1)
-        up = gr.present_on_grid([(u,) for u in degrees], first.bound)
+        up = gr.present_on_grid([(u,) for u in degrees], M.bound)
         for b, res in enumerate(part):
             res.d[j + 1] = d[b]
             res.gen_degrees.append(list(degrees))
             res.present.append(up)
-        _extend(part, {v: d[:, present[v]][:, :, up[v]] for v in gr.grid(first.bound)})
+        _extend(part, {v: d[:, present[v]][:, :, up[v]] for v in gr.grid(M.bound)})
 
 
 def minimal_resolution(M):
     """Build the minimal free resolution of M by iterated kernel generation.
 
-    M is one module or a stack of modules that share one grid and one dims
-    array (a list, answered with one resolution per module), resolved at
-    once.  Level j is its generator degrees, their presence on the grid (one
-    gr.present_on_grid sweep) and the stacked matrix of d_j; each level does
-    one gather, one stacked kernel and one stacked generator step per index
-    point (_extend).  Members whose generators differ split off and
-    continue as their own stack.
+    M is one module or a stack (answered with one resolution per member),
+    resolved at once.  Level j is its generator degrees, their presence on
+    the grid (one gr.present_on_grid sweep) and the stacked matrix of d_j;
+    each level does one gather, one stacked kernel and one stacked generator
+    step per index point (_extend).  Members whose generators differ split
+    off and continue as a part of their own, a set of member positions on
+    the one stack.
     """
-    Ms = _stack(M)
-    if not Ms:
-        return []
-    out = [None] * len(Ms)
-    for idx, gens in _groups(_generators(Ms), len(Ms)):
-        part = [Ms[b] for b in idx]
+    nb = M.depth
+    out = [None] * nb
+    for idx, gens in _groups(_generators(M, nb), nb):
         degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
-        present = gr.present_on_grid([(u,) for u in degrees], Ms[0].bound)
-        eps = _augmentation(part, gens, present)
-        for b, N in enumerate(part):
-            res = out[idx[b]] = MinimalResolution(
-                N, [list(degrees)], [row for _, rows in gens for row in rows[b]]
+        present = gr.present_on_grid([(u,) for u in degrees], M.bound)
+        eps = _augmentation(M, idx, gens, present)
+        for b, k in enumerate(idx):
+            res = out[k] = MinimalResolution(
+                M, [list(degrees)], [row for _, rows in gens for row in rows[b]]
             )
             res.present.append(present)
             res.eps = {v: m[b] for v, m in eps.items()}
-        _extend([out[b] for b in idx], eps)
-    return _per_module(M, out)
+        _extend([out[k] for k in idx], eps)
+    return _per_member(M, out)
 
 
 class TorTable:
@@ -590,9 +559,9 @@ class TorTable:
 def xi(M, widen=0):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.
 
-    M is one module or a stack of modules that share one grid and one dims
-    array (a list, answered with one TorTable per module); both routes run
-    once over the whole stack, and every check below runs for every member.
+    M is one module or a stack (answered with one TorTable per member); both
+    routes run once over the whole stack, and every check below runs for
+    every member.
 
     widen >= 0 presents M on a grid that many index steps larger in every
     axis (md.rebound; past the top they are unit steps) before both routes
@@ -604,20 +573,15 @@ def xi(M, widen=0):
     """
     if widen < 0:
         raise ValidationError("widen must be >= 0, got %d" % widen)
-    Ms = _stack(M)
-    if not Ms:
-        return []
     if widen:
-        Ms = [md.rebound(N, tuple(b + widen for b in N.bound)) for N in Ms]
-    first = Ms[0]
-    stack = _per_module(M, Ms)
-    resolutions = minimal_resolution(stack)
-    koszuls = koszul_tor(stack, range(first.n + 1))
-    if stack is not Ms:
+        M = md.rebound(M, tuple(b + widen for b in M.bound))
+    resolutions = minimal_resolution(M)
+    koszuls = koszul_tor(M, range(M.n + 1))
+    if M.members is None:
         resolutions, koszuls = [resolutions], [koszuls]
-    points = list(gr.grid(first.bound))
-    degrees = np.array([gr.to_degree(first.coords, v) for v in points])
-    dims = first.dims[(slice(1, -1),) * first.n].reshape(-1)
+    points = list(gr.grid(M.bound))
+    degrees = np.array([gr.to_degree(M.coords, v) for v in points])
+    dims = M.dims[(slice(1, -1),) * M.n].reshape(-1)
     out = []
     for resolution, koszul in zip(resolutions, koszuls):
         for j, kt in koszul.items():
@@ -627,7 +591,7 @@ def xi(M, widen=0):
                     "Tor_%d mismatch: Koszul homology gives %s, the minimal "
                     "resolution gives %s" % (j, kt.multiset(), res_ms)
                 )
-        table = TorTable(first.n, koszul, resolution)
+        table = TorTable(M.n, koszul, resolution)
         chi = np.zeros(len(points), dtype=np.int64)
         for j, ms in table.tables.items():
             if ms:
@@ -641,4 +605,4 @@ def xi(M, widen=0):
                 "below it is %d" % (dims[k], tuple(degrees[k].tolist()), chi[k])
             )
         out.append(table)
-    return _per_module(M, out)
+    return _per_member(M, out)

@@ -52,12 +52,11 @@ def test_a_census_call_passes_through_every_tor_span(capsys):
     ):
         assert name in tracer.name_id, name
         assert (spans == tracer.name_id[name]).sum() > 0, name
-    # the cokernels are built in stacks: the 13 representatives in one call,
-    # the spot-check members of each of the 3 batches in one more, and one
-    # module per cokernel (13 + 59), so no free module
+    # the 72 cokernels (13 representatives, 59 spot-check members) are built
+    # in one call, as one stacked module per dims array (3), so no free module
     count = {name: int((spans == nid).sum()) for name, nid in tracer.name_id.items()}
-    assert count["orbits.family_to_module"] == 1 + 3
-    assert count["modules.PersistenceModule"] == 72
+    assert count["orbits.family_to_module"] == 1
+    assert count["modules.PersistenceModule"] == 3
 
 
 def test_hypertor_ranks_its_total_differentials_without_rref(capsys):

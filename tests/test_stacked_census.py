@@ -1,5 +1,5 @@
 """The census resolves its modules in stacks: one tor.xi per grid and dims
-array, each module's tables equal to those it gets alone."""
+array, each member's tables equal to those it gets alone."""
 
 import re
 
@@ -15,6 +15,27 @@ from torpers import tor
 from torpers.complexes import Presentation
 
 CENSUSES = [(XI0_MIXED, XI1_MIXED, 3), (XI0_FOUR_LINES, XI1_FOUR_LINES, 5)]
+
+
+def _stack(modules, members=None):
+    """Modules that share n, p, the grid and dims, as one stacked module
+    (members: its input positions, by default 0, 1, ...)."""
+    first = modules[0]
+    steps = {key: np.array([M.steps[key] for M in modules]) for key in first.steps}
+    dims = {v: first.dim(v) for v in gr.grid(first.bound)}
+    members = list(range(len(modules))) if members is None else members
+    return md.PersistenceModule(
+        first.n, first.bound, dims, steps, first.p, False, first.coords, members
+    )
+
+
+def _member(stack, b):
+    """Member b of a stacked module, as a module of its own."""
+    steps = {key: s[b] for key, s in stack.steps.items()}
+    dims = {v: stack.dim(v) for v in gr.grid(stack.bound)}
+    return md.PersistenceModule(
+        stack.n, stack.bound, dims, steps, stack.p, coords=stack.coords
+    )
 
 
 def _assert_same_table(got, want):
@@ -48,11 +69,12 @@ def test_each_stacked_table_equals_the_module_alone(monkeypatch, xi0, xi1, q):
 
     monkeypatch.setattr(tor, "xi", recording)
     ob.classify(xi0, xi1, q)
-    assert all(isinstance(stack, list) for stack, _ in calls)
-    assert sum(len(stack) for stack, _ in calls) == {3: 72, 5: 102}[q]
+    assert all(stack.members is not None for stack, _ in calls)
+    assert sum(stack.depth for stack, _ in calls) == {3: 72, 5: 102}[q]
     for stack, tables in calls:
-        for M, table in zip(stack, tables):
-            _assert_same_table(table, xi(M))
+        assert len(tables) == stack.depth
+        for b, table in enumerate(tables):
+            _assert_same_table(table, xi(_member(stack, b)))
 
 
 def test_the_mixed_census_resolves_once_per_dims_signature(monkeypatch):
@@ -61,7 +83,7 @@ def test_the_mixed_census_resolves_once_per_dims_signature(monkeypatch):
         route = getattr(tor, name)
 
         def recording(M, *args, route=route, seen=seen):
-            seen.append(len(M))
+            seen.append(M.depth)
             return route(M, *args)
 
         monkeypatch.setattr(tor, name, recording)
@@ -78,25 +100,31 @@ def _module(n, bound, steps, p=5):
     return md.PersistenceModule(n, bound, dims, steps, p)
 
 
+# Two presentations over GF(3) (found by a seeded search) whose cokernels
+# share dims and xi_0 but not xi_1: the relation at (2, 2) is redundant in the
+# first only, so a stack of both splits at level 1 of the resolution, not at
+# its generators.
+LEVEL_1_SPLIT = [
+    Presentation(2, [(0, 0), (0, 0)], relations)
+    for relations in (
+        [((2, 2), {1: 2}), ((0, 2), {0: 1}), ((2, 1), {0: 1, 1: 1})],
+        [((2, 2), {0: 2, 1: 2}), ((0, 2), {1: 1}), ((2, 1), {1: 1})],
+    )
+]
+
+
 def _equal_dims_pairs():
     """Pairs of modules with the same dims and different xi: on a line, the
     step is the identity (one generator) or zero (two); on the square, every
-    step is the identity, or the steps along axis 0 are zero.  The two
-    cokernels (found by a seeded search) share dims and xi_0 but not xi_1:
-    the relation at (2, 2) is redundant in the first only, so the stack
-    splits at level 1 of the resolution, not at its generators."""
+    step is the identity, or the steps along axis 0 are zero; and the
+    cokernels of LEVEL_1_SPLIT."""
     line = [_module(1, (1,), {((0,), 0): x}) for x in (1, 0)]
     steps = list(gr.unit_steps((1, 1)))
     square = [
         _module(2, (1, 1), {(v, a): int(free or a == 1) for v, a, _ in steps})
         for free in (True, False)
     ]
-    gens = [(0, 0), (0, 0)]
-    relations = [
-        [((2, 2), {1: 2}), ((0, 2), {0: 1}), ((2, 1), {0: 1, 1: 1})],
-        [((2, 2), {0: 2, 1: 2}), ((0, 2), {1: 1}), ((2, 1), {1: 1})],
-    ]
-    cokernels = [md.present_cokernel(Presentation(2, gens, r), 3) for r in relations]
+    cokernels = [md.present_cokernel(pres, 3) for pres in LEVEL_1_SPLIT]
     return [line, square, cokernels]
 
 
@@ -111,7 +139,7 @@ def test_a_stack_with_equal_dims_and_different_xi_splits(monkeypatch, pair):
     checked = []
     check = tor._check
     monkeypatch.setattr(tor, "_check", lambda rs: checked.append(len(rs)) or check(rs))
-    tables = tor.xi(stack)
+    tables = tor.xi(_stack(stack))
     assert sorted(checked) == [2, 3]  # one stacked check per part
     for table, want in zip(tables, alone):
         _assert_same_table(table, want)
@@ -132,21 +160,25 @@ def _first_spot_check(xi0, xi1, q):
 
 
 def test_a_member_with_another_xi_still_fails_the_spot_check(monkeypatch):
-    # the member keeps its dims, so it joins its representative's stack, but
-    # every step is zero: another xi table, which the stack must give it
+    # the member keeps its dims, so it stays in its representative's stack,
+    # but every step is zero: another xi table, which the stack must give it
     fam, k = _first_spot_check(XI0_MIXED, XI1_MIXED, 3)
     to_module = ob.family_to_module
 
     def patched(fams):
         out = to_module(fams)
-        for b, (f, M) in enumerate(zip(fams, out)):
-            if f.encode() != fam.encode():
-                continue
-            steps = {key: np.zeros_like(s) for key, s in M.steps.items()}
-            dims = {v: M.dim(v) for v in gr.grid(M.bound)}
-            out[b] = md.PersistenceModule(
-                M.n, M.bound, dims, steps, M.p, coords=M.coords
-            )
+        for i, S in enumerate(out):
+            modules = [_member(S, b) for b in range(S.depth)]
+            for b, f in enumerate(S.members):
+                if fams[f].encode() != fam.encode():
+                    continue
+                M = modules[b]
+                steps = {key: np.zeros_like(s) for key, s in M.steps.items()}
+                dims = {v: M.dim(v) for v in gr.grid(M.bound)}
+                modules[b] = md.PersistenceModule(
+                    M.n, M.bound, dims, steps, M.p, coords=M.coords
+                )
+            out[i] = _stack(modules, S.members)
         return out
 
     monkeypatch.setattr(ob, "family_to_module", patched)
@@ -158,9 +190,9 @@ def test_a_member_with_another_xi_still_fails_the_spot_check(monkeypatch):
 def test_a_corrupted_member_raises_as_it_does_alone():
     families = ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
     stacks = {}
-    for fam in families[::4]:
+    for fam in families[::4]:  # one census: one grid, so dims decide
         M = ob.family_to_module(fam)
-        stacks.setdefault(ob._grid_key(M), []).append(M)
+        stacks.setdefault(M.dims.tobytes(), []).append(M)
     first, good, last = next(ms for ms in stacks.values() if len(ms) >= 3)[:3]
     # double the first nonzero step: the squares through it stop commuting
     key = next(key for key, s in sorted(good.steps.items()) if s.any())
@@ -173,16 +205,39 @@ def test_a_corrupted_member_raises_as_it_does_alone():
     with pytest.raises(InternalCheckError) as alone:
         tor.xi(bad)
     with pytest.raises(InternalCheckError) as stacked:
-        tor.xi([first, bad, last])
+        tor.xi(_stack([first, bad, last]))
+    assert str(stacked.value) == str(alone.value)
+    # the constructor's square check fires for the stack as for bad alone
+    S = _stack([first, bad, last])
+    with pytest.raises(InternalCheckError) as alone:
+        md.PersistenceModule(good.n, good.bound, dims, steps, 3, coords=good.coords)
+    with pytest.raises(InternalCheckError) as stacked:
+        md.PersistenceModule(
+            S.n, S.bound, dims, S.steps, 3, coords=S.coords, members=S.members
+        )
     assert str(stacked.value) == str(alone.value)
 
 
-def test_stacks_are_lists_of_one_grid():
-    a, b = _equal_dims_pairs()[0]
-    assert tor.xi([]) == [] and tor.minimal_resolution([]) == []
-    assert tor.koszul_tor([], 0) == []
-    assert len(tor.xi([a])) == 1 and tor.xi([a])[0].tables == tor.xi(a).tables
-    other = _module(1, (2,), {((0,), 0): 1, ((1,), 0): 1})
-    for route in (tor.xi, tor.minimal_resolution):
-        with pytest.raises(ValueError, match="one grid and dims array"):
-            route([a, other])
+def test_a_stack_checks_the_shape_of_its_steps():
+    a, b = _equal_dims_pairs()[1]
+    S = _stack([a, b])
+    dims = {v: S.dim(v) for v in gr.grid(S.bound)}
+    md.PersistenceModule(S.n, S.bound, dims, S.steps, S.p, members=S.members)
+    steps = {key: s[:1] for key, s in S.steps.items()}  # one member's steps
+    want = r"has shape \(1, 1, 1\), expected \(2, 1, 1\)"
+    with pytest.raises(ValueError, match=want):
+        md.PersistenceModule(S.n, S.bound, dims, steps, S.p, members=S.members)
+
+
+def test_a_widened_stack_equals_its_members_widened():
+    (S,) = md.present_cokernel(LEVEL_1_SPLIT * 2, 3)  # equal dims: one stack
+    for b, table in enumerate(tor.xi(S, widen=2)):
+        alone = md.present_cokernel(LEVEL_1_SPLIT[b % 2], 3)
+        _assert_same_table(table, tor.xi(alone, widen=2))
+
+
+def test_a_stack_of_one_equals_the_module_alone():
+    a, _ = _equal_dims_pairs()[0]
+    tables = tor.xi(_stack([a]))
+    assert len(tables) == 1
+    _assert_same_table(tables[0], tor.xi(a))

@@ -1,17 +1,25 @@
 """Cokernels are built in stacks: md.present_cokernel and ob.family_to_module
-take a list of presentations (families) of one shape, and every member
-equals its presentation built alone, one at a time, by the reference below."""
+take a list of presentations (families) of one shape and return one stacked
+module per dims array, and every member equals its presentation built alone,
+one at a time, by the reference below."""
 
 import numpy as np
 import pytest
 
 from test_critical_grid import _random_presentation
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
+from test_stacked_census import (
+    LEVEL_1_SPLIT,
+    _assert_same_table,
+    _equal_dims_pairs,
+    _stack,
+)
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
 from torpers import modules as md
 from torpers import orbits as ob
+from torpers import tor
 from torpers.complexes import Presentation
 
 
@@ -43,15 +51,28 @@ def _same_arrays(got, want):
     )
 
 
-def _assert_same_module(got, want):
+def _assert_same_module(got, want, b=None):
+    """got (member b of got, for a stack) equals the module want."""
     assert (got.n, got.bound, got.p, got.coords) == (
         want.n, want.bound, want.p, want.coords
     )
     assert np.array_equal(got.dims, want.dims)
-    assert _same_arrays(got.steps, want.steps)
-    assert _same_arrays(got.bases, want.bases)
-    assert _same_arrays(got.reduce_by, want.reduce_by)
+    assert (got.members is None) == (b is None)
+    mine = (lambda d: d) if b is None else (lambda d: {k: a[b] for k, a in d.items()})
+    assert _same_arrays(mine(got.steps), want.steps)
+    assert _same_arrays(mine(got.bases), want.bases)
+    assert _same_arrays(mine(got.reduce_by), want.reduce_by)
     assert got.gen_index == want.gen_index
+
+
+def _members(stacks, nb):
+    """(position, stack, b) for every member b of the stacks, in input order,
+    asserting that the stacks hold the nb positions once each, in order
+    within each stack."""
+    out = sorted((k, S, b) for S in stacks for b, k in enumerate(S.members))
+    assert [k for k, _, _ in out] == list(range(nb))
+    assert all(S.members == sorted(S.members) and S.depth for S in stacks)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -61,19 +82,32 @@ def _assert_same_module(got, want):
 )
 def test_every_census_member_equals_its_cokernel_alone(xi0, xi1, q):
     families = ob.enumerate_families(xi0, xi1, q)
-    built = ob.family_to_module(families)
-    assert len(built) == len(families) == {3: 208, 5: 1296}[q]
-    for pres, M in zip(ob._presentations(families), built):
-        _assert_same_module(M, _reference_cokernel(pres, q))
+    built = _members(ob.family_to_module(families), len(families))
+    assert len(built) == {3: 208, 5: 1296}[q]
+    for pres, (_, S, b) in zip(ob._presentations(families), built):
+        _assert_same_module(S, _reference_cokernel(pres, q), b)
 
 
-def _random_stack(rng, nb, p):
+def _random_shape(rng, n):
+    """Generator and relation degrees over n parameters, three values out of
+    0..5 per axis, as a presentation with empty relations."""
+    axes = [sorted(rng.choice(6, size=3, replace=False).tolist()) for _ in range(n)]
+
+    def degree():
+        return tuple(int(rng.choice(a)) for a in axes)
+
+    gens = sorted(degree() for _ in range(int(rng.integers(1, 4))))
+    return Presentation(n, gens, [(degree(), {}) for _ in range(rng.integers(0, 5))])
+
+
+def _random_stack(rng, nb, p, n=2):
     """nb presentations with the generator and relation degrees of one random
-    presentation (at least two relations) and random coefficients, zero
-    often, so ranks and dims differ by member."""
-    shape = _random_presentation(rng)
-    while len(shape.relations) < 2:
-        shape = _random_presentation(rng)
+    presentation (at least two relations; _random_presentation for n = 2,
+    else _random_shape) and random coefficients, zero often, so ranks and
+    dims differ by member."""
+    shape = None
+    while shape is None or len(shape.relations) < 2:
+        shape = _random_presentation(rng) if n == 2 else _random_shape(rng, n)
     values = [0, 0, 1, p - 1, int(rng.integers(0, p))]
     stack = []
     for _ in range(nb):
@@ -92,15 +126,15 @@ def _random_stack(rng, nb, p):
 def test_every_random_member_equals_its_cokernel_alone(seed, nb):
     p = (2, 3, 5)[seed % 3]
     stack = _random_stack(np.random.default_rng(seed), nb, p)
-    built = md.present_cokernel(stack, p)
-    assert len(built) == nb
-    for pres, M in zip(stack, built):
-        _assert_same_module(M, _reference_cokernel(pres, p))
+    stacks = md.present_cokernel(stack, p)
+    built = _members(stacks, nb)
+    for pres, (_, S, b) in zip(stack, built):
+        _assert_same_module(S, _reference_cokernel(pres, p), b)
     if nb == 50:  # the stack splits by dims
-        assert len({M.dims.tobytes() for M in built}) > 1
+        assert len(stacks) > 1
     one = md.present_cokernel(stack[0], p)
-    assert isinstance(one, md.PersistenceModule)
-    _assert_same_module(one, built[0])
+    assert one.members is None and one.depth == 1
+    _assert_same_module(one, _reference_cokernel(stack[0], p))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -123,8 +157,64 @@ def test_stacks_over_one_and_three_parameters_equal_their_cokernels_alone(seed, 
             for d in degrees
         ]
         stack.append(Presentation(n, gens, relations))
-    for pres, M in zip(stack, md.present_cokernel(stack, p)):
-        _assert_same_module(M, _reference_cokernel(pres, p))
+    built = _members(md.present_cokernel(stack, p), len(stack))
+    for pres, (_, S, b) in zip(stack, built):
+        _assert_same_module(S, _reference_cokernel(pres, p), b)
+
+
+def _assert_members_alone(stack, p):
+    """Every member of md.present_cokernel(stack, p) equals its presentation
+    built alone, step for step, and so does its tor.xi table."""
+    stacks = md.present_cokernel(stack, p)
+    for k, S, b in _members(stacks, len(stack)):
+        _assert_same_module(S, md.present_cokernel(stack[k], p), b)
+    tables = {}
+    for S in stacks:
+        found = tor.xi(S)
+        assert len(found) == S.depth
+        tables.update(zip(S.members, found))
+    for k, pres in enumerate(stack):
+        _assert_same_table(tables[k], tor.xi(md.present_cokernel(pres, p)))
+    return stacks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "nb",
+    [1, la._STACK_DEPTH - 1, la._STACK_DEPTH, la._STACK_DEPTH + 1, 50],
+    ids=lambda nb: "B%d" % nb,
+)
+def test_a_stacked_member_equals_its_module_alone(nb, n):
+    p = (2, 3, 5)[(nb + n) % 3]
+    stack = _random_stack(np.random.default_rng(100 * n + nb), nb, p, n)
+    _assert_members_alone(stack, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_stack_on_a_one_point_grid_keeps_its_depth(n):
+    # every degree at the origin: one index point and no unit steps, so the
+    # depth is known from the members alone
+    rng, p, origin = np.random.default_rng(n), 3, (0,) * n
+    def relation():
+        return origin, {k: int(rng.integers(0, p)) for k in range(3)}
+
+    stack = [
+        Presentation(n, [origin] * 3, [relation(), relation()])
+        for _ in range(la._STACK_DEPTH + 1)
+    ]
+    stacks = _assert_members_alone(stack, p)
+    assert all(S.bound == origin and not S.steps for S in stacks)
+    assert sum(S.depth for S in stacks) == len(stack)
+
+
+def test_the_equal_dims_pairs_stack_and_equal_their_modules_alone():
+    a, b = LEVEL_1_SPLIT
+    (stack,) = _assert_members_alone([a, b, b, a, b], 3)  # equal dims: one stack
+    assert stack.members == [0, 1, 2, 3, 4]
+    for a, b in _equal_dims_pairs():
+        modules = [a, b, b, a, b]
+        for table, M in zip(tor.xi(_stack(modules)), modules):
+            _assert_same_table(table, tor.xi(M))
 
 
 def test_a_stack_of_mixed_degrees_is_refused():
@@ -212,14 +302,14 @@ def test_a_corrupted_member_raises_what_it_raises_alone(monkeypatch, how):
     assert found >= 3
 
 
-def test_a_census_builds_each_batch_with_one_call(monkeypatch):
+def test_a_census_builds_its_cokernels_with_one_call(monkeypatch):
     calls, built = [], []
     to_module = ob.family_to_module
     init = md.PersistenceModule.__init__
 
     def recording(fams):
         out = to_module(fams)
-        calls.append([ob._grid_key(M) for M in out])
+        calls.append((len(fams), [M.dims.tobytes() for M in out]))
         return out
 
     def counting(self, *args, **kwargs):
@@ -229,6 +319,7 @@ def test_a_census_builds_each_batch_with_one_call(monkeypatch):
     monkeypatch.setattr(ob, "family_to_module", recording)
     monkeypatch.setattr(md.PersistenceModule, "__init__", counting)
     ob.classify(XI0_MIXED, XI1_MIXED, 3)
-    assert len(calls) == 1 + len(set(calls[0]))  # the representatives, each batch
-    assert len(built) == 72
+    # the 13 representatives and 59 spot-check members, one stack per dims
+    assert [(n, len(set(dims))) for n, dims in calls] == [(72, 3)]
+    assert len(built) == 3 and sum(M.depth for M in built) == 72
     assert all(M.bases is not None for M in built)  # no free module among them

@@ -207,10 +207,10 @@ def test_resolution_free_modules_live_on_the_module_grid(fixture_path):
 def _module_generators(M, sub=None):
     """Minimal generators of M, or of a submodule of a free module on M's grid
     (sub[v] an RREF row basis over all its generators), as (index point, row
-    vector) pairs in grid order: tor._generators on a stack of one."""
+    vector) pairs in grid order: tor._generators on one module."""
     if sub is not None:
         sub = {v: (rows[None], [len(rows)]) for v, rows in sub.items()}
-    return [(v, row) for v, rows, _ in tor._generators([M], sub) for row in rows[0]]
+    return [(v, row) for v, rows, _ in tor._generators(M, 1, sub) for row in rows[0]]
 
 
 def _assert_generators_are_the_tor0_complement(M):
