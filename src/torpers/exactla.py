@@ -396,8 +396,8 @@ def stacked_reduce_mod_rows(v, basis, p):
     v at its pivot and adds nothing."""
     w = np.asarray(v, dtype=np.int64) % p
     b = np.asarray(basis, dtype=np.int64) % p
-    pivots = np.broadcast_to(_leads(b)[:, None, :], w.shape[:2] + b.shape[1:2])
-    return (w - matmul(np.take_along_axis(w, pivots, axis=2), b, p)) % p
+    at = w[np.arange(len(w))[:, None], :, _leads(b)].transpose(0, 2, 1)
+    return (w - matmul(at, b, p)) % p
 
 
 def stacked_complement_basis(sub, whole, p):

@@ -20,10 +20,11 @@ generators) present at each index point, with inclusions as steps.
 Constructors that build quotients (homology, cokernels) record their bases
 as rows in the ambient coordinates (`bases`) plus the subspace that was
 modded out (`reduce_by`), so class representatives and projections stay
-available downstream.  Homology goes through basis_module; cokernels are
-built from presentations of one shape at once (present_cokernel), with no
-free module and each basis read off the pivots of the relation space, as
-one module per group of equal dims: a stack, whose steps carry a leading
+available downstream.  Both go through one stacked routine (_quotients) on
+the presence lists of the ambient basis, with no ambient module built:
+homology as a stack of one, cokernels of presentations of one shape at once
+(present_cokernel), each basis read off the pivots of the relation space,
+as one module per group of equal dims: a stack, whose steps carry a leading
 member axis.
 
 The chain side of a complex is one ChainData: its grid (the complex's
@@ -101,17 +102,11 @@ class PersistenceModule:
                     "step at %s axis %d has shape %s, expected %s"
                     % (v, j, s.shape, self._lead + (self.dim(w), self.dim(v)))
                 )
-        for v in gr.grid(self.bound):
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    if v[i] >= self.bound[i] or v[j] >= self.bound[j]:
-                        continue
-                    a = la.matmul(self.step(gr.step(v, i), j), self.step(v, i), self.p)
-                    b = la.matmul(self.step(gr.step(v, j), i), self.step(v, j), self.p)
-                    if (a != b).any():
-                        raise InternalCheckError(
-                            _NOT_COMMUTING % (gr.to_degree(self.coords, v), i, j)
-                        )
+        for v, i, j, a, b in _squares(self.steps, self.bound, self.p):
+            if (a != b).any():
+                raise InternalCheckError(
+                    _NOT_COMMUTING % (gr.to_degree(self.coords, v), i, j)
+                )
 
     def dim(self, v):
         """Dimension at any index point: one read of .dims, clamped to the bound."""
@@ -134,6 +129,30 @@ class PersistenceModule:
             # other axes may clamp; the step matrix is the stored one there
             return self.steps[(tuple(map(min, v, self.bound)), j)]
         return np.broadcast_to(s, self._lead + s.shape)
+
+
+def _squares(steps, bound, p):
+    """Every commuting square of the steps on [0, bound], in grid then axis
+    order: (v, i, j, and the product along each of its two paths)."""
+    n = len(bound)
+    for v in gr.grid(bound):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if v[i] < bound[i] and v[j] < bound[j]:
+                    a = la.matmul(steps[(gr.step(v, i), j)], steps[(v, i)], p)
+                    b = la.matmul(steps[(gr.step(v, j), i)], steps[(v, j)], p)
+                    yield v, i, j, a, b
+
+
+def member_groups(counts):
+    """The members of a stack grouped by their counts, one column of the
+    (points, B) array counts per member: per group, in the order of its first
+    member, (its counts, its positions, the index that cuts a stack to it)."""
+    groups = {}
+    for b, key in enumerate(map(tuple, counts.T.tolist())):
+        groups.setdefault(key, []).append(b)
+    whole = len(groups) == 1
+    return [(key, idx, slice(None) if whole else idx) for key, idx in groups.items()]
 
 
 def rebound(module, new_bound):
@@ -260,35 +279,6 @@ class ChainData:
         return self.matrix(i)[self.present(i - 1)[v]][:, self.present(i)[v]]
 
 
-def basis_module(ambient, bases, reduce_by):
-    """The quotient module spanned by a family of class representatives.
-
-    bases[v] holds RREF rows (no zero rows) in the coordinates of ambient at
-    v, representing classes modulo reduce_by[v] (an RREF row basis per degree
-    of a subspace closed under the steps); the new module's coordinates at v
-    are with respect to those rows.  Each step pushes all basis rows through
-    the ambient step in one product, reduces them modulo reduce_by at the
-    target and reads their coordinates there.  Used by homology_module;
-    present_cokernel builds its stacks in place of it.
-    """
-    p = ambient.p
-    dims = {v: bases[v].shape[0] for v in gr.grid(ambient.bound)}
-    steps = {}
-    for v, j, w in gr.unit_steps(ambient.bound):
-        pushed = la.matmul(bases[v], ambient.step(v, j).T, p)
-        pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
-        c = la.coords_in(pushed, bases[w], p)
-        if c is None:
-            raise InternalCheckError(_NOT_CLOSED % (gr.to_degree(ambient.coords, v), j))
-        steps[(v, j)] = c.T
-    mod = PersistenceModule(
-        ambient.n, ambient.bound, dims, steps, p, coords=ambient.coords
-    )
-    mod.bases = dict(bases)
-    mod.reduce_by = dict(reduce_by)
-    return mod
-
-
 def class_coords(quotient, v, ambient_vec, p):
     """Coordinates of an ambient vector's class in a quotient module's basis.
 
@@ -301,22 +291,79 @@ def class_coords(quotient, v, ambient_vec, p):
     return c
 
 
+def _quotients(coords, present, bases, rels, p, single):
+    """The quotients spanned by a stack of class representatives: one stack
+    per group of members with equal counts, or, single, one module.
+
+    present lists the ambient basis items at each index point of the
+    critical grid coords (kept as .gen_index); the ambient steps are their
+    inclusions.  bases[v] and rels[v] are stacked bases in the ambient
+    coordinates at v: per member, class representatives (.bases) and the
+    relation space modded out (.reduce_by), closed under the steps.  Each
+    step places the basis rows at the target, reduces them modulo its
+    relations and reads them at the pivots of its basis; closure and the
+    commuting squares are checked by one stacked product per step and per
+    square.  The first failing member in input order raises its first check
+    that fails.
+    """
+    bound = gr.coords_bound(coords)
+    points = list(gr.grid(bound))
+    counts = [bases[v][1] + rels[v][1] for v in points]
+    out, failed = [], {}
+    for key, idx, cut in member_groups(np.reshape(counts, (2 * len(points), -1))):
+        B = {v: bases[v][0][cut, :k] for v, k in zip(points, key[::2])}
+        R = {v: rels[v][0][cut, :k] for v, k in zip(points, key[1::2])}
+        reads = {}  # per index point, the unit columns at the pivots of the basis
+        for v, rows in B.items():
+            first = (rows != 0) & ((rows != 0).cumsum(axis=2) == 1)
+            reads[v] = first.transpose(0, 2, 1).astype(np.int64)
+        steps, checks, bad = {}, [], []
+        for v, j, w in gr.unit_steps(bound):
+            pushed = np.zeros(B[v].shape[:2] + (len(present[w]),), dtype=np.int64)
+            pushed[:, :, gr.placement(present[v], present[w])] = B[v]
+            reduced = la.stacked_reduce_mod_rows(pushed, R[w], p)
+            c = la.matmul(reduced, reads[w], p)
+            steps[(v, j)] = c.transpose(0, 2, 1)
+            checks.append((_NOT_CLOSED, v, (j,)))
+            bad.append((la.matmul(c, B[w], p) != reduced).any(axis=(1, 2)))
+        for v, i, j, a, b in _squares(steps, bound, p):
+            checks.append((_NOT_COMMUTING, v, (i, j)))
+            bad.append((a != b).any(axis=(1, 2)))
+        bad = np.array(bad, dtype=bool).reshape(len(checks), len(idx))
+        for g in np.flatnonzero(bad.any(axis=0)).tolist():
+            failed[idx[g]] = checks[bad[:, g].argmax()]
+        dims = dict(zip(points, key[::2]))
+        if single:  # one module: member 0's slices
+            steps, B, R = ({k: a[0] for k, a in d.items()} for d in (steps, B, R))
+        M = PersistenceModule(
+            len(bound), bound, dims, steps, p, False, coords, None if single else idx
+        )
+        M.bases, M.reduce_by, M.gen_index = B, R, present
+        out.append(M)
+    if failed:
+        message, v, axes = failed[min(failed)]
+        raise InternalCheckError(message % ((gr.to_degree(coords, v),) + axes))
+    return out[0] if single else out
+
+
 def homology_module(data, q):
     """H_q of the complex of a ChainData, as a module on its grid.
 
     H carries class representatives (.bases, rows in the coordinates of C_q)
     plus the boundary space B_q (.reduce_by) so classes can be projected
-    later.  The cycles Z_q and B_q are not built as modules: they are closed
-    under the steps because the boundaries are natural (see ChainData), and
-    basis_module checks that H is.
+    later.  Neither C_q nor the cycles Z_q and B_q are built as modules: Z_q
+    and B_q are closed under the inclusions of the q-cells because the
+    boundaries are natural (see ChainData), and _quotients, on a stack of
+    one, checks that H is.
     """
     p = data.p
     h_rows, b_rows = {}, {}
     for v in gr.grid(data.bound):
         cycles = la.kernel_basis(data.boundary_at(q, v), p)
-        b_rows[v] = la.row_space(data.boundary_at(q + 1, v).T, p)
-        h_rows[v] = la.complement_basis(b_rows[v], cycles, p)
-    return basis_module(data.module(q), h_rows, b_rows)
+        b = la.row_space(data.boundary_at(q + 1, v).T, p)
+        h = la.complement_basis(b, cycles, p)
+        h_rows[v], b_rows[v] = (h[None], [len(h)]), (b[None], [len(b)])
+    return _quotients(data.coords, data.present(q), h_rows, b_rows, p, True)
 
 
 # -- cokernels of presentations ---------------------------------------------
@@ -332,13 +379,12 @@ def present_cokernel(pres, p):
     and the generators present at each index point (.gen_index) are made
     once.  At each index point one stacked row space of the relation rows
     gives each member's relation space (.reduce_by) and its RREF complement
-    (.bases), the unit vectors at the non-pivot columns.  Per group, each
-    step is the basis rows placed by inclusion, reduced in one stacked call
-    and read at the target's non-pivot columns; closure and commuting
-    squares are checked with one stacked product per step and per square.
-    Where members fail, the first in input order raises what it raises alone.
+    (.bases), the unit vectors at the non-pivot columns.  One _quotients
+    call on them groups the members by rank, so by dims, and builds each
+    group's stack; the first failing member raises what it raises alone.
     """
-    press = [pres] if isinstance(pres, Presentation) else list(pres)
+    single = isinstance(pres, Presentation)
+    press = [pres] if single else list(pres)
     if not press:
         return []
     first, nb = press[0], len(press)
@@ -349,60 +395,19 @@ def present_cokernel(pres, p):
             "the relation degrees"
         )
     check_field(p)
-    n, coords = first.n, gr.critical_coords(list(first.gens) + degrees, first.n)
-    bound = gr.coords_bound(coords)
+    coords = gr.critical_coords(list(first.gens) + degrees, first.n)
     gens = _present(coords, [(g,) for g in first.gens])
     live = _present(coords, [(d,) for d in degrees])
     rel = np.zeros((nb, len(degrees), len(first.gens)), dtype=np.int64)
     for b, pr in enumerate(press):
         for r, (_, coeffs) in enumerate(pr.relations):
             rel[b, r, list(coeffs)] = [c % p for c in coeffs.values()]
-    points = list(gr.grid(bound))
-    spaces = {v: la.stacked_row_space(rel[:, live[v]][..., gens[v]], p) for v in points}
-    units = {v: la.stacked_unit_complement(spaces[v])[0] for v in points}
-    ranks = np.array([spaces[v][1] for v in points], dtype=np.int64).reshape(-1, nb)
-    groups = {}
-    for b, key in enumerate(map(tuple, ranks.T.tolist())):
-        groups.setdefault(key, []).append(b)
-    out, failed = [], {}
-    for key, idx in groups.items():
-        cut = idx if len(idx) < nb else slice(None)
-        rels = {v: spaces[v][0][cut, :k] for v, k in zip(points, key)}
-        bases = {v: units[v][cut, : len(gens[v]) - k] for v, k in zip(points, key)}
-        steps, checks, bad = {}, [], []
-        for v, j, w in gr.unit_steps(bound):
-            pushed = np.zeros(bases[v].shape[:2] + (len(gens[w]),), dtype=np.int64)
-            pushed[:, :, gr.placement(gens[v], gens[w])] = bases[v]
-            reduced = la.stacked_reduce_mod_rows(pushed, rels[w], p)
-            c = la.matmul(reduced, bases[w].transpose(0, 2, 1), p)
-            steps[(v, j)] = c.transpose(0, 2, 1)
-            checks.append((_NOT_CLOSED, v, (j,)))
-            bad.append((la.matmul(c, bases[w], p) != reduced).any(axis=(1, 2)))
-        for v, i, _ in gr.unit_steps(bound):  # the squares, in _check's order
-            for j in range(i + 1, n):
-                if v[j] < bound[j]:
-                    a = la.matmul(steps[(gr.step(v, i), j)], steps[(v, i)], p)
-                    b = la.matmul(steps[(gr.step(v, j), i)], steps[(v, j)], p)
-                    checks.append((_NOT_COMMUTING, v, (i, j)))
-                    bad.append((a != b).any(axis=(1, 2)))
-        bad = np.array(bad, dtype=bool).reshape(len(checks), len(idx))
-        for g in np.flatnonzero(bad.any(axis=0)).tolist():
-            failed[idx[g]] = checks[bad[:, g].argmax()]
-        dims = {v: bases[v].shape[1] for v in points}
-        if isinstance(pres, Presentation):  # one module: member 0's slices
-            steps, bases, rels = (
-                {k: a[0] for k, a in d.items()} for d in (steps, bases, rels)
-            )
-            idx = None
-        M = PersistenceModule(
-            n, bound, dims, steps, p, check=False, coords=coords, members=idx
-        )
-        M.bases, M.reduce_by, M.gen_index = bases, rels, gens
-        out.append(M)
-    if failed:
-        message, v, axes = failed[min(failed)]
-        raise InternalCheckError(message % ((gr.to_degree(coords, v),) + axes))
-    return out[0] if isinstance(pres, Presentation) else out
+    spaces = {
+        v: la.stacked_row_space(rel[:, live[v]][..., gens[v]], p)
+        for v in gr.grid(gr.coords_bound(coords))
+    }
+    units = {v: la.stacked_unit_complement(s) for v, s in spaces.items()}
+    return _quotients(coords, gens, units, spaces, p, single)
 
 
 def free_module(ms, p, n=None, coords=None):

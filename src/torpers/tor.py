@@ -372,12 +372,13 @@ class MinimalResolution:
 
     def check(self):
         """Verify the resolution as it stands (_check on a stack of one)."""
-        return _check([self])
+        stacked = [{v: (k[None], [len(k)]) for v, k in L.items()} for L in self.kernels]
+        return _check([self], stacked)
 
 
-def _check(ress):
+def _check(ress, kernels):
     """Verify resolutions that share their generator degrees as built, against
-    the kernels found while resolving, in one stacked pass.
+    the kernels found while resolving (kernels[j][v], stacked), in one pass.
 
     Every d_j is homogeneous and minimal: one mask per level from the
     generator degrees, and the first bad entry (k, l) in row-major order is
@@ -400,27 +401,27 @@ def _check(ress):
                 % (j, "minimal" if below[k, l] else "homogeneous", k, l)
             )
     for v in gr.grid(M.bound):
-        if any(len(present[0][v]) - len(r.kernels[0][v]) != M.dim(v) for r in ress):
+        if any(len(present[0][v]) - k != M.dim(v) for k in kernels[0][v][1]):
             raise InternalCheckError(
                 "augmentation not surjective at %s" % (gr.to_degree(M.coords, v),)
             )
         for j, m in d.items():
-            want = [res.kernels[j - 1][v][:, present[j - 1][v]] for res in ress]
+            want, wanted = kernels[j - 1][v]
             if present[j][v]:
                 have, counts = la.stacked_row_space(
                     m[:, present[j - 1][v]][:, :, present[j][v]].transpose(0, 2, 1), p
                 )
-                want, wanted = la.stack_bases(want, have.shape[2])
-                exact = wanted == counts and want.shape == have.shape
+                want = want[:, : max(wanted), present[j - 1][v]]
+                exact = list(wanted) == counts and want.shape == have.shape
                 exact = exact and (want == have).all()
             else:  # F_j has no generator at v: the image is zero
-                exact = not any(len(w) for w in want)
+                exact = not any(wanted)
             if not exact:
                 raise InternalCheckError(
                     "resolution not exact at F_%d, degree %s"
                     % (j - 1, gr.to_degree(M.coords, v))
                 )
-        if any(len(res.kernels[-1][v]) for res in ress):
+        if any(kernels[-1][v][1]):
             raise InternalCheckError(
                 "resolution too short: kernel left at F_%d, degree %s"
                 % (len(degrees) - 1, gr.to_degree(M.coords, v))
@@ -461,20 +462,17 @@ def _augmentation(M, members, gens, present):
 def _groups(gens, nb):
     """The members of a stack of nb grouped by their generator count at every
     index point of gens (triples (v, rows, counts) of stacked bases): per
-    group, in the order of its first member, (member positions, pairs (v,
-    rows) cut to it, with the points where it has no generator dropped)."""
+    group, in the order of its first member, (member positions, the index
+    that cuts a stack to them, pairs (v, rows) cut to them, with the points
+    where they have no generator dropped)."""
     counts = np.array([c for _, _, c in gens], dtype=np.int64).reshape(len(gens), nb)
-    groups = {}
-    for b, key in enumerate(map(tuple, counts.T.tolist())):
-        groups.setdefault(key, []).append(b)
-    out = []
-    for key, idx in groups.items():
-        cut = idx if len(idx) < nb else slice(None)
-        out.append((idx, [(v, rows[cut, :c]) for (v, rows, _), c in zip(gens, key) if c]))
-    return out
+    return [
+        (idx, cut, [(v, rows[cut, :c]) for (v, rows, _), c in zip(gens, key) if c])
+        for key, idx, cut in md.member_groups(counts)
+    ]
 
 
-def _extend(ress, maps):
+def _extend(ress, maps, below=()):
     """Resolve a stack of resolutions that share every level so far from its
     last level j on, filling each in place; maps[v] is the stack of d_j at v.
 
@@ -482,21 +480,23 @@ def _extend(ress, maps):
     stacked kernel; the kernels are the sub given to _generators, whose rows
     are the columns of d[j+1] as they are.  Where the members' generator
     counts disagree, the stack splits by them and each part continues on its
-    own.  Each finished part is verified by one stacked check (_check).
+    own, with the stacked kernels of every level (below, then j) cut to it.
+    Each finished part is verified by one stacked check (_check) on them.
     """
     M = ress[0].module
     j = len(ress[0].gen_degrees) - 1
     present, width = ress[0].present[j], len(ress[0].gen_degrees[j])
-    kernels, counts = {}, {}
+    kernels = {}
     for v in gr.grid(M.bound):
         local, found = la.stacked_kernel_basis(maps[v], M.p)
         rows = np.zeros(local.shape[:2] + (width,), dtype=np.int64)
         rows[:, :, present[v]] = local
-        kernels[v], counts[v] = (rows, found), found
+        kernels[v] = rows, np.array(found)
     for b, res in enumerate(ress):
-        res.kernels.append({v: k[b, : counts[v][b]] for v, (k, _) in kernels.items()})
+        res.kernels.append({v: k[b, : c[b]] for v, (k, c) in kernels.items()})
+    levels = list(below) + [kernels]
     if not any(rows.shape[1] for rows, _ in kernels.values()):
-        _check(ress)
+        _check(ress, levels)
         return
     if j == M.n:
         raise InternalCheckError(
@@ -504,10 +504,11 @@ def _extend(ress, maps):
             "theorem and signals a bug" % M.n
         )
     gens = _generators(M, len(ress), kernels, present)
-    for idx, gens in _groups(gens, len(ress)):
+    for idx, cut, gens in _groups(gens, len(ress)):
         part = [ress[b] for b in idx]
+        cuts = [{v: (k[cut], c[cut]) for v, (k, c) in L.items()} for L in levels]
         if not gens:  # these members' kernels are all zero
-            _check(part)
+            _check(part, cuts)
             continue
         degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
         d = np.concatenate([rows for _, rows in gens], axis=1).transpose(0, 2, 1)
@@ -516,7 +517,8 @@ def _extend(ress, maps):
             res.d[j + 1] = d[b]
             res.gen_degrees.append(list(degrees))
             res.present.append(up)
-        _extend(part, {v: d[:, present[v]][:, :, up[v]] for v in gr.grid(M.bound)})
+        maps = {v: d[:, present[v]][:, :, up[v]] for v in gr.grid(M.bound)}
+        _extend(part, maps, cuts)
 
 
 def minimal_resolution(M):
@@ -532,7 +534,7 @@ def minimal_resolution(M):
     """
     nb = M.depth
     out = [None] * nb
-    for idx, gens in _groups(_generators(M, nb), nb):
+    for idx, _, gens in _groups(_generators(M, nb), nb):
         degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
         present = gr.present_on_grid([(u,) for u in degrees], M.bound)
         eps = _augmentation(M, idx, gens, present)

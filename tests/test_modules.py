@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -126,11 +128,125 @@ def test_boundary_at_the_ends_builds_no_zero_module(circle):
         assert data.boundary_at(i, (-1, 0)).shape == (0, 0)
         assert data.boundary_at(i, (1, -1)).shape == (0, 0)
     assert data._chains == {}
-    # H_q builds C_q alone: its neighbours are read as presence slices
+    # H_q builds no chain module: C_q and its neighbours are presence slices
     md.homology_module(data, 0)
-    assert sorted(data._chains) == [0]
     md.homology_module(data, 1)
-    assert sorted(data._chains) == [0, 1]
+    assert data._chains == {}
+
+
+def basis_module(ambient, bases, reduce_by):
+    """The quotient module spanned by a family of class representatives, one
+    step at a time: the reference for the stacked quotients of md.
+
+    bases[v] holds RREF rows (no zero rows) in the coordinates of ambient at
+    v, representing classes modulo reduce_by[v] (an RREF row basis per degree
+    of a subspace closed under the steps); the new module's coordinates at v
+    are with respect to those rows.  Each step pushes all basis rows through
+    the ambient step in one product, reduces them modulo reduce_by at the
+    target and reads their coordinates there.
+    """
+    p = ambient.p
+    dims = {v: bases[v].shape[0] for v in gr.grid(ambient.bound)}
+    steps = {}
+    for v, j, w in gr.unit_steps(ambient.bound):
+        pushed = la.matmul(bases[v], ambient.step(v, j).T, p)
+        pushed = la.reduce_mod_rows(pushed, reduce_by[w], p)
+        c = la.coords_in(pushed, bases[w], p)
+        if c is None:
+            degree = gr.to_degree(ambient.coords, v)
+            raise InternalCheckError(md._NOT_CLOSED % (degree, j))
+        steps[(v, j)] = c.T
+    mod = md.PersistenceModule(
+        ambient.n, ambient.bound, dims, steps, p, coords=ambient.coords
+    )
+    mod.bases = dict(bases)
+    mod.reduce_by = dict(reduce_by)
+    return mod
+
+
+def _homology_rows(data, q):
+    """Per index point, the homology class rows and the boundary rows of H_q."""
+    h_rows, b_rows = {}, {}
+    for v in gr.grid(data.bound):
+        cycles = la.kernel_basis(data.boundary_at(q, v), data.p)
+        b_rows[v] = la.row_space(data.boundary_at(q + 1, v).T, data.p)
+        h_rows[v] = la.complement_basis(b_rows[v], cycles, data.p)
+    return h_rows, b_rows
+
+
+def _reference_homology(data, q, h_rows=None):
+    """H_q by basis_module on the chain module C_q, with h_rows for the
+    class rows when given."""
+    found, b_rows = _homology_rows(data, q)
+    C = md._inclusion_module(data.n, data.coords, data.present(q), data.p)
+    return basis_module(C, found if h_rows is None else h_rows, b_rows)
+
+
+def _same_arrays(got, want):
+    return got.keys() == want.keys() and all(
+        got[k].shape == want[k].shape and (got[k] == want[k]).all() for k in want
+    )
+
+
+@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize(
+    "make", [randfix.random_complex, randfix.random_one_at_a_time],
+    ids=["complex", "one_at_a_time"],
+)
+def test_homology_equals_the_reference_on_random_complexes(make, seed):
+    cx = make(seed)
+    for p in (2, 3, 5):
+        data = md.ChainData(cx, p)
+        for q in range(-1, data.top + 2):
+            H, want = md.homology_module(data, q), _reference_homology(data, q)
+            assert H.members is None and np.array_equal(H.dims, want.dims), (p, q)
+            assert _same_arrays(H.steps, want.steps), (p, q)
+            assert _same_arrays(H.bases, want.bases), (p, q)
+            assert _same_arrays(H.reduce_by, want.reduce_by), (p, q)
+
+
+def test_a_dropped_homology_class_row_is_not_closed(circle, monkeypatch):
+    # the step (0,0) -> (1,0) maps H_0 onto its two classes at (1,0); with a
+    # class row dropped there, the first step's image leaves the basis
+    data = md.ChainData(circle, 5)
+    h_rows, _ = _homology_rows(data, 0)
+    assert len(h_rows[(1, 0)]) == 2
+    h_rows[(1, 0)] = h_rows[(1, 0)][:-1]
+    with pytest.raises(InternalCheckError) as reference:
+        _reference_homology(data, 0, h_rows)
+    at = list(gr.grid(data.bound)).index((1, 0))
+    complement, calls = la.complement_basis, []
+
+    def dropping(sub, whole, p):  # one call per index point, in grid order
+        calls.append(None)
+        out = complement(sub, whole, p)
+        return out[:-1] if len(calls) == at + 1 else out
+
+    monkeypatch.setattr(la, "complement_basis", dropping)
+    with pytest.raises(InternalCheckError) as raised:
+        md.homology_module(data, 0)
+    degree = gr.to_degree(data.coords, (0, 0))
+    want = "basis family is not closed under the step at %s axis 0" % (degree,)
+    assert str(raised.value) == str(reference.value) == want
+
+
+def test_a_doubled_homology_step_fails_to_commute(circle, monkeypatch):
+    # the first step, (0,0) -> (1,0) on H_0 over GF(5), doubled: its rows
+    # stay in the span, but the square at (0,0) no longer commutes
+    data = md.ChainData(circle, 5)
+    reduce, calls = la.stacked_reduce_mod_rows, []
+
+    def doubling(v, basis, p):  # one call per step, in grid then axis order
+        calls.append(None)
+        out = reduce(v, basis, p)
+        return out * 2 % p if len(calls) == 1 else out
+
+    monkeypatch.setattr(la, "stacked_reduce_mod_rows", doubling)
+    with pytest.raises(InternalCheckError) as raised:
+        md.homology_module(data, 0)
+    degree = gr.to_degree(data.coords, (0, 0))
+    want = "steps fail to commute on the square at %s, axes 0,1" % (degree,)
+    assert str(raised.value) == want
 
 
 def test_homology_circle_h1(circle):

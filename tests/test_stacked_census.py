@@ -138,7 +138,9 @@ def test_a_stack_with_equal_dims_and_different_xi_splits(monkeypatch, pair):
     assert np.array_equal(a.dims, b.dims) and alone[0].tables != alone[1].tables
     checked = []
     check = tor._check
-    monkeypatch.setattr(tor, "_check", lambda rs: checked.append(len(rs)) or check(rs))
+    monkeypatch.setattr(
+        tor, "_check", lambda rs, ks: checked.append(len(rs)) or check(rs, ks)
+    )
     tables = tor.xi(_stack(stack))
     assert sorted(checked) == [2, 3]  # one stacked check per part
     for table, want in zip(tables, alone):

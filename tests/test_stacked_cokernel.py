@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from test_critical_grid import _random_presentation
+from test_modules import _same_arrays, basis_module
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
 from test_stacked_census import (
     LEVEL_1_SPLIT,
@@ -40,15 +41,9 @@ def _reference_cokernel(pres, p):
     for v in gr.grid(free.bound):
         rel_rref[v] = la.row_space(rel[live[v]][:, gens[v]], p)
         bases[v] = la.complement_basis(rel_rref[v], la.eye(len(gens[v])), p)
-    mod = md.basis_module(free, bases, rel_rref)
+    mod = basis_module(free, bases, rel_rref)
     mod.gen_index = gens
     return mod
-
-
-def _same_arrays(got, want):
-    return got.keys() == want.keys() and all(
-        got[k].shape == want[k].shape and (got[k] == want[k]).all() for k in want
-    )
 
 
 def _assert_same_module(got, want, b=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import randfix
-from test_modules import phi
+from test_modules import basis_module, phi
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
 from torpers import InternalCheckError, cli
 from torpers import exactla as la
@@ -329,7 +329,7 @@ def _reference_resolution(M, bound=None):
         kernel_rows = {v: la.kernel_basis(eps_mats[v], p) for v in gr.grid(bound)}
         if all(rows.shape[0] == 0 for rows in kernel_rows.values()):
             break
-        K = md.basis_module(
+        K = basis_module(
             F, kernel_rows, {v: la.zeros(0, F.dim(v)) for v in gr.grid(bound)}
         )
         next_gens = _module_generators(K)
