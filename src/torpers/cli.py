@@ -426,8 +426,9 @@ def main(argv=None):
                 "csv output is not available for %s" % args.command
             )
         data, text, table = args.func(args)
-    except ValidationError as e:
-        sys.stderr.write(_dumps({"error": "validation", "message": str(e)}))
+    except (ValidationError, MemoryError) as e:  # MemoryError: too large an input
+        message = str(e) or type(e).__name__
+        sys.stderr.write(_dumps({"error": "validation", "message": message}))
         return 1
     except InternalCheckError as e:
         sys.stderr.write(_dumps({"error": "internal-check", "message": str(e)}))

@@ -10,18 +10,20 @@ Grassmannian points), so all of it lives here.
 
 A subspace is passed as its RREF basis without zero rows, and it is reduced
 once, where it is made: row_space, kernel_basis and complement_basis return
-such a basis, and reduce_mod_rows, coords_in and both arguments of
-complement_basis require one (they read the pivots and do not re-reduce).
-A caller holding a raw spanning set calls row_space on it first.  The
-vectors reduce_mod_rows and coords_in act on may be any rows.
+such a basis, and reduce_mod_rows, coords_in, both bases of
+quotient_coords and both arguments of complement_basis require one (they
+read the pivots and do not re-reduce).  A caller holding a raw spanning set
+calls row_space on it first.  The vectors reduce_mod_rows, coords_in and
+quotient_coords act on may be any rows.
 
 rref picks its pivot step by the input's entry count (rows·cols).  At or
 below 3072 entries (_LIST_ENTRIES) it eliminates on Python lists, where
-numpy's per-call overhead outweighs the arithmetic; above that it makes one
-vectorized update per pivot, on the rows that are nonzero in the pivot
-column and the columns from the pivot on.  Both give the same (r, rank,
-pivots).  row_space and kernel_basis answer a matrix with no rows or no
-columns without calling rref.
+numpy's per-call overhead outweighs the arithmetic, and each pivot updates
+only the rows nonzero in its column, at the pivot row's nonzero entries;
+above that it makes one vectorized update per pivot, on the rows that are
+nonzero in the pivot column and the columns from the pivot on.  Both give
+the same (r, rank, pivots).  row_space and kernel_basis answer a matrix
+with no rows or no columns without calling rref.
 
 Ranks alone go another way: complex_ranks ranks the differentials of a
 chain complex by sparse column reduction ({row: coefficient} columns, each
@@ -61,9 +63,11 @@ from __future__ import annotations
 import numpy as np
 
 # rref eliminates on Python lists at or below this many entries (rows·cols).
-# The crossover of the two steps, timed on every matrix the benchmark
-# workloads pass to rref: the list step is faster on nearly all inputs up to
-# about 2,000 entries, the vectorized one above about 4,000 (BENCH_11.json).
+# Timed with the sparse list step (BENCH_25.json): on the mostly-zero
+# matrices the workloads and a larger ring pass to rref, the total is least
+# with a gate near 16,000-33,000 entries; on dense matrices the vectorized
+# step wins from about 1,600 entries over GF(3) and from 256 at
+# p = 3037000493.  The inputs disagree, so the gate stays where it was.
 _LIST_ENTRIES = 3072
 
 # The stacked canonical forms run the per-matrix routines one matrix at a
@@ -167,11 +171,14 @@ def _rref_lists(m, p):
             inv = inv_mod(pivot_row[col], p)
             pivot_row = [x * inv % p for x in pivot_row]
         rows[row] = pivot_row
-        tail = pivot_row[col:]  # the pivot row is zero left of col
-        for i in range(nrows):
-            f = rows[i][col]
-            if f and i != row:
-                rows[i][col:] = [(x - f * y) % p for x, y in zip(rows[i][col:], tail)]
+        others = [r for r in rows if r[col] and r is not pivot_row]
+        if others:
+            # the pivot row is zero left of col; update only at its nonzeros
+            nz = [(j, y) for j, y in enumerate(pivot_row[col:], col) if y]
+            for r in others:
+                f = r[col]
+                for j, y in nz:
+                    r[j] = (r[j] - f * y) % p
         pivots.append(col)
         row += 1
     return np.array(rows, dtype=np.int64).reshape(nrows, ncols), row, pivots
@@ -467,19 +474,22 @@ def kernel_basis(a, p):
 def solve(a, b, p):
     """Some x with a @ x = b, or None when b is outside the column space.
 
-    Deterministic: free variables are set to 0 after RREF of [a | b].
+    b is one vector or a matrix whose columns are right-hand sides; then x
+    has one column per column of b, and is None when any column lies
+    outside the column space.  Deterministic: free variables are set to 0
+    after one RREF of [a | b].  The pivots of a come first there, so each
+    column of x equals what solve gives for that column of b alone.
     """
     m = as_matrix(a)
-    bvec = np.asarray(b, dtype=np.int64) % p
+    rhs = np.asarray(b, dtype=np.int64) % p
     nrows, ncols = m.shape
-    aug = np.concatenate([m % p, bvec.reshape(nrows, 1)], axis=1)
+    aug = np.concatenate([m % p, rhs.reshape(nrows, 1) if rhs.ndim == 1 else rhs], axis=1)
     r, rk, pivots = rref(aug, p)
-    if ncols in pivots:
+    if rk and pivots[-1] >= ncols:
         return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, ncols]
-    return x
+    x = zeros(ncols, aug.shape[1] - ncols)
+    x[pivots] = r[:rk, ncols:]
+    return x if rhs.ndim > 1 else x[:, 0]
 
 
 def row_space(a, p):
@@ -546,6 +556,14 @@ def coords_in(v, basis, p):
     if (matmul(c, b, p) != w).any():
         return None
     return c
+
+
+def quotient_coords(v, sub, basis, p):
+    """coords_in(reduce_mod_rows(v, sub, p), basis, p): the coordinates of the
+    classes of v modulo sub in the class representatives basis, or None."""
+    if len(sub):
+        v = reduce_mod_rows(v, sub, p)
+    return coords_in(v, basis, p)
 
 
 def stack_rows(mats, cols):

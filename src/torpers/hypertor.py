@@ -238,11 +238,11 @@ def e1_page(data):
         mats = {}
         for v, reps in kt.reps.items():
             out = la.matmul(reps, _horizontal(data, i, v, q).T, p)
+            images = la.zeros(0, out.shape[1])
             if out.any():
                 images = tor.koszul_boundaries(data.module(i - 1), v, q)
-                out = la.reduce_mod_rows(out, images, p)
             tgt_reps = target.reps.get(v, la.zeros(0, out.shape[1]))
-            c = la.coords_in(out, tgt_reps, p)
+            c = la.quotient_coords(out, images, tgt_reps, p)
             if c is None:
                 raise InternalCheckError(
                     "d1 image is not a Tor class at %s"
@@ -345,16 +345,13 @@ def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
     comps1 = la.matmul(lift, tor.koszul_delta(chains_q, v, 2).T, p)
     # stage 4: each component bounds; solve for chains one dimension up
     horizontal = _horizontal(data, q_chain + 1, v, 1)
-    ws = []
-    for vec in comps1:
-        w = la.solve(horizontal, vec, p)
-        if w is None:
-            raise InternalCheckError(
-                "zig-zag component at %s is not a boundary; exactness bug"
-                % (gr.to_degree(data.coords, v),)
-            )
-        ws.append(w)
-    ws = np.array(ws, dtype=np.int64)
+    ws = la.solve(horizontal, comps1.T, p)
+    if ws is None:
+        raise InternalCheckError(
+            "zig-zag component at %s is not a boundary; exactness bug"
+            % (gr.to_degree(data.coords, v),)
+        )
+    ws = ws.T
     if rng is not None:
         kern = la.kernel_basis(horizontal, p)
         if kern.shape[0]:
@@ -367,7 +364,10 @@ def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
         raise InternalCheckError(
             "zig-zag output is not a cycle at %s" % (gr.to_degree(data.coords, v),)
         )
-    return md.class_coords(Hnext, v, out, p)
+    c = la.quotient_coords(out, Hnext.reduce_by[v], Hnext.bases[v], p)
+    if c is None:
+        raise InternalCheckError("vector does not lie in the quotiented space")
+    return c
 
 
 def d2(data, q):
@@ -391,9 +391,8 @@ def d2(data, q):
         mats = {}
         for v, reps in src.reps.items():
             classes = _zigzag(data, q, Hq, Hnext, v, reps, rng=rng)
-            red = la.reduce_mod_rows(classes, images[v], p)
             tgt_reps = tgt.reps.get(v, la.zeros(0, Hnext.dim(v)))
-            c = la.coords_in(red, tgt_reps, p)
+            c = la.quotient_coords(classes, images[v], tgt_reps, p)
             if c is None:
                 raise InternalCheckError(
                     "d2 output is not a Tor_0 class at %s"

@@ -279,18 +279,6 @@ class ChainData:
         return self.matrix(i)[self.present(i - 1)[v]][:, self.present(i)[v]]
 
 
-def class_coords(quotient, v, ambient_vec, p):
-    """Coordinates of an ambient vector's class in a quotient module's basis.
-
-    ambient_vec is one vector or a matrix of rows (one class per row).
-    """
-    red = la.reduce_mod_rows(ambient_vec, quotient.reduce_by[v], p)
-    c = la.coords_in(red, quotient.bases[v], p)
-    if c is None:
-        raise InternalCheckError("vector does not lie in the quotiented space")
-    return c
-
-
 def _quotients(coords, present, bases, rels, p, single):
     """The quotients spanned by a stack of class representatives: one stack
     per group of members with equal counts, or, single, one module.

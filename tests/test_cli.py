@@ -11,6 +11,7 @@ import time
 import pytest
 
 import torpers.hypertor
+import torpers.modules
 import torpers.tor
 from torpers import InternalCheckError
 from torpers import cli
@@ -419,6 +420,20 @@ def test_negative_widen_exits_one(capsys, fixture_path, widen):
     rc, out, err = run(capsys, "xi", "--input", circle, "--widen", widen)
     assert_validation_exit(rc, out, err)
     assert "widen" in json.loads(err)["message"]
+
+
+def test_out_of_memory_exits_one(capsys, monkeypatch, tmp_path):
+    # a one-vertex complex with n = 20 asks numpy for a 3^20-entry dims
+    # array; an address-space limit makes that allocation raise MemoryError
+    def refuse(self, *args, **kwargs):
+        raise MemoryError("Unable to allocate 26.0 GiB for an array")
+
+    monkeypatch.setattr(torpers.modules.PersistenceModule, "__init__", refuse)
+    path = tmp_path / "big.mfc"
+    path.write_text("n 20\nsimplex v @ (%s)\n" % ",".join(["0"] * 20))
+    rc, out, err = run(capsys, "xi", "--input", str(path), "--q", "0")
+    assert_validation_exit(rc, out, err)
+    assert "Unable to allocate" in json.loads(err)["message"]
 
 
 MALFORMED_PRESENTATIONS = {

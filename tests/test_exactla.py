@@ -233,6 +233,116 @@ def test_list_and_vectorized_pivot_steps_agree(case):
     assert (r == r1).all() and rk == rk1 and piv == piv1
 
 
+def _rref_dense_lists(m, p):
+    """Reference: the list kernel that, at every pivot, rewrites each other
+    row that is nonzero in the pivot column at every entry from it on."""
+    nrows, ncols = m.shape
+    rows = (m % p).tolist()
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        for k in range(row, nrows):
+            if rows[k][col]:
+                break
+        else:
+            continue
+        pivot_row = rows[k]
+        rows[k] = rows[row]
+        if pivot_row[col] != 1:
+            inv = la.inv_mod(pivot_row[col], p)
+            pivot_row = [x * inv % p for x in pivot_row]
+        rows[row] = pivot_row
+        tail = pivot_row[col:]
+        for i in range(nrows):
+            f = rows[i][col]
+            if f and i != row:
+                rows[i][col:] = [(x - f * y) % p for x, y in zip(rows[i][col:], tail)]
+        pivots.append(col)
+        row += 1
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), row, pivots
+
+
+def _assert_kernels_match_dense_reference(p, m):
+    before = m.copy()
+    want, rank, pivots = _rref_dense_lists(m, p)
+    for kernel in (la._rref_lists, la._rref_vectorized, la.rref):
+        r, rk, piv = kernel(m, p)
+        assert (m == before).all(), kernel
+        assert r.dtype == np.int64 and r.shape == m.shape, kernel
+        assert (r == want).all() and rk == rank and piv == pivots, kernel
+
+
+def sparse_elimination_case(seed):
+    """(p, m), deterministic per seed: a boundary-like matrix (2 or 3 nonzeros
+    per column), a matrix already in RREF, one with repeated and scaled rows,
+    or a sparse one with zero rows and columns; up to 14×14, and every
+    seventh case 60×60, above rref's gate."""
+    rng = np.random.default_rng(seed)
+    p = FIELDS[seed % len(FIELDS)]
+    size = 60 if seed % 7 == 6 else 14
+    nrows, ncols = (int(x) for x in rng.integers(0, size + 1, 2))
+    kind = ("boundary", "rref", "repeated", "zero lines")[seed // len(FIELDS) % 4]
+    m = la.zeros(nrows, ncols)
+    if kind == "boundary" and nrows:
+        for c in range(ncols):
+            at = rng.choice(nrows, size=min(nrows, int(rng.integers(2, 4))), replace=False)
+            m[at, c] = rng.integers(1, p, size=len(at))
+        return p, m
+    m[...] = rng.integers(0, p, (nrows, ncols)) * (rng.random((nrows, ncols)) < 0.2)
+    if kind == "rref":
+        return p, _rref_dense_lists(m, p)[0]
+    if kind == "repeated" and nrows > 1:
+        for i in rng.integers(0, nrows, nrows // 2):
+            m[i] = m[rng.integers(0, nrows)] * rng.choice([1, 2, p - 1]) % p
+    if kind == "zero lines":
+        m[rng.random(nrows) < 0.3] = 0
+        m[:, rng.random(ncols) < 0.3] = 0
+    return p, m
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_sparse_pivot_steps_match_the_dense_list_kernel(seed):
+    _assert_kernels_match_dense_reference(*sparse_elimination_case(seed))
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_pivot_steps_on_empty_shapes(p):
+    for k in range(4):
+        for shape in ((0, k), (k, 0)):
+            _assert_kernels_match_dense_reference(p, la.zeros(*shape))
+
+
+@given(elimination_cases())
+@example((7, _ABOVE_GATE))
+@settings(max_examples=300)
+def test_pivot_steps_match_the_dense_list_kernel(case):
+    _assert_kernels_match_dense_reference(*case)
+
+
+@given(elimination_cases(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_solve_on_columns_matches_solve_column_by_column(case, k, seed):
+    p, m = case
+    rng = np.random.default_rng(seed)
+    inside = la.matmul(m, rng.integers(0, p, (m.shape[1], k)), p)
+    anywhere = rng.integers(0, p, (m.shape[0], k)) * (rng.random((m.shape[0], k)) < 0.3)
+    mixed = np.concatenate([inside, anywhere], axis=1)
+    for b in (inside, anywhere, mixed):
+        before = b.copy()
+        x = la.solve(m, b, p)
+        assert (b == before).all()
+        want = [la.solve(m, b[:, j], p) for j in range(b.shape[1])]
+        if any(w is None for w in want):
+            assert x is None
+            continue
+        assert x.shape == (m.shape[1], b.shape[1])
+        for j, w in enumerate(want):
+            assert (x[:, j] == w).all()
+    assert la.solve(m, inside, p) is not None
+
+
 def _kernel_by_standard_basis(a, p):
     """Reference: the standard basis read off the RREF of a, then reduced."""
     m = la.as_matrix(a)
