@@ -5,8 +5,9 @@ resolve) a JSON presentation and returns one report; main parses the command
 line, runs the subcommand and serializes its report to stdout.  JSON is the
 machine format; text renders aligned tables; csv is available where the
 report is a flat table.  Exit codes: 0 ok, 1 invalid input (a malformed
-command line included), 2 an internal cross-check failed (those indicate a
-bug, not bad input).  Errors are one JSON object on stderr.
+command line included), 2 an internal cross-check failed or any other
+exception escaped (those indicate a bug, not bad input).  Errors are one
+JSON object on stderr.
 """
 
 import argparse
@@ -432,6 +433,10 @@ def main(argv=None):
         return 1
     except InternalCheckError as e:
         sys.stderr.write(_dumps({"error": "internal-check", "message": str(e)}))
+        return 2
+    except Exception as e:  # any other exception is a bug too
+        message = "%s: %s" % (type(e).__name__, e)
+        sys.stderr.write(_dumps({"error": "internal", "message": message}))
         return 2
     if args.format == "json":
         sys.stdout.write(_dumps(data))

@@ -6,7 +6,8 @@ D = (boundary on chains) + (-1)^i (Koszul differential on steps).  Homology
 of the total complex gives the hypertor modules.  Reading the double complex
 the other way produces two useful pages: E1 with Tor_q(C_i) entries (whose
 degeneration is checked by an explicit verdict) and the second-filtration d2
-from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag.  E1 is
+from Tor_2(H_q) to Tor_0(H_{q+1}) computed as a six-step zig-zag, once per
+degree, and checked exactly to be independent of the lifts.  E1 is
 assembled one cell at a time: C_i is the direct sum of the up-set modules
 k[U_c] of its cells, and the Tor of k[U_c] depends only on the order pattern
 of c's entry antichain, so each pattern is resolved once, by both Tor
@@ -315,35 +316,37 @@ class D2Result:
         }
 
 
-def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
-    """d2 values: chase Koszul-2 classes over H_q down to H_{q+1} at v.
+def _zigzag(data, q_chain, Hq, Hnext, v, reps):
+    """d2 values at v: chase Koszul-2 classes over H_q down to H_{q+1}, and
+    with them a basis of every lift ambiguity.
 
     reps holds one row per class, over the blocks H_q(v - e_S), |S| = 2,
-    where q_chain is the chain dimension whose homology Hq is.  Returns, one
-    row per class, the homology class vector of the resulting cycle in
-    C_{q_chain+1}(v), before projection to Tor_0 and before the global sign.
+    where q_chain is the chain dimension whose homology Hq is.  The chase is
+    linear (la.solve is, on consistent systems), so one pass carries, below
+    the lifts of reps, the boundaries B_q(v - e_S) placed in block S, and
+    below the solutions of stage 4 the kernel of the horizontal boundary.
+    Returns the homology class vectors in C_{q_chain+1}(v) of all those rows,
+    those of reps first, before projection to Tor_0 and the global sign.
     """
     p = data.p
     chains_q = data.module(q_chain)
     chains_up = data.module(q_chain + 1)
-    # stage 1-2: lift each component to cycle vectors in K_2(C_q)(v)
-    lifts = []
-    for (S, d, off), (_, width, _) in zip(
+    # stage 1-2: lift each component to cycle vectors in K_2(C_q)(v), and
+    # add each block's boundaries, the choices a lift leaves open
+    lift = [la.zeros(reps.shape[0], tor.koszul_dim(chains_q, v, 2))]
+    for (S, d, off), (_, width, at) in zip(
         tor.koszul_blocks(Hq, v, 2), tor.koszul_blocks(chains_q, v, 2)
     ):
-        if d == 0:
-            lifts.append(la.zeros(reps.shape[0], width))
-            continue
-        u = gr.minus_e(v, S)
-        block = la.matmul(reps[:, off : off + d], Hq.bases[u], p)
-        if rng is not None and Hq.reduce_by[u].shape[0]:
-            noise = rng.integers(0, p, size=(reps.shape[0], Hq.reduce_by[u].shape[0]))
-            block = (block + la.matmul(noise, Hq.reduce_by[u], p)) % p
-        lifts.append(block)
-    lift = np.concatenate(lifts, axis=1)
+        if width:
+            u, cols = gr.minus_e(v, S), slice(at, at + width)
+            lift[0][:, cols] = la.matmul(reps[:, off : off + d], Hq.bases[u], p)
+            lift.append(la.zeros(len(Hq.reduce_by[u]), lift[0].shape[1]))
+            lift[-1][:, cols] = Hq.reduce_by[u]
+    lift = np.concatenate(lift)
     # stage 3: Koszul differential on the chain level, landing in K_1(C_q)(v)
     comps1 = la.matmul(lift, tor.koszul_delta(chains_q, v, 2).T, p)
-    # stage 4: each component bounds; solve for chains one dimension up
+    # stage 4: each component bounds; solve for chains one dimension up, and
+    # append the solutions' ambiguity, the kernel of the horizontal boundary
     horizontal = _horizontal(data, q_chain + 1, v, 1)
     ws = la.solve(horizontal, comps1.T, p)
     if ws is None:
@@ -351,12 +354,7 @@ def _zigzag(data, q_chain, Hq, Hnext, v, reps, rng=None):
             "zig-zag component at %s is not a boundary; exactness bug"
             % (gr.to_degree(data.coords, v),)
         )
-    ws = ws.T
-    if rng is not None:
-        kern = la.kernel_basis(horizontal, p)
-        if kern.shape[0]:
-            noise = rng.integers(0, p, size=(ws.shape[0], kern.shape[0]))
-            ws = (ws + la.matmul(noise, kern, p)) % p
+    ws = np.concatenate([ws.T, la.kernel_basis(horizontal, p)])
     # stage 5: Koszul differential once more, landing in C_{q+1}(v)
     out = la.matmul(ws, tor.koszul_delta(chains_up, v, 1).T, p)
     # stage 6: the results are cycles; take their homology classes
@@ -374,8 +372,9 @@ def d2(data, q):
     """The differential d2: Tor_2(H_q(X_•), k) -> Tor_0(H_{q+1}(X_•), k).
 
     Computed by the boundary zig-zag through the double complex, then negated
-    (the sign the abutment convention demands); verified against an
-    independent run with randomized lift choices.
+    (the sign the abutment convention demands).  d2 is independent of the
+    lifts exactly when every lift ambiguity that _zigzag carries reaches
+    zero in Tor_0, and that is asserted at each grid point.
     """
     if data.n < 2:
         raise ValidationError("d2 needs at least two filtration directions")
@@ -384,36 +383,23 @@ def d2(data, q):
     Hnext = md.homology_module(data, q + 1)
     src = tor.koszul_tor(Hq, 2)
     tgt = tor.koszul_tor(Hnext, 0)
-    # Tor_0 of H_{q+1} at v is H_{q+1}(v) modulo the step images
-    images = {v: tor.koszul_boundaries(Hnext, v, 0) for v in src.reps}
-
-    def run(rng):
-        mats = {}
-        for v, reps in src.reps.items():
-            classes = _zigzag(data, q, Hq, Hnext, v, reps, rng=rng)
-            tgt_reps = tgt.reps.get(v, la.zeros(0, Hnext.dim(v)))
-            c = la.quotient_coords(classes, images[v], tgt_reps, p)
-            if c is None:
-                raise InternalCheckError(
-                    "d2 output is not a Tor_0 class at %s"
-                    % (gr.to_degree(data.coords, v),)
-                )
-            # global sign: the zig-zag computes the connecting map up to
-            # orientation; the abutment fixes it to the negative
-            mats[v] = (-c.T) % p
-        return mats
-
-    plain = run(None)
-    for seed in (1, 2):
-        rng = np.random.default_rng(seed)
-        again = run(rng)
-        for v in plain:
-            if (plain[v] != again[v]).any():
-                raise InternalCheckError(
-                    "d2 depends on lift choices at %s; zig-zag bug"
-                    % (gr.to_degree(data.coords, v),)
-                )
-    mats = {gr.to_degree(data.coords, v): m for v, m in plain.items()}
+    mats = {}
+    for v, reps in src.reps.items():
+        classes = _zigzag(data, q, Hq, Hnext, v, reps)
+        # Tor_0 of H_{q+1} at v is H_{q+1}(v) modulo the step images
+        images = tor.koszul_boundaries(Hnext, v, 0)
+        tgt_reps = tgt.reps.get(v, la.zeros(0, Hnext.dim(v)))
+        c = la.quotient_coords(classes, images, tgt_reps, p)
+        degree = gr.to_degree(data.coords, v)
+        if c is None:
+            raise InternalCheckError("d2 output is not a Tor_0 class at %s" % (degree,))
+        if c[reps.shape[0] :].any():
+            raise InternalCheckError(
+                "d2 depends on lift choices at %s; zig-zag bug" % (degree,)
+            )
+        # global sign: the zig-zag computes the connecting map up to
+        # orientation; the abutment fixes it to the negative
+        mats[degree] = (-c[: reps.shape[0]].T) % p
     return D2Result(q, mats, src.multiset(), tgt.multiset(), p)
 
 
@@ -427,9 +413,19 @@ class TComplex:
     j = 0 entries are cell copies (name = cell id, degree = the entry degree
     of that copy) and j >= 1 entries are resolution generators of C_i
     (name = generator index).  d[ell] is the boundary T_ell -> T_{ell-1}.
+    ∂∘∂ = 0 is asserted here, so every TComplex is a complex before
+    betti ranks it; name ("T" or "Q") is the one the error gives.
     """
 
-    def __init__(self, labels, d, canonical, p):
+    def __init__(self, labels, d, canonical, p, name):
+        for ell in range(2, len(labels)):
+            prod = la.matmul(d[ell - 1], d[ell], p)
+            if prod.any():
+                bad = int(np.nonzero(prod.any(axis=0))[0][0])
+                raise InternalCheckError(
+                    "%s boundary fails ∂∘∂=0 on basis element %r"
+                    % (name, labels[ell][bad])
+                )
         self.labels = labels
         self.d = d
         self.canonical = canonical  # set of labels hit by the embedding
@@ -441,17 +437,12 @@ class TComplex:
     def boundary(self, ell):
         if 1 <= ell < len(self.labels):
             return self.d[ell]
-        hi = self.dim(ell)
-        lo = self.dim(ell - 1)
-        return la.zeros(lo, hi)
+        return la.zeros(self.dim(ell - 1), self.dim(ell))
 
     def betti(self):
-        out = []
-        for ell in range(len(self.labels)):
-            r_in = la.rank(self.boundary(ell + 1), self.p)
-            r_out = la.rank(self.boundary(ell), self.p)
-            out.append(self.dim(ell) - r_in - r_out)
-        return tuple(out)
+        top = len(self.labels)
+        ranks = la.complex_ranks([self.boundary(ell) for ell in range(top + 1)], self.p)
+        return tuple(self.dim(ell) - ranks[ell] - ranks[ell + 1] for ell in range(top))
 
     def quotient_by_embedding(self):
         """Q = T / (canonical copies), as a TComplex: the other labels and the
@@ -465,7 +456,7 @@ class TComplex:
             ell: self.d[ell][np.ix_(q_idx[ell - 1], q_idx[ell])]
             for ell in range(1, len(self.labels))
         }
-        return TComplex(labels, d, set(), self.p)
+        return TComplex(labels, d, set(), self.p, "Q")
 
 
 def build_t_complex(data):
@@ -477,7 +468,7 @@ def build_t_complex(data):
     for a copy of an i-cell (rows: the canonical copies of the (i-1)-cells,
     at their lexicographically least entry degree), the syzygy matrix
     res.d[j] with monomials dropped for F_j (rows: piece (i, j-1)).  ∂∘∂ = 0
-    is asserted.
+    is asserted when the TComplex is made.
     """
     page = e1_page(data)
     if not page.verdict:
@@ -544,16 +535,7 @@ def build_t_complex(data):
             m[[index[lab] for lab in rows], col : col + len(labs)] = mat
             col += len(labs)
         d[ell] = m
-
-    for ell in range(2, len(labels)):
-        prod = la.matmul(d[ell - 1], d[ell], p)
-        if prod.any():
-            bad = int(np.nonzero(prod.any(axis=0))[0][0])
-            raise InternalCheckError(
-                "T boundary fails ∂∘∂=0 on basis element %r"
-                % (labels[ell][bad],)
-            )
-    return TComplex(labels, d, canonical, p)
+    return TComplex(labels, d, canonical, p, "T")
 
 
 def recovered_homology(data):

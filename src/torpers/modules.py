@@ -349,7 +349,13 @@ def homology_module(data, q):
     for v in gr.grid(data.bound):
         cycles = la.kernel_basis(data.boundary_at(q, v), p)
         b = la.row_space(data.boundary_at(q + 1, v).T, p)
-        h = la.complement_basis(b, cycles, p)
+        try:
+            h = la.complement_basis(b, cycles, p)
+        except ValueError:
+            raise InternalCheckError(
+                "H_%d at %s: the boundaries are not contained in the cycles"
+                % (q, gr.to_degree(data.coords, v))
+            ) from None
         h_rows[v], b_rows[v] = (h[None], [len(h)]), (b[None], [len(b)])
     return _quotients(data.coords, data.present(q), h_rows, b_rows, p, True)
 

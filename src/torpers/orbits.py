@@ -47,7 +47,11 @@ def gaussian_binomial(a, d, q):
     for i in range(d):
         num *= q ** (a - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError(
+            "gaussian_binomial(%d, %d, %d): %d is not divisible by %d"
+            % (a, d, q, num, den)
+        )
     return num // den
 
 

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import torpers.exactla
 import torpers.hypertor
 import torpers.modules
 import torpers.tor
@@ -280,6 +281,42 @@ def test_internal_check_exits_two(capsys, fixture_path, monkeypatch):
     )
     assert rc == 2
     assert json.loads(err)["error"] == "internal-check"
+
+
+def test_any_other_exception_exits_two(capsys, fixture_path, monkeypatch):
+    # an exception no check names is a bug too: exit 2, one JSON object with
+    # the type and the text, nothing on stdout and no traceback
+    def boom(M, widen=0):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(torpers.tor, "xi", boom)
+    rc, out, err = run(capsys, "xi", "--input", str(fixture_path / "circle_fig.mfc"))
+    assert rc == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "internal", "message": "RuntimeError: forced"}
+
+
+def test_a_kernel_missing_a_row_exits_two(capsys, fixture_path, monkeypatch):
+    # a kernel basis one row short leaves boundaries outside the cycles:
+    # homology_module names H_q and the degree, and the run exits 2
+    kernel_basis = torpers.exactla.kernel_basis
+    monkeypatch.setattr(
+        torpers.exactla, "kernel_basis", lambda a, p: kernel_basis(a, p)[:-1]
+    )
+    rc, out, err = run(
+        capsys,
+        "xi",
+        "--input", str(fixture_path / "circle_fig.mfc"),
+        "--q", "0",
+        "--field", "5",
+    )
+    assert rc == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "internal-check"
+    assert re.fullmatch(
+        r"H_0 at \(\d+, \d+\): the boundaries are not contained in the cycles",
+        error["message"],
+    )
 
 
 def test_output_bytes_are_stable(capsys, fixture_path):

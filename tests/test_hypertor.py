@@ -228,6 +228,39 @@ def test_recovery_single_vertex():
     assert rep["q_dims"] == [0]
 
 
+def test_quotient_fails_dd_on_a_named_basis_element():
+    # T is a complex (c -> b1 + b2, b1 -> a, b2 -> -a), but the canonical
+    # copy b2 spans no subcomplex: Q = T / b2 has c -> b1 -> a, and building
+    # it must name c before anything ranks it
+    labels = [["a"], ["b1", "b2"], ["c"]]
+    d = {1: np.array([[1, 2]]), 2: np.array([[1], [1]])}
+    t = ht.TComplex(labels, d, {"b2"}, 3, "T")
+    assert t.betti() == (0, 0, 0)
+    message = "Q boundary fails ∂∘∂=0 on basis element 'c'"
+    with pytest.raises(InternalCheckError, match=re.escape(message)):
+        t.quotient_by_embedding()
+
+
+def test_recover_ranks_t_and_q_once_each(oneatatime, monkeypatch):
+    # T's and Q's Betti numbers come from one complex_ranks call each, and
+    # only on complexes; no rank is taken one boundary at a time
+    seen, ranks = [], la.complex_ranks
+
+    def complexes_only(mats, p):
+        for a, b in zip(mats, mats[1:]):
+            assert not la.matmul(a, b, p).any(), "ranked a non-complex"
+        seen.append(len(mats))
+        return ranks(mats, p)
+
+    data = md.ChainData(oneatatime, 5)
+    t = ht.build_t_complex(data)
+    q = t.quotient_by_embedding()
+    monkeypatch.setattr(la, "complex_ranks", complexes_only)
+    monkeypatch.setattr(la, "rank", None)
+    assert t.betti() == (1, 1, 0) and not any(q.betti())
+    assert seen == [len(t.labels) + 1, len(q.labels) + 1]
+
+
 def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
     # on the stretched circle index points and degrees differ: break D∘D at
     # the first (v, ell) where D_ell has a nonzero column r, by adding e_r
