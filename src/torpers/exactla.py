@@ -472,13 +472,16 @@ def kernel_basis(a, p):
 
 
 def solve(a, b, p):
-    """Some x with a @ x = b, or None when b is outside the column space.
+    """(x, k) with a @ x = b and k a basis of the null space of a, or None
+    when b is outside the column space.
 
     b is one vector or a matrix whose columns are right-hand sides; then x
-    has one column per column of b, and is None when any column lies
-    outside the column space.  Deterministic: free variables are set to 0
-    after one RREF of [a | b].  The pivots of a come first there, so each
-    column of x equals what solve gives for that column of b alone.
+    has one column per column of b, and the answer is None when any column
+    lies outside the column space.  Deterministic: free variables are set
+    to 0 after one RREF of [a | b].  The pivots of a come first there, so
+    each column of x equals what solve gives for that column of b alone.  k
+    holds one vector per row, read off the same RREF at a's free columns:
+    the span of kernel_basis, not its canonical rows.
     """
     m = as_matrix(a)
     rhs = np.asarray(b, dtype=np.int64) % p
@@ -489,7 +492,10 @@ def solve(a, b, p):
         return None
     x = zeros(ncols, aug.shape[1] - ncols)
     x[pivots] = r[:rk, ncols:]
-    return x if rhs.ndim > 1 else x[:, 0]
+    free = np.delete(np.arange(ncols), pivots)
+    k = eye(ncols)[free]
+    k[:, pivots] = -r[:rk, free].T % p
+    return (x if rhs.ndim > 1 else x[:, 0]), k
 
 
 def row_space(a, p):

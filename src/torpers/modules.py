@@ -342,20 +342,30 @@ def homology_module(data, q):
     later.  Neither C_q nor the cycles Z_q and B_q are built as modules: Z_q
     and B_q are closed under the inclusions of the q-cells because the
     boundaries are natural (see ChainData), and _quotients, on a stack of
-    one, checks that H is.
+    one, checks that H is.  dim H_q(v) comes first from the ranks of the two
+    sliced boundaries (la.rank); the cycles and their complement are built
+    only where it is nonzero, and their class count must equal it.
     """
     p = data.p
     h_rows, b_rows = {}, {}
     for v in gr.grid(data.bound):
-        cycles = la.kernel_basis(data.boundary_at(q, v), p)
-        b = la.row_space(data.boundary_at(q + 1, v).T, p)
-        try:
-            h = la.complement_basis(b, cycles, p)
-        except ValueError:
-            raise InternalCheckError(
-                "H_%d at %s: the boundaries are not contained in the cycles"
-                % (q, gr.to_degree(data.coords, v))
-            ) from None
+        down, up = data.boundary_at(q, v), data.boundary_at(q + 1, v)
+        b = la.row_space(up.T, p)
+        dim = down.shape[1] - la.rank(down, p) - la.rank(up, p)
+        h = la.zeros(0, down.shape[1])
+        if dim:
+            try:
+                h = la.complement_basis(b, la.kernel_basis(down, p), p)
+            except ValueError:
+                raise InternalCheckError(
+                    "H_%d at %s: the boundaries are not contained in the cycles"
+                    % (q, gr.to_degree(data.coords, v))
+                ) from None
+            if len(h) != dim:
+                raise InternalCheckError(
+                    "H_%d at %s: the boundary ranks give dimension %d, the "
+                    "classes %d" % (q, gr.to_degree(data.coords, v), dim, len(h))
+                )
         h_rows[v], b_rows[v] = (h[None], [len(h)]), (b[None], [len(b)])
     return _quotients(data.coords, data.present(q), h_rows, b_rows, p, True)
 

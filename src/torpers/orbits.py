@@ -497,8 +497,8 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     Y-coordinates is tested for injectivity within each group; the combined
     point (representative, Y) failing to separate two orbits is a hard error.
 
-    Right after the partition, each orbit's spot-check members are drawn
-    (default_rng(7), in orbit order) and the enumeration is released.  One
+    Right after the partition, each orbit's spot-check members are picked
+    evenly spaced in enumeration order and the enumeration is released.  One
     family_to_module call builds the representatives and then the spot-check
     members, as one stacked module per dims array; each stack is resolved
     with one tor.xi and released, and its tables are placed by .members.  A
@@ -513,12 +513,11 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     orbits = orbit_partition(families, xi0, q)
     label_ok = _is_four_lines_shape(xi0, xi1)
 
-    rng = np.random.default_rng(7)
     spots = []  # per orbit: the members whose table is recomputed
     for orbit in orbits:
         others = [k for k in orbit.members if families[k] is not orbit.rep]
         size = min(SPOT_CHECKS, len(others))
-        spots.append(rng.choice(others, size=size, replace=False).tolist())
+        spots.append([others[t * len(others) // size] for t in range(size)])
     fams = [orbit.rep for orbit in orbits] + [families[k] for ks in spots for k in ks]
     del families  # the enumeration is released before any module is built
     found, ys = [None] * len(fams), [None] * len(orbits)

@@ -15,7 +15,9 @@ generators of F_j (_generators, the one generator routine for M and for
 every kernel).  Tor_j appears in route one as Koszul homology and in route
 two as the generator degrees of F_j; xi() runs both and insists on exact
 agreement, and then on the Hilbert identity dim M(v) = sum_j (-1)^j
-sum_{u <= v} xi_j(u) at every grid point.
+sum_{u <= v} xi_j(u) at every grid point.  class_coords is the one projection
+of Koszul cycles onto Tor classes (Tor_0: M_v modulo the step images), and
+hypertor's d1 and d2 read their images through it.
 
 koszul_tor, minimal_resolution and xi take one module, which may be a stack:
 a PersistenceModule with .members, whose B members share one grid and one
@@ -124,13 +126,15 @@ def koszul_delta(M, v, j):
     return _per_member(M, m % M.p)
 
 
-def koszul_boundaries(M, v, q):
-    """RREF of the image of the Koszul differential K_{q+1}(v) -> K_q(v).
-
-    At q = 0 this is the sum of the images of all unit steps into M_v, the
-    space that the Tor_0 projection divides out.
-    """
-    return la.row_space(koszul_delta(M, v, q + 1).T, M.p)
+def class_coords(M, j, v, rows, kt):
+    """The coordinates of the Koszul j-cycles rows of M at index point v in
+    the Tor_j classes of kt (a KoszulTor of M), or None: rows modulo the
+    image of K_{j+1}(v), built only when some row is nonzero.  At j = 0 this
+    is the Tor_0 projection, M_v modulo the images of the unit steps."""
+    bounds = la.zeros(0, rows.shape[1])
+    if rows.any():
+        bounds = la.row_space(koszul_delta(M, v, j + 1).T, M.p)
+    return la.quotient_coords(rows, bounds, kt.reps.get(v, bounds[:0]), M.p)
 
 
 class KoszulTor:
@@ -231,7 +235,13 @@ def koszul_tor(M, j):
                 down, up = down[members], up[members]
             cycles = la.stacked_kernel_basis(down, p)
             bounds = la.stacked_row_space(up.transpose(0, 2, 1), p)
-            cls, counts = la.stacked_complement_basis(bounds, cycles, p)
+            try:
+                cls, counts = la.stacked_complement_basis(bounds, cycles, p)
+            except ValueError:
+                raise InternalCheckError(
+                    "Tor_%d at %s: the Koszul boundaries are not contained in "
+                    "the cycles" % (i, gr.to_degree(M.coords, v))
+                ) from None
             for b, count, rows in zip(members, counts, cls):
                 if count != want[b]:
                     raise InternalCheckError(

@@ -297,24 +297,77 @@ def test_any_other_exception_exits_two(capsys, fixture_path, monkeypatch):
 
 
 def test_a_kernel_missing_a_row_exits_two(capsys, fixture_path, monkeypatch):
-    # a kernel basis one row short leaves boundaries outside the cycles:
-    # homology_module names H_q and the degree, and the run exits 2
+    # a kernel basis one row short gives one class fewer than the boundary
+    # ranks: homology_module names H_q and the degree, and the run exits 2
     kernel_basis = torpers.exactla.kernel_basis
     monkeypatch.setattr(
         torpers.exactla, "kernel_basis", lambda a, p: kernel_basis(a, p)[:-1]
     )
+    for q, want in [
+        ("0", "H_0 at (0, 0): the boundary ranks give dimension 3, the classes 2"),
+        ("1", "H_1 at (2, 1): the boundary ranks give dimension 1, the classes 0"),
+    ]:
+        rc, out, err = run(
+            capsys,
+            "xi",
+            "--input", str(fixture_path / "circle_fig.mfc"),
+            "--q", q,
+            "--field", "5",
+        )
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "internal-check", "message": want}
+
+
+def test_boundaries_outside_the_cycles_exit_two(capsys, fixture_path, monkeypatch):
+    # a 2-cell boundary column that is no cycle: H_1 names the degree
+    boundary_at = torpers.modules.ChainData.boundary_at
+
+    def corrupted(data, i, v):
+        m = boundary_at(data, i, v)
+        if i == 2 and m.size:
+            m = m.copy()
+            m[:, 0] = (m[:, 0] + 1) % data.p
+        return m
+
+    monkeypatch.setattr(torpers.modules.ChainData, "boundary_at", corrupted)
     rc, out, err = run(
         capsys,
         "xi",
-        "--input", str(fixture_path / "circle_fig.mfc"),
-        "--q", "0",
-        "--field", "5",
+        "--input", str(fixture_path / "sphere.mfc"),
+        "--q", "1",
+        "--field", "2",
     )
+    assert rc == 2 and out == ""
+    assert json.loads(err)["message"] == (
+        "H_1 at (2, 1): the boundaries are not contained in the cycles"
+    )
+
+
+@pytest.mark.parametrize(
+    "stem, p", [("circle_fig", 5), ("sphere", 2), ("circle_oneatatime", 3)]
+)
+@pytest.mark.parametrize("command", ["e1", "recover"])
+def test_a_rank_one_too_low_exits_two(
+    capsys, fixture_path, monkeypatch, stem, p, command
+):
+    # complex_ranks reporting its largest rank one too low lifts hypertor
+    # above the E1 sums: a bug, not a page that fails to degenerate
+    complex_ranks = torpers.exactla.complex_ranks
+
+    def one_low(mats, p):
+        out = complex_ranks(mats, p)
+        if max(out, default=0):
+            out[out.index(max(out))] -= 1
+        return out
+
+    monkeypatch.setattr(torpers.exactla, "complex_ranks", one_low)
+    path = str(fixture_path / (stem + ".mfc"))
+    rc, out, err = run(capsys, command, "--input", path, "--field", str(p))
     assert rc == 2 and out == ""
     error = json.loads(err)
     assert error["error"] == "internal-check"
     assert re.fullmatch(
-        r"H_0 at \(\d+, \d+\): the boundaries are not contained in the cycles",
+        r"hypertor_\d+ at \(\d+, \d+\) is \d+, above the E1 sum \d+",
         error["message"],
     )
 

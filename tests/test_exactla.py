@@ -48,8 +48,8 @@ def test_kernel_full_rank_is_empty():
 
 
 def test_solve_with_free_variable():
-    x = la.solve(arr([[1, 1], [0, 0]]), arr([1, 0]), 3)
-    assert (x == arr([1, 0])).all()
+    x, k = la.solve(arr([[1, 1], [0, 0]]), arr([1, 0]), 3)
+    assert (x == arr([1, 0])).all() and (k == arr([[2, 1]])).all()
 
 
 def test_solve_inconsistent():
@@ -58,7 +58,8 @@ def test_solve_inconsistent():
 
 def test_solve_empty_columns():
     # 2x0 system: solvable iff b = 0
-    assert la.solve(la.zeros(2, 0), arr([0, 0]), 2).shape == (0,)
+    x, k = la.solve(la.zeros(2, 0), arr([0, 0]), 2)
+    assert x.shape == (0,) and k.shape == (0, 0)
     assert la.solve(la.zeros(2, 0), arr([1, 0]), 2) is None
 
 
@@ -176,9 +177,9 @@ def test_solve_finds_constructed_solutions(case):
     rng = np.random.default_rng(0)
     x0 = rng.integers(0, p, size=m.shape[1])
     b = la.matmul(m, x0, p)
-    x = la.solve(m, b, p)
-    assert x is not None
-    assert (la.matmul(m, x, p) == b).all()
+    found = la.solve(m, b, p)
+    assert found is not None
+    assert (la.matmul(m, found[0], p) == b).all()
 
 
 # -- the two pivot steps of rref, and kernels from one RREF -------------------
@@ -331,16 +332,32 @@ def test_solve_on_columns_matches_solve_column_by_column(case, k, seed):
     mixed = np.concatenate([inside, anywhere], axis=1)
     for b in (inside, anywhere, mixed):
         before = b.copy()
-        x = la.solve(m, b, p)
+        found = la.solve(m, b, p)
         assert (b == before).all()
         want = [la.solve(m, b[:, j], p) for j in range(b.shape[1])]
         if any(w is None for w in want):
-            assert x is None
+            assert found is None
             continue
+        x, k = found
         assert x.shape == (m.shape[1], b.shape[1])
-        for j, w in enumerate(want):
-            assert (x[:, j] == w).all()
+        for j, (w, kw) in enumerate(want):
+            assert (x[:, j] == w).all() and (k == kw).all()
     assert la.solve(m, inside, p) is not None
+
+
+@given(elimination_cases(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_solve_reads_the_kernel_span_off_its_own_rref(case, k, seed):
+    # solve's null space basis comes from the RREF it already made: its
+    # rows lie in the kernel and span exactly what kernel_basis spans
+    p, m = case
+    rng = np.random.default_rng(seed)
+    b = la.matmul(m, rng.integers(0, p, (m.shape[1], k)), p)
+    _, kern = la.solve(m, b, p)
+    want = la.kernel_basis(m, p)
+    assert kern.shape == want.shape
+    assert not la.matmul(m, kern.T, p).any()
+    assert (la.row_space(kern, p) == want).all()
 
 
 def _kernel_by_standard_basis(a, p):
@@ -396,7 +413,8 @@ def _coords_by_solve(v, basis, p):
     if b.shape[0] == 0:
         w = np.asarray(v, dtype=np.int64) % p
         return np.zeros(0, dtype=np.int64) if not w.any() else None
-    return la.solve(b.T, v, p)
+    found = la.solve(b.T, v, p)
+    return None if found is None else found[0]
 
 
 def _reduce_row_by_row(v, basis, p):

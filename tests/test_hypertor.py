@@ -190,6 +190,41 @@ def test_t_complex_cross_checks_the_e1_page(oneatatime, monkeypatch, i, j):
         ht.build_t_complex(md.ChainData(oneatatime, 2))
 
 
+def test_hypertor_above_the_e1_sum_is_a_bug(circle, monkeypatch):
+    # E-infinity is a subquotient of E1: a rank reported one too low raises
+    # hypertor above the E1 sum, and e1_page names ell and the degree
+    ranks = la.complex_ranks
+
+    def one_low(mats, p):
+        out = ranks(mats, p)
+        if max(out, default=0):
+            out[out.index(max(out))] -= 1
+        return out
+
+    monkeypatch.setattr(la, "complex_ranks", one_low)
+    want = "hypertor_0 at (0, 1) is 1, above the E1 sum 0"
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        ht.e1_page(md.ChainData(circle, 5))
+
+
+def test_a_nonzero_d1_with_equal_sums_is_a_bug(sphere, monkeypatch):
+    # equal E1 sums force every d_r to vanish, so a d1 that is not zero then
+    # names its (i, q) and the degree
+    class_coords = ht.tor.class_coords
+
+    def bumped(M, j, v, rows, kt):
+        c = class_coords(M, j, v, rows, kt)
+        if c is not None and c.size:
+            c = c.copy()
+            c[0, 0] = 1
+        return c
+
+    monkeypatch.setattr(ht.tor, "class_coords", bumped)
+    want = "d1 out of E1_(1,0) nonzero at (0, 0), though E1 sums to hypertor"
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        ht.e1_page(md.ChainData(sphere, 2))
+
+
 def test_t_complex_needs_the_verdict():
     cx = cxm.parse_mfc(SEGMENT_SIMULTANEOUS)
     with pytest.raises(ValidationError):

@@ -148,17 +148,14 @@ def test_a_stack_with_equal_dims_and_different_xi_splits(monkeypatch, pair):
 
 
 def _first_spot_check(xi0, xi1, q):
-    """The first member classify spot-checks, drawn as classify draws."""
+    """The first member classify spot-checks: the first member other than the
+    representative of the first orbit that has one (position 0 of the fixed
+    rule, t·n // size at t = 0)."""
     families = ob.enumerate_families(xi0, xi1, q)
-    rng = np.random.default_rng(7)
-    first = None
     for orbit in ob.orbit_partition(families, xi0, q):
         others = [k for k in orbit.members if families[k] is not orbit.rep]
-        size = min(ob.SPOT_CHECKS, len(others))
-        chosen = rng.choice(others, size=size, replace=False)
-        if first is None and len(chosen):
-            first = int(chosen[0])
-    return families[first], first
+        if others:
+            return families[others[0]], others[0]
 
 
 def test_a_member_with_another_xi_still_fails_the_spot_check(monkeypatch):

@@ -216,9 +216,8 @@ def _module_generators(M, sub=None):
 def _assert_generators_are_the_tor0_complement(M):
     gens = _module_generators(M)
     for v in gr.grid(M.bound):
-        want = la.complement_basis(
-            tor.koszul_boundaries(M, v, 0), la.eye(M.dim(v)), M.p
-        )
+        images = la.row_space(tor.koszul_delta(M, v, 1).T, M.p)
+        want = la.complement_basis(images, la.eye(M.dim(v)), M.p)
         got = la.stack_rows([row for u, row in gens if u == v], M.dim(v))
         assert got.shape == want.shape and (got == want).all(), v
 
@@ -533,6 +532,18 @@ def test_a_stacked_rank_that_disagrees_with_the_cycles_names_the_degree(
     want = "Tor_1 at %s: the Koszul ranks give dimension 1, the cycles 0" % (degree,)
     with pytest.raises(InternalCheckError, match=re.escape(want)):
         tor.koszul_tor(H, range(H.n + 1))
+
+
+def test_koszul_boundaries_outside_the_cycles_name_the_degree(monkeypatch):
+    # one generator at the origin killed at (1, 1): Tor_1 lives at (1, 1) only,
+    # where both unit vectors of K_1 are cycles and the Koszul boundary is
+    # their sum; a kernel one row short leaves that boundary outside
+    M = md.present_cokernel(Presentation(2, [(0, 0)], [((1, 1), {0: 1})]), 3)
+    kernel_basis = la.kernel_basis
+    monkeypatch.setattr(la, "kernel_basis", lambda a, p: kernel_basis(a, p)[:-1])
+    want = "Tor_1 at (1, 1): the Koszul boundaries are not contained in the cycles"
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        tor.koszul_tor(M, 1)
 
 
 def test_koszul_tor_takes_cycles_only_where_tor_is_nonzero(monkeypatch):
