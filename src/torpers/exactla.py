@@ -29,7 +29,7 @@ Ranks alone go another way: complex_ranks ranks the differentials of a
 chain complex by sparse column reduction ({row: coefficient} columns, each
 pivot at its lowest nonzero row) with clearing (Chen, Kerber, "Persistent
 homology computation with a twist", 2011), and rank is its one-matrix case.
-Clearing requires D_l @ D_{l+1} = 0, which the caller asserts first.  The
+Clearing requires D_l @ D_{l+1} = 0, which complex_ranks checks first.  The
 boundary matrices ranked are mostly zero, and a rank needs no canonical
 form; every routine that returns rows stays on the dense elimination, whose
 unique RREF is the identity test downstream.
@@ -220,45 +220,67 @@ def rank(a, p):
     return complex_ranks([a], p)[0]
 
 
+class NotAComplex(ValueError):
+    """D_l @ D_{l+1} != 0 mod p: .ell is l, .column the first bad column of D_{l+1}."""
+
+    def __init__(self, ell, column):
+        super().__init__("D_%d @ D_%d is nonzero on column %d" % (ell, ell + 1, column))
+        self.ell, self.column = ell, column
+
+
 def complex_ranks(mats, p):
     """The ranks of the differentials D_0, ..., D_L of a chain complex over GF(p).
 
     mats[l] is D_l, a (dim C_{l-1}, dim C_l) matrix; its entries are taken
-    mod p and it is not written.  Precondition: D_l @ D_{l+1} = 0 mod p for
-    every l.  On matrices that are not a complex the ranks may be wrong, and
-    nothing here checks.  The columns of each D_l are reduced left to right,
-    D_L first, and D_l skips every column j that is the pivot row of a
-    reduced column z = D_{l+1} x: D_l z = 0 and z is zero below row j, so
-    column j of D_l lies in the span of the columns left of it and would
-    reduce to zero.  A single matrix (rank) has nothing to clear.
+    mod p and it is not written, and each is read once into columns.  Every
+    column j of D_{l+1} is pushed through D_l first, l and then j ascending,
+    and the first nonzero image raises NotAComplex(l, j) before anything is
+    reduced: clearing is sound on a complex only.  Then the columns of each
+    D_l are reduced left to right, D_L first, and D_l skips every column j
+    that is the pivot row of a reduced column z = D_{l+1} x: D_l z = 0 and z
+    is zero below row j, so column j of D_l lies in the span of the columns
+    left of it and would reduce to zero.  A single matrix (rank) has nothing
+    to check and nothing to clear.
     """
+    cols = []  # per D_l, its columns as {row: coefficient} dicts, none if empty
+    for m in map(as_matrix, mats):
+        cols.append([{} for _ in range(m.shape[1] if m.size else 0)])
+        if m.size:
+            t = m.T % p
+            jj, ii = t.nonzero()
+            for j, i, x in zip(jj.tolist(), ii.tolist(), t[jj, ii].tolist()):
+                cols[-1][j][i] = x
+    for ell, here in enumerate(cols[:-1]):
+        if not any(here):  # D_l is zero
+            continue
+        for j, col in enumerate(cols[ell + 1]):
+            image = {}
+            for i, x in col.items():
+                for r, y in here[i].items():
+                    image[r] = image.get(r, 0) + x * y
+            for s in image.values():
+                if s % p:
+                    raise NotAComplex(ell, j)
     ranks = [0] * len(mats)
     cleared = {}
     for ell in reversed(range(len(mats))):
-        m = as_matrix(mats[ell])
         pivots = {}  # lowest row -> the reduced column that has it
-        if m.size:
-            t = m.T % p
-            cols = [{} for _ in range(t.shape[0])]
-            jj, ii = t.nonzero()
-            for j, i, x in zip(jj.tolist(), ii.tolist(), t[jj, ii].tolist()):
-                cols[j][i] = x
-            for j, col in enumerate(cols):
-                if j in cleared:
-                    continue
-                while col:
-                    low = max(col)
-                    other = pivots.get(low)
-                    if other is None:
-                        pivots[low] = col
-                        break
-                    f = col[low] * inv_mod(other[low], p)
-                    for i, y in other.items():
-                        x = (col.get(i, 0) - f * y) % p
-                        if x:
-                            col[i] = x
-                        else:
-                            del col[i]
+        for j, col in enumerate(cols[ell]):
+            if j in cleared:
+                continue
+            while col:
+                low = max(col)
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    break
+                f = col[low] * inv_mod(other[low], p)
+                for i, y in other.items():
+                    x = (col.get(i, 0) - f * y) % p
+                    if x:
+                        col[i] = x
+                    else:
+                        del col[i]
         ranks[ell] = len(pivots)
         cleared = pivots
     return ranks
@@ -349,12 +371,9 @@ def _leads(rows):
 def stack_bases(mats, cols):
     """Bases (row matrices of `cols` columns) as one stacked basis."""
     counts = [len(m) for m in mats]
-    if len(mats) == 1:
+    if len(mats) == 1:  # every single module's stacked forms: a view, not a copy
         return mats[0][None], counts
-    shape = (len(mats), max(counts, default=0), cols)
-    if min(counts, default=0) == shape[1]:
-        return np.array(mats, dtype=np.int64).reshape(shape), counts
-    out = np.zeros(shape, dtype=np.int64)
+    out = np.zeros((len(mats), max(counts, default=0), cols), dtype=np.int64)
     for b, m in enumerate(mats):
         out[b, : len(m)] = m
     return out, counts
@@ -513,13 +532,9 @@ def _pivot_read(v, basis, p):
     basis is in RREF without zero rows; v is one vector or a matrix of rows.
     """
     w = np.asarray(v, dtype=np.int64) % p
-    b = as_matrix(basis) % p
-    if b.shape[0] == 0:
-        b = b.reshape(0, w.shape[-1])
-        pivots = np.zeros(0, dtype=np.intp)
-    else:
-        pivots = np.argmax(b != 0, axis=1)
-    return w, b, w[..., pivots]
+    b = as_matrix(basis)
+    b = b.reshape(len(b), w.shape[-1]) % p
+    return w, b, w[..., _leads(b)]
 
 
 def reduce_mod_rows(v, basis, p):
@@ -567,15 +582,4 @@ def coords_in(v, basis, p):
 def quotient_coords(v, sub, basis, p):
     """coords_in(reduce_mod_rows(v, sub, p), basis, p): the coordinates of the
     classes of v modulo sub in the class representatives basis, or None."""
-    if len(sub):
-        v = reduce_mod_rows(v, sub, p)
-    return coords_in(v, basis, p)
-
-
-def stack_rows(mats, cols):
-    """Vertically stack row matrices, tolerating empties; result has `cols` columns."""
-    mats = [as_matrix(m) for m in mats]
-    mats = [m for m in mats if m.shape[0] > 0]
-    if not mats:
-        return zeros(0, cols)
-    return np.concatenate(mats, axis=0)
+    return coords_in(reduce_mod_rows(v, sub, p), basis, p)

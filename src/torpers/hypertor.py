@@ -91,24 +91,22 @@ def hypertor_dims(data):
     """Graded dimensions of the hypertor modules of a ChainData's complex.
 
     Returns {ell: multiset} with ell up to n + dim X.  At each degree v the
-    total differentials are built, D∘D = 0 is asserted at every index, and
-    only then are they ranked, all at once by la.complex_ranks, whose
-    clearing is sound on a complex only.
+    total differentials are built and ranked, all at once, by
+    la.complex_ranks, which first checks D∘D = 0 at every index; a failure
+    raises InternalCheckError naming the degree and the first failing index.
     """
     p = data.p
     top_ell = data.top + data.n
     tables = {ell: {} for ell in range(top_ell + 1)}
     for v in gr.grid(data.bound):
         deltas = [_total_delta(data, v, ell) for ell in range(top_ell + 2)]
-        for ell in range(top_ell + 1):
-            d_here, d_up = deltas[ell], deltas[ell + 1]
-            if d_here.size and d_up.size:
-                if la.matmul(d_here, d_up, p).any():
-                    raise InternalCheckError(
-                        "total differential fails D∘D=0 at %s, index %d"
-                        % (gr.to_degree(data.coords, v), ell)
-                    )
-        ranks = la.complex_ranks(deltas, p)
+        try:
+            ranks = la.complex_ranks(deltas, p)
+        except la.NotAComplex as e:
+            raise InternalCheckError(
+                "total differential fails D∘D=0 at %s, index %d"
+                % (gr.to_degree(data.coords, v), e.ell)
+            ) from None
         for ell in range(top_ell + 1):
             dim = deltas[ell].shape[1] - ranks[ell] - ranks[ell + 1]
             if dim:
@@ -417,23 +415,24 @@ class TComplex:
     j = 0 entries are cell copies (name = cell id, degree = the entry degree
     of that copy) and j >= 1 entries are resolution generators of C_i
     (name = generator index).  d[ell] is the boundary T_ell -> T_{ell-1}.
-    ∂∘∂ = 0 is asserted here, so every TComplex is a complex before
-    betti ranks it; name ("T" or "Q") is the one the error gives.
+    It is ranked here, once, by la.complex_ranks, which checks ∂∘∂ = 0 first;
+    the error names the complex (name: "T" or "Q") and the first bad element.
     """
 
     def __init__(self, labels, d, canonical, p, name):
-        for ell in range(2, len(labels)):
-            prod = la.matmul(d[ell - 1], d[ell], p)
-            if prod.any():
-                bad = int(np.nonzero(prod.any(axis=0))[0][0])
-                raise InternalCheckError(
-                    "%s boundary fails ∂∘∂=0 on basis element %r"
-                    % (name, labels[ell][bad])
-                )
         self.labels = labels
         self.d = d
         self.canonical = canonical  # set of labels hit by the embedding
         self.p = p
+        top = len(labels)
+        try:
+            ranks = la.complex_ranks([self.boundary(ell) for ell in range(top + 1)], p)
+        except la.NotAComplex as e:
+            raise InternalCheckError(
+                "%s boundary fails ∂∘∂=0 on basis element %r"
+                % (name, labels[e.ell + 1][e.column])
+            ) from None
+        self._betti = tuple(self.dim(k) - ranks[k] - ranks[k + 1] for k in range(top))
 
     def dim(self, ell):
         return len(self.labels[ell]) if 0 <= ell < len(self.labels) else 0
@@ -444,9 +443,7 @@ class TComplex:
         return la.zeros(self.dim(ell - 1), self.dim(ell))
 
     def betti(self):
-        top = len(self.labels)
-        ranks = la.complex_ranks([self.boundary(ell) for ell in range(top + 1)], self.p)
-        return tuple(self.dim(ell) - ranks[ell] - ranks[ell + 1] for ell in range(top))
+        return self._betti
 
     def quotient_by_embedding(self):
         """Q = T / (canonical copies), as a TComplex: the other labels and the
@@ -472,7 +469,7 @@ def build_t_complex(data):
     for a copy of an i-cell (rows: the canonical copies of the (i-1)-cells,
     at their lexicographically least entry degree), the syzygy matrix
     res.d[j] with monomials dropped for F_j (rows: piece (i, j-1)).  ∂∘∂ = 0
-    is asserted when the TComplex is made.
+    is checked when the TComplex is made and ranked.
     """
     page = e1_page(data)
     if not page.verdict:

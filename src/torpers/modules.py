@@ -36,6 +36,8 @@ modules here and hypertor, E1, d2 and T all read one ChainData.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from torpers import InternalCheckError
@@ -62,7 +64,9 @@ class PersistenceModule:
     members : a stack's input positions (its depth is their count), or None
 
     .dims is the integer array over [-1, bound + 1] of every axis: dims[v + 1]
-    is the dimension at v, zero below the grid and the top layer past it.
+    is the dimension at v, zero below the grid and the top layer past it.  A
+    grid whose array numpy cannot address (3^n entries at the least) raises
+    MemoryError, naming n and the entry count, before anything is allocated.
     A stack is one module per member on one grid and dims array: its steps,
     clamps too, are (depth, r, c) arrays, slice b member b's (depth 1 and 2-d
     steps for a single module).
@@ -79,8 +83,15 @@ class PersistenceModule:
         self.coords = gr.dense_coords(self.bound) if coords is None else coords
         if gr.coords_bound(self.coords) != self.bound:
             raise ValueError("coords do not match the bound %s" % (self.bound,))
+        shape = tuple(b + 3 for b in self.bound)
+        entries = math.prod(shape)
+        if entries > np.iinfo(np.intp).max // 8:
+            raise MemoryError(
+                "a module over n = %d parameters needs %d dims entries, more "
+                "than one array can address" % (self.n, entries)
+            )
         inner = [dims[v] for v in gr.grid(self.bound)]
-        self.dims = np.zeros(tuple(b + 3 for b in self.bound), dtype=np.int64)
+        self.dims = np.zeros(shape, dtype=np.int64)
         self.dims[(slice(1, -1),) * self.n] = np.reshape(inner, np.add(self.bound, 1))
         for a in range(self.n):  # past the bound on axis a: the layer at the bound
             axes = (slice(None),) * a
@@ -95,12 +106,13 @@ class PersistenceModule:
     def _check(self):
         for v, j, w in gr.unit_steps(self.bound):
             s = self.steps.get((v, j))
-            if s is None:
-                raise ValueError("missing step at %s axis %d" % (v, j))
-            if s.shape != self._lead + (self.dim(w), self.dim(v)):
-                raise ValueError(
-                    "step at %s axis %d has shape %s, expected %s"
-                    % (v, j, s.shape, self._lead + (self.dim(w), self.dim(v)))
+            want = self._lead + (self.dim(w), self.dim(v))
+            if s is None or s.shape != want:
+                fault = "is missing"
+                if s is not None:
+                    fault = "has shape %s, expected %s" % (s.shape, want)
+                raise InternalCheckError(
+                    "step at %s axis %d %s" % (gr.to_degree(self.coords, v), j, fault)
                 )
         for v, i, j, a, b in _squares(self.steps, self.bound, self.p):
             if (a != b).any():
@@ -147,12 +159,11 @@ def _squares(steps, bound, p):
 def member_groups(counts):
     """The members of a stack grouped by their counts, one column of the
     (points, B) array counts per member: per group, in the order of its first
-    member, (its counts, its positions, the index that cuts a stack to it)."""
+    member, (its counts, its positions)."""
     groups = {}
     for b, key in enumerate(map(tuple, counts.T.tolist())):
         groups.setdefault(key, []).append(b)
-    whole = len(groups) == 1
-    return [(key, idx, slice(None) if whole else idx) for key, idx in groups.items()]
+    return list(groups.items())
 
 
 def rebound(module, new_bound):
@@ -298,9 +309,9 @@ def _quotients(coords, present, bases, rels, p, single):
     points = list(gr.grid(bound))
     counts = [bases[v][1] + rels[v][1] for v in points]
     out, failed = [], {}
-    for key, idx, cut in member_groups(np.reshape(counts, (2 * len(points), -1))):
-        B = {v: bases[v][0][cut, :k] for v, k in zip(points, key[::2])}
-        R = {v: rels[v][0][cut, :k] for v, k in zip(points, key[1::2])}
+    for key, idx in member_groups(np.reshape(counts, (2 * len(points), -1))):
+        B = {v: bases[v][0][idx, :k] for v, k in zip(points, key[::2])}
+        R = {v: rels[v][0][idx, :k] for v, k in zip(points, key[1::2])}
         reads = {}  # per index point, the unit columns at the pivots of the basis
         for v, rows in B.items():
             first = (rows != 0) & ((rows != 0).cumsum(axis=2) == 1)
@@ -473,7 +484,7 @@ def total_betti(data):
 
     Independent of the grid and of every resolution: the ranks of the whole
     boundary matrices data.matrix(i), rank-nullity per dimension, by one
-    la.complex_ranks call (ChainData asserted ∂∘∂ = 0 when it was made).
+    la.complex_ranks call, which checks ∂∘∂ = 0 first (as ChainData did).
     """
     top = data.top
     mats = [data.matrix(i) for i in range(1, top + 1)]

@@ -181,9 +181,8 @@ def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
         grown = []
         for partial in partials:
             lower = [u for u in partial if gr.leq(u, v) and u != v]
-            required = la.stack_rows(
-                [_push(partial[u], index[u], index[v]) for u in lower], a
-            )
+            pushed = [_push(partial[u], index[u], index[v]) for u in lower]
+            required = np.concatenate([la.zeros(0, a)] + pushed)
             for cand in candidates:
                 if not la.reduce_mod_rows(required, cand, q).any():
                     nxt = dict(partial)

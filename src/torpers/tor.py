@@ -231,10 +231,8 @@ def koszul_tor(M, j):
             up = deltas.get((i + 1, v))
             down = np.zeros((nb, 0, ki), np.int64) if down is None else down
             up = np.zeros((nb, ki, 0), np.int64) if up is None else up
-            if len(members) < nb:
-                down, up = down[members], up[members]
-            cycles = la.stacked_kernel_basis(down, p)
-            bounds = la.stacked_row_space(up.transpose(0, 2, 1), p)
+            cycles = la.stacked_kernel_basis(down[members], p)
+            bounds = la.stacked_row_space(up[members].transpose(0, 2, 1), p)
             try:
                 cls, counts = la.stacked_complement_basis(bounds, cycles, p)
             except ValueError:
@@ -472,13 +470,13 @@ def _augmentation(M, members, gens, present):
 def _groups(gens, nb):
     """The members of a stack of nb grouped by their generator count at every
     index point of gens (triples (v, rows, counts) of stacked bases): per
-    group, in the order of its first member, (member positions, the index
-    that cuts a stack to them, pairs (v, rows) cut to them, with the points
-    where they have no generator dropped)."""
+    group, in the order of its first member, (member positions, pairs
+    (v, rows) cut to them, with the points where they have no generator
+    dropped)."""
     counts = np.array([c for _, _, c in gens], dtype=np.int64).reshape(len(gens), nb)
     return [
-        (idx, cut, [(v, rows[cut, :c]) for (v, rows, _), c in zip(gens, key) if c])
-        for key, idx, cut in md.member_groups(counts)
+        (idx, [(v, rows[idx, :c]) for (v, rows, _), c in zip(gens, key) if c])
+        for key, idx in md.member_groups(counts)
     ]
 
 
@@ -514,9 +512,9 @@ def _extend(ress, maps, below=()):
             "theorem and signals a bug" % M.n
         )
     gens = _generators(M, len(ress), kernels, present)
-    for idx, cut, gens in _groups(gens, len(ress)):
+    for idx, gens in _groups(gens, len(ress)):
         part = [ress[b] for b in idx]
-        cuts = [{v: (k[cut], c[cut]) for v, (k, c) in L.items()} for L in levels]
+        cuts = [{v: (k[idx], c[idx]) for v, (k, c) in L.items()} for L in levels]
         if not gens:  # these members' kernels are all zero
             _check(part, cuts)
             continue
@@ -544,7 +542,7 @@ def minimal_resolution(M):
     """
     nb = M.depth
     out = [None] * nb
-    for idx, _, gens in _groups(_generators(M, nb), nb):
+    for idx, gens in _groups(_generators(M, nb), nb):
         degrees = [v for v, rows in gens for _ in range(rows.shape[1])]
         present = gr.present_on_grid([(u,) for u in degrees], M.bound)
         eps = _augmentation(M, idx, gens, present)

@@ -8,9 +8,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
+import torpers.complexes
 import torpers.exactla
+import torpers.grading
 import torpers.hypertor
 import torpers.modules
 import torpers.tor
@@ -343,6 +346,38 @@ def test_boundaries_outside_the_cycles_exit_two(capsys, fixture_path, monkeypatc
     )
 
 
+@pytest.mark.parametrize("fault", ["missing", "misshapen"])
+def test_a_bad_step_exits_two_naming_its_degree(
+    capsys, fixture_path, monkeypatch, fault
+):
+    # a chain module built without its last step, or with it one row too
+    # many: the constructor's check names the degree, not the index point
+    path = fixture_path.parent / "tests/golden/stretched/circle_fig.mfc"
+    data = torpers.modules.ChainData(torpers.complexes.load_mfc(path), 5)
+    bound, coords = data.bound, data.coords
+    v, j, _ = list(torpers.grading.unit_steps(bound))[-1]
+    init = torpers.modules.PersistenceModule.__init__
+
+    def broken(self, n, bound, dims, steps, *args, **kwargs):
+        steps = dict(steps)
+        if fault == "missing":
+            steps.pop((v, j), None)
+        elif (v, j) in steps:  # one row too many
+            rows, cols = steps[(v, j)].shape
+            steps[(v, j)] = np.zeros((rows + 1, cols), dtype=np.int64)
+        init(self, n, bound, dims, steps, *args, **kwargs)
+
+    monkeypatch.setattr(torpers.modules.PersistenceModule, "__init__", broken)
+    rc, out, err = run(capsys, "hypertor", "--input", str(path), "--field", "5")
+    assert rc == 2 and out == "" and "Traceback" not in err
+    error = json.loads(err)
+    assert error["error"] == "internal-check"
+    degree = torpers.grading.to_degree(coords, v)
+    assert degree != v
+    fault = "is missing" if fault == "missing" else "has shape"
+    assert error["message"].startswith("step at %s axis %d %s" % (degree, j, fault))
+
+
 @pytest.mark.parametrize(
     "stem, p", [("circle_fig", 5), ("sphere", 2), ("circle_oneatatime", 3)]
 )
@@ -524,6 +559,61 @@ def test_out_of_memory_exits_one(capsys, monkeypatch, tmp_path):
     rc, out, err = run(capsys, "xi", "--input", str(path), "--q", "0")
     assert_validation_exit(rc, out, err)
     assert "Unable to allocate" in json.loads(err)["message"]
+
+
+ORIGIN_40 = "n 40\nsimplex v @ (%s)\n" % ",".join(["0"] * 40)
+TOO_LARGE_TO_ADDRESS = {
+    "xi-q0": ["xi", "--q", "0"],
+    "xi-q1": ["xi", "--q", "1"],
+    "resolve-q0": ["resolve", "--q", "0"],
+    "hypertor": ["hypertor"],
+    "e1": ["e1"],
+    "d2-q0": ["d2", "--q", "0"],
+    "recover": ["recover"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", TOO_LARGE_TO_ADDRESS.values(), ids=TOO_LARGE_TO_ADDRESS.keys()
+)
+def test_a_module_too_large_to_address_exits_one(capsys, tmp_path, argv):
+    # one vertex at the origin with n = 40: a dims array of 3^40 entries is
+    # more than numpy can address, so it is refused before it is allocated
+    path = tmp_path / "origin40.mfc"
+    path.write_text(ORIGIN_40)
+    rc, out, err = run(capsys, *argv, "--input", str(path))
+    assert_validation_exit(rc, out, err)
+    assert json.loads(err)["message"] == (
+        "a module over n = 40 parameters needs %d dims entries, more than one "
+        "array can address" % 3**40
+    )
+
+
+def test_a_presentation_or_census_too_large_to_address_exits_one(capsys, tmp_path):
+    path = tmp_path / "free40.json"
+    path.write_text(json.dumps({"n": 40, "gens": [[0] * 40], "relations": []}))
+    for argv in (
+        ["xi", "--input", str(path)],
+        ["orbits", "--xi0", json.dumps([[[0] * 40, 1]])],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert_validation_exit(rc, out, err)
+        assert "n = 40 parameters" in json.loads(err)["message"]
+
+
+def test_validate_reads_a_module_too_large_to_address(capsys, tmp_path):
+    # validate builds no module, so the same file stays valid
+    path = tmp_path / "origin40.mfc"
+    path.write_text(ORIGIN_40)
+    assert run_json(capsys, "validate", "--input", str(path)) == {
+        "bound": [0] * 40,
+        "cells": 1,
+        "field": 2,
+        "input": str(path),
+        "ok": True,
+        "one_at_a_time": True,
+        "params": 40,
+    }
 
 
 MALFORMED_PRESENTATIONS = {

@@ -5,15 +5,18 @@ the columns its clearing proves dependent; exactla.rank is its one-matrix
 case.  These tests hold it against the dense route, the row count of
 row_space (one RREF per matrix): on random complexes built so that
 D_l @ D_{l+1} = 0, on the total differentials of the seeded random suite,
-and on hand edge cases.  hypertor_dims, which ranks its total differentials
-this way, is held against the same dense route on the seeded suite and on
-the benchmark's Rips complexes.
+and on hand edge cases.  On sequences that are not complexes it must raise
+NotAComplex at the first (l, j) that dense products D_l @ D_{l+1} find,
+before it reduces any column.  hypertor_dims, which ranks its total
+differentials this way, is held against the same dense route on the seeded
+suite and on the benchmark's Rips complexes.
 """
 
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +99,56 @@ def test_complex_ranks_edge_cases():
     assert la.complex_ranks([[[2, -4], [-1, 5]]], 3) == [1]
     # a segment ab with its augmentation: column b of D_0 is cleared
     assert la.complex_ranks([[[1, 1]], [[-1], [1]]], 3) == [1, 1]
+
+
+def _first_dd_failure(mats, p):
+    """The first (l, j), l ascending, then j, with column j of the dense
+    product D_l @ D_{l+1} nonzero mod p; None on a complex."""
+    for ell, (a, b) in enumerate(zip(mats, mats[1:])):
+        bad = np.flatnonzero(la.matmul(a % p, b % p, p).any(axis=0))
+        if bad.size:
+            return ell, int(bad[0])
+    return None
+
+
+@st.composite
+def corrupted_complexes(draw):
+    """(p, mats): a complex of the two strategies above with one entry of one
+    nonempty differential moved by a nonzero amount mod p."""
+    p, mats = draw(st.one_of(random_complexes(), suite_differentials()))
+    mats = [np.array(m) for m in mats]
+    nonempty = [ell for ell, m in enumerate(mats) if m.size]
+    if nonempty:
+        m = mats[draw(st.sampled_from(nonempty))]
+        r = draw(st.integers(0, m.shape[0] - 1))
+        c = draw(st.integers(0, m.shape[1] - 1))
+        m[r, c] += draw(st.integers(1, p - 1))
+    return p, mats
+
+
+def _no_reduction(a, p):
+    raise AssertionError("complex_ranks reduced a column before its D∘D check")
+
+
+@given(corrupted_complexes())
+@settings(max_examples=300)
+# reducing D_1 first would eliminate its second column against its first
+@example((3, [np.array([[1, 1]]), np.array([[1, 1], [0, 0]])]))
+@example((5, [la.eye(2), la.eye(2), la.zeros(2, 0)]))
+def test_complex_ranks_refuses_a_non_complex_before_reducing(case):
+    p, mats = case
+    before = [m.copy() for m in mats]
+    want = _first_dd_failure(mats, p)
+    if want is None:  # the change kept it a complex
+        assert la.complex_ranks(mats, p) == _dense_ranks(mats, p)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(la, "inv_mod", _no_reduction)
+        with pytest.raises(la.NotAComplex) as raised:
+            la.complex_ranks(mats, p)
+    assert isinstance(raised.value, ValueError)
+    assert (raised.value.ell, raised.value.column) == want
+    assert all(m.shape == b.shape and (m == b).all() for m, b in zip(mats, before))
 
 
 # -- hypertor_dims against ranks of its total differentials by dense RREF -----

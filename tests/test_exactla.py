@@ -74,7 +74,7 @@ def test_complement_basis_dims_and_directness():
     sub = arr([[1, 1, 0]])
     comp = la.complement_basis(sub, whole, 2)
     assert comp.shape == (2, 3)
-    joint = la.stack_rows([sub, comp], 3)
+    joint = np.concatenate([sub, comp])
     assert la.rank(joint, 2) == 3
 
 
@@ -529,8 +529,8 @@ def test_complement_basis_of_rref_bases_matches_re_reducing(case):
     got = la.complement_basis(sub, whole, p)
     want = _complement_by_re_reducing(sub, whole, p)
     assert got.shape == want.shape and (got == want).all()
-    assert la.rank(la.stack_rows([sub, got], whole.shape[1]), p) == whole.shape[0]
-    bigger = la.row_space(la.stack_rows([sub, extra], whole.shape[1]), p)
+    assert la.rank(np.concatenate([sub, got]), p) == whole.shape[0]
+    bigger = la.row_space(np.concatenate([sub, extra]), p)
     if la.reduce_mod_rows(extra, whole, p).any():
         with pytest.raises(ValueError):
             _complement_by_re_reducing(bigger, whole, p)

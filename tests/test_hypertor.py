@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import randfix
 from torpers import InternalCheckError, ValidationError
 from torpers import complexes as cxm
 from torpers import exactla as la
@@ -277,21 +278,23 @@ def test_quotient_fails_dd_on_a_named_basis_element():
 
 
 def test_recover_ranks_t_and_q_once_each(oneatatime, monkeypatch):
-    # T's and Q's Betti numbers come from one complex_ranks call each, and
-    # only on complexes; no rank is taken one boundary at a time
+    # T and Q are each ranked by one complex_ranks call when they are built,
+    # which checks ∂∘∂ = 0 first, and betti() ranks nothing again; no rank is
+    # taken one boundary at a time
+    data = md.ChainData(oneatatime, 5)
+    page = ht.e1_page(data)  # hypertor_dims ranks its own complexes
     seen, ranks = [], la.complex_ranks
 
-    def complexes_only(mats, p):
-        for a, b in zip(mats, mats[1:]):
-            assert not la.matmul(a, b, p).any(), "ranked a non-complex"
+    def recording(mats, p):
         seen.append(len(mats))
         return ranks(mats, p)
 
-    data = md.ChainData(oneatatime, 5)
+    monkeypatch.setattr(ht, "e1_page", lambda d: page)
+    monkeypatch.setattr(la, "complex_ranks", recording)
+    monkeypatch.setattr(la, "rank", None)
     t = ht.build_t_complex(data)
     q = t.quotient_by_embedding()
-    monkeypatch.setattr(la, "complex_ranks", complexes_only)
-    monkeypatch.setattr(la, "rank", None)
+    assert seen == [len(t.labels) + 1, len(q.labels) + 1]
     assert t.betti() == (1, 1, 0) and not any(q.betti())
     assert seen == [len(t.labels) + 1, len(q.labels) + 1]
 
@@ -326,20 +329,72 @@ def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
         ht.hypertor_dims(data)
 
 
-def test_dd_is_asserted_before_the_ranks(fixture_path, monkeypatch):
-    # complex_ranks' clearing is sound on a complex only: with the total
-    # differential broken as above, no rank may be taken of the broken
-    # sequence, and the D∘D error must still name its degree and index
-    ranks = la.complex_ranks
+@pytest.mark.parametrize("seed", range(12))
+def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
+    # one entry of one total differential of a seeded complex moved by one:
+    # hypertor_dims names the (degree, index) that dense products of every
+    # (D_ell, D_ell+1) pair, in grid then index order, find first
+    p = (2, 3, 5)[seed % 3]
+    data = md.ChainData(randfix.random_complex(seed), p)
+    top, original = data.top + data.n, ht._total_delta
+    spots = [
+        (v, ell)
+        for v in gr.grid(data.bound)
+        for ell in range(top + 2)
+        if original(data, v, ell).size
+    ]
+    rng = np.random.default_rng(seed)
+    v, ell = spots[rng.integers(len(spots))]
+    r, c = (int(rng.integers(k)) for k in original(data, v, ell).shape)
 
-    def complexes_only(mats, p):
-        for a, b in zip(mats, mats[1:]):
-            if a.size and b.size and la.matmul(a, b, p).any():
-                raise AssertionError("ranked before D∘D = 0 was asserted")
-        return ranks(mats, p)
+    def tampered(d, w, e):
+        m = original(d, w, e)
+        if (w, e) == (v, ell):
+            m[r, c] = (m[r, c] + 1) % p
+        return m
 
-    monkeypatch.setattr(la, "complex_ranks", complexes_only)
-    test_dd_failure_names_the_degree(fixture_path, monkeypatch)
+    want = None
+    for w in gr.grid(data.bound):
+        deltas = [tampered(data, w, e) for e in range(top + 2)]
+        pairs = zip(deltas, deltas[1:])
+        bad = [e for e, (a, b) in enumerate(pairs) if la.matmul(a, b, p).any()]
+        if bad:
+            want = "total differential fails D∘D=0 at %s, index %d" % (
+                gr.to_degree(data.coords, w), bad[0]
+            )
+            break
+    monkeypatch.setattr(ht, "_total_delta", tampered)
+    if want is None:  # the change kept every total complex a complex
+        ht.hypertor_dims(data)
+    else:
+        with pytest.raises(InternalCheckError, match=re.escape(want)):
+            ht.hypertor_dims(data)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_t_failure_names_the_dense_first_label(circle, sphere, oneatatime, seed):
+    # one entry of one boundary of T moved by one: the TComplex names the
+    # label that dense products d[ell-1] @ d[ell], ell ascending, find first
+    cx = (circle, sphere, oneatatime)[seed % 3]
+    t = ht.build_t_complex(md.ChainData(cx, 3))
+    rng = np.random.default_rng(seed)
+    nonempty = sorted(k for k, m in t.d.items() if m.size)
+    ell = nonempty[rng.integers(len(nonempty))]
+    d = {k: m.copy() for k, m in t.d.items()}
+    r, c = (int(rng.integers(k)) for k in d[ell].shape)
+    d[ell][r, c] = (d[ell][r, c] + 1) % 3
+    want = None
+    for e in range(2, len(t.labels)):
+        bad = np.flatnonzero(la.matmul(d[e - 1], d[e], 3).any(axis=0))
+        if bad.size:
+            label = t.labels[e][bad[0]]
+            want = "T boundary fails ∂∘∂=0 on basis element %r" % (label,)
+            break
+    if want is None:
+        ht.TComplex(t.labels, d, t.canonical, 3, "T")
+    else:
+        with pytest.raises(InternalCheckError, match=re.escape(want)):
+            ht.TComplex(t.labels, d, t.canonical, 3, "T")
 
 
 def test_one_boundary_matrix_per_dimension(sphere, monkeypatch):

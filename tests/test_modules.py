@@ -427,3 +427,27 @@ def test_phi_staircase(circle):
     H = md.homology_module(md.ChainData(circle, 2), 0)
     assert phi(H, (0, 0), (2, 1)).shape == (1, 3)
     assert la.rank(phi(H, (0, 0), (2, 1)), 2) == 1
+
+
+STRETCHED_CIRCLE = "tests/golden/stretched/circle_fig.mfc"
+
+
+def test_a_missing_or_misshapen_step_names_its_degree(fixture_path):
+    # on the stretched circle index points and degrees differ; the step
+    # check is an internal check that names the degree and the axis
+    C = md.ChainData(load_mfc(fixture_path.parent / STRETCHED_CIRCLE), 5).module(1)
+    v, j, w = list(gr.unit_steps(C.bound))[-1]
+    degree = gr.to_degree(C.coords, v)
+    assert degree != v
+    dims = {u: C.dim(u) for u in gr.grid(C.bound)}
+    missing = {key: s for key, s in C.steps.items() if key != (v, j)}
+    want = "step at %s axis %d is missing" % (degree, j)
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        md.PersistenceModule(C.n, C.bound, dims, missing, 5, coords=C.coords)
+    misshapen = dict(C.steps)
+    misshapen[(v, j)] = la.zeros(C.dim(w) + 1, C.dim(v))
+    want = "step at %s axis %d has shape %s, expected %s" % (
+        degree, j, (C.dim(w) + 1, C.dim(v)), (C.dim(w), C.dim(v))
+    )
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        md.PersistenceModule(C.n, C.bound, dims, misshapen, 5, coords=C.coords)

@@ -1,0 +1,114 @@
+"""Which corruptions each command catches: the mutation table.
+
+Three exact kernels are corrupted in turn, and every command is run on the
+three bundled fixtures, in process through cli.main, at the field the
+benchmark runs each fixture over.  A run under a mutation must print the
+unpatched stdout bytes, or exit 2 with empty stdout and one JSON object on
+stderr.  No cell may exit 1 (that means bad input) or print a traceback.
+
+A cell that exits 0 with other stdout is a wrong answer nothing caught.  The
+known ones are listed in KNOWN_GAPS, each with the open item that closes it:
+a new gap fails, and so does a listed gap that no longer shows.
+"""
+
+import contextlib
+import functools
+import io
+import json
+import pathlib
+
+import pytest
+
+from torpers import cli
+from torpers import exactla as la
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+FIELDS = {"circle_fig": 5, "sphere": 2, "circle_oneatatime": 3}
+COMMANDS = {
+    "xi-q0": ["xi", "--q", "0"],
+    "xi-q1": ["xi", "--q", "1"],
+    "resolve-q0": ["resolve", "--q", "0"],
+    "hypertor": ["hypertor"],
+    "e1": ["e1"],
+    "d2-q0": ["d2", "--q", "0"],
+    "recover": ["recover"],
+}
+
+
+def _largest_rank_one_low(complex_ranks):
+    def mutated(mats, p):
+        out = complex_ranks(mats, p)
+        if max(out, default=0):
+            out[out.index(max(out))] -= 1
+        return out
+
+    return mutated
+
+
+def _first_rank_one_low(stacked_rank):
+    def mutated(stack, p):
+        out = stacked_rank(stack, p).copy()
+        if out.size and out[0]:
+            out[0] -= 1
+        return out
+
+    return mutated
+
+
+def _last_row_dropped(kernel_basis):
+    return lambda a, p: kernel_basis(a, p)[:-1]
+
+
+MUTATIONS = {
+    "complex_ranks": _largest_rank_one_low,
+    "stacked_rank": _first_rank_one_low,
+    "kernel_basis": _last_row_dropped,
+}
+
+# (mutation, command) -> the open ROADMAP item that closes the gap
+KNOWN_GAPS = {
+    ("complex_ranks", "hypertor"): "item 5: hypertor has no second route",
+}
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _argv(stem, command):
+    path = str(FIXTURES / (stem + ".mfc"))
+    return COMMANDS[command] + ["--input", path, "--field", str(FIELDS[stem])]
+
+
+@functools.cache
+def _unpatched(stem, command):
+    rc, out, err = _run(_argv(stem, command))
+    assert rc == 0, err
+    return out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_every_cell_is_caught_or_unchanged(monkeypatch, mutation, command):
+    want = {stem: _unpatched(stem, command) for stem in FIELDS}
+    monkeypatch.setattr(la, mutation, MUTATIONS[mutation](getattr(la, mutation)))
+    wrong = []
+    for stem in FIELDS:
+        rc, out, err = _run(_argv(stem, command))
+        assert "Traceback" not in err, (stem, err)
+        assert rc in (0, 2), (stem, rc, err)
+        if rc == 2:
+            assert out == ""
+            assert json.loads(err)["error"] in ("internal-check", "internal")
+        elif out != want[stem]:
+            wrong.append(stem)
+        else:
+            assert err == ""
+    if (mutation, command) in KNOWN_GAPS:
+        assert wrong, "gap closed: remove %r from KNOWN_GAPS" % ((mutation, command),)
+    else:
+        assert not wrong, "wrong stdout with exit 0 on %s" % wrong

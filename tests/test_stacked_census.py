@@ -224,7 +224,7 @@ def test_a_stack_checks_the_shape_of_its_steps():
     md.PersistenceModule(S.n, S.bound, dims, S.steps, S.p, members=S.members)
     steps = {key: s[:1] for key, s in S.steps.items()}  # one member's steps
     want = r"has shape \(1, 1, 1\), expected \(2, 1, 1\)"
-    with pytest.raises(ValueError, match=want):
+    with pytest.raises(InternalCheckError, match=want):
         md.PersistenceModule(S.n, S.bound, dims, steps, S.p, members=S.members)
 
 
