@@ -94,6 +94,13 @@ def hypertor_dims(data):
     total differentials are built and ranked, all at once, by
     la.complex_ranks, which first checks D∘D = 0 at every index; a failure
     raises InternalCheckError naming the degree and the first failing index.
+
+    Two second routes check the table, in this order.  The Euler identity,
+    through the same tor.alternating_sums as xi: at every grid point v,
+    sum_ell (-1)^ell sum_{u <= v} hyper_ell(u) is sum_i (-1)^i times the
+    number of i-cells present at v.  On a one-critical complex every
+    hyper_ell(v) must equal what _entry_dims gives without la.complex_ranks.
+    A failure raises InternalCheckError naming the degree (and ell).
     """
     p = data.p
     top_ell = data.top + data.n
@@ -111,7 +118,62 @@ def hypertor_dims(data):
             dim = deltas[ell].shape[1] - ranks[ell] - ranks[ell + 1]
             if dim:
                 tables[ell][v] = dim
-    return {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
+    out = {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
+    points = list(gr.grid(data.bound))
+    degrees = np.array([gr.to_degree(data.coords, v) for v in points])
+    chi = tor.alternating_sums(out, degrees)
+    present = [
+        sum((-1) ** i * len(data.present(i)[v]) for i in range(data.top + 1))
+        for v in points
+    ]
+    bad = np.flatnonzero(chi != present)
+    if bad.size:
+        k = bad[0]
+        raise InternalCheckError(
+            "hypertor: the cells present at %s give %d, but the alternating sum "
+            "of hyper_ell at or below it is %d"
+            % (tuple(degrees[k].tolist()), present[k], chi[k])
+        )
+    for ell, entering in (_entry_dims(data) or {}).items():
+        for v in sorted(tables[ell].keys() | entering.keys()):
+            got, want = tables[ell].get(v, 0), entering.get(v, 0)
+            if got != want:
+                raise InternalCheckError(
+                    "hypertor_%d at %s is %d, the cells entering there give %d"
+                    % (ell, gr.to_degree(data.coords, v), got, want)
+                )
+    return out
+
+
+def _entry_dims(data):
+    """hyper_ell of a one-critical complex, {ell: {index point: dim}} with the
+    zeros dropped, or None when some cell has more than one entry degree.
+
+    When every cell enters once, each C_i is free and C ⊗^L k = C ⊗ k, so
+    hyper_ell at v is H_ell of the complex of the cells entering exactly at
+    v with data.matrix(i) restricted to them, and 0 for ell > top.  Its
+    ranks come from la.rref, so this route does not share the ranker of
+    hypertor_dims.
+    """
+    cells = [data.cx.cells_of_dim(i) for i in range(data.top + 1)]
+    if any(len(c.degrees) != 1 for cs in cells for c in cs):
+        return None
+    at = {}  # index point -> per dimension, the positions of the cells entering
+    for i, cs in enumerate(cells):
+        for k, c in enumerate(cs):
+            v = gr.to_index(data.coords, c.degrees[0])
+            at.setdefault(v, [[] for _ in cells])[i].append(k)
+    dims = {ell: {} for ell in range(data.top + data.n + 1)}
+    for v, entering in at.items():
+        ranks = [0] * (len(cells) + 1)
+        for i in range(1, len(cells)):
+            m = data.matrix(i)[entering[i - 1]][:, entering[i]]
+            ranks[i] = la.rref(m, data.p)[1]
+        for ell, ks in enumerate(entering):
+            dim = len(ks) - ranks[ell] - ranks[ell + 1]
+            if dim:
+                dims[ell][v] = dim
+    return dims
 
 
 # -- the first spectral sequence: E1 = Tor_q(C_i) ----------------------------
@@ -156,6 +218,7 @@ def _chain_tor(data):
     table = {}
     for i in range(data.top + 1):
         C, present = data.module(i), data.present(i)
+        tor._layout(C, 0)  # C_i's layouts bound every pattern's: refused here first
         placed = {q: {} for q in range(n + 1)}  # q -> v -> [rows]
         for k, cell in enumerate(data.cx.cells_of_dim(i)):
             own = gr.critical_coords(cell.degrees, n)

@@ -9,11 +9,11 @@ families exactly, partitions them into orbits by generator BFS, and computes
 per-orbit invariants: the full xi table of the cokernel, and Grassmannian
 coordinates of the higher syzygy maps that separate orbits sharing a table.
 
-The BFS runs on subspace positions, not on families.  The families of one
-census use few distinct subspaces at each relation degree, so each generator
-acts once on each of them (apply_group_element, the one place the group
-acts), which gives one table of positions per generator and degree; a family
-is its tuple of positions, and moving it is a lookup in those tables.
+A family keeps the positions of its subspaces among the candidates listed at
+each relation degree, and the BFS runs on those tuples, not on families.  A
+census uses few distinct subspaces per degree; each generator acts once on
+each (apply_group_element, the one place the group acts), which gives a table
+of positions per generator and degree, and moving a family is a lookup.
 
 The xi tables of a census are computed in few stacks: the members of an
 orbit have their representative's dimensions, and the 30 orbits of the
@@ -98,15 +98,18 @@ class RelationFamily:
     """Subspaces V_v of F(xi0)_v, one per relation degree, in RREF form.
 
     dim V_v equals the number of xi1 degrees at or below v, and pushing V_u
-    forward along any u <= v lands inside V_v.
+    forward along any u <= v lands inside V_v.  positions, per degree the
+    index of V_v in the subspaces() list there, is None for a family not
+    made by enumerate_families.
     """
 
-    def __init__(self, xi0, xi1, q, spaces):
+    def __init__(self, xi0, xi1, q, spaces, positions=None):
         self.xi0 = dict(xi0)
         self.xi1 = dict(xi1)
         self.q = q
         self.degrees = tuple(sorted(self.xi1))
-        self.spaces = {v: np.array(spaces[v], dtype=np.int64) for v in self.degrees}
+        self.spaces = {v: np.asarray(spaces[v], dtype=np.int64) for v in self.degrees}
+        self.positions = positions
 
     def check(self):
         births = [(g,) for g in gr.multiset_to_list(self.xi0)]
@@ -153,6 +156,8 @@ def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
 
     The candidate count is the product of Gaussian binomials over the
     relation degrees; anything past `limit` raises before enumeration starts.
+    A family grows as a tuple of positions among each degree's candidates,
+    and shares their arrays (nothing writes them).
     """
     check_field(q)
     xi0 = dict(xi0)
@@ -160,36 +165,37 @@ def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
     if len({len(deg) for deg in itertools.chain(xi0, xi1)}) > 1:
         raise ValidationError("mixed degree lengths in xi0/xi1")
     if not xi1:
-        return [RelationFamily(xi0, xi1, q, {})]
+        return [RelationFamily(xi0, xi1, q, {}, ())]
     births = [(g,) for g in gr.multiset_to_list(xi0)]
     degrees = sorted(xi1)
-    index = {v: gr.present(births, v) for v in degrees}
+    index = [gr.present(births, v) for v in degrees]
+    dims = [gr.staircase_count(xi1, v) for v in degrees]
     budget = 1
-    for v in degrees:
-        budget *= gaussian_binomial(len(index[v]), gr.staircase_count(xi1, v), q)
+    for idx, d in zip(index, dims):
+        budget *= gaussian_binomial(len(idx), d, q)
     if budget > limit:
         raise ValidationError(
             "enumeration budget exceeded: about %d subspace tuples (limit %d)"
             % (budget, limit)
         )
 
-    partials = [{}]
-    for v in degrees:
-        a = len(index[v])
-        d = gr.staircase_count(xi1, v)
-        candidates = list(subspaces(a, d, q))
+    candidates, partials = [], [()]  # per degree, its subspaces() in order
+    for k, v in enumerate(degrees):
+        candidates.append(list(subspaces(len(index[k]), dims[k], q)))
+        lower = [i for i in range(k) if gr.leq(degrees[i], v)]
         grown = []
-        for partial in partials:
-            lower = [u for u in partial if gr.leq(u, v) and u != v]
-            pushed = [_push(partial[u], index[u], index[v]) for u in lower]
-            required = np.concatenate([la.zeros(0, a)] + pushed)
-            for cand in candidates:
+        for pos in partials:
+            pushed = [_push(candidates[i][pos[i]], index[i], index[k]) for i in lower]
+            required = np.concatenate([la.zeros(0, len(index[k]))] + pushed)
+            for c, cand in enumerate(candidates[k]):
                 if not la.reduce_mod_rows(required, cand, q).any():
-                    nxt = dict(partial)
-                    nxt[v] = cand
-                    grown.append(nxt)
+                    grown.append(pos + (c,))
         partials = grown
-    return [RelationFamily(xi0, xi1, q, spaces) for spaces in partials]
+    families = []
+    for pos in partials:
+        spaces = {v: cs[c] for v, cs, c in zip(degrees, candidates, pos)}
+        families.append(RelationFamily(xi0, xi1, q, spaces, pos))
+    return families
 
 
 class GroupElement:
@@ -277,54 +283,46 @@ class Orbit:
 def orbit_partition(families, xi0, q):
     """Partition the family list into group orbits via BFS over generators.
 
-    The BFS runs on positions: at each relation degree v the distinct
-    subspaces V_v of the families are listed once, and a family is the tuple
-    of its subspaces' positions, one per degree.  Each generator acts once
-    on each distinct subspace at each degree, which gives a table of
-    positions per degree; applying the generator to a family is then a
-    lookup of each position in its degree's table.  The tables must be
-    bijections (a generator is invertible), every image must be a listed
-    subspace, and every image tuple an enumerated family; otherwise the
-    action is broken and this raises.  Each orbit's representative is the
-    member with the lexicographically least encoding.
+    The BFS runs on positions: a family is its tuple of positions, one per
+    relation degree, kept by enumerate_families (a family without them
+    raises ValueError).  Each generator acts once on each subspace some
+    family uses at each degree, which gives a table of positions per degree;
+    applying the generator to a family is then a lookup of each position in
+    its degree's table.  Only those subspaces and their images are encoded.
+    The tables must be bijections (a generator is invertible), every image
+    must be a used subspace, and every image tuple an enumerated family;
+    otherwise the action is broken and this raises.  Each orbit's
+    representative is the member with the lexicographically least encoding.
     """
+    index = {fam.positions: i for i, fam in enumerate(families)}
+    if None in index:
+        raise ValueError("orbit_partition needs families with positions")
+    if len(index) != len(families):
+        raise ValidationError("duplicate family in the input list")
     degrees = families[0].degrees if families else ()
-    distinct = [{} for _ in degrees]  # per degree: encoding -> position
-    spaces = [[] for _ in degrees]  # per degree: the subspace at each position
-    index = {}  # position tuple -> index into families
-    for i, fam in enumerate(families):
-        key = []
-        for k, v in enumerate(degrees):
-            e = _encode_space(fam.spaces[v])
-            if e not in distinct[k]:
-                distinct[k][e] = len(spaces[k])
-                spaces[k].append(fam.spaces[v])
-            key.append(distinct[k][e])
-        key = tuple(key)
-        if key in index:
-            raise ValidationError("duplicate family in the input list")
-        index[key] = i
-    left = (
-        "group action left the enumerated family set; containment closure is broken"
-    )
+    spaces = [  # per degree: used position -> its subspace
+        {f.positions[k]: f.spaces[v] for f in families} for k, v in enumerate(degrees)
+    ]
+    codes = [{c: _encode_space(m) for c, m in at.items()} for at in spaces]
+    where = [{e: c for c, e in at.items()} for at in codes]  # encoding -> position
+    left = "group action left the enumerated family set; containment closure is broken"
     tables = []
     for g in group_generators(xi0, q):
         table = []
         for k, v in enumerate(degrees):
-            images = []
-            for space in spaces[k]:
+            images = {}
+            for c, space in spaces[k].items():
                 e = _encode_space(apply_group_element(g, v, space))
-                if e not in distinct[k]:
+                if e not in where[k]:
                     raise InternalCheckError(left)
-                images.append(distinct[k][e])
-            if len(set(images)) != len(images):
+                images[c] = where[k][e]
+            if len(set(images.values())) != len(images):
                 raise InternalCheckError(
                     "a group generator does not permute the subspaces at %s"
                     % (list(v),)
                 )
             table.append(images)
         tables.append(table)
-    encodings = [list(d) for d in distinct]  # position -> encoding, per degree
     seen = set()
     orbits = []
     for start in index:
@@ -342,7 +340,7 @@ def orbit_partition(families, xi0, q):
                     members.add(nxt)
                     queue.append(nxt)
         seen |= members
-        rep = min(members, key=lambda t: tuple(e[c] for e, c in zip(encodings, t)))
+        rep = min(members, key=lambda t: tuple(e[c] for e, c in zip(codes, t)))
         orbits.append(
             Orbit(families[index[rep]], sorted(index[t] for t in members), len(members))
         )

@@ -48,6 +48,7 @@ unstabilized module.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -79,9 +80,24 @@ class _Layout:
         self.totals = self.sizes.sum(axis=-1)
 
 
+LAYOUT_LIMIT = 2**27  # Koszul block entries of one module, all j together
+
+
 def _layout(M, j):
-    """The layout of K_j for M, built once per (module, j) and kept on M."""
+    """The layout of K_j for M, built once per (module, j) and kept on M.
+
+    A module whose layouts for all j would hold more than LAYOUT_LIMIT block
+    entries, prod(bound_a + 2) * 2^n (a widened grid counts through its
+    bound), is refused with MemoryError naming n, the count and the limit
+    before its first layout is allocated.
+    """
     if j not in M.layouts:
+        count = math.prod(b + 2 for b in M.bound) << M.n
+        if count > LAYOUT_LIMIT:
+            raise MemoryError(
+                "the Koszul layouts of a module over n = %d parameters need %d "
+                "block entries, over the limit %d" % (M.n, count, LAYOUT_LIMIT)
+            )
         M.layouts[j] = _Layout(M, j)
     return M.layouts[j]
 
@@ -566,6 +582,19 @@ class TorTable:
         self.resolution = resolution
 
 
+def alternating_sums(tables, degrees):
+    """sum_j (-1)^j sum_{u <= v} tables[j](u) at each degree v, a row of the
+    (N, n) array degrees, for tables j -> multiset {degree: count}: the side
+    of the Euler identity that xi and hypertor_dims check at every grid
+    point (against dim M, and against the cells present)."""
+    chi = np.zeros(len(degrees), dtype=np.int64)
+    for j, ms in tables.items():
+        if ms:
+            below = (np.array(list(ms))[None] <= degrees[:, None]).all(axis=2)
+            chi += (-1) ** j * (below @ np.array(list(ms.values())))
+    return chi
+
+
 def xi(M, widen=0):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.
 
@@ -585,6 +614,7 @@ def xi(M, widen=0):
         raise ValidationError("widen must be >= 0, got %d" % widen)
     if widen:
         M = md.rebound(M, tuple(b + widen for b in M.bound))
+    _layout(M, 0)  # a module past the layout budget is refused before either route
     resolutions = minimal_resolution(M)
     koszuls = koszul_tor(M, range(M.n + 1))
     if M.members is None:
@@ -602,11 +632,7 @@ def xi(M, widen=0):
                     "resolution gives %s" % (j, kt.multiset(), res_ms)
                 )
         table = TorTable(M.n, koszul, resolution)
-        chi = np.zeros(len(points), dtype=np.int64)
-        for j, ms in table.tables.items():
-            if ms:
-                below = (np.array(list(ms))[None] <= degrees[:, None]).all(axis=2)
-                chi += (-1) ** j * (below @ np.array(list(ms.values())))
+        chi = alternating_sums(table.tables, degrees)
         bad = np.flatnonzero(chi != dims)
         if bad.size:
             k = bad[0]

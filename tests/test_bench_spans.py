@@ -61,7 +61,9 @@ def test_a_census_call_passes_through_every_tor_span(capsys):
 
 def test_hypertor_ranks_its_total_differentials_without_rref(capsys):
     # hypertor_dims ranks each grid point's total differentials by one sparse
-    # complex_ranks call: the exactla.rref spans it used to make are gone
+    # complex_ranks call: its only exactla.rref spans are its own, ranking the
+    # entry complexes of the one-critical circle (4 entry degrees, each with
+    # the boundary of its 1-cells into its 0-cells)
     from torpers import cli
 
     tracer = _tracing().Tracer()
@@ -77,8 +79,12 @@ def test_hypertor_ranks_its_total_differentials_without_rref(capsys):
     assert (names == tracer.name_id["exactla.complex_ranks"]).sum() > 0
     under = tracer.name_id["hypertor.hypertor_dims"]
     assert (names == under).sum() == 1
+    (span,) = np.flatnonzero(names == under)
+    inside = []
     for idx in np.flatnonzero(names == tracer.name_id.get("exactla.rref", -1)):
         up = parents[idx]
-        while up >= 0:
-            assert names[up] != under, "an rref span inside hypertor_dims"
+        while up >= 0 and up != span:
             up = parents[up]
+        if up == span:
+            inside.append(parents[idx])
+    assert inside == [span] * 4, "an rref span below hypertor_dims' own"

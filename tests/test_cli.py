@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -385,8 +386,10 @@ def test_a_bad_step_exits_two_naming_its_degree(
 def test_a_rank_one_too_low_exits_two(
     capsys, fixture_path, monkeypatch, stem, p, command
 ):
-    # complex_ranks reporting its largest rank one too low lifts hypertor
-    # above the E1 sums: a bug, not a page that fails to degenerate
+    # complex_ranks reporting its largest rank one too low is a bug, not a
+    # page that fails to degenerate: on the one-critical circle_fig hypertor
+    # disagrees with the cells entering at a degree, and on the others it
+    # rises above the E1 sums
     complex_ranks = torpers.exactla.complex_ranks
 
     def one_low(mats, p):
@@ -401,9 +404,11 @@ def test_a_rank_one_too_low_exits_two(
     assert rc == 2 and out == ""
     error = json.loads(err)
     assert error["error"] == "internal-check"
+    tail = "above the E1 sum"
+    if stem == "circle_fig":
+        tail = "the cells entering there give"
     assert re.fullmatch(
-        r"hypertor_\d+ at \(\d+, \d+\) is \d+, above the E1 sum \d+",
-        error["message"],
+        r"hypertor_\d+ at \(\d+, \d+\) is \d+, %s \d+" % tail, error["message"]
     )
 
 
@@ -614,6 +619,69 @@ def test_validate_reads_a_module_too_large_to_address(capsys, tmp_path):
         "one_at_a_time": True,
         "params": 40,
     }
+
+
+TWO_VERTICES_12 = "n 12\nsimplex a @ (%s)\nsimplex b @ (%s)\n" % (
+    ",".join(["0"] * 12),
+    ",".join(["1"] * 12),
+)
+KOSZUL_COMMANDS = {
+    name: argv
+    for name, argv in TOO_LARGE_TO_ADDRESS.items()
+    if name != "resolve-q0"
+}
+
+
+def _capped(*argv):
+    """(exit code, stdout, stderr) of `python -m torpers argv` in a child
+    process under a 3 GB address-space cap and a 120 s timeout."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "torpers"] + list(argv),
+        cwd=pathlib.Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", KOSZUL_COMMANDS.values(), ids=KOSZUL_COMMANDS.keys())
+def test_koszul_layouts_past_the_budget_exit_one(tmp_path, argv):
+    # vertices at 0 and (1,..,1) with n = 12: 3^12 scan points of 2^12 Koszul
+    # blocks each, refused before any layout is allocated
+    path = tmp_path / "two12.mfc"
+    path.write_text(TWO_VERTICES_12)
+    rc, out, err = _capped(*argv, "--input", str(path))
+    assert_validation_exit(rc, out, err)
+    assert json.loads(err)["message"] == (
+        "the Koszul layouts of a module over n = 12 parameters need %d block "
+        "entries, over the limit %d" % (3**12 * 2**12, 2**27)
+    )
+
+
+def test_resolve_and_validate_need_no_koszul_layout(tmp_path):
+    path = tmp_path / "two12.mfc"
+    path.write_text(TWO_VERTICES_12)
+    corners = "[%s]" % ",".join(["0"] * 12), "[%s]" % ",".join(["1"] * 12)
+    assert _capped("validate", "--input", str(path)) == (
+        0,
+        '{"bound":%s,"cells":2,"field":2,"input":"%s","ok":true,'
+        '"one_at_a_time":true,"params":12}\n' % (corners[1], path),
+        "",
+    )
+    assert _capped("resolve", "--q", "0", "--input", str(path)) == (
+        0,
+        '{"betti":[[0,[[%s,1],[%s,1]]]],"field":2,"input":"%s","length":0,'
+        '"rendered":{"F_0":"{(%s):1,(%s):1}"}}\n'
+        % (corners + (path,) + tuple(c[1:-1] for c in corners)),
+        "",
+    )
 
 
 MALFORMED_PRESENTATIONS = {

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 import randfix
 from test_critical_grid import _random_maps
 from test_exactla import _operands
+from test_mutation_table import _largest_rank_one_low
+from torpers import InternalCheckError
 from torpers import complexes as cxm
 from torpers import exactla as la
 from torpers import grading as gr
@@ -189,3 +191,18 @@ def test_hypertor_matches_the_dense_route_on_rips_complexes():
             cx = cxm.parse_mfc(inputs.ring_rips(3 * seed + k)[0])
             data = md.ChainData(cx, 3)
             assert ht.hypertor_dims(data) == _dense_hypertor(data), (seed, k)
+
+
+def test_a_wrong_rank_on_the_rips_complexes_is_caught(monkeypatch):
+    # every Rips cell enters once, so the entry complexes catch the largest
+    # rank reported one too low on each complex of the seed-1 rips workload
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    monkeypatch.setattr(la, "complex_ranks", _largest_rank_one_low(la.complex_ranks))
+    for k in range(3):
+        data = md.ChainData(cxm.parse_mfc(inputs.ring_rips(3 + k)[0]), 3)
+        with pytest.raises(InternalCheckError, match="the cells entering there"):
+            ht.hypertor_dims(data)

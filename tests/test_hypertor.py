@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import randfix
+from test_mutation_table import _largest_rank_one_low
 from torpers import InternalCheckError, ValidationError
 from torpers import complexes as cxm
 from torpers import exactla as la
@@ -191,21 +192,77 @@ def test_t_complex_cross_checks_the_e1_page(oneatatime, monkeypatch, i, j):
         ht.build_t_complex(md.ChainData(oneatatime, 2))
 
 
-def test_hypertor_above_the_e1_sum_is_a_bug(circle, monkeypatch):
+def test_hypertor_above_the_e1_sum_is_a_bug(sphere, monkeypatch):
     # E-infinity is a subquotient of E1: a rank reported one too low raises
-    # hypertor above the E1 sum, and e1_page names ell and the degree
-    ranks = la.complex_ranks
-
-    def one_low(mats, p):
-        out = ranks(mats, p)
-        if max(out, default=0):
-            out[out.index(max(out))] -= 1
-        return out
-
-    monkeypatch.setattr(la, "complex_ranks", one_low)
+    # hypertor above the E1 sum, and e1_page names ell and the degree.  The
+    # sphere is multi-critical, so hypertor_dims has no entry complexes to
+    # catch it first
+    monkeypatch.setattr(la, "complex_ranks", _largest_rank_one_low(la.complex_ranks))
     want = "hypertor_0 at (0, 1) is 1, above the E1 sum 0"
     with pytest.raises(InternalCheckError, match=re.escape(want)):
-        ht.e1_page(md.ChainData(circle, 5))
+        ht.e1_page(md.ChainData(sphere, 2))
+
+
+def test_a_wrong_rank_disagrees_with_the_entry_complexes(circle, monkeypatch):
+    # every cell of circle_fig enters once: hyper_ell(v) is H_ell of the cells
+    # entering at v, ranked without la.complex_ranks
+    monkeypatch.setattr(la, "complex_ranks", _largest_rank_one_low(la.complex_ranks))
+    want = "hypertor_0 at (0, 1) is 1, the cells entering there give 0"
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        ht.hypertor_dims(md.ChainData(circle, 5))
+
+
+@pytest.mark.parametrize(
+    "stem, want",
+    [
+        # checked before the entry complexes, which would name hypertor_0
+        ("circle_fig", "the cells present at (0, 0) give 3, but the alternating "
+         "sum of hyper_ell at or below it is 4"),
+        ("sphere", "the cells present at (0, 0) give 0, but the alternating sum "
+         "of hyper_ell at or below it is 1"),
+    ],
+)
+def test_the_euler_identity_catches_one_moved_dimension(
+    fixture_path, monkeypatch, stem, want
+):
+    # a rank of -1 for D_0, at the first grid point only, raises hyper_0
+    # there and moves no other dimension: every alternating sum above it is
+    # one too high
+    ranks, calls = la.complex_ranks, []
+
+    def moved(mats, p):
+        out = ranks(mats, p)
+        calls.append(1)
+        if len(calls) == 1:
+            out[0] -= 1
+        return out
+
+    monkeypatch.setattr(la, "complex_ranks", moved)
+    data = md.ChainData(cxm.load_mfc(fixture_path / (stem + ".mfc")), 5)
+    with pytest.raises(InternalCheckError, match="^hypertor: " + re.escape(want)):
+        ht.hypertor_dims(data)
+
+
+def test_entry_complexes_match_hypertor_on_one_critical_complexes(
+    circle, sphere, oneatatime
+):
+    # the second route for hypertor against the total complex, on the seeded
+    # random suite; multi-critical complexes have no entry complexes
+    one_critical = 0
+    for seed in range(20):
+        for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+            data = md.ChainData(cx, 3)
+            entry = ht._entry_dims(data)
+            if entry is None:
+                assert any(len(c.degrees) > 1 for c in cx.cells.values())
+                continue
+            one_critical += 1
+            got = {ell: gr.at_degrees(data.coords, ms) for ell, ms in entry.items()}
+            assert got == ht.hypertor_dims(data), seed
+    assert one_critical == 28
+    assert ht._entry_dims(md.ChainData(circle, 5)) is not None
+    assert ht._entry_dims(md.ChainData(sphere, 2)) is None
+    assert ht._entry_dims(md.ChainData(oneatatime, 3)) is None
 
 
 def test_a_nonzero_d1_with_equal_sums_is_a_bug(sphere, monkeypatch):
@@ -329,6 +386,12 @@ def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
         ht.hypertor_dims(data)
 
 
+SECOND_ROUTES = (
+    r"hypertor: the cells present at .*, but the alternating sum"
+    r"|hypertor_\d+ at .* is \d+, the cells entering there give \d+$"
+)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
     # one entry of one total differential of a seeded complex moved by one:
@@ -353,7 +416,7 @@ def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
             m[r, c] = (m[r, c] + 1) % p
         return m
 
-    want = None
+    clean, want = ht.hypertor_dims(data), None
     for w in gr.grid(data.bound):
         deltas = [tampered(data, w, e) for e in range(top + 2)]
         pairs = zip(deltas, deltas[1:])
@@ -365,7 +428,11 @@ def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
             break
     monkeypatch.setattr(ht, "_total_delta", tampered)
     if want is None:  # the change kept every total complex a complex
-        ht.hypertor_dims(data)
+        # so the answer stands, or a second route refuses the changed ranks
+        try:
+            assert ht.hypertor_dims(data) == clean
+        except InternalCheckError as e:
+            assert re.match(SECOND_ROUTES, str(e)), str(e)
     else:
         with pytest.raises(InternalCheckError, match=re.escape(want)):
             ht.hypertor_dims(data)

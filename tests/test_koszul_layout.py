@@ -11,6 +11,7 @@ on random free modules and cokernels with up to five parameters.
 
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -155,3 +156,25 @@ def test_tor_in_the_outer_layer_fires_and_names_the_degree(fixture_path, monkeyp
     want = "Tor_0 nonzero at %s outside the stabilized grid" % (degree,)
     with pytest.raises(InternalCheckError, match=re.escape(want)):
         tor.koszul_tor(M, range(M.n + 1))
+
+
+def test_the_layout_budget_counts_the_scan_box_and_the_widened_grid(
+    fixture_path, monkeypatch
+):
+    # K_j(v) has C(n, j) blocks at each of the prod(bound_a + 2) scan points:
+    # prod(bound_a + 2) * 2^n block entries for all j together
+    data = md.ChainData(load_mfc(fixture_path / "circle_fig.mfc"), 5)
+    bound = md.homology_module(data, 1).bound
+    count = math.prod(b + 2 for b in bound) * 2**2
+    monkeypatch.setattr(tor, "LAYOUT_LIMIT", count)
+    tor.xi(md.homology_module(data, 1))  # at the limit: resolved
+    widened = math.prod(b + 4 for b in bound) * 2**2
+    with pytest.raises(MemoryError) as caught:
+        tor.xi(md.homology_module(data, 1), widen=2)
+    assert str(caught.value) == (
+        "the Koszul layouts of a module over n = 2 parameters need %d block "
+        "entries, over the limit %d" % (widened, count)
+    )
+    monkeypatch.setattr(tor, "LAYOUT_LIMIT", count - 1)
+    with pytest.raises(MemoryError, match="need %d block entries" % count):
+        tor.koszul_tor(md.homology_module(data, 1), 0)

@@ -177,6 +177,49 @@ def test_orbit_partition_acts_once_per_distinct_subspace(monkeypatch):
     assert len(calls) == 3 * 6 * 4
 
 
+def test_orbit_partition_encodes_only_used_subspaces_images_and_representatives(
+    monkeypatch,
+):
+    fams = ob.enumerate_families(XI0_FOUR_LINES, XI1_FOUR_LINES, 5)
+    calls = []
+    encode = ob._encode_space
+
+    def counting(space):
+        calls.append(space.shape)
+        return encode(space)
+
+    monkeypatch.setattr(ob, "_encode_space", counting)
+    orbits = ob.orbit_partition(fams, XI0_FOUR_LINES, 5)
+    # the 6 lines at each of the 4 degrees, their images under the 3
+    # generators, and each of the 17 representatives once per degree
+    assert len(orbits) == 17
+    assert len(calls) == 6 * 4 + 3 * 6 * 4 + 17 * 4
+
+
+@pytest.mark.parametrize("xi0, xi1, q", PARTITION_SHAPES)
+def test_family_positions_index_the_subspaces_at_each_degree(xi0, xi1, q):
+    fams = ob.enumerate_families(xi0, xi1, q)
+    births = [(g,) for g in gr.multiset_to_list(xi0)]
+    candidates = {
+        v: list(ob.subspaces(len(gr.present(births, v)), gr.staircase_count(xi1, v), q))
+        for v in sorted(xi1)
+    }
+    shared = {}  # (degree, position) -> the first family's array there
+    for fam in fams:
+        assert len(fam.positions) == len(fam.degrees)
+        for v, c in zip(fam.degrees, fam.positions):
+            assert (candidates[v][c] == fam.spaces[v]).all()
+            assert shared.setdefault((v, c), fam.spaces[v]) is fam.spaces[v]
+
+
+def test_orbit_partition_refuses_a_family_without_positions():
+    fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
+    by_hand = ob.RelationFamily(XI0_LINE, XI1_LINE, 3, fams[0].spaces)
+    assert by_hand.positions is None
+    with pytest.raises(ValueError, match="positions"):
+        ob.orbit_partition(fams[1:] + [by_hand], XI0_LINE, 3)
+
+
 def test_orbit_partition_refuses_a_duplicate_family():
     fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
     with pytest.raises(ValidationError, match="duplicate"):
