@@ -25,14 +25,14 @@ nonzero in the pivot column and the columns from the pivot on.  Both give
 the same (r, rank, pivots).  row_space and kernel_basis answer a matrix
 with no rows or no columns without calling rref.
 
-Ranks alone go another way: complex_ranks ranks the differentials of a
-chain complex by sparse column reduction ({row: coefficient} columns, each
-pivot at its lowest nonzero row) with clearing (Chen, Kerber, "Persistent
-homology computation with a twist", 2011), and rank is its one-matrix case.
-Clearing requires D_l @ D_{l+1} = 0, which complex_ranks checks first.  The
-boundary matrices ranked are mostly zero, and a rank needs no canonical
-form; every routine that returns rows stays on the dense elimination, whose
-unique RREF is the identity test downstream.
+Ranks alone go another way: complex_ranks ranks the differentials of a chain
+complex, given as {row: coefficient} columns (columns converts a matrix), by
+sparse column reduction with clearing (Chen, Kerber, "Persistent homology
+computation with a twist", 2011), and rank is its one-matrix case.  Clearing
+requires D_l @ D_{l+1} = 0, which complex_ranks checks first.  The boundary
+matrices ranked are mostly zero, and a rank needs no canonical form; every
+routine that returns rows stays on the dense elimination, whose unique RREF
+is the identity test downstream.
 
 stacked_rank ranks a whole (B, r, c) stack of equal-shape matrices at once,
 one vectorized step per column over every matrix of the stack.  It is
@@ -216,8 +216,19 @@ def _rref_vectorized(m, p):
     return m, row, pivots
 
 
+def columns(a, p):
+    """The columns of a matrix as {row: coefficient} dicts, entries taken mod p
+    and zeros dropped; a 1-d input is one row."""
+    t = as_matrix(a).T % p
+    cols = [{} for _ in t]
+    jj, ii = t.nonzero()
+    for j, i, x in zip(jj.tolist(), ii.tolist(), t[jj, ii].tolist()):
+        cols[j][i] = x
+    return cols
+
+
 def rank(a, p):
-    return complex_ranks([a], p)[0]
+    return complex_ranks([columns(a, p)], p)[0]
 
 
 class NotAComplex(ValueError):
@@ -228,28 +239,20 @@ class NotAComplex(ValueError):
         self.ell, self.column = ell, column
 
 
-def complex_ranks(mats, p):
+def complex_ranks(cols, p):
     """The ranks of the differentials D_0, ..., D_L of a chain complex over GF(p).
 
-    mats[l] is D_l, a (dim C_{l-1}, dim C_l) matrix; its entries are taken
-    mod p and it is not written, and each is read once into columns.  Every
-    column j of D_{l+1} is pushed through D_l first, l and then j ascending,
-    and the first nonzero image raises NotAComplex(l, j) before anything is
-    reduced: clearing is sound on a complex only.  Then the columns of each
-    D_l are reduced left to right, D_L first, and D_l skips every column j
-    that is the pivot row of a reduced column z = D_{l+1} x: D_l z = 0 and z
-    is zero below row j, so column j of D_l lies in the span of the columns
-    left of it and would reduce to zero.  A single matrix (rank) has nothing
-    to check and nothing to clear.
+    cols[l] is D_l as {row: coefficient} columns with entries in [0, p)
+    (columns makes them from a matrix), and it is not written.  Every column j
+    of D_{l+1} is pushed through D_l first, l and then j ascending, and the
+    first nonzero image raises NotAComplex(l, j) before anything is reduced:
+    clearing is sound on a complex only.  Then copies of the columns of each
+    D_l are reduced left to right, D_L first, and D_l skips every column j that
+    is the pivot row of a reduced column z = D_{l+1} x: D_l z = 0 and z is zero
+    below row j, so column j of D_l lies in the span of the columns left of it
+    and would reduce to zero.  A single matrix (rank) has nothing to check and
+    nothing to clear.
     """
-    cols = []  # per D_l, its columns as {row: coefficient} dicts, none if empty
-    for m in map(as_matrix, mats):
-        cols.append([{} for _ in range(m.shape[1] if m.size else 0)])
-        if m.size:
-            t = m.T % p
-            jj, ii = t.nonzero()
-            for j, i, x in zip(jj.tolist(), ii.tolist(), t[jj, ii].tolist()):
-                cols[-1][j][i] = x
     for ell, here in enumerate(cols[:-1]):
         if not any(here):  # D_l is zero
             continue
@@ -258,14 +261,13 @@ def complex_ranks(mats, p):
             for i, x in col.items():
                 for r, y in here[i].items():
                     image[r] = image.get(r, 0) + x * y
-            for s in image.values():
-                if s % p:
-                    raise NotAComplex(ell, j)
-    ranks = [0] * len(mats)
+            if any(s % p for s in image.values()):
+                raise NotAComplex(ell, j)
+    ranks = [0] * len(cols)
     cleared = {}
-    for ell in reversed(range(len(mats))):
+    for ell in reversed(range(len(cols))):
         pivots = {}  # lowest row -> the reduced column that has it
-        for j, col in enumerate(cols[ell]):
+        for j, col in enumerate(map(dict, cols[ell])):  # copies, reduced in place
             if j in cleared:
                 continue
             while col:

@@ -12,11 +12,11 @@ the lifts.  E1 is assembled one cell at a time: C_i is the direct sum of the
 up-set modules k[U_c] of its cells, and the Tor of k[U_c] depends only on
 the order pattern of c's entry antichain, so each pattern is resolved once,
 by both Tor routes, and its cycles are placed unreduced at the cell's slots
-in C_i (C_i's Koszul complex is the direct sum of its cells').  Every
-differential here (D, d1 and the stages of the zig-zag) is built from the
-two directions of the one double complex: tor.koszul_delta vertically and
-_horizontal, the cellular boundary laid over the Koszul blocks; d1 and d2
-read their images in Tor classes through tor.class_coords.
+in C_i (C_i's Koszul complex is the direct sum of its cells').  D is read
+off the cells (_total_columns); d1 and the zig-zag, which multiply and
+solve, are built from tor.koszul_delta vertically and _horizontal, the
+cellular boundary laid over the Koszul blocks, and read their images in Tor
+classes through tor.class_coords.
 
 When the E1 verdict holds, the graded Tor classes of all chain modules
 assemble into the finite complex T_• (grading dropped): cell copies, one per
@@ -29,6 +29,8 @@ grading); the reported degrees are mapped back with gr.to_degree.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -53,45 +55,38 @@ def _horizontal(data, i, v, j):
     return m
 
 
-def _total_delta(data, v, ell):
-    """The total differential at degree v from index ell to ell-1.
+def _total_columns(data, v, faces):
+    """The total differentials D_0, ..., D_{top+n+1} at index point v, as columns.
 
-    The piece of C_i at index ell is K_{ell-i}(C_i)(v), placed after the
-    pieces of the lower chain dimensions.  D maps it by the horizontal
-    boundary into the piece of C_{i-1} and by (-1)^i times
-    tor.koszul_delta into the piece of C_i.
+    The basis at index ell is every (i, S, c) with |S| = ell - i and c an i-cell
+    present at v - e_S: pieces by ascending i, then S in combinations order,
+    then the cells in present(i) order.  (i, S, c) maps to the faces of c at S
+    (faces[i][c], a column of data.matrix(i)), and with sign (-1)^(i+k) to c at
+    S minus its k-th axis: the steps of a chain module are inclusions.
     """
-    p = data.p
-
-    def pieces(e):
-        offsets, total = {}, 0
-        for i in range(max(0, e - data.n), min(data.top, e) + 1):
-            offsets[i] = total
-            total += tor.koszul_dim(data.module(i), v, e - i)
-        return offsets, total
-
-    src, ncols = pieces(ell)
-    tgt, nrows = pieces(ell - 1)
-    m = la.zeros(nrows, ncols)
-    for i, c0 in src.items():
-        if i - 1 in tgt:
-            block = _horizontal(data, i, v, ell - i)
-            r0 = tgt[i - 1]
-            m[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-        if i in tgt:
-            block = tor.koszul_delta(data.module(i), v, ell - i)
-            if i % 2:
-                block = (p - block) % p
-            r0 = tgt[i]
-            m[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
-    return m
+    n, alt = data.n, [1, data.p - 1] * (data.n + 1)  # alt[k] = (-1)^k mod p
+    cols = [[] for _ in range(data.top + n + 2)]
+    rows = {}  # (i, S) -> {cell: its row in the basis at index i + |S|}
+    for i in range(data.top + 1):
+        for j in range(n + 1):
+            for S in itertools.combinations(range(n), j):
+                cells = data.present(i).get(gr.minus_e(v, S), ())
+                rows[i, S] = dict(zip(cells, itertools.count(len(cols[i + j]))))
+                down = rows.get((i - 1, S))
+                sides = [rows[i, S[:k] + S[k + 1 :]] for k in range(j)]
+                for c in cells:
+                    col = {down[f]: x for f, x in faces[i][c].items()} if i else {}
+                    for side, sign in zip(sides, alt[i % 2 :]):
+                        col[side[c]] = sign
+                    cols[i + j].append(col)
+    return cols
 
 
 def hypertor_dims(data):
     """Graded dimensions of the hypertor modules of a ChainData's complex.
 
     Returns {ell: multiset} with ell up to n + dim X.  At each degree v the
-    total differentials are built and ranked, all at once, by
+    total differentials are read off the cells and ranked, all at once, by
     la.complex_ranks, which first checks D∘D = 0 at every index; a failure
     raises InternalCheckError naming the degree and the first failing index.
 
@@ -104,9 +99,11 @@ def hypertor_dims(data):
     """
     p = data.p
     top_ell = data.top + data.n
+    tor._layout(data.module(0), 0)  # D is as large as the layouts: refused with them
+    faces = [None] + [la.columns(data.matrix(i), p) for i in range(1, data.top + 1)]
     tables = {ell: {} for ell in range(top_ell + 1)}
     for v in gr.grid(data.bound):
-        deltas = [_total_delta(data, v, ell) for ell in range(top_ell + 2)]
+        deltas = _total_columns(data, v, faces)
         try:
             ranks = la.complex_ranks(deltas, p)
         except la.NotAComplex as e:
@@ -115,7 +112,7 @@ def hypertor_dims(data):
                 % (gr.to_degree(data.coords, v), e.ell)
             ) from None
         for ell in range(top_ell + 1):
-            dim = deltas[ell].shape[1] - ranks[ell] - ranks[ell + 1]
+            dim = len(deltas[ell]) - ranks[ell] - ranks[ell + 1]
             if dim:
                 tables[ell][v] = dim
     out = {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
@@ -488,8 +485,9 @@ class TComplex:
         self.canonical = canonical  # set of labels hit by the embedding
         self.p = p
         top = len(labels)
+        cols = [la.columns(self.boundary(ell), p) for ell in range(top + 1)]
         try:
-            ranks = la.complex_ranks([self.boundary(ell) for ell in range(top + 1)], p)
+            ranks = la.complex_ranks(cols, p)
         except la.NotAComplex as e:
             raise InternalCheckError(
                 "%s boundary fails ∂∘∂=0 on basis element %r"

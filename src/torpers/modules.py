@@ -487,8 +487,8 @@ def total_betti(data):
     la.complex_ranks call, which checks ∂∘∂ = 0 first (as ChainData did).
     """
     top = data.top
-    mats = [data.matrix(i) for i in range(1, top + 1)]
-    ranks = [0] + la.complex_ranks(mats, data.p) + [0]
+    cols = [la.columns(data.matrix(i), data.p) for i in range(1, top + 1)]
+    ranks = [0] + la.complex_ranks(cols, data.p) + [0]
     return tuple(
         len(data.cx.cells_of_dim(i)) - ranks[i] - ranks[i + 1] for i in range(top + 1)
     )

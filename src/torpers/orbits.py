@@ -274,10 +274,11 @@ def apply_group_element(g, v, space):
 
 
 class Orbit:
-    def __init__(self, rep, members, size):
+    def __init__(self, rep, members, size, key):
         self.rep = rep
         self.members = members  # indices into the enumeration order
         self.size = size
+        self.key = key  # rep.encode(), read off the BFS's encodings
 
 
 def orbit_partition(families, xi0, q):
@@ -292,7 +293,8 @@ def orbit_partition(families, xi0, q):
     The tables must be bijections (a generator is invertible), every image
     must be a used subspace, and every image tuple an enumerated family;
     otherwise the action is broken and this raises.  Each orbit's
-    representative is the member with the lexicographically least encoding.
+    representative is the member with the lexicographically least encoding,
+    kept as its .key, and the orbits are sorted by it.
     """
     index = {fam.positions: i for i, fam in enumerate(families)}
     if None in index:
@@ -340,11 +342,10 @@ def orbit_partition(families, xi0, q):
                     members.add(nxt)
                     queue.append(nxt)
         seen |= members
-        rep = min(members, key=lambda t: tuple(e[c] for e, c in zip(codes, t)))
-        orbits.append(
-            Orbit(families[index[rep]], sorted(index[t] for t in members), len(members))
-        )
-    orbits.sort(key=lambda o: o.rep.encode())
+        key, rep = min((tuple(e[c] for e, c in zip(codes, t)), t) for t in members)
+        ks = sorted(index[t] for t in members)
+        orbits.append(Orbit(families[index[rep]], ks, len(members), key))
+    orbits.sort(key=lambda o: o.key)
     return orbits
 
 
@@ -558,9 +559,7 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
         injective = len({entries[k]["y_enc"] for k in ids}) == len(ids)
         group_rows.append((key, ids, injective))
 
-    phi_points = {
-        (orbits[k].rep.encode(), entries[k]["y_enc"]) for k in range(len(orbits))
-    }
+    phi_points = {(o.key, e["y_enc"]) for o, e in zip(orbits, entries)}
     if len(phi_points) != len(orbits):
         raise InternalCheckError(
             "two distinct orbits share one (representative, Y) point; the "

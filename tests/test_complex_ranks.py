@@ -1,16 +1,24 @@
 """Ranks of a chain complex by sparse column reduction with clearing.
 
-exactla.complex_ranks ranks the differentials of a complex at once and skips
-the columns its clearing proves dependent; exactla.rank is its one-matrix
-case.  These tests hold it against the dense route, the row count of
-row_space (one RREF per matrix): on random complexes built so that
-D_l @ D_{l+1} = 0, on the total differentials of the seeded random suite,
-and on hand edge cases.  On sequences that are not complexes it must raise
-NotAComplex at the first (l, j) that dense products D_l @ D_{l+1} find,
-before it reduces any column.  hypertor_dims, which ranks its total
-differentials this way, is held against the same dense route on the seeded
-suite and on the benchmark's Rips complexes.
+exactla.complex_ranks ranks the differentials of a complex, given as
+columns (exactla.columns of each matrix), at once and skips the columns its
+clearing proves dependent; exactla.rank is its one-matrix case.  These
+tests hold it against the dense route, the row count of row_space (one RREF
+per matrix): on random complexes built so that D_l @ D_{l+1} = 0, on the
+total differentials of the seeded random suite, and on hand edge cases.  On
+sequences that are not complexes it must raise NotAComplex at the first
+(l, j) that dense products D_l @ D_{l+1} find, before it reduces any column,
+and it never writes the columns it is given.
+
+total_delta is the dense reference for the total differentials that
+hypertor_dims reads off the cells as columns (hypertor._total_columns): it
+lays the cellular boundary and the Koszul differential of the chain modules
+out as blocks.  The builder must equal it entry for entry, and hypertor_dims
+is held against the dense route on the seeded suite and on the benchmark's
+Rips complexes.
 """
+
+import copy
 
 import pathlib
 import sys
@@ -30,8 +38,74 @@ from torpers import exactla as la
 from torpers import grading as gr
 from torpers import hypertor as ht
 from torpers import modules as md
+from torpers import tor
 
 FIELDS = (2, 3, 5, 7, 3037000493)
+
+
+def total_delta(data, v, ell):
+    """The total differential at index point v from index ell to ell-1, dense.
+
+    The piece of C_i at index ell is K_{ell-i}(C_i)(v), placed after the
+    pieces of the lower chain dimensions.  D maps it by the horizontal
+    boundary into the piece of C_{i-1} and by (-1)^i times
+    tor.koszul_delta into the piece of C_i.
+    """
+    p = data.p
+
+    def pieces(e):
+        offsets, total = {}, 0
+        for i in range(max(0, e - data.n), min(data.top, e) + 1):
+            offsets[i] = total
+            total += tor.koszul_dim(data.module(i), v, e - i)
+        return offsets, total
+
+    src, ncols = pieces(ell)
+    tgt, nrows = pieces(ell - 1)
+    m = la.zeros(nrows, ncols)
+    for i, c0 in src.items():
+        if i - 1 in tgt:
+            block = ht._horizontal(data, i, v, ell - i)
+            r0 = tgt[i - 1]
+            m[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+        if i in tgt:
+            block = tor.koszul_delta(data.module(i), v, ell - i)
+            if i % 2:
+                block = (p - block) % p
+            r0 = tgt[i]
+            m[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+    return m
+
+
+def total_columns(data, v):
+    """hypertor._total_columns at v, with the faces hypertor_dims passes it."""
+    faces = [None] + [la.columns(data.matrix(i), data.p) for i in range(1, data.top + 1)]
+    return ht._total_columns(data, v, faces)
+
+
+def dense(cols, ell):
+    """D_ell of a list of total differentials as columns, as a dense matrix."""
+    m = la.zeros(len(cols[ell - 1]) if ell else 0, len(cols[ell]))
+    for j, col in enumerate(cols[ell]):
+        for r, x in col.items():
+            m[r, j] = x
+    return m
+
+
+def moved(cols, ell, r, c, p):
+    """cols with entry (r, c) of D_ell moved up by one mod p; cols is not
+    written, and only the changed column is new."""
+    out = [list(d) for d in cols]
+    col = dict(out[ell][c])
+    x = (col.get(r, 0) + 1) % p
+    if x:
+        col[r] = x
+    else:
+        del col[r]
+    out[ell][c] = col
+    return out
+
+
 
 
 def _dense_ranks(mats, p):
@@ -74,7 +148,7 @@ def suite_differentials(draw):
     flavor = draw(st.sampled_from((randfix.random_complex, randfix.random_one_at_a_time)))
     data = md.ChainData(flavor(seed), p)
     v = draw(st.sampled_from(list(gr.grid(data.bound))))
-    return p, [ht._total_delta(data, v, ell) for ell in range(data.top + data.n + 2)]
+    return p, [total_delta(data, v, ell) for ell in range(data.top + data.n + 2)]
 
 
 @given(st.one_of(random_complexes(), suite_differentials()))
@@ -87,20 +161,40 @@ def test_complex_ranks_equal_the_dense_ranks(case):
     p, mats = case
     for a, b in zip(mats, mats[1:]):
         assert not la.matmul(a % p, b % p, p).any()
-    before = [m.copy() for m in mats]
+    cols = [la.columns(m, p) for m in mats]
+    before = copy.deepcopy(cols)
     want = _dense_ranks(mats, p)
-    assert la.complex_ranks(mats, p) == want
+    assert la.complex_ranks(cols, p) == want
     assert [la.rank(m, p) for m in mats] == want
-    assert all(m.shape == b.shape and (m == b).all() for m, b in zip(mats, before))
+    assert cols == before
+
+
+def _ranks(mats, p):
+    return la.complex_ranks([la.columns(m, p) for m in mats], p)
 
 
 def test_complex_ranks_edge_cases():
     assert la.complex_ranks([], 5) == []
-    assert la.complex_ranks([la.zeros(0, 0)], 5) == [0]
-    assert la.complex_ranks([la.eye(3)], 2) == [3]
-    assert la.complex_ranks([[[2, -4], [-1, 5]]], 3) == [1]
+    assert _ranks([la.zeros(0, 0)], 5) == [0]
+    assert _ranks([la.eye(3)], 2) == [3]
+    assert _ranks([[[2, -4], [-1, 5]]], 3) == [1]
     # a segment ab with its augmentation: column b of D_0 is cleared
-    assert la.complex_ranks([[[1, 1]], [[-1], [1]]], 3) == [1, 1]
+    assert _ranks([[[1, 1]], [[-1], [1]]], 3) == [1, 1]
+
+
+def test_columns_of_a_matrix():
+    assert la.columns(la.zeros(3, 0), 5) == []
+    assert la.columns(la.zeros(0, 2), 5) == [{}, {}]
+    assert la.columns(la.zeros(0, 0), 5) == []
+    assert la.columns([], 5) == []
+    # a 1-d input is one row
+    assert la.columns([0, 4, 7], 5) == [{}, {0: 4}, {0: 2}]
+    # entries are taken mod p and zeros dropped; rows ascend in each column
+    assert la.columns([[-1, 5], [6, -10], [0, 3]], 5) == [{0: 4, 1: 1}, {2: 3}]
+    p = 3037000493
+    got = la.columns([[p + 1, -1, -p], [2 * p, p - 1, 0]], p)
+    assert got == [{0: 1}, {0: p - 1, 1: p - 1}, {}]
+    assert all(type(x) is int for col in got for x in col.values())
 
 
 def _first_dd_failure(mats, p):
@@ -139,29 +233,61 @@ def _no_reduction(a, p):
 @example((5, [la.eye(2), la.eye(2), la.zeros(2, 0)]))
 def test_complex_ranks_refuses_a_non_complex_before_reducing(case):
     p, mats = case
-    before = [m.copy() for m in mats]
+    cols = [la.columns(m, p) for m in mats]
+    before = copy.deepcopy(cols)
     want = _first_dd_failure(mats, p)
     if want is None:  # the change kept it a complex
-        assert la.complex_ranks(mats, p) == _dense_ranks(mats, p)
+        assert la.complex_ranks(cols, p) == _dense_ranks(mats, p)
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(la, "inv_mod", _no_reduction)
         with pytest.raises(la.NotAComplex) as raised:
-            la.complex_ranks(mats, p)
+            la.complex_ranks(cols, p)
     assert isinstance(raised.value, ValueError)
     assert (raised.value.ell, raised.value.column) == want
-    assert all(m.shape == b.shape and (m == b).all() for m, b in zip(mats, before))
+    assert cols == before
 
 
-# -- hypertor_dims against ranks of its total differentials by dense RREF -----
+# -- the total differentials, and hypertor_dims against their dense ranks -----
+
+
+def _assert_builder_equals_the_reference(data, where):
+    for v in gr.grid(data.bound):
+        cols = total_columns(data, v)
+        assert len(cols) == data.top + data.n + 2, (where, v)
+        for ell, want in enumerate(total_delta(data, v, e) for e in range(len(cols))):
+            got = dense(cols, ell)
+            assert got.shape == want.shape and (got == want).all(), (where, v, ell)
+            assert all(x for col in cols[ell] for x in col.values()), (where, v, ell)
+
+
+def test_total_columns_equal_the_dense_reference_on_random_complexes():
+    for seed in range(24):
+        p = (2, 3, 5)[seed % 3]
+        for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+            for c in (cx, randfix.remap_complex(cx, _random_maps(cx, seed))):
+                _assert_builder_equals_the_reference(md.ChainData(c, p), seed)
+
+
+def test_total_columns_equal_the_dense_reference_on_rips_complexes():
+    # the benchmark's rips workload at seeds 1 and 43: ring_rips(3·seed + k)
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    for seed in (1, 43):
+        for k in range(3):
+            data = md.ChainData(cxm.parse_mfc(inputs.ring_rips(3 * seed + k)[0]), 3)
+            _assert_builder_equals_the_reference(data, (seed, k))
 
 
 def _dense_hypertor(data):
-    """hypertor_dims with each _total_delta ranked by row_space."""
+    """hypertor_dims with each total_delta ranked by row_space."""
     p, top_ell = data.p, data.top + data.n
     tables = {ell: {} for ell in range(top_ell + 1)}
     for v in gr.grid(data.bound):
-        deltas = [ht._total_delta(data, v, ell) for ell in range(top_ell + 2)]
+        deltas = [total_delta(data, v, ell) for ell in range(top_ell + 2)]
         ranks = _dense_ranks(deltas, p)
         for ell in range(top_ell + 1):
             dim = deltas[ell].shape[1] - ranks[ell] - ranks[ell + 1]

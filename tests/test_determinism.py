@@ -3,8 +3,9 @@
 Nothing in torpers draws random numbers: the census spot-checks its orbits by
 a fixed rule, and d2 checks every lift ambiguity in one chase.  Two
 processes with different string hash seeds run the benchmark's two census
-shapes, `recover` and `d2` on a fixture, and must print the same bytes;
-none of those calls may even load numpy.random.
+shapes, `recover` and `d2` on a fixture, and `hypertor` and `e1` on two
+more, and must print the same bytes; none of those calls may even load
+numpy.random.
 """
 
 import json
@@ -36,6 +37,12 @@ CENSUSES = [
 ]
 FIXTURE = ["--input", "fixtures/circle_oneatatime.mfc", "--field", "3"]
 CHAIN_CALLS = [["recover"] + FIXTURE, ["d2", "--q", "0"] + FIXTURE]
+# hypertor keys its total complex by tuples of axes and cells
+TOTAL_CALLS = [
+    [command, "--input", "fixtures/%s.mfc" % stem, "--field", field]
+    for stem, field in (("sphere", "2"), ("circle_fig", "5"))
+    for command in ("hypertor", "e1")
+]
 
 
 def _run(calls, hash_seed):
@@ -50,7 +57,7 @@ def _run(calls, hash_seed):
 
 
 def test_stdout_does_not_depend_on_the_hash_seed():
-    calls = CENSUSES + CHAIN_CALLS
+    calls = CENSUSES + CHAIN_CALLS + TOTAL_CALLS
     first, report = _run(calls, "0")
     second, _ = _run(calls, "12345")
     assert [rc for rc, _ in report["outs"]] == [0] * len(calls)

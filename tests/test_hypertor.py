@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import randfix
+from test_complex_ranks import moved, total_delta
 from test_mutation_table import _largest_rank_one_low
 from torpers import InternalCheckError, ValidationError
 from torpers import complexes as cxm
@@ -13,6 +14,7 @@ from torpers import exactla as la
 from torpers import grading as gr
 from torpers import hypertor as ht
 from torpers import modules as md
+from torpers import tor
 
 
 @pytest.fixture(scope="module", params=[2, 3, 5])
@@ -359,25 +361,24 @@ def test_recover_ranks_t_and_q_once_each(oneatatime, monkeypatch):
 def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
     # on the stretched circle index points and degrees differ: break D∘D at
     # the first (v, ell) where D_ell has a nonzero column r, by adding e_r
-    # to a column of D_{ell+1}
+    # to column 0 of D_ell+1 in the builder's columns; the dense reference
+    # finds (v, ell, r)
     cx = cxm.load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
     data = md.ChainData(cx, 5)
-    original = ht._total_delta
     v, ell = next(
         (v, ell)
         for v in gr.grid(data.bound)
         for ell in range(1, data.top + data.n + 1)
-        if original(data, v, ell).any() and original(data, v, ell + 1).size
+        if total_delta(data, v, ell).any() and total_delta(data, v, ell + 1).size
     )
-    r = int(np.nonzero(original(data, v, ell).any(axis=0))[0][0])
+    r = int(np.nonzero(total_delta(data, v, ell).any(axis=0))[0][0])
+    original = ht._total_columns
 
-    def tampered(d, w, e):
-        m = original(d, w, e)
-        if w == v and e == ell + 1:
-            m[r, 0] = (m[r, 0] + 1) % data.p
-        return m
+    def tampered(d, w, faces):
+        cols = original(d, w, faces)
+        return moved(cols, ell + 1, r, 0, data.p) if w == v else cols
 
-    monkeypatch.setattr(ht, "_total_delta", tampered)
+    monkeypatch.setattr(ht, "_total_columns", tampered)
     degree = gr.to_degree(data.coords, v)
     assert degree != v
     with pytest.raises(
@@ -394,31 +395,36 @@ SECOND_ROUTES = (
 
 @pytest.mark.parametrize("seed", range(12))
 def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
-    # one entry of one total differential of a seeded complex moved by one:
-    # hypertor_dims names the (degree, index) that dense products of every
-    # (D_ell, D_ell+1) pair, in grid then index order, find first
+    # one entry of one total differential of a seeded complex moved by one,
+    # in the builder's columns: hypertor_dims names the (degree, index) that
+    # dense products of every (D_ell, D_ell+1) pair of the reference, moved
+    # the same way, find first in grid then index order
     p = (2, 3, 5)[seed % 3]
     data = md.ChainData(randfix.random_complex(seed), p)
-    top, original = data.top + data.n, ht._total_delta
+    top, original = data.top + data.n, ht._total_columns
     spots = [
         (v, ell)
         for v in gr.grid(data.bound)
         for ell in range(top + 2)
-        if original(data, v, ell).size
+        if total_delta(data, v, ell).size
     ]
     rng = np.random.default_rng(seed)
     v, ell = spots[rng.integers(len(spots))]
-    r, c = (int(rng.integers(k)) for k in original(data, v, ell).shape)
+    r, c = (int(rng.integers(k)) for k in total_delta(data, v, ell).shape)
 
-    def tampered(d, w, e):
-        m = original(d, w, e)
+    def dense_tampered(w, e):
+        m = total_delta(data, w, e)
         if (w, e) == (v, ell):
             m[r, c] = (m[r, c] + 1) % p
         return m
 
+    def tampered(d, w, faces):
+        cols = original(d, w, faces)
+        return moved(cols, ell, r, c, p) if w == v else cols
+
     clean, want = ht.hypertor_dims(data), None
     for w in gr.grid(data.bound):
-        deltas = [tampered(data, w, e) for e in range(top + 2)]
+        deltas = [dense_tampered(w, e) for e in range(top + 2)]
         pairs = zip(deltas, deltas[1:])
         bad = [e for e, (a, b) in enumerate(pairs) if la.matmul(a, b, p).any()]
         if bad:
@@ -426,7 +432,7 @@ def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
                 gr.to_degree(data.coords, w), bad[0]
             )
             break
-    monkeypatch.setattr(ht, "_total_delta", tampered)
+    monkeypatch.setattr(ht, "_total_columns", tampered)
     if want is None:  # the change kept every total complex a complex
         # so the answer stands, or a second route refuses the changed ranks
         try:
@@ -436,6 +442,21 @@ def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
     else:
         with pytest.raises(InternalCheckError, match=re.escape(want)):
             ht.hypertor_dims(data)
+
+
+def test_hypertor_builds_no_dense_differential(circle, sphere, oneatatime, monkeypatch):
+    # hypertor_dims reads its total complex off the cells: no Koszul
+    # differential, horizontal block or Koszul dimension is built under it
+    cases = [(circle, 5), (sphere, 2), (oneatatime, 3)]
+    cases += [(randfix.random_one_at_a_time(seed), 3) for seed in range(4)]
+    want = [ht.hypertor_dims(md.ChainData(cx, p)) for cx, p in cases]
+
+    def refused(*args):
+        raise AssertionError("a dense differential was built under hypertor_dims")
+
+    for owner, name in ((tor, "koszul_delta"), (ht, "_horizontal"), (tor, "koszul_dim")):
+        monkeypatch.setattr(owner, name, refused)
+    assert [ht.hypertor_dims(md.ChainData(cx, p)) for cx, p in cases] == want
 
 
 @pytest.mark.parametrize("seed", range(8))

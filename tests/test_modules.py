@@ -384,23 +384,26 @@ def test_commutativity_is_asserted():
         md.PersistenceModule(2, (1, 1), dims, steps, 3)
 
 
-def test_a_boundary_that_is_not_natural_fails_dd_zero(circle):
+def test_a_boundary_that_is_not_natural_fails_dd_zero(circle, monkeypatch):
     # drop the boundary of the edge ab (column 0 of C_1) at (1, 1) only,
-    # where ab is present one step below too: the unit-step square of the
-    # boundary no longer commutes, and the term (-1)^i (∂δ - δ∂) of D∘D
+    # where ab is present one step below too: in the builder's columns at
+    # (1, 1), ab at S = () loses its face entries, the unit-step square of
+    # the boundary no longer commutes, and the term (-1)^i (∂δ - δ∂) of D∘D
     # catches it
     data = md.ChainData(circle, 5)
     assert data.present(1)[(0, 1)] == [0] and data.present(1)[(1, 1)][0] == 0
-    natural = data.boundary_at
+    natural = ht._total_columns
 
-    def dropped(i, v):
-        m = natural(i, v)
-        if (i, v) == (1, (1, 1)):
-            m = m.copy()
-            m[:, 0] = 0
-        return m
+    def dropped(d, v, faces):
+        cols = natural(d, v, faces)
+        if v == (1, 1):
+            # the 1-cells at S = () are the last piece of index 1, ab first
+            j = len(cols[1]) - len(d.present(1)[v])
+            assert cols[1][j] == faces[1][0]
+            cols[1][j] = {}
+        return cols
 
-    data.boundary_at = dropped
+    monkeypatch.setattr(ht, "_total_columns", dropped)
     with pytest.raises(InternalCheckError, match=r"D∘D=0 at \(1, 1\), index 1"):
         ht.hypertor_dims(data)
 

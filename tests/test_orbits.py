@@ -190,10 +190,30 @@ def test_orbit_partition_encodes_only_used_subspaces_images_and_representatives(
 
     monkeypatch.setattr(ob, "_encode_space", counting)
     orbits = ob.orbit_partition(fams, XI0_FOUR_LINES, 5)
-    # the 6 lines at each of the 4 degrees, their images under the 3
-    # generators, and each of the 17 representatives once per degree
+    # the 6 lines at each of the 4 degrees and their images under the 3
+    # generators; the representatives' encodings are read off those
     assert len(orbits) == 17
-    assert len(calls) == 6 * 4 + 3 * 6 * 4 + 17 * 4
+    assert len(calls) == 6 * 4 + 3 * 6 * 4
+    assert [o.key for o in orbits] == sorted(o.rep.encode() for o in orbits)
+
+
+@pytest.mark.parametrize(
+    "xi0, xi1, q, want",
+    [(XI0_FOUR_LINES, XI1_FOUR_LINES, 5, 96), (XI0_MIXED, XI1_MIXED, 3, 150)],
+)
+def test_classify_encodes_no_representative_again(monkeypatch, xi0, xi1, q, want):
+    # the orbit order and the separation check read each orbit's key, so a
+    # whole census encodes only what orbit_partition does
+    calls = []
+    encode = ob._encode_space
+
+    def counting(space):
+        calls.append(space.shape)
+        return encode(space)
+
+    monkeypatch.setattr(ob, "_encode_space", counting)
+    ob.classify(xi0, xi1, q)
+    assert len(calls) == want
 
 
 @pytest.mark.parametrize("xi0, xi1, q", PARTITION_SHAPES)
