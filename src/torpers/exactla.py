@@ -16,31 +16,23 @@ read the pivots and do not re-reduce).  A caller holding a raw spanning set
 calls row_space on it first.  The vectors reduce_mod_rows, coords_in and
 quotient_coords act on may be any rows.
 
-rref picks its pivot step by the input's entry count (rows·cols).  At or
-below 3072 entries (_LIST_ENTRIES) it eliminates on Python lists, where
-numpy's per-call overhead outweighs the arithmetic, and each pivot updates
-only the rows nonzero in its column, at the pivot row's nonzero entries;
-above that it makes one vectorized update per pivot, on the rows that are
-nonzero in the pivot column and the columns from the pivot on.  Both give
-the same (r, rank, pivots).  row_space and kernel_basis answer a matrix
-with no rows or no columns without calling rref.
+rref eliminates on Python lists at or below _LIST_ENTRIES entries
+(rows·cols), where numpy's per-call overhead outweighs the arithmetic, and
+with one vectorized update per pivot above; both give the same (r, rank,
+pivots).  row_space and kernel_basis answer a matrix with no rows or no
+columns without calling rref.
 
-Ranks alone go another way: complex_ranks ranks the differentials of a chain
-complex, given as {row: coefficient} columns (columns converts a matrix), by
-sparse column reduction with clearing (Chen, Kerber, "Persistent homology
-computation with a twist", 2011), and rank is its one-matrix case.  Clearing
-requires D_l @ D_{l+1} = 0, which complex_ranks checks first.  The boundary
-matrices ranked are mostly zero, and a rank needs no canonical form; every
+Ranks alone go another way, with no canonical form.  complex_ranks ranks the
+differentials of a chain complex, given as {row: coefficient} columns
+(columns converts a matrix), by sparse column reduction with clearing (Chen,
+Kerber, "Persistent homology computation with a twist", 2011), which
+requires D_l @ D_{l+1} = 0, checked first; rank is its one-matrix case.  Its
+prefix form ranks a complex filtered along a line at every step by one
+reduction (Edelsbrunner, Letscher, Zomorodian, "Topological persistence and
+simplification", 2002).  stacked_rank ranks a (B, r, c) stack of equal-shape
+matrices at once, fraction-free, one vectorized step per column.  Every
 routine that returns rows stays on the dense elimination, whose unique RREF
 is the identity test downstream.
-
-stacked_rank ranks a whole (B, r, c) stack of equal-shape matrices at once,
-one vectorized step per column over every matrix of the stack.  It is
-fraction-free: no row is scaled by an inverse, each row x becomes
-P[col]·x − x[col]·P for the pivot row P, and no intermediate exceeds
-(p−1)² in size, which fits in int64.  Like every routine here it leaves its
-input untouched.  It returns ranks only, no echelon form, pivots or basis,
-so a caller that needs canonical rows calls the stacked canonical forms.
 
 The stacked canonical forms (stacked_row_space, stacked_kernel_basis,
 stacked_complement_basis, stacked_unit_complement, stacked_reduce_mod_rows)
@@ -59,6 +51,8 @@ Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -232,49 +226,74 @@ def rank(a, p):
 
 
 class NotAComplex(ValueError):
-    """D_l @ D_{l+1} != 0 mod p: .ell is l, .column the first bad column of D_{l+1}."""
+    """D_l @ D_{l+1} != 0 mod p: .ell is l, .column the bad column of D_{l+1}."""
 
-    def __init__(self, ell, column):
+    def __init__(self, ell, column, step=0):
         super().__init__("D_%d @ D_%d is nonzero on column %d" % (ell, ell + 1, column))
-        self.ell, self.column = ell, column
+        self.ell, self.column, self.step = ell, column, step
 
 
-def complex_ranks(cols, p):
+def complex_ranks(cols, p, steps=None, length=1):
     """The ranks of the differentials D_0, ..., D_L of a chain complex over GF(p).
 
-    cols[l] is D_l as {row: coefficient} columns with entries in [0, p)
-    (columns makes them from a matrix), and it is not written.  Every column j
-    of D_{l+1} is pushed through D_l first, l and then j ascending, and the
-    first nonzero image raises NotAComplex(l, j) before anything is reduced:
-    clearing is sound on a complex only.  Then copies of the columns of each
-    D_l are reduced left to right, D_L first, and D_l skips every column j that
-    is the pivot row of a reduced column z = D_{l+1} x: D_l z = 0 and z is zero
-    below row j, so column j of D_l lies in the span of the columns left of it
-    and would reduce to zero.  A single matrix (rank) has nothing to check and
-    nothing to clear.
+    cols[l] is D_l as {row: coefficient} columns with entries in [0, p), not
+    written; each degree's basis has one order, as the columns of D_l and as
+    the rows of D_{l+1}.  Without steps the answer is the list of ranks.  The
+    prefix form ranks a complex filtered along a line of length steps: column
+    j of D_l enters at steps[l][j] (from length on, never), no earlier than
+    its rows, and the answer is, per l, the rank of D_l after each step.
+    Each degree is read in step order, stably, with the rows of D_{l+1}
+    renumbered to match: left-to-right reduction adds to a column only
+    columns left of it, so as many columns entered by t keep a pivot as
+    their rank (the prefix-rank lemma).
+
+    First every column j of D_{l+1} on the line is pushed through D_l: the
+    failure entering first, at the least l, then j, raises NotAComplex(l, j,
+    its step).  Clearing is sound on a complex only: D_l, reduced after
+    D_{l+1}, skips each column j that is the pivot row of a reduced column
+    z = D_{l+1} x, as D_l z = 0 puts it in the span of the columns left of
+    it, which enter no later.  rank, one matrix, checks and clears nothing.
     """
+    prefix = steps is not None
+    if not prefix:
+        steps = [[0] * len(c) for c in cols]
+    orders = [sorted(range(len(s)), key=s.__getitem__) for s in steps]
+    bad = None  # (step, l, j) of the failure entering first
     for ell, here in enumerate(cols[:-1]):
         if not any(here):  # D_l is zero
             continue
-        for j, col in enumerate(cols[ell + 1]):
+        up, at = cols[ell + 1], steps[ell + 1]
+        for j in orders[ell + 1]:
+            if at[j] >= (length if bad is None else bad[0]):
+                break
             image = {}
-            for i, x in col.items():
+            for i, x in up[j].items():
                 for r, y in here[i].items():
                     image[r] = image.get(r, 0) + x * y
             if any(s % p for s in image.values()):
-                raise NotAComplex(ell, j)
-    ranks = [0] * len(cols)
+                bad = (at[j], ell, j)
+                break
+    if bad:
+        raise NotAComplex(bad[1], bad[2], bad[0])
+    counts = [[0] * length for _ in cols]
     cleared = {}
     for ell in reversed(range(len(cols))):
+        below = orders[ell - 1] if prefix and ell else []  # D_l's rows in step order
+        rows = sorted(range(len(below)), key=below.__getitem__)  # each row's position
         pivots = {}  # lowest row -> the reduced column that has it
-        for j, col in enumerate(map(dict, cols[ell])):  # copies, reduced in place
-            if j in cleared:
+        for k, j in enumerate(orders[ell]):
+            if steps[ell][j] >= length:
+                break
+            if k in cleared:
                 continue
+            col = cols[ell][j]  # a copy, reduced in place
+            col = {rows[i]: x for i, x in col.items()} if rows else dict(col)
             while col:
                 low = max(col)
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = col
+                    counts[ell][steps[ell][j]] += 1
                     break
                 f = col[low] * inv_mod(other[low], p)
                 for i, y in other.items():
@@ -283,9 +302,10 @@ def complex_ranks(cols, p):
                         col[i] = x
                     else:
                         del col[i]
-        ranks[ell] = len(pivots)
         cleared = pivots
-    return ranks
+    if prefix:
+        return [list(itertools.accumulate(c)) for c in counts]
+    return [c[0] for c in counts]
 
 
 def stacked_rank(stack, p):

@@ -13,10 +13,10 @@ up-set modules k[U_c] of its cells, and the Tor of k[U_c] depends only on
 the order pattern of c's entry antichain, so each pattern is resolved once,
 by both Tor routes, and its cycles are placed unreduced at the cell's slots
 in C_i (C_i's Koszul complex is the direct sum of its cells').  D is read
-off the cells (_total_columns); d1 and the zig-zag, which multiply and
-solve, are built from tor.koszul_delta vertically and _horizontal, the
-cellular boundary laid over the Koszul blocks, and read their images in Tor
-classes through tor.class_coords.
+off the cells (_total_columns), one reduction per line of the grid; d1 and
+the zig-zag, which multiply and solve, are built from tor.koszul_delta
+vertically and _horizontal, the cellular boundary laid over the Koszul
+blocks, and read their images in Tor classes through tor.class_coords.
 
 When the E1 verdict holds, the graded Tor classes of all chain modules
 assemble into the finite complex T_• (grading dropped): cell copies, one per
@@ -56,22 +56,30 @@ def _horizontal(data, i, v, j):
 
 
 def _total_columns(data, v, faces):
-    """The total differentials D_0, ..., D_{top+n+1} at index point v, as columns.
+    """The total differentials D_0, ..., D_{top+n+1} at the top v of a line
+    of the last axis, as columns, and the step each basis element enters at.
 
     The basis at index ell is every (i, S, c) with |S| = ell - i and c an i-cell
     present at v - e_S: pieces by ascending i, then S in combinations order,
     then the cells in present(i) order.  (i, S, c) maps to the faces of c at S
     (faces[i][c], a column of data.matrix(i)), and with sign (-1)^(i+k) to c at
-    S minus its k-th axis: the steps of a chain module are inclusions.
+    S minus its k-th axis: the steps of a chain module are inclusions.  It
+    enters at the least t with c present at (head, t) - e_S, and its faces and
+    sides enter no later: the complex at a point of the line is this one
+    restricted to the elements entered there, in the same order.
     """
     n, alt = data.n, [1, data.p - 1] * (data.n + 1)  # alt[k] = (-1)^k mod p
     cols = [[] for _ in range(data.top + n + 2)]
+    steps = [[] for _ in cols]
     rows = {}  # (i, S) -> {cell: its row in the basis at index i + |S|}
     for i in range(data.top + 1):
         for j in range(n + 1):
             for S in itertools.combinations(range(n), j):
-                cells = data.present(i).get(gr.minus_e(v, S), ())
+                u = gr.minus_e(v, S)
+                cells = data.present(i).get(u, ())
                 rows[i, S] = dict(zip(cells, itertools.count(len(cols[i + j]))))
+                entry, shift = data.entry(i, u[:-1]), v[-1] - u[-1]
+                steps[i + j].extend(entry[c] + shift for c in cells)
                 down = rows.get((i - 1, S))
                 sides = [rows[i, S[:k] + S[k + 1 :]] for k in range(j)]
                 for c in cells:
@@ -79,16 +87,18 @@ def _total_columns(data, v, faces):
                     for side, sign in zip(sides, alt[i % 2 :]):
                         col[side[c]] = sign
                     cols[i + j].append(col)
-    return cols
+    return cols, steps
 
 
 def hypertor_dims(data):
     """Graded dimensions of the hypertor modules of a ChainData's complex.
 
-    Returns {ell: multiset} with ell up to n + dim X.  At each degree v the
-    total differentials are read off the cells and ranked, all at once, by
-    la.complex_ranks, which first checks D∘D = 0 at every index; a failure
-    raises InternalCheckError naming the degree and the first failing index.
+    Returns {ell: multiset} with ell up to n + dim X.  Along each line of the
+    last axis the total complex is a filtration, read off the cells at the
+    line's top and ranked at every point by one prefix la.complex_ranks
+    call.  It checks D∘D = 0 on the top, which holds every point's D, and a
+    failure raises InternalCheckError naming the first failing degree in
+    grid order and the least failing index there.
 
     Two second routes check the table, in this order.  The Euler identity,
     through the same tor.alternating_sums as xi: at every grid point v,
@@ -97,24 +107,24 @@ def hypertor_dims(data):
     hyper_ell(v) must equal what _entry_dims gives without la.complex_ranks.
     A failure raises InternalCheckError naming the degree (and ell).
     """
-    p = data.p
-    top_ell = data.top + data.n
+    p, length, top_ell = data.p, data.bound[-1] + 1, data.top + data.n
     tor._layout(data.module(0), 0)  # D is as large as the layouts: refused with them
     faces = [None] + [la.columns(data.matrix(i), p) for i in range(1, data.top + 1)]
     tables = {ell: {} for ell in range(top_ell + 1)}
-    for v in gr.grid(data.bound):
-        deltas = _total_columns(data, v, faces)
+    for head in gr.grid(data.bound[:-1]):
+        deltas, steps = _total_columns(data, head + (data.bound[-1],), faces)
         try:
-            ranks = la.complex_ranks(deltas, p)
+            ranks = np.array(la.complex_ranks(deltas, p, steps, length))
         except la.NotAComplex as e:
             raise InternalCheckError(
                 "total differential fails D∘D=0 at %s, index %d"
-                % (gr.to_degree(data.coords, v), e.ell)
+                % (gr.to_degree(data.coords, head + (e.step,)), e.ell)
             ) from None
         for ell in range(top_ell + 1):
-            dim = len(deltas[ell]) - ranks[ell] - ranks[ell + 1]
-            if dim:
-                tables[ell][v] = dim
+            entered = np.bincount(steps[ell], minlength=length).cumsum()
+            dims = entered - ranks[ell] - ranks[ell + 1]
+            for t in np.flatnonzero(dims).tolist():
+                tables[ell][head + (t,)] = dims.item(t)
     out = {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
     points = list(gr.grid(data.bound))
     degrees = np.array([gr.to_degree(data.coords, v) for v in points])

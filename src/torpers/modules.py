@@ -29,9 +29,9 @@ member axis.
 
 The chain side of a complex is one ChainData: its grid (the complex's
 critical grid), per chain dimension the positions of the cells present at
-each index point, and one boundary matrix per dimension, whose slices to
-those positions are the boundaries at every index point.  The homology
-modules here and hypertor, E1, d2 and T all read one ChainData.
+each index point, one boundary matrix per dimension, whose slices to those
+positions are the boundaries at every index point, and their ranks, one
+reduction per line.  Homology, hypertor, E1, d2 and T read one ChainData.
 """
 
 from __future__ import annotations
@@ -244,8 +244,9 @@ class ChainData:
     (i-1)-cells in cells_of_dim order; the boundary at v is that matrix
     sliced to the cells present at v.  The slices are natural because every
     face is present wherever its cell is: the complex refuses at parse time
-    a face that enters after its cell.  Outside 0..top no cell is present,
-    so the chain modules and boundaries there are zero.
+    a face that enters after its cell, so one reduction per line ranks
+    every boundary (ranks).  Outside 0..top no cell is present, so the chain
+    modules and boundaries there are zero.
     """
 
     def __init__(self, cx, p):
@@ -259,6 +260,8 @@ class ChainData:
         self._present = {}
         self._chains = {}
         self._matrices = {}
+        self._entries = {}
+        self._ranks = None
 
     def present(self, i):
         """Per index point v, the positions in cx.cells_of_dim(i) of the i-cells
@@ -281,6 +284,29 @@ class ChainData:
             ids = [[c.id for c in self.cx.cells_of_dim(k)] for k in (i, i - 1)]
             self._matrices[i] = _boundary_matrix(self.cx, ids[0], ids[1], self.p)
         return self._matrices[i]
+
+    def entry(self, i, head):
+        """Per i-cell, in cells_of_dim order, the least t with it present at
+        head + (t,) on the line at head, or the line's length if none."""
+        if (i, head) not in self._entries:
+            length, cells = self.bound[-1] + 1, self.present(i)
+            at = {c: t for t in range(length)[::-1] for c in cells.get(head + (t,), ())}
+            self._entries[i, head] = [at.get(c, length) for c in cells[self.bound]]
+        return self._entries[i, head]
+
+    def ranks(self, i):
+        """The rank of boundary_at(i, v) at every index point v, an array over
+        [0, bound].  On a line of the last axis each C_i is filtered by entry
+        steps, and one prefix la.complex_ranks call ranks all its boundaries."""
+        if self._ranks is None:
+            self._ranks = np.zeros((self.top + 2, *np.add(self.bound, 1)), np.int64)
+            dims, length = range(1, self.top + 1), self.bound[-1] + 1
+            faces = [la.columns(self.matrix(i), self.p) for i in dims]
+            for head in gr.grid(self.bound[:-1]):
+                steps = [self.entry(i, head) for i in dims]
+                found = la.complex_ranks(faces, self.p, steps, length)
+                self._ranks[(slice(1, -1),) + head] = np.reshape(found, (-1, length))
+        return self._ranks[i] if 0 <= i < len(self._ranks) else self._ranks[0]
 
     def boundary_at(self, i, v):
         """Matrix of the cellular boundary C_i(v) -> C_{i-1}(v): matrix(i)
@@ -353,16 +379,17 @@ def homology_module(data, q):
     later.  Neither C_q nor the cycles Z_q and B_q are built as modules: Z_q
     and B_q are closed under the inclusions of the q-cells because the
     boundaries are natural (see ChainData), and _quotients, on a stack of
-    one, checks that H is.  dim H_q(v) comes first from the ranks of the two
-    sliced boundaries (la.rank); the cycles and their complement are built
-    only where it is nonzero, and their class count must equal it.
+    one, checks that H is.  dim H_q(v) comes first from the two boundary
+    ranks ChainData keeps (one reduction per line); the dense cycles and their
+    complement are built only where it is nonzero, and their count must equal it.
     """
     p = data.p
     h_rows, b_rows = {}, {}
+    down_ranks, up_ranks = data.ranks(q), data.ranks(q + 1)
     for v in gr.grid(data.bound):
         down, up = data.boundary_at(q, v), data.boundary_at(q + 1, v)
         b = la.row_space(up.T, p)
-        dim = down.shape[1] - la.rank(down, p) - la.rank(up, p)
+        dim = down.shape[1] - down_ranks.item(v) - up_ranks.item(v)
         h = la.zeros(0, down.shape[1])
         if dim:
             try:

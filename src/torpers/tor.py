@@ -4,12 +4,12 @@ Route one is homological: tensor the Koszul complex on x_1..x_n with M and
 take homology per degree.  The block at v for the subset S of axes is
 M_{v-e_S}, and the differential drops one axis at a time with alternating
 signs.  Its dimensions come from ranks, dim Tor_j(v) = dim K_j(v) - rank
-Delta_j(v) - rank Delta_{j+1}(v): the differentials of the whole scan are
-grouped by shape and each group is ranked in one stacked elimination
-(la.stacked_rank).  RREF-canonical cycles, which hypertor reads, are
-computed only where Tor is nonzero, and their count must equal that
-dimension.  Route two is constructive: build a minimal free resolution level
-by level, each level its generator degrees and one scalar matrix, taking
+Delta_j(v) - rank Delta_{j+1}(v): one sparse la.complex_ranks call per
+point for a single module, one la.stacked_rank call per shape for a stack.
+RREF-canonical cycles, which hypertor reads, are computed only where Tor is
+nonzero, and their count must equal that dimension.  Route two is
+constructive: build a minimal free resolution level by level, each level
+its generator degrees and one scalar matrix, taking
 RREF-canonical generators of each kernel straight from its rows over all
 generators of F_j (_generators, the one generator routine for M and for
 every kernel).  Tor_j appears in route one as Koszul homology and in route
@@ -24,15 +24,16 @@ a PersistenceModule with .members, whose B members share one grid and one
 dims array and whose steps are (B, r, c) arrays, such as the cokernels of
 one orbit census with equal dimensions everywhere (md.present_cokernel).
 They return one result for a single module and one per member for a stack,
-and a single module runs the same code as a stack of one.  The stack shares
-one Koszul layout, each differential is built once as a (B, r, c) block,
-and each canonical form is one stacked exactla call (below la._STACK_DEPTH
-matrices that call runs the per-matrix routine on each).  Nothing assumes
-that members agree beyond their dims: where their Koszul ranks differ, each
-gets its own dimensions and cycles, and where their resolution generators
-differ, the stack splits by them and each part, a set of member positions,
-continues alone.  Every check runs for every member, and an error names the
-same stage and degree as for that module alone.
+and a single module runs the code of a stack of one but for its Koszul
+ranks.  The stack shares one Koszul layout, each differential is built once
+as a (B, r, c) block, and each canonical form is one stacked exactla call
+(below la._STACK_DEPTH matrices that call runs the per-matrix routine on
+each).  Nothing assumes that members agree beyond their dims: where their
+Koszul ranks differ, each gets its own dimensions and cycles, and where
+their resolution generators differ, the stack splits by them and each part,
+a set of member positions, continues alone.  Every check runs for every
+member, and an error names the same stage and degree as for that module
+alone.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -177,10 +178,11 @@ def koszul_tor(M, j):
 
     The dimensions come from ranks: dim Tor_j(v) = dim K_j(v) - rank
     Delta_j(v) - rank Delta_{j+1}(v).  Each nonzero Delta_i(v) is built once
-    for the whole stack (koszul_delta, a (B, r, c) block) and grouped with
-    those of the same shape; each group is ranked in one la.stacked_rank
-    call, and each group of (Delta_i, Delta_{i+1}) pairs of one shape pair
-    is asserted to square to zero in one stacked product.  The canonical
+    for the whole stack (koszul_delta, a (B, r, c) block).  A single
+    module's Koszul complex at each point is ranked and checked D∘D = 0 by
+    one la.complex_ranks call; a stack's differentials are ranked by one
+    la.stacked_rank call per shape, and their pairs checked by one stacked
+    product per shape pair: each kernel where it is faster.  The canonical
     cycles are computed only where Tor is nonzero, in one stacked kernel
     and complement per (j, v) over the members with Tor there, and each
     member's count must equal the dimension its ranks give.  Every check
@@ -203,19 +205,33 @@ def koszul_tor(M, j):
             delta = koszul_delta(M, v, i)
             deltas[(i, v)] = delta.reshape((nb,) + delta.shape[-2:])
     ranks = np.zeros((M.n + 2, nb) + totals[0].shape, dtype=np.int64)
-    for keys in _by_shape(deltas, lambda key: deltas[key].shape):
-        stack = np.concatenate([deltas[key] for key in keys])
-        i, v = zip(*keys)
-        found = la.stacked_rank(stack, p).reshape(len(keys), nb)
-        ranks[(list(i), slice(None)) + tuple(zip(*v))] = found
-    # D∘D = 0 for every (Delta_i(v), Delta_{i+1}(v)), one product per shape pair
-    pairs = {(i, v): (i + 1, v) for i, v in deltas if (i + 1, v) in deltas}
-    failures = []
-    for keys in _by_shape(pairs, lambda k: deltas[k].shape + deltas[pairs[k]].shape):
-        down = np.concatenate([deltas[key] for key in keys])
-        up = np.concatenate([deltas[pairs[key]] for key in keys])
-        nonzero = la.matmul(down, up, p).any(axis=(1, 2)).reshape(len(keys), nb)
-        failures.extend(keys[k][1] for k in np.flatnonzero(nonzero.any(axis=1)))
+    failures = []  # where D∘D = 0 fails
+    if M.members is None:
+        for v in sorted({v for _, v in deltas}):  # in grid order
+            lo, hi = needed[0], needed[-1] + 1
+            cols = [
+                la.columns(deltas[i, v][0], p) if (i, v) in deltas
+                else [{}] * totals[i].item(v)
+                for i in range(lo, hi)
+            ]
+            try:
+                ranks[(slice(lo, hi), 0) + v] = la.complex_ranks(cols, p)
+            except la.NotAComplex:
+                failures.append(v)
+                break
+    else:
+        for keys in _by_shape(deltas, lambda key: deltas[key].shape):
+            stack = np.concatenate([deltas[key] for key in keys])
+            i, v = zip(*keys)
+            found = la.stacked_rank(stack, p).reshape(len(keys), nb)
+            ranks[(list(i), slice(None)) + tuple(zip(*v))] = found
+        # D∘D = 0 for every (Delta_i(v), Delta_{i+1}(v)), one product per shape pair
+        pairs = {(i, v): (i + 1, v) for i, v in deltas if (i + 1, v) in deltas}
+        for ks in _by_shape(pairs, lambda k: deltas[k].shape + deltas[pairs[k]].shape):
+            down = np.concatenate([deltas[key] for key in ks])
+            up = np.concatenate([deltas[pairs[key]] for key in ks])
+            nonzero = la.matmul(down, up, p).any(axis=(1, 2)).reshape(len(ks), nb)
+            failures.extend(ks[k][1] for k in np.flatnonzero(nonzero.any(axis=1)))
     if failures:
         raise InternalCheckError(
             "Koszul differential fails to square to zero at %s"

@@ -60,10 +60,11 @@ def test_a_census_call_passes_through_every_tor_span(capsys):
 
 
 def test_hypertor_ranks_its_total_differentials_without_rref(capsys):
-    # hypertor_dims ranks each grid point's total differentials by one sparse
-    # complex_ranks call: its only exactla.rref spans are its own, ranking the
-    # entry complexes of the one-critical circle (4 entry degrees, each with
-    # the boundary of its 1-cells into its 0-cells)
+    # hypertor_dims ranks the total differentials of each line of the grid
+    # by one sparse prefix complex_ranks call, 3 on the circle's 3 × 2 grid:
+    # its only exactla.rref spans are its own, ranking the entry complexes of
+    # the one-critical circle (4 entry degrees, each with the boundary of its
+    # 1-cells into its 0-cells)
     from torpers import cli
 
     tracer = _tracing().Tracer()
@@ -76,10 +77,11 @@ def test_hypertor_ranks_its_total_differentials_without_rref(capsys):
     capsys.readouterr()
     a = tracer.arrays()
     names, parents = a["name"], a["parent"]
-    assert (names == tracer.name_id["exactla.complex_ranks"]).sum() > 0
     under = tracer.name_id["hypertor.hypertor_dims"]
     assert (names == under).sum() == 1
     (span,) = np.flatnonzero(names == under)
+    ranked = np.flatnonzero(names == tracer.name_id["exactla.complex_ranks"])
+    assert parents[ranked].tolist() == [span] * 3
     inside = []
     for idx in np.flatnonzero(names == tracer.name_id.get("exactla.rref", -1)):
         up = parents[idx]

@@ -8,14 +8,18 @@ per matrix): on random complexes built so that D_l @ D_{l+1} = 0, on the
 total differentials of the seeded random suite, and on hand edge cases.  On
 sequences that are not complexes it must raise NotAComplex at the first
 (l, j) that dense products D_l @ D_{l+1} find, before it reduces any column,
-and it never writes the columns it is given.
+and it never writes the columns it is given.  Its prefix form, a complex
+filtered along a line, must give at every step the dense ranks of what has
+entered by then, and name the failure entering first.
 
 total_delta is the dense reference for the total differentials that
-hypertor_dims reads off the cells as columns (hypertor._total_columns): it
-lays the cellular boundary and the Koszul differential of the chain modules
-out as blocks.  The builder must equal it entry for entry, and hypertor_dims
-is held against the dense route on the seeded suite and on the benchmark's
-Rips complexes.
+hypertor_dims reads off the cells as columns (hypertor._total_columns, at
+the top of each line of the grid): it lays the cellular boundary and the
+Koszul differential of the chain modules out as blocks.  The top restricted
+to a point must equal it there entry for entry, and hypertor_dims is held
+against the dense route and against ranking each point on its own, on the
+seeded suite, the benchmark's Rips complexes and the fixtures; ChainData's
+line ranks are held against the rank of each sliced boundary.
 """
 
 import copy
@@ -77,10 +81,28 @@ def total_delta(data, v, ell):
     return m
 
 
-def total_columns(data, v):
-    """hypertor._total_columns at v, with the faces hypertor_dims passes it."""
+def line_top(data, head):
+    """hypertor._total_columns at the top of the line at head, with the faces
+    hypertor_dims passes it: (columns, steps)."""
     faces = [None] + [la.columns(data.matrix(i), data.p) for i in range(1, data.top + 1)]
-    return ht._total_columns(data, v, faces)
+    return ht._total_columns(data, head + (data.bound[-1],), faces)
+
+
+def restrict(cols, steps, t):
+    """The columns of a filtered complex at step t: the elements entered by t,
+    in their order, with the rows renumbered and those not entered dropped."""
+    keep = [[k for k, s in enumerate(at) if s <= t] for at in steps]
+    out = []
+    for ell, ks in enumerate(keep):
+        rows = {k: r for r, k in enumerate(keep[ell - 1])} if ell else {}
+        out.append([{rows[r]: x for r, x in cols[ell][k].items() if r in rows} for k in ks])
+    return out
+
+
+def total_columns(data, v):
+    """The total differentials at index point v as columns: the top of v's
+    line restricted to the elements entered by v's last coordinate."""
+    return restrict(*line_top(data, v[:-1]), v[-1])
 
 
 def dense(cols, ell):
@@ -90,6 +112,22 @@ def dense(cols, ell):
         for r, x in col.items():
             m[r, j] = x
     return m
+
+
+def first_dd_failure(data, tops):
+    """The first (index point, ell), in grid then index order, where the
+    dense product D_ell @ D_ell+1 is nonzero, with the differentials at each
+    point the columns tops(head) of its line's top (columns, steps)
+    restricted to it; None on a complex."""
+    for head in gr.grid(data.bound[:-1]):
+        cols, steps = tops(head)
+        for t in range(data.bound[-1] + 1):
+            at = restrict(cols, steps, t)
+            mats = [dense(at, ell) for ell in range(len(at))]
+            for ell, (a, b) in enumerate(zip(mats, mats[1:])):
+                if la.matmul(a, b, data.p).any():
+                    return head + (t,), ell
+    return None
 
 
 def moved(cols, ell, r, c, p):
@@ -248,6 +286,113 @@ def test_complex_ranks_refuses_a_non_complex_before_reducing(case):
     assert cols == before
 
 
+# -- the prefix form: a filtered complex ranked along a line -----------------
+
+
+@st.composite
+def filtered_complexes(draw):
+    """(p, mats, steps, length): a complex of random_complexes whose elements
+    enter a line of length steps, in a random order with ties, each no
+    earlier than the rows of its column; some enter past the line."""
+    p, mats = draw(random_complexes())
+    length = draw(st.integers(1, 4))
+    steps = []
+    for ell, m in enumerate(mats):
+        least = [0] * m.shape[1]
+        if ell:
+            for j in range(m.shape[1]):
+                rows = np.flatnonzero(m[:, j] % p).tolist()
+                least[j] = max((steps[-1][r] for r in rows), default=0)
+        steps.append([x + draw(st.integers(0, 2)) for x in least])
+    return p, mats, steps, length
+
+
+def _restricted(mats, steps, t):
+    """Each D_l at step t, dense: its columns and rows entered by t (every
+    row of D_0)."""
+    out = []
+    for ell, m in enumerate(mats):
+        cols = [j for j, s in enumerate(steps[ell]) if s <= t]
+        rows = [r for r, s in enumerate(steps[ell - 1]) if s <= t] if ell else slice(None)
+        out.append(np.asarray(m)[rows][:, cols])
+    return out
+
+
+@given(filtered_complexes())
+@settings(max_examples=300)
+@example((2, [la.zeros(0, 2), la.eye(2), la.zeros(2, 0)], [[1, 0], [2, 1], []], 2))
+@example((3, [la.zeros(0, 0), la.zeros(0, 3)], [[], [0, 0, 5]], 3))
+@example((3037000493, [la.zeros(0, 2), np.array([[1], [-1]])], [[3, 0], [3]], 4))
+def test_prefix_ranks_equal_the_dense_prefix_ranks(case):
+    p, mats, steps, length = case
+    cols = [la.columns(m, p) for m in mats]
+    before = copy.deepcopy(cols), copy.deepcopy(steps)
+    got = la.complex_ranks(cols, p, steps, length)
+    assert len(got) == len(mats) and all(len(r) == length for r in got)
+    for t in range(length):
+        want = _dense_ranks(_restricted(mats, steps, t), p)
+        assert [r[t] for r in got] == want, t
+    assert (cols, steps) == before
+
+
+def _first_prefix_failure(mats, steps, length, p):
+    """(step, l, j): the first step t < length where some dense product
+    D_l @ D_{l+1} at t is nonzero, the least such l, and the first bad column
+    of D_{l+1} there, as a column of the whole D_{l+1}; None on a complex."""
+    for t in range(length):
+        at = _restricted(mats, steps, t)
+        for ell, (a, b) in enumerate(zip(at, at[1:])):
+            bad = np.flatnonzero(la.matmul(a % p, b % p, p).any(axis=0))
+            if bad.size:
+                entered = [j for j, s in enumerate(steps[ell + 1]) if s <= t]
+                return t, ell, entered[bad[0]]
+    return None
+
+
+@st.composite
+def corrupted_filtered_complexes(draw):
+    """A filtered complex with one entry of one column moved by a nonzero
+    amount mod p, at a row that enters no later than the column."""
+    p, mats, steps, length = draw(filtered_complexes())
+    mats = [np.array(m) for m in mats]
+    spots = [
+        (ell, r, c)
+        for ell in range(1, len(mats))
+        for c in range(mats[ell].shape[1])
+        for r in range(mats[ell].shape[0])
+        if steps[ell - 1][r] <= steps[ell][c]
+    ]
+    if spots:
+        ell, r, c = draw(st.sampled_from(spots))
+        mats[ell][r, c] += draw(st.integers(1, p - 1))
+    return p, mats, steps, length
+
+
+@given(corrupted_filtered_complexes())
+@settings(max_examples=300)
+# D_1 fails on both columns; the one entering first is named
+@example((3, [np.array([[1, 1]]), np.array([[1, 0], [0, 1]])], [[0, 0], [2, 1]], 3))
+# D_0 @ D_1 fails at step 1, D_1 @ D_2 already at step 0
+@example(
+    (5, [np.array([[0, 1]]), la.eye(2), np.array([[1], [0]])], [[0, 1], [0, 1], [0]], 2)
+)
+def test_prefix_form_names_the_failure_entering_first(case):
+    p, mats, steps, length = case
+    cols = [la.columns(m, p) for m in mats]
+    want = _first_prefix_failure(mats, steps, length, p)
+    if want is None:
+        got = la.complex_ranks(cols, p, steps, length)
+        for t in range(length):
+            assert [r[t] for r in got] == _dense_ranks(_restricted(mats, steps, t), p)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(la, "inv_mod", _no_reduction)
+        with pytest.raises(la.NotAComplex) as raised:
+            la.complex_ranks(cols, p, steps, length)
+    e = raised.value
+    assert (e.step, e.ell, e.column) == want
+
+
 # -- the total differentials, and hypertor_dims against their dense ranks -----
 
 
@@ -317,6 +462,93 @@ def test_hypertor_matches_the_dense_route_on_rips_complexes():
             cx = cxm.parse_mfc(inputs.ring_rips(3 * seed + k)[0])
             data = md.ChainData(cx, 3)
             assert ht.hypertor_dims(data) == _dense_hypertor(data), (seed, k)
+
+
+def _bench_inputs():
+    """The benchmark's input generators, bench/inputs.py."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return inputs
+
+
+def suite_data():
+    """(name, ChainData) over the seeded suite (seeds 0-23, both flavors, as
+    drawn and remapped), the benchmark's Rips complexes at seeds 1 and 43,
+    and the bundled fixtures as given and stretched."""
+    for seed in range(24):
+        p = (2, 3, 5)[seed % 3]
+        for flavor in (randfix.random_complex, randfix.random_one_at_a_time):
+            cx = flavor(seed)
+            yield (flavor.__name__, seed), md.ChainData(cx, p)
+            c = randfix.remap_complex(cx, _random_maps(cx, seed))
+            yield (flavor.__name__, seed, "remapped"), md.ChainData(c, p)
+    for seed in (1, 43):
+        for k in range(3):
+            cx = cxm.parse_mfc(_bench_inputs().ring_rips(3 * seed + k)[0])
+            yield ("ring", seed, k), md.ChainData(cx, 3)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for stem, p in (("circle_fig", 5), ("sphere", 2), ("circle_oneatatime", 3)):
+        for where in (root / "fixtures", root / "tests/golden/stretched"):
+            yield (where.name, stem), md.ChainData(cxm.load_mfc(where / (stem + ".mfc")), p)
+
+
+def test_chain_data_line_ranks_equal_the_sliced_boundary_ranks():
+    for name, data in suite_data():
+        for i in range(-1, data.top + 3):
+            ranks = data.ranks(i)
+            assert ranks.shape == tuple(b + 1 for b in data.bound), name
+            for v in gr.grid(data.bound):
+                assert ranks[v] == la.rank(data.boundary_at(i, v), data.p), (name, i, v)
+
+
+def per_point_hypertor(data):
+    """hypertor_dims' table ranked one grid point at a time, as before the
+    lines: each point's total differentials (its line's top restricted to
+    it) by their own complex_ranks call."""
+    p, top_ell = data.p, data.top + data.n
+    tables = {ell: {} for ell in range(top_ell + 1)}
+    for v in gr.grid(data.bound):
+        deltas = total_columns(data, v)
+        ranks = la.complex_ranks(deltas, p)
+        for ell in range(top_ell + 1):
+            dim = len(deltas[ell]) - ranks[ell] - ranks[ell + 1]
+            if dim:
+                tables[ell][v] = dim
+    return {ell: gr.at_degrees(data.coords, ms) for ell, ms in tables.items()}
+
+
+def test_hypertor_matches_the_per_point_loop():
+    # and each line's top is filtered: every entry's row enters no later
+    # than its column, so the top restricted to a point is that point's D
+    for name, data in suite_data():
+        assert ht.hypertor_dims(data) == per_point_hypertor(data), name
+        for head in gr.grid(data.bound[:-1]):
+            cols, steps = line_top(data, head)
+            for ell in range(1, len(cols)):
+                for col, s in zip(cols[ell], steps[ell]):
+                    assert all(steps[ell - 1][r] <= s for r in col), (name, head, ell)
+
+
+def test_hypertor_ranks_each_line_once(monkeypatch):
+    # one prefix complex_ranks call per line: 5 on each 5 × 5 grid of the
+    # seed-1 rips workload, where one call per point made 25
+    inputs = _bench_inputs()
+    complex_ranks, calls = la.complex_ranks, []
+
+    def recording(cols, p, steps=None, length=1):
+        calls.append(length)
+        return complex_ranks(cols, p, steps, length)
+
+    monkeypatch.setattr(la, "complex_ranks", recording)
+    for k in range(3):
+        data = md.ChainData(cxm.parse_mfc(inputs.ring_rips(3 + k)[0]), 3)
+        assert data.bound == (4, 4)
+        calls.clear()
+        ht.hypertor_dims(data)
+        assert calls == [5] * 5
 
 
 def test_a_wrong_rank_on_the_rips_complexes_is_caught(monkeypatch):

@@ -209,3 +209,25 @@ def test_a_lift_dependent_chase_names_the_degree(fixture_path, monkeypatch):
     degree = gr.to_degree(data.coords, seen[-1])
     assert degree != seen[-1]
     assert re.search(re.escape("at %s;" % (degree,)), str(e.value))
+
+
+def test_d2_ranks_each_boundary_once(monkeypatch, capsys):
+    # H_0 and H_1 read the ranks of ∂_1 from their one ChainData, which
+    # ranks every boundary at every point by one prefix complex_ranks call
+    # per line: 3 on circle_fig's 3 × 2 grid, where two la.rank calls per
+    # point of each homology module made 24.  The other calls are the Koszul
+    # ranks of the two modules and the blocks' ranks in the text
+    from torpers import cli
+
+    complex_ranks, lines = la.complex_ranks, []
+
+    def recording(cols, p, steps=None, length=1):
+        if steps is not None:
+            lines.append((len(cols), length))
+        return complex_ranks(cols, p, steps, length)
+
+    monkeypatch.setattr(la, "complex_ranks", recording)
+    argv = ["d2", "--q", "0", "--input", str(FIXTURES / "circle_fig.mfc")]
+    assert cli.main(argv + ["--field", "5"]) == 0
+    capsys.readouterr()
+    assert lines == [(1, 2)] * 3

@@ -3,9 +3,9 @@
 Nothing in torpers draws random numbers: the census spot-checks its orbits by
 a fixed rule, and d2 checks every lift ambiguity in one chase.  Two
 processes with different string hash seeds run the benchmark's two census
-shapes, `recover` and `d2` on a fixture, and `hypertor` and `e1` on two
-more, and must print the same bytes; none of those calls may even load
-numpy.random.
+shapes, `recover` and `d2` on a fixture, and `hypertor`, `e1` and `xi` in
+degrees 0 and 1 on two more, and must print the same bytes; none of those
+calls may even load numpy.random.
 """
 
 import json
@@ -37,11 +37,12 @@ CENSUSES = [
 ]
 FIXTURE = ["--input", "fixtures/circle_oneatatime.mfc", "--field", "3"]
 CHAIN_CALLS = [["recover"] + FIXTURE, ["d2", "--q", "0"] + FIXTURE]
-# hypertor keys its total complex by tuples of axes and cells
+# hypertor keys its total complex by tuples of axes and cells, and xi ranks
+# the boundaries one line at a time, each degree in the order of its steps
 TOTAL_CALLS = [
-    [command, "--input", "fixtures/%s.mfc" % stem, "--field", field]
+    command + ["--input", "fixtures/%s.mfc" % stem, "--field", field]
     for stem, field in (("sphere", "2"), ("circle_fig", "5"))
-    for command in ("hypertor", "e1")
+    for command in (["hypertor"], ["e1"], ["xi", "--q", "0"], ["xi", "--q", "1"])
 ]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import randfix
-from test_complex_ranks import moved, total_delta
+from test_complex_ranks import first_dd_failure, line_top, moved
 from test_mutation_table import _largest_rank_one_low
 from torpers import InternalCheckError, ValidationError
 from torpers import complexes as cxm
@@ -198,8 +198,15 @@ def test_hypertor_above_the_e1_sum_is_a_bug(sphere, monkeypatch):
     # E-infinity is a subquotient of E1: a rank reported one too low raises
     # hypertor above the E1 sum, and e1_page names ell and the degree.  The
     # sphere is multi-critical, so hypertor_dims has no entry complexes to
-    # catch it first
-    monkeypatch.setattr(la, "complex_ranks", _largest_rank_one_low(la.complex_ranks))
+    # catch it first.  Only the prefix calls, hypertor_dims' lines, are
+    # mutated: the Koszul ranks of the entry patterns, which E1 is made of,
+    # stay right
+    original, mutated = la.complex_ranks, _largest_rank_one_low(la.complex_ranks)
+
+    def lines_only(cols, p, steps=None, length=1):
+        return (original if steps is None else mutated)(cols, p, steps, length)
+
+    monkeypatch.setattr(la, "complex_ranks", lines_only)
     want = "hypertor_0 at (0, 1) is 1, above the E1 sum 0"
     with pytest.raises(InternalCheckError, match=re.escape(want)):
         ht.e1_page(md.ChainData(sphere, 2))
@@ -227,16 +234,16 @@ def test_a_wrong_rank_disagrees_with_the_entry_complexes(circle, monkeypatch):
 def test_the_euler_identity_catches_one_moved_dimension(
     fixture_path, monkeypatch, stem, want
 ):
-    # a rank of -1 for D_0, at the first grid point only, raises hyper_0
-    # there and moves no other dimension: every alternating sum above it is
-    # one too high
+    # a rank of -1 for D_0, at the first grid point only (the first step of
+    # the first line's prefix call), raises hyper_0 there and moves no other
+    # dimension: every alternating sum above it is one too high
     ranks, calls = la.complex_ranks, []
 
-    def moved(mats, p):
-        out = ranks(mats, p)
+    def moved(cols, p, steps, length):
+        out = ranks(cols, p, steps, length)
         calls.append(1)
         if len(calls) == 1:
-            out[0] -= 1
+            out[0][0] -= 1
         return out
 
     monkeypatch.setattr(la, "complex_ranks", moved)
@@ -360,24 +367,34 @@ def test_recover_ranks_t_and_q_once_each(oneatatime, monkeypatch):
 
 def test_dd_failure_names_the_degree(fixture_path, monkeypatch):
     # on the stretched circle index points and degrees differ: break D∘D at
-    # the first (v, ell) where D_ell has a nonzero column r, by adding e_r
-    # to column 0 of D_ell+1 in the builder's columns; the dense reference
-    # finds (v, ell, r)
+    # the first line and ell whose top has a nonzero column r of D_ell and a
+    # column c of D_ell+1 entering no earlier than r, by adding e_r to column
+    # c in the builder's columns; dense products of the tampered top,
+    # restricted to each point, name the same (degree, index)
     cx = cxm.load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
     data = md.ChainData(cx, 5)
-    v, ell = next(
-        (v, ell)
-        for v in gr.grid(data.bound)
+    head, ell, r, c = next(
+        (head, ell, r, c)
+        for head in gr.grid(data.bound[:-1])
+        for cols, steps in [line_top(data, head)]
         for ell in range(1, data.top + data.n + 1)
-        if total_delta(data, v, ell).any() and total_delta(data, v, ell + 1).size
+        for r in sorted(range(len(cols[ell])), key=steps[ell].__getitem__)
+        if cols[ell][r]
+        for c in range(len(cols[ell + 1]))
+        if steps[ell + 1][c] >= steps[ell][r]
     )
-    r = int(np.nonzero(total_delta(data, v, ell).any(axis=0))[0][0])
     original = ht._total_columns
 
     def tampered(d, w, faces):
-        cols = original(d, w, faces)
-        return moved(cols, ell + 1, r, 0, data.p) if w == v else cols
+        cols, steps = original(d, w, faces)
+        return (moved(cols, ell + 1, r, c, data.p) if w[:-1] == head else cols), steps
 
+    def tops(h):
+        cols, steps = line_top(data, h)
+        return (moved(cols, ell + 1, r, c, data.p) if h == head else cols), steps
+
+    v, index = first_dd_failure(data, tops)
+    assert v[:-1] == head and index == ell
     monkeypatch.setattr(ht, "_total_columns", tampered)
     degree = gr.to_degree(data.coords, v)
     assert degree != v
@@ -396,42 +413,40 @@ SECOND_ROUTES = (
 @pytest.mark.parametrize("seed", range(12))
 def test_dd_failure_matches_the_dense_scan(seed, monkeypatch):
     # one entry of one total differential of a seeded complex moved by one,
-    # in the builder's columns: hypertor_dims names the (degree, index) that
-    # dense products of every (D_ell, D_ell+1) pair of the reference, moved
-    # the same way, find first in grid then index order
+    # in the builder's columns at one line's top, at a row entering no later
+    # than its column: hypertor_dims names the (degree, index) that dense
+    # products of every (D_ell, D_ell+1) pair of the moved top, restricted to
+    # each point, find first in grid then index order
     p = (2, 3, 5)[seed % 3]
     data = md.ChainData(randfix.random_complex(seed), p)
-    top, original = data.top + data.n, ht._total_columns
+    original = ht._total_columns
     spots = [
-        (v, ell)
-        for v in gr.grid(data.bound)
-        for ell in range(top + 2)
-        if total_delta(data, v, ell).size
+        (head, ell, r, c)
+        for head in gr.grid(data.bound[:-1])
+        for cols, steps in [line_top(data, head)]
+        for ell in range(1, len(cols))
+        for c in range(len(cols[ell]))
+        for r in range(len(cols[ell - 1]))
+        if steps[ell - 1][r] <= steps[ell][c]
     ]
     rng = np.random.default_rng(seed)
-    v, ell = spots[rng.integers(len(spots))]
-    r, c = (int(rng.integers(k)) for k in total_delta(data, v, ell).shape)
+    head, ell, r, c = spots[rng.integers(len(spots))]
 
-    def dense_tampered(w, e):
-        m = total_delta(data, w, e)
-        if (w, e) == (v, ell):
-            m[r, c] = (m[r, c] + 1) % p
-        return m
+    def tops(h):
+        cols, steps = line_top(data, h)
+        return (moved(cols, ell, r, c, p) if h == head else cols), steps
 
     def tampered(d, w, faces):
-        cols = original(d, w, faces)
-        return moved(cols, ell, r, c, p) if w == v else cols
+        cols, steps = original(d, w, faces)
+        return (moved(cols, ell, r, c, p) if w[:-1] == head else cols), steps
 
     clean, want = ht.hypertor_dims(data), None
-    for w in gr.grid(data.bound):
-        deltas = [dense_tampered(w, e) for e in range(top + 2)]
-        pairs = zip(deltas, deltas[1:])
-        bad = [e for e, (a, b) in enumerate(pairs) if la.matmul(a, b, p).any()]
-        if bad:
-            want = "total differential fails D∘D=0 at %s, index %d" % (
-                gr.to_degree(data.coords, w), bad[0]
-            )
-            break
+    found = first_dd_failure(data, tops)
+    if found is not None:
+        w, e = found
+        want = "total differential fails D∘D=0 at %s, index %d" % (
+            gr.to_degree(data.coords, w), e
+        )
     monkeypatch.setattr(ht, "_total_columns", tampered)
     if want is None:  # the change kept every total complex a complex
         # so the answer stands, or a second route refuses the changed ranks

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import randfix
+from test_complex_ranks import first_dd_failure, line_top
 from torpers import InternalCheckError
 from torpers import exactla as la
 from torpers import grading as gr
@@ -385,25 +386,28 @@ def test_commutativity_is_asserted():
 
 
 def test_a_boundary_that_is_not_natural_fails_dd_zero(circle, monkeypatch):
-    # drop the boundary of the edge ab (column 0 of C_1) at (1, 1) only,
-    # where ab is present one step below too: in the builder's columns at
-    # (1, 1), ab at S = () loses its face entries, the unit-step square of
-    # the boundary no longer commutes, and the term (-1)^i (∂δ - δ∂) of D∘D
-    # catches it
+    # drop the boundary of the edge ab (column 0 of C_1) on the line at (1,)
+    # only, where ab enters at (1, 1) and is present one step below too: in
+    # the builder's columns at that line's top, ab at S = () loses its face
+    # entries, the unit-step square of the boundary no longer commutes, and
+    # the term (-1)^i (∂δ - δ∂) of D∘D catches it where ab enters; dense
+    # products of the dropped top, restricted to each point, agree
     data = md.ChainData(circle, 5)
     assert data.present(1)[(0, 1)] == [0] and data.present(1)[(1, 1)][0] == 0
+    assert data.entry(1, (1,))[0] == 1
     natural = ht._total_columns
 
     def dropped(d, v, faces):
-        cols = natural(d, v, faces)
-        if v == (1, 1):
+        cols, steps = natural(d, v, faces)
+        if v[:-1] == (1,):
             # the 1-cells at S = () are the last piece of index 1, ab first
             j = len(cols[1]) - len(d.present(1)[v])
             assert cols[1][j] == faces[1][0]
             cols[1][j] = {}
-        return cols
+        return cols, steps
 
     monkeypatch.setattr(ht, "_total_columns", dropped)
+    assert first_dd_failure(data, lambda head: line_top(data, head)) == ((1, 1), 1)
     with pytest.raises(InternalCheckError, match=r"D∘D=0 at \(1, 1\), index 1"):
         ht.hypertor_dims(data)
 

@@ -37,10 +37,20 @@ COMMANDS = {
 
 
 def _largest_rank_one_low(complex_ranks):
-    def mutated(mats, p):
-        out = complex_ranks(mats, p)
-        if max(out, default=0):
-            out[out.index(max(out))] -= 1
+    """The largest rank one too low; in the prefix form, the largest D_l's
+    last pivot dropped, at every step from the one where it entered."""
+
+    def mutated(cols, p, steps=None, length=1):
+        out = complex_ranks(cols, p, steps, length)
+        if steps is None:
+            if max(out, default=0):
+                out[out.index(max(out))] -= 1
+            return out
+        last = [r[-1] for r in out]
+        if max(last, default=0):
+            ranks = out[last.index(max(last))]
+            t = ranks.index(ranks[-1])
+            ranks[t:] = [r - 1 for r in ranks[t:]]
         return out
 
     return mutated

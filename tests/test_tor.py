@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import randfix
+from test_complex_ranks import suite_data
 from test_modules import basis_module, phi
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
 from torpers import InternalCheckError, cli
@@ -507,12 +508,18 @@ def test_koszul_square_failure_names_the_degree(fixture_path, monkeypatch):
         tor.koszul_tor(M, range(M.n + 1))
 
 
-def test_a_stacked_rank_that_disagrees_with_the_cycles_names_the_degree(
-    fixture_path, monkeypatch
-):
+def stacked(M, depth):
+    """A stack of depth copies of the single module M."""
+    steps = {key: np.stack([s] * depth) for key, s in M.steps.items()}
+    dims = {v: M.dim(v) for v in gr.grid(M.bound)}
+    return md.PersistenceModule(
+        M.n, M.bound, dims, steps, M.p, coords=M.coords, members=list(range(depth))
+    )
+
+
+def _stretched_h0_and_its_tor_2_point(fixture_path):
     # H_0 of the stretched circle has Tor_2 at one index point v, and no other
-    # point of the scan box has the same Delta_2; ranking it one lower makes
-    # the ranks claim one more Tor_1 and Tor_2 at v than the cycles give
+    # point of the scan box has the same Delta_2
     cx = load_mfc(fixture_path.parent / "tests/golden/stretched/circle_fig.mfc")
     H = md.homology_module(md.ChainData(cx, 5), 0)
     (v,) = tor.koszul_tor(H, 2).dims
@@ -523,6 +530,16 @@ def test_a_stacked_rank_that_disagrees_with_the_cycles_names_the_degree(
 
     wide = tuple(b + 1 for b in H.bound)
     assert [w for w in gr.grid(wide) if is_target(tor.koszul_delta(H, w, 2))] == [v]
+    return H, v, target, is_target
+
+
+def test_a_stacked_rank_that_disagrees_with_the_cycles_names_the_degree(
+    fixture_path, monkeypatch
+):
+    # ranking Delta_2(v) one lower, in both members of a stack of two copies
+    # of H_0, makes the ranks claim one more Tor_1 and Tor_2 at v than the
+    # cycles give; a single module is not ranked by stacked_rank
+    H, v, _, is_target = _stretched_h0_and_its_tor_2_point(fixture_path)
     stacked_rank = la.stacked_rank
 
     def tampered(stack, p):
@@ -531,9 +548,80 @@ def test_a_stacked_rank_that_disagrees_with_the_cycles_names_the_degree(
     monkeypatch.setattr(la, "stacked_rank", tampered)
     degree = gr.to_degree(H.coords, v)
     assert degree != v
+    tor.koszul_tor(H, range(H.n + 1))  # no stacked_rank call
+    want = "Tor_1 at %s: the Koszul ranks give dimension 1, the cycles 0" % (degree,)
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        tor.koszul_tor(stacked(H, 2), range(H.n + 1))
+
+
+def test_a_complex_rank_that_disagrees_with_the_cycles_names_the_degree(
+    fixture_path, monkeypatch
+):
+    # the same on the single module, whose Koszul complex at each point is
+    # ranked by one complex_ranks call: Delta_2(v) ranked one lower
+    H, v, target, _ = _stretched_h0_and_its_tor_2_point(fixture_path)
+    complex_ranks, calls = la.complex_ranks, []
+
+    def tampered(cols, p):
+        out = complex_ranks(cols, p)
+        calls.append(cols)
+        if cols[1] == la.columns(target, p):
+            out[1] -= 1
+        return out
+
+    monkeypatch.setattr(la, "complex_ranks", tampered)
+    monkeypatch.setattr(la, "stacked_rank", None)
+    degree = gr.to_degree(H.coords, v)
     want = "Tor_1 at %s: the Koszul ranks give dimension 1, the cycles 0" % (degree,)
     with pytest.raises(InternalCheckError, match=re.escape(want)):
         tor.koszul_tor(H, range(H.n + 1))
+    assert len(calls) > 1 and all(len(cols) == H.n for cols in calls)
+
+
+def _pattern_modules(data):
+    """The up-set module of each distinct entry pattern of the cells."""
+    patterns = set()
+    for cell in data.cx.cells.values():
+        own = gr.critical_coords(cell.degrees, data.n)
+        patterns.add(tuple(gr.to_index(own, u) for u in cell.degrees))
+    for pattern in sorted(patterns):
+        coords = gr.dense_coords(gr.join(pattern))
+        yield md._inclusion_module(data.n, coords, md._present(coords, [pattern]), data.p)
+
+
+def test_single_module_koszul_ranks_equal_stacked_rank(monkeypatch):
+    # a single module's Koszul complex at each point is ranked by one
+    # complex_ranks call: every rank equals stacked_rank's on the same
+    # Delta_i(v), every point with a Delta_i(v) is ranked, and the Tor tables
+    # and cycles equal those of a stack of one, which stacked_rank ranks
+    complex_ranks, seen = la.complex_ranks, []
+
+    def recording(cols, p):
+        out = complex_ranks(cols, p)
+        seen.append((cols, out))
+        return out
+
+    for name, data in suite_data():
+        modules = [md.homology_module(data, q) for q in range(data.top + 1)]
+        for M in modules + list(_pattern_modules(data)):
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(la, "complex_ranks", recording)
+                got = tor.koszul_tor(M, range(M.n + 1))
+            for cols, out in seen:
+                for c, rank in zip(cols, out):
+                    m = la.zeros(1 + max((r for col in c for r in col), default=-1), len(c))
+                    for j, col in enumerate(c):
+                        m[list(col), j] = list(col.values())
+                    assert rank == la.stacked_rank(m[None], M.p)[0], name
+            totals = [tor._layout(M, i).totals for i in range(M.n + 1)]
+            has = sum((totals[i] > 0) & (totals[i - 1] > 0) for i in range(1, M.n + 1))
+            assert len(seen) == np.count_nonzero(has), name
+            want = tor.koszul_tor(stacked(M, 1), range(M.n + 1))[0]
+            for j, kt in got.items():
+                assert kt.dims == want[j].dims, (name, j)
+                assert kt.reps.keys() == want[j].reps.keys()
+                assert all((kt.reps[v] == want[j].reps[v]).all() for v in kt.reps)
 
 
 def test_koszul_boundaries_outside_the_cycles_name_the_degree(monkeypatch):
