@@ -105,12 +105,19 @@ def _json_multiset(text):
 
 
 def _load_chains(args):
-    """The ChainData of the .mfc input over the field: parsed and validated."""
+    """The ChainData of the .mfc input over the field: parsed and validated.
+    Where the command builds a module on its grid and Koszul layouts on it,
+    widened by --widen, either too large is refused here, before any is built."""
     try:
         cx = cxm.load_mfc(args.input)
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError("cannot read %s: %s" % (args.input, e))
-    return md.ChainData(cx, args.field)
+    data = md.ChainData(cx, args.field)
+    widen = getattr(args, "widen", 0)
+    if args.command not in ("validate", "resolve") and widen >= 0:
+        md.check_grid(data.n, data.bound)
+        tor.check_layouts(data.n, [b + widen for b in data.bound])
+    return data
 
 
 def _load_module(args):

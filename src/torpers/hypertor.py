@@ -11,12 +11,14 @@ six-step zig-zag, once per degree, and checked exactly to be independent of
 the lifts.  E1 is assembled one cell at a time: C_i is the direct sum of the
 up-set modules k[U_c] of its cells, and the Tor of k[U_c] depends only on
 the order pattern of c's entry antichain, so each pattern is resolved once,
-by both Tor routes, and its cycles are placed unreduced at the cell's slots
-in C_i (C_i's Koszul complex is the direct sum of its cells').  D is read
-off the cells (_total_columns), one reduction per line of the grid; d1 and
-the zig-zag, which multiply and solve, are built from tor.koszul_delta
-vertically and _horizontal, the cellular boundary laid over the Koszul
-blocks, and read their images in Tor classes through tor.class_coords.
+by both Tor routes (its Koszul homology read on its lcm lattice alone, where
+the Tor of a monomial ideal lives), and its cycles are placed unreduced at
+the cell's slots in C_i (C_i's Koszul complex is the direct sum of its
+cells').  D is read off the cells (_total_columns), one reduction per line
+of the grid; d1 and the zig-zag, which multiply and solve, are built from
+tor.koszul_delta vertically and _horizontal, the cellular boundary laid over
+the Koszul blocks, and read their images in Tor classes through
+tor.class_coords.
 
 When the E1 verdict holds, the graded Tor classes of all chain modules
 assemble into the finite complex T_• (grading dropped): cell copies, one per
@@ -108,7 +110,7 @@ def hypertor_dims(data):
     A failure raises InternalCheckError naming the degree (and ell).
     """
     p, length, top_ell = data.p, data.bound[-1] + 1, data.top + data.n
-    tor._layout(data.module(0), 0)  # D is as large as the layouts: refused with them
+    tor.check_layouts(data.n, data.bound)  # D is as large as the layouts
     faces = [None] + [la.columns(data.matrix(i), p) for i in range(1, data.top + 1)]
     tables = {ell: {} for ell in range(top_ell + 1)}
     for head in gr.grid(data.bound[:-1]):
@@ -186,18 +188,68 @@ def _entry_dims(data):
 # -- the first spectral sequence: E1 = Tor_q(C_i) ----------------------------
 
 
+def _lattice_tor(pattern, n, p):
+    """Koszul homology of the up-set module k[U_P] of an entry pattern P, {q:
+    KoszulTor} for q = 0..n as tor.koszul_tor gives it, read on the lcm
+    lattice of P alone.
+
+    K_q(b) has one coordinate for each q-subset S of the axes with b - e_S
+    in U_P, in combinations order (as tor.koszul_blocks), and the
+    differential sends S to S minus its k-th axis with sign (-1)^k (Miller,
+    Sturmfels, "Combinatorial Commutative Algebra", Thm 1.34).  By the
+    Taylor resolution Tor vanishes unless b joins a nonempty subset of P, so
+    only those points are visited (found by closing P under joins, not by
+    listing its subsets): this support theorem stands in for the scan's
+    outer-layer check.  At each, la.complex_ranks ranks the differentials
+    and checks D∘D = 0, and tor.koszul_classes takes the cycles.
+    """
+    coords = gr.dense_coords(gr.join(pattern))
+    kts = {q: tor.KoszulTor({}, {}, coords) for q in range(n + 1)}
+    subsets = [list(itertools.combinations(range(n), q)) for q in range(n + 1)]
+    joins = set(pattern)  # closed under a join with each point: the lattice
+    for a in pattern:
+        joins |= {gr.join((a, u)) for u in joins}
+    for b in sorted(joins):
+        basis = [
+            [S for S in subsets[q] if gr.present([pattern], gr.minus_e(b, S))]
+            for q in range(n + 1)
+        ] + [[]]  # K_{n+1}(b), and K_{-1}(b) as basis[-1]
+        row = [{S: r for r, S in enumerate(B)} for B in basis]
+        deltas = [la.zeros(len(basis[q - 1]), len(B)) for q, B in enumerate(basis)]
+        for q, B in enumerate(basis):  # deltas[q]: K_q(b) -> K_{q-1}(b)
+            for c, S in enumerate(B):
+                for k in range(q):
+                    deltas[q][row[q - 1][S[:k] + S[k + 1 :]], c] = (-1) ** k % p
+        cols = [la.columns(m, p) for m in deltas[1:-1]]
+        try:
+            ranks = [0, *la.complex_ranks(cols, p), 0]
+        except la.NotAComplex:
+            raise InternalCheckError(
+                "Koszul differential fails to square to zero at %s" % (b,)
+            ) from None
+        for q, kt in kts.items():
+            dim = len(basis[q]) - ranks[q] - ranks[q + 1]
+            if dim:
+                where = "Tor_%d at %s" % (q, b)
+                down, up = deltas[q][None], deltas[q + 1][None]
+                [kt.reps[b]] = tor.koszul_classes(down, up, [dim], p, where)
+                kt.dims[b] = dim
+    return kts
+
+
 def _pattern_tor(pattern, cell, n, p):
     """Tor of the up-set module k[U_P] of one entry pattern, by both routes.
 
     pattern is an antichain of index points; k[U_P] is built on the box
-    [0, join(P)].  Returns (the module, {q: KoszulTor}) once Koszul homology
-    and the minimal resolution agree (tor.xi); cell names a cell with this
-    pattern when they do not.
+    [0, join(P)].  Returns {q: KoszulTor} once Koszul homology on the lcm
+    lattice (_lattice_tor) and the minimal resolution agree at every point
+    of the box (tor.xi, with its check of dim M); cell names a cell with
+    this pattern when they do not.
     """
     coords = gr.dense_coords(gr.join(pattern))
     M = md._inclusion_module(n, coords, md._present(coords, [pattern]), p)
     try:
-        return M, tor.xi(M).koszul
+        return tor.xi(M, koszul=_lattice_tor(pattern, n, p)).koszul
     except InternalCheckError as e:
         raise InternalCheckError(
             "Tor of the %d-cell %r entering at %s: %s"
@@ -212,37 +264,38 @@ def _chain_tor(data):
     Tor of k[U_c] depends only on c's pattern, its entry antichain in the
     index space of its own critical grid.  Each pattern is resolved once
     (_pattern_tor); each of its Koszul cycles moves to C_i's grid through
-    the cell's coords and is placed, block by block, at the cell's slot
-    among the cells present at v - e_S, a map that keeps the order of the
-    Koszul coordinates.  C_i's Koszul complex is the direct sum of its
-    cells', so the RREF of its boundaries is the union of the placed pattern
-    boundary RREFs, and a pattern cycle, zero at its own boundary pivots,
-    needs no reduction.  At each degree the placed cycles are brought to
-    RREF, the canonical representatives that koszul_tor would give.
+    the cell's coords, w to v.  Its coordinates, one per block S with
+    w - e_S in U_P, go in order to the cell's slots in the blocks of K_q(v)
+    where the cell is present at v - e_S: the same blocks, as the cell's
+    grid maps into C_i's keeping order.  C_i's Koszul complex is the direct
+    sum of its cells', so the RREF of its boundaries is the union of the
+    placed pattern boundary RREFs, and a pattern cycle, zero at its own
+    boundary pivots, needs no reduction.  At each degree the placed cycles
+    are brought to RREF, the canonical representatives that koszul_tor
+    would give.
     """
     p, n = data.p, data.n
     patterns = {}
     table = {}
+    tor.check_layouts(n, data.bound)  # C_i's layouts bound every pattern's
     for i in range(data.top + 1):
         C, present = data.module(i), data.present(i)
-        tor._layout(C, 0)  # C_i's layouts bound every pattern's: refused here first
         placed = {q: {} for q in range(n + 1)}  # q -> v -> [rows]
         for k, cell in enumerate(data.cx.cells_of_dim(i)):
             own = gr.critical_coords(cell.degrees, n)
             pattern = tuple(gr.to_index(own, u) for u in cell.degrees)
             if pattern not in patterns:
                 patterns[pattern] = _pattern_tor(pattern, cell, n, p)
-            M, kts = patterns[pattern]
-            for q, kt in kts.items():
+            for q, kt in patterns[pattern].items():
                 for w, reps in kt.reps.items():
                     v = gr.to_index(data.coords, gr.to_degree(own, w))
                     rows = la.zeros(reps.shape[0], tor.koszul_dim(C, v, q))
-                    for (S, d, off), (_, _, off_c) in zip(
-                        tor.koszul_blocks(M, w, q), tor.koszul_blocks(C, v, q)
-                    ):
-                        if d:
-                            slot = present[gr.minus_e(v, S)].index(k)
-                            rows[:, off_c + slot] = reps[:, off]
+                    slots = []  # the cell's, in each block S where it is present
+                    for S, _, off in tor.koszul_blocks(C, v, q):
+                        cells = present.get(gr.minus_e(v, S), [])
+                        if k in cells:
+                            slots.append(off + cells.index(k))
+                    rows[:, slots] = reps
                     placed[q].setdefault(v, []).append(rows)
         for q, at in placed.items():
             reps = {}

@@ -65,8 +65,8 @@ class PersistenceModule:
 
     .dims is the integer array over [-1, bound + 1] of every axis: dims[v + 1]
     is the dimension at v, zero below the grid and the top layer past it.  A
-    grid whose array numpy cannot address (3^n entries at the least) raises
-    MemoryError, naming n and the entry count, before anything is allocated.
+    grid whose array numpy cannot address (3^n entries at the least) is
+    refused by check_grid before anything is allocated.
     A stack is one module per member on one grid and dims array: its steps,
     clamps too, are (depth, r, c) arrays, slice b member b's (depth 1 and 2-d
     steps for a single module).
@@ -83,13 +83,7 @@ class PersistenceModule:
         self.coords = gr.dense_coords(self.bound) if coords is None else coords
         if gr.coords_bound(self.coords) != self.bound:
             raise ValueError("coords do not match the bound %s" % (self.bound,))
-        shape = tuple(b + 3 for b in self.bound)
-        entries = math.prod(shape)
-        if entries > np.iinfo(np.intp).max // 8:
-            raise MemoryError(
-                "a module over n = %d parameters needs %d dims entries, more "
-                "than one array can address" % (self.n, entries)
-            )
+        shape = check_grid(self.n, self.bound)
         inner = [dims[v] for v in gr.grid(self.bound)]
         self.dims = np.zeros(shape, dtype=np.int64)
         self.dims[(slice(1, -1),) * self.n] = np.reshape(inner, np.add(self.bound, 1))
@@ -141,6 +135,19 @@ class PersistenceModule:
             # other axes may clamp; the step matrix is the stored one there
             return self.steps[(tuple(map(min, v, self.bound)), j)]
         return np.broadcast_to(s, self._lead + s.shape)
+
+
+def check_grid(n, bound):
+    """The shape of the dims array of a module over n parameters on [0,
+    bound], or MemoryError naming n and its entry count when numpy cannot
+    address it."""
+    shape = tuple(b + 3 for b in bound)
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(
+            "a module over n = %d parameters needs %d dims entries, more than "
+            "one array can address" % (n, math.prod(shape))
+        )
+    return shape
 
 
 def _squares(steps, bound, p):

@@ -84,21 +84,25 @@ class _Layout:
 LAYOUT_LIMIT = 2**27  # Koszul block entries of one module, all j together
 
 
-def _layout(M, j):
-    """The layout of K_j for M, built once per (module, j) and kept on M.
+def check_layouts(n, bound):
+    """Refuse a module over n parameters on [0, bound] whose Koszul layouts
+    for all j would hold more than LAYOUT_LIMIT block entries, prod(bound_a +
+    2) * 2^n (a widened grid counts through its bound), with MemoryError
+    naming n, the count and the limit.  It reads n and the bound alone, so
+    the command line refuses before it builds any module."""
+    count = math.prod(b + 2 for b in bound) << n
+    if count > LAYOUT_LIMIT:
+        raise MemoryError(
+            "the Koszul layouts of a module over n = %d parameters need %d "
+            "block entries, over the limit %d" % (n, count, LAYOUT_LIMIT)
+        )
 
-    A module whose layouts for all j would hold more than LAYOUT_LIMIT block
-    entries, prod(bound_a + 2) * 2^n (a widened grid counts through its
-    bound), is refused with MemoryError naming n, the count and the limit
-    before its first layout is allocated.
-    """
+
+def _layout(M, j):
+    """The layout of K_j for M, built once per (module, j) and kept on M;
+    the first is refused by check_layouts before it is allocated."""
     if j not in M.layouts:
-        count = math.prod(b + 2 for b in M.bound) << M.n
-        if count > LAYOUT_LIMIT:
-            raise MemoryError(
-                "the Koszul layouts of a module over n = %d parameters need %d "
-                "block entries, over the limit %d" % (M.n, count, LAYOUT_LIMIT)
-            )
+        check_layouts(M.n, M.bound)
         M.layouts[j] = _Layout(M, j)
     return M.layouts[j]
 
@@ -183,9 +187,9 @@ def koszul_tor(M, j):
     one la.complex_ranks call; a stack's differentials are ranked by one
     la.stacked_rank call per shape, and their pairs checked by one stacked
     product per shape pair: each kernel where it is faster.  The canonical
-    cycles are computed only where Tor is nonzero, in one stacked kernel
-    and complement per (j, v) over the members with Tor there, and each
-    member's count must equal the dimension its ranks give.  Every check
+    cycles are computed only where Tor is nonzero, by one koszul_classes
+    call per (j, v) over the members with Tor there, and each member's
+    count must equal the dimension its ranks give.  Every check
     runs at every point of every member and names the degree where it
     fires: D∘D = 0 (the first failing degree in grid order), zero Tor in
     the outer layer, and the cycle count.
@@ -263,26 +267,38 @@ def koszul_tor(M, j):
             up = deltas.get((i + 1, v))
             down = np.zeros((nb, 0, ki), np.int64) if down is None else down
             up = np.zeros((nb, ki, 0), np.int64) if up is None else up
-            cycles = la.stacked_kernel_basis(down[members], p)
-            bounds = la.stacked_row_space(up[members].transpose(0, 2, 1), p)
-            try:
-                cls, counts = la.stacked_complement_basis(bounds, cycles, p)
-            except ValueError:
-                raise InternalCheckError(
-                    "Tor_%d at %s: the Koszul boundaries are not contained in "
-                    "the cycles" % (i, gr.to_degree(M.coords, v))
-                ) from None
-            for b, count, rows in zip(members, counts, cls):
-                if count != want[b]:
-                    raise InternalCheckError(
-                        "Tor_%d at %s: the Koszul ranks give dimension %d, the "
-                        "cycles %d" % (i, gr.to_degree(M.coords, v), want[b], count)
-                    )
-                dims[b][i][v], reps[b][i][v] = count, rows[:count]
+            where = "Tor_%d at %s" % (i, gr.to_degree(M.coords, v))
+            counts = [want[b] for b in members]
+            found = koszul_classes(down[members], up[members], counts, p, where)
+            for b, rows in zip(members, found):
+                dims[b][i][v], reps[b][i][v] = want[b], rows
     out = [
         {i: KoszulTor(d[i], r[i], M.coords) for i in js} for d, r in zip(dims, reps)
     ]
     return _per_member(M, [kts[j] for kts in out] if single else out)
+
+
+def koszul_classes(down, up, want, p, where):
+    """RREF-canonical Tor classes of each member of a stack of Koszul
+    differentials out of K_j(v) (down) and into it (up): the complement of
+    the boundaries in the cycles, whose count must be want[b].  A failure
+    raises InternalCheckError led by where ("Tor_j at degree")."""
+    cycles = la.stacked_kernel_basis(down, p)
+    try:
+        cls, counts = la.stacked_complement_basis(
+            la.stacked_row_space(up.transpose(0, 2, 1), p), cycles, p
+        )
+    except ValueError:
+        raise InternalCheckError(
+            "%s: the Koszul boundaries are not contained in the cycles" % where
+        ) from None
+    for count, k in zip(counts, want):
+        if count != k:
+            raise InternalCheckError(
+                "%s: the Koszul ranks give dimension %d, the cycles %d"
+                % (where, k, count)
+            )
+    return [rows[:k] for rows, k in zip(cls, want)]
 
 
 def _points(mask):
@@ -611,12 +627,14 @@ def alternating_sums(tables, degrees):
     return chi
 
 
-def xi(M, widen=0):
+def xi(M, widen=0, koszul=None):
     """All xi_j of M by Koszul homology, cross-checked against the resolution.
 
     M is one module or a stack (answered with one TorTable per member); both
     routes run once over the whole stack, and every check below runs for
-    every member.
+    every member.  koszul, for a single module, is its Koszul homology {j:
+    KoszulTor} found another way (hypertor's lcm lattice route for an entry
+    pattern), checked here in place of the koszul_tor scan.
 
     widen >= 0 presents M on a grid that many index steps larger in every
     axis (md.rebound; past the top they are unit steps) before both routes
@@ -630,9 +648,9 @@ def xi(M, widen=0):
         raise ValidationError("widen must be >= 0, got %d" % widen)
     if widen:
         M = md.rebound(M, tuple(b + widen for b in M.bound))
-    _layout(M, 0)  # a module past the layout budget is refused before either route
+    check_layouts(M.n, M.bound)  # past the layout budget: refused before either route
     resolutions = minimal_resolution(M)
-    koszuls = koszul_tor(M, range(M.n + 1))
+    koszuls = koszul_tor(M, range(M.n + 1)) if koszul is None else koszul
     if M.members is None:
         resolutions, koszuls = [resolutions], [koszuls]
     points = list(gr.grid(M.bound))

@@ -7,7 +7,10 @@ tests hold it against the route it replaced, a Koszul scan over all of C_i
 cells included), on the remapped copies that test_critical_grid compares
 and on hand cases for n = 1 and n = 3; against a closed form for n = 2
 antichains; and they check that a disagreement between the two routes on
-one pattern is caught and named.
+one pattern is caught and named.  A pattern's Koszul homology, read on its
+lcm lattice alone, must equal a scan of its whole box array for array, on
+every pattern of the suite and on random antichains with up to five
+parameters.
 """
 
 import numpy as np
@@ -134,29 +137,97 @@ def test_pattern_tor_matches_the_antichain_formula(seed):
         cell = cxm.Cell("c", 0, (), antichain)
         own = gr.critical_coords(cell.degrees, 2)
         pattern = tuple(gr.to_index(own, u) for u in cell.degrees)
-        _, kts = ht._pattern_tor(pattern, cell, 2, p)
+        kts = ht._pattern_tor(pattern, cell, 2, p)
         got = {q: gr.at_degrees(own, kt.dims) for q, kt in kts.items()}
         assert got == _antichain_oracle(antichain), antichain
+
+
+# -- the lcm lattice route against the scan of the pattern's box ---------------
+
+
+PRIMES = (2, 3, 5, 3037000493)
+
+
+def _assert_lattice_matches_scan(pattern, n, p):
+    # the Koszul homology of k[U_P] on the lcm lattice of P is the very table
+    # a koszul_tor scan of the box [0, join(P)] and its outer layer gives
+    coords = gr.dense_coords(gr.join(pattern))
+    M = md._inclusion_module(n, coords, md._present(coords, [pattern]), p)
+    want = tor.koszul_tor(M, range(n + 1))
+    got = ht._lattice_tor(pattern, n, p)
+    assert sorted(got) == sorted(want)
+    for q, kt in want.items():
+        assert got[q].dims == kt.dims, (pattern, q)
+        assert list(got[q].reps) == list(kt.reps), (pattern, q)
+        for v, reps in kt.reps.items():
+            have = got[q].reps[v]
+            assert have.shape == reps.shape and (have == reps).all(), (pattern, q, v)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_lattice_tor_equals_the_scan_on_the_random_suite(seed):
+    patterns = set()
+    for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+        for c in (cx, randfix.remap_complex(cx, _random_maps(cx, seed))):
+            for cell in c.cells.values():
+                own = gr.critical_coords(cell.degrees, c.n)
+                patterns.add(tuple(gr.to_index(own, u) for u in cell.degrees))
+    for pattern in sorted(patterns):
+        for p in PRIMES:
+            _assert_lattice_matches_scan(pattern, 2, p)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lattice_tor_equals_the_scan_on_random_antichains(n):
+    rng = np.random.default_rng(n)
+    for _ in range(12):
+        size = int(rng.integers(1, 5))
+        points = {tuple(rng.integers(0, 3, n).tolist()) for _ in range(size)}
+        antichain = [
+            u for u in points if not any(w != u and gr.leq(w, u) for w in points)
+        ]
+        own = gr.critical_coords(antichain, n)
+        pattern = tuple(sorted(gr.to_index(own, u) for u in antichain))
+        for p in PRIMES:
+            _assert_lattice_matches_scan(pattern, n, p)
+
+
+def test_lattice_tor_equals_the_scan_on_a_wide_antichain():
+    # 25 incomparable points have 2^25 - 1 nonempty subsets but only 325
+    # distinct joins: the lattice is found by closing P under joins, with
+    # about 25 * 325 joins taken, not one per subset
+    pattern = tuple((i, 24 - i) for i in range(25))
+    for p in PRIMES:
+        _assert_lattice_matches_scan(pattern, 2, p)
 
 
 # -- a disagreement between the routes is caught -------------------------------
 
 
-@pytest.mark.parametrize("route", ["koszul_tor", "minimal_resolution"])
+@pytest.mark.parametrize("route", ["lattice_tor", "minimal_resolution"])
 def test_route_disagreement_names_the_cell(monkeypatch, fixture_path, route):
-    # the edge ab enters at (0,1) and is the first cell of its pattern
+    # the edge ab enters at (0,1) and is the first cell of its pattern, the
+    # index point (0, 1) of its own grid, a box with bound (0, 1)
     cx = cxm.load_mfc(fixture_path / "circle_fig.mfc")
-    original = getattr(tor, route)
+    if route == "lattice_tor":
+        original = ht._lattice_tor
 
-    def tampered(M, *args):
-        out = original(M, *args)
-        if M.bound == (0, 1):
-            if route == "koszul_tor":
+        def tampered(pattern, n, p):
+            out = original(pattern, n, p)
+            if pattern == ((0, 1),):
                 out[1].dims[(0, 1)] = 1
-            else:
-                out.gen_degrees.append([(0, 1)])
-        return out
+            return out
 
-    monkeypatch.setattr(tor, route, tampered)
+        monkeypatch.setattr(ht, "_lattice_tor", tampered)
+    else:
+        original = tor.minimal_resolution
+
+        def tampered(M):
+            out = original(M)
+            if M.bound == (0, 1):
+                out.gen_degrees.append([(0, 1)])
+            return out
+
+        monkeypatch.setattr(tor, "minimal_resolution", tampered)
     with pytest.raises(InternalCheckError, match=r"1-cell 'ab' entering at \[\(0, 1\)\]"):
         ht.e1_page(md.ChainData(cx, 3))

@@ -352,7 +352,8 @@ def test_a_bad_step_exits_two_naming_its_degree(
     capsys, fixture_path, monkeypatch, fault
 ):
     # a chain module built without its last step, or with it one row too
-    # many: the constructor's check names the degree, not the index point
+    # many: the constructor's check names the degree, not the index point.
+    # e1 builds C_0 first; hypertor builds no module at all
     path = fixture_path.parent / "tests/golden/stretched/circle_fig.mfc"
     data = torpers.modules.ChainData(torpers.complexes.load_mfc(path), 5)
     bound, coords = data.bound, data.coords
@@ -369,7 +370,7 @@ def test_a_bad_step_exits_two_naming_its_degree(
         init(self, n, bound, dims, steps, *args, **kwargs)
 
     monkeypatch.setattr(torpers.modules.PersistenceModule, "__init__", broken)
-    rc, out, err = run(capsys, "hypertor", "--input", str(path), "--field", "5")
+    rc, out, err = run(capsys, "e1", "--input", str(path), "--field", "5")
     assert rc == 2 and out == "" and "Traceback" not in err
     error = json.loads(err)
     assert error["error"] == "internal-check"
@@ -560,14 +561,15 @@ def test_negative_widen_exits_one(capsys, fixture_path, widen):
 
 def test_out_of_memory_exits_one(capsys, monkeypatch, tmp_path):
     # a one-vertex complex with n = 20 asks numpy for a 3^20-entry dims
-    # array; an address-space limit makes that allocation raise MemoryError
+    # array; an address-space limit makes that allocation raise MemoryError.
+    # resolve builds no Koszul layout, so no layout check refuses it first
     def refuse(self, *args, **kwargs):
         raise MemoryError("Unable to allocate 26.0 GiB for an array")
 
     monkeypatch.setattr(torpers.modules.PersistenceModule, "__init__", refuse)
     path = tmp_path / "big.mfc"
     path.write_text("n 20\nsimplex v @ (%s)\n" % ",".join(["0"] * 20))
-    rc, out, err = run(capsys, "xi", "--input", str(path), "--q", "0")
+    rc, out, err = run(capsys, "resolve", "--input", str(path), "--q", "0")
     assert_validation_exit(rc, out, err)
     assert "Unable to allocate" in json.loads(err)["message"]
 
@@ -638,9 +640,9 @@ KOSZUL_COMMANDS = {
 }
 
 
-def _capped(*argv):
+def _capped(*argv, timeout=120):
     """(exit code, stdout, stderr) of `python -m torpers argv` in a child
-    process under a 3 GB address-space cap and a 120 s timeout."""
+    process under a 3 GB address-space cap and a timeout (seconds)."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
@@ -651,7 +653,7 @@ def _capped(*argv):
         env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
         preexec_fn=cap,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -669,6 +671,53 @@ def test_koszul_layouts_past_the_budget_exit_one(tmp_path, argv):
         "the Koszul layouts of a module over n = 12 parameters need %d block "
         "entries, over the limit %d" % (3**12 * 2**12, 2**27)
     )
+
+
+@pytest.mark.parametrize("argv", KOSZUL_COMMANDS.values(), ids=KOSZUL_COMMANDS.keys())
+def test_koszul_layouts_are_refused_before_any_module_is_built(
+    capsys, monkeypatch, tmp_path, argv
+):
+    # the limit is read from n and the bound as soon as the complex is read,
+    # not after seconds of work on the 3^12-point grid
+    def built(self, *args, **kwargs):
+        raise AssertionError("a module was built before the refusal")
+
+    monkeypatch.setattr(torpers.modules.PersistenceModule, "__init__", built)
+    path = tmp_path / "two12.mfc"
+    path.write_text(TWO_VERTICES_12)
+    rc, out, err = run(capsys, *argv, "--input", str(path))
+    assert_validation_exit(rc, out, err)
+    assert "need %d block entries" % (3**12 * 2**12) in json.loads(err)["message"]
+
+
+def test_the_widened_layouts_are_refused_with_their_count(tmp_path):
+    # --widen 2 moves the bound (1,..,1) to (3,..,3): the count names the
+    # widened scan box, 5^12 points, refused before the 3^12-point grid's
+    # modules are built
+    path = tmp_path / "two12.mfc"
+    path.write_text(TWO_VERTICES_12)
+    rc, out, err = _capped("xi", "--widen", "2", "--input", str(path), timeout=20)
+    assert_validation_exit(rc, out, err)
+    assert "need %d block entries" % (5**12 * 2**12) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("n", [9, 12, 13])
+def test_e1_of_one_vertex_at_high_n(tmp_path, n):
+    # the vertex's entry pattern is one point, its own lcm lattice: e1 reads
+    # its Tor there, not on the 2^n-point box around it (a scan of that box
+    # took 20-30 s at n = 12 on a 2-core host, and doubles with each n)
+    path = pathlib.Path("tests/golden/origin9.mfc")
+    if n != 9:
+        path = tmp_path / "origin.mfc"
+        path.write_text("n %d\nsimplex v @ (%s)\n" % (n, ",".join(["0"] * n)))
+    rc, out, err = _capped("e1", "--input", str(path), timeout=20)
+    assert (rc, err) == (0, "")
+    hyper = _capped("hypertor", "--input", str(path), timeout=20)
+    assert hyper[0] == 0
+    assert json.loads(out)["hypertor"] == json.loads(hyper[1])["hypertor"]
+    if n == 9:
+        golden = pathlib.Path(__file__).resolve().parent / "golden/origin9_e1.json"
+        assert out == golden.read_text()
 
 
 def test_resolve_and_validate_need_no_koszul_layout(tmp_path):
