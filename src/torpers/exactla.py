@@ -47,6 +47,13 @@ overhead outweighs the arithmetic; from that depth on, one vectorized
 elimination step per column reduces every matrix of the stack.  None of
 them writes into its input or into a view of it (no out= into a view).
 
+stacked_padded runs one of them on a list of stacks of different shapes,
+(B_g, r_g, c_g) arrays such as the stacks of one module at every index
+point: it zero-pads them into one (ΣB_g, R, C) stack, makes one call, and
+cuts each answer back to its c_g columns and counts.  Padding changes no
+form (see stacked_padded).  It calls the stacked forms by their module
+names, so a test that replaces one replaces it there too.
+
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
 
@@ -66,8 +73,10 @@ _LIST_ENTRIES = 3072
 
 # The stacked canonical forms run the per-matrix routines one matrix at a
 # time below this many matrices, and eliminate the whole stack at once from
-# it on: the crossover of the two, timed on the stacks the census resolves
-# (BENCH_20.json).
+# it on: the crossover of the two, timed on one index point's stack of census
+# members (BENCH_20.json).  The census now pads every index point of a stage
+# into one stack (stacked_padded), hundreds of matrices deep, so below the
+# gate run a single module's points and the odd small stage.
 _STACK_DEPTH = 8
 
 
@@ -478,6 +487,69 @@ def stacked_unit_complement(basis):
     order = np.argsort(~free, axis=1, kind="stable")[:, : left.max(initial=0)]
     units = eye(ncols)[order] * (np.arange(order.shape[1]) < left[:, None])[:, :, None]
     return units, left.tolist()
+
+
+def _pad(stacks, cols):
+    """(B_g, r_g, c_g) arrays as one zero-padded (ΣB_g, R, cols) array."""
+    rows = max((m.shape[1] for m in stacks), default=0)
+    out = np.zeros((sum(map(len, stacks)), rows, cols), dtype=np.int64)
+    at = 0
+    for m in stacks:
+        out[at : at + len(m), : m.shape[1], : m.shape[2]] = m
+        at += len(m)
+    return out
+
+
+def _one(kind, entry, p):
+    """stacked_padded of one entry, by the stacked form itself."""
+    if kind == "row_space":
+        return stacked_row_space(entry, p)
+    if kind == "kernel_basis":
+        return stacked_kernel_basis(entry, p)
+    try:
+        return stacked_complement_basis(*entry, p)
+    except ValueError:
+        return None
+
+
+def stacked_padded(kind, entries, p, pad=True):
+    """The stacked form kind ("row_space", "kernel_basis" or
+    "complement_basis") of every entry of a list, as one stacked basis per
+    entry, or None for the complement of a sub not contained in its whole.
+
+    An entry is a (B_g, r_g, c_g) array, for complement_basis a pair (sub,
+    whole) of stacked bases over c_g columns (the whole's rows reduced
+    modulo the sub, then their row space, whose count must be the
+    difference).  With pad, the entries are zero-padded into one (ΣB_g, R,
+    C) stack, reduced by one call of the stacked form, and each answer is cut
+    back to its c_g columns and counts; without, each entry is its own call.
+    Zero rows change no form.  Zero columns appended at the end carry no
+    pivot, so a row space keeps its rows; each is a free column, whose unit
+    vector comes last in the RREF kernel basis and is zero on the c_g real
+    columns, so a kernel drops its last C - c_g rows.
+    """
+    if not (pad and entries):
+        return [_one(kind, entry, p) for entry in entries]
+    complement = kind == "complement_basis"
+    arrays = [whole[0] for _, whole in entries] if complement else entries
+    cols = max((m.shape[2] for m in arrays), default=0)
+    m = _pad(arrays, cols)
+    if complement:
+        m = stacked_reduce_mod_rows(m, _pad([sub[0] for sub, _ in entries], cols), p)
+    form = stacked_kernel_basis if kind == "kernel_basis" else stacked_row_space
+    rows, counts = form(m, p)
+    out, at = [], 0
+    for entry, a in zip(entries, arrays):
+        nb, c = a.shape[0], a.shape[2]
+        k = counts[at : at + nb]
+        if kind == "kernel_basis":
+            k = [x - (cols - c) for x in k]
+        if complement and k != [w - s for s, w in zip(entry[0][1], entry[1][1])]:
+            out.append(None)
+        else:
+            out.append((rows[at : at + nb, : max(k, default=0), :c], k))
+        at += nb
+    return out
 
 
 def kernel_basis(a, p):

@@ -232,7 +232,7 @@ def _lattice_tor(pattern, n, p):
             if dim:
                 where = "Tor_%d at %s" % (q, b)
                 down, up = deltas[q][None], deltas[q + 1][None]
-                [kt.reps[b]] = tor.koszul_classes(down, up, [dim], p, where)
+                [[kt.reps[b]]] = tor.koszul_classes([down], [up], [[dim]], [where], p)
                 kt.dims[b] = dim
     return kts
 

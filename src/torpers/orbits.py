@@ -157,7 +157,13 @@ def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
     The candidate count is the product of Gaussian binomials over the
     relation degrees; anything past `limit` raises before enumeration starts.
     A family grows as a tuple of positions among each degree's candidates,
-    and shares their arrays (nothing writes them).
+    and shares their arrays (nothing writes them).  A partial family is
+    extended by the candidates its pushed rows reduce to zero modulo, and
+    their number is checked a second way: they are the d-dimensional
+    subspaces of F_0(v) containing the span W of those rows, as many as the
+    subspaces of F_0(v)/W, with dim W from la.rank (another kernel than the
+    reduction).  A different count raises InternalCheckError naming the
+    relation degree and the partial family.
     """
     check_field(q)
     xi0 = dict(xi0)
@@ -181,15 +187,29 @@ def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
 
     candidates, partials = [], [()]  # per degree, its subspaces() in order
     for k, v in enumerate(degrees):
-        candidates.append(list(subspaces(len(index[k]), dims[k], q)))
+        f, d = len(index[k]), dims[k]
+        candidates.append(list(subspaces(f, d, q)))
         lower = [i for i in range(k) if gr.leq(degrees[i], v)]
         grown = []
         for pos in partials:
             pushed = [_push(candidates[i][pos[i]], index[i], index[k]) for i in lower]
-            required = np.concatenate([la.zeros(0, len(index[k]))] + pushed)
-            for c, cand in enumerate(candidates[k]):
-                if not la.reduce_mod_rows(required, cand, q).any():
-                    grown.append(pos + (c,))
+            required = np.concatenate([la.zeros(0, f)] + pushed)
+            kept = [
+                pos + (c,)
+                for c, cand in enumerate(candidates[k])
+                if not la.reduce_mod_rows(required, cand, q).any()
+            ]
+            # the second count: the d-subspaces holding the pushed span W are
+            # those of F_0(v)/W, [f - w, d - w]_q of them (none when w > d)
+            w = la.rank(required, q) if lower else 0
+            want = gaussian_binomial(f - w, d - w, q)
+            if len(kept) != want:
+                raise InternalCheckError(
+                    "relation degree %s: partial family %s has %d extensions, "
+                    "but its pushed rows span dimension %d, which gives %d"
+                    % (list(v), list(pos), len(kept), w, want)
+                )
+            grown.extend(kept)
         partials = grown
     families = []
     for pos in partials:
@@ -239,11 +259,13 @@ def _primitive_root(q):
 
 def group_generators(xi0, q):
     """Generators of GL(F(xi0)): per-block transvections and one scaling,
-    plus unit off-diagonal entries for strictly comparable degree pairs."""
+    plus unit off-diagonal entries for strictly comparable degree pairs.
+    GroupElement checks each; one it refuses is a bug here, and raises
+    InternalCheckError."""
     check_field(q)
     gens = gr.multiset_to_list(xi0)
     m = len(gens)
-    out = []
+    mats = []
     root = _primitive_root(q)
     blocks = {}
     for k, g in enumerate(gens):
@@ -254,18 +276,21 @@ def group_generators(xi0, q):
                 if k != l:
                     e = la.eye(m)
                     e[k, l] = 1
-                    out.append(GroupElement(e, gens, q))
+                    mats.append(e)
         if q > 2:
             e = la.eye(m)
             e[idx[0], idx[0]] = root
-            out.append(GroupElement(e, gens, q))
+            mats.append(e)
     for k in range(m):
         for l in range(m):
             if gens[k] != gens[l] and gr.leq(gens[k], gens[l]):
                 e = la.eye(m)
                 e[k, l] = 1
-                out.append(GroupElement(e, gens, q))
-    return out
+                mats.append(e)
+    try:
+        return [GroupElement(e, gens, q) for e in mats]
+    except ValidationError as err:
+        raise InternalCheckError("group generator refused: %s" % err) from None
 
 
 def apply_group_element(g, v, space):

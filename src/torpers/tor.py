@@ -25,15 +25,20 @@ dims array and whose steps are (B, r, c) arrays, such as the cokernels of
 one orbit census with equal dimensions everywhere (md.present_cokernel).
 They return one result for a single module and one per member for a stack,
 and a single module runs the code of a stack of one but for its Koszul
-ranks.  The stack shares one Koszul layout, each differential is built once
-as a (B, r, c) block, and each canonical form is one stacked exactla call
-(below la._STACK_DEPTH matrices that call runs the per-matrix routine on
-each).  Nothing assumes that members agree beyond their dims: where their
-Koszul ranks differ, each gets its own dimensions and cycles, and where
-their resolution generators differ, the stack splits by them and each part,
-a set of member positions, continues alone.  Every check runs for every
-member, and an error names the same stage and degree as for that module
-alone.
+ranks.  The stack shares one Koszul layout and each differential is built
+once as a (B, r, c) block.  The canonical forms run by stages, each over
+every index point (level 0's generator row spaces; per level its kernels,
+then its generator row spaces and complements; the check's image row
+spaces; the Koszul cycles, boundaries and classes over every (j, v) with
+Tor): one la.stacked_padded call per stage, which pads a stack's per-point
+arrays into one stack for one stacked form, and makes one call per point
+for a single module.  Each stage's checks then run point by point in grid
+order, as they would inline.  Nothing assumes that members agree beyond
+their dims: where their Koszul ranks differ, each gets its own dimensions
+and cycles, and where their resolution generators differ, the stack splits
+by them and each part, a set of member positions, continues alone.  Every
+check runs for every member, and an error names the same stage and degree
+as for that module alone.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -188,8 +193,8 @@ def koszul_tor(M, j):
     la.stacked_rank call per shape, and their pairs checked by one stacked
     product per shape pair: each kernel where it is faster.  The canonical
     cycles are computed only where Tor is nonzero, by one koszul_classes
-    call per (j, v) over the members with Tor there, and each member's
-    count must equal the dimension its ranks give.  Every check
+    call over every (j, v) and the members with Tor there, and each
+    member's count must equal the dimension its ranks give.  Every check
     runs at every point of every member and names the degree where it
     fires: D∘D = 0 (the first failing degree in grid order), zero Tor in
     the outer layer, and the cycle count.
@@ -256,6 +261,7 @@ def koszul_tor(M, j):
         )
     dims = [{i: {} for i in js} for _ in range(nb)]
     reps = [{i: {} for i in js} for _ in range(nb)]
+    keys, downs, ups, wants, wheres = [], [], [], [], []
     for i in js:
         for v in _points(tor_dims[i].any(axis=0)):
             want = tor_dims[i][(slice(None),) + v].tolist()
@@ -267,38 +273,45 @@ def koszul_tor(M, j):
             up = deltas.get((i + 1, v))
             down = np.zeros((nb, 0, ki), np.int64) if down is None else down
             up = np.zeros((nb, ki, 0), np.int64) if up is None else up
-            where = "Tor_%d at %s" % (i, gr.to_degree(M.coords, v))
-            counts = [want[b] for b in members]
-            found = koszul_classes(down[members], up[members], counts, p, where)
-            for b, rows in zip(members, found):
-                dims[b][i][v], reps[b][i][v] = want[b], rows
+            keys.append((i, v, members))
+            downs.append(down[members])
+            ups.append(up[members])
+            wants.append([want[b] for b in members])
+            wheres.append("Tor_%d at %s" % (i, gr.to_degree(M.coords, v)))
+    found = koszul_classes(downs, ups, wants, wheres, p, M.members is not None)
+    for (i, v, members), want, rows in zip(keys, wants, found):
+        for b, k, r in zip(members, want, rows):
+            dims[b][i][v], reps[b][i][v] = k, r
     out = [
         {i: KoszulTor(d[i], r[i], M.coords) for i in js} for d, r in zip(dims, reps)
     ]
     return _per_member(M, [kts[j] for kts in out] if single else out)
 
 
-def koszul_classes(down, up, want, p, where):
-    """RREF-canonical Tor classes of each member of a stack of Koszul
-    differentials out of K_j(v) (down) and into it (up): the complement of
-    the boundaries in the cycles, whose count must be want[b].  A failure
-    raises InternalCheckError led by where ("Tor_j at degree")."""
-    cycles = la.stacked_kernel_basis(down, p)
-    try:
-        cls, counts = la.stacked_complement_basis(
-            la.stacked_row_space(up.transpose(0, 2, 1), p), cycles, p
-        )
-    except ValueError:
-        raise InternalCheckError(
-            "%s: the Koszul boundaries are not contained in the cycles" % where
-        ) from None
-    for count, k in zip(counts, want):
-        if count != k:
+def koszul_classes(downs, ups, wants, wheres, p, pad=False):
+    """RREF-canonical Tor classes of each member of stacks of Koszul
+    differentials out of K_j(v) (downs[g]) and into it (ups[g]): the
+    complement of the boundaries in the cycles, whose count must be
+    wants[g][b].  Each form is one la.stacked_padded call over every entry
+    (padded when pad).  The first failing entry, in list order, raises
+    InternalCheckError led by its wheres[g] ("Tor_j at degree")."""
+    cycles = la.stacked_padded("kernel_basis", downs, p, pad)
+    bounds = la.stacked_padded("row_space", [u.transpose(0, 2, 1) for u in ups], p, pad)
+    found = la.stacked_padded("complement_basis", list(zip(bounds, cycles)), p, pad)
+    out = []
+    for classes, want, where in zip(found, wants, wheres):
+        if classes is None:
             raise InternalCheckError(
-                "%s: the Koszul ranks give dimension %d, the cycles %d"
-                % (where, k, count)
+                "%s: the Koszul boundaries are not contained in the cycles" % where
             )
-    return [rows[:k] for rows, k in zip(cls, want)]
+        for count, k in zip(classes[1], want):
+            if count != k:
+                raise InternalCheckError(
+                    "%s: the Koszul ranks give dimension %d, the cycles %d"
+                    % (where, k, count)
+                )
+        out.append([rows[:k] for rows, k in zip(classes[0], want)])
+    return out
 
 
 def _points(mask):
@@ -327,46 +340,52 @@ def _generators(M, nb, sub=None, present=None):
     off those present at v), of a submodule closed under the steps; the
     steps are identities in these coordinates, so sub[v - e_a] is pushed
     into v as it is.  Without sub it is all of each module: the identity at
-    v, pushed through its steps.  At each index point the pushed rows are
-    reduced once, and the generators born at v are their stacked complement
-    inside sub[v] (inside the identity, read off the pivots); with
+    v, pushed through its steps.  The pushed rows at every index point are
+    reduced by one la.stacked_padded call, and the generators born at v are
+    their stacked complement inside sub[v] (one more call over every point;
+    inside the identity, read off the pivots, point by point); with
     present[v], the generators of the free module present at v, they are
     found on those columns and placed back over all generators.  A pushed
     row outside sub[v] raises InternalCheckError.
     """
-    out = []
+    points, pushes, wholes = [], [], []  # points: (v, the columns found on)
     for v in gr.grid(M.bound):
         below = [(gr.minus_e(v, (a,)), a) for a in range(M.n) if v[a]]
+        cols = slice(None) if present is None else present[v]
         if sub is None:
             if not M.dim(v):
                 continue
-            rows, width = None, M.dim(v)
+            width = M.dim(v)
             pushed = [np.swapaxes(M.step(u, a), -1, -2) for u, a in below]
         else:
             pushed = [sub[u][0] for u, _ in below if sub[u][0].shape[1]]
             if not (sub[v][0].shape[1] or pushed):
                 continue
-            cols = slice(None) if present is None else present[v]
-            rows = (sub[v][0][:, :, cols], sub[v][1])
-            pushed, width = [x[:, :, cols] for x in pushed], rows[0].shape[2]
+            wholes.append((sub[v][0][:, :, cols], sub[v][1]))
+            pushed, width = [x[:, :, cols] for x in pushed], wholes[-1][0].shape[2]
+        points.append((v, cols))
         pushed = [x.reshape(nb, -1, width) for x in [la.zeros(0, width)] + pushed]
-        pushed = la.stacked_row_space(np.concatenate(pushed, axis=1), M.p)
-        if rows is None:
-            comp, counts = la.stacked_unit_complement(pushed)
-        else:
-            try:
-                comp, counts = la.stacked_complement_basis(pushed, rows, M.p)
-            except ValueError:
-                raise InternalCheckError(
-                    "submodule is not closed under the steps into degree %s"
-                    % (gr.to_degree(M.coords, v),)
-                ) from None
+        pushes.append(np.concatenate(pushed, axis=1))
+    pad = M.members is not None
+    spaces = la.stacked_padded("row_space", pushes, M.p, pad)
+    if sub is None:
+        comps = [la.stacked_unit_complement(s) for s in spaces]
+    else:
+        pairs = list(zip(spaces, wholes))
+        comps = la.stacked_padded("complement_basis", pairs, M.p, pad)
+    out = []
+    for (v, cols), found in zip(points, comps):
+        if found is None:
+            raise InternalCheckError(
+                "submodule is not closed under the steps into degree %s"
+                % (gr.to_degree(M.coords, v),)
+            )
+        comp, counts = found
         if not comp.shape[1]:
             continue
         if sub is not None:  # back over all generators
-            found = comp
             comp = np.zeros(comp.shape[:2] + sub[v][0].shape[2:], dtype=np.int64)
-            comp[:, :, cols] = found
+            comp[:, :, cols] = found[0]
         out.append((v, comp, counts))
     return out
 
@@ -439,8 +458,9 @@ def _check(ress, kernels):
     Every d_j is homogeneous and minimal: one mask per level from the
     generator degrees, and the first bad entry (k, l) in row-major order is
     named.  At every index point the augmentation is onto (rank-nullity),
-    each d_j's image (one stacked row space) is the kernel below it, and no
-    kernel is left at the last level.
+    each d_j's image is the kernel below it (the images of every (j, v) are
+    reduced by one la.stacked_padded call), and no kernel is left at the
+    last level.
     """
     M, p, n = ress[0].module, ress[0].p, ress[0].module.n
     degrees, present = ress[0].gen_degrees, ress[0].present
@@ -456,17 +476,24 @@ def _check(ress, kernels):
                 "resolution d_%d not %s at (%d,%d)"
                 % (j, "minimal" if below[k, l] else "homogeneous", k, l)
             )
+    images = [
+        (j, v, m[:, present[j - 1][v]][:, :, present[j][v]].transpose(0, 2, 1))
+        for v in gr.grid(M.bound)
+        for j, m in d.items()
+        if present[j][v]
+    ]
+    pad = M.members is not None
+    spaces = la.stacked_padded("row_space", [m for _, _, m in images], p, pad)
+    spaces = {(j, v): s for (j, v, _), s in zip(images, spaces)}
     for v in gr.grid(M.bound):
         if any(len(present[0][v]) - k != M.dim(v) for k in kernels[0][v][1]):
             raise InternalCheckError(
                 "augmentation not surjective at %s" % (gr.to_degree(M.coords, v),)
             )
-        for j, m in d.items():
+        for j in d:
             want, wanted = kernels[j - 1][v]
             if present[j][v]:
-                have, counts = la.stacked_row_space(
-                    m[:, present[j - 1][v]][:, :, present[j][v]].transpose(0, 2, 1), p
-                )
+                have, counts = spaces[j, v]
                 want = want[:, : max(wanted), present[j - 1][v]]
                 exact = list(wanted) == counts and want.shape == have.shape
                 exact = exact and (want == have).all()
@@ -532,22 +559,25 @@ def _extend(ress, maps, below=()):
     """Resolve a stack of resolutions that share every level so far from its
     last level j on, filling each in place; maps[v] is the stack of d_j at v.
 
-    At each index point the kernel of d_j, over all generators of F_j, is one
-    stacked kernel; the kernels are the sub given to _generators, whose rows
-    are the columns of d[j+1] as they are.  Where the members' generator
-    counts disagree, the stack splits by them and each part continues on its
-    own, with the stacked kernels of every level (below, then j) cut to it.
-    Each finished part is verified by one stacked check (_check) on them.
+    The kernels of d_j at every index point, over all generators of F_j,
+    come from one la.stacked_padded call; they are the sub given to
+    _generators, whose rows are the columns of d[j+1] as they are.  Where
+    the members' generator counts disagree, the stack splits by them and
+    each part continues on its own, with the stacked kernels of every level
+    (below, then j) cut to it.  Each finished part is verified by one
+    stacked check (_check) on them.
     """
     M = ress[0].module
     j = len(ress[0].gen_degrees) - 1
     present, width = ress[0].present[j], len(ress[0].gen_degrees[j])
     kernels = {}
-    for v in gr.grid(M.bound):
-        local, found = la.stacked_kernel_basis(maps[v], M.p)
+    points = list(gr.grid(M.bound))
+    stacks = [maps[v] for v in points]
+    found = la.stacked_padded("kernel_basis", stacks, M.p, M.members is not None)
+    for v, (local, counts) in zip(points, found):
         rows = np.zeros(local.shape[:2] + (width,), dtype=np.int64)
         rows[:, :, present[v]] = local
-        kernels[v] = rows, np.array(found)
+        kernels[v] = rows, np.array(counts)
     for b, res in enumerate(ress):
         res.kernels.append({v: k[b, : c[b]] for v, (k, c) in kernels.items()})
     levels = list(below) + [kernels]
@@ -583,10 +613,11 @@ def minimal_resolution(M):
     M is one module or a stack (answered with one resolution per member),
     resolved at once.  Level j is its generator degrees, their presence on
     the grid (one gr.present_on_grid sweep) and the stacked matrix of d_j;
-    each level does one gather, one stacked kernel and one stacked generator
-    step per index point (_extend).  Members whose generators differ split
-    off and continue as a part of their own, a set of member positions on
-    the one stack.
+    each level gathers d_j at every index point, then takes their kernels
+    and the next generators stage by stage (_extend): for a stack one
+    stacked call per stage over all points, for a single module one per
+    point.  Members whose generators differ split off and continue as a
+    part of their own, a set of member positions on the one stack.
     """
     nb = M.depth
     out = [None] * nb

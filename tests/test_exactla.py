@@ -774,3 +774,83 @@ def test_stacked_complement_refuses_a_sub_outside_the_whole():
         sub[:, 0, 1] = 1
         with pytest.raises(ValueError, match="not contained"):
             la.stacked_complement_basis((sub, [1] * nb), (whole, [1] * nb), 5)
+
+
+# -- stacked_padded: ragged lists of stacks against the per-matrix routines ----
+
+
+def _ragged(seed):
+    """(p, stacks): a seeded list of (B_g, r_g, c_g) stacks of one field.
+
+    The first entries always have no rows, no columns, depth 1 and all-zero
+    matrices; the rest are low-rank products, free entries or zero, with
+    ranks that differ inside one stack.  For odd seeds the list is short,
+    with a total depth below la._STACK_DEPTH; for even seeds it is past it."""
+    rng = np.random.default_rng(seed)
+    p = (2, 3, 3037000493)[seed % 3]
+    values = [0, 1, p - 1, int(rng.integers(0, p))]
+    short = seed % 2
+    shapes = [(1, 0, 3), (2, 2, 0), (1, 3, 4), (1, 2, 2)] + [
+        tuple(int(x) for x in rng.integers((1, 0, 0), (3 if short else 6, 5, 6)))
+        for _ in range(1 if short else 6)
+    ]
+    stacks = []
+    for g, (nb, r, c) in enumerate(shapes):
+        stack = np.zeros((nb, r, c), dtype=np.int64)
+        for b in range(nb if g != 3 else 0):  # entry 3 stays all zero
+            if rng.random() < 0.6:
+                k = int(rng.integers(0, 4))
+                left = rng.choice(values, size=(r, k))
+                stack[b] = la.matmul(left, rng.choice(values, size=(k, c)), p)
+            else:
+                stack[b] = rng.choice(values, size=(r, c))
+        stacks.append(stack)
+    return p, stacks
+
+
+@pytest.mark.parametrize("pad", [True, False], ids=["padded", "per-entry"])
+@pytest.mark.parametrize("seed", range(36))
+def test_stacked_padded_matches_the_per_matrix_routines(seed, pad):
+    p, stacks = _ragged(seed)
+    before = [s.copy() for s in stacks]
+    forms = {"row_space": la.row_space, "kernel_basis": la.kernel_basis}
+    spaces = {}
+    for kind, ref in forms.items():
+        found = spaces[kind] = la.stacked_padded(kind, stacks, p, pad)
+        assert len(found) == len(stacks)
+        for stack, (rows, counts) in zip(stacks, found):
+            nb, _, c = stack.shape
+            assert rows.shape == (nb, max(counts, default=0), c)
+            for b in range(nb):
+                assert _reference_basis(rows[b], counts[b], ref(stack[b], p)), (kind, b)
+    # complements: of the row space of the upper rows in the row space (a
+    # sub contained in its whole), and of each row space in the kernel,
+    # which holds it only where the matrix times its transpose is zero
+    halves = [s[:, : s.shape[1] // 2] for s in stacks]
+    upper = la.stacked_padded("row_space", halves, p, pad)
+    for sub, whole in (
+        (upper, spaces["row_space"]),
+        (spaces["row_space"], spaces["kernel_basis"]),
+    ):
+        found = la.stacked_padded("complement_basis", list(zip(sub, whole)), p, pad)
+        for (s, ks), (w, kw), got in zip(sub, whole, found):
+            want = []
+            for b in range(len(w)):
+                try:
+                    want.append(la.complement_basis(s[b, : ks[b]], w[b, : kw[b]], p))
+                except ValueError:
+                    want = None
+                    break
+            if want is None:
+                assert got is None
+                continue
+            rows, counts = got
+            assert rows.shape == (len(w), max(counts, default=0), w.shape[2])
+            for b, m in enumerate(want):
+                assert _reference_basis(rows[b], counts[b], m)
+    assert all((s == b).all() for s, b in zip(stacks, before))
+
+
+def test_stacked_padded_answers_an_empty_list():
+    for kind in ("row_space", "kernel_basis", "complement_basis"):
+        assert la.stacked_padded(kind, [], 5) == []

@@ -1,13 +1,14 @@
 """Which corruptions each command catches: the mutation table.
 
-Three exact kernels are corrupted in turn, and every command is run on the
-three bundled fixtures, in process through cli.main, at the field the
-benchmark runs each fixture over.  A run under a mutation must print the
+Five exact kernels are corrupted in turn, and every command is run in
+process through cli.main: the complex commands on the three bundled
+fixtures, at the field the benchmark runs each fixture over, and orbits on
+the benchmark's two census shapes.  A run under a mutation must print the
 unpatched stdout bytes, or exit 2 with empty stdout and one JSON object on
 stderr.  No cell may exit 1 (that means bad input) or print a traceback.
 
 A cell that exits 0 with other stdout is a wrong answer nothing caught.  The
-known ones are listed in KNOWN_GAPS, fixture by fixture, each with the open
+known ones are listed in KNOWN_GAPS, input by input, each with the open
 item that closes it: a new gap fails, and so does a listed gap that no longer
 shows.
 """
@@ -18,6 +19,7 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from torpers import cli
@@ -33,6 +35,14 @@ COMMANDS = {
     "e1": ["e1"],
     "d2-q0": ["d2", "--q", "0"],
     "recover": ["recover"],
+    "orbits": ["orbits"],
+}
+# the benchmark's census shapes, as orbits arguments
+CENSUSES = {
+    "four-lines-gf5": "--xi0 [[[0,0],2]] --xi1 [[[0,3],1],[[1,2],1],[[2,1],1],[[3,0],1]] "
+    "--field 5",
+    "mixed-gf3": "--xi0 [[[0,1],1],[[1,0],2]] --xi1 [[[1,1],1],[[1,2],1],[[2,0],1]] "
+    "--field 3",
 }
 
 
@@ -70,10 +80,30 @@ def _last_row_dropped(kernel_basis):
     return lambda a, p: kernel_basis(a, p)[:-1]
 
 
+def _last_rows_dropped(stacked_kernel_basis):
+    """Each member's last basis row dropped (zeroed, its count one lower)."""
+
+    def mutated(stack, p):
+        rows, counts = stacked_kernel_basis(stack, p)
+        rows = rows.copy()
+        for b, k in enumerate(counts):
+            if k:
+                rows[b, k - 1] = 0
+        return rows, [max(k - 1, 0) for k in counts]
+
+    return mutated
+
+
+def _no_reduction(reduce_mod_rows):
+    return lambda v, basis, p: np.asarray(v, dtype=np.int64) % p
+
+
 MUTATIONS = {
     "complex_ranks": _largest_rank_one_low,
     "stacked_rank": _first_rank_one_low,
     "kernel_basis": _last_row_dropped,
+    "stacked_kernel_basis": _last_rows_dropped,
+    "reduce_mod_rows": _no_reduction,
 }
 
 # (mutation, command) -> {fixture: the open ROADMAP item that closes the gap}.
@@ -96,7 +126,15 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def _inputs(command):
+    """The inputs a command runs on: the census shapes for orbits, the
+    fixtures for every other command."""
+    return CENSUSES if command == "orbits" else FIELDS
+
+
 def _argv(stem, command):
+    if command == "orbits":
+        return COMMANDS[command] + CENSUSES[stem].split()
     path = str(FIXTURES / (stem + ".mfc"))
     return COMMANDS[command] + ["--input", path, "--field", str(FIELDS[stem])]
 
@@ -111,10 +149,10 @@ def _unpatched(stem, command):
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_every_cell_is_caught_or_unchanged(monkeypatch, mutation, command):
-    want = {stem: _unpatched(stem, command) for stem in FIELDS}
+    want = {stem: _unpatched(stem, command) for stem in _inputs(command)}
     monkeypatch.setattr(la, mutation, MUTATIONS[mutation](getattr(la, mutation)))
     wrong = []
-    for stem in FIELDS:
+    for stem in want:
         rc, out, err = _run(_argv(stem, command))
         assert "Traceback" not in err, (stem, err)
         assert rc in (0, 2), (stem, rc, err)

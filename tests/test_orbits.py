@@ -1,6 +1,7 @@
 """Relation-family enumeration, GL-orbits, and the separating invariants."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ def test_enumerate_mixed_count_and_containment():
     assert len(fams) == 4 * 13 * 4
     for fam in fams[::25]:
         fam.check()
+
+
+def test_a_filter_that_keeps_no_extension_fails_the_second_count(monkeypatch):
+    # reduce_mod_rows that reduces nothing keeps no candidate over a nonzero
+    # push; la.rank still spans the pushed line, so [2 - 1, 2 - 1]_3 = 4
+    # extensions were due at the first degree with a relation below it
+    monkeypatch.setattr(la, "reduce_mod_rows", lambda v, basis, p: np.asarray(v) % p)
+    want = (
+        "relation degree [1, 2]: partial family [0] has 0 extensions, but its "
+        "pushed rows span dimension 1, which gives 4"
+    )
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+
+
+def test_a_group_generator_refused_is_a_bug(monkeypatch):
+    # group_generators makes every element itself, so one GroupElement
+    # refuses is an internal failure, not bad input
+    monkeypatch.setattr(la, "rank", lambda a, p: 0)
+    with pytest.raises(InternalCheckError, match="group generator refused"):
+        ob.group_generators(XI0_MIXED, 3)
 
 
 def test_enumerate_empty_relations():

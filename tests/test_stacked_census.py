@@ -8,6 +8,7 @@ import pytest
 
 from test_orbits import XI0_FOUR_LINES, XI0_MIXED, XI1_FOUR_LINES, XI1_MIXED
 from torpers import InternalCheckError
+from torpers import exactla as la
 from torpers import grading as gr
 from torpers import modules as md
 from torpers import orbits as ob
@@ -240,3 +241,35 @@ def test_a_stack_of_one_equals_the_module_alone():
     tables = tor.xi(_stack([a]))
     assert len(tables) == 1
     _assert_same_table(tables[0], tor.xi(a))
+
+
+def test_a_stack_takes_one_kernel_call_per_level_and_part(monkeypatch):
+    # every index point of a level goes into one padded stacked_kernel_basis
+    # call, once per part (one _extend call); a single module keeps one call
+    # per index point and level
+    calls, parts = [], []
+    kernel, extend = la.stacked_kernel_basis, tor._extend
+    monkeypatch.setattr(
+        la, "stacked_kernel_basis", lambda m, p: calls.append(len(m)) or kernel(m, p)
+    )
+    monkeypatch.setattr(
+        tor,
+        "_extend",
+        lambda rs, maps, below=(): parts.append(len(rs)) or extend(rs, maps, below),
+    )
+    families = ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+    stacks = [S for S in ob.family_to_module(families) if S.depth > 1]
+    (split,) = md.present_cokernel(LEVEL_1_SPLIT * 2, 3)
+    for S in stacks + [split]:
+        calls.clear(), parts.clear()
+        ress = tor.minimal_resolution(S)
+        points = len(list(gr.grid(S.bound)))
+        assert calls == [nb * points for nb in parts]
+        if S is split:  # level 0 for all four, then each part of two alone
+            assert parts == [4, 2, 2, 2]
+        else:  # no split: one call per level
+            assert all(r.gen_degrees == ress[0].gen_degrees for r in ress)
+            assert parts == [S.depth] * len(ress[0].gen_degrees)
+        calls.clear()
+        alone = tor.minimal_resolution(_member(S, 0))
+        assert calls == [1] * (points * len(alone.gen_degrees))
