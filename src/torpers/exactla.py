@@ -515,7 +515,8 @@ def _one(kind, entry, p):
 def stacked_padded(kind, entries, p, pad=True):
     """The stacked form kind ("row_space", "kernel_basis" or
     "complement_basis") of every entry of a list, as one stacked basis per
-    entry, or None for the complement of a sub not contained in its whole.
+    entry, or None for the complement of a sub not contained in its whole
+    and for a padded kernel with fewer rows than its padded columns.
 
     An entry is a (B_g, r_g, c_g) array, for complement_basis a pair (sub,
     whole) of stacked bases over c_g columns (the whole's rows reduced
@@ -544,7 +545,9 @@ def stacked_padded(kind, entries, p, pad=True):
         k = counts[at : at + nb]
         if kind == "kernel_basis":
             k = [x - (cols - c) for x in k]
-        if complement and k != [w - s for s, w in zip(entry[0][1], entry[1][1])]:
+        if min(k, default=0) < 0 or (
+            complement and k != [w - s for s, w in zip(entry[0][1], entry[1][1])]
+        ):
             out.append(None)
         else:
             out.append((rows[at : at + nb, : max(k, default=0), :c], k))

@@ -5,15 +5,18 @@ tuple of subspaces V_v inside F(xi0)_v, one per relation degree, subject to
 dimension and containment constraints.  The automorphisms of F(xi0) form a
 block upper-triangular group in a degree-sorted generator basis; its orbits
 on the families are the isomorphism classes.  This module enumerates the
-families exactly, partitions them into orbits by generator BFS, and computes
-per-orbit invariants: the full xi table of the cokernel, and Grassmannian
-coordinates of the higher syzygy maps that separate orbits sharing a table.
+families exactly, labels their orbits, and computes per-orbit invariants:
+the full xi table of the cokernel, and Grassmannian coordinates of the
+higher syzygy maps that separate orbits sharing a table.
 
-A family keeps the positions of its subspaces among the candidates listed at
-each relation degree, and the BFS runs on those tuples, not on families.  A
-census uses few distinct subspaces per degree; each generator acts once on
-each (apply_group_element, the one place the group acts), which gives a table
-of positions per generator and degree, and moving a family is a lookup.
+The census is arrays: the families are the rows of an (F, D) array holding,
+per relation degree, the position of the family's subspace among that
+degree's candidates, enumerated through one containment table per pair of
+comparable degrees.  Each generator acts once on each subspace in use
+(apply_group_element, the one place the group acts); that gives a table of
+positions per generator and degree, applied to the whole array at once.
+RelationFamily objects are built only for the representatives and the
+spot-checked members.
 
 The xi tables of a census are computed in few stacks: the members of an
 orbit have their representative's dimensions, and the 30 orbits of the
@@ -26,6 +29,7 @@ each member its own tables (see tor).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -68,18 +72,13 @@ def subspaces(a, d, q):
     if d > a:
         return
     for pivots in itertools.combinations(range(a), d):
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, a)
-            if j not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free)):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, a)]
+        free = np.array([(i, j) for i, j in free if j not in pivots], dtype=np.intp)
+        rows, cols = free.reshape(-1, 2).T
+        for values in itertools.product(range(q), repeat=len(rows)):
             m = la.zeros(d, a)
-            for i, c in enumerate(pivots):
-                m[i, c] = 1
-            for (i, j), val in zip(free, values):
-                m[i, j] = val
+            m[range(d), pivots] = 1
+            m[rows, cols] = values
             yield m
 
 
@@ -104,39 +103,10 @@ class RelationFamily:
     """
 
     def __init__(self, xi0, xi1, q, spaces, positions=None):
-        self.xi0 = dict(xi0)
-        self.xi1 = dict(xi1)
-        self.q = q
+        self.xi0, self.xi1, self.q = dict(xi0), dict(xi1), q
         self.degrees = tuple(sorted(self.xi1))
         self.spaces = {v: np.asarray(spaces[v], dtype=np.int64) for v in self.degrees}
         self.positions = positions
-
-    def check(self):
-        births = [(g,) for g in gr.multiset_to_list(self.xi0)]
-        index = {v: gr.present(births, v) for v in self.degrees}
-        for v in self.degrees:
-            m = self.spaces[v]
-            a = len(index[v])
-            d = gr.staircase_count(self.xi1, v)
-            if m.shape != (d, a):
-                raise ValidationError(
-                    "space at %s has shape %s, expected %s"
-                    % (list(v), m.shape, (d, a))
-                )
-            r, rank, _ = la.rref(m, self.q)
-            if rank != d or (r != m % self.q).any():
-                raise ValidationError(
-                    "space at %s is not a full-rank RREF matrix" % (list(v),)
-                )
-        for u, v in itertools.combinations(self.degrees, 2):
-            for lo, hi in ((u, v), (v, u)):
-                if gr.leq(lo, hi) and lo != hi:
-                    pushed = _push(self.spaces[lo], index[lo], index[hi])
-                    if la.reduce_mod_rows(pushed, self.spaces[hi], self.q).any():
-                        raise ValidationError(
-                            "family violates containment from %s to %s"
-                            % (list(lo), list(hi))
-                        )
 
     def encode(self):
         """Hashable, lexicographically comparable canonical form."""
@@ -151,71 +121,119 @@ class RelationFamily:
         }
 
 
+class Families:
+    """The relation families of one (xi0, xi1, q), in enumeration order: row
+    i of positions holds family i's position in candidates[k], the subspaces()
+    list at relation degree k, for each k.  Indexing builds RelationFamily
+    objects, which share the candidates' arrays."""
+
+    def __init__(self, xi0, xi1, q, candidates, positions):
+        self.xi0, self.xi1, self.q = dict(xi0), dict(xi1), q
+        self.degrees = tuple(sorted(self.xi1))
+        self.candidates, self.positions = candidates, positions
+
+    def __len__(self):
+        return len(self.positions)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        pos = tuple(self.positions[k].tolist())
+        spaces = {v: cs[c] for v, cs, c in zip(self.degrees, self.candidates, pos)}
+        return RelationFamily(self.xi0, self.xi1, self.q, spaces, pos)
+
+
+def _containment(pushed, upper, q):
+    """(C_u, C_v) table for degrees u < v: does upper[b] contain pushed[a],
+    the push to v of candidate a at u?"""
+    table = [[not la.reduce_mod_rows(a, b, q).any() for b in upper] for a in pushed]
+    return np.array(table, dtype=bool).reshape(len(pushed), len(upper))
+
+
+def _closed_form(below, index, dims, q):
+    """The family count before enumerating: Π_v [f_v - R_u, R_v - R_u]_q,
+    with u the one maximal relation degree below v (R_u = 0 with none), as
+    every lower push lies in V_u's; None when a degree has two maximal ones."""
+    tops = [set(lower).difference(*(below[j] for j in lower)) for lower in below]
+    if any(len(top) > 1 for top in tops):
+        return None
+    low = [dims[top.pop()] if top else 0 for top in tops]
+    return math.prod(
+        gaussian_binomial(len(i) - r, d - r, q) for i, d, r in zip(index, dims, low)
+    )
+
+
 def enumerate_families(xi0, xi1, q, limit=FAMILY_LIMIT):
-    """All relation families for (xi0, xi1) over GF(q), deduplicated.
+    """All relation families for (xi0, xi1) over GF(q), as Families.
 
     The candidate count is the product of Gaussian binomials over the
     relation degrees; anything past `limit` raises before enumeration starts.
-    A family grows as a tuple of positions among each degree's candidates,
-    and shares their arrays (nothing writes them).  A partial family is
-    extended by the candidates its pushed rows reduce to zero modulo, and
-    their number is checked a second way: they are the d-dimensional
-    subspaces of F_0(v) containing the span W of those rows, as many as the
-    subspaces of F_0(v)/W, with dim W from la.rank (another kernel than the
-    reduction).  A different count raises InternalCheckError naming the
-    relation degree and the partial family.
+    The rows grow degree by degree, in lexicographic order: a partial family
+    keeps the candidates at v that its row selects in the containment table
+    of every lower degree u.  Their number is checked a second way: they are
+    the d-subspaces of F_0(v) holding the span W of the pushed rows, as many
+    as the subspaces of F_0(v)/W, with dim W from la.rank (another kernel
+    than the reduction) once per distinct tuple of lower positions.  The
+    first partial family that fails is named.  The closed form, where it
+    applies, must give the number of rows.
     """
     check_field(q)
-    xi0 = dict(xi0)
-    xi1 = dict(xi1)
+    xi0, xi1 = dict(xi0), dict(xi1)
     if len({len(deg) for deg in itertools.chain(xi0, xi1)}) > 1:
         raise ValidationError("mixed degree lengths in xi0/xi1")
-    if not xi1:
-        return [RelationFamily(xi0, xi1, q, {}, ())]
     births = [(g,) for g in gr.multiset_to_list(xi0)]
     degrees = sorted(xi1)
     index = [gr.present(births, v) for v in degrees]
     dims = [gr.staircase_count(xi1, v) for v in degrees]
-    budget = 1
-    for idx, d in zip(index, dims):
-        budget *= gaussian_binomial(len(idx), d, q)
+    below = [
+        [i for i in range(k) if gr.leq(degrees[i], v)] for k, v in enumerate(degrees)
+    ]
+    budget = math.prod(gaussian_binomial(len(i), d, q) for i, d in zip(index, dims))
+    limit = min(limit, 2**62)  # a family's mixed-radix key must fit int64
     if budget > limit:
         raise ValidationError(
             "enumeration budget exceeded: about %d subspace tuples (limit %d)"
             % (budget, limit)
         )
+    closed = _closed_form(below, index, dims, q)
 
-    candidates, partials = [], [()]  # per degree, its subspaces() in order
+    candidates = [list(subspaces(len(idx), d, q)) for idx, d in zip(index, dims)]
+    pushed = {  # (u, v): each candidate at u pushed to v
+        (i, k): [_push(m, index[i], index[k]) for m in candidates[i]]
+        for k in range(len(degrees))
+        for i in below[k]
+    }
+    tables = {uv: _containment(m, candidates[uv[1]], q) for uv, m in pushed.items()}
+    positions = np.zeros((1, 0), dtype=np.int64)
     for k, v in enumerate(degrees):
-        f, d = len(index[k]), dims[k]
-        candidates.append(list(subspaces(f, d, q)))
-        lower = [i for i in range(k) if gr.leq(degrees[i], v)]
-        grown = []
-        for pos in partials:
-            pushed = [_push(candidates[i][pos[i]], index[i], index[k]) for i in lower]
-            required = np.concatenate([la.zeros(0, f)] + pushed)
-            kept = [
-                pos + (c,)
-                for c, cand in enumerate(candidates[k])
-                if not la.reduce_mod_rows(required, cand, q).any()
-            ]
-            # the second count: the d-subspaces holding the pushed span W are
-            # those of F_0(v)/W, [f - w, d - w]_q of them (none when w > d)
-            w = la.rank(required, q) if lower else 0
-            want = gaussian_binomial(f - w, d - w, q)
-            if len(kept) != want:
-                raise InternalCheckError(
-                    "relation degree %s: partial family %s has %d extensions, "
-                    "but its pushed rows span dimension %d, which gives %d"
-                    % (list(v), list(pos), len(kept), w, want)
-                )
-            grown.extend(kept)
-        partials = grown
-    families = []
-    for pos in partials:
-        spaces = {v: cs[c] for v, cs, c in zip(degrees, candidates, pos)}
-        families.append(RelationFamily(xi0, xi1, q, spaces, pos))
-    return families
+        keep = np.ones((len(positions), len(candidates[k])), dtype=bool)
+        for i in below[k]:
+            keep &= tables[i, k][positions[:, i]]
+        # the second count: the d-subspaces holding the pushed span W are
+        # those of F_0(v)/W, [f - w, d - w]_q of them (none when w > d)
+        lower, at = np.unique(positions[:, below[k]], axis=0, return_inverse=True)
+        spans = [
+            la.rank(np.concatenate([pushed[i, k][c] for i, c in zip(below[k], t)]), q)
+            if t else 0
+            for t in lower.tolist()
+        ]
+        want = [gaussian_binomial(len(index[k]) - w, dims[k] - w, q) for w in spans]
+        want = np.array(want, dtype=np.int64)[at]
+        got = keep.sum(axis=1)
+        for b in np.flatnonzero(got != want)[:1].tolist():
+            raise InternalCheckError(
+                "relation degree %s: partial family %s has %d extensions, "
+                "but its pushed rows span dimension %d, which gives %d"
+                % (list(v), positions[b].tolist(), got[b], spans[at[b]], want[b])
+            )
+        rows, cols = np.nonzero(keep)
+        positions = np.column_stack([positions[rows], cols])
+    if closed is not None and len(positions) != closed:
+        raise InternalCheckError(
+            "the enumeration found %d families, but the closed form gives %d"
+            % (len(positions), closed)
+        )
+    return Families(xi0, xi1, q, candidates, positions)
 
 
 class GroupElement:
@@ -265,28 +283,19 @@ def group_generators(xi0, q):
     check_field(q)
     gens = gr.multiset_to_list(xi0)
     m = len(gens)
-    mats = []
-    root = _primitive_root(q)
+    entries = []  # (k, l, x): the identity with entry (k, l) set to x
     blocks = {}
     for k, g in enumerate(gens):
         blocks.setdefault(g, []).append(k)
     for deg, idx in sorted(blocks.items()):
-        for k in idx:
-            for l in idx:
-                if k != l:
-                    e = la.eye(m)
-                    e[k, l] = 1
-                    mats.append(e)
-        if q > 2:
-            e = la.eye(m)
-            e[idx[0], idx[0]] = root
-            mats.append(e)
-    for k in range(m):
-        for l in range(m):
-            if gens[k] != gens[l] and gr.leq(gens[k], gens[l]):
-                e = la.eye(m)
-                e[k, l] = 1
-                mats.append(e)
+        entries += [(k, l, 1) for k, l in itertools.permutations(idx, 2)]
+        entries += [(idx[0], idx[0], _primitive_root(q))] if q > 2 else []
+    for k, l in itertools.permutations(range(m), 2):
+        if gens[k] != gens[l] and gr.leq(gens[k], gens[l]):
+            entries.append((k, l, 1))
+    mats = [la.eye(m) for _ in entries]
+    for e, (k, l, x) in zip(mats, entries):
+        e[k, l] = x
     try:
         return [GroupElement(e, gens, q) for e in mats]
     except ValidationError as err:
@@ -299,78 +308,87 @@ def apply_group_element(g, v, space):
 
 
 class Orbit:
-    def __init__(self, rep, members, size, key):
+    def __init__(self, rep, members, size, key, index):
         self.rep = rep
         self.members = members  # indices into the enumeration order
         self.size = size
-        self.key = key  # rep.encode(), read off the BFS's encodings
+        self.key = key  # rep.encode(), read off the partition's encodings
+        self.index = index  # the representative's place in the enumeration
 
 
 def orbit_partition(families, xi0, q):
-    """Partition the family list into group orbits via BFS over generators.
+    """Partition Families (not a list of families: ValueError) into orbits.
 
-    The BFS runs on positions: a family is its tuple of positions, one per
-    relation degree, kept by enumerate_families (a family without them
-    raises ValueError).  Each generator acts once on each subspace some
-    family uses at each degree, which gives a table of positions per degree;
-    applying the generator to a family is then a lookup of each position in
-    its degree's table.  Only those subspaces and their images are encoded.
-    The tables must be bijections (a generator is invertible), every image
-    must be a used subspace, and every image tuple an enumerated family;
-    otherwise the action is broken and this raises.  Each orbit's
-    representative is the member with the lexicographically least encoding,
-    kept as its .key, and the orbits are sorted by it.
+    Each generator acts once on each subspace used at each degree, which
+    gives a table of positions per generator and degree, applied to the
+    whole array; image rows are found by their mixed-radix keys over the
+    candidate counts.  A table must be a bijection on the used subspaces,
+    every image row an enumerated family, and no key may repeat.  A family's
+    label, the least row it reaches, is pulled along the generator images
+    with pointer jumping until it is stable.  Only used subspaces and their
+    images are encoded; an orbit's representative has the least encoding
+    (the least key of per-degree encoding ranks), kept as its .key, and the
+    orbits are sorted by it.
     """
-    index = {fam.positions: i for i, fam in enumerate(families)}
-    if None in index:
-        raise ValueError("orbit_partition needs families with positions")
-    if len(index) != len(families):
+    if not isinstance(families, Families):
+        raise ValueError("orbit_partition needs families with positions (Families)")
+    pos, candidates = families.positions, families.candidates
+    cols, sizes = list(pos.T), [len(cs) for cs in candidates]
+
+    def key(tables):  # per family: the mixed-radix key of its looked-up positions
+        at = [t[c] for t, c in zip(tables, cols)]  # none: a scalar 0, broadcast
+        return np.ravel_multi_index(at, sizes) + np.zeros(len(pos), dtype=np.int64)
+
+    keys = key([np.arange(n) for n in sizes])
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValidationError("duplicate family in the input list")
-    degrees = families[0].degrees if families else ()
-    spaces = [  # per degree: used position -> its subspace
-        {f.positions[k]: f.spaces[v] for f in families} for k, v in enumerate(degrees)
-    ]
-    codes = [{c: _encode_space(m) for c, m in at.items()} for at in spaces]
+    counts = [np.bincount(c, minlength=n) for c, n in zip(cols, sizes)]
+    used = [np.flatnonzero(m).tolist() for m in counts]  # np.unique loads numpy.ma
+    codes = [{c: _encode_space(cs[c]) for c in u} for u, cs in zip(used, candidates)]
     where = [{e: c for c, e in at.items()} for at in codes]  # encoding -> position
     left = "group action left the enumerated family set; containment closure is broken"
-    tables = []
+    tables = []  # per generator and degree: position -> image position
     for g in group_generators(xi0, q):
-        table = []
-        for k, v in enumerate(degrees):
-            images = {}
-            for c, space in spaces[k].items():
-                e = _encode_space(apply_group_element(g, v, space))
+        tables.append([np.full(n, -1, dtype=np.int64) for n in sizes])
+        for k, v in enumerate(families.degrees):
+            for c in used[k]:
+                e = _encode_space(apply_group_element(g, v, candidates[k][c]))
                 if e not in where[k]:
                     raise InternalCheckError(left)
-                images[c] = where[k][e]
-            if len(set(images.values())) != len(images):
+                tables[-1][k][c] = where[k][e]
+            if len(set(tables[-1][k][used[k]].tolist())) != len(used[k]):
                 raise InternalCheckError(
                     "a group generator does not permute the subspaces at %s"
                     % (list(v),)
                 )
-            table.append(images)
-        tables.append(table)
-    seen = set()
+    moves = []  # per generator: the row of each family's image
+    for table in tables:
+        moved = key(table)
+        at = np.minimum(np.searchsorted(ordered, moved), len(keys) - 1)
+        if (ordered[at] != moved).any():
+            raise InternalCheckError(left)
+        moves.append(order[at])
+    label = np.arange(len(keys))
+    while True:
+        pulled = label[label]
+        for move in moves:
+            pulled = np.minimum(pulled, pulled[move])
+        if (pulled == label).all():
+            break
+        label = pulled
+    ranks = [np.zeros(n, dtype=np.int64) for n in sizes]  # position -> encoding rank
+    for rank, coded in zip(ranks, codes):
+        rank[sorted(coded, key=coded.__getitem__)] = np.arange(len(coded))
+    code = key(ranks)
+    by = np.lexsort((code, label))
+    starts = np.flatnonzero(np.diff(label[by], prepend=-1))
+    members = np.split(np.argsort(label, kind="stable"), starts[1:])
     orbits = []
-    for start in index:
-        if start in seen:
-            continue
-        queue = [start]
-        members = {start}
-        while queue:
-            cur = queue.pop()
-            for table in tables:
-                nxt = tuple(images[c] for images, c in zip(table, cur))
-                if nxt not in index:
-                    raise InternalCheckError(left)
-                if nxt not in members:
-                    members.add(nxt)
-                    queue.append(nxt)
-        seen |= members
-        key, rep = min((tuple(e[c] for e, c in zip(codes, t)), t) for t in members)
-        ks = sorted(index[t] for t in members)
-        orbits.append(Orbit(families[index[rep]], ks, len(members), key))
-    orbits.sort(key=lambda o: o.key)
+    for rep, ks in sorted(zip(by[starts].tolist(), members), key=lambda o: code[o[0]]):
+        enc = tuple(e[c] for e, c in zip(codes, pos[rep].tolist()))
+        orbits.append(Orbit(families[rep], ks.tolist(), len(ks), enc, rep))
     return orbits
 
 
@@ -391,20 +409,17 @@ def _presentations(fams):
     row of its spaces, in degree order."""
     gens = gr.multiset_to_list(fams[0].xi0)
     index = {v: gr.present([(g,) for g in gens], v) for v in fams[0].degrees}
+    n = next(map(len, itertools.chain(fams[0].xi0, fams[0].xi1)), None)
+    if n is None:
+        raise ValidationError("cannot infer the number of gradings from empty data")
     out = []
     for f in fams:
         relations = []
         for v in f.degrees:
             for row in f.spaces[v].tolist():
                 relations.append((v, {index[v][c]: x for c, x in enumerate(row) if x}))
-        out.append(Presentation(_infer_n(f), gens, relations))
+        out.append(Presentation(n, gens, relations))
     return out
-
-
-def _infer_n(fam):
-    for deg in itertools.chain(fam.xi0, fam.xi1):
-        return len(deg)
-    raise ValidationError("cannot infer the number of gradings from empty data")
 
 
 # -- classification ------------------------------------------------------------
@@ -417,33 +432,22 @@ def _pattern_label(rep):
     one-dimensional relation spaces; callers gate on that.
     """
     q = rep.q
-    pts = [tuple(int(x) for x in rep.spaces[v][0]) for v in rep.degrees]
-    symbols = ["0", "inf", "1", "a"]
-    assign, label = {}, []
-    for pt in pts:
-        if pt not in assign:
-            assign[pt] = symbols[len(assign)]
-        label.append(assign[pt])
-    if len(assign) < 4:
-        return "(%s)" % ", ".join(label)
+    pts = [tuple(rep.spaces[v][0].tolist()) for v in rep.degrees]
+    symbols = dict(zip(dict.fromkeys(pts), ["0", "inf", "1", "a"]))  # first seen
+    if len(symbols) < 4:
+        return "(%s)" % ", ".join(symbols[pt] for pt in pts)
     # all four distinct: the cross ratio is the one orbit coordinate left
     d = lambda z, w: (z[0] * w[1] - z[1] * w[0]) % q
     z1, z2, z3, z4 = pts
-    num = d(z4, z1) * d(z3, z2) % q
-    den = d(z4, z2) * d(z3, z1) % q
-    alpha = num * la.inv_mod(den, q) % q
-    return "(0, inf, 1, a), a = %d" % alpha
+    num, den = d(z4, z1) * d(z3, z2) % q, d(z4, z2) * d(z3, z1) % q
+    return "(0, inf, 1, a), a = %d" % (num * la.inv_mod(den, q) % q)
 
 
 def _is_four_lines_shape(xi0, xi1):
-    if len(xi0) != 1 or sum(xi0.values()) != 2:
-        return False
-    if len(xi1) != 4 or any(m != 1 for m in xi1.values()):
-        return False
-    degs = sorted(xi1)
-    return all(
-        not gr.leq(u, v) and not gr.leq(v, u)
-        for u, v in itertools.combinations(degs, 2)
+    return (
+        list(xi0.values()) == [2]
+        and list(xi1.values()) == [1] * 4
+        and not any(gr.leq(u, v) for u, v in itertools.permutations(xi1, 2))
     )
 
 
@@ -451,12 +455,9 @@ class OrbitReport:
     """Orbits with sizes, xi tables, Y-coordinates, and separation diagnostics."""
 
     def __init__(self, q, xi0, xi1, orbits, entries, groups):
-        self.q = q
-        self.xi0 = dict(xi0)
-        self.xi1 = dict(xi1)
-        self.orbits = orbits
+        self.q, self.xi0, self.xi1 = q, dict(xi0), dict(xi1)
+        self.orbits, self.groups = orbits, groups
         self.entries = entries  # per orbit: dict with xi, y, label, ...
-        self.groups = groups
 
     def to_json(self):
         return {
@@ -520,25 +521,20 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
     Y-coordinates is tested for injectivity within each group; the combined
     point (representative, Y) failing to separate two orbits is a hard error.
 
-    Right after the partition, each orbit's spot-check members are picked
-    evenly spaced in enumeration order and the enumeration is released.  One
-    family_to_module call builds the representatives and then the spot-check
-    members, as one stacked module per dims array; each stack is resolved
-    with one tor.xi and released, and its tables are placed by .members.  A
-    member whose xi differs from the rest of its stack gets its own tables
-    all the same, and the tables are compared after every stack is done,
-    orbit by orbit and member by member in orbit order, so the first
-    differing member is named.
+    Each orbit's spot-check members are picked evenly spaced in enumeration
+    order.  One family_to_module call builds the representatives, then those
+    members, one stacked module per dims array, each resolved by one tor.xi.
+    The tables are compared after every stack is done, orbit by orbit and
+    member by member, so the first differing member is named.
     """
-    xi0 = dict(xi0)
-    xi1 = dict(xi1)
+    xi0, xi1 = dict(xi0), dict(xi1)
     families = enumerate_families(xi0, xi1, q, limit=limit)
     orbits = orbit_partition(families, xi0, q)
     label_ok = _is_four_lines_shape(xi0, xi1)
 
     spots = []  # per orbit: the members whose table is recomputed
     for orbit in orbits:
-        others = [k for k in orbit.members if families[k] is not orbit.rep]
+        others = [k for k in orbit.members if k != orbit.index]
         size = min(SPOT_CHECKS, len(others))
         spots.append([others[t * len(others) // size] for t in range(size)])
     fams = [orbit.rep for orbit in orbits] + [families[k] for ks in spots for k in ks]
@@ -559,16 +555,9 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
                     "xi table varies inside one orbit (member %d)" % k
                 )
         start += len(ks)
-        entries.append(
-            {
-                "xi": xi_by_j,
-                "y": y,
-                "y_enc": tuple(
-                    (j, v, tuple(int(x) for x in m.flatten())) for j, v, m in y
-                ),
-                "label": _pattern_label(orbit.rep) if label_ok else None,
-            }
-        )
+        y_enc = tuple((j, v, tuple(m.flatten().tolist())) for j, v, m in y)
+        label = _pattern_label(orbit.rep) if label_ok else None
+        entries.append({"xi": xi_by_j, "y": y, "y_enc": y_enc, "label": label})
 
     groups = {}
     for k, e in enumerate(entries):
@@ -578,11 +567,10 @@ def classify(xi0, xi1, q, limit=FAMILY_LIMIT):
             if j >= 2
         )
         groups.setdefault(key, []).append(k)
-    group_rows = []
-    for key in sorted(groups):
-        ids = groups[key]
-        injective = len({entries[k]["y_enc"] for k in ids}) == len(ids)
-        group_rows.append((key, ids, injective))
+    group_rows = [  # (upper xi key, its orbits, whether Y is injective on them)
+        (key, ids, len({entries[k]["y_enc"] for k in ids}) == len(ids))
+        for key, ids in sorted(groups.items())
+    ]
 
     phi_points = {(o.key, e["y_enc"]) for o, e in zip(orbits, entries)}
     if len(phi_points) != len(orbits):

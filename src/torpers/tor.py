@@ -296,6 +296,9 @@ def koszul_classes(downs, ups, wants, wheres, p, pad=False):
     (padded when pad).  The first failing entry, in list order, raises
     InternalCheckError led by its wheres[g] ("Tor_j at degree")."""
     cycles = la.stacked_padded("kernel_basis", downs, p, pad)
+    for cycle, where in zip(cycles, wheres):
+        if cycle is None:
+            raise InternalCheckError("%s: the cycles lack their padding rows" % where)
     bounds = la.stacked_padded("row_space", [u.transpose(0, 2, 1) for u in ups], p, pad)
     found = la.stacked_padded("complement_basis", list(zip(bounds, cycles)), p, pad)
     out = []
@@ -574,7 +577,13 @@ def _extend(ress, maps, below=()):
     points = list(gr.grid(M.bound))
     stacks = [maps[v] for v in points]
     found = la.stacked_padded("kernel_basis", stacks, M.p, M.members is not None)
-    for v, (local, counts) in zip(points, found):
+    for v, kernel in zip(points, found):
+        if kernel is None:
+            raise InternalCheckError(
+                "resolution level %d at %s: the padded kernel of d_%d lacks "
+                "its padding rows" % (j, gr.to_degree(M.coords, v), j)
+            )
+        local, counts = kernel
         rows = np.zeros(local.shape[:2] + (width,), dtype=np.int64)
         rows[:, :, present[v]] = local
         kernels[v] = rows, np.array(counts)

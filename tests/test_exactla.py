@@ -854,3 +854,20 @@ def test_stacked_padded_matches_the_per_matrix_routines(seed, pad):
 def test_stacked_padded_answers_an_empty_list():
     for kind in ("row_space", "kernel_basis", "complement_basis"):
         assert la.stacked_padded(kind, [], 5) == []
+
+
+def test_stacked_padded_refuses_a_kernel_short_of_its_padding_rows(monkeypatch):
+    # the 1 × 2 entry is padded to the 3 columns of the other one, so its
+    # padded kernel must end in one unit row; a stacked kernel that lost its
+    # last row leaves the entry fewer rows than that, which is refused
+    stacks = [np.array([[[1, 0]]]), np.zeros((1, 1, 3), dtype=np.int64)]
+    kernel = la.stacked_kernel_basis
+
+    def short(stack, p):
+        rows, counts = kernel(stack, p)
+        return rows, [counts[0] - 2] + list(counts[1:])
+
+    assert la.stacked_padded("kernel_basis", stacks, 5)[0][1] == [1]
+    monkeypatch.setattr(la, "stacked_kernel_basis", short)
+    found = la.stacked_padded("kernel_basis", stacks, 5)
+    assert found[0] is None and found[1][1] == [3]

@@ -170,3 +170,17 @@ def test_every_cell_is_caught_or_unchanged(monkeypatch, mutation, command):
         (mutation, command),
     )
     assert all(stem in gaps for stem in wrong), "wrong stdout with exit 0 on %s" % wrong
+
+
+def test_a_short_padded_kernel_names_its_stage_in_the_census():
+    # each padded kernel of the GF(3) census's first stacked level loses its
+    # last row, a padding row: the resolution refuses it at that level and
+    # point instead of failing inside a reshape
+    mutated = _last_rows_dropped(la.stacked_kernel_basis)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(la, "stacked_kernel_basis", mutated)
+        rc, out, err = _run(_argv("mixed-gf3", "orbits"))
+    assert (rc, out) == (2, "")
+    report = json.loads(err)
+    assert report["error"] == "internal-check"
+    assert report["message"].startswith("resolution level 0 at (0, 0): ")

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import census_reference as ref
+
 from torpers import InternalCheckError, ValidationError
 from torpers import exactla as la
 from torpers import grading as gr
@@ -51,7 +53,7 @@ def test_enumerate_four_lines_count():
     fams = ob.enumerate_families(XI0_FOUR_LINES, XI1_FOUR_LINES, 5)
     assert len(fams) == 6 ** 4
     for fam in fams[:20]:
-        fam.check()
+        ref.check_family(fam)
 
 
 def test_enumerate_mixed_count_and_containment():
@@ -59,7 +61,7 @@ def test_enumerate_mixed_count_and_containment():
     # one line in the plane, then a flag: a line inside a plane of k^3
     assert len(fams) == 4 * 13 * 4
     for fam in fams[::25]:
-        fam.check()
+        ref.check_family(fam)
 
 
 def test_a_filter_that_keeps_no_extension_fails_the_second_count(monkeypatch):
@@ -121,7 +123,7 @@ def test_group_action_preserves_validity():
                 3,
                 {v: ob.apply_group_element(g, v, fam.spaces[v]) for v in fam.degrees},
             )
-            moved.check()
+            ref.check_family(moved)
             assert moved.encode() in encodings
 
 
@@ -180,7 +182,8 @@ def test_orbit_partition_matches_the_family_level_bfs(xi0, xi1, q):
     orbits = ob.orbit_partition(fams, xi0, q)
     got = [(o.rep.encode(), o.members, o.size) for o in orbits]
     assert got == _family_level_partition(fams, xi0, q)
-    assert all(any(o.rep is fams[k] for k in o.members) for o in orbits)
+    assert all(o.index in o.members for o in orbits)
+    assert all(o.rep.positions == fams[o.index].positions for o in orbits)
 
 
 def test_orbit_partition_acts_once_per_distinct_subspace(monkeypatch):
@@ -262,17 +265,23 @@ def test_orbit_partition_refuses_a_family_without_positions():
         ob.orbit_partition(fams[1:] + [by_hand], XI0_LINE, 3)
 
 
+def _rows(fams, rows):
+    """The Families holding the given rows of fams' positions, in that order."""
+    pos = fams.positions[rows]
+    return ob.Families(fams.xi0, fams.xi1, fams.q, fams.candidates, pos)
+
+
 def test_orbit_partition_refuses_a_duplicate_family():
     fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
     with pytest.raises(ValidationError, match="duplicate"):
-        ob.orbit_partition(fams + [fams[4]], XI0_LINE, 3)
+        ob.orbit_partition(_rows(fams, list(range(len(fams))) + [4]), XI0_LINE, 3)
 
 
 def test_orbit_partition_refuses_a_family_list_the_group_leaves():
     fams = ob.enumerate_families(XI0_FOUR_LINES, XI1_FOUR_LINES, 3)
     # every line still occurs at every degree, but one family is missing
     with pytest.raises(InternalCheckError, match="left the enumerated family set"):
-        ob.orbit_partition(fams[1:], XI0_FOUR_LINES, 3)
+        ob.orbit_partition(_rows(fams, slice(1, None)), XI0_FOUR_LINES, 3)
 
 
 def test_orbit_partition_refuses_an_image_outside_the_subspaces(monkeypatch):
@@ -301,7 +310,7 @@ def test_family_to_module_dims_line_case():
     fam = ob.RelationFamily(
         XI0_LINE, XI1_LINE, 3, {(4,): np.array([[1, 0, 0]])}
     )
-    fam.check()
+    ref.check_family(fam)
     M = ob.family_to_module(fam)
     # two free strands plus one strand killed after four steps
     dims = [M.dim(gr.to_index(M.coords, (i,))) for i in range(6)]
@@ -310,7 +319,7 @@ def test_family_to_module_dims_line_case():
 
 def test_family_to_module_empty_is_free():
     fam = ob.RelationFamily({(0, 0): 2}, {}, 3, {})
-    fam.check()
+    ref.check_family(fam)
     M = ob.family_to_module(fam)
     assert all(
         M.dim(gr.to_index(M.coords, d)) == 2 for d in [(0, 0), (1, 0), (2, 2)]
@@ -480,3 +489,129 @@ def test_classify_spot_checks_members_other_than_the_representative(monkeypatch)
     assert len(converted) == sum(
         1 + min(ob.SPOT_CHECKS, o.size - 1) for o in report.orbits
     )
+
+
+# -- the array census against the per-family reference ------------------------
+
+REFERENCE_SHAPES = [
+    (XI0_FOUR_LINES, XI1_FOUR_LINES, 5),
+    (XI0_MIXED, XI1_MIXED, 3),
+    (XI0_FOUR_LINES, XI1_FOUR_LINES, 7),
+    (XI0_FOUR_LINES, XI1_FOUR_LINES, 11),
+    # (1, 1) has two maximal relation degrees below it: no closed form
+    ({(0, 0): 3}, {(1, 0): 1, (0, 1): 1, (1, 1): 1}, 2),
+] + PARTITION_SHAPES
+
+
+@pytest.mark.parametrize("xi0, xi1, q", REFERENCE_SHAPES)
+def test_the_array_census_matches_the_per_family_reference(xi0, xi1, q):
+    fams = ob.enumerate_families(xi0, xi1, q)
+    want, orbits = ref.reference_census(xi0, xi1, q)
+    ref.same_families(fams, want)
+    ref.same_orbits(ob.orbit_partition(fams, xi0, q), orbits)
+
+
+def _random_census_shape(rng):
+    """A random (xi0, xi1, q): n <= 2, q in {2, 3, 5}, one to three
+    generators at degrees in 0..1 per axis and at most as many relations,
+    at degrees in 1..3."""
+    n = int(rng.integers(1, 3))
+    q = int(rng.choice([2, 3, 5]))
+
+    def degrees(count, low, high):
+        return [tuple(rng.integers(low, high, size=n).tolist()) for _ in range(count)]
+
+    gens = int(rng.integers(1, 4))
+    xi0 = gr.multiset_from_list(degrees(gens, 0, 2))
+    xi1 = gr.multiset_from_list(degrees(int(rng.integers(1, gens + 1)), 1, 4))
+    return xi0, xi1, q
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_small_censuses_match_the_per_family_reference(seed):
+    xi0, xi1, q = _random_census_shape(np.random.default_rng(seed))
+    want, orbits = ref.reference_census(xi0, xi1, q)
+    fams = ob.enumerate_families(xi0, xi1, q)
+    ref.same_families(fams, want)
+    ref.same_orbits(ob.orbit_partition(fams, xi0, q), orbits)
+
+
+def test_the_closed_form_is_checked_against_the_enumeration(monkeypatch):
+    births = [(g,) for g in gr.multiset_to_list(XI0_MIXED)]
+    degrees = sorted(XI1_MIXED)
+    index = [gr.present(births, v) for v in degrees]
+    dims = [gr.staircase_count(XI1_MIXED, v) for v in degrees]
+    below = [[], [0], []]  # (1, 1) <= (1, 2); (2, 0) is incomparable to both
+    assert ob._closed_form(below, index, dims, 3) == 13 * 4 * 4 == 208
+    # relation degrees (0, 1), (1, 0) and (1, 1): two maximal ones below (1, 1)
+    assert ob._closed_form([[], [], [0, 1]], [[0]] * 3, [1, 1, 3], 2) is None
+    closed = ob._closed_form
+    monkeypatch.setattr(ob, "_closed_form", lambda *args: closed(*args) + 1)
+    want = "the enumeration found 208 families, but the closed form gives 209"
+    with pytest.raises(InternalCheckError, match=want):
+        ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+
+
+def test_a_flipped_containment_entry_fails_the_second_count(monkeypatch):
+    # the first plane at (1, 2) holds the first line at (1, 1); with that
+    # entry of the table flipped, the first partial family keeps 3 planes
+    contains = ob._containment
+
+    def flipped(*args):
+        table = contains(*args)
+        table[0, 0] = not table[0, 0]
+        return table
+
+    monkeypatch.setattr(ob, "_containment", flipped)
+    want = (
+        "relation degree [1, 2]: partial family [0] has 3 extensions, but its "
+        "pushed rows span dimension 1, which gives 4"
+    )
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+
+
+def test_a_generator_table_with_one_collision_is_refused(monkeypatch):
+    # the second line is sent where the first goes: every image is a used
+    # subspace, but two positions share one
+    fams = ob.enumerate_families(XI0_LINE, XI1_LINE, 3)
+    first, second = fams.candidates[0][:2]
+    act = ob.apply_group_element
+    monkeypatch.setattr(
+        ob,
+        "apply_group_element",
+        lambda g, v, space: act(g, v, first if space is second else space),
+    )
+    with pytest.raises(InternalCheckError, match=r"does not permute .* at \[4\]"):
+        ob.orbit_partition(fams, XI0_LINE, 3)
+
+
+def test_a_generator_that_breaks_containment_leaves_the_family_set(monkeypatch):
+    # the group fixes every plane at (1, 2) but moves the lines at (1, 1):
+    # each table is a bijection, yet some image line leaves its plane
+    fams = ob.enumerate_families(XI0_MIXED, XI1_MIXED, 3)
+    act = ob.apply_group_element
+    monkeypatch.setattr(
+        ob,
+        "apply_group_element",
+        lambda g, v, space: space if v == (1, 2) else act(g, v, space),
+    )
+    with pytest.raises(InternalCheckError, match="left the enumerated family set"):
+        ob.orbit_partition(fams, XI0_MIXED, 3)
+
+
+def test_classify_builds_family_objects_only_for_representatives_and_spot_checks(
+    monkeypatch,
+):
+    built = []
+    init = ob.RelationFamily.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ob.RelationFamily, "__init__", counting)
+    report = ob.classify(XI0_MIXED, XI1_MIXED, 3)
+    spots = sum(min(ob.SPOT_CHECKS, o.size - 1) for o in report.orbits)
+    assert (len(report.orbits), spots) == (13, 59)
+    assert len(built) == 13 + 59

@@ -154,7 +154,7 @@ def _first_spot_check(xi0, xi1, q):
     rule, t·n // size at t = 0)."""
     families = ob.enumerate_families(xi0, xi1, q)
     for orbit in ob.orbit_partition(families, xi0, q):
-        others = [k for k in orbit.members if families[k] is not orbit.rep]
+        others = [k for k in orbit.members if k != orbit.index]
         if others:
             return families[others[0]], others[0]
 

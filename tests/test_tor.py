@@ -718,3 +718,24 @@ def test_the_degree_masks_name_the_first_bad_entry(circle, seed):
     else:
         with pytest.raises(InternalCheckError, match=re.escape(want)):
             res.check()
+
+
+def test_koszul_classes_refuse_cycles_short_of_their_padding_rows(monkeypatch):
+    # two entries padded to 3 columns: the first (1 × 2) must keep one unit
+    # row of padding in its padded kernel; a stacked kernel two rows short
+    # leaves it fewer, which names the first entry's Tor degree
+    downs = [np.array([[[1, 0]]]), np.zeros((1, 1, 3), dtype=np.int64)]
+    ups = [np.zeros((1, 2, 0), dtype=np.int64), np.zeros((1, 3, 0), dtype=np.int64)]
+    wheres = ["Tor_0 at (0, 0)", "Tor_0 at (1, 0)"]
+    found = tor.koszul_classes(downs, ups, [[1], [3]], wheres, 5, pad=True)
+    assert [rows.shape for (rows,) in found] == [(1, 2), (3, 3)]
+    kernel = la.stacked_kernel_basis
+
+    def short(stack, p):
+        rows, counts = kernel(stack, p)
+        return rows, [counts[0] - 2] + list(counts[1:])
+
+    monkeypatch.setattr(la, "stacked_kernel_basis", short)
+    want = "Tor_0 at (0, 0): the cycles lack their padding rows"
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        tor.koszul_classes(downs, ups, [[1], [3]], wheres, 5, pad=True)
