@@ -35,24 +35,26 @@ routine that returns rows stays on the dense elimination, whose unique RREF
 is the identity test downstream.
 
 The stacked canonical forms (stacked_row_space, stacked_kernel_basis,
-stacked_complement_basis, stacked_unit_complement, stacked_reduce_mod_rows)
-take a (B, r, c) stack and equal the per-matrix routines matrix by matrix,
-which stay the reference.  A stacked basis is a pair (rows, counts): rows
-is a (B, k, c) array holding matrix b's RREF basis without zero rows in its
-first counts[b] rows, then zero rows up to the largest count k, and counts
-is a list.  Zero rows are harmless in every reduction, so rows may be
-passed on as they are.  Below _STACK_DEPTH matrices the stacked forms run
-the per-matrix routines one matrix at a time, where numpy's per-call
-overhead outweighs the arithmetic; from that depth on, one vectorized
-elimination step per column reduces every matrix of the stack.  None of
-them writes into its input or into a view of it (no out= into a view).
+stacked_unit_complement, stacked_reduce_mod_rows) take a (B, r, c) stack and
+equal the per-matrix routines matrix by matrix, which stay the reference;
+row space and kernel reduce the whole stack by one vectorized elimination
+step per column.  A stacked basis is a pair (rows, counts): rows is a (B,
+k, c) array holding matrix b's RREF basis without zero rows in its first
+counts[b] rows, then zero rows up to the largest count k, and counts is a
+list.  Zero rows are harmless in every reduction, so rows may be passed on
+as they are.  None of them writes into its input or into a view of it (no
+out= into a view).
 
-stacked_padded runs one of them on a list of stacks of different shapes,
-(B_g, r_g, c_g) arrays such as the stacks of one module at every index
-point: it zero-pads them into one (ΣB_g, R, C) stack, makes one call, and
-cuts each answer back to its c_g columns and counts.  Padding changes no
-form (see stacked_padded).  It calls the stacked forms by their module
-names, so a test that replaces one replaces it there too.
+stacked_padded is the one route to a stacked row space, kernel or
+complement.  It takes a list of stacks of different shapes, (B_g, r_g, c_g)
+arrays such as the stacks of one module at every index point, and decides
+how to reduce them: when every entry is one matrix (a single module's
+points), by the per-matrix routine on each, where numpy's per-call overhead
+outweighs the arithmetic; otherwise it zero-pads them into one (ΣB_g, R, C)
+stack, makes one call of a stacked form, and cuts each answer back to its
+c_g columns and counts.  Padding changes no form (see stacked_padded).  It
+calls every routine by its module name, so a test that replaces one
+replaces it there too.
 
 Only prime p is supported; inverses come from Fermat (a^(p-2) mod p).
 """
@@ -70,14 +72,6 @@ import numpy as np
 # step wins from about 1,600 entries over GF(3) and from 256 at
 # p = 3037000493.  The inputs disagree, so the gate stays where it was.
 _LIST_ENTRIES = 3072
-
-# The stacked canonical forms run the per-matrix routines one matrix at a
-# time below this many matrices, and eliminate the whole stack at once from
-# it on: the crossover of the two, timed on one index point's stack of census
-# members (BENCH_20.json).  The census now pads every index point of a stage
-# into one stack (stacked_padded), hundreds of matrices deep, so below the
-# gate run a single module's points and the odd small stage.
-_STACK_DEPTH = 8
 
 
 def is_prime(p):
@@ -399,23 +393,9 @@ def _leads(rows):
     return (rows != 0).argmax(axis=-1)
 
 
-def stack_bases(mats, cols):
-    """Bases (row matrices of `cols` columns) as one stacked basis."""
-    counts = [len(m) for m in mats]
-    if len(mats) == 1:  # every single module's stacked forms: a view, not a copy
-        return mats[0][None], counts
-    out = np.zeros((len(mats), max(counts, default=0), cols), dtype=np.int64)
-    for b, m in enumerate(mats):
-        out[b, : len(m)] = m
-    return out, counts
-
-
 def stacked_row_space(stack, p):
     """row_space of every matrix of a (B, rows, cols) stack, as a stacked basis."""
-    m = np.asarray(stack, dtype=np.int64)
-    if len(m) < _STACK_DEPTH:
-        return stack_bases([row_space(a, p) for a in m], m.shape[2])
-    r, ranks = _eliminate(m, p)
+    r, ranks = _eliminate(stack, p)
     return r[:, : ranks.max(initial=0)], ranks.tolist()
 
 
@@ -430,8 +410,6 @@ def stacked_kernel_basis(stack, p):
     """
     m = np.asarray(stack, dtype=np.int64)
     nb, nrows, ncols = m.shape
-    if nb < _STACK_DEPTH:
-        return stack_bases([kernel_basis(a, p) for a in m], ncols)
     r, ranks = _eliminate(m[:, :, ::-1], p)
     b, i = np.nonzero(np.arange(nrows) < ranks[:, None])
     pivots = _leads(r[b, i])
@@ -455,22 +433,6 @@ def stacked_reduce_mod_rows(v, basis, p):
     b = np.asarray(basis, dtype=np.int64) % p
     at = w[np.arange(len(w))[:, None], :, _leads(b)].transpose(0, 2, 1)
     return (w - matmul(at, b, p)) % p
-
-
-def stacked_complement_basis(sub, whole, p):
-    """complement_basis of every stack member, as a stacked basis.
-
-    sub and whole are stacked bases, sub[b] <= whole[b] as row spaces.
-    Raises ValueError when some sub[b] is not contained in whole[b].
-    """
-    (s, ks), (w, kw) = sub, whole
-    if len(w) < _STACK_DEPTH:
-        comps = [complement_basis(a[:i], b[:k], p) for a, b, i, k in zip(s, w, ks, kw)]
-        return stack_bases(comps, w.shape[2])
-    comp, counts = stacked_row_space(stacked_reduce_mod_rows(w, s, p), p)
-    if any(k != b - a for k, a, b in zip(counts, ks, kw)):
-        raise ValueError("complement_basis: sub is not contained in whole")
-    return comp, counts
 
 
 def stacked_unit_complement(basis):
@@ -500,39 +462,39 @@ def _pad(stacks, cols):
     return out
 
 
-def _one(kind, entry, p):
-    """stacked_padded of one entry, by the stacked form itself."""
-    if kind == "row_space":
-        return stacked_row_space(entry, p)
-    if kind == "kernel_basis":
-        return stacked_kernel_basis(entry, p)
-    try:
-        return stacked_complement_basis(*entry, p)
-    except ValueError:
-        return None
-
-
-def stacked_padded(kind, entries, p, pad=True):
-    """The stacked form kind ("row_space", "kernel_basis" or
-    "complement_basis") of every entry of a list, as one stacked basis per
-    entry, or None for the complement of a sub not contained in its whole
-    and for a padded kernel with fewer rows than its padded columns.
+def stacked_padded(kind, entries, p):
+    """The canonical form kind ("row_space", "kernel_basis" or
+    "complement_basis") of every matrix of every entry of a list, as one
+    stacked basis per entry, or None for the complement of a sub not
+    contained in its whole and for a padded kernel with fewer rows than its
+    padded columns.
 
     An entry is a (B_g, r_g, c_g) array, for complement_basis a pair (sub,
-    whole) of stacked bases over c_g columns (the whole's rows reduced
-    modulo the sub, then their row space, whose count must be the
-    difference).  With pad, the entries are zero-padded into one (ΣB_g, R,
-    C) stack, reduced by one call of the stacked form, and each answer is cut
-    back to its c_g columns and counts; without, each entry is its own call.
-    Zero rows change no form.  Zero columns appended at the end carry no
-    pivot, so a row space keeps its rows; each is a free column, whose unit
-    vector comes last in the RREF kernel basis and is zero on the c_g real
-    columns, so a kernel drops its last C - c_g rows.
+    whole) of stacked bases over c_g columns.  When every entry is one
+    matrix deep, each is reduced by row_space, kernel_basis or
+    complement_basis.  Otherwise the entries are zero-padded into one
+    (ΣB_g, R, C) stack and reduced by one stacked form (a complement as the
+    whole's rows reduced modulo the sub, then their row space, whose count
+    must be the difference), and each answer is cut back to its c_g columns
+    and counts.  Zero rows change no form.  Zero columns appended at the end
+    carry no pivot, so a row space keeps its rows; each is a free column,
+    whose unit vector comes last in the RREF kernel basis and is zero on the
+    c_g real columns, so a kernel drops its last C - c_g rows.
     """
-    if not (pad and entries):
-        return [_one(kind, entry, p) for entry in entries]
     complement = kind == "complement_basis"
     arrays = [whole[0] for _, whole in entries] if complement else entries
+    if all(len(a) == 1 for a in arrays):
+        if not complement:
+            form = row_space if kind == "row_space" else kernel_basis
+            return [(r[None], [len(r)]) for r in (form(m[0], p) for m in entries)]
+        out = []
+        for (s, ks), (w, kw) in entries:
+            try:
+                r = complement_basis(s[0, : ks[0]], w[0, : kw[0]], p)
+                out.append((r[None], [len(r)]))
+            except ValueError:
+                out.append(None)
+        return out
     cols = max((m.shape[2] for m in arrays), default=0)
     m = _pad(arrays, cols)
     if complement:

@@ -426,11 +426,12 @@ def present_cokernel(pres, p):
     ValueError), answered with one stack per group of members with equal
     dims ([] for []), each with its input positions as .members.  The grid
     and the generators present at each index point (.gen_index) are made
-    once.  At each index point one stacked row space of the relation rows
-    gives each member's relation space (.reduce_by) and its RREF complement
-    (.bases), the unit vectors at the non-pivot columns.  One _quotients
-    call on them groups the members by rank, so by dims, and builds each
-    group's stack; the first failing member raises what it raises alone.
+    once.  One la.stacked_padded row space of the relation rows at every
+    index point gives each member's relation space (.reduce_by) there, and
+    its RREF complement (.bases) is the unit vectors at the non-pivot
+    columns.  One _quotients call on them groups the members by rank, so by
+    dims, and builds each group's stack; the first failing member raises
+    what it raises alone.
     """
     single = isinstance(pres, Presentation)
     press = [pres] if single else list(pres)
@@ -451,10 +452,9 @@ def present_cokernel(pres, p):
     for b, pr in enumerate(press):
         for r, (_, coeffs) in enumerate(pr.relations):
             rel[b, r, list(coeffs)] = [c % p for c in coeffs.values()]
-    spaces = {
-        v: la.stacked_row_space(rel[:, live[v]][..., gens[v]], p)
-        for v in gr.grid(gr.coords_bound(coords))
-    }
+    points = list(gr.grid(gr.coords_bound(coords)))
+    relations = [rel[:, live[v]][..., gens[v]] for v in points]
+    spaces = dict(zip(points, la.stacked_padded("row_space", relations, p)))
     units = {v: la.stacked_unit_complement(s) for v, s in spaces.items()}
     return _quotients(coords, gens, units, spaces, p, single)
 

@@ -30,15 +30,15 @@ once as a (B, r, c) block.  The canonical forms run by stages, each over
 every index point (level 0's generator row spaces; per level its kernels,
 then its generator row spaces and complements; the check's image row
 spaces; the Koszul cycles, boundaries and classes over every (j, v) with
-Tor): one la.stacked_padded call per stage, which pads a stack's per-point
-arrays into one stack for one stacked form, and makes one call per point
-for a single module.  Each stage's checks then run point by point in grid
-order, as they would inline.  Nothing assumes that members agree beyond
-their dims: where their Koszul ranks differ, each gets its own dimensions
-and cycles, and where their resolution generators differ, the stack splits
-by them and each part, a set of member positions, continues alone.  Every
-check runs for every member, and an error names the same stage and degree
-as for that module alone.
+Tor): one la.stacked_padded call per stage, which reduces a single
+module's points one matrix at a time and pads a stack's per-point arrays
+into one stack for one stacked form.  Each stage's checks then run point
+by point in grid order, as they would inline.  Nothing assumes that
+members agree beyond their dims: where their Koszul ranks differ, each gets
+its own dimensions and cycles, and where their resolution generators
+differ, the stack splits by them and each part, a set of member positions,
+continues alone.  Every check runs for every member, and an error names the
+same stage and degree as for that module alone.
 
 Both routes run on M's critical grid (grading): Tor of a module that is
 constant between consecutive critical values vanishes at every degree with a
@@ -278,7 +278,7 @@ def koszul_tor(M, j):
             ups.append(up[members])
             wants.append([want[b] for b in members])
             wheres.append("Tor_%d at %s" % (i, gr.to_degree(M.coords, v)))
-    found = koszul_classes(downs, ups, wants, wheres, p, M.members is not None)
+    found = koszul_classes(downs, ups, wants, wheres, p)
     for (i, v, members), want, rows in zip(keys, wants, found):
         for b, k, r in zip(members, want, rows):
             dims[b][i][v], reps[b][i][v] = k, r
@@ -288,19 +288,19 @@ def koszul_tor(M, j):
     return _per_member(M, [kts[j] for kts in out] if single else out)
 
 
-def koszul_classes(downs, ups, wants, wheres, p, pad=False):
+def koszul_classes(downs, ups, wants, wheres, p):
     """RREF-canonical Tor classes of each member of stacks of Koszul
     differentials out of K_j(v) (downs[g]) and into it (ups[g]): the
     complement of the boundaries in the cycles, whose count must be
-    wants[g][b].  Each form is one la.stacked_padded call over every entry
-    (padded when pad).  The first failing entry, in list order, raises
-    InternalCheckError led by its wheres[g] ("Tor_j at degree")."""
-    cycles = la.stacked_padded("kernel_basis", downs, p, pad)
+    wants[g][b].  Each form is one la.stacked_padded call over every entry.
+    The first failing entry, in list order, raises InternalCheckError led by
+    its wheres[g] ("Tor_j at degree")."""
+    cycles = la.stacked_padded("kernel_basis", downs, p)
     for cycle, where in zip(cycles, wheres):
         if cycle is None:
             raise InternalCheckError("%s: the cycles lack their padding rows" % where)
-    bounds = la.stacked_padded("row_space", [u.transpose(0, 2, 1) for u in ups], p, pad)
-    found = la.stacked_padded("complement_basis", list(zip(bounds, cycles)), p, pad)
+    bounds = la.stacked_padded("row_space", [u.transpose(0, 2, 1) for u in ups], p)
+    found = la.stacked_padded("complement_basis", list(zip(bounds, cycles)), p)
     out = []
     for classes, want, where in zip(found, wants, wheres):
         if classes is None:
@@ -345,8 +345,8 @@ def _generators(M, nb, sub=None, present=None):
     into v as it is.  Without sub it is all of each module: the identity at
     v, pushed through its steps.  The pushed rows at every index point are
     reduced by one la.stacked_padded call, and the generators born at v are
-    their stacked complement inside sub[v] (one more call over every point;
-    inside the identity, read off the pivots, point by point); with
+    their complement inside sub[v] (one more call over every point; inside
+    the identity, read off the pivots, point by point); with
     present[v], the generators of the free module present at v, they are
     found on those columns and placed back over all generators.  A pushed
     row outside sub[v] raises InternalCheckError.
@@ -369,13 +369,12 @@ def _generators(M, nb, sub=None, present=None):
         points.append((v, cols))
         pushed = [x.reshape(nb, -1, width) for x in [la.zeros(0, width)] + pushed]
         pushes.append(np.concatenate(pushed, axis=1))
-    pad = M.members is not None
-    spaces = la.stacked_padded("row_space", pushes, M.p, pad)
+    spaces = la.stacked_padded("row_space", pushes, M.p)
     if sub is None:
         comps = [la.stacked_unit_complement(s) for s in spaces]
     else:
         pairs = list(zip(spaces, wholes))
-        comps = la.stacked_padded("complement_basis", pairs, M.p, pad)
+        comps = la.stacked_padded("complement_basis", pairs, M.p)
     out = []
     for (v, cols), found in zip(points, comps):
         if found is None:
@@ -485,8 +484,7 @@ def _check(ress, kernels):
         for j, m in d.items()
         if present[j][v]
     ]
-    pad = M.members is not None
-    spaces = la.stacked_padded("row_space", [m for _, _, m in images], p, pad)
+    spaces = la.stacked_padded("row_space", [m for _, _, m in images], p)
     spaces = {(j, v): s for (j, v, _), s in zip(images, spaces)}
     for v in gr.grid(M.bound):
         if any(len(present[0][v]) - k != M.dim(v) for k in kernels[0][v][1]):
@@ -575,8 +573,7 @@ def _extend(ress, maps, below=()):
     present, width = ress[0].present[j], len(ress[0].gen_degrees[j])
     kernels = {}
     points = list(gr.grid(M.bound))
-    stacks = [maps[v] for v in points]
-    found = la.stacked_padded("kernel_basis", stacks, M.p, M.members is not None)
+    found = la.stacked_padded("kernel_basis", [maps[v] for v in points], M.p)
     for v, kernel in zip(points, found):
         if kernel is None:
             raise InternalCheckError(
@@ -623,10 +620,10 @@ def minimal_resolution(M):
     resolved at once.  Level j is its generator degrees, their presence on
     the grid (one gr.present_on_grid sweep) and the stacked matrix of d_j;
     each level gathers d_j at every index point, then takes their kernels
-    and the next generators stage by stage (_extend): for a stack one
-    stacked call per stage over all points, for a single module one per
-    point.  Members whose generators differ split off and continue as a
-    part of their own, a set of member positions on the one stack.
+    and the next generators stage by stage (_extend), one la.stacked_padded
+    call per stage over all points.  Members whose generators differ split
+    off and continue as a part of their own, a set of member positions on
+    the one stack.
     """
     nb = M.depth
     out = [None] * nb

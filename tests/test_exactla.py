@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -676,6 +679,12 @@ def test_stacked_rank_matches_rank_matrix_by_matrix(stacks):
 # -- the stacked canonical forms against the per-matrix routines ---------------
 
 
+def _complement(sub, whole, p):
+    """The stacked complement of one stacked basis sub in another, whole: one
+    stacked_padded entry."""
+    return la.stacked_padded("complement_basis", [(sub, whole)], p)
+
+
 def _reference_basis(rows, counts, want):
     """rows[:counts] is want and every row past counts is zero."""
     k = len(want)
@@ -686,11 +695,10 @@ def _reference_basis(rows, counts, want):
 def strided_stacks(draw):
     """(p, stack) where stack is a non-contiguous (B, r, c) view: the
     column-reversed view kernel_basis makes, a transposed stack, or a slice of
-    a 4-d array.  Depths around the stacked forms' crossover; zero rows, zero
-    columns, zero matrices and ranks that differ inside one stack."""
+    a 4-d array.  No matrices, one, a few or many; zero rows, zero columns,
+    zero matrices and ranks that differ inside one stack."""
     p = draw(st.sampled_from((2, 3, 5, 7, 3037000493)))
-    depth = la._STACK_DEPTH
-    nb = draw(st.sampled_from((0, 1, depth - 1, depth + 1, 50)))
+    nb = draw(st.sampled_from((0, 1, 2, 7, 9, 50)))
     r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = [0, 1, p - 1, int(rng.integers(0, p))]
@@ -713,15 +721,9 @@ def strided_stacks(draw):
 
 
 def _stacked_rref(stack, p):
-    """(r, ranks, pivots) of every matrix of a (B, rows, cols) stack: the
-    per-matrix rref below la._STACK_DEPTH matrices, one la._eliminate from it
-    on, as the stacked canonical forms split their work."""
-    m = np.asarray(stack, dtype=np.int64)
-    if len(m) < la._STACK_DEPTH:
-        out = [la.rref(a, p) for a in m]
-        r = np.array([a for a, _, _ in out], dtype=np.int64).reshape(m.shape)
-        return r, [k for _, k, _ in out], [pv for _, _, pv in out]
-    r, ranks = la._eliminate(m, p)
+    """(r, ranks, pivots) of every matrix of a (B, rows, cols) stack by one
+    la._eliminate, the elimination the stacked canonical forms run."""
+    r, ranks = la._eliminate(stack, p)
     ranks = ranks.tolist()
     return r, ranks, [pv[:k] for pv, k in zip(la._leads(r).tolist(), ranks)]
 
@@ -746,7 +748,7 @@ def test_stacked_forms_match_the_per_matrix_routines(case):
 
     # a sub of each row space: the rows from an upper part of the stack
     sub, scounts = la.stacked_row_space(stack[:, : nrows // 2], p)
-    comp, ccounts = la.stacked_complement_basis((sub, scounts), (rows, counts), p)
+    [(comp, ccounts)] = _complement((sub, scounts), (rows, counts), p)
     reduced = la.stacked_reduce_mod_rows(stack, rows, p)
     for b in range(nb):
         s, w = sub[b, : scounts[b]], rows[b, : counts[b]]
@@ -759,21 +761,19 @@ def test_stacked_forms_match_the_per_matrix_routines(case):
     for basis, k in ((rows, counts), (sub, scounts)):
         view = np.ascontiguousarray(basis.transpose(0, 2, 1)).transpose(0, 2, 1)
         units, ucounts = la.stacked_unit_complement((view, k))
-        want, wcounts = la.stacked_complement_basis((view, k), eye, p)
+        [(want, wcounts)] = _complement((view, k), eye, p)
         assert ucounts == wcounts and units.shape == want.shape
         assert (units == want).all() and (view == basis).all()
     assert (stack == before).all()
 
 
 def test_stacked_complement_refuses_a_sub_outside_the_whole():
-    depth = la._STACK_DEPTH
-    for nb in (1, depth + 1):
+    for nb in (1, 9):  # per matrix, then one padded stack
         whole = np.zeros((nb, 1, 3), dtype=np.int64)
         whole[:, 0, 0] = 1
         sub = np.zeros((nb, 1, 3), dtype=np.int64)
         sub[:, 0, 1] = 1
-        with pytest.raises(ValueError, match="not contained"):
-            la.stacked_complement_basis((sub, [1] * nb), (whole, [1] * nb), 5)
+        assert _complement((sub, [1] * nb), (whole, [1] * nb), 5) == [None]
 
 
 # -- stacked_padded: ragged lists of stacks against the per-matrix routines ----
@@ -784,8 +784,8 @@ def _ragged(seed):
 
     The first entries always have no rows, no columns, depth 1 and all-zero
     matrices; the rest are low-rank products, free entries or zero, with
-    ranks that differ inside one stack.  For odd seeds the list is short,
-    with a total depth below la._STACK_DEPTH; for even seeds it is past it."""
+    ranks that differ inside one stack.  For odd seeds the list is short and
+    shallow; for even seeds it is longer and deeper."""
     rng = np.random.default_rng(seed)
     p = (2, 3, 3037000493)[seed % 3]
     values = [0, 1, p - 1, int(rng.integers(0, p))]
@@ -808,15 +808,23 @@ def _ragged(seed):
     return p, stacks
 
 
-@pytest.mark.parametrize("pad", [True, False], ids=["padded", "per-entry"])
+def _padded(kind, entries, p, together):
+    """stacked_padded over the whole list, or over each entry on its own
+    (one matrix deep: per matrix; deeper: padded alone)."""
+    if together:
+        return la.stacked_padded(kind, entries, p)
+    return [la.stacked_padded(kind, [entry], p)[0] for entry in entries]
+
+
+@pytest.mark.parametrize("together", [True, False], ids=["padded", "per-entry"])
 @pytest.mark.parametrize("seed", range(36))
-def test_stacked_padded_matches_the_per_matrix_routines(seed, pad):
+def test_stacked_padded_matches_the_per_matrix_routines(seed, together):
     p, stacks = _ragged(seed)
     before = [s.copy() for s in stacks]
     forms = {"row_space": la.row_space, "kernel_basis": la.kernel_basis}
     spaces = {}
     for kind, ref in forms.items():
-        found = spaces[kind] = la.stacked_padded(kind, stacks, p, pad)
+        found = spaces[kind] = _padded(kind, stacks, p, together)
         assert len(found) == len(stacks)
         for stack, (rows, counts) in zip(stacks, found):
             nb, _, c = stack.shape
@@ -827,12 +835,12 @@ def test_stacked_padded_matches_the_per_matrix_routines(seed, pad):
     # sub contained in its whole), and of each row space in the kernel,
     # which holds it only where the matrix times its transpose is zero
     halves = [s[:, : s.shape[1] // 2] for s in stacks]
-    upper = la.stacked_padded("row_space", halves, p, pad)
+    upper = _padded("row_space", halves, p, together)
     for sub, whole in (
         (upper, spaces["row_space"]),
         (spaces["row_space"], spaces["kernel_basis"]),
     ):
-        found = la.stacked_padded("complement_basis", list(zip(sub, whole)), p, pad)
+        found = _padded("complement_basis", list(zip(sub, whole)), p, together)
         for (s, ks), (w, kw), got in zip(sub, whole, found):
             want = []
             for b in range(len(w)):
@@ -857,17 +865,89 @@ def test_stacked_padded_answers_an_empty_list():
 
 
 def test_stacked_padded_refuses_a_kernel_short_of_its_padding_rows(monkeypatch):
-    # the 1 × 2 entry is padded to the 3 columns of the other one, so its
-    # padded kernel must end in one unit row; a stacked kernel that lost its
-    # last row leaves the entry fewer rows than that, which is refused
-    stacks = [np.array([[[1, 0]]]), np.zeros((1, 1, 3), dtype=np.int64)]
+    # two entries two deep, so they are padded: the 1 × 2 matrices to the 3
+    # columns of the others, so their padded kernels must end in one unit
+    # row; a stacked kernel that lost the first one's last rows leaves its
+    # entry fewer rows than that, which is refused
+    stacks = [np.array([[[1, 0]], [[1, 0]]]), np.zeros((2, 1, 3), dtype=np.int64)]
     kernel = la.stacked_kernel_basis
 
     def short(stack, p):
         rows, counts = kernel(stack, p)
         return rows, [counts[0] - 2] + list(counts[1:])
 
-    assert la.stacked_padded("kernel_basis", stacks, 5)[0][1] == [1]
+    assert la.stacked_padded("kernel_basis", stacks, 5)[0][1] == [1, 1]
     monkeypatch.setattr(la, "stacked_kernel_basis", short)
     found = la.stacked_padded("kernel_basis", stacks, 5)
-    assert found[0] is None and found[1][1] == [3]
+    assert found[0] is None and found[1][1] == [3, 3]
+
+
+def _one_deep(entries):
+    """Every matrix of a list of stacks as an entry of its own, in order."""
+    return [s[b : b + 1] for s in entries for b in range(len(s))]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_stacked_padded_answers_alike_for_one_deep_and_concatenated_entries(seed):
+    # the same matrices as one-deep entries (reduced one matrix at a time)
+    # and concatenated into the deeper stacks of _ragged (padded into one
+    # stack): equal bases and counts, and None for a deep entry exactly where
+    # some matrix of it answers None alone
+    p, stacks = _ragged(seed)
+    depths = [len(s) for s in stacks]
+    spaces = {}
+    for kind in ("row_space", "kernel_basis"):
+        deep = spaces[kind] = la.stacked_padded(kind, stacks, p)
+        flat = la.stacked_padded(kind, _one_deep(stacks), p)
+        _assert_deep_equals_one_deep(deep, flat, depths)
+    halves = [s[:, : s.shape[1] // 2] for s in stacks]
+    upper = la.stacked_padded("row_space", halves, p)
+    for sub, whole in (
+        (upper, spaces["row_space"]),
+        (spaces["row_space"], spaces["kernel_basis"]),
+    ):
+        pairs = list(zip(sub, whole))
+        flat = [
+            ((s[b : b + 1], [ks[b]]), (w[b : b + 1], [kw[b]]))
+            for (s, ks), (w, kw) in pairs
+            for b in range(len(w))
+        ]
+        deep = la.stacked_padded("complement_basis", pairs, p)
+        flat = la.stacked_padded("complement_basis", flat, p)
+        _assert_deep_equals_one_deep(deep, flat, depths)
+
+
+def _assert_deep_equals_one_deep(deep, flat, depths):
+    """deep[g], an answer for depths[g] matrices, equals the next depths[g]
+    one-deep answers of flat: member by member, or None where one is."""
+    assert len(flat) == sum(depths)
+    at = 0
+    for found, nb in zip(deep, depths):
+        alone = flat[at : at + nb]
+        at += nb
+        if found is None:
+            assert None in alone
+            continue
+        rows, counts = found
+        assert None not in alone and len(counts) == nb
+        for b, (one, [k]) in enumerate(alone):
+            assert counts[b] == k and one.shape == (1, k, rows.shape[2])
+            assert (one[0] == rows[b, :k]).all() and not rows[b, k:].any()
+
+
+def test_only_exactla_names_the_stacked_row_space_and_kernel():
+    # stacked_padded decides whether a stage is reduced per matrix or as one
+    # padded stack; no other module of the package calls the stacked forms
+    # it chooses between, so the decision stays in one place
+    stacked = {"stacked_row_space", "stacked_kernel_basis"}
+    found = []
+    for path in sorted(pathlib.Path(la.__file__).parent.glob("*.py")):
+        if path.name == "exactla.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in stacked:
+                found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []

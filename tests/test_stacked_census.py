@@ -245,12 +245,15 @@ def test_a_stack_of_one_equals_the_module_alone():
 
 def test_a_stack_takes_one_kernel_call_per_level_and_part(monkeypatch):
     # every index point of a level goes into one padded stacked_kernel_basis
-    # call, once per part (one _extend call); a single module keeps one call
-    # per index point and level
+    # call, once per part (one _extend call); a single module takes one
+    # kernel_basis call per index point and level, and no stacked one
     calls, parts = [], []
-    kernel, extend = la.stacked_kernel_basis, tor._extend
+    kernel, one, extend = la.stacked_kernel_basis, la.kernel_basis, tor._extend
     monkeypatch.setattr(
         la, "stacked_kernel_basis", lambda m, p: calls.append(len(m)) or kernel(m, p)
+    )
+    monkeypatch.setattr(
+        la, "kernel_basis", lambda a, p: calls.append("one") or one(a, p)
     )
     monkeypatch.setattr(
         tor,
@@ -272,4 +275,4 @@ def test_a_stack_takes_one_kernel_call_per_level_and_part(monkeypatch):
             assert parts == [S.depth] * len(ress[0].gen_degrees)
         calls.clear()
         alone = tor.minimal_resolution(_member(S, 0))
-        assert calls == [1] * (points * len(alone.gen_degrees))
+        assert calls == ["one"] * (points * len(alone.gen_degrees))

@@ -721,14 +721,16 @@ def test_the_degree_masks_name_the_first_bad_entry(circle, seed):
 
 
 def test_koszul_classes_refuse_cycles_short_of_their_padding_rows(monkeypatch):
-    # two entries padded to 3 columns: the first (1 × 2) must keep one unit
-    # row of padding in its padded kernel; a stacked kernel two rows short
-    # leaves it fewer, which names the first entry's Tor degree
-    downs = [np.array([[[1, 0]]]), np.zeros((1, 1, 3), dtype=np.int64)]
-    ups = [np.zeros((1, 2, 0), dtype=np.int64), np.zeros((1, 3, 0), dtype=np.int64)]
+    # two entries two members deep, padded to 3 columns: the first (1 × 2)
+    # must keep one unit row of padding in its padded kernel; a stacked
+    # kernel two rows short leaves it fewer, which names the first entry's
+    # Tor degree
+    downs = [np.array([[[1, 0]]] * 2), np.zeros((2, 1, 3), dtype=np.int64)]
+    ups = [np.zeros((2, 2, 0), dtype=np.int64), np.zeros((2, 3, 0), dtype=np.int64)]
     wheres = ["Tor_0 at (0, 0)", "Tor_0 at (1, 0)"]
-    found = tor.koszul_classes(downs, ups, [[1], [3]], wheres, 5, pad=True)
-    assert [rows.shape for (rows,) in found] == [(1, 2), (3, 3)]
+    wants = [[1, 1], [3, 3]]
+    found = tor.koszul_classes(downs, ups, wants, wheres, 5)
+    assert [[r.shape for r in rows] for rows in found] == [[(1, 2)] * 2, [(3, 3)] * 2]
     kernel = la.stacked_kernel_basis
 
     def short(stack, p):
@@ -738,4 +740,4 @@ def test_koszul_classes_refuse_cycles_short_of_their_padding_rows(monkeypatch):
     monkeypatch.setattr(la, "stacked_kernel_basis", short)
     want = "Tor_0 at (0, 0): the cycles lack their padding rows"
     with pytest.raises(InternalCheckError, match=re.escape(want)):
-        tor.koszul_classes(downs, ups, [[1], [3]], wheres, 5, pad=True)
+        tor.koszul_classes(downs, ups, wants, wheres, 5)
