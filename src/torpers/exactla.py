@@ -442,12 +442,14 @@ def stacked_unit_complement(basis):
     nothing else, so no elimination is needed."""
     rows, counts = basis
     nb, k, ncols = rows.shape
-    free = np.ones((nb, ncols), dtype=bool)
-    b, i = np.nonzero(np.arange(k) < np.array(counts, dtype=np.int64)[:, None])
-    free[b, _leads(rows[b, i])] = False
-    left = free.sum(axis=1)
-    order = np.argsort(~free, axis=1, kind="stable")[:, : left.max(initial=0)]
-    units = eye(ncols)[order] * (np.arange(order.shape[1]) < left[:, None])[:, :, None]
+    lead = _leads(rows)
+    lead[np.arange(k) >= np.reshape(counts, (-1, 1))] = ncols  # past the count
+    free = np.ones((nb, ncols + 1), dtype=bool)
+    free[np.arange(nb)[:, None], lead] = False
+    m, c = np.nonzero(free[:, :ncols])  # member and column of each unit vector
+    left = np.bincount(m, minlength=nb)
+    units = np.zeros((nb, left.max(initial=0), ncols), dtype=np.int64)
+    units[m, np.arange(len(m)) - (np.cumsum(left) - left)[m], c] = 1
     return units, left.tolist()
 
 

@@ -18,7 +18,8 @@ cells').  D is read off the cells (_total_columns), one reduction per line
 of the grid; d1 and the zig-zag, which multiply and solve, are built from
 tor.koszul_delta vertically and _horizontal, the cellular boundary laid over
 the Koszul blocks, and read their images in Tor classes through
-tor.class_coords.
+tor.class_coords (into Tor_0 of a chain module with no elimination: the
+step images there are unit vectors read off the present lists).
 
 When the E1 verdict holds, the graded Tor classes of all chain modules
 assemble into the finite complex T_• (grading dropped): cell copies, one per

@@ -16,7 +16,8 @@ shifted views of it.
 Coordinates: M_v is k^dim(v) with a fixed ordered basis; step matrices act
 on column vectors.  Chain modules and free modules are sums of up-set
 modules: one builder gives both from the lists of the basis items (cells,
-generators) present at each index point, with inclusions as steps.
+generators) present at each index point, with inclusions as steps, checked
+on those lists (closure, and squares as index maps) with no 0/1 product.
 Constructors that build quotients (homology, cokernels) record their bases
 as rows in the ambient coordinates (`bases`) plus the subspace that was
 modded out (`reduce_by`), so class representatives and projections stay
@@ -36,6 +37,7 @@ reduction per line.  Homology, hypertor, E1, d2 and T read one ChainData.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -91,13 +93,14 @@ class PersistenceModule:
             axes = (slice(None),) * a
             self.dims[axes + (-1,)] = self.dims[axes + (-2,)]
         self._upper = self.dims[(slice(1, None),) * self.n]  # [0, bound + 1]
+        self.gen_index = None  # the items present per index point, set by builders
         self.bases = None  # rows in ambient coords, set by quotient builders
         self.reduce_by = None  # RREF of the modded-out subspace per degree
         self.layouts = {}  # j -> the layout of K_j, filled by tor._layout
         if check:
             self._check()
 
-    def _check(self):
+    def _check(self, maps=None):  # the squares on the index maps, if given
         for v, j, w in gr.unit_steps(self.bound):
             s = self.steps.get((v, j))
             want = self._lead + (self.dim(w), self.dim(v))
@@ -108,7 +111,10 @@ class PersistenceModule:
                 raise InternalCheckError(
                     "step at %s axis %d %s" % (gr.to_degree(self.coords, v), j, fault)
                 )
-        for v, i, j, a, b in _squares(self.steps, self.bound, self.p):
+        steps, compose = maps, lambda later, first: later[first]
+        if maps is None:
+            steps, compose = self.steps, functools.partial(la.matmul, p=self.p)
+        for v, i, j, a, b in _squares(steps, self.bound, compose):
             if (a != b).any():
                 raise InternalCheckError(
                     _NOT_COMMUTING % (gr.to_degree(self.coords, v), i, j)
@@ -150,16 +156,16 @@ def check_grid(n, bound):
     return shape
 
 
-def _squares(steps, bound, p):
+def _squares(steps, bound, compose):
     """Every commuting square of the steps on [0, bound], in grid then axis
-    order: (v, i, j, and the product along each of its two paths)."""
+    order: (v, i, j, and compose(later, first) along each of its two paths)."""
     n = len(bound)
     for v in gr.grid(bound):
         for i in range(n):
             for j in range(i + 1, n):
                 if v[i] < bound[i] and v[j] < bound[j]:
-                    a = la.matmul(steps[(gr.step(v, i), j)], steps[(v, i)], p)
-                    b = la.matmul(steps[(gr.step(v, j), i)], steps[(v, j)], p)
+                    a = compose(steps[(gr.step(v, i), j)], steps[(v, i)])
+                    b = compose(steps[(gr.step(v, j), i)], steps[(v, j)])
                     yield v, i, j, a, b
 
 
@@ -213,18 +219,23 @@ def _inclusion_module(n, coords, present, p):
 
     present lists, per index point of the critical grid coords, the items
     present there in order (_present); it is kept as .gen_index, and every
-    step sends each present item to itself.
+    step sends each present item to itself.  Its checks read the index maps
+    of the steps, with no 0/1 product: every item present at v is present at
+    v + e_j (closure), and each square's two composed maps agree.
     """
     bound = gr.coords_bound(coords)
-    steps = {}
+    maps, steps = {}, {}
     for v, j, w in gr.unit_steps(bound):
-        idx = present[v]
-        m = la.zeros(len(present[w]), len(idx))
-        for col, row in enumerate(gr.placement(idx, present[w])):
-            m[row, col] = 1
-        steps[(v, j)] = m
+        try:
+            maps[v, j] = rows = np.array(gr.placement(present[v], present[w]), np.intp)
+        except KeyError:
+            degree = gr.to_degree(coords, v)
+            raise InternalCheckError(_NOT_CLOSED % (degree, j)) from None
+        steps[v, j] = la.zeros(len(present[w]), len(rows))
+        steps[v, j][rows, np.arange(len(rows))] = 1
     dims = {v: len(idx) for v, idx in present.items()}
-    mod = PersistenceModule(n, bound, dims, steps, p, coords=coords)
+    mod = PersistenceModule(n, bound, dims, steps, p, False, coords)
+    mod._check(maps)
     mod.gen_index = present
     return mod
 
@@ -358,7 +369,7 @@ def _quotients(coords, present, bases, rels, p, single):
             steps[(v, j)] = c.transpose(0, 2, 1)
             checks.append((_NOT_CLOSED, v, (j,)))
             bad.append((la.matmul(c, B[w], p) != reduced).any(axis=(1, 2)))
-        for v, i, j, a, b in _squares(steps, bound, p):
+        for v, i, j, a, b in _squares(steps, bound, functools.partial(la.matmul, p=p)):
             checks.append((_NOT_COMMUTING, v, (i, j)))
             bad.append((a != b).any(axis=(1, 2)))
         bad = np.array(bad, dtype=bool).reshape(len(checks), len(idx))
@@ -387,8 +398,9 @@ def homology_module(data, q):
     and B_q are closed under the inclusions of the q-cells because the
     boundaries are natural (see ChainData), and _quotients, on a stack of
     one, checks that H is.  dim H_q(v) comes first from the two boundary
-    ranks ChainData keeps (one reduction per line); the dense cycles and their
-    complement are built only where it is nonzero, and their count must equal it.
+    ranks ChainData keeps (one reduction per line); the classes, built only
+    where it is nonzero, must number that: off the pivots of B_q(v) where
+    ∂_q(v) is zero (all of H_0), else the complement of B_q in the cycles.
     """
     p = data.p
     h_rows, b_rows = {}, {}
@@ -398,7 +410,9 @@ def homology_module(data, q):
         b = la.row_space(up.T, p)
         dim = down.shape[1] - down_ranks.item(v) - up_ranks.item(v)
         h = la.zeros(0, down.shape[1])
-        if dim:
+        if dim and not down.any():  # every chain is a cycle: no kernel to reduce
+            h = la.stacked_unit_complement((b[None], [len(b)]))[0][0]
+        elif dim:
             try:
                 h = la.complement_basis(b, la.kernel_basis(down, p), p)
             except ValueError:
@@ -406,11 +420,11 @@ def homology_module(data, q):
                     "H_%d at %s: the boundaries are not contained in the cycles"
                     % (q, gr.to_degree(data.coords, v))
                 ) from None
-            if len(h) != dim:
-                raise InternalCheckError(
-                    "H_%d at %s: the boundary ranks give dimension %d, the "
-                    "classes %d" % (q, gr.to_degree(data.coords, v), dim, len(h))
-                )
+        if len(h) != dim:
+            raise InternalCheckError(
+                "H_%d at %s: the boundary ranks give dimension %d, the "
+                "classes %d" % (q, gr.to_degree(data.coords, v), dim, len(h))
+            )
         h_rows[v], b_rows[v] = (h[None], [len(h)]), (b[None], [len(b)])
     return _quotients(data.coords, data.present(q), h_rows, b_rows, p, True)
 

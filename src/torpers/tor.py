@@ -16,7 +16,8 @@ every kernel).  Tor_j appears in route one as Koszul homology and in route
 two as the generator degrees of F_j; xi() runs both and insists on exact
 agreement, and then on the Hilbert identity dim M(v) = sum_j (-1)^j
 sum_{u <= v} xi_j(u) at every grid point.  class_coords is the one projection
-of Koszul cycles onto Tor classes (Tor_0: M_v modulo the step images), and
+of Koszul cycles onto Tor classes (Tor_0: M_v modulo the step images, which
+on a chain or free module are unit vectors read off its present lists), and
 hypertor's d1 and d2 read their images through it.
 
 koszul_tor, minimal_resolution and xi take one module, which may be a stack:
@@ -156,11 +157,23 @@ def class_coords(M, j, v, rows, kt):
     """The coordinates of the Koszul j-cycles rows of M at index point v in
     the Tor_j classes of kt (a KoszulTor of M), or None: rows modulo the
     image of K_{j+1}(v), built only when some row is nonzero.  At j = 0 this
-    is the Tor_0 projection, M_v modulo the images of the unit steps."""
+    is the Tor_0 projection, M_v modulo the images of the unit steps, read
+    off the present lists of an inclusion module (_step_images)."""
     bounds = la.zeros(0, rows.shape[1])
-    if rows.any():
+    if rows.any() and j == 0 and M.bases is None and M.gen_index is not None:
+        bounds = _step_images(M, v)
+    elif rows.any():
         bounds = la.row_space(koszul_delta(M, v, j + 1).T, M.p)
     return la.quotient_coords(rows, bounds, kt.reps.get(v, bounds[:0]), M.p)
+
+
+def _step_images(M, v):
+    """The RREF image of the unit steps into v of an inclusion module M: the
+    unit vectors of the items present at v and at some v - e_a (clamped)."""
+    ends = [v] + [gr.minus_e(v, (a,)) for a in range(M.n) if v[a]]
+    items, *below = [M.gen_index[tuple(map(min, u, M.bound))] for u in ends]
+    below = set().union(*below)
+    return la.eye(len(items))[[c for c, k in enumerate(items) if k in below]]
 
 
 class KoszulTor:

@@ -301,16 +301,25 @@ def test_any_other_exception_exits_two(capsys, fixture_path, monkeypatch):
 
 
 def test_a_kernel_missing_a_row_exits_two(capsys, fixture_path, monkeypatch):
-    # a kernel basis one row short gives one class fewer than the boundary
-    # ranks: homology_module names H_q and the degree, and the run exits 2
+    # a class basis one row short gives one class fewer than the boundary
+    # ranks: homology_module names H_q and the degree, and the run exits 2.
+    # H_0 reads its classes off the pivots of the boundaries (every chain is
+    # a cycle), so its row goes missing from the unit complement; H_1's
+    # from the kernel basis of the boundary below it
     kernel_basis = torpers.exactla.kernel_basis
-    monkeypatch.setattr(
-        torpers.exactla, "kernel_basis", lambda a, p: kernel_basis(a, p)[:-1]
-    )
-    for q, want in [
-        ("0", "H_0 at (0, 0): the boundary ranks give dimension 3, the classes 2"),
-        ("1", "H_1 at (2, 1): the boundary ranks give dimension 1, the classes 0"),
+    unit_complement = torpers.exactla.stacked_unit_complement
+
+    def one_short(basis):
+        units, counts = unit_complement(basis)
+        return units[:, :-1], [k - 1 for k in counts]
+
+    for q, name, short, want in [
+        ("0", "stacked_unit_complement", one_short,
+         "H_0 at (0, 0): the boundary ranks give dimension 3, the classes 2"),
+        ("1", "kernel_basis", lambda a, p: kernel_basis(a, p)[:-1],
+         "H_1 at (2, 1): the boundary ranks give dimension 1, the classes 0"),
     ]:
+        monkeypatch.setattr(torpers.exactla, name, short)
         rc, out, err = run(
             capsys,
             "xi",
@@ -318,8 +327,35 @@ def test_a_kernel_missing_a_row_exits_two(capsys, fixture_path, monkeypatch):
             "--q", q,
             "--field", "5",
         )
+        monkeypatch.undo()
         assert rc == 2 and out == ""
         assert json.loads(err) == {"error": "internal-check", "message": want}
+
+
+def test_a_chain_module_not_closed_under_a_step_exits_two(
+    capsys, fixture_path, monkeypatch
+):
+    # vertex b dropped from C_0 at index point (1, 1), where it is present at
+    # (0, 1) and (1, 0): e1 builds C_0, whose first step into (1, 1), from
+    # (0, 1) along axis 0, is not closed, and the run exits 2 naming it
+    present = torpers.modules.ChainData.present
+
+    def dropping(data, i):
+        found = present(data, i)
+        if i == 0:
+            assert found[(1, 1)] == [0, 1, 2] and 1 in found[(0, 1)]
+            found = {**found, (1, 1): [0, 2]}
+        return found
+
+    monkeypatch.setattr(torpers.modules.ChainData, "present", dropping)
+    rc, out, err = run(
+        capsys, "e1", "--input", str(fixture_path / "circle_fig.mfc"), "--field", "5"
+    )
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "internal-check",
+        "message": "basis family is not closed under the step at (0, 1) axis 0",
+    }
 
 
 def test_boundaries_outside_the_cycles_exit_two(capsys, fixture_path, monkeypatch):

@@ -195,6 +195,9 @@ def _same_arrays(got, want):
     ids=["complex", "one_at_a_time"],
 )
 def test_homology_equals_the_reference_on_random_complexes(make, seed):
+    # the reference takes every class as the complement of B_q(v) in the
+    # kernel basis of ∂_q(v), also where ∂_q(v) is zero (every H_0), where
+    # homology_module reads the classes off the pivots of B_q(v) instead
     cx = make(seed)
     for p in (2, 3, 5):
         data = md.ChainData(cx, p)
@@ -229,6 +232,19 @@ def test_a_dropped_homology_class_row_is_not_closed(circle, monkeypatch):
     degree = gr.to_degree(data.coords, (0, 0))
     want = "basis family is not closed under the step at %s axis 0" % (degree,)
     assert str(raised.value) == str(reference.value) == want
+
+
+def test_a_present_list_missing_an_item_present_below_is_not_closed(circle):
+    # vertex b (item 1) dropped from C_0 at (1, 1), where it is present one
+    # step below on both axes: the first step into (1, 1) in grid then axis
+    # order, from (0, 1) along axis 0, is named
+    data = md.ChainData(circle, 5)
+    present = dict(data.present(0))
+    assert present[(1, 1)] == [0, 1, 2] and present[(0, 1)] == [0, 1, 2]
+    present[(1, 1)] = [0, 2]
+    want = "basis family is not closed under the step at (0, 1) axis 0"
+    with pytest.raises(InternalCheckError, match=re.escape(want)):
+        md._inclusion_module(data.n, data.coords, present, data.p)
 
 
 def test_a_doubled_homology_step_fails_to_commute(circle, monkeypatch):

@@ -589,6 +589,43 @@ def _pattern_modules(data):
         yield md._inclusion_module(data.n, coords, md._present(coords, [pattern]), data.p)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_step_images_off_the_present_lists_equal_the_koszul_row_space(seed):
+    # the Tor_0 step images of an inclusion module (every chain module and
+    # every cell pattern's up-set module), read off its present lists at
+    # each point of the scan box, equal the RREF image of Delta_1 there, the
+    # reduction they replace
+    for cx in (randfix.random_complex(seed), randfix.random_one_at_a_time(seed)):
+        data = md.ChainData(cx, (2, 3, 5)[seed % 3])
+        chains = [data.module(i) for i in range(data.top + 1)]
+        for M in chains + list(_pattern_modules(data)):
+            for v in gr.grid(tuple(b + 1 for b in M.bound)):
+                want = la.row_space(tor.koszul_delta(M, v, 1).T, M.p)
+                got = tor._step_images(M, v)
+                assert got.shape == want.shape and (got == want).all(), v
+
+
+def test_class_coords_reads_tor_0_of_an_inclusion_module_without_delta(
+    circle, monkeypatch
+):
+    # at j = 0 on C_0 and C_1 of the circle, class_coords builds no Koszul
+    # differential and gives, at every scan point, the coordinates of the
+    # projection modulo the RREF image of Delta_1
+    data = md.ChainData(circle, 5)
+    cases = []
+    for C in (data.module(0), data.module(1)):
+        kt = tor.koszul_tor(C, 0)
+        for v in gr.grid(tuple(b + 1 for b in C.bound)):
+            rows = la.eye(C.dim(v))
+            image = la.row_space(tor.koszul_delta(C, v, 1).T, 5)
+            want = la.quotient_coords(rows, image, kt.reps.get(v, image[:0]), 5)
+            cases.append((C, kt, v, rows, want))
+    monkeypatch.setattr(tor, "koszul_delta", None)
+    for C, kt, v, rows, want in cases:
+        got = tor.class_coords(C, 0, v, rows, kt)
+        assert got is not None and np.array_equal(got, want), v
+
+
 def test_single_module_koszul_ranks_equal_stacked_rank(monkeypatch):
     # a single module's Koszul complex at each point is ranked by one
     # complex_ranks call: every rank equals stacked_rank's on the same
